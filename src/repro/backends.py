@@ -27,11 +27,6 @@ Capability flags (a backend advertises what it can actually do):
 ``streaming``
     Consumes :class:`~repro.data.stream.RelationStream` inputs larger
     than RAM.
-``ingest``
-    Can serve behind a WAL-enabled store taking idempotent streaming
-    appends (``serve --wal``): the backend's recompute fallback must
-    tolerate the relation growing between calls.  The simulated backend
-    cannot — its modelled timing assumes a fixed input.
 ``simulated-timing``
     Reports modelled cluster seconds rather than wall clock.
 """
@@ -69,14 +64,14 @@ BACKENDS = {
         "supervised process pool over the columnar kernels (real wall "
         "clock)",
         {"cube", "store-build", "serve-fallback", "shards", "workers",
-         "faults", "kernels", "ingest"},
+         "faults", "kernels"},
     ),
     "mapreduce": BackendInfo(
         "mapreduce",
         "one-round MapReduce with a spill-to-disk shuffle (inputs larger "
         "than RAM)",
         {"cube", "store-build", "serve-fallback", "shards", "workers",
-         "faults", "streaming", "ingest"},
+         "faults", "streaming"},
     ),
 }
 

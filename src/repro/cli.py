@@ -35,7 +35,7 @@ Examples::
     repro-cube store build --weather 20000 --dims 6 --out /tmp/cube-store
     repro-cube store build --weather 20000 --dims 6 --out /tmp/cluster --shards 3
     repro-cube serve --store /tmp/cube-store --port 8642
-    repro-cube serve --store /tmp/cube-store --wal --compact-after 8
+    repro-cube serve --store /tmp/cube-store --compact-after 8
     repro-cube store compact --store /tmp/cube-store
     repro-cube serve --store /tmp/cluster/shard-0 --shard 0/3 --port 9001
     repro-cube router --shard http://h1:9001,http://h2:9001 \
@@ -185,8 +185,8 @@ def build_parser():
                             "of one monolithic store")
     _add_obs_options(build)
     compact = store_sub.add_parser(
-        "compact", help="fold a WAL-enabled store's pending delta batches "
-                        "into its sorted leaf runs")
+        "compact", help="fold a store's pending delta batches into its "
+                        "sorted leaf runs")
     compact.add_argument("--store", required=True, metavar="DIR",
                          help="directory written by 'store build'")
     compact.add_argument("--verify", default="quick",
@@ -232,14 +232,14 @@ def build_parser():
                             "unless the store was built as exactly that shard "
                             "(e.g. --shard 0/3)")
     serve.add_argument("--wal", action="store_true",
-                       help="open the store with the write-ahead log: "
-                            "appends become durable, idempotent "
-                            "(batch_id-deduplicated) delta batches, "
-                            "compacted in the background")
+                       help="accepted and ignored: every store appends "
+                            "through its write-ahead log (durable, "
+                            "batch_id-deduplicated delta batches, "
+                            "compacted in the background)")
     serve.add_argument("--compact-after", type=int, default=None, metavar="N",
                        help="WAL batches buffered before a background "
                             "compaction folds them into the sorted leaf "
-                            "runs (default 8; requires --wal)")
+                            "runs (default 8)")
     _add_obs_options(serve)
 
     router = sub.add_parser(
@@ -271,9 +271,8 @@ def build_parser():
                              "generation before answering 503 (default 4)")
     router.add_argument("--append-retries", type=int, default=3, metavar="N",
                         help="delivery attempts per replica per append "
-                             "(retries only run against WAL-enabled "
-                             "replicas, where idempotence keys make them "
-                             "safe; default 3)")
+                             "(idempotence keys make the retries safe; "
+                             "default 3)")
     router.add_argument("--append-backoff", type=float, default=0.05,
                         metavar="SECONDS",
                         help="base of the capped full-jitter backoff "
@@ -738,13 +737,13 @@ def _cmd_store_compact(args, out):
     """``store compact``: fold pending WAL batches into the leaf runs."""
     from .serve import CubeStore
 
-    store = CubeStore.open(args.store, verify=args.verify, wal=True)
+    store = CubeStore.open(args.store, verify=args.verify)
     try:
         stats = store.wal_stats()
         pending = stats["pending_batches"]
         print("store            : %s (generation %d)"
               % (args.store, store.generation), file=out)
-        replayed = store.recovery.get("wal_replayed", 0)
+        replayed = store.recovery["wal_replayed"]
         if replayed:
             print("wal recovery     : %d batch(es) replayed" % replayed,
                   file=out)
@@ -844,15 +843,10 @@ def cmd_serve(args, out):
 def _cmd_serve(args, out):
     from .serve import CircuitBreaker, CubeServer, CubeStore
 
-    if args.compact_after is not None and not args.wal:
-        raise ReproError("--compact-after requires --wal")
-    if args.wal:
-        kwargs = {"wal": True}
-        if args.compact_after is not None:
-            kwargs["compact_after"] = args.compact_after
-        store = CubeStore.open(args.store, verify=args.verify, **kwargs)
-    else:
-        store = CubeStore.open(args.store, verify=args.verify)
+    kwargs = {}
+    if args.compact_after is not None:
+        kwargs["compact_after"] = args.compact_after
+    store = CubeStore.open(args.store, verify=args.verify, **kwargs)
     if args.shard is not None:
         from .serve import ShardMap
 
@@ -865,20 +859,16 @@ def _cmd_serve(args, out):
         ShardMap(store.dims, of).validate_store(store, index)
         print("shard            : %d/%d (placement validated)" % (index, of),
               file=out)
-    recovery = getattr(store, "recovery", None)
-    if recovery and (recovery.get("rolled_forward")
-                     or recovery.get("orphans_removed")
-                     or recovery.get("salvaged")):
+    recovery = store.recovery
+    if (recovery["rolled_forward"] or recovery["orphans_removed"]
+            or recovery["salvaged"]):
         print("store recovery   : rolled_forward=%s, %d orphans removed, "
               "%d leaves salvaged"
               % (recovery["rolled_forward"], len(recovery["orphans_removed"]),
                  len(recovery["salvaged"])), file=out)
-    if args.wal:
-        stats = store.wal_stats()
-        print("wal              : enabled (%d batch(es) replayed on open, "
-              "compaction after %d)"
-              % (recovery.get("wal_replayed", 0) if recovery else 0,
-                 stats["compact_after"]), file=out)
+    print("wal              : %d batch(es) replayed on open, compaction "
+          "after %d" % (recovery["wal_replayed"], store.compact_after),
+          file=out)
     deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms else None
     server = CubeServer(store, cache_size=args.cache_size,
                         max_workers=args.threads,

@@ -158,10 +158,17 @@ class LeafMaterialization:
         self.total_measure += sum(relation.measures)
         self.generation += 1
 
-    def append(self, relation):
+    def append(self, relation, batch_id=None):
         """Alias for :meth:`insert` (the cube-store maintenance name),
         so a :class:`~repro.serve.server.CubeServer` can front an
-        in-memory materialization and a persistent store uniformly."""
+        in-memory materialization and a persistent store uniformly.
+        ``batch_id`` is refused: nothing here remembers applied batches,
+        so a retry could not be deduplicated."""
+        if batch_id is not None:
+            raise PlanError(
+                "idempotent appends (batch_id=%r) need a CubeStore; an "
+                "in-memory materialization keeps no batch record"
+                % (batch_id,))
         self.insert(relation)
 
     def canonical(self, cuboid):

@@ -5,12 +5,12 @@ iceberg query almost immediately — made into a serving subsystem:
 
 * :class:`CubeStore` persists the leaves (sorted, prefix-indexed,
   checksummed) so a restart never repeats the precompute, and recovers
-  from crashes mid-append (journal roll-forward) and damaged leaf files
-  (salvage from the covering root leaf);
+  from crashes mid-compaction (journal roll-forward) and damaged leaf
+  files (salvage from the covering root leaf);
 * :class:`QueryCache` keeps hot answers with LRU eviction and
   insert-generation invalidation;
 * :class:`CubeServer` admits concurrent queries (thread pool + optional
-  stdlib-HTTP JSON endpoint) and answers cache -> store -> compute,
+  stdlib-HTTP JSON endpoint, ``repro.serve.http``) and answers cache -> store -> compute,
   degrading gracefully under load: bounded admission
   (:class:`AdmissionGate`), per-query :class:`Deadline` budgets, and a
   :class:`CircuitBreaker` around the recompute fallback;
@@ -31,9 +31,10 @@ iceberg query almost immediately — made into a serving subsystem:
 
 from .cache import QueryCache, cache_key
 from .cluster import CubeRouter, ReplicaClient, ShardMap, stable_shard_hash
+from .http import HttpEndpoint
 from .ingest import WalRecord, WriteAheadLog
 from .resilience import AdmissionGate, CircuitBreaker, Deadline, RetryPolicy
-from .server import CubeAnswer, CubeServer, HttpEndpoint, QueryAnswer
+from .server import CubeAnswer, CubeServer, QueryAnswer
 from .store import AppendResult, CubeStore
 from .telemetry import QueryRecord, ServerTelemetry
 

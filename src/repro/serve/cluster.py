@@ -35,8 +35,8 @@ or silently truncated answer.
 delivered to every replica in parallel, each delivery retried under a
 capped full-jitter :class:`~repro.serve.resilience.RetryPolicy` and
 gated on the replica's circuit breaker, and the whole batch travels
-under one idempotence key — WAL-enabled replicas acknowledge a replayed
-batch instead of re-applying it, so the router (or a client whose
+under one idempotence key — replicas acknowledge a replayed batch
+instead of re-applying it, so the router (or a client whose
 router died mid-call) can always retry safely.  The background health
 sweep doubles as **anti-entropy repair**: a replica whose generation
 lags its shard's freshest sibling gets the missing WAL batches fetched
@@ -73,10 +73,10 @@ import time
 from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.client import HTTPException
 from time import perf_counter
 from urllib.error import HTTPError, URLError
-from urllib.parse import parse_qs, quote, urlsplit
+from urllib.parse import quote
 from urllib.request import Request, urlopen
 
 from .. import obs
@@ -99,9 +99,18 @@ from ..obs.metrics import (
 )
 from ..obs.trace import merge_chrome_traces
 from ..online.materialize import leaf_cuboids
+from .http import (
+    MAX_REQUEST_BYTES,
+    HttpEndpoint,
+    JsonRequestHandler,
+    answer_payload,
+    cube_payload,
+    parse_cell,
+    parse_cuboid,
+    parse_threshold,
+)
 from .ingest import stamped_batch_id
 from .resilience import CircuitBreaker, Deadline, RetryPolicy
-from .server import MAX_REQUEST_BYTES, HttpEndpoint
 
 __all__ = [
     "ShardMap",
@@ -315,8 +324,9 @@ class ReplicaClient:
                 % (self.url, exc.code, detail)) from None
         except URLError as exc:
             raise ReplicaError(self.url, str(exc.reason)) from None
-        except (TimeoutError, ConnectionError, OSError) as exc:
-            raise ReplicaError(self.url, str(exc)) from None
+        except (TimeoutError, ConnectionError, OSError, HTTPException) as exc:
+            # HTTPException: the replica died mid-reply (IncompleteRead)
+            raise ReplicaError(self.url, str(exc) or repr(exc)) from None
         except json.JSONDecodeError as exc:
             raise ReplicaError(self.url, "malformed JSON reply (%s)" % exc) \
                 from None
@@ -503,7 +513,7 @@ class CubeRouter:
     # ------------------------------------------------------------------
     # one-shard calls with failover
     # ------------------------------------------------------------------
-    def _call_shard(self, shard, path, post_payload=None):
+    def _call_shard(self, shard, path):
         """Call one shard, failing over across its replicas.
 
         Replicas are tried in round-robin rotation, skipping those whose
@@ -527,10 +537,7 @@ class CubeRouter:
                 failures.append("%s: circuit breaker open" % client.url)
                 continue
             try:
-                if post_payload is None:
-                    payload = client.get_json(path)
-                else:
-                    payload = client.post_json(path, post_payload)
+                payload = client.get_json(path)
             except ReplicaError as exc:
                 breaker.record_failure()
                 failures.append(str(exc))
@@ -586,52 +593,35 @@ class CubeRouter:
     # ------------------------------------------------------------------
     def query(self, cuboid, minsup=1):
         """One group-by, routed to the owning shard with failover."""
+        return self._routed("query", cuboid, minsup, "")
+
+    def point(self, cuboid, cell, minsup=1):
+        """One cell lookup, routed to the owning shard with failover."""
+        return self._routed(
+            "point", cuboid, minsup,
+            "&cell=" + ",".join(str(int(v)) for v in cell))
+
+    def _routed(self, kind, cuboid, minsup, extra_query):
         start = perf_counter()
         threshold = as_threshold(minsup)
         shard_map = self._ensure_map()
         canonical = shard_map.canonical(cuboid)
         shard = shard_map.shard_of(canonical)
-        path = "/query?cuboid=%s&%s" % (
-            quote(",".join(canonical), safe=","), _threshold_query(threshold))
-        with obs.span("router.query") as span:
+        path = "/%s?cuboid=%s%s&%s" % (
+            kind, quote(",".join(canonical), safe=","), extra_query,
+            _threshold_query(threshold))
+        with obs.span("router." + kind) as span:
             try:
                 payload, replica, failovers = self._call_shard(shard, path)
             except ReproError:
-                self._requests.inc(kind="query", outcome="error")
+                self._requests.inc(kind=kind, outcome="error")
                 raise
-            self._requests.inc(kind="query", outcome="ok")
+            self._requests.inc(kind=kind, outcome="ok")
             if span:
                 span.set(cuboid=list(canonical), shard=shard,
                          replica=replica, failovers=failovers)
             latency = perf_counter() - start
-            self._observe_slow("query", canonical, latency, shard)
-        return RouterAnswer(
-            tuple(payload["cuboid"]), payload["threshold"],
-            _decode_cells(payload["cells"]), payload["generation"],
-            shard, replica, failovers, latency)
-
-    def point(self, cuboid, cell, minsup=1):
-        """One cell lookup, routed to the owning shard with failover."""
-        start = perf_counter()
-        threshold = as_threshold(minsup)
-        shard_map = self._ensure_map()
-        canonical = shard_map.canonical(cuboid)
-        shard = shard_map.shard_of(canonical)
-        path = "/point?cuboid=%s&cell=%s&%s" % (
-            quote(",".join(canonical), safe=","),
-            ",".join(str(int(v)) for v in cell),
-            _threshold_query(threshold))
-        with obs.span("router.point") as span:
-            try:
-                payload, replica, failovers = self._call_shard(shard, path)
-            except ReproError:
-                self._requests.inc(kind="point", outcome="error")
-                raise
-            self._requests.inc(kind="point", outcome="ok")
-            if span:
-                span.set(shard=shard, replica=replica, failovers=failovers)
-            latency = perf_counter() - start
-            self._observe_slow("point", canonical, latency, shard)
+            self._observe_slow(kind, canonical, latency, shard)
         return RouterAnswer(
             tuple(payload["cuboid"]), payload["threshold"],
             _decode_cells(payload["cells"]), payload["generation"],
@@ -699,31 +689,7 @@ class CubeRouter:
         self._requests.inc(kind="cube", outcome="generation_skew")
         raise GenerationSkewError(generations, self.generation_attempts)
 
-    def _cluster_wal_enabled(self):
-        """Whether every reachable replica can dedupe idempotent appends.
-
-        Answered from the last health sweep; if none has run, the
-        replicas are probed without persisting the snapshot (a stale
-        copy stored mid-append would mask later failures from
-        :meth:`health`).  Retrying an append is only safe when the
-        replica remembers batch ids, so a cluster with any WAL-less
-        replica is driven in legacy single-attempt mode.
-        """
-        with self._lock:
-            snapshot = dict(self._health)
-        if not snapshot:
-            snapshot = self.check_health(store=False)
-        saw_replica = False
-        for state in snapshot.values():
-            if state.get("status") != "ok":
-                continue
-            saw_replica = True
-            wal = state.get("wal")
-            if not (wal and wal.get("enabled")):
-                return False
-        return saw_replica
-
-    def _append_replica(self, shard, replica, payload, deadline, attempts):
+    def _append_replica(self, shard, replica, payload, deadline):
         """Deliver one append to one replica, retrying with backoff.
 
         Consults the replica's circuit breaker before every try (a
@@ -732,11 +698,11 @@ class CubeRouter:
         it.  Transient :class:`~repro.errors.ReplicaError` failures are
         retried under the router's :class:`RetryPolicy`; a
         :class:`~repro.errors.PlanError` (the replica answered, and said
-        no) is permanent.  ``attempts`` is 1 unless the delivery carries
-        an idempotence key — only then is a retry safe: a replica that
-        applied the batch but lost the reply just acknowledges the
-        duplicate.
+        no) is permanent.  Retrying is safe because every delivery
+        carries the batch's idempotence key: a replica that applied the
+        batch but lost the reply just acknowledges the duplicate.
         """
+        attempts = self.append_policy.attempts
         client = self.shards[shard][replica]
         breaker = self.breakers[(shard, replica)]
         outcome = {"shard": shard, "replica": replica, "ok": False}
@@ -789,15 +755,13 @@ class CubeRouter:
         Each replica applies the delta to its own store (replicas do not
         share disks), so the cluster's generations converge as the posts
         land; reads stay consistent throughout via the generation
-        protocol.  Deliveries run in parallel; when the cluster can
-        dedupe (every replica WAL-enabled, or the caller supplied a
-        ``batch_id``) the whole batch travels under one idempotence key
-        and each replica gets a full retry budget (capped full-jitter
-        backoff, breaker-aware — see :meth:`_append_replica`), so
-        retries — including a *client* retrying this very call after a
-        crash — can never double-count rows.  Against WAL-less replicas
-        the router stays in legacy mode: one attempt each, no key, no
-        blind re-post.
+        protocol.  Deliveries run in parallel; the whole batch travels
+        under one idempotence key (the caller's ``batch_id``, else one
+        minted here) and each replica gets the full retry budget (capped
+        full-jitter backoff, breaker-aware — see
+        :meth:`_append_replica`), so retries — including a *client*
+        retrying this very call after a crash — can never double-count
+        rows.
 
         Returns a summary with per-replica outcomes (``applied`` counts
         acknowledgements, ``duplicates`` the acks that were replays).  A
@@ -807,23 +771,20 @@ class CubeRouter:
         ``batch_id`` is the safe recovery.
         """
         with obs.span("router.append", rows=len(relation)) as span:
-            idempotent = batch_id is not None or self._cluster_wal_enabled()
-            if idempotent and batch_id is None:
+            if batch_id is None:
                 # Stamp the batch with the live trace id: every later
                 # sighting of this id — replica WAL, retry, anti-entropy
                 # re-delivery — correlates back to this append's trace.
                 batch_id = stamped_batch_id(obs.trace_id())
-            batch_id = str(batch_id) if batch_id is not None else None
-            if span and batch_id is not None:
+            batch_id = str(batch_id)
+            if span:
                 span.set(batch_id=batch_id)
             payload = {
                 "dims": list(relation.dims),
                 "rows": [list(row) for row in relation.rows],
                 "measures": list(relation.measures),
+                "batch_id": batch_id,
             }
-            if idempotent:
-                payload["batch_id"] = batch_id
-            attempts = self.append_policy.attempts if idempotent else 1
             if deadline_s is None:
                 deadline_s = self.append_deadline_s
             deadline = Deadline(deadline_s) if deadline_s is not None else None
@@ -831,7 +792,7 @@ class CubeRouter:
             futures = {
                 (shard, replica): self._pool.submit(
                     self._traced, ctx, self._append_replica, shard, replica,
-                    payload, deadline, attempts)
+                    payload, deadline)
                 for shard, replicas in enumerate(self.shards)
                 for replica in range(len(replicas))
             }
@@ -846,11 +807,11 @@ class CubeRouter:
                     self._unavailable.inc(shard=str(shard))
                     obs.event("router.shard_unavailable", shard=shard)
                     self._requests.inc(kind="append", outcome="unavailable")
-                    detail = "append failed on every replica (%s)" % errors
-                    if idempotent:
-                        detail += ("; batch %s is safe to resubmit — "
-                                   "idempotence keys deduplicate" % batch_id)
-                    raise ShardUnavailableError(shard, len(replicas), detail)
+                    raise ShardUnavailableError(
+                        shard, len(replicas),
+                        "append failed on every replica (%s); batch %s is "
+                        "safe to resubmit — idempotence keys deduplicate"
+                        % (errors, batch_id))
             applied = sum(1 for o in outcomes if o["ok"])
             duplicates = sum(1 for o in outcomes
                              if o["ok"] and not o.get("applied", True))
@@ -861,22 +822,20 @@ class CubeRouter:
                 span.set(applied=applied, duplicates=duplicates)
         return {"rows": len(relation), "replicas": len(outcomes),
                 "applied": applied, "duplicates": duplicates,
-                "batch_id": batch_id, "idempotent": idempotent,
-                "outcomes": outcomes}
+                "batch_id": batch_id, "outcomes": outcomes}
 
     # ------------------------------------------------------------------
     # health
     # ------------------------------------------------------------------
-    def check_health(self, store=True):
+    def check_health(self):
         """One synchronous sweep of every replica's ``/healthz``.
 
         Success closes the replica's breaker (recovered replicas rejoin
         rotation); failure records a breaker failure (dead replicas trip
         out).  A replica reporting the wrong shard placement is marked
         ``misplaced`` and counted as a failure — better to lose a
-        replica than to serve another shard's cuboids.  ``store=False``
-        probes without remembering the snapshot or running the
-        anti-entropy sweep (the append path's WAL-capability probe).
+        replica than to serve another shard's cuboids.  The snapshot is
+        remembered for :meth:`health` and drives the anti-entropy sweep.
         """
         snapshot = {}
         for shard, replicas in enumerate(self.shards):
@@ -906,13 +865,14 @@ class CubeRouter:
                     "breaker": health.get("breaker"),
                     "wal": health.get("wal"),
                 }
+        with self._lock:
+            self._health = snapshot
         # Per-replica generation lag against the shard's freshest healthy
-        # sibling — the number anti-entropy repairs by, now exported
-        # instead of discarded after the sweep.
+        # sibling: exported as a gauge, and what anti-entropy repairs by.
         for shard in range(self.n_shards):
             generations = {
                 replica: int(state["generation"])
-                for (s, replica), state in snapshot.items()
+                for (s, replica), state in sorted(snapshot.items())
                 if s == shard and state.get("status") == "ok"
                 and state.get("generation") is not None
             }
@@ -922,77 +882,47 @@ class CubeRouter:
             for replica, generation in generations.items():
                 self._replica_lag.set(target - generation,
                                       shard=str(shard), replica=str(replica))
-        if store:
-            with self._lock:
-                self._health = snapshot
-            if self.anti_entropy:
-                self._anti_entropy_sweep(snapshot)
+            if self.anti_entropy and min(generations.values()) < target:
+                self._repair_shard(shard, generations, snapshot)
         return snapshot
 
     # ------------------------------------------------------------------
     # anti-entropy repair
     # ------------------------------------------------------------------
-    def _anti_entropy_sweep(self, snapshot):
+    def _repair_shard(self, shard, generations, snapshot):
         """Re-deliver missing WAL batches to generation-lagging replicas.
 
-        For every shard, the freshest healthy WAL-enabled replica is the
-        repair *source*: its pending (un-compacted) WAL batches are
-        fetched over ``GET /wal`` and re-POSTed — original batch ids and
-        all — to every healthy sibling whose generation lags.  Replays
-        land in WAL order and duplicates are acknowledged idempotently,
-        so repair converges the replicas to cell-exact equality without
-        any coordination beyond the health sweep that is already
-        running.  A replica that lags below the source's WAL *base*
-        (those batches were compacted away) is counted ``unrepairable``
-        — it needs a store resync, which repair will not guess at.
+        ``generations`` maps the shard's healthy replicas to their
+        generation.  The freshest replica is the repair *source*: its
+        pending (un-compacted) WAL batches are fetched over ``GET /wal``
+        and re-POSTed — original batch ids and all — to every healthy
+        sibling whose generation lags.
+        Replays land in WAL order and duplicates are acknowledged
+        idempotently, so repair converges the replicas to cell-exact
+        equality without any coordination beyond the health sweep that
+        is already running.  A replica that lags below the source's WAL
+        *base* (those batches were compacted away) is counted
+        ``unrepairable`` — it needs a store resync, which repair will
+        not guess at.
         """
-        for shard in range(self.n_shards):
-            states = {}
-            for replica in range(len(self.shards[shard])):
-                state = snapshot.get((shard, replica))
-                if not state or state.get("status") != "ok":
-                    continue
-                generation = state.get("generation")
-                if generation is None:
-                    continue
-                states[replica] = (int(generation), state.get("wal"))
-            if len(states) < 2:
+        target = max(generations.values())
+        source = min(r for r, g in generations.items() if g == target)
+        source_base = int((snapshot[(shard, source)].get("wal") or {})
+                          .get("base_generation", target))
+        for replica, generation in generations.items():
+            if generation >= target:
                 continue
-            target = max(generation for generation, _ in states.values())
-            laggards = [r for r, (g, wal) in sorted(states.items())
-                        if g < target]
-            if not laggards:
+            if generation < source_base:
+                # The batches it missed predate the source's last
+                # compaction — the WAL can no longer replay them.
+                self._anti_entropy.inc(outcome="unrepairable")
+                obs.event("router.anti_entropy_unrepairable",
+                          shard=shard, replica=replica,
+                          reason="lags below the source WAL base "
+                                 "(%d < %d): store resync required"
+                                 % (generation, source_base))
                 continue
-            sources = [r for r, (g, wal) in sorted(states.items())
-                       if g == target and wal and wal.get("enabled")]
-            if not sources:
-                self._anti_entropy.inc(outcome="no_source",
-                                       amount=len(laggards))
-                obs.event("router.anti_entropy_no_source", shard=shard,
-                          laggards=laggards)
-                continue
-            source = sources[0]
-            source_base = int(states[source][1].get(
-                "base_generation", target))
-            for replica in laggards:
-                generation, wal = states[replica]
-                if not wal or not wal.get("enabled"):
-                    self._anti_entropy.inc(outcome="unrepairable")
-                    obs.event("router.anti_entropy_unrepairable",
-                              shard=shard, replica=replica,
-                              reason="replica has no WAL")
-                    continue
-                if generation < source_base:
-                    # The batches it missed predate the source's last
-                    # compaction — the WAL can no longer replay them.
-                    self._anti_entropy.inc(outcome="unrepairable")
-                    obs.event("router.anti_entropy_unrepairable",
-                              shard=shard, replica=replica,
-                              reason="lags below the source WAL base "
-                                     "(%d < %d): store resync required"
-                                     % (generation, source_base))
-                    continue
-                self._repair_replica(shard, replica, source, source_base)
+            self._repair_replica(shard, replica, source, source_base)
 
     def _repair_replica(self, shard, replica, source, source_base):
         """Fetch the source's pending WAL batches and re-POST them all.
@@ -1226,12 +1156,8 @@ class CubeRouter:
         replica, so clients cannot tell one box from the cluster)."""
         if self._closed.is_set():
             raise PlanError("router is closed")
-        httpd = _RouterHTTPServer((host, port), _RouterRequestHandler)
-        httpd.cube_router = self
-        thread = threading.Thread(
-            target=httpd.serve_forever, name="router-http", daemon=True)
-        thread.start()
-        endpoint = HttpEndpoint(httpd, thread)
+        endpoint = HttpEndpoint(self, _RouterRequestHandler, host, port,
+                                "router-http")
         self._endpoints.append(endpoint)
         return endpoint
 
@@ -1259,163 +1185,46 @@ class CubeRouter:
             self.n_shards, [len(r) for r in self.shards])
 
 
-class _RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    cube_router = None
-
-
-def _parse_router_threshold(params):
-    conditions = []
-    minsup = int(params.get("minsup", ["1"])[0])
-    min_sum = params.get("min_sum")
-    if minsup > 1 or min_sum is None:
-        conditions.append(CountThreshold(max(1, minsup)))
-    if min_sum is not None:
-        conditions.append(SumThreshold(float(min_sum[0])))
-    return conditions[0] if len(conditions) == 1 else AndThreshold(*conditions)
-
-
-class _RouterRequestHandler(BaseHTTPRequestHandler):
+class _RouterRequestHandler(JsonRequestHandler):
     server_version = "repro-router/1.0"
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self):  # noqa: N802 - http.server naming
-        self._guarded(self._route)
-
-    def do_POST(self):  # noqa: N802 - http.server naming
-        self._guarded(self._route_post)
-
-    def _guarded(self, route):
-        try:
-            with obs.activate(obs.extract(self.headers.get("traceparent"))):
-                route()
-        except ShardUnavailableError as exc:
-            # The honest partial outage: name the shard, never guess.
-            self._reply(503, {"error": str(exc), "kind": "shard_unavailable",
-                              "shard": exc.shard})
-        except GenerationSkewError as exc:
-            self._reply(503, {"error": str(exc), "kind": "generation_skew",
-                              "generations": list(exc.generations)})
-        except (ReproError, ValueError) as exc:
-            self._reply(400, {"error": str(exc), "kind": "bad_request"})
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
-        except Exception as exc:  # pragma: no cover - last-ditch guard
-            self._reply(500, {"error": "internal error (%s)"
-                              % exc.__class__.__name__, "kind": "internal"})
-
-    def _route(self):
-        split = urlsplit(self.path)
-        params = parse_qs(split.query)
-        router = self.server.cube_router
-        if split.path == "/query":
-            raw = params.get("cuboid", [""])[0]
-            cuboid = tuple(filter(None, (n.strip() for n in raw.split(","))))
-            answer = router.query(cuboid, _parse_router_threshold(params))
-            self._reply(200, _router_answer_payload(answer))
-        elif split.path == "/point":
-            raw = params.get("cuboid", [""])[0]
-            cuboid = tuple(filter(None, (n.strip() for n in raw.split(","))))
-            raw_cell = params.get("cell", [""])[0]
-            cell = tuple(int(v) for v in raw_cell.split(",") if v.strip())
-            answer = router.point(cuboid, cell, _parse_router_threshold(params))
-            self._reply(200, _router_answer_payload(answer))
-        elif split.path == "/cube":
-            answer = router.cube(_parse_router_threshold(params))
-            self._reply(200, {
-                "threshold": answer.threshold,
-                "generation": answer.generation,
-                "attempts": answer.attempts,
-                "latency_ms": round(answer.latency_s * 1000.0, 3),
-                "cuboids": [
-                    {"cuboid": list(cuboid), "cells": [
-                        {"cell": list(cell), "count": count, "sum": value}
-                        for cell, (count, value) in sorted(cells.items())
-                    ]}
-                    for cuboid, cells in sorted(answer.cuboids.items())
-                ],
-            })
-        elif split.path == "/healthz":
-            health = router.health()
-            self._reply(200 if health["status"] == "ok" else 503, health)
-        elif split.path == "/stats":
-            self._reply(200, router.stats())
-        elif split.path == "/metrics":
-            # The federated page: this router's registry plus every
-            # replica's scrape, relabelled shard/replica and merged.
-            self._reply_text(200, router.federated_metrics())
-        elif split.path == "/trace":
-            since = int(params.get("since", ["0"])[0])
-            self._reply(200, router.trace_payload(since))
-        elif split.path == "/trace/cluster":
-            self._reply(200, router.collect_trace())
-        else:
-            self._reply(404, {"error": "unknown path %r" % split.path,
-                              "kind": "not_found"})
-
-    def _route_post(self):
-        split = urlsplit(self.path)
-        router = self.server.cube_router
-        if split.path != "/append":
-            self._reply(404, {"error": "unknown path %r" % split.path,
-                              "kind": "not_found"})
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if not 0 < length <= MAX_REQUEST_BYTES:
-            self._reply(400, {"error": "append body must be 1..%d bytes"
-                              % MAX_REQUEST_BYTES, "kind": "bad_request"})
-            return
-        try:
-            payload = json.loads(self.rfile.read(length))
-            from ..data.relation import Relation
-
-            relation = Relation(
-                tuple(payload["dims"]),
-                [tuple(int(v) for v in row) for row in payload["rows"]],
-                [float(m) for m in payload["measures"]]
-                if payload.get("measures") is not None else None,
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            self._reply(400, {"error": "malformed append body (%s)" % exc,
-                              "kind": "bad_request"})
-            return
-        batch_id = payload.get("batch_id")
-        self._reply(200, router.append(relation, batch_id=batch_id))
-
-    def _reply(self, status, payload):
-        body = json.dumps(payload).encode()
-        self._send(status, body, "application/json")
-
-    def _reply_text(self, status, text):
-        self._send(status, text.encode(),
-                   "text/plain; version=0.0.4; charset=utf-8")
-
-    def _send(self, status, body, content_type):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):  # noqa: A002 - http.server naming
-        pass
-
-    def log_request(self, code="-", size="-"):
-        pass
-
-
-def _router_answer_payload(answer):
-    return {
-        "cuboid": list(answer.cuboid),
-        "threshold": answer.threshold,
-        "generation": answer.generation,
-        "shard": answer.shard,
-        "replica": answer.replica,
-        "failovers": answer.failovers,
-        "latency_ms": round(answer.latency_s * 1000.0, 3),
-        "cells": [
-            {"cell": list(cell), "count": count, "sum": value}
-            for cell, (count, value) in sorted(answer.cells.items())
-        ],
+    error_kinds = (
+        # The honest partial outage: name the shard, never guess.
+        (ShardUnavailableError, 503, "shard_unavailable", "shard"),
+    )
+    get_routes = {
+        "/query": "_get_query", "/point": "_get_point", "/cube": "_get_cube",
+        "/healthz": "_get_healthz", "/stats": "_get_stats",
+        "/metrics": "_get_metrics", "/trace": "_get_trace",
+        "/trace/cluster": "_get_cluster_trace",
     }
+    post_routes = {"/append": "_post_append"}
+
+    def _get_query(self, params):
+        self._answer(self.app.query(
+            parse_cuboid(params), parse_threshold(params)))
+
+    def _get_point(self, params):
+        self._answer(self.app.point(
+            parse_cuboid(params), parse_cell(params), parse_threshold(params)))
+
+    def _answer(self, answer):
+        self._reply(200, answer_payload(
+            answer, shard=answer.shard, replica=answer.replica,
+            failovers=answer.failovers))
+
+    def _get_cube(self, params):
+        answer = self.app.cube(parse_threshold(params))
+        self._reply(200, cube_payload(answer, attempts=answer.attempts))
+
+    def _get_metrics(self, params):
+        # The federated page: this router's registry plus every
+        # replica's scrape, relabelled shard/replica and merged.
+        self._reply_text(200, self.app.federated_metrics())
+
+    def _get_cluster_trace(self, params):
+        self._reply(200, self.app.collect_trace())
+
+    def _post_append(self, params):
+        relation, batch_id = self._read_append()
+        self._reply(200, self.app.append(relation, batch_id=batch_id))
+

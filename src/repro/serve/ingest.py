@@ -1,13 +1,13 @@
 """Durable, idempotent streaming ingestion: the store's write-ahead log.
 
-The serving tier's ``append`` used to be its weakest link: every
-micro-batch rewrote every leaf file (O(full store) per append) and a
-re-sent batch double-counted because nothing remembered having applied
-it.  This module supplies the durability half of the fix — a per-store
-**write-ahead log** of checksummed, batch-id-stamped delta records —
-while :class:`~repro.serve.store.CubeStore` supplies the visibility
-half (in-memory delta runs under the existing generation protocol) and
-reuses its journalled two-phase leaf rewrite for compaction.
+Rewriting every leaf file per micro-batch costs O(full store) per
+append, and a re-sent batch double-counts unless something remembers
+having applied it.  This module supplies the durability half of the
+answer — a per-store **write-ahead log** of checksummed,
+batch-id-stamped delta records — while
+:class:`~repro.serve.store.CubeStore` supplies the visibility half
+(in-memory delta runs under the generation protocol) and the journalled
+two-phase leaf rewrite that compacts them.
 
 On-disk layout (a subdirectory of the store)::
 
@@ -242,12 +242,20 @@ class WriteAheadLog:
     """The per-store WAL: one durable record file per appended batch.
 
     Not itself thread-safe — the owning :class:`CubeStore` serializes
-    access under its store lock.
+    access under its store lock.  The directory is created by the first
+    :meth:`append`; until then a missing directory is an empty log, so
+    a store that never ingests (or sits on read-only media) is opened
+    without writing anything.
     """
 
     def __init__(self, directory):
         self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
+
+    def _names(self):
+        try:
+            return os.listdir(self.directory)
+        except FileNotFoundError:
+            return []
 
     def path_for(self, generation):
         return os.path.join(self.directory,
@@ -256,7 +264,7 @@ class WriteAheadLog:
     def generations(self):
         """Generations with a published record, ascending."""
         out = []
-        for name in os.listdir(self.directory):
+        for name in self._names():
             if name.endswith(WAL_SUFFIX):
                 try:
                     out.append(int(name[:-len(WAL_SUFFIX)]))
@@ -280,7 +288,7 @@ class WriteAheadLog:
     def sweep(self):
         """Remove ``.tmp`` debris from interrupted writers."""
         removed = []
-        for name in sorted(os.listdir(self.directory)):
+        for name in sorted(self._names()):
             if ".tmp." in name:
                 os.unlink(os.path.join(self.directory, name))
                 removed.append(name)
@@ -288,8 +296,8 @@ class WriteAheadLog:
             obs.event("ingest.wal_swept", removed=len(removed))
         return removed
 
-    def _fsync_dir(self):
-        fd = os.open(self.directory, os.O_RDONLY)
+    def _fsync_dir(self, directory=None):
+        fd = os.open(directory or self.directory, os.O_RDONLY)
         try:
             os.fsync(fd)
         finally:
@@ -303,6 +311,10 @@ class WriteAheadLog:
         returns, the batch survives any crash.
         """
         data = encode_record(generation, batch_id, dims, rows, measures)
+        if not os.path.isdir(self.directory):
+            os.makedirs(self.directory, exist_ok=True)
+            # the new directory's own entry must survive the crash too
+            self._fsync_dir(os.path.dirname(self.directory) or ".")
         path = self.path_for(generation)
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as handle:

@@ -35,8 +35,7 @@ stdlib ``http.server``) for point, roll-up and drill-down queries::
     GET /point?cuboid=A,B&cell=3,1        # one cell, O(log n) lookup
     GET /cube?minsup=2                    # this store's whole cube share
     POST /append                          # fold a JSON row delta in
-                                          #   (idempotent with batch_id
-                                          #   on a WAL-enabled store)
+                                          #   (idempotent with batch_id)
     GET /wal?since=3                      # pending WAL batches newer
                                           #   than generation 3 (replica
                                           #   repair / anti-entropy)
@@ -63,32 +62,40 @@ records a ``serve.query`` span (cache→store→compute stages as events).
 
 Errors are always structured JSON — ``400`` for malformed queries,
 ``404`` for unknown paths, ``413`` for oversized requests, ``429`` when
-shedding, ``504`` past a deadline — never an HTML traceback.
+shedding, ``504`` past a deadline — never an HTML traceback (the
+handler stack is :mod:`repro.serve.http`, shared with the router).
 """
 
-import json
 import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
-from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
-from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold, as_threshold
+from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
     GenerationSkewError,
     PlanError,
-    ReproError,
     SchemaError,
     ServerOverloadedError,
     StoreCorruptError,
 )
 from .cache import QueryCache
+from .http import (
+    HttpEndpoint,
+    JsonRequestHandler,
+    answer_payload,
+    cube_payload,
+    parse_cell,
+    parse_cuboid,
+    parse_since,
+    parse_threshold,
+)
 from .ingest import trace_id_of
 from .resilience import AdmissionGate, CircuitBreaker, Deadline
+from .store import AppendResult
 from .telemetry import ServerTelemetry
 
 #: One served answer: the canonical cuboid, the threshold text, the
@@ -104,10 +111,6 @@ QueryAnswer = namedtuple(
 CubeAnswer = namedtuple(
     "CubeAnswer", ("cuboids", "threshold", "generation", "latency_s")
 )
-
-#: Largest request body the HTTP endpoint will accept (query GETs and
-#: bounded ``POST /append`` deltas; anything bigger is abuse).
-MAX_REQUEST_BYTES = 1 << 20
 
 #: How many times a read retries when an ``append`` swings the store
 #: generation mid-read before giving up with a 503.  Appends are rare
@@ -145,14 +148,8 @@ class CubeServer:
         self.telemetry = ServerTelemetry(registry=registry)
         self.registry = self.telemetry.registry
         self.fallback_workers = fallback_workers
-        required = {"serve-fallback"}
-        if getattr(store, "wal", None) is not None:
-            # A WAL-enabled store serves idempotent streaming appends;
-            # the fallback backend must be able to live behind that
-            # (see the ``ingest`` capability in repro.backends).
-            required.add("ingest")
         self.fallback_backend = resolve_backend(
-            fallback_backend, require=required).name
+            fallback_backend, require={"serve-fallback"}).name
         self.default_deadline_s = default_deadline_s
         if max_pending is None:
             max_pending = max(64, 16 * max_workers)
@@ -467,23 +464,15 @@ class CubeServer:
         the old or the new leaf lists (both internally consistent), and
         the generation bump keeps the cache from mixing the two.
 
-        ``batch_id`` (WAL-enabled stores only) makes the append
-        idempotent: a batch the store already applied is acknowledged
-        with ``applied=False`` instead of double-counting — the contract
-        that lets clients and the router retry ``POST /append`` freely.
-        Returns an :class:`~repro.serve.store.AppendResult`.
+        ``batch_id`` makes the append idempotent: a batch the store
+        already applied is acknowledged with ``applied=False`` instead
+        of double-counting — the contract that lets clients and the
+        router retry ``POST /append`` freely.  Returns an
+        :class:`~repro.serve.store.AppendResult`.
         """
-        from .store import AppendResult
-
         with self._write_lock:
-            if getattr(self.store, "wal", None) is not None:
-                result = self.store.append(relation, batch_id=batch_id)
-            else:
-                if batch_id is not None:
-                    raise PlanError(
-                        "idempotent appends (batch_id=%r) need a WAL-enabled "
-                        "store; serve with --wal" % (batch_id,))
-                result = self.store.append(relation)
+            result = self.store.append(relation, batch_id=batch_id)
+            # an in-memory LeafMaterialization returns nothing
             applied = getattr(result, "applied", True)
             # Raise the cache watermark *after* the store swung: from
             # here on, any insert computed before the append is refused
@@ -585,13 +574,8 @@ class CubeServer:
         """
         if self._closed:
             raise PlanError("server is closed")
-        httpd = _CubeHTTPServer((host, port), _CubeRequestHandler)
-        httpd.cube_server = self
-        thread = threading.Thread(
-            target=httpd.serve_forever, name="cube-http", daemon=True
-        )
-        thread.start()
-        endpoint = HttpEndpoint(httpd, thread)
+        endpoint = HttpEndpoint(self, _CubeRequestHandler, host, port,
+                                "cube-http")
         self._endpoints.append(endpoint)
         return endpoint
 
@@ -625,52 +609,6 @@ class CubeServer:
         return False
 
 
-class HttpEndpoint:
-    """A running HTTP endpoint: address, URL and shutdown."""
-
-    def __init__(self, httpd, thread):
-        self._httpd = httpd
-        self._thread = thread
-        self.host, self.port = httpd.server_address[:2]
-
-    @property
-    def url(self):
-        return "http://%s:%d" % (self.host, self.port)
-
-    def join(self):
-        """Block until the endpoint is shut down (CLI serve mode)."""
-        self._thread.join()
-
-    def close(self):
-        self._httpd.shutdown()
-        self._httpd.server_close()
-
-    def __repr__(self):
-        return "HttpEndpoint(%s)" % self.url
-
-
-class _CubeHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    cube_server = None
-
-
-def _parse_threshold(params):
-    conditions = []
-    minsup = int(params.get("minsup", ["1"])[0])
-    min_sum = params.get("min_sum")
-    if minsup > 1 or min_sum is None:
-        conditions.append(CountThreshold(max(1, minsup)))
-    if min_sum is not None:
-        conditions.append(SumThreshold(float(min_sum[0])))
-    return conditions[0] if len(conditions) == 1 else AndThreshold(*conditions)
-
-
-def _parse_cuboid(params):
-    raw = params.get("cuboid", [""])[0]
-    return tuple(filter(None, (name.strip() for name in raw.split(","))))
-
-
 def _parse_deadline(params):
     raw = params.get("deadline_ms")
     if raw is None:
@@ -681,203 +619,61 @@ def _parse_deadline(params):
     return deadline_ms / 1000.0
 
 
-class _CubeRequestHandler(BaseHTTPRequestHandler):
+class _CubeRequestHandler(JsonRequestHandler):
     server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
+    error_kinds = (
+        (ServerOverloadedError, 429, "overloaded", None),
+        (DeadlineExceededError, 504, "deadline", None),
+        (StoreCorruptError, 500, "corrupt", None),
+    )
+    get_routes = {
+        "/query": "_get_query", "/point": "_get_point", "/cube": "_get_cube",
+        "/stats": "_get_stats", "/metrics": "_get_metrics",
+        "/cuboids": "_get_cuboids", "/wal": "_get_wal",
+        "/trace": "_get_trace", "/healthz": "_get_healthz",
+    }
+    post_routes = {"/append": "_post_append"}
 
-    def do_GET(self):  # noqa: N802 - http.server naming
-        self._guarded(self._route)
+    def _get_query(self, params):
+        # Through the bounded gate: overload sheds here with a fast
+        # 429 instead of stacking requests on the HTTP threads.
+        self._answer(self.app.submit(
+            parse_cuboid(params), parse_threshold(params),
+            deadline_s=_parse_deadline(params)))
 
-    def do_POST(self):  # noqa: N802 - http.server naming
-        self._guarded(self._route_post)
+    def _get_point(self, params):
+        self._answer(self.app.submit_point(
+            parse_cuboid(params), parse_cell(params), parse_threshold(params)))
 
-    def _guarded(self, route):
-        try:
-            # Join the caller's distributed trace for the whole request:
-            # any span opened while routing (serve.query, store.append,
-            # …) parents under the router span named in the header.
-            with obs.activate(obs.extract(self.headers.get("traceparent"))):
-                route()
-        except ServerOverloadedError as exc:
-            self._reply(429, {"error": str(exc), "kind": "overloaded"})
-        except DeadlineExceededError as exc:
-            self._reply(504, {"error": str(exc), "kind": "deadline"})
-        except GenerationSkewError as exc:
-            # Honest retry signal: the store kept swinging generations
-            # under the read; never a mislabeled or mixed answer.
-            self._reply(503, {"error": str(exc), "kind": "generation_skew"})
-        except StoreCorruptError as exc:
-            self._reply(500, {"error": str(exc), "kind": "corrupt"})
-        except (ReproError, ValueError) as exc:
-            self._reply(400, {"error": str(exc), "kind": "bad_request"})
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass  # client hung up mid-reply; nothing to answer
-        except Exception as exc:  # pragma: no cover - last-ditch guard
-            # Never a traceback on the wire: a structured 500 instead.
-            self._reply(500, {"error": "internal error (%s)"
-                              % exc.__class__.__name__, "kind": "internal"})
+    def _answer(self, future):
+        answer = future.result()
+        self._reply(200, answer_payload(answer, source=answer.source))
 
-    def _route(self):
-        if not self._bounded_request():
-            return
-        split = urlsplit(self.path)
-        params = parse_qs(split.query)
-        server = self.server.cube_server
-        if split.path == "/query":
-            # Through the bounded gate: overload sheds here with a fast
-            # 429 instead of stacking requests on the HTTP threads.
-            future = server.submit(
-                _parse_cuboid(params), _parse_threshold(params),
-                deadline_s=_parse_deadline(params),
-            )
-            self._reply(200, _answer_payload(future.result()))
-        elif split.path == "/point":
-            raw_cell = params.get("cell", [""])[0]
-            cell = tuple(int(v) for v in raw_cell.split(",") if v.strip())
-            future = server.submit_point(
-                _parse_cuboid(params), cell, _parse_threshold(params)
-            )
-            self._reply(200, _answer_payload(future.result()))
-        elif split.path == "/cube":
-            future = server.submit_cube(
-                _parse_threshold(params), deadline_s=_parse_deadline(params)
-            )
-            self._reply(200, _cube_payload(future.result()))
-        elif split.path == "/stats":
-            self._reply(200, server.stats())
-        elif split.path == "/metrics":
-            self._reply_text(200, server.registry.to_prometheus())
-        elif split.path == "/cuboids":
-            self._reply(200, {
-                "dims": list(server.store.dims),
-                "leaves": [list(leaf) for leaf in server.store.leaves],
-                "generation": server.store.generation,
-            })
-        elif split.path == "/wal":
-            since = int(params.get("since", ["0"])[0])
-            self._reply(200, server.wal_batches(since))
-        elif split.path == "/trace":
-            since = int(params.get("since", ["0"])[0])
-            self._reply(200, server.trace_payload(since))
-        elif split.path == "/healthz":
-            health = server.health()
-            self._reply(200 if health["status"] == "ok" else 503, health)
-        else:
-            self._reply(404, {"error": "unknown path %r" % split.path,
-                              "kind": "not_found"})
+    def _get_cube(self, params):
+        future = self.app.submit_cube(
+            parse_threshold(params), deadline_s=_parse_deadline(params))
+        self._reply(200, cube_payload(future.result()))
 
-    def _route_post(self):
-        if not self._bounded_request():
-            return
-        split = urlsplit(self.path)
-        server = self.server.cube_server
-        if split.path != "/append":
-            self._reply(404, {"error": "unknown path %r" % split.path,
-                              "kind": "not_found"})
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._reply(400, {"error": "POST /append needs a JSON body",
-                              "kind": "bad_request"})
-            return
-        try:
-            payload = json.loads(self.rfile.read(length))
-            relation = _append_relation(payload, server.store.dims)
-            batch_id = payload.get("batch_id")
-            if batch_id is not None:
-                batch_id = str(batch_id)
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            self._reply(400, {"error": "malformed append body (%s)" % exc,
-                              "kind": "bad_request"})
-            return
-        result = server.append(relation, batch_id=batch_id)
+    def _get_metrics(self, params):
+        self._reply_text(200, self.app.registry.to_prometheus())
+
+    def _get_cuboids(self, params):
+        store = self.app.store
+        self._reply(200, {
+            "dims": list(store.dims),
+            "leaves": [list(leaf) for leaf in store.leaves],
+            "generation": store.generation,
+        })
+
+    def _get_wal(self, params):
+        self._reply(200, self.app.wal_batches(parse_since(params)))
+
+    def _post_append(self, params):
+        relation, batch_id = self._read_append(self.app.store.dims)
+        result = self.app.append(relation, batch_id=batch_id)
         self._reply(200, {"generation": result.generation,
                           "rows": len(relation),
-                          "total_rows": server.store.total_rows,
+                          "total_rows": self.app.store.total_rows,
                           "applied": result.applied,
                           "batch_id": result.batch_id})
 
-    def _bounded_request(self):
-        """Reject oversized or malformed requests before any work."""
-        if len(self.path) > 8192:
-            self._reply(400, {"error": "request path too long",
-                              "kind": "bad_request"})
-            return False
-        length = self.headers.get("Content-Length")
-        if length is not None:
-            try:
-                n_bytes = int(length)
-            except ValueError:
-                self._reply(400, {"error": "malformed Content-Length %r" % length,
-                                  "kind": "bad_request"})
-                return False
-            if n_bytes > MAX_REQUEST_BYTES:
-                self._reply(413, {"error": "request body of %d bytes exceeds "
-                                  "the %d byte limit" % (n_bytes, MAX_REQUEST_BYTES),
-                                  "kind": "too_large"})
-                return False
-        return True
-
-    def _reply(self, status, payload):
-        self._send(status, json.dumps(payload).encode(), "application/json")
-
-    def _reply_text(self, status, text):
-        self._send(status, text.encode(),
-                   "text/plain; version=0.0.4; charset=utf-8")
-
-    def _send(self, status, body, content_type):
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format, *args):  # noqa: A002 - http.server naming
-        pass  # keep the serving path quiet; telemetry covers it
-
-    def log_request(self, code="-", size="-"):
-        pass
-
-
-def _answer_payload(answer):
-    return {
-        "cuboid": list(answer.cuboid),
-        "threshold": answer.threshold,
-        "source": answer.source,
-        "generation": answer.generation,
-        "latency_ms": round(answer.latency_s * 1000.0, 3),
-        "cells": [
-            {"cell": list(cell), "count": count, "sum": value}
-            for cell, (count, value) in sorted(answer.cells.items())
-        ],
-    }
-
-
-def _cube_payload(answer):
-    return {
-        "threshold": answer.threshold,
-        "generation": answer.generation,
-        "latency_ms": round(answer.latency_s * 1000.0, 3),
-        "cuboids": [
-            {
-                "cuboid": list(cuboid),
-                "cells": [
-                    {"cell": list(cell), "count": count, "sum": value}
-                    for cell, (count, value) in sorted(cells.items())
-                ],
-            }
-            for cuboid, cells in sorted(answer.cuboids.items())
-        ],
-    }
-
-
-def _append_relation(payload, dims):
-    """Decode a ``POST /append`` body into a :class:`Relation`."""
-    from ..data.relation import Relation
-
-    body_dims = tuple(payload.get("dims") or dims)
-    rows = [tuple(int(v) for v in row) for row in payload["rows"]]
-    measures = payload.get("measures")
-    if measures is not None:
-        measures = [float(m) for m in measures]
-    return Relation(body_dims, rows, measures)

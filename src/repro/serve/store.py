@@ -12,8 +12,9 @@ manifest convention)::
 
     <directory>/
       manifest.json        # dims, generation, per-leaf index + checksums
-      journal.json         # only mid-append: the pending generation
+      journal.json         # only mid-compaction: the pending manifest
       A_D.csv, B_D.csv ... # one file per leaf, rows SORTED by coords
+      wal/                 # appended batches not yet compacted
 
 Each leaf file is written in cell-coordinate order and the manifest
 carries, per leaf, a *prefix offset index*: for every distinct value of
@@ -34,16 +35,25 @@ itself is damaged, :class:`~repro.errors.StoreCorruptError` names the
 offending leaf.  Debris from interrupted writes (``*.tmp.*``,
 ``*.staged``, leaf files no manifest references) is swept on open.
 
-``append`` mirrors ``LeafMaterialization.insert``: new rows are folded
-into each leaf as a sorted-merge of a delta — no rescan of the original
-input — and the rewrite is *journalled two-phase*: every new leaf file
-is staged next to the live one, a journal naming the complete next
-generation is written atomically (the commit point), and only then are
-the live files swung over.  A crash at any instant leaves the store
-openable at exactly the old generation (journal absent: staged files
-are swept) or the new one (journal present: roll-forward completes the
-swing) — never a mix.  The manifest ``generation`` is bumped so caches
-above the store invalidate.
+**One append path.**  ``append`` never touches a leaf file: the batch is
+made durable as one checksummed write-ahead-log record
+(:mod:`repro.serve.ingest`), then folded into an in-memory *delta run*
+per leaf — O(batch), whatever the store's size — and reads see base run
+(+) delta run merged lazily.  A ``batch_id`` the store already applied
+is acknowledged, never re-applied.  Every store appends this way,
+whether it came from ``open``, ``build``, ``from_materialization`` or
+``assemble``; ``wal/`` appears on the first append.
+
+**One leaf writer.**  After the build, :meth:`CubeStore.compact` is the
+only code that rewrites leaf files, and it is *journalled two-phase*:
+every merged leaf is staged next to the live one, a journal naming the
+complete next state is written atomically (the commit point), and only
+then are the live files swung and the WAL truncated.  A crash before
+the journal rolls back (staged files are swept, the WAL replays the
+batches on reopen); a crash after it rolls forward (the swing is
+completed and the now-stale WAL records are pruned) — never a mix,
+nothing lost, nothing counted twice.  Rewrite-per-append, where wanted,
+is ``append(); compact()``.
 """
 
 import hashlib
@@ -63,8 +73,8 @@ from .ingest import WriteAheadLog, chaos_kill, stamped_batch_id
 STORE_FORMAT = "repro-cube-store/1"
 STORE_FORMAT_VERSION = 2
 
-#: The append journal: present only between an append's commit point and
-#: its completed leaf swing; holds the complete next-generation manifest.
+#: The compaction journal: present only between a compaction's commit
+#: point and its completed leaf swing; holds the complete next manifest.
 JOURNAL = "journal.json"
 JOURNAL_FORMAT = "repro-cube-store-journal/1"
 
@@ -169,6 +179,14 @@ def _merge_sorted(items, delta_items):
     merged.extend(items[i:])
     merged.extend(delta_items[j:])
     return merged
+
+
+def _write_json(path, payload):
+    """Atomically publish a manifest or journal."""
+    atomic_write(
+        path,
+        lambda handle: json.dump(payload, handle, indent=2, sort_keys=True),
+    )
 
 
 def _leaf_entry(cuboid, filename, data, index, n_cells):
@@ -288,10 +306,9 @@ class CubeStore:
         self._items = {}  # leaf -> sorted base [(cell, (count, sum))], lazy
         self._lock = threading.RLock()
         self._closed = False
-        #: the write-ahead log, or None when the store was opened without
-        #: one (the legacy rewrite-per-append path)
-        self.wal = None
-        self.compact_after = None
+        #: the write-ahead log every append goes through
+        self.wal = WriteAheadLog(os.path.join(self.directory, WAL_DIR))
+        self.compact_after = DEFAULT_COMPACT_AFTER
         #: leaf -> sorted delta items accumulated from WAL'd appends but
         #: not yet compacted into the leaf files
         self._delta_items = {}
@@ -307,7 +324,8 @@ class CubeStore:
         self._compacting = False
         self._compact_thread = None
         #: what `open` had to repair: rolled_forward / orphans_removed /
-        #: salvaged (empty for a clean open or a fresh build)
+        #: salvaged, plus wal_replayed / wal_pruned counts (a fresh
+        #: build repaired nothing)
         self.recovery = {
             "rolled_forward": False, "orphans_removed": [], "salvaged": [],
         }
@@ -386,18 +404,13 @@ class CubeStore:
                 if span:
                     span.set(leaf="/".join(leaf), cells=len(items),
                              bytes=len(data))
-        manifest = cls._manifest_dict(
+        store = cls._publish(directory, cls._manifest_dict(
             materialization.dims, materialization.leaves, entries,
             generation=1,
             total_rows=materialization.total_rows,
             total_measure=materialization.total_measure,
             shard=shard,
-        )
-        atomic_write(
-            os.path.join(directory, MANIFEST),
-            lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-        )
-        store = cls(directory, manifest)
+        ))
         store._items.update(loaded)
         return store
 
@@ -415,53 +428,46 @@ class CubeStore:
         """
         directory = str(directory)
         os.makedirs(directory, exist_ok=True)
-        leaves = sorted(entries)
-        typed = {
-            leaf: {
-                "file": entry["file"],
-                "cells": int(entry["cells"]),
-                "bytes": int(entry["bytes"]),
-                "sha256": entry["sha256"],
-                "index": {int(k): tuple(v)
-                          for k, v in entry["index"].items()},
-            }
-            for leaf, entry in entries.items()
-        }
-        manifest = cls._manifest_dict(
-            dims, leaves, typed, generation=int(generation),
+        return cls._publish(directory, cls._manifest_dict(
+            dims, sorted(entries), entries, generation=int(generation),
             total_rows=int(total_rows), total_measure=float(total_measure),
             shard=shard,
-        )
-        atomic_write(
-            os.path.join(directory, MANIFEST),
-            lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-        )
-        return cls(directory, manifest)
+        ))
 
     @classmethod
-    def open(cls, directory, verify="quick", salvage=True, wal=False,
+    def _publish(cls, directory, manifest):
+        """Publish a fresh build's manifest; returns the store open.
+
+        The build supersedes whatever the directory held, so the WAL
+        records of a store it replaces are dropped first — they must
+        not replay onto cells that never saw their base.
+        """
+        store = cls(directory, manifest)
+        store.wal.truncate_through(max(store.wal.generations(), default=0))
+        _write_json(os.path.join(directory, MANIFEST), manifest)
+        return store
+
+    @classmethod
+    def open(cls, directory, verify="quick", salvage=True, wal=True,
              compact_after=DEFAULT_COMPACT_AFTER):
         """Attach to a store previously written by :meth:`build`.
 
         ``verify`` controls the integrity pass: ``"quick"`` (default)
         checks every leaf file's existence and byte size against the
         manifest, ``"full"`` re-hashes the content, ``"off"`` skips the
-        pass (an interrupted append is still rolled forward or back —
+        pass (an interrupted compaction is still rolled forward or back —
         generation mixing is never allowed).  Damaged leaves are rebuilt
         from the root leaf when ``salvage`` is true; otherwise — or when
         the root leaf itself is damaged —
         :class:`~repro.errors.StoreCorruptError` names the leaf.  What
         was repaired is reported in the returned store's ``.recovery``.
 
-        ``wal=True`` attaches the write-ahead log (see
-        :mod:`repro.serve.ingest`): appends become durable idempotent
-        delta records applied as in-memory delta runs, pending records
-        are replayed on open, and a background compaction folds them
-        into the leaf files every ``compact_after`` batches
-        (``None`` = only on explicit :meth:`compact`).  Opening a store
-        that has un-compacted WAL records *without* ``wal=True`` is
-        refused — those batches are durable and must not be silently
-        dropped.
+        Pending write-ahead-log records (appends not yet compacted, see
+        :mod:`repro.serve.ingest`) are replayed into delta runs, and a
+        background compaction folds them into the leaf files every
+        ``compact_after`` batches (``None`` = only on explicit
+        :meth:`compact`).  ``wal`` is accepted and ignored: every store
+        appends through its WAL.
         """
         if verify not in VERIFY_LEVELS:
             raise PlanError(
@@ -487,10 +493,9 @@ class CubeStore:
         if verify != "off":
             store._sweep_orphans(recovery)
             store._verify_leaves(verify, salvage, recovery)
-        if wal:
-            store._attach_wal(compact_after, recovery)
-        else:
-            store._refuse_pending_wal()
+        store.compact_after = (None if compact_after is None
+                               else max(1, int(compact_after)))
+        store._replay_wal(recovery)
         if (recovery["rolled_forward"] or recovery["orphans_removed"]
                 or recovery["salvaged"]):
             obs.event("store.recovered",
@@ -499,25 +504,8 @@ class CubeStore:
                       salvaged=len(recovery["salvaged"]))
         return store
 
-    def _refuse_pending_wal(self):
-        """Refuse a WAL-less open that would strand durable batches."""
-        wal_dir = os.path.join(self.directory, WAL_DIR)
-        if not os.path.isdir(wal_dir):
-            return
-        pending = [g for g in WriteAheadLog(wal_dir).generations()
-                   if g > self.generation]
-        if pending:
-            raise PlanError(
-                "store %r has %d un-compacted WAL batch(es) (generations "
-                "up to %d); open with wal=True to replay them — opening "
-                "without the WAL would silently drop durable appends"
-                % (self.directory, len(pending), max(pending)))
-
-    def _attach_wal(self, compact_after, recovery):
-        """Attach the WAL and replay records newer than the manifest."""
-        self.wal = WriteAheadLog(os.path.join(self.directory, WAL_DIR))
-        self.compact_after = (None if compact_after is None
-                              else max(1, int(compact_after)))
+    def _replay_wal(self, recovery):
+        """Re-apply the WAL records newer than the manifest."""
         self.wal.sweep()
         # Records at or below the manifest generation were compacted in
         # (a crash between the manifest swing and WAL truncation).
@@ -588,10 +576,7 @@ class CubeStore:
                     "nor the committed content",
                     directory,
                 )
-        atomic_write(
-            os.path.join(directory, MANIFEST),
-            lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-        )
+        _write_json(os.path.join(directory, MANIFEST), manifest)
         os.unlink(journal_path)
         recovery["rolled_forward"] = True
         return manifest
@@ -710,7 +695,7 @@ class CubeStore:
         """Release in-memory leaf data; further queries raise.
 
         Pending WAL batches are *not* compacted — they are already
-        durable and will replay on the next ``wal=True`` open.
+        durable and will replay on the next open.
         """
         thread = self._compact_thread
         if (thread is not None and thread.is_alive()
@@ -766,13 +751,13 @@ class CubeStore:
     def leaf_items(self, leaf):
         """The leaf's cells in sorted order, loading from disk on first use.
 
-        With a WAL attached this is the *merged view*: the on-disk base
-        run plus the in-memory delta run of every not-yet-compacted
-        append, merged lazily and cached until the next append or
-        compaction — so append cost never includes a leaf rewrite.
+        This is the *merged view*: the on-disk base run plus the
+        in-memory delta run of every not-yet-compacted append, merged
+        lazily and cached until the next append or compaction — so
+        append cost never includes a leaf rewrite.
         """
         self._check_open()
-        if self.wal is None or not self._delta_items:
+        if not self._delta_items:
             return self._base_items(leaf)
         with self._lock:
             delta = self._delta_items.get(leaf)
@@ -895,7 +880,7 @@ class CubeStore:
                 % (cell, len(cell), cuboid, len(cuboid))
             )
         leaf = self.covering_leaf(cuboid)
-        if self.wal is not None and self._delta_items.get(leaf):
+        if self._delta_items.get(leaf):
             # Pending delta run: answer from the merged view so un-
             # compacted appends are visible to point lookups too.
             items = self.leaf_items(leaf)
@@ -945,43 +930,18 @@ class CubeStore:
         """Fold new rows into every stored leaf (delta maintenance).
 
         Mirrors ``LeafMaterialization.insert``: the leaves hold
-        unfiltered minsup-1 cells, so appending is pure accumulation —
-        each leaf gets a sorted delta merged into its sorted items — and
-        ``generation`` is bumped so caches invalidate.  No rescan of
-        previously stored data.  Returns an :class:`AppendResult`.
-
-        **With a WAL attached** (``open(..., wal=True)``) the batch is
+        unfiltered minsup-1 cells, so appending is pure accumulation and
+        ``generation`` is bumped so caches invalidate.  The batch is
         first made durable as a checksummed WAL record, then applied as
         an in-memory delta run — O(batch x leaves), independent of the
-        store's size — and leaf files are only rewritten by the
-        (background) :meth:`compact`.  ``batch_id`` makes the append
-        idempotent: a batch id the store already applied is acknowledged
+        store's size; leaf files are only rewritten by the (background)
+        :meth:`compact`.  ``batch_id`` makes the append idempotent: a
+        batch id the store already applied is acknowledged
         (``applied=False``) without being re-applied, so clients retry
-        freely after a dropped ACK.
-
-        **Without a WAL** the legacy journalled two-phase rewrite runs
-        (see the module docstring): stage every new leaf file, commit a
-        journal, swing the live files.  A crash at any point leaves the
-        store openable at exactly the old or the new generation.
-        ``batch_id`` is refused — there is no durable record to
-        deduplicate against.
+        freely after a dropped ACK; without one an id is minted.
+        Returns an :class:`AppendResult`.
         """
         self._check_open()
-        if self.wal is not None:
-            return self._append_wal(relation, batch_id)
-        if batch_id is not None:
-            raise PlanError(
-                "idempotent appends (batch_id=%r) require a WAL-enabled "
-                "store; open with wal=True" % (batch_id,))
-        with obs.span("store.append", rows=len(relation)) as span:
-            self._append(relation)
-            if span:
-                span.set(generation=self.generation,
-                         leaves=len(self.leaves))
-        return AppendResult(self.generation, True, None)
-
-    def _append_wal(self, relation, batch_id):
-        """Durable WAL write + in-memory delta-run visibility."""
         positions = relation.dim_indices(self.dims)
         with self._lock:
             if batch_id is None:
@@ -1066,8 +1026,8 @@ class CubeStore:
     def compact(self):
         """Fold every pending WAL batch into the leaf files (crash-safe).
 
-        Reuses the journalled two-phase rewrite: the merged view of each
-        leaf is staged, a journal naming the complete state is committed
+        The journalled two-phase rewrite: the merged view of each leaf
+        is staged, a journal naming the complete state is committed
         atomically, the live files are swung, and only then is the WAL
         truncated.  A crash before the journal rolls *back* (the WAL
         replays the batches on reopen); after it rolls *forward* (the
@@ -1076,10 +1036,6 @@ class CubeStore:
         Returns the number of batches compacted.
         """
         self._check_open()
-        if self.wal is None:
-            raise PlanError(
-                "store %r has no write-ahead log to compact; open with "
-                "wal=True" % (self.directory,))
         with self._lock:
             if not self._pending:
                 return 0
@@ -1096,6 +1052,7 @@ class CubeStore:
                         data,
                         merged,
                     ))
+                # Phase 1: stage every rewritten leaf next to the live one.
                 for _leaf, entry, data, _merged in staged:
                     atomic_write(
                         os.path.join(self.directory,
@@ -1117,25 +1074,22 @@ class CubeStore:
                     shard=self.shard,
                     applied_batches=window,
                 )
+                # Commit point: once this journal lands the compacted
+                # state is durable; before it, the staged files are mere
+                # debris and the WAL still holds every batch.
                 journal = {"format": JOURNAL_FORMAT,
                            "generation": manifest["generation"],
                            "manifest": manifest}
-                atomic_write(
-                    os.path.join(self.directory, JOURNAL),
-                    lambda handle: json.dump(journal, handle, indent=2,
-                                             sort_keys=True),
-                )
+                _write_json(os.path.join(self.directory, JOURNAL), journal)
                 obs.event("store.journal_commit",
                           generation=manifest["generation"])
                 chaos_kill("compact.journalled")
+                # Phase 2: swing the leaves, rewrite the manifest, drop
+                # the journal.  A crash in here is rolled forward on open.
                 for _leaf, entry, _data, _merged in staged:
                     path = os.path.join(self.directory, entry["file"])
                     os.replace(path + STAGED_SUFFIX, path)
-                atomic_write(
-                    os.path.join(self.directory, MANIFEST),
-                    lambda handle: json.dump(manifest, handle, indent=2,
-                                             sort_keys=True),
-                )
+                _write_json(os.path.join(self.directory, MANIFEST), manifest)
                 os.unlink(os.path.join(self.directory, JOURNAL))
                 for leaf, entry, _data, merged in staged:
                     self._entries[leaf] = entry
@@ -1153,12 +1107,9 @@ class CubeStore:
             return n_batches
 
     def wal_stats(self):
-        """Ingestion state for health/stats endpoints (None without WAL)."""
-        if self.wal is None:
-            return None
+        """Ingestion state for health/stats endpoints."""
         with self._lock:
             return {
-                "enabled": True,
                 "pending_batches": len(self._pending),
                 "base_generation": self.generation - len(self._pending),
                 "generation": self.generation,
@@ -1176,9 +1127,6 @@ class CubeStore:
         record (the gap was compacted away and cannot be re-delivered).
         """
         self._check_open()
-        if self.wal is None:
-            raise PlanError(
-                "store %r has no write-ahead log" % (self.directory,))
         with self._lock:
             base = self.generation - len(self._pending)
             batches = [record for record in self.wal.replay()
@@ -1189,83 +1137,6 @@ class CubeStore:
                 "truncated": since < base,
                 "batches": batches,
             }
-
-    def _append(self, relation):
-        positions = relation.dim_indices(self.dims)
-        keyed = [
-            (tuple(row[p] for p in positions), measure)
-            for row, measure in zip(relation.rows, relation.measures)
-        ]
-        with self._lock:
-            staged = []  # (leaf, entry, data, merged)
-            for leaf in self.leaves:
-                delta = {}
-                leaf_positions = [self.dims.index(d) for d in leaf]
-                for key, measure in keyed:
-                    cell = tuple(key[p] for p in leaf_positions)
-                    acc = delta.get(cell)
-                    if acc is None:
-                        delta[cell] = [1, measure]
-                    else:
-                        acc[0] += 1
-                        acc[1] += measure
-                delta_items = sorted(
-                    (cell, (acc[0], acc[1])) for cell, acc in delta.items()
-                )
-                merged = _merge_sorted(self.leaf_items(leaf), delta_items)
-                data, index = _encode_leaf(leaf, merged)
-                filename = self._entries[leaf]["file"]
-                staged.append((
-                    leaf,
-                    _leaf_entry(leaf, filename, data, index, len(merged)),
-                    data,
-                    merged,
-                ))
-            # Phase 1: stage every rewritten leaf next to the live one.
-            for _leaf, entry, data, _merged in staged:
-                atomic_write(
-                    os.path.join(self.directory, entry["file"] + STAGED_SUFFIX),
-                    lambda handle, data=data: handle.write(data),
-                    binary=True,
-                )
-            new_entries = {leaf: entry for leaf, entry, _data, _merged in staged}
-            manifest = self._manifest_dict(
-                self.dims, self.leaves, new_entries,
-                generation=self.generation + 1,
-                total_rows=self.total_rows + len(relation),
-                total_measure=self.total_measure + sum(relation.measures),
-                shard=self.shard,
-                applied_batches=self._applied_batches,
-            )
-            # Commit point: after this journal lands, the new generation
-            # is durable; before it, the staged files are mere debris.
-            journal = {"format": JOURNAL_FORMAT,
-                       "generation": manifest["generation"],
-                       "manifest": manifest}
-            atomic_write(
-                os.path.join(self.directory, JOURNAL),
-                lambda handle: json.dump(journal, handle, indent=2,
-                                         sort_keys=True),
-            )
-            obs.event("store.journal_commit",
-                      generation=manifest["generation"])
-            # Phase 2: swing the leaves, rewrite the manifest, drop the
-            # journal.  Any crash in here is rolled forward on open.
-            for _leaf, entry, _data, _merged in staged:
-                path = os.path.join(self.directory, entry["file"])
-                os.replace(path + STAGED_SUFFIX, path)
-            atomic_write(
-                os.path.join(self.directory, MANIFEST),
-                lambda handle: json.dump(manifest, handle, indent=2,
-                                         sort_keys=True),
-            )
-            os.unlink(os.path.join(self.directory, JOURNAL))
-            for leaf, entry, _data, merged in staged:
-                self._entries[leaf] = entry
-                self._items[leaf] = merged
-            self.total_rows = manifest["total_rows"]
-            self.total_measure = manifest["total_measure"]
-            self.generation = manifest["generation"]
 
     @staticmethod
     def _manifest_dict(dims, leaves, entries, generation, total_rows,
@@ -1297,18 +1168,14 @@ class CubeStore:
         }
 
     def _write_manifest(self):
-        manifest = self._manifest_dict(
+        _write_json(os.path.join(self.directory, MANIFEST), self._manifest_dict(
             self.dims, self.leaves, self._entries,
             generation=self.generation,
             total_rows=self.total_rows,
             total_measure=self.total_measure,
             shard=self.shard,
             applied_batches=self._applied_batches,
-        )
-        atomic_write(
-            os.path.join(self.directory, MANIFEST),
-            lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-        )
+        ))
 
     def __repr__(self):
         shard = (", shard=%d/%d" % self.shard) if self.shard else ""

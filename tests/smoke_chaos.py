@@ -6,11 +6,12 @@ work end-to-end rather than via unit seams:
 1. **Worker chaos** — a fault plan SIGKILLs real pool workers and hangs
    a batch past the supervisor's timeout; the cube must still match the
    single-process oracle cell-for-cell.
-2. **Append crash sweep** — an append is interrupted at *every* file
-   operation (atomic_write / os.replace / os.unlink) in turn; each
-   reopen must land on exactly the old or the new generation, with
-   queries matching the corresponding full-store oracle at
-   ``verify="full"``.
+2. **Append crash sweep** — an acknowledged ``append()`` is followed by
+   a ``compact()`` interrupted at *every* file operation (atomic_write /
+   os.replace / os.unlink) in turn; each reopen must land on the new
+   generation with the acknowledged rows — by WAL replay when the crash
+   came before the journal, by roll-forward after it — with queries
+   matching the full-store oracle at ``verify="full"``.
 3. **Overload flood** — hundreds of concurrent queries hit a small
    server whose recompute fallback always fails: the admission gate
    must shed the excess, the circuit breaker must trip (and say so in
@@ -87,20 +88,16 @@ def act_two_append_crash_sweep():
     real_unlink = store_module.os.unlink
 
     with tempfile.TemporaryDirectory() as tmp:
-        old_dir = tmp + "/old-oracle"
         new_dir = tmp + "/new-oracle"
-        CubeStore.build(base, old_dir).close()
         CubeStore.build(relation, new_dir).close()
-        with CubeStore.open(old_dir, verify="off") as old_store, \
-                CubeStore.open(new_dir, verify="off") as new_store:
-            leaves = list(old_store.leaves)
-            old_answers = {leaf: old_store.query(leaf, minsup=2)
-                           for leaf in leaves}
+        with CubeStore.open(new_dir, verify="off") as new_store:
+            leaves = list(new_store.leaves)
             new_answers = {leaf: new_store.query(leaf, minsup=2)
                            for leaf in leaves}
 
         crash_point = 0
-        outcomes = {1: 0, 2: 0}
+        # how each reopen got the acknowledged batch back
+        outcomes = {"replayed": 0, "rolled_forward": 0, "compacted": 0}
         while True:
             ops = CrashingOps(crash_point)
 
@@ -119,11 +116,12 @@ def act_two_append_crash_sweep():
             victim_dir = "%s/victim-%d" % (tmp, crash_point)
             CubeStore.build(base, victim_dir).close()
             store = CubeStore.open(victim_dir, verify="off")
+            assert store.append(delta).applied  # acknowledged: durable
             store_module.atomic_write = crashing_write
             store_module.os.replace = crashing_replace
             store_module.os.unlink = crashing_unlink
             try:
-                store.append(delta)
+                store.compact()
                 completed = True
             except Boom:
                 completed = False
@@ -134,22 +132,34 @@ def act_two_append_crash_sweep():
                 store.close()
 
             with CubeStore.open(victim_dir, verify="full") as reopened:
-                generation = reopened.generation
-                assert generation in (1, 2), generation
-                oracle = old_answers if generation == 1 else new_answers
+                assert reopened.generation == 2, (crash_point,
+                                                  reopened.generation)
+                assert reopened.total_rows == len(relation), crash_point
                 for leaf in leaves:
                     got = reopened.query(leaf, minsup=2)
-                    assert got == oracle[leaf], (crash_point, leaf)
-            outcomes[generation] += 1
+                    assert got == new_answers[leaf], (crash_point, leaf)
+                recovery = reopened.recovery
+                if recovery["rolled_forward"]:
+                    assert recovery["wal_replayed"] == 0, crash_point
+                    outcomes["rolled_forward"] += 1
+                elif recovery["wal_replayed"]:
+                    assert recovery["wal_replayed"] == 1, crash_point
+                    outcomes["replayed"] += 1
+                else:  # the swing finished; at most the WAL prune was left
+                    outcomes["compacted"] += 1
             if completed:
                 break
             crash_point += 1
 
-    assert outcomes[1] > 0 and outcomes[2] > 0, outcomes
-    print("act 2: append interrupted at %d distinct crash points -- "
-          "%d rolled back to gen 1, %d rolled forward to gen 2, "
-          "all oracle-exact at verify=full"
-          % (crash_point + 1, outcomes[1], outcomes[2]))
+    assert outcomes["replayed"] > 0 and outcomes["rolled_forward"] > 0, \
+        outcomes
+    print("act 2: append(); compact() interrupted at %d distinct crash "
+          "points -- %d recovered by WAL replay, %d by journal "
+          "roll-forward, %d already compacted; always generation 2, all "
+          "oracle-exact at verify=full"
+          % (crash_point + 1, outcomes["replayed"],
+             outcomes["rolled_forward"], outcomes["compacted"]))
+    return outcomes
 
 
 def act_three_overload_flood():

@@ -61,7 +61,7 @@ def delta(seed, n=6):
     return Relation(("A", "B", "C", "D"), rows,
                     [float(seed + i) for i in range(n)])
 
-store = CubeStore.open(%(store)r, wal=True, compact_after=10_000)
+store = CubeStore.open(%(store)r, compact_after=10_000)
 store.append(delta(1), batch_id="k1")
 store.append(delta(2), batch_id="k2")
 store.compact()
@@ -104,7 +104,7 @@ def crash_matrix(root, base):
         assert child.returncode == -9, (
             "chaos point %s never fired: rc=%s\n%s"
             % (point, child.returncode, child.stderr.decode()))
-        store = CubeStore.open(directory, wal=True)
+        store = CubeStore.open(directory)
         # the client retries both batches — exactly-once must hold
         first = store.append(delta_batch(1), batch_id="k1")
         second = store.append(delta_batch(2), batch_id="k2")
@@ -118,11 +118,11 @@ def crash_matrix(root, base):
 
 
 def spawn_replica(directory, port=0):
-    """Start one real ``repro-cube serve --wal`` process."""
+    """Start one real ``repro-cube serve`` process."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--store", directory,
-         "--wal", "--compact-after", "4", "--port", str(port)],
+         "--compact-after", "4", "--port", str(port)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
     for _ in range(40):
         line = proc.stdout.readline()

@@ -238,6 +238,14 @@ class TestStoreAndServe:
         assert "listening on http://" in output
         assert "12 HTTP queries answered" in output
         assert "cache hit rate" in output
+        assert "compaction after 8" in output
+        # --wal is accepted and ignored; --compact-after stands alone
+        for extra in (["--wal"], []):
+            code, output = run_cli(
+                ["serve", "--store", str(target), "--port", "0",
+                 "--self-test", "1", "--compact-after", "3"] + extra)
+            assert code == 0
+            assert "compaction after 3" in output
 
     def test_serve_missing_store_is_clean_error(self, tmp_path):
         code, output = run_cli(["serve", "--store", str(tmp_path / "nope"),

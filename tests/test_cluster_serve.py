@@ -220,6 +220,25 @@ class TestReplicaClient:
             httpd.shutdown()
             httpd.server_close()
 
+    def test_reply_cut_short_is_replica_error(self):
+        # A replica SIGKILLed mid-reply: headers out, body never arrives.
+        class CutShort(_CannedHandler):
+            def do_GET(self):  # noqa: N802 - http.server naming
+                self.send_response(200)
+                self.send_header("Content-Length", "10007")
+                self.end_headers()
+                self.close_connection = True
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), CutShort)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        try:
+            client = ReplicaClient("http://127.0.0.1:%d" % httpd.server_port)
+            with pytest.raises(ReplicaError):
+                client.get_json("/cube")
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+
     def test_connection_refused_is_replica_error(self):
         client = ReplicaClient("http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(ReplicaError):
@@ -318,6 +337,10 @@ class TestRouterQueries:
         with make_router(cluster) as router:
             summary = router.append(delta)
             assert summary["applied"] == N_SHARDS * N_REPLICAS
+            assert summary["duplicates"] == 0
+            # the minted key makes a blind re-send safe on every replica
+            again = router.append(delta, batch_id=summary["batch_id"])
+            assert again["duplicates"] == N_SHARDS * N_REPLICAS
             answer = router.cube(minsup=3)
             assert answer.generation == 2
             for cuboid, cells in answer.cuboids.items():

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import backends
 from repro.core.naive import naive_cuboid
 from repro.data import Relation
 from repro.errors import (
@@ -178,7 +177,7 @@ class TestWriteAheadLog:
 @pytest.fixture
 def wal_store(tmp_path):
     CubeStore.build(base_relation(), tmp_path / "s", backend="local").close()
-    store = CubeStore.open(tmp_path / "s", wal=True, compact_after=10_000)
+    store = CubeStore.open(tmp_path / "s", compact_after=10_000)
     yield store
     store.close()
 
@@ -211,7 +210,7 @@ class TestWalStore:
         wal_store.append(d1, batch_id="r1")
         wal_store.append(d2, batch_id="r2")
         wal_store.close()
-        reopened = CubeStore.open(tmp_path / "s", wal=True,
+        reopened = CubeStore.open(tmp_path / "s",
                                   compact_after=10_000)
         try:
             assert reopened.recovery["wal_replayed"] == 2
@@ -239,7 +238,7 @@ class TestWalStore:
         # and the folded store equals a from-scratch rebuild, cell-exact
         rebuilt_dir = tmp_path / "rebuilt"
         rebuilt = CubeStore.build(everything, rebuilt_dir, backend="local")
-        reopened = CubeStore.open(tmp_path / "s", wal=True)
+        reopened = CubeStore.open(tmp_path / "s")
         try:
             for cuboid in ((), ("A",), ("B", "C"), DIMS):
                 assert reopened.query(cuboid, 1) == rebuilt.query(cuboid, 1)
@@ -250,7 +249,7 @@ class TestWalStore:
     def test_background_compaction_triggers(self, tmp_path):
         CubeStore.build(base_relation(), tmp_path / "bg",
                         backend="local").close()
-        store = CubeStore.open(tmp_path / "bg", wal=True, compact_after=2)
+        store = CubeStore.open(tmp_path / "bg", compact_after=2)
         try:
             store.append(delta_relation(1), batch_id="a")
             store.append(delta_relation(2), batch_id="b")
@@ -265,23 +264,48 @@ class TestWalStore:
         finally:
             store.close()
 
-    def test_plain_open_refuses_pending_wal(self, tmp_path, wal_store):
-        wal_store.append(delta_relation(8), batch_id="p")
+    def test_plain_open_replays_pending_wal(self, tmp_path, wal_store):
+        delta = delta_relation(8)
+        wal_store.append(delta, batch_id="p")
         wal_store.close()
-        with pytest.raises(PlanError, match="WAL"):
-            CubeStore.open(tmp_path / "s")
+        # ``wal`` is accepted and ignored (benchmarks/e2e still passes it)
+        for kwargs in ({}, {"wal": False}, {"wal": True}):
+            with CubeStore.open(tmp_path / "s", **kwargs) as reopened:
+                assert reopened.recovery["wal_replayed"] == 1
+                assert_store_matches(
+                    reopened, combined(base_relation(), delta))
+                assert not reopened.append(delta, batch_id="p").applied
 
-    def test_legacy_append_rejects_batch_id(self, tmp_path):
-        CubeStore.build(base_relation(), tmp_path / "plain",
+    def test_read_only_use_creates_no_files(self, tmp_path):
+        CubeStore.build(base_relation(), tmp_path / "ro",
                         backend="local").close()
-        store = CubeStore.open(tmp_path / "plain")
-        try:
-            with pytest.raises(PlanError, match="WAL"):
-                store.append(delta_relation(1), batch_id="b")
-            with pytest.raises(PlanError):
-                store.compact()
-        finally:
-            store.close()
+
+        def listing():
+            return sorted(
+                os.path.join(root, name)
+                for root, dirs, files in os.walk(tmp_path / "ro")
+                for name in dirs + files)
+
+        before = listing()
+        with CubeStore.open(tmp_path / "ro", verify="full") as store:
+            assert_store_matches(store, base_relation())
+            assert store.wal_stats()["pending_batches"] == 0
+            assert store.wal_stats()["wal_bytes"] == 0
+            assert store.compact() == 0
+        assert listing() == before
+        assert not os.path.exists(tmp_path / "ro" / "wal")
+
+    def test_rebuild_discards_the_replaced_stores_wal(self, tmp_path):
+        first = CubeStore.build(base_relation(), tmp_path / "rb",
+                                backend="local")
+        first.append(delta_relation(1), batch_id="old")
+        first.close()
+        CubeStore.build(base_relation(), tmp_path / "rb",
+                        backend="local").close()
+        with CubeStore.open(tmp_path / "rb") as rebuilt:
+            assert rebuilt.recovery["wal_replayed"] == 0
+            assert rebuilt.generation == 1
+            assert_store_matches(rebuilt, base_relation())
 
     def test_wal_batches_since(self, wal_store):
         d1, d2 = delta_relation(1), delta_relation(2)
@@ -310,7 +334,7 @@ def delta_relation(seed, n=8):
             for i in range(n)]
     return Relation(("A", "B", "C"), rows, [float(seed + i) for i in range(n)])
 
-store = CubeStore.open(%(store)r, wal=True, compact_after=10_000)
+store = CubeStore.open(%(store)r, compact_after=10_000)
 store.append(delta_relation(1), batch_id="k1")
 store.append(delta_relation(2), batch_id="k2")
 store.compact()
@@ -334,7 +358,7 @@ class TestCrashWindows:
             env=env, capture_output=True, timeout=120)
         assert child.returncode == -9, child.stderr.decode()
 
-        store = CubeStore.open(directory, wal=True, compact_after=10_000)
+        store = CubeStore.open(directory, compact_after=10_000)
         try:
             d1, d2 = delta_relation(1), delta_relation(2)
             if point == "wal.pre_publish":
@@ -398,7 +422,7 @@ class TestIngestHttp:
     def served(self, tmp_path):
         CubeStore.build(base_relation(), tmp_path / "s",
                         backend="local").close()
-        store = CubeStore.open(tmp_path / "s", wal=True, compact_after=10_000)
+        store = CubeStore.open(tmp_path / "s", compact_after=10_000)
         server = CubeServer(store)
         endpoint = server.serve_http(port=0)
         yield endpoint.url, server
@@ -423,32 +447,10 @@ class TestIngestHttp:
         _post_append(url, delta_relation(1), "feed-1")
         _post_append(url, delta_relation(2), "feed-2")
         health = _get_json(url + "/healthz")
-        assert health["wal"]["enabled"]
+        assert health["wal"]["pending_batches"] == 2
         base = health["wal"]["base_generation"]
         feed = _get_json(url + "/wal?since=%d" % base)
         assert [b["batch_id"] for b in feed["batches"]] == ["feed-1", "feed-2"]
-
-    def test_wal_store_requires_ingest_capable_backend(self, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setitem(
-            backends.BACKENDS, "no-ingest",
-            backends.BackendInfo("no-ingest", "test double",
-                                 {"serve-fallback"}))
-        CubeStore.build(base_relation(), tmp_path / "s",
-                        backend="local").close()
-        plain = CubeStore.open(tmp_path / "s")
-        CubeServer(plain, fallback_backend="no-ingest").close()
-        plain.close()
-        store = CubeStore.open(tmp_path / "s", wal=True)
-        try:
-            with pytest.raises(PlanError, match="ingest"):
-                CubeServer(store, fallback_backend="no-ingest")
-        finally:
-            store.close()
-
-    def test_resolve_backend_gates_ingest(self):
-        with pytest.raises(PlanError, match="ingest"):
-            backends.resolve_backend("simulated", require={"ingest"})
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +498,12 @@ class _StubClient:
         self.url = url
         self.script = list(script)
         self.calls = 0
+        self.payloads = []
+        self.gets = []
 
     def post_json(self, path, payload):
         self.calls += 1
+        self.payloads.append(payload)
         action = self.script.pop(0) if self.script else "ok"
         if action == "fail":
             raise ReplicaError(self.url, "injected failure")
@@ -508,6 +513,7 @@ class _StubClient:
                 payload.get("batch_id"), "rows": len(payload["rows"])}
 
     def get_json(self, path):
+        self.gets.append(path)
         raise ReplicaError(self.url, "stub has no GET surface")
 
 
@@ -531,6 +537,23 @@ class TestRouterAppend:
             assert summary["batch_id"] == "retry-me"
             assert summary["outcomes"][0]["attempts"] == 3
             assert router.shards[0][0].calls == 3
+        finally:
+            router.close()
+
+    def test_unkeyed_append_mints_a_key_and_probes_nothing(self):
+        """No ``batch_id``, no health sweep yet: the append fans out at
+        once — zero ``/healthz`` probes — under a minted idempotence key
+        with the full retry budget."""
+        router = make_stub_router([["fail", "fail", "ok"], ["ok"]])
+        try:
+            summary = router.append(delta_relation(1))
+            stubs = [replicas[0] for replicas in router.shards]
+            assert [stub.gets for stub in stubs] == [[], []]
+            assert summary["batch_id"]
+            assert [p["batch_id"] for stub in stubs
+                    for p in stub.payloads] == [summary["batch_id"]] * 4
+            assert summary["outcomes"][0]["attempts"] == 3
+            assert summary["applied"] == 2
         finally:
             router.close()
 
@@ -597,7 +620,7 @@ class TestAntiEntropy:
         shutil.copytree(tmp_path / "a", tmp_path / "b")
 
         def serve(directory, port=0):
-            store = CubeStore.open(directory, wal=True, compact_after=10_000)
+            store = CubeStore.open(directory, compact_after=10_000)
             server = CubeServer(store)
             endpoint = server.serve_http(port=port)
             return store, server, endpoint

@@ -480,13 +480,28 @@ class TestRouterObservability(unittest.TestCase):
                 router.close()
 
     def test_append_stamps_batch_ids_with_the_trace(self):
-        # A WAL-less store: append falls back to legacy mode, so drive
-        # the stamping path directly through the server-side mint.
+        # An unkeyed router append mints its idempotence key from the
+        # live trace; the replica's WAL feed hands the trace id back, and
+        # re-sending the key is acknowledged, not re-applied.
+        delta = Relation(("A", "B", "C"), [(0, 0, 0)], [1.0])
         with obs.installed() as active:
-            with obs.span("ingest-driver") as driver:
-                batch = stamped_batch_id(obs.trace_id())
-            assert trace_id_of(batch) == driver.trace_id
-            assert active  # keep flake8 quiet about unused name
+            router = CubeRouter([[self.url]], timeout_s=10.0)
+            try:
+                summary = router.append(delta)
+                root = active.tracer.spans("router.append")[-1]
+                batch_id = summary["batch_id"]
+                assert trace_id_of(batch_id) == root.trace_id
+                generation = summary["outcomes"][0]["generation"]
+                with urlopen("%s/wal?since=%d"
+                             % (self.url, generation - 1)) as response:
+                    feed = json.loads(response.read())
+                assert [(b["batch_id"], b["trace_id"])
+                        for b in feed["batches"]] == \
+                    [(batch_id, root.trace_id)]
+                again = router.append(delta, batch_id=batch_id)
+                assert again["duplicates"] == 1
+            finally:
+                router.close()
 
 
 class TestReplicaTraceDisabled(unittest.TestCase):

@@ -21,6 +21,7 @@ from repro.online import LeafMaterialization
 from repro.serve import (
     AdmissionGate,
     CircuitBreaker,
+    CubeRouter,
     CubeServer,
     CubeStore,
     Deadline,
@@ -649,48 +650,83 @@ class TestHttpHardening:
         yield endpoint, server
         server.close()
 
-    def _get_error(self, endpoint, path, headers=None):
+    @pytest.fixture
+    def both(self, endpoint):
+        """``[(label, HttpEndpoint)]``: the CubeServer endpoint and a
+        CubeRouter endpoint in front of it.  The input bounds live in
+        the one handler base, so each bound is asserted on each.  (A
+        loop, not a pytest parametrisation: ids of tests the floor list
+        names stay as they are.)"""
+        replica, _server = endpoint
+        with CubeRouter([[replica.url]]) as router:
+            yield [("server", replica), ("router", router.serve_http(port=0))]
+
+    def _get_error(self, endpoint, path, headers=None, data=None):
         import urllib.error
         from urllib.request import Request
 
-        request = Request(endpoint.url + path, headers=headers or {})
+        request = Request(endpoint.url + path, headers=headers or {},
+                          data=data)
         try:
             with urlopen(request) as response:
                 return response.status, json.loads(response.read())
         except urllib.error.HTTPError as error:
             return error.code, json.loads(error.read())
 
-    def test_unknown_path_is_structured_404(self, endpoint):
-        endpoint, _server = endpoint
-        status, payload = self._get_error(endpoint, "/no/such/endpoint")
-        assert status == 404
-        assert payload["kind"] == "not_found"
-        assert "Traceback" not in payload["error"]
+    def test_unknown_path_is_structured_404(self, both):
+        for label, endpoint in both:
+            for data in (None, b"{}"):  # GET and POST
+                status, payload = self._get_error(
+                    endpoint, "/no/such/endpoint", data=data)
+                assert status == 404, label
+                assert payload["kind"] == "not_found"
+                assert "Traceback" not in payload["error"]
 
-    def test_malformed_query_is_structured_400(self, endpoint):
-        endpoint, _server = endpoint
-        for path in ("/query?cuboid=A&minsup=zero",
+    def test_malformed_query_is_structured_400(self, both):
+        for label, endpoint in both:
+            paths = ["/query?cuboid=A&minsup=zero",
                      "/query?cuboid=A,nope",
-                     "/query?cuboid=A&deadline_ms=-5",
-                     "/point?cuboid=A&cell=x"):
-            status, payload = self._get_error(endpoint, path)
-            assert status == 400, path
-            assert payload["kind"] == "bad_request"
-            assert "Traceback" not in payload["error"]
+                     "/point?cuboid=A&cell=x"]
+            if label == "server":  # the router takes no per-query deadline
+                paths.append("/query?cuboid=A&deadline_ms=-5")
+            for path in paths:
+                status, payload = self._get_error(endpoint, path)
+                assert status == 400, (label, path)
+                assert payload["kind"] == "bad_request"
+                assert "Traceback" not in payload["error"]
 
-    def test_oversized_content_length_is_413(self, endpoint):
-        endpoint, _server = endpoint
-        status, payload = self._get_error(
-            endpoint, "/query?cuboid=A",
-            headers={"Content-Length": str(10 * 1024 * 1024)})
-        assert status == 413
-        assert payload["kind"] == "too_large"
+    def test_oversized_content_length_is_413(self, both):
+        huge = {"Content-Length": str(10 * 1024 * 1024)}
+        for label, endpoint in both:
+            for path, data in (("/query?cuboid=A", None),
+                               ("/append", b"{}")):
+                status, payload = self._get_error(
+                    endpoint, path, headers=huge, data=data)
+                assert status == 413, (label, path)
+                assert payload["kind"] == "too_large"
 
-    def test_malformed_content_length_is_400(self, endpoint):
-        endpoint, _server = endpoint
-        status, payload = self._get_error(
-            endpoint, "/query?cuboid=A", headers={"Content-Length": "banana"})
-        assert status == 400
+    def test_overlong_path_is_400(self, both):
+        for label, endpoint in both:
+            status, payload = self._get_error(
+                endpoint, "/query?cuboid=A&pad=" + "x" * 9000)
+            assert status == 400, label
+            assert payload == {"error": "request path too long",
+                               "kind": "bad_request"}
+
+    def test_malformed_content_length_is_400(self, both):
+        for label, endpoint in both:
+            status, payload = self._get_error(
+                endpoint, "/query?cuboid=A",
+                headers={"Content-Length": "banana"})
+            assert status == 400, label
+
+    def test_malformed_append_body_is_400(self, both):
+        for label, endpoint in both:
+            for body in (b"", b"{not json", b"[1, 2]", b'{"rows": "x"}'):
+                status, payload = self._get_error(
+                    endpoint, "/append", data=body)
+                assert status == 400, (label, body)
+                assert payload["kind"] == "bad_request"
 
     def test_healthz_endpoint(self, endpoint):
         endpoint, server = endpoint

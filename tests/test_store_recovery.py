@@ -1,10 +1,10 @@
 """Crash-safety and corruption-recovery tests for the CubeStore.
 
 Covers the manifest-v2 integrity surface: per-leaf checksums, the
-journalled two-phase append (roll-forward / roll-back on reopen),
-orphan sweeping, and salvage of damaged leaves from the covering root
-leaf.  The byte-level chaos here is what tests/smoke_chaos.py runs
-exhaustively at every crash point.
+journalled two-phase ``append(); compact()`` (roll-forward / roll-back
+on reopen), orphan sweeping, and salvage of damaged leaves from the
+covering root leaf.  The every-crash-point sweep is the one
+tests/smoke_chaos.py runs as act 2.
 """
 
 import json
@@ -148,6 +148,7 @@ class TestJournalledAppend:
         CubeStore.build(first, directory).close()
         with CubeStore.open(directory, verify="off") as store:
             store.append(delta)
+            assert store.compact() == 1
             assert store.generation == 2
         # Fresh-build oracle over the concatenated relation.
         oracle_dir = str(tmp_path / "oracle")
@@ -155,6 +156,7 @@ class TestJournalledAppend:
         with CubeStore.open(directory, verify="full") as got, \
                 CubeStore.open(oracle_dir, verify="full") as want:
             assert not got.recovery["rolled_forward"]
+            assert got.recovery["wal_replayed"] == 0  # folded, not replayed
             for leaf in want.leaves:
                 assert got.query(leaf, minsup=2) == want.query(leaf, minsup=2)
 
@@ -177,8 +179,9 @@ class TestJournalledAppend:
         assert not os.path.exists(path + STAGED_SUFFIX)
 
     def test_crash_after_journal_rolls_forward(self, small_skewed, tmp_path):
-        # Run a real append, then reconstruct the moment just after the
-        # journal hit disk: staged files present, old manifest, journal.
+        # Run a real append(); compact(), then reconstruct the moment just
+        # after the journal hit disk: staged files present, old manifest,
+        # journal, and the WAL record not yet pruned.
         directory = str(tmp_path / "store")
         first = small_skewed.slice(0, 300)
         delta = small_skewed.slice(300, len(small_skewed))
@@ -193,10 +196,16 @@ class TestJournalledAppend:
                 with open(path, "rb") as fh:
                     snapshot[path] = fh.read()
             store.append(delta)
+            wal_path = store.wal.path_for(store.generation)
+            with open(wal_path, "rb") as fh:
+                wal_record = fh.read()
+            store.compact()
             new_answers = {leaf: store.query(leaf, minsup=2)
                            for leaf in store.leaves}
         with open(os.path.join(directory, MANIFEST)) as fh:
             new_manifest = json.load(fh)
+        with open(wal_path, "wb") as fh:
+            fh.write(wal_record)
 
         # Rewind: new leaf bytes back to .staged, old bytes + manifest
         # restored, journal in place — exactly the post-commit crash.
@@ -216,10 +225,25 @@ class TestJournalledAppend:
 
         with CubeStore.open(directory, verify="full") as store:
             assert store.recovery["rolled_forward"]
-            assert store.generation == new_manifest["generation"]
+            # the journalled manifest already holds the batch: its WAL
+            # record is stale and pruned, never applied a second time
+            assert store.recovery["wal_pruned"] == 1
+            assert store.recovery["wal_replayed"] == 0
+            assert store.generation == new_manifest["generation"] == 2
+            assert store.total_rows == len(small_skewed)
             for leaf, answer in new_answers.items():
                 assert store.query(leaf, minsup=2) == answer
         assert not os.path.exists(os.path.join(directory, JOURNAL))
+        assert not os.path.exists(wal_path)
+
+    def test_crash_sweep_always_recovers_the_acked_batch(self):
+        # An acknowledged append survives a compact() cut at every file
+        # operation: generation 2 each time, by WAL replay before the
+        # journal and roll-forward after it (asserted inside the sweep).
+        from smoke_chaos import act_two_append_crash_sweep
+
+        outcomes = act_two_append_crash_sweep()
+        assert outcomes["replayed"] and outcomes["rolled_forward"]
 
     def test_garbage_journal_ignored(self, store_dir):
         with open(os.path.join(store_dir, JOURNAL), "w") as fh:
