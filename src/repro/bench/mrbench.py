@@ -3,8 +3,8 @@
 Both real backends parallelize the same iceberg cube, but they cut the
 work differently: the local backend deals BUC *subtree tasks* (the
 paper's PT shape) to a process pool with everything resident, while
-the MapReduce backend streams row splits through a combine/spill/merge
-round with bounded memory.  This bench runs both over one weather
+the MapReduce backend streams row splits through a fold/spill/merge
+round of columnar runs with bounded memory.  This bench runs both over one weather
 workload (real wall-clock) and answers the question the ISSUE poses:
 what does the out-of-core path cost when the input *would* have fit —
 and does a starved memory budget change the answer (it must not: the
@@ -99,6 +99,12 @@ def ext_mapreduce(n_tuples=None, n_dims=6, minsup=5, workers=2, seed=2001):
         "%d spills / %.1f KB vs %d at the default budget"
         % (starved_stats.spills, starved_stats.spill_bytes / 1024,
            mr_stats.spills),
+    )
+    result.check(
+        "mapreduce cube within 3x of the PT pool on in-RAM input",
+        mr_seconds <= 3.0 * pt_seconds,
+        "%.1fx (%.3f s vs %.3f s)"
+        % (mr_seconds / pt_seconds, mr_seconds, pt_seconds),
     )
     result.check(
         "every map split was consumed",

@@ -360,7 +360,7 @@ def _add_mr_options(parser):
                         help="mapreduce backend: reducer partitions owning "
                              "lattice regions (default: the worker count)")
     parser.add_argument("--mr-memory-budget", default=None, metavar="BYTES",
-                        help="mapreduce backend: per-mapper combine-table "
+                        help="mapreduce backend: per-mapper pending-run "
                              "budget before spilling sorted runs to disk; "
                              "accepts k/m/g suffixes, e.g. 64m (default 64m)")
 

@@ -324,22 +324,48 @@ def _aggregate_packed(frame, positions):
     }
 
 
+def fold_sorted(leaves, keys, counts, sums):
+    """Fold ``(leaf, key, count, sum)`` columns sorted by ``(leaf, key)``.
+
+    Adjacent records with equal ``(leaf, key)`` become one record whose
+    count and sum add up theirs in input order: boundaries by vectorised
+    comparison, aggregates by ``np.add.reduceat``.  This is the one
+    group-by primitive every columnar path shares — the pool's leaf
+    aggregation, the MapReduce mapper, its spill and its block merge
+    differ only in how they sort.  ``leaves=None`` is a single cuboid;
+    ``counts=None`` gives every input record a count of one (raw rows).
+    Returns the folded ``(leaves, keys, counts, sums)``.
+    """
+    n = len(keys)
+    if not n:
+        empty = _np.empty(0, dtype=_np.int64)
+        return leaves, keys, empty if counts is None else counts, sums
+    change = _np.empty(n, dtype=bool)
+    change[0] = True
+    _np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    if leaves is not None:
+        change[1:] |= leaves[1:] != leaves[:-1]
+    bounds = _np.flatnonzero(change)
+    if counts is None:
+        counts = _np.diff(_np.append(bounds, n))
+    else:
+        counts = _np.add.reduceat(counts, bounds)
+    return (None if leaves is None else leaves[bounds], keys[bounds],
+            counts, _np.add.reduceat(sums, bounds))
+
+
 def _aggregate_packed_numpy(frame, positions):
     packing = frame.packing
     mask = packing.mask_for(positions)
     keys = _np.frombuffer(frame.keys, dtype=_np.int64) & mask
     measures = _np.frombuffer(frame.measures, dtype=_np.float64)
     order = _np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    bounds = _np.flatnonzero(
-        _np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    )
-    counts = _np.diff(_np.append(bounds, len(sorted_keys)))
-    sums = _np.add.reduceat(measures[order], bounds)
+    _leaf, cell_keys, counts, sums = fold_sorted(
+        None, keys[order], None, measures[order])
     unpack = packing.unpack
     out = {}
     for masked, count, total in zip(
-        sorted_keys[bounds].tolist(), counts.tolist(), sums.tolist()
+        cell_keys.tolist(), counts.tolist(), sums.tolist()
     ):
         out[unpack(masked, positions)] = (count, total)
     return out
@@ -378,6 +404,20 @@ def _threshold_mask(threshold, counts, sums):
             mask = sub if mask is None else (mask & sub)
         return mask
     return None
+
+
+def qualifying_mask(threshold, counts, sums):
+    """The boolean keep-mask of ``threshold`` over count/sum arrays:
+    vectorised where the threshold's shape allows, per-group
+    ``qualifies`` calls otherwise."""
+    mask = _threshold_mask(threshold, counts, sums)
+    if mask is None:
+        qualifies = threshold.qualifies
+        mask = _np.fromiter(
+            (qualifies(c, t) for c, t in zip(counts.tolist(), sums.tolist())),
+            dtype=bool, count=len(counts),
+        )
+    return mask
 
 
 def _level_from_groups(groups):
@@ -847,14 +887,7 @@ class NumpyKernel(ColumnarKernel):
         stats.add_scan(total)
         stats.add_groups(len(codes))
         if threshold is not None:
-            mask = _threshold_mask(threshold, g_counts, g_sums)
-            if mask is None:
-                qualifies = threshold.qualifies
-                mask = _np.fromiter(
-                    (qualifies(c, t) for c, t in
-                     zip(g_counts.tolist(), g_sums.tolist())),
-                    dtype=bool, count=len(codes),
-                )
+            mask = qualifying_mask(threshold, g_counts, g_sums)
             if not mask.all():
                 if len(rows):
                     rows = rows[_np.repeat(mask, g_counts)]

@@ -3,22 +3,25 @@
 Execution shape (one shuffle round, as in Sundararajan & Yan):
 
 1. **Map** — every input split becomes one map task.  The mapper
-   streams the split's chunks, packs each row's codes into one 63-bit
-   key, and for every leaf cuboid of the BUC processing tree combines
-   ``(leaf, masked key) -> (count, sum)`` into a bounded hash table.
-   Crossing the memory budget spills the table as sorted, hash
-   -partitioned run files (see :mod:`repro.mr.shuffle`).
+   streams the split's chunks; per chunk it packs all rows into 63-bit
+   keys at once, forms the ``(leaf x row)`` grid ``keys & leaf_masks``
+   in leaf blocks sized from the memory budget, sorts each grid row
+   and folds equal cells (:func:`~repro.core.columnar.fold_sorted`)
+   into pending ``(leaf, key, count, sum)`` columns.  Crossing the
+   budget at a chunk boundary spills the folded columns as sorted,
+   partitioned run files (see :mod:`repro.mr.shuffle`).
 2. **Shuffle** — nothing moves: runs are already partitioned on the
    shared filesystem.  The driver records each task's winning attempt
    and sweeps orphaned attempt directories left by killed workers.
-3. **Reduce** — reducer ``p`` merge-streams the sorted runs of
-   partition ``p``.  In *store* mode each leaf streams through a
-   :class:`~repro.serve.store.LeafWriter` (atomic per-leaf commit) at
-   minsup 1; in *cube* mode cells pass the iceberg threshold and each
-   leaf's immediate prefix cuboid is aggregated from the same sorted
-   stream, so the two phases together cover the entire lattice
-   (every non-leaf cuboid is some leaf minus its last dimension, and
-   the apex comes from the map-phase totals).
+3. **Reduce** — reducer ``p`` block-merges the sorted runs of
+   partition ``p`` (bounded memory, see
+   :func:`~repro.mr.shuffle.merge_blocks`).  In *store* mode each leaf
+   streams through a :class:`~repro.serve.store.LeafWriter` (atomic
+   per-leaf commit) at minsup 1; in *cube* mode cells pass the iceberg
+   threshold and each leaf's immediate prefix cuboid is folded from
+   the same sorted blocks, so the two phases together cover the entire
+   lattice (every non-leaf cuboid is some leaf minus its last
+   dimension, and the apex comes from the map-phase totals).
 
 Both phases run under :func:`repro.parallel.local.supervised_map`:
 killed or hung workers (including ``--faults`` injection) are retried,
@@ -33,7 +36,10 @@ import signal
 import tempfile
 import time
 
+import numpy as np
+
 from .. import obs
+from ..core.columnar import fold_sorted, qualifying_mask
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold
 from ..data.stream import RelationStream, stream_from_relation
@@ -42,15 +48,27 @@ from ..parallel.local import _HANG_SECONDS, SupervisorLog, supervised_map
 from ..serve.cluster import stable_shard_hash
 from ..serve.store import CubeStore, LeafWriter
 from .planner import plan_mapreduce
-from .shuffle import ENTRY_BYTES, attempt_dir, merge_runs, spill
+from .shuffle import (
+    ENTRY_BYTES,
+    attempt_dir,
+    fold_columns,
+    merge_blocks,
+    spill_columns,
+)
 
-#: Default combiner budget per mapper (bytes of estimated table
+#: Default budget per mapper (bytes of estimated pending-column
 #: footprint before a spill).
 DEFAULT_MEMORY_BUDGET = 64 << 20
 
-#: Floor on the budget: below this the combiner cannot hold even a few
+#: Floor on the budget: below this the mapper cannot hold even a few
 #: thousand entries and the run explodes into tiny spills.
 MIN_MEMORY_BUDGET = 64 << 10
+
+#: Peak resident bytes per ``(leaf x row)`` grid cell while
+#: :func:`_combine_block` folds a block (grid, permutation, sorted
+#: copies, fold outputs): ``tracemalloc`` reads 57 B when every cell is
+#: distinct, 25-35 B otherwise.  Sizes the mapper's leaf blocks.
+GRID_CELL_BYTES = 64
 
 
 class MRStats:
@@ -105,6 +123,24 @@ def _init_map_worker(plan, shuffle_dir, memory_budget, row_positions,
                   require_nonnegative, fault_plan)
 
 
+def _combine_block(keys, measures, masks, first_leaf):
+    """Fold one block of the ``(leaf x row)`` grid into run columns.
+
+    Row ``j`` of the grid holds every input row's key masked down to
+    leaf ``first_leaf + j``; a stable sort per grid row keeps input
+    order within a cell, so sums accumulate in row order.
+    """
+    grid = keys[None, :] & masks[:, None]
+    order = np.argsort(grid, axis=1, kind="stable")
+    grid = np.take_along_axis(grid, order, axis=1).ravel()
+    sums = measures[order].ravel()
+    del order
+    leaves = np.repeat(
+        np.arange(first_leaf, first_leaf + len(masks), dtype=np.int32),
+        len(keys))
+    return fold_sorted(leaves, grid, None, sums)
+
+
 def _map_task(job):
     """Stream one split into combined, partitioned, sorted spill runs.
 
@@ -129,24 +165,21 @@ def _map_task_impl(task_id, attempt, split):
     directory = attempt_dir(shuffle_dir, task_id, attempt)
     os.makedirs(directory, exist_ok=True)
     max_entries = max(1024, memory_budget // ENTRY_BYTES)
-    pack = plan.packing.pack
-    mask_pairs = plan.mask_pairs()
-    partition_of_leaf = plan.partition_of_leaf
-    n_partitions = plan.n_reducers
+    shifts = np.array(plan.packing.shifts, dtype=np.int64)
+    leaf_masks = np.array(plan.leaf_masks, dtype=np.int64)
+    partition_of_leaf = np.array(plan.partition_of_leaf, dtype=np.int64)
 
-    acc = {}
+    pending = []  # column 4-tuples in emission order
+    entries = 0
     runs = []
     spill_no = 0
     rows_total = 0
     measure_total = 0.0
-    emitted = 0
 
-    def flush():
+    def flush(run):
         nonlocal spill_no
-        written = spill(acc, partition_of_leaf, directory, spill_no,
-                        n_partitions)
+        written = spill_columns(run, partition_of_leaf, directory, spill_no)
         spill_no += 1
-        acc.clear()
         for partition, path, nbytes, records in written:
             runs.append((partition,
                          os.path.relpath(path, shuffle_dir),
@@ -158,43 +191,38 @@ def _map_task_impl(task_id, attempt, split):
             os.kill(os.getpid(), signal.SIGKILL)
 
     for rows, measures in split.iter_chunks():
-        if require_nonnegative and measures and min(measures) < 0:
+        values = np.array(measures, dtype=np.float64)
+        if require_nonnegative and values.min() < 0:
             raise PlanError(
                 "threshold requires non-negative measures; split %d "
                 "contains a negative measure" % split.split_id)
-        if row_positions is None:
-            for row, measure in zip(rows, measures):
-                key = pack(row)
-                for shifted_id, mask in mask_pairs:
-                    composite = shifted_id | (key & mask)
-                    entry = acc.get(composite)
-                    if entry is None:
-                        acc[composite] = [1, measure]
-                    else:
-                        entry[0] += 1
-                        entry[1] += measure
-        else:
-            for row, measure in zip(rows, measures):
-                key = pack([row[p] for p in row_positions])
-                for shifted_id, mask in mask_pairs:
-                    composite = shifted_id | (key & mask)
-                    entry = acc.get(composite)
-                    if entry is None:
-                        acc[composite] = [1, measure]
-                    else:
-                        entry[0] += 1
-                        entry[1] += measure
+        codes = np.array(rows, dtype=np.int64)
+        if row_positions is not None:
+            codes = codes[:, row_positions]
+        keys = np.bitwise_or.reduce(codes << shifts, axis=1)
+        # A grid block gets a quarter of the budget: pending columns
+        # hold about another quarter while they accumulate, and the
+        # fold's peak (ENTRY_BYTES) only starts after the block is freed.
+        block = max(1, memory_budget // 4 // (GRID_CELL_BYTES * len(keys)))
+        for first in range(0, len(leaf_masks), block):
+            piece = _combine_block(keys, values,
+                                   leaf_masks[first:first + block], first)
+            pending.append(piece)
+            entries += len(piece[1])
         rows_total += len(rows)
         measure_total += math.fsum(measures)
-        emitted += len(rows) * len(mask_pairs)
-        # Budget check at chunk boundaries: the table can overshoot by
-        # at most one chunk's worth of new entries (documented in
-        # DESIGN 6.11).
-        if len(acc) >= max_entries:
-            flush()
+        # Budget check at chunk boundaries, on *folded* entries: pending
+        # can overshoot by at most one chunk's worth of new entries
+        # (documented in DESIGN 6.11).
+        if entries >= max_entries:
+            run = fold_columns(pending)
+            pending, entries = [run], len(run[1])
+            if entries >= max_entries:
+                flush(run)
+                pending, entries = [], 0
 
-    if acc or not runs:
-        flush()
+    if pending or not runs:
+        flush(fold_columns(pending))
     elif kill_pending:
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -202,7 +230,6 @@ def _map_task_impl(task_id, attempt, split):
         "attempt": attempt,
         "rows": rows_total,
         "measure": measure_total,
-        "emitted": emitted,
         "spills": spill_no,
         "runs": runs,
     }
@@ -216,10 +243,10 @@ _REDUCE_STATE = None
 
 
 def _init_reduce_worker(plan, shuffle_dir, mode, out_dir, shards, threshold,
-                        n_map_tasks, fault_plan):
+                        fault_plan):
     global _REDUCE_STATE
     _REDUCE_STATE = (plan, shuffle_dir, mode, out_dir, shards, threshold,
-                     n_map_tasks, fault_plan)
+                     fault_plan)
 
 
 def _leaf_directory(out_dir, shards, leaf):
@@ -229,13 +256,28 @@ def _leaf_directory(out_dir, shards, leaf):
     return os.path.join(out_dir, "shard-%d" % shard_index), shard_index
 
 
+def _leaf_segments(leaves):
+    """``(leaf_id, start, stop)`` of every constant stretch of a sorted
+    leaf column."""
+    ids, starts = np.unique(leaves, return_index=True)
+    stops = np.append(starts[1:], len(leaves))
+    return zip(ids.tolist(), starts.tolist(), stops.tolist())
+
+
+def _unpack_cells(packing, keys, positions):
+    """Cell tuples for a column of (masked) packed keys, field by field."""
+    return list(zip(*(
+        ((keys >> packing.shifts[p]) & packing.masks[p]).tolist()
+        for p in positions)))
+
+
 def _reduce_task(job):
     """Merge one partition's runs and emit its leaves.
 
     Store mode returns ``{leaf: (shard_index, manifest_entry)}`` after
     committing each leaf file atomically; cube mode returns the
     qualifying cells of every cuboid the partition owns (each leaf plus
-    its immediate prefix).
+    its immediate prefix) as ``{cuboid: [cells, counts, sums]}``.
     """
     reduce_id, attempt, payload, traceparent = job
     with obs.activate(traceparent):
@@ -245,7 +287,7 @@ def _reduce_task(job):
 def _reduce_task_impl(reduce_id, attempt, payload):
     partition, run_relpaths = payload
     (plan, shuffle_dir, mode, out_dir, shards, threshold,
-     n_map_tasks, fault_plan) = _REDUCE_STATE
+     fault_plan) = _REDUCE_STATE
     directive = (fault_plan.local_fault(reduce_id, attempt)
                  if fault_plan is not None else None)
     if directive == "hang":
@@ -253,9 +295,9 @@ def _reduce_task_impl(reduce_id, attempt, payload):
     kill_pending = directive == "kill"
 
     paths = [os.path.join(shuffle_dir, rel) for rel in run_relpaths]
-    merged = merge_runs(paths)
     stats = {"attempt": attempt, "runs_merged": len(paths),
              "records": 0, "cells": 0}
+    packing = plan.packing
 
     if mode == "store":
         entries = {}
@@ -276,19 +318,23 @@ def _reduce_task_impl(reduce_id, attempt, payload):
                 # finish the rest.
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        for leaf_id, key, count, total in merged:
-            stats["records"] += 1
-            if leaf_id != current_leaf_id:
-                if writer is not None:
-                    commit()
-                current_leaf_id = leaf_id
-                leaf = plan.leaves[leaf_id]
-                directory, _shard = _leaf_directory(out_dir, shards, leaf)
-                os.makedirs(directory, exist_ok=True)
-                writer = LeafWriter(directory, leaf)
-            cell = plan.packing.unpack(key, plan.leaf_positions[leaf_id])
-            writer.add(cell, count, total)
-            stats["cells"] += 1
+        for leaves, keys, counts, sums in merge_blocks(paths):
+            stats["records"] += len(keys)
+            stats["cells"] += len(keys)
+            for leaf_id, lo, hi in _leaf_segments(leaves):
+                if leaf_id != current_leaf_id:
+                    if writer is not None:
+                        commit()
+                    current_leaf_id = leaf_id
+                    leaf = plan.leaves[leaf_id]
+                    directory, _shard = _leaf_directory(out_dir, shards, leaf)
+                    os.makedirs(directory, exist_ok=True)
+                    writer = LeafWriter(directory, leaf)
+                for cell, count, total in zip(
+                        _unpack_cells(packing, keys[lo:hi],
+                                      plan.leaf_positions[leaf_id]),
+                        counts[lo:hi].tolist(), sums[lo:hi].tolist()):
+                    writer.add(cell, count, total)
         if writer is not None:
             commit()
         if kill_pending:
@@ -296,57 +342,51 @@ def _reduce_task_impl(reduce_id, attempt, payload):
         return reduce_id, {"stats": stats, "entries": entries}
 
     # cube mode: threshold the leaf cells, and fold each leaf's sorted
-    # stream into its immediate prefix cuboid as groups close.
-    cells_out = []
-    current_leaf_id = None
-    leaf_cells = prefix_cells = None
-    prefix_mask = prefix_positions = positions = None
-    prefix_key = None
-    prefix_agg = None
+    # records into its immediate prefix cuboid (the leaf minus the last
+    # dimension, whose field is the key's lowest bits).
+    cells_out = {}
+    prefix_masks = np.array(
+        [packing.mask_for(positions[:-1])
+         for positions in plan.leaf_positions], dtype=np.int64)
 
-    def close_prefix():
-        if prefix_positions and prefix_agg is not None:
-            if threshold.qualifies(prefix_agg[0], prefix_agg[1]):
-                prefix_cells.append(
-                    (plan.packing.unpack(prefix_key, prefix_positions),
-                     prefix_agg[0], prefix_agg[1]))
+    def emit(run, trim):
+        """Record the qualifying cells of ``run``; ``trim`` drops each
+        leaf's last dimension (the run holds prefix-cuboid cells)."""
+        keep = qualifying_mask(threshold, run[2], run[3])
+        leaves, keys, counts, sums = (column[keep] for column in run)
+        for leaf_id, lo, hi in _leaf_segments(leaves):
+            width = len(plan.leaves[leaf_id]) - trim
+            out = cells_out.setdefault(plan.leaves[leaf_id][:width],
+                                       ([], [], []))
+            out[0].extend(_unpack_cells(
+                packing, keys[lo:hi], plan.leaf_positions[leaf_id][:width]))
+            out[1].extend(counts[lo:hi].tolist())
+            out[2].extend(sums[lo:hi].tolist())
+        return len(keys)
 
-    def close_leaf():
-        close_prefix()
-        leaf = plan.leaves[current_leaf_id]
-        if leaf_cells:
-            cells_out.append((leaf, leaf_cells))
-        if prefix_positions and prefix_cells:
-            cells_out.append((leaf[:-1], prefix_cells))
-
-    for leaf_id, key, count, total in merged:
-        stats["records"] += 1
-        if leaf_id != current_leaf_id:
-            if current_leaf_id is not None:
-                close_leaf()
-            current_leaf_id = leaf_id
-            positions = plan.leaf_positions[leaf_id]
-            prefix_positions = positions[:-1]
-            prefix_mask = plan.packing.mask_for(prefix_positions)
-            leaf_cells = []
-            prefix_cells = []
-            prefix_key = None
-            prefix_agg = None
-        if threshold.qualifies(count, total):
-            leaf_cells.append(
-                (plan.packing.unpack(key, positions), count, total))
-            stats["cells"] += 1
-        if prefix_positions:
-            group = key & prefix_mask
-            if group != prefix_key:
-                close_prefix()
-                prefix_key = group
-                prefix_agg = [count, total]
-            else:
-                prefix_agg[0] += count
-                prefix_agg[1] += total
-    if current_leaf_id is not None:
-        close_leaf()
+    # The last prefix group of a block may continue in the next one: its
+    # records (at most the last dimension's cardinality) are carried
+    # over un-folded, so a group's sum never depends on the block size.
+    carry = None
+    for run in merge_blocks(paths):
+        stats["records"] += len(run[1])
+        stats["cells"] += emit(run, 0)
+        leaves, keys, counts, sums = run
+        masks = prefix_masks[leaves]
+        wanted = masks != 0  # single-dimension leaves: prefix is the apex
+        piece = (leaves[wanted], keys[wanted] & masks[wanted],
+                 counts[wanted], sums[wanted])
+        if carry is not None:
+            piece = tuple(np.concatenate(pair) for pair in zip(carry, piece))
+        if not len(piece[1]):
+            continue
+        still_open = np.count_nonzero((piece[0] == piece[0][-1])
+                                      & (piece[1] == piece[1][-1]))
+        closed = len(piece[1]) - still_open
+        emit(fold_sorted(*(column[:closed] for column in piece)), 1)
+        carry = tuple(column[closed:] for column in piece)
+    if carry is not None:
+        emit(fold_sorted(*carry), 1)
     if kill_pending:
         os.kill(os.getpid(), signal.SIGKILL)
     return reduce_id, {"stats": stats, "cells": cells_out}
@@ -490,7 +530,7 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
             reduce_results = supervised_map(
                 reduce_jobs, workers, _reduce_task, _init_reduce_worker,
                 (plan, shuffle_dir, mode, out_dir, shards, threshold,
-                 n_map_tasks, fault_plan),
+                 fault_plan),
                 fault_plan=fault_plan, batch_timeout=batch_timeout,
                 log=stats.reduce_recovery, name="mr_reduce",
             ) if reduce_jobs else {}
@@ -610,9 +650,8 @@ def mapreduce_iceberg_cube(source, dims=None, minsup=1, workers=None,
 
     result = CubeResult(dims)
     for reduce_id in sorted(reduce_results):
-        for cuboid, cells in reduce_results[reduce_id]["cells"]:
-            for cell, count, total in cells:
-                result.add_cell(cuboid, cell, count, total)
+        for cuboid, columns in reduce_results[reduce_id]["cells"].items():
+            result.add_columns(cuboid, *columns)
     total_rows, total_measure = totals
     if total_rows and threshold.qualifies(total_rows, total_measure):
         result.add_cell((), (), total_rows, total_measure)

@@ -23,13 +23,6 @@ from ..core.columnar import MAX_KEY_BITS, KeyPacking, bits_for
 from ..errors import PlanError
 from ..online.materialize import leaf_cuboids
 
-#: Bit position separating the leaf id from the packed cell key in the
-#: combiner's composite int key (packed keys use at most 63 bits).
-LEAF_ID_SHIFT = MAX_KEY_BITS
-
-#: Mask recovering the packed cell key from a composite key.
-KEY_MASK = (1 << LEAF_ID_SHIFT) - 1
-
 
 class MRPlan:
     """Immutable layout shared by the driver, mappers and reducers."""
@@ -48,12 +41,6 @@ class MRPlan:
         self.leaf_masks = leaf_masks
         self.partition_of_leaf = partition_of_leaf
         self.n_reducers = n_reducers
-
-    def mask_pairs(self):
-        """``(leaf_id << LEAF_ID_SHIFT, mask)`` pairs for the mapper's
-        inner loop: composite key = ``shifted_id | (row_key & mask)``."""
-        return [(leaf_id << LEAF_ID_SHIFT, mask)
-                for leaf_id, mask in enumerate(self.leaf_masks)]
 
     def __repr__(self):
         return "MRPlan(dims=%d, leaves=%d, reducers=%d, key_bits=%d)" % (

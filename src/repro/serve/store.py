@@ -423,13 +423,14 @@ class CubeStore:
         :class:`LeafWriter` (each commit is atomic), then the driver
         calls ``assemble`` with the collected manifest entries (leaf
         cuboid -> entry dict as returned by :meth:`LeafWriter.commit`)
-        to publish the store.  Leaves are ordered deterministically by
-        cuboid so the manifest is byte-stable across re-executions.
+        to publish the store.  The manifest lists leaves in the one
+        order :meth:`_manifest_dict` fixes, so it is byte-stable across
+        re-executions and equal to a pool-built store's.
         """
         directory = str(directory)
         os.makedirs(directory, exist_ok=True)
         return cls._publish(directory, cls._manifest_dict(
-            dims, sorted(entries), entries, generation=int(generation),
+            dims, entries, entries, generation=int(generation),
             total_rows=int(total_rows), total_measure=float(total_measure),
             shard=shard,
         ))
@@ -1141,6 +1142,12 @@ class CubeStore:
     @staticmethod
     def _manifest_dict(dims, leaves, entries, generation, total_rows,
                        total_measure, shard=None, applied_batches=None):
+        # One leaf order for every build path (lattice order: most
+        # dimensions first, then schema order), so the same relation
+        # gives the same manifest bytes whichever backend wrote it.
+        position = {name: i for i, name in enumerate(dims)}
+        leaves = sorted(leaves, key=lambda leaf: (
+            -len(leaf), [position[name] for name in leaf]))
         return {
             "format": STORE_FORMAT,
             "format_version": STORE_FORMAT_VERSION,
