@@ -3,7 +3,7 @@
 Section 5.1's leaf materialization, persisted and put behind a server:
 
 1. precompute the BUC-tree leaf cuboids and write them to disk as a
-   :class:`~repro.serve.store.CubeStore` (sorted, prefix-indexed);
+   :class:`~repro.serve.store.CubeStore` (sorted columnar runs);
 2. reopen the store — no recompute — under a :class:`CubeServer` with
    an LRU query cache and a JSON HTTP endpoint;
 3. fire roll-up / drill-down / point queries over HTTP, append fresh

@@ -37,6 +37,7 @@ Examples::
     repro-cube serve --store /tmp/cube-store --port 8642
     repro-cube serve --store /tmp/cube-store --compact-after 8
     repro-cube store compact --store /tmp/cube-store
+    repro-cube store migrate /tmp/old-format-2-store
     repro-cube serve --store /tmp/cluster/shard-0 --shard 0/3 --port 9001
     repro-cube router --shard http://h1:9001,http://h2:9001 \
         --shard http://h3:9002,http://h4:9002 --port 8642
@@ -59,7 +60,7 @@ from .core.export import save_cube
 from .core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from .data.io import load_csv
 from .data.weather import baseline_dims, weather_relation
-from .errors import ReproError
+from .errors import ReproError, SchemaError
 from .queries import iceberg_cube, iceberg_query
 from .recipe import recommend_for
 
@@ -193,6 +194,11 @@ def build_parser():
                          choices=["off", "quick", "full"],
                          help="store integrity check on open (default quick)")
     _add_obs_options(compact)
+    migrate = store_sub.add_parser(
+        "migrate", help="convert a format-2 store (CSV leaves) to format 3 "
+                        "(.run leaves), once, in place")
+    migrate.add_argument("directory", metavar="DIR",
+                         help="the format-2 store to convert")
 
     serve = sub.add_parser("serve",
                            help="serve iceberg queries from a store over HTTP")
@@ -707,6 +713,8 @@ def cmd_store(args, out):
             return _cmd_store_compact(args, out)
         finally:
             _finish_obs(args, active, out)
+    if args.store_command == "migrate":
+        return _cmd_store_migrate(args, out)
     resolve_backend(args.backend, require={"store-build"})
     active = _setup_obs(args)
     try:
@@ -724,7 +732,7 @@ def cmd_store(args, out):
               file=out)
         print("input            : %d tuples, dims %s"
               % (len(relation), ", ".join(store.dims)), file=out)
-        print("stored leaves    : %d (sorted, prefix-indexed), %d cells"
+        print("stored leaves    : %d (sorted columnar runs), %d cells"
               % (len(store.leaves), store.total_cells()), file=out)
         print("generation       : %d" % store.generation, file=out)
         store.close()
@@ -755,6 +763,37 @@ def _cmd_store_compact(args, out):
               % (store.wal.nbytes(), len(store.wal)), file=out)
     finally:
         store.close()
+    return 0
+
+
+def _read_v2_leaf(path, leaf):
+    """A format-2 leaf file (``coords..., count, sum`` CSV rows under a
+    header, sorted by coords) as a :class:`CellRun` — the only reader of
+    that format left."""
+    from .core.columnar import CellRun
+
+    width = len(leaf)
+    cells = {}
+    with open(path, "rb") as handle:
+        handle.readline()  # header
+        for raw in handle:
+            parts = raw.decode().rstrip("\n").split(",")
+            if len(parts) != width + 2:
+                raise SchemaError(
+                    "leaf row %r has %d fields, expected %d"
+                    % (raw, len(parts), width + 2))
+            cells[tuple(int(part) for part in parts[:width])] = (
+                int(parts[width]), float(parts[width + 1]))
+    return CellRun.from_cells(leaf, cells)
+
+
+def _cmd_store_migrate(args, out):
+    """``store migrate DIR``: format 2 (CSV leaves) to format 3, in place."""
+    from .serve import CubeStore
+
+    leaves, cells = CubeStore.migrate(args.directory, _read_v2_leaf)
+    print("migrated store   : %s (format 2 -> 3)" % args.directory, file=out)
+    print("leaves           : %d, %d cells" % (leaves, cells), file=out)
     return 0
 
 
@@ -789,7 +828,7 @@ def _cmd_store_mapreduce(args, out):
           % (stats.reduce_tasks, stats.runs_merged, stats.cells_written,
              stats.reduce_seconds), file=out)
     if args.shards is None:
-        print("stored leaves    : %d (sorted, prefix-indexed), %d cells"
+        print("stored leaves    : %d (sorted columnar runs), %d cells"
               % (len(stores[0].leaves), stores[0].total_cells()), file=out)
     else:
         for index, store in enumerate(stores):

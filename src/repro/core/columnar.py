@@ -27,8 +27,13 @@ module supplies the machinery for real speed:
   to the stdlib path for the small ranges deep in the recursion where
   vectorisation overhead dominates).
 * :func:`aggregate_cuboid` — one-pass group-by over the packed keys,
-  used by the fast store-build backend and anywhere a single cuboid is
-  needed without the full BUC recursion.
+  for anywhere a single cuboid is needed as a ``{cell: (count, sum)}``
+  dict without the full BUC recursion.
+* :class:`CellRun` — a leaf cuboid's cells sorted by cell, as columns:
+  *the* representation of a materialized leaf from the pool worker
+  (:func:`leaf_run`) through shared memory, the in-memory and on-disk
+  stores and the MapReduce store reducer, down to the ``.run`` leaf
+  file (:class:`RunWriter` / :meth:`CellRun.decode`).
 
 If the per-dimension cardinalities need more than
 :data:`MAX_KEY_BITS` bits in total, packing is impossible in a machine
@@ -36,22 +41,23 @@ word; the frame then carries no key buffer, a warning is logged once,
 and every consumer falls back to tuple keys (the
 ``test_columnar`` suite covers the fallback path).
 
-``numpy`` is optional: :data:`HAS_NUMPY` reflects availability and
-``kernel="auto"`` picks the fastest implementation present.
+``numpy`` is a declared dependency and imported unconditionally;
+``kernel="auto"`` picks the fastest implementation.
 """
 
+import io
 import logging
+import struct
 from array import array
 
-from ..errors import PlanError
+import numpy as _np
+
+from ..errors import PlanError, SchemaError
 from .thresholds import AndThreshold, CountThreshold, SumThreshold
 
-try:  # optional fast path; the stdlib kernels never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in the test env
-    _np = None
-
-HAS_NUMPY = _np is not None
+#: numpy is a declared dependency, imported unconditionally; the flag is
+#: kept for the benches and tests that still read it.
+HAS_NUMPY = True
 
 #: Packed keys must fit a signed 64-bit machine word (``array('q')``).
 MAX_KEY_BITS = 63
@@ -157,32 +163,31 @@ class ColumnarFrame:
         rows = relation.rows
         columns = []
         cardinalities = []
+        negative = False
         for p in positions:
-            column = array("q", (row[p] for row in rows))
+            try:
+                column = array("q", (row[p] for row in rows))
+            except OverflowError:
+                raise SchemaError(
+                    "dimension %r holds a code that does not fit a signed "
+                    "64-bit integer (re-code the dimension)" % (dims[len(
+                        columns)],)) from None
             columns.append(column)
             cardinalities.append((max(column) + 1) if column else 0)
+            negative = negative or (bool(column) and min(column) < 0)
         measures = array("d", relation.measures)
-        packing = KeyPacking.plan(cardinalities, max_bits=max_bits)
+        # Bit fields hold codes 0..card-1 only: a negative code takes
+        # the same unpacked path as an overflowing cardinality.
+        packing = (None if negative
+                   else KeyPacking.plan(cardinalities, max_bits=max_bits))
         keys = None
         if packing is not None:
-            shifts = packing.shifts
-            if HAS_NUMPY and rows:
-                packed = _np.zeros(len(rows), dtype=_np.int64)
-                for shift, column in zip(shifts, columns):
-                    packed |= _np.frombuffer(column, dtype=_np.int64) << shift
-                keys = array("q", bytes(0))
-                keys.frombytes(packed.tobytes())
-            else:
-                keys = array("q", bytes(8 * len(rows)))
-                for position, column in enumerate(columns):
-                    shift = shifts[position]
-                    if shift:
-                        for i, code in enumerate(column):
-                            keys[i] |= code << shift
-                    else:
-                        for i, code in enumerate(column):
-                            keys[i] |= code
-        else:
+            packed = _np.zeros(len(rows), dtype=_np.int64)
+            for shift, column in zip(packing.shifts, columns):
+                packed |= _np.frombuffer(column, dtype=_np.int64) << shift
+            keys = array("q", bytes(0))
+            keys.frombytes(packed.tobytes())
+        elif not negative:
             log.warning(
                 "packed keys need %d bits for cardinalities %r (budget %d); "
                 "falling back to tuple keys",
@@ -192,10 +197,6 @@ class ColumnarFrame:
 
     def __len__(self):
         return self.n_rows
-
-    def row_key(self, i, positions):
-        """The cell tuple of row ``i`` over ``positions`` (fallback path)."""
-        return tuple(self.columns[p][i] for p in positions)
 
     # ------------------------------------------------------------------
     # shared-memory shipping (one copy of the input for every worker)
@@ -268,15 +269,7 @@ class ColumnarFrame:
 # ----------------------------------------------------------------------
 # group-by over packed keys
 # ----------------------------------------------------------------------
-def aggregate_cuboid(frame, cuboid, threshold=None, use_numpy=None):
-    """One group-by over ``frame``: ``{cell: (count, sum)}``.
-
-    ``cuboid`` is a tuple of dimension names (a subset of the frame's
-    dims, any order).  With packed keys the cell identity is a single
-    masked integer — hashed once, no tuple allocation per row; the
-    numpy path replaces the Python loop with ``argsort`` + ``reduceat``.
-    ``threshold=None`` keeps every cell (the minsup-1 store build).
-    """
+def _frame_positions(frame, cuboid):
     positions = []
     for name in cuboid:
         try:
@@ -285,43 +278,17 @@ def aggregate_cuboid(frame, cuboid, threshold=None, use_numpy=None):
             raise PlanError(
                 "unknown dimension %r (frame has %r)" % (name, frame.dims)
             ) from None
-    if use_numpy is None:
-        use_numpy = HAS_NUMPY
-    if frame.packing is None or frame.keys is None:
-        cells = _aggregate_tuple_keys(frame, positions)
-    elif use_numpy and HAS_NUMPY and frame.n_rows >= SMALL_RANGE:
-        cells = _aggregate_packed_numpy(frame, positions)
-    else:
-        cells = _aggregate_packed(frame, positions)
-    if threshold is None:
-        return cells
-    return {
-        cell: (count, total)
-        for cell, (count, total) in cells.items()
-        if threshold.qualifies(count, total)
-    }
+    return positions
 
 
-def _aggregate_packed(frame, positions):
-    packing = frame.packing
-    mask = packing.mask_for(positions)
-    keys = frame.keys
-    measures = frame.measures
-    groups = {}
-    get = groups.get
-    for i in range(frame.n_rows):
-        masked = keys[i] & mask
-        acc = get(masked)
-        if acc is None:
-            groups[masked] = [1, measures[i]]
-        else:
-            acc[0] += 1
-            acc[1] += measures[i]
-    unpack = packing.unpack
-    return {
-        unpack(masked, positions): (count, total)
-        for masked, (count, total) in groups.items()
-    }
+def aggregate_cuboid(frame, cuboid, threshold=None):
+    """One group-by over ``frame``: ``{cell: (count, sum)}``.
+
+    ``cuboid`` is a tuple of dimension names (a subset of the frame's
+    dims, any order): :func:`leaf_run` and one
+    :meth:`CellRun.group_by`.  ``threshold=None`` keeps every cell.
+    """
+    return leaf_run(frame, cuboid).group_by(len(cuboid), threshold)
 
 
 def fold_sorted(leaves, keys, counts, sums):
@@ -331,18 +298,23 @@ def fold_sorted(leaves, keys, counts, sums):
     count and sum add up theirs in input order: boundaries by vectorised
     comparison, aggregates by ``np.add.reduceat``.  This is the one
     group-by primitive every columnar path shares — the pool's leaf
-    aggregation, the MapReduce mapper, its spill and its block merge
-    differ only in how they sort.  ``leaves=None`` is a single cuboid;
-    ``counts=None`` gives every input record a count of one (raw rows).
+    aggregation, the MapReduce mapper, its spill and its block merge,
+    and every :class:`CellRun` merge differ only in how they sort.
+    ``keys`` is one key column or a ``(columns x records)`` matrix of
+    several; ``leaves=None`` is a single cuboid; ``counts=None`` gives
+    every input record a count of one (raw rows).
     Returns the folded ``(leaves, keys, counts, sums)``.
     """
-    n = len(keys)
+    n = len(sums)
     if not n:
         empty = _np.empty(0, dtype=_np.int64)
         return leaves, keys, empty if counts is None else counts, sums
     change = _np.empty(n, dtype=bool)
     change[0] = True
-    _np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    if keys.ndim == 1:
+        _np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    else:
+        (keys[:, 1:] != keys[:, :-1]).any(axis=0, out=change[1:])
     if leaves is not None:
         change[1:] |= leaves[1:] != leaves[:-1]
     bounds = _np.flatnonzero(change)
@@ -350,41 +322,9 @@ def fold_sorted(leaves, keys, counts, sums):
         counts = _np.diff(_np.append(bounds, n))
     else:
         counts = _np.add.reduceat(counts, bounds)
-    return (None if leaves is None else leaves[bounds], keys[bounds],
+    return (None if leaves is None else leaves[bounds],
+            keys[bounds] if keys.ndim == 1 else keys[:, bounds],
             counts, _np.add.reduceat(sums, bounds))
-
-
-def _aggregate_packed_numpy(frame, positions):
-    packing = frame.packing
-    mask = packing.mask_for(positions)
-    keys = _np.frombuffer(frame.keys, dtype=_np.int64) & mask
-    measures = _np.frombuffer(frame.measures, dtype=_np.float64)
-    order = _np.argsort(keys, kind="stable")
-    _leaf, cell_keys, counts, sums = fold_sorted(
-        None, keys[order], None, measures[order])
-    unpack = packing.unpack
-    out = {}
-    for masked, count, total in zip(
-        cell_keys.tolist(), counts.tolist(), sums.tolist()
-    ):
-        out[unpack(masked, positions)] = (count, total)
-    return out
-
-
-def _aggregate_tuple_keys(frame, positions):
-    columns = [frame.columns[p] for p in positions]
-    measures = frame.measures
-    groups = {}
-    get = groups.get
-    for i in range(frame.n_rows):
-        cell = tuple(column[i] for column in columns)
-        acc = get(cell)
-        if acc is None:
-            groups[cell] = [1, measures[i]]
-        else:
-            acc[0] += 1
-            acc[1] += measures[i]
-    return {cell: (count, total) for cell, (count, total) in groups.items()}
 
 
 def _threshold_mask(threshold, counts, sums):
@@ -418,6 +358,365 @@ def qualifying_mask(threshold, counts, sums):
             dtype=bool, count=len(counts),
         )
     return mask
+
+
+# ----------------------------------------------------------------------
+# CellRun: a leaf cuboid's cells as sorted columns
+# ----------------------------------------------------------------------
+#: First bytes of every encoded run (a ``.run`` leaf file, a pool
+#: worker's result segment).
+RUN_MAGIC = b"RCR3"
+
+#: Cells per encoded block.  Every block but a run's last holds exactly
+#: this many, whoever wrote it and however the cells arrived, so equal
+#: cells give equal bytes; a streaming writer never buffers more.
+RUN_BLOCK_CELLS = 4096
+
+#: Integer dtypes a block column may be stored in, narrowest first; the
+#: block records each column's index into this tuple.
+_RUN_DTYPES = tuple(_np.dtype(code) for code in
+                    ("u1", "i1", "<u2", "<i2", "<u4", "<i4", "<i8"))
+_RUN_RANGES = tuple((int(_np.iinfo(d).min), int(_np.iinfo(d).max))
+                    for d in _RUN_DTYPES)
+_SUM_DTYPE = _np.dtype("<f8")
+_RUN_HEADER = struct.Struct("<4sHI")    # magic, n dims, block cells
+_RUN_NAME = struct.Struct("<H")         # utf-8 byte length of one dim name
+_RUN_BLOCK = struct.Struct("<I")        # cells in the block
+
+
+def code_matrix(rows, width):
+    """``rows`` (equal-length integer tuples) as a ``(width x rows)``
+    int64 matrix, one row of the matrix per dimension.  A code outside
+    int64 is refused: it is the one value a store cannot hold."""
+    try:
+        matrix = _np.array(rows, dtype=_np.int64)
+    except OverflowError:
+        raise SchemaError(
+            "dimension codes must fit a signed 64-bit integer; got a row "
+            "that does not (re-code the dimension)") from None
+    return _np.ascontiguousarray(matrix.reshape(len(rows), width).T)
+
+
+def unpack_codes(packing, keys, positions):
+    """The code matrix of a column of (masked) packed keys: one row per
+    position, extracted field by field."""
+    if not len(positions):
+        return _np.empty((0, len(keys)), dtype=_np.int64)
+    return _np.stack([(keys >> packing.shifts[p]) & packing.masks[p]
+                      for p in positions])
+
+
+def _narrowest(lo, hi):
+    """Index into ``_RUN_DTYPES`` of the narrowest dtype holding
+    ``lo..hi``."""
+    for index, (low, high) in enumerate(_RUN_RANGES[:-1]):
+        if low <= lo and hi <= high:
+            return index
+    return len(_RUN_RANGES) - 1
+
+
+class CellRun:
+    """One cuboid's cells, sorted by cell, as parallel columns.
+
+    ``codes`` is a ``(len(dims) x cells)`` int64 matrix — row ``j`` is
+    the column of dimension ``dims[j]`` — sorted lexicographically with
+    every cell distinct; ``counts`` (int64) and ``sums`` (float64) are
+    the aggregates.  A run is immutable: :meth:`merge` and
+    :meth:`add_rows` return new runs, so a reader holding one never
+    sees it change.
+    """
+
+    __slots__ = ("dims", "codes", "counts", "sums", "_depth")
+
+    def __init__(self, dims, codes, counts, sums):
+        self.dims = tuple(dims)
+        self.codes = codes
+        self.counts = counts
+        self.sums = sums
+        self._depth = None
+
+    def __len__(self):
+        return len(self.counts)
+
+    def __repr__(self):
+        return "CellRun(dims=%r, cells=%d)" % (self.dims, len(self))
+
+    # -- construction --------------------------------------------------
+    @classmethod
+    def _fold(cls, dims, codes, counts, sums):
+        """Sort unsorted columns by cell and fold equal cells.  The
+        sort is stable, so equal cells add up in input order."""
+        order = _np.lexsort(codes[::-1])
+        _leaves, codes, counts, sums = fold_sorted(
+            None, codes[:, order],
+            None if counts is None else counts[order], sums[order])
+        return cls(dims, codes, counts, sums)
+
+    @classmethod
+    def from_cells(cls, dims, cells):
+        """The run of a ``{cell: (count, sum)}`` mapping."""
+        n = len(cells)
+        return cls._fold(
+            dims, code_matrix(list(cells), len(dims)),
+            _np.fromiter((agg[0] for agg in cells.values()),
+                         dtype=_np.int64, count=n),
+            _np.fromiter((agg[1] for agg in cells.values()),
+                         dtype=_np.float64, count=n))
+
+    @classmethod
+    def from_rows(cls, dims, codes, measures):
+        """The run of raw rows (a count of one each): ``codes`` is their
+        ``(len(dims) x rows)`` matrix."""
+        return cls._fold(dims, codes, None,
+                         _np.asarray(measures, dtype=_np.float64))
+
+    @classmethod
+    def merge(cls, runs):
+        """One run holding every cell of ``runs`` (same dims), equal
+        cells folded — earlier runs first, so float sums do not depend
+        on anything but the order of ``runs``."""
+        dims = runs[0].dims
+        return cls._fold(
+            dims, _np.concatenate([run.codes for run in runs], axis=1),
+            _np.concatenate([run.counts for run in runs]),
+            _np.concatenate([run.sums for run in runs]))
+
+    def add_rows(self, codes, measures):
+        """This run plus raw rows (``codes`` as in :meth:`from_rows`):
+        the run's cells first, then the rows in the order given."""
+        return self._fold(
+            self.dims, _np.concatenate([self.codes, codes], axis=1),
+            _np.concatenate(
+                [self.counts, _np.ones(codes.shape[1], dtype=_np.int64)]),
+            _np.concatenate(
+                [self.sums, _np.asarray(measures, dtype=_np.float64)]))
+
+    def project(self, positions):
+        """The run of the cuboid keeping only the dimensions at
+        ``positions``: count and sum are distributive, so this is the
+        cuboid itself (how a damaged leaf is rebuilt from the root)."""
+        return self._fold(tuple(self.dims[p] for p in positions),
+                          self.codes[list(positions)], self.counts,
+                          self.sums)
+
+    # -- answering -----------------------------------------------------
+    def _group_depth(self):
+        """Per cell, the first column in which it differs from the cell
+        before it (0 for the first cell): a group-by of width ``w``
+        starts a group exactly where this is ``< w``."""
+        depth = self._depth
+        if depth is None:
+            depth = _np.zeros(len(self), dtype=_np.intp)
+            if len(self) > 1:
+                (self.codes[:, 1:] != self.codes[:, :-1]).argmax(
+                    axis=0, out=depth[1:])
+            self._depth = depth
+        return depth
+
+    def group_by(self, width, threshold=None):
+        """``GROUP BY`` the first ``width`` dimensions ``HAVING
+        threshold``: ``{cell: (count, sum)}``.  Cells sharing a prefix
+        are adjacent, so this is boundaries + ``np.add.reduceat``;
+        ``threshold=None`` keeps every group."""
+        if not len(self):
+            return {}
+        codes, counts, sums = self.codes, self.counts, self.sums
+        if width < len(self.dims):
+            bounds = _np.flatnonzero(self._group_depth() < width)
+            codes = codes[:width, bounds]
+            counts = _np.add.reduceat(counts, bounds)
+            sums = _np.add.reduceat(sums, bounds)
+        if threshold is not None:
+            keep = qualifying_mask(threshold, counts, sums)
+            if not keep.all():
+                codes, counts, sums = codes[:, keep], counts[keep], sums[keep]
+        # (a run over no dimensions holds the one cell ``()``)
+        cells = zip(*codes.tolist()) if len(codes) else [()] * len(counts)
+        return dict(zip(cells, zip(counts.tolist(), sums.tolist())))
+
+    def cells(self):
+        """Every cell: ``{cell: (count, sum)}``."""
+        return self.group_by(len(self.dims))
+
+    def lookup(self, cell):
+        """``(count, sum)`` of one cell of the cuboid over the first
+        ``len(cell)`` dimensions, or ``None`` when no row falls in it:
+        one ``searchsorted`` pair per coordinate."""
+        lo, hi = 0, len(self)
+        for column, code in zip(self.codes, cell):
+            segment = column[lo:hi]
+            hi = lo + int(segment.searchsorted(code, "right"))
+            lo += int(segment.searchsorted(code, "left"))
+            if lo == hi:
+                return None
+        return (int(self.counts[lo:hi].sum()),
+                float(_np.add.reduceat(self.sums[lo:hi], [0])[0]))
+
+    # -- encoding ------------------------------------------------------
+    def encode(self):
+        """The run's bytes — exactly what :class:`RunWriter` streams."""
+        out = io.BytesIO()
+        writer = RunWriter(out.write, self.dims)
+        writer.add(self.codes, self.counts, self.sums)
+        writer.finish()
+        return out.getvalue()
+
+    @classmethod
+    def decode(cls, data):
+        """Rebuild a run from :meth:`encode` bytes.  Anything that does
+        not parse — a foreign file, a truncated or overlong one — raises
+        :class:`~repro.errors.SchemaError`."""
+        view = memoryview(data)
+        try:
+            magic, width, block_cells = _RUN_HEADER.unpack_from(view, 0)
+            if magic != RUN_MAGIC:
+                raise ValueError("magic %r" % (magic,))
+            offset = _RUN_HEADER.size
+            dims = []
+            for _ in range(width):
+                (length,) = _RUN_NAME.unpack_from(view, offset)
+                offset += _RUN_NAME.size
+                dims.append(bytes(view[offset:offset + length]).decode())
+                offset += length
+            blocks = []
+            while offset < len(view):
+                (n,) = _RUN_BLOCK.unpack_from(view, offset)
+                offset += _RUN_BLOCK.size
+                dtypes = [_RUN_DTYPES[index]
+                          for index in view[offset:offset + width + 1]]
+                offset += width + 1
+                if not 0 < n <= block_cells or len(dtypes) != width + 1:
+                    raise ValueError("block of %d cells, %d columns"
+                                     % (n, len(dtypes)))
+                columns = []
+                for dtype in dtypes + [_SUM_DTYPE]:
+                    columns.append(_np.frombuffer(
+                        view, dtype=dtype, count=n, offset=offset))
+                    offset += n * dtype.itemsize
+                blocks.append(columns)
+        except (struct.error, ValueError, IndexError,
+                UnicodeDecodeError) as exc:
+            raise SchemaError("unreadable cell run: %s" % exc) from None
+        total = sum(len(block[-1]) for block in blocks)
+        codes = _np.empty((width, total), dtype=_np.int64)
+        counts = _np.empty(total, dtype=_np.int64)
+        sums = _np.empty(total, dtype=_np.float64)
+        at = 0
+        for block in blocks:
+            end = at + len(block[-1])
+            for j in range(width):
+                codes[j, at:end] = block[j]
+            counts[at:end] = block[width]
+            sums[at:end] = block[width + 1]
+            at = end
+        return cls(dims, codes, counts, sums)
+
+
+class RunWriter:
+    """Stream a run's encoding, block by block, in bounded memory.
+
+    Layout (little-endian)::
+
+        "RCR3"  u16 n_dims  u32 block_cells
+        per dim:   u16 length + utf-8 name
+        per block: u32 n                       (1..block_cells)
+                   n_dims+1 x u8               dtype of each dim column
+                                               and of the count column
+                   n_dims columns, then counts, each n x its dtype
+                   n x f64 sums
+
+    Every column of a block is stored in the narrowest of u8, i8, u16,
+    i16, u32, i32, i64 that holds its own minimum and maximum.  Cells
+    may arrive in pieces of any size (:meth:`add`); blocks are cut at
+    exactly ``block_cells`` whatever the pieces were, so the bytes
+    depend on the cells alone.  ``write`` is called with each piece of
+    output (a file's ``write``, a hasher's ``update``, both).
+    """
+
+    def __init__(self, write, dims):
+        self._write = write
+        self._width = len(dims)
+        self._pieces = []
+        self._buffered = 0
+        #: cells written so far
+        self.cells = 0
+        names = [name.encode() for name in dims]
+        write(_RUN_HEADER.pack(RUN_MAGIC, len(names), RUN_BLOCK_CELLS)
+              + b"".join(_RUN_NAME.pack(len(name)) + name for name in names))
+
+    def add(self, codes, counts, sums):
+        """Append cells (sorted, after every cell added before)."""
+        n = len(counts)
+        if not n:
+            return
+        self._pieces.append((codes, counts, sums))
+        self._buffered += n
+        self.cells += n
+        if self._buffered >= RUN_BLOCK_CELLS:
+            self._drain(final=False)
+
+    def finish(self):
+        """Write the last (short) block."""
+        self._drain(final=True)
+
+    def _drain(self, final):
+        """Write every full block buffered and, when ``final``, the
+        short rest; otherwise the rest stays buffered."""
+        if not self._buffered:
+            return
+        if len(self._pieces) == 1:
+            codes, counts, sums = self._pieces[0]
+        else:
+            codes = _np.concatenate([p[0] for p in self._pieces], axis=1)
+            counts = _np.concatenate([p[1] for p in self._pieces])
+            sums = _np.concatenate([p[2] for p in self._pieces])
+        stop = (self._buffered if final
+                else self._buffered - self._buffered % RUN_BLOCK_CELLS)
+        for at in range(0, stop, RUN_BLOCK_CELLS):
+            end = min(at + RUN_BLOCK_CELLS, stop)
+            self._write_block(codes[:, at:end], counts[at:end], sums[at:end])
+        self._pieces = ([(codes[:, stop:], counts[stop:], sums[stop:])]
+                        if stop < self._buffered else [])
+        self._buffered -= stop
+
+    def _write_block(self, codes, counts, sums):
+        n = len(counts)
+        lows = codes.min(axis=1).tolist() + [int(counts.min())]
+        highs = codes.max(axis=1).tolist() + [int(counts.max())]
+        dtypes = [_narrowest(lo, hi) for lo, hi in zip(lows, highs)]
+        parts = [_RUN_BLOCK.pack(n), bytes(dtypes)]
+        for j in range(self._width):
+            parts.append(codes[j].astype(_RUN_DTYPES[dtypes[j]]).tobytes())
+        parts.append(counts.astype(_RUN_DTYPES[dtypes[-1]]).tobytes())
+        parts.append(sums.astype(_SUM_DTYPE, copy=False).tobytes())
+        self._write(b"".join(parts))
+
+
+def leaf_run(frame, cuboid):
+    """The minsup-1 :class:`CellRun` of ``cuboid`` (dimension names of
+    ``frame``) — the store build's aggregation.
+
+    With packed keys and the cuboid in frame order (every leaf is) this
+    is one masked stable ``argsort`` and one :func:`fold_sorted`; the
+    fields are then unpacked column-wise.  Otherwise (codes past 63
+    bits, negative codes, a cuboid in another order) the dimension
+    columns themselves are sorted.  Either way no per-cell Python object
+    is made.
+    """
+    positions = _frame_positions(frame, cuboid)
+    measures = _np.frombuffer(frame.measures, dtype=_np.float64)
+    if frame.keys is None or positions != sorted(positions):
+        codes = _np.stack([_np.frombuffer(frame.columns[p], dtype=_np.int64)
+                           for p in positions])
+        return CellRun.from_rows(cuboid, codes, measures)
+    packing = frame.packing
+    keys = (_np.frombuffer(frame.keys, dtype=_np.int64)
+            & packing.mask_for(positions))
+    order = _np.argsort(keys, kind="stable")
+    _leaves, cell_keys, counts, sums = fold_sorted(
+        None, keys[order], None, measures[order])
+    return CellRun(cuboid, unpack_codes(packing, cell_keys, positions),
+                   counts, sums)
 
 
 def _level_from_groups(groups):
@@ -734,8 +1033,6 @@ class NumpyKernel(ColumnarKernel):
     name = "numpy"
 
     def __init__(self, frame):
-        if not HAS_NUMPY:  # pragma: no cover - guarded by resolve_kernel
-            raise PlanError("numpy kernel requested but numpy is unavailable")
         super().__init__(frame)
         self._np_columns = [
             _np.frombuffer(column, dtype=_np.int64) if len(column) else
@@ -1004,8 +1301,8 @@ KERNELS = ("python", "columnar", "numpy", "auto")
 
 
 def best_kernel_name():
-    """The fastest kernel available on this interpreter."""
-    return "numpy" if HAS_NUMPY else "columnar"
+    """The fastest kernel."""
+    return "numpy"
 
 
 def resolve_kernel(kernel):
@@ -1023,11 +1320,6 @@ def resolve_kernel(kernel):
     if name == "columnar":
         return ColumnarKernel.from_relation
     if name == "numpy":
-        if not HAS_NUMPY:
-            raise PlanError(
-                "kernel 'numpy' requested but numpy is not installed; "
-                "use 'columnar', 'python' or 'auto'"
-            )
         return NumpyKernel.from_relation
     raise PlanError(
         "unknown kernel %r (have %s)" % (kernel, ", ".join(KERNELS))
@@ -1047,8 +1339,6 @@ def kernel_from_frame(kernel, frame):
     if name == "columnar":
         return ColumnarKernel(frame)
     if name == "numpy":
-        if not HAS_NUMPY:
-            raise PlanError("kernel 'numpy' requested but numpy is not installed")
         return NumpyKernel(frame)
     raise PlanError(
         "kernel %r cannot run over a shared frame (use 'columnar', "

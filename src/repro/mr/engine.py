@@ -16,8 +16,8 @@ Execution shape (one shuffle round, as in Sundararajan & Yan):
 3. **Reduce** — reducer ``p`` block-merges the sorted runs of
    partition ``p`` (bounded memory, see
    :func:`~repro.mr.shuffle.merge_blocks`).  In *store* mode each leaf
-   streams through a :class:`~repro.serve.store.LeafWriter` (atomic
-   per-leaf commit) at minsup 1; in *cube* mode cells pass the iceberg
+   streams, as columns, through a :class:`~repro.serve.store.LeafWriter`
+   (atomic per-leaf commit) at minsup 1; in *cube* mode cells pass the iceberg
    threshold and each leaf's immediate prefix cuboid is folded from
    the same sorted blocks, so the two phases together cover the entire
    lattice (every non-leaf cuboid is some leaf minus its last
@@ -39,7 +39,7 @@ import time
 import numpy as np
 
 from .. import obs
-from ..core.columnar import fold_sorted, qualifying_mask
+from ..core.columnar import fold_sorted, qualifying_mask, unpack_codes
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold
 from ..data.stream import RelationStream, stream_from_relation
@@ -330,11 +330,10 @@ def _reduce_task_impl(reduce_id, attempt, payload):
                     directory, _shard = _leaf_directory(out_dir, shards, leaf)
                     os.makedirs(directory, exist_ok=True)
                     writer = LeafWriter(directory, leaf)
-                for cell, count, total in zip(
-                        _unpack_cells(packing, keys[lo:hi],
-                                      plan.leaf_positions[leaf_id]),
-                        counts[lo:hi].tolist(), sums[lo:hi].tolist()):
-                    writer.add(cell, count, total)
+                writer.add(
+                    unpack_codes(packing, keys[lo:hi],
+                                 plan.leaf_positions[leaf_id]),
+                    counts[lo:hi], sums[lo:hi])
         if writer is not None:
             commit()
         if kill_pending:

@@ -18,7 +18,7 @@ ordering.
 
 import time
 
-from ..core.columnar import ColumnarFrame, aggregate_cuboid
+from ..core.columnar import CellRun, ColumnarFrame, code_matrix, leaf_run
 from ..core.thresholds import as_threshold
 from ..errors import PlanError
 from ..lattice.lattice import CubeLattice
@@ -44,7 +44,12 @@ def leaf_cuboids(dims):
 
 
 class LeafMaterialization:
-    """Precomputed leaf cuboids answering arbitrary-threshold queries."""
+    """Precomputed leaf cuboids answering arbitrary-threshold queries.
+
+    Each leaf is one :class:`~repro.core.columnar.CellRun` (its cells
+    sorted by cell, as columns) — the representation, and the
+    ``group_by`` / ``add_rows`` calls, a
+    :class:`~repro.serve.store.CubeStore` shares."""
 
     def __init__(self, relation, dims=None, cluster_spec=None, cost_model=None,
                  backend="simulated", leaves=None, workers=None, use_shm=True):
@@ -77,28 +82,19 @@ class LeafMaterialization:
                 "unknown materialization backend %r (have %s)"
                 % (backend, ", ".join(BACKENDS))
             )
-        # self._store: unfiltered cells per leaf cuboid, mutable for
-        # incremental updates.
+        #: leaf cuboid -> CellRun of its unfiltered (minsup-1) cells;
+        #: runs are immutable, an insert replaces them
         if backend == "local":
             started = time.perf_counter()
             if workers is not None and workers != 1:
                 from ..parallel.local import multiprocess_leaf_cells
-                by_leaf = multiprocess_leaf_cells(
+                self._runs = multiprocess_leaf_cells(
                     relation, self.leaves, dims=self.dims, workers=workers,
                     use_shm=use_shm)
             else:
                 frame = ColumnarFrame.from_relation(relation, self.dims)
-                by_leaf = {
-                    leaf: aggregate_cuboid(frame, leaf)
-                    for leaf in self.leaves
-                }
-            self._store = {
-                leaf: {
-                    cell: [count, total]
-                    for cell, (count, total) in by_leaf[leaf].items()
-                }
-                for leaf in self.leaves
-            }
+                self._runs = {leaf: leaf_run(frame, leaf)
+                              for leaf in self.leaves}
             precompute_seconds = time.perf_counter() - started
         else:
             algo = ASL(cuboids=self.leaves)
@@ -106,13 +102,11 @@ class LeafMaterialization:
                 relation, self.dims, minsup=1, cluster_spec=cluster_spec,
                 cost_model=cost_model,
             )
-            self._store = {
-                cuboid: {cell: list(agg) for cell, agg in cells.items()}
-                for cuboid, cells in run.result.cuboids.items()
+            self._runs = {
+                leaf: CellRun.from_cells(leaf, run.result.cuboids.get(leaf, {}))
+                for leaf in self.leaves
             }
             precompute_seconds = run.makespan
-        #: sorted-items cache per leaf, invalidated by inserts
-        self._sorted = {}
         self.precompute_seconds = precompute_seconds
         self.total_rows = len(relation)
         self.total_measure = sum(relation.measures)
@@ -120,40 +114,31 @@ class LeafMaterialization:
         #: (same contract as :class:`repro.serve.store.CubeStore`)
         self.generation = 1
 
-    def _items(self, leaf):
-        """The leaf's cells in key order (cached until the next insert)."""
-        cached = self._sorted.get(leaf)
-        if cached is None:
-            cells = self._store.get(leaf, {})
-            cached = self._sorted[leaf] = sorted(
-                (cell, (agg[0], agg[1])) for cell, agg in cells.items()
-            )
-        return cached
+    def leaf_items(self, leaf):
+        """The leaf's cells as one :class:`CellRun` (the surface
+        ``CubeStore.leaf_items`` has)."""
+        try:
+            return self._runs[leaf]
+        except KeyError:
+            raise PlanError(
+                "cuboid %r is not a materialized leaf" % (leaf,)) from None
 
     def insert(self, relation):
         """Incrementally fold new rows into the materialized leaves.
 
         The leaves hold *unfiltered* cells (minsup 1), so appending data
-        is a pure accumulation — no rescan of the original input.  The
-        new relation must share the materialization's dimensions.
+        is a pure accumulation — no rescan of the original input: each
+        leaf's run is merged with the new rows projected onto its
+        dimensions.  The new relation must share the materialization's
+        dimensions.
         """
         positions = relation.dim_indices(self.dims)
-        keyed = [
-            (tuple(row[p] for p in positions), measure)
-            for row, measure in zip(relation.rows, relation.measures)
-        ]
-        for leaf in self.leaves:
-            cells = self._store.setdefault(leaf, {})
-            leaf_positions = [self.dims.index(d) for d in leaf]
-            for key, measure in keyed:
-                cell = tuple(key[p] for p in leaf_positions)
-                acc = cells.get(cell)
-                if acc is None:
-                    cells[cell] = [1, measure]
-                else:
-                    acc[0] += 1
-                    acc[1] += measure
-            self._sorted.pop(leaf, None)
+        codes = code_matrix(
+            [tuple(row[p] for p in positions) for row in relation.rows],
+            len(self.dims))
+        for leaf, run in self._runs.items():
+            self._runs[leaf] = run.add_rows(
+                codes[[self.dims.index(d) for d in leaf]], relation.measures)
         self.total_rows += len(relation)
         self.total_measure += sum(relation.measures)
         self.generation += 1
@@ -203,9 +188,10 @@ class LeafMaterialization:
         """Answer ``GROUP BY cuboid HAVING COUNT(*) >= minsup``.
 
         ``minsup`` may be an integer or any
-        :class:`~repro.core.thresholds.Threshold`.  One ordered scan
-        over the covering leaf's (sorted) cells; cells sharing the
-        query's prefix are contiguous, so aggregation is a single pass.
+        :class:`~repro.core.thresholds.Threshold`.  Cells sharing the
+        query's prefix are adjacent in the covering leaf's run, so this
+        is one :meth:`CellRun.group_by
+        <repro.core.columnar.CellRun.group_by>`.
         Returns ``{cell: (count, sum)}``.
         """
         threshold = as_threshold(minsup)
@@ -214,26 +200,8 @@ class LeafMaterialization:
             if threshold.qualifies(self.total_rows, self.total_measure):
                 return {(): (self.total_rows, self.total_measure)}
             return {}
-        leaf = self.covering_leaf(cuboid)
-        items = self._items(leaf)
-        width = len(cuboid)
-        out = {}
-        current = None
-        count = 0
-        total = 0.0
-        for cell, (c, v) in items:
-            prefix = cell[:width]
-            if prefix != current:
-                if current is not None and threshold.qualifies(count, total):
-                    out[current] = (count, total)
-                current = prefix
-                count = 0
-                total = 0.0
-            count += c
-            total += v
-        if current is not None and threshold.qualifies(count, total):
-            out[current] = (count, total)
-        return out
+        run = self._runs[self.covering_leaf(cuboid)]
+        return run.group_by(len(cuboid), threshold)
 
     def query_cube(self, minsup):
         """Answer the *whole* iceberg cube at a new threshold.

@@ -25,7 +25,9 @@ memory (:mod:`repro.parallel.shm`), not pickled Python objects:
   segment and return only a ``(kind, name, nbytes)`` descriptor.  The
   parent attaches, decodes with numpy, merges, and unlinks — decoding
   overlaps the workers' remaining compute instead of serializing after
-  it.
+  it.  Leaf batches (:func:`multiprocess_leaf_cells`) ship each leaf as
+  its encoded :class:`~repro.core.columnar.CellRun` instead: columns in,
+  columns out, no cell tuple on either side of the segment.
 
 **Scheduling.**  Tasks are sorted largest-first and dealt through the
 pool's shared call queue, which is demand-driven: an idle worker pulls
@@ -64,6 +66,7 @@ timing model: wall-clock here is your machine's, not the thesis'.
 import os
 import random
 import signal
+import struct
 import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -72,7 +75,7 @@ from multiprocessing import get_context
 
 from .. import obs
 from ..core.buc import BucEngine, PrefixCache
-from ..core.columnar import ColumnarFrame, aggregate_cuboid, kernel_from_frame
+from ..core.columnar import CellRun, ColumnarFrame, kernel_from_frame, leaf_run
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold, validate_measures
 from ..core.writer import ResultWriter
@@ -176,19 +179,19 @@ def _inject_fault(state, batch_id, attempt):
         time.sleep(_HANG_SECONDS)
 
 
-def _ship_result(state, batch_id, attempt, items):
-    """Send one batch's cuboid items back: segment descriptor or inline.
+def _ship_result(state, batch_id, attempt, items, encode, n_cells):
+    """Send one batch's results back: segment descriptor or inline.
 
-    With a transport, the items are encoded into a fresh shared-memory
-    segment and only ``("seg", descriptor, n_cells)`` crosses the
-    pipe; without one (``use_shm=False``, or the inline path) the items
-    ride the pipe as ``("items", items)`` exactly as the old pickled
-    protocol did.
+    With a transport, ``encode(items)`` (bytes) is written into a fresh
+    shared-memory segment and only ``("seg", descriptor, n_cells)``
+    crosses the pipe; without one (``use_shm=False``, or the inline
+    path) the items ride the pipe as ``("items", items)`` exactly as the
+    old pickled protocol did.  ``items`` is a list of ``(cuboid, cells)``
+    pairs (cube batches) or of :class:`CellRun` (leaf batches).
     """
     if state.transport is None:
         return ("items", items)
-    frame = state.frame
-    payload = encode_result(items, frame.dims, frame.packing)
+    payload = encode(items)
     segment = state.transport.create(len(payload), tag="b%d" % batch_id)
     if attempt == 0 and os.environ.get(CHAOS_KILL_ENV) == str(batch_id):
         # Chaos hook: die halfway through the segment write, leaving a
@@ -199,9 +202,33 @@ def _ship_result(state, batch_id, attempt, items):
     if payload:
         segment.buf[:len(payload)] = payload
     descriptor = segment.descriptor
-    n_cells = sum(len(cells) for _cuboid, cells in items)
     segment.close()
     return ("seg", descriptor, n_cells)
+
+
+_RUN_LENGTH = struct.Struct("<Q")  # bytes of the encoded run that follows
+
+
+def _encode_runs(runs):
+    """A leaf batch's segment payload: each run's encoding behind its
+    byte length."""
+    parts = []
+    for run in runs:
+        data = run.encode()
+        parts += (_RUN_LENGTH.pack(len(data)), data)
+    return b"".join(parts)
+
+
+def _decode_runs(buf):
+    view = memoryview(buf)
+    runs = []
+    offset = 0
+    while offset < len(view):
+        (nbytes,) = _RUN_LENGTH.unpack_from(view, offset)
+        offset += _RUN_LENGTH.size
+        runs.append(CellRun.decode(view[offset:offset + nbytes]))
+        offset += nbytes
+    return runs
 
 
 def _run_batch(job):
@@ -222,7 +249,11 @@ def _run_batch(job):
         for task in state.tasks[lo:hi]:
             state.engine.run_task(task, breadth_first=True, cache=state.cache)
         items = list(writer.result.cuboids.items())
-        return batch_id, _ship_result(state, batch_id, attempt, items)
+        frame = state.frame
+        return batch_id, _ship_result(
+            state, batch_id, attempt, items,
+            lambda items: encode_result(items, frame.dims, frame.packing),
+            sum(len(cells) for _cuboid, cells in items))
 
 
 def _run_leaf_batch(job):
@@ -231,11 +262,9 @@ def _run_leaf_batch(job):
     state = _STATE
     _inject_fault(state, batch_id, attempt)
     with obs.activate(traceparent):
-        items = [
-            (leaf, aggregate_cuboid(state.frame, leaf))
-            for leaf in state.tasks[lo:hi]
-        ]
-        return batch_id, _ship_result(state, batch_id, attempt, items)
+        runs = [leaf_run(state.frame, leaf) for leaf in state.tasks[lo:hi]]
+        return batch_id, _ship_result(state, batch_id, attempt, runs,
+                                      _encode_runs, sum(map(len, runs)))
 
 
 def _batched(n_tasks, batch_size):
@@ -681,7 +710,9 @@ def _pooled_cube(frame, tree, tasks, threshold, kernel, workers, batch_size,
             jobs = list(_batched(len(tasks), batch_size))
         if not jobs:
             return
-        on_result = _make_decoder(transport, frame, merge, log)
+        on_result = _make_decoder(
+            transport, merge,
+            lambda buf: decode_result(buf, frame.dims, frame.packing))
         initargs = (frame_ship, threshold, kernel, fault_plan, tasks,
                     transport, "cube")
         supervised_map(
@@ -723,8 +754,9 @@ def _open_transport(frame, use_shm):
     return transport, frame_ship, frame_segment
 
 
-def _make_decoder(transport, frame, merge, log):
-    """Per-batch completion hook: attach, decode, merge, unlink."""
+def _make_decoder(transport, merge, decode):
+    """Per-batch completion hook: attach, ``decode`` the segment's
+    buffer, merge, unlink."""
     active = obs.current()
 
     def on_result(bid, shipped):
@@ -736,7 +768,7 @@ def _make_decoder(transport, frame, merge, log):
         with obs.span("local.decode") as span:
             segment = transport.attach(descriptor)
             try:
-                items = decode_result(segment.buf, frame.dims, frame.packing)
+                items = decode(segment.buf)
             finally:
                 segment.unlink()
             merge(items)
@@ -813,8 +845,9 @@ def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
 
     The store-build analogue of :func:`multiprocess_iceberg_cube`: each
     worker maps the shared frame and computes whole leaf cuboids with
-    :func:`~repro.core.columnar.aggregate_cuboid`; results return as
-    packed segments.  Returns ``{leaf: {cell: (count, sum)}}``.
+    :func:`~repro.core.columnar.leaf_run`; each returns as its encoded
+    :class:`~repro.core.columnar.CellRun` in a segment.  Returns
+    ``{leaf: CellRun}``.
 
     ``workers=None`` or ``1`` aggregates inline (no pool).  Faults,
     retries and the respawn sweep behave exactly as in the cube path —
@@ -833,19 +866,12 @@ def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
         if span:
             span.set(rows=len(relation), leaves=len(leaves), workers=workers)
         if workers == 1 and fault_plan is None or not leaves:
-            return {
-                leaf: aggregate_cuboid(frame, leaf) for leaf in leaves
-            }
+            return {leaf: leaf_run(frame, leaf) for leaf in leaves}
         out = {}
 
-        def merge(items):
-            for leaf, cells in items:
-                existing = out.get(leaf)
-                if existing is None:
-                    out[leaf] = cells if isinstance(cells, dict) \
-                        else dict(cells)
-                else:  # pragma: no cover - leaves never split
-                    existing.update(cells)
+        def merge(runs):
+            for run in runs:
+                out[run.dims] = run
 
         if batch_size is None:
             batch_size = max(1, len(leaves) //
@@ -861,12 +887,12 @@ def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
                 fault_plan=fault_plan, batch_timeout=batch_timeout,
                 max_retries=max_retries, backoff_s=backoff_s, log=log,
                 name="local_leaves",
-                on_result=_make_decoder(transport, frame, merge, log),
+                on_result=_make_decoder(transport, merge, _decode_runs),
                 on_respawn=_make_sweeper(transport, frame_segment, log),
             )
         finally:
             _close_transport(transport, frame_segment, log)
         if span:
-            span.set(cells=sum(len(c) for c in out.values()),
+            span.set(cells=sum(len(run) for run in out.values()),
                      respawns=log.respawns)
         return out

@@ -19,8 +19,7 @@ that with segments of bit-packed arrays:
   :mod:`multiprocessing.shared_memory`, or mmap'd files under a
   run-scoped temp directory when shared memory is unavailable or
   disabled) and return only a tiny ``(kind, name, nbytes)`` descriptor
-  over the pipe; the parent attaches, decodes — with numpy when
-  available — and unlinks.
+  over the pipe; the parent attaches, decodes with numpy and unlinks.
 * :meth:`ShmTransport.sweep` — crash hygiene.  A worker SIGKILLed
   mid-write leaks its half-written segment (the parent never sees the
   descriptor), so the supervisor sweeps every run-prefixed segment it
@@ -37,11 +36,9 @@ import mmap
 import os
 import struct
 import tempfile
+from array import array
 
-from ..core.columnar import HAS_NUMPY
-
-if HAS_NUMPY:  # optional fast encode/decode path
-    import numpy as _np
+import numpy as _np
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -100,32 +97,20 @@ def encode_result(items, dims, packing):
 
 
 def _encode_packed(cells, positions, packing, n):
+    if not n:
+        return []
     shifts = [packing.shifts[p] for p in positions]
-    if HAS_NUMPY and n:
-        mat = _np.array(list(cells.keys()), dtype=_np.int64)
-        keys = _np.bitwise_or.reduce(
-            mat << _np.asarray(shifts, dtype=_np.int64), axis=1)
-        counts = _np.fromiter((v[0] for v in cells.values()),
-                              dtype=_np.int64, count=n)
-        sums = _np.fromiter((v[1] for v in cells.values()),
-                            dtype=_np.float64, count=n)
-        return [keys.tobytes(), counts.tobytes(), sums.tobytes()]
-    from array import array
-    keys = array("q", bytes(8 * n))
-    counts = array("q", bytes(8 * n))
-    sums = array("d", bytes(8 * n))
-    for i, (cell, (count, total)) in enumerate(cells.items()):
-        key = 0
-        for code, shift in zip(cell, shifts):
-            key |= code << shift
-        keys[i] = key
-        counts[i] = count
-        sums[i] = total
+    mat = _np.array(list(cells.keys()), dtype=_np.int64)
+    keys = _np.bitwise_or.reduce(
+        mat << _np.asarray(shifts, dtype=_np.int64), axis=1)
+    counts = _np.fromiter((v[0] for v in cells.values()),
+                          dtype=_np.int64, count=n)
+    sums = _np.fromiter((v[1] for v in cells.values()),
+                        dtype=_np.float64, count=n)
     return [keys.tobytes(), counts.tobytes(), sums.tobytes()]
 
 
 def _encode_columns(cells, k, n):
-    from array import array
     cols = [array("q", bytes(8 * n)) for _ in range(k)]
     counts = array("q", bytes(8 * n))
     sums = array("d", bytes(8 * n))
@@ -167,34 +152,23 @@ def decode_result(buf, dims, packing):
 
 
 def _int64_list(view, offset, n):
-    if HAS_NUMPY:
-        return _np.frombuffer(view, dtype=_np.int64, count=n,
-                              offset=offset).tolist()
-    return view[offset:offset + 8 * n].cast("q").tolist()
+    return _np.frombuffer(view, dtype=_np.int64, count=n,
+                          offset=offset).tolist()
 
 
 def _float64_list(view, offset, n):
-    if HAS_NUMPY:
-        return _np.frombuffer(view, dtype=_np.float64, count=n,
-                              offset=offset).tolist()
-    return view[offset:offset + 8 * n].cast("d").tolist()
+    return _np.frombuffer(view, dtype=_np.float64, count=n,
+                          offset=offset).tolist()
 
 
 def _decode_packed(view, offset, positions, packing, n):
     if packing is None:
         raise ValueError("packed-mode segment but the frame has no packing")
-    if HAS_NUMPY:
-        keys = _np.frombuffer(view, dtype=_np.int64, count=n, offset=offset)
-        code_cols = [
-            ((keys >> packing.shifts[p]) & packing.masks[p]).tolist()
-            for p in positions
-        ]
-    else:
-        raw = view[offset:offset + 8 * n].cast("q")
-        code_cols = [
-            [(key >> packing.shifts[p]) & packing.masks[p] for key in raw]
-            for p in positions
-        ]
+    keys = _np.frombuffer(view, dtype=_np.int64, count=n, offset=offset)
+    code_cols = [
+        ((keys >> packing.shifts[p]) & packing.masks[p]).tolist()
+        for p in positions
+    ]
     offset += 8 * n
     counts = _int64_list(view, offset, n)
     offset += 8 * n
@@ -291,7 +265,16 @@ def _unlink_raw(kind, name):
             return
         try:
             seg = _shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
+        except FileNotFoundError:
+            return
+        except (OSError, ValueError):
+            # ValueError: a zero-length segment — its creator was killed
+            # between shm_open and ftruncate — cannot be mapped, so it
+            # cannot be attached; its name can still be removed.
+            try:
+                os.unlink(os.path.join(DEV_SHM, name))
+            except OSError:
+                pass
             return
         # No _untrack here: on 3.11 this attach registered with the
         # tracker and unlink() below unregisters — they balance.

@@ -3,7 +3,7 @@
 Section 5.1's observation — precomputed BUC-tree leaves answer any
 iceberg query almost immediately — made into a serving subsystem:
 
-* :class:`CubeStore` persists the leaves (sorted, prefix-indexed,
+* :class:`CubeStore` persists the leaves (sorted columnar runs,
   checksummed) so a restart never repeats the precompute, and recovers
   from crashes mid-compaction (journal roll-forward) and damaged leaf
   files (salvage from the covering root leaf);

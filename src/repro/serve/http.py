@@ -250,8 +250,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Header block and body leave in ONE write.  ``end_headers()``
+        # would send the headers on their own, and a second small send
+        # on the unbuffered socket then waits out Nagle + the client's
+        # delayed ACK (~40 ms per reply on a kept-alive connection).
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def log_message(self, format, *args):  # noqa: A002 - http.server naming
         pass  # keep the serving path quiet; telemetry covers it

@@ -255,7 +255,8 @@ class CubeServer:
         raise GenerationSkewError(seen, GENERATION_RETRY_LIMIT)
 
     def point(self, cuboid, cell, minsup=1):
-        """One cell of one cuboid via the store's prefix offset index."""
+        """One cell of one cuboid (a ``searchsorted`` on the covering
+        leaf's run)."""
         start = perf_counter()
         threshold = as_threshold(minsup)
         canonical = self.store.canonical(cuboid)

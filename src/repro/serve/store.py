@@ -2,34 +2,36 @@
 
 :class:`~repro.online.materialize.LeafMaterialization` holds the BUC
 processing tree's leaf cuboids in memory; a :class:`CubeStore` is the
-same idea made durable.  ``build`` precomputes the leaves (minsup 1)
-and writes one file per leaf under a directory; ``open`` attaches to a
-previously built store, so a process restart pays a file read instead
-of the full precompute.
+same idea made durable.  Both hold each leaf as one
+:class:`~repro.core.columnar.CellRun` — its cells sorted by cell, as one
+integer column per dimension plus a count and a sum column — and answer
+from it with the same ``group_by`` / ``lookup`` / ``merge``.  ``build``
+precomputes the leaves (minsup 1) and writes one file per leaf under a
+directory; ``open`` attaches to a previously built store, so a process
+restart pays a file read instead of the full precompute.
 
-On-disk layout (extending :mod:`repro.core.export`'s one-file-per-cuboid
-manifest convention)::
+On-disk layout (format version 3)::
 
     <directory>/
-      manifest.json        # dims, generation, per-leaf index + checksums
+      manifest.json        # dims, generation, per-leaf size + checksum
       journal.json         # only mid-compaction: the pending manifest
-      A_D.csv, B_D.csv ... # one file per leaf, rows SORTED by coords
+      A_D.run, B_D.run ... # one encoded CellRun per leaf
       wal/                 # appended batches not yet compacted
 
-Each leaf file is written in cell-coordinate order and the manifest
-carries, per leaf, a *prefix offset index*: for every distinct value of
-the leaf's first dimension, the byte offset of its first row and the
-number of rows in the run.  Because cells sharing a prefix are
-contiguous in sorted order, a point query is an index lookup + seek +
-contiguous scan of one run — never a full-leaf sort, and (for point
-lookups on an unloaded leaf) never a full-leaf read.  Group-by queries
-are one ordered pass over the presorted leaf, exactly like
-``LeafMaterialization.query`` but without the sort step.
+A ``.run`` file is :meth:`CellRun.encode
+<repro.core.columnar.CellRun.encode>`'s bytes (layout:
+:class:`~repro.core.columnar.RunWriter`): self-describing, blocks of
+4 096 cells, every column of a block in the narrowest integer dtype its
+values need.  The bytes depend on the cells alone, so the pool, the
+in-process path and the MapReduce reducers write identical files.  A
+group-by is boundaries + ``np.add.reduceat`` over the loaded run; a
+point lookup is ``searchsorted`` on it.  Version 2 stores (CSV leaves)
+are converted once by ``repro-cube store migrate DIR``.
 
 **Crash safety.**  The manifest records every leaf's byte size and
 SHA-256, and :meth:`CubeStore.open` verifies them (``verify="quick"``
 checks sizes, ``"full"`` re-hashes the content).  A truncated, corrupted
-or missing leaf is *salvaged* — rebuilt by re-aggregating the root leaf,
+or missing leaf is *salvaged* — rebuilt by projecting the root leaf,
 which covers every other leaf at minsup 1 — or, when the root leaf
 itself is damaged, :class:`~repro.errors.StoreCorruptError` names the
 offending leaf.  Debris from interrupted writes (``*.tmp.*``,
@@ -37,33 +39,38 @@ offending leaf.  Debris from interrupted writes (``*.tmp.*``,
 
 **One append path.**  ``append`` never touches a leaf file: the batch is
 made durable as one checksummed write-ahead-log record
-(:mod:`repro.serve.ingest`), then folded into an in-memory *delta run*
-per leaf — O(batch), whatever the store's size — and reads see base run
-(+) delta run merged lazily.  A ``batch_id`` the store already applied
-is acknowledged, never re-applied.  Every store appends this way,
-whether it came from ``open``, ``build``, ``from_materialization`` or
+(:mod:`repro.serve.ingest`) and kept, as columns, in the list of
+*pending batches* — O(batch), whatever the store's size or leaf count.
+The first read of a leaf after an append projects the pending rows onto
+the leaf's dimensions and merges them into its base run (cached until
+the next append).  A ``batch_id`` the store already applied is
+acknowledged, never re-applied.  Every store appends this way, whether
+it came from ``open``, ``build``, ``from_materialization`` or
 ``assemble``; ``wal/`` appears on the first append.
 
-**One leaf writer.**  After the build, :meth:`CubeStore.compact` is the
-only code that rewrites leaf files, and it is *journalled two-phase*:
-every merged leaf is staged next to the live one, a journal naming the
-complete next state is written atomically (the commit point), and only
-then are the live files swung and the WAL truncated.  A crash before
-the journal rolls back (staged files are swept, the WAL replays the
-batches on reopen); a crash after it rolls forward (the swing is
-completed and the now-stale WAL records are pruned) — never a mix,
-nothing lost, nothing counted twice.  Rewrite-per-append, where wanted,
-is ``append(); compact()``.
+**One leaf writer.**  Every leaf file is streamed by :class:`LeafWriter`.
+After the build, :meth:`CubeStore.compact` is the only code that
+rewrites leaf files, and it is *journalled two-phase*: every merged
+leaf is staged next to the live one, a journal naming the complete next
+state is written atomically (the commit point), and only then are the
+live files swung and the WAL truncated.  A crash before the journal
+rolls back (staged files are swept, the WAL replays the batches on
+reopen); a crash after it rolls forward (the swing is completed and the
+now-stale WAL records are pruned) — never a mix, nothing lost, nothing
+counted twice.  Rewrite-per-append, where wanted, is
+``append(); compact()``.
 """
 
 import hashlib
 import json
 import os
 import threading
-from bisect import bisect_left
 from collections import namedtuple
 
+import numpy as np
+
 from .. import obs
+from ..core.columnar import CellRun, RunWriter, code_matrix
 from ..core.export import MANIFEST, atomic_write
 from ..core.thresholds import as_threshold
 from ..errors import PlanError, SchemaError, StoreCorruptError, WalCorruptError
@@ -71,7 +78,10 @@ from ..lattice.lattice import CubeLattice
 from .ingest import WriteAheadLog, chaos_kill, stamped_batch_id
 
 STORE_FORMAT = "repro-cube-store/1"
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
+
+#: Extension of a leaf file (an encoded :class:`CellRun`).
+LEAF_SUFFIX = ".run"
 
 #: The compaction journal: present only between a compaction's commit
 #: point and its completed leaf swing; holds the complete next manifest.
@@ -104,11 +114,7 @@ AppendResult = namedtuple("AppendResult", ("generation", "applied", "batch_id"))
 
 
 def _leaf_filename(cuboid):
-    return "_".join(cuboid) + ".csv"
-
-
-def _sha256_bytes(data):
-    return hashlib.sha256(data).hexdigest()
+    return "_".join(cuboid) + LEAF_SUFFIX
 
 
 def _sha256_file(path):
@@ -119,66 +125,14 @@ def _sha256_file(path):
     return digest.hexdigest()
 
 
-def _encode_leaf(cuboid, items):
-    """Serialize sorted leaf items; returns (bytes, prefix offset index).
-
-    The index maps each distinct first-coordinate value to
-    ``[byte_offset, run_rows]`` — the contiguous run of rows starting
-    with that value.
-    """
-    header = (",".join(list(cuboid) + ["count", "sum"]) + "\n").encode()
-    chunks = [header]
-    offset = len(header)
-    index = {}
-    for cell, (count, value) in items:
-        line = ",".join(
-            [str(coord) for coord in cell] + [str(count), repr(value)]
-        ).encode() + b"\n"
-        run = index.get(cell[0])
-        if run is None:
-            index[cell[0]] = [offset, 1]
-        else:
-            run[1] += 1
-        offset += len(line)
-        chunks.append(line)
-    return b"".join(chunks), index
-
-
-def _parse_rows(lines, width):
-    """Decode leaf rows (bytes) into ``(cell, (count, sum))`` items."""
-    items = []
-    for raw in lines:
-        parts = raw.decode().rstrip("\n").split(",")
-        if len(parts) != width + 2:
-            raise SchemaError(
-                "leaf row %r has %d fields, expected %d"
-                % (raw, len(parts), width + 2)
-            )
-        cell = tuple(int(p) for p in parts[:width])
-        items.append((cell, (int(parts[width]), float(parts[width + 1]))))
-    return items
-
-
-def _merge_sorted(items, delta_items):
-    """Merge two cell-sorted item lists, summing aggregates on equal cells."""
-    merged = []
-    i = j = 0
-    while i < len(items) and j < len(delta_items):
-        cell_a, agg_a = items[i]
-        cell_b, agg_b = delta_items[j]
-        if cell_a == cell_b:
-            merged.append((cell_a, (agg_a[0] + agg_b[0], agg_a[1] + agg_b[1])))
-            i += 1
-            j += 1
-        elif cell_a < cell_b:
-            merged.append(items[i])
-            i += 1
-        else:
-            merged.append(delta_items[j])
-            j += 1
-    merged.extend(items[i:])
-    merged.extend(delta_items[j:])
-    return merged
+def _read_manifest(directory):
+    manifest_path = os.path.join(directory, MANIFEST)
+    try:
+        with open(manifest_path) as handle:
+            return json.load(handle)
+    except FileNotFoundError:
+        raise SchemaError(
+            "no cube-store manifest at %r" % (manifest_path,)) from None
 
 
 def _write_json(path, payload):
@@ -189,67 +143,47 @@ def _write_json(path, payload):
     )
 
 
-def _leaf_entry(cuboid, filename, data, index, n_cells):
-    """One manifest entry (the internal, typed form)."""
-    return {
-        "file": filename,
-        "cells": n_cells,
-        "bytes": len(data),
-        "sha256": _sha256_bytes(data),
-        "index": {k: tuple(v) for k, v in index.items()},
-    }
-
-
 class LeafWriter:
-    """Stream one leaf cuboid to disk without holding its cells in RAM.
+    """Stream one leaf cuboid to its ``.run`` file in bounded memory.
 
-    Byte-for-byte identical to :func:`_encode_leaf` — same header, same
-    row formatting — but rows are appended one at a time, with the
-    sha256, byte offsets and first-coordinate index maintained
-    incrementally.  The file is written under an ``atomic_write``-style
-    temp name; nothing is visible at the real path until
-    :meth:`commit`, so a killed writer never leaves a partial leaf in
-    the store.  Cells must arrive in sorted cell order (the caller's
-    merge already guarantees it for the MapReduce reducers).
+    Cells arrive as columns, in sorted order, in pieces of any size
+    (:meth:`add`); :class:`~repro.core.columnar.RunWriter` cuts them
+    into blocks while the SHA-256 and byte count are kept alongside.
+    The file is written under an ``atomic_write``-style temp name;
+    nothing is visible at the real path until :meth:`commit`, so a
+    killed writer never leaves a partial leaf in the store.  ``suffix``
+    stages the file beside the live one (compaction's phase 1).
     """
 
-    def __init__(self, directory, cuboid):
+    def __init__(self, directory, cuboid, suffix=""):
         self.cuboid = tuple(cuboid)
         self.filename = _leaf_filename(self.cuboid)
-        self.path = os.path.join(str(directory), self.filename)
+        self.path = os.path.join(str(directory), self.filename + suffix)
         self._tmp = "%s.tmp.%d" % (self.path, os.getpid())
-        header = (",".join(list(self.cuboid) + ["count", "sum"]) + "\n").encode()
         self._handle = open(self._tmp, "wb")
-        self._handle.write(header)
-        self._digest = hashlib.sha256(header)
-        self._offset = len(header)
-        self.index = {}
-        self.cells = 0
+        self._digest = hashlib.sha256()
+        self._bytes = 0
+        self._run = RunWriter(self._write, self.cuboid)
 
-    def add(self, cell, count, value):
-        line = ",".join(
-            [str(coord) for coord in cell] + [str(count), repr(value)]
-        ).encode() + b"\n"
-        run = self.index.get(cell[0])
-        if run is None:
-            self.index[cell[0]] = [self._offset, 1]
-        else:
-            run[1] += 1
-        self._handle.write(line)
-        self._digest.update(line)
-        self._offset += len(line)
-        self.cells += 1
+    def _write(self, data):
+        self._handle.write(data)
+        self._digest.update(data)
+        self._bytes += len(data)
+
+    def add(self, codes, counts, sums):
+        """Append cells: a ``(dims x cells)`` code matrix, counts, sums."""
+        self._run.add(codes, counts, sums)
 
     def commit(self):
         """Publish the leaf atomically; returns its manifest entry."""
+        self._run.finish()
         self._handle.close()
         os.replace(self._tmp, self.path)
         return {
             "file": self.filename,
-            "cells": self.cells,
-            "bytes": self._offset,
+            "cells": self._run.cells,
+            "bytes": self._bytes,
             "sha256": self._digest.hexdigest(),
-            "index": {k: tuple(v) for k, v in self.index.items()},
         }
 
     def abort(self):
@@ -261,6 +195,17 @@ class LeafWriter:
                 os.remove(self._tmp)
             except OSError:
                 pass
+
+
+def write_leaf(directory, run, suffix=""):
+    """Write ``run`` as its leaf's file; returns the manifest entry."""
+    writer = LeafWriter(directory, run.dims, suffix)
+    try:
+        writer.add(run.codes, run.counts, run.sums)
+        return writer.commit()
+    except BaseException:
+        writer.abort()
+        raise
 
 
 class CubeStore:
@@ -289,7 +234,7 @@ class CubeStore:
         self.generation = int(manifest["generation"])
         self.total_rows = int(manifest["total_rows"])
         self.total_measure = float(manifest["total_measure"])
-        #: leaf cuboid -> manifest entry (file, cells, checksums, index)
+        #: leaf cuboid -> manifest entry (file, cells, bytes, sha256)
         self._entries = {}
         self.leaves = []
         for entry in manifest["leaves"]:
@@ -300,19 +245,19 @@ class CubeStore:
                 "cells": int(entry["cells"]),
                 "bytes": int(entry["bytes"]),
                 "sha256": entry["sha256"],
-                "index": {int(k): tuple(v) for k, v in entry["index"].items()},
             }
         self._leaf_set = frozenset(self.leaves)
-        self._items = {}  # leaf -> sorted base [(cell, (count, sum))], lazy
+        self._runs = {}  # leaf -> base CellRun (what the file holds), lazy
         self._lock = threading.RLock()
         self._closed = False
         #: the write-ahead log every append goes through
         self.wal = WriteAheadLog(os.path.join(self.directory, WAL_DIR))
         self.compact_after = DEFAULT_COMPACT_AFTER
-        #: leaf -> sorted delta items accumulated from WAL'd appends but
-        #: not yet compacted into the leaf files
-        self._delta_items = {}
-        self._merged = {}  # leaf -> base (+) delta, lazy merged view
+        #: every WAL'd batch not yet compacted, as columns, in generation
+        #: order: [((dims x rows) code matrix, measures)]
+        self._pending_rows = []
+        self._pending_columns = None  # the batches concatenated, lazy
+        self._merged = {}  # leaf -> base run (+) pending rows, lazy
         #: WAL'd batches awaiting compaction: [{generation, batch_id, rows}]
         self._pending = []
         #: batch_id -> generation for every applied batch still in the
@@ -336,6 +281,10 @@ class CubeStore:
             raise SchemaError(
                 "unknown cube-store format %r" % (manifest.get("format"),)
             )
+        if manifest.get("format_version") == 2:
+            raise SchemaError(
+                "cube-store format_version 2 (CSV leaves) is no longer read; "
+                "convert the store once with: repro-cube store migrate DIR")
         if manifest.get("format_version") != STORE_FORMAT_VERSION:
             raise SchemaError(
                 "cube-store format_version %r not supported (this library reads %d)"
@@ -390,20 +339,11 @@ class CubeStore:
         loaded = {}
         for leaf in materialization.leaves:
             with obs.span("store.write_leaf") as span:
-                items = list(materialization._items(leaf))
-                filename = _leaf_filename(leaf)
-                data, index = _encode_leaf(leaf, items)
-                atomic_write(
-                    os.path.join(directory, filename),
-                    lambda handle, data=data: handle.write(data),
-                    binary=True,
-                )
-                entries[leaf] = _leaf_entry(leaf, filename, data, index,
-                                            len(items))
-                loaded[leaf] = items
+                run = loaded[leaf] = materialization.leaf_items(leaf)
+                entry = entries[leaf] = write_leaf(directory, run)
                 if span:
-                    span.set(leaf="/".join(leaf), cells=len(items),
-                             bytes=len(data))
+                    span.set(leaf="/".join(leaf), cells=len(run),
+                             bytes=entry["bytes"])
         store = cls._publish(directory, cls._manifest_dict(
             materialization.dims, materialization.leaves, entries,
             generation=1,
@@ -411,7 +351,7 @@ class CubeStore:
             total_measure=materialization.total_measure,
             shard=shard,
         ))
-        store._items.update(loaded)
+        store._runs.update(loaded)
         return store
 
     @classmethod
@@ -480,14 +420,7 @@ class CubeStore:
         }
         manifest = cls._recover_journal(directory, recovery)
         if manifest is None:
-            manifest_path = os.path.join(directory, MANIFEST)
-            try:
-                with open(manifest_path) as handle:
-                    manifest = json.load(handle)
-            except FileNotFoundError:
-                raise SchemaError(
-                    "no cube-store manifest at %r" % (manifest_path,)
-                ) from None
+            manifest = _read_manifest(directory)
         store = cls(directory, manifest)
         store.recovery = recovery
         store.verify_mode = verify
@@ -504,6 +437,56 @@ class CubeStore:
                       orphans_removed=len(recovery["orphans_removed"]),
                       salvaged=len(recovery["salvaged"]))
         return store
+
+    @classmethod
+    def migrate(cls, directory, read_leaf):
+        """Convert a format-2 store (CSV leaves) to format 3, in place.
+
+        ``read_leaf(path, leaf)`` parses one old leaf file into a
+        :class:`CellRun`; the CSV reader lives with the ``store
+        migrate`` command, not here.  The ``.run`` files are written
+        beside the CSVs, the format-3 manifest is published atomically
+        last, then the CSVs are removed: a crash before the manifest
+        leaves a valid format-2 store (migrate again), after it a valid
+        format-3 store whose leftover CSVs the next :meth:`open` sweeps
+        as orphans.  Pending WAL batches are kept — the WAL format did
+        not change — and replay on the next open.  Returns ``(leaves,
+        cells)`` converted.
+        """
+        directory = str(directory)
+        manifest = _read_manifest(directory)
+        if (manifest.get("format") != STORE_FORMAT
+                or manifest.get("format_version") != 2):
+            raise SchemaError(
+                "%s is not a format-2 cube store (format %r, version %r): "
+                "nothing to migrate" % (directory, manifest.get("format"),
+                                        manifest.get("format_version")))
+        if os.path.exists(os.path.join(directory, JOURNAL)):
+            raise SchemaError(
+                "%s holds the journal of an interrupted compaction; open "
+                "it once with the release that wrote it, then migrate"
+                % directory)
+        entries = {}
+        for old in manifest["leaves"]:
+            leaf = tuple(old["cuboid"])
+            run = read_leaf(os.path.join(directory, old["file"]), leaf)
+            if len(run) != int(old["cells"]):
+                raise SchemaError(
+                    "leaf file %r holds %d cells, its manifest says %d"
+                    % (old["file"], len(run), old["cells"]))
+            entries[leaf] = write_leaf(directory, run)
+        shard = manifest.get("shard")
+        _write_json(os.path.join(directory, MANIFEST), cls._manifest_dict(
+            manifest["dims"], entries, entries,
+            generation=manifest["generation"],
+            total_rows=manifest["total_rows"],
+            total_measure=manifest["total_measure"],
+            shard=(shard["index"], shard["of"]) if shard else None,
+            applied_batches=manifest.get("applied_batches"),
+        ))
+        for old in manifest["leaves"]:
+            os.unlink(os.path.join(directory, old["file"]))
+        return len(entries), sum(e["cells"] for e in entries.values())
 
     def _replay_wal(self, recovery):
         """Re-apply the WAL records newer than the manifest."""
@@ -523,8 +506,9 @@ class CubeStore:
                     self.wal.path_for(record.generation),
                     "dims %r do not match store dims %r"
                     % (record.dims, self.dims))
-            self._apply_delta(record.rows, record.measures,
-                              record.generation, record.batch_id)
+            self._apply_delta(
+                code_matrix(record.rows, len(self.dims)), record.measures,
+                record.generation, record.batch_id)
             replayed += 1
         recovery["wal_replayed"] = replayed
         recovery["wal_pruned"] = pruned
@@ -587,9 +571,10 @@ class CubeStore:
 
         Staged files and ``atomic_write`` temps are always an
         interrupted writer's leftovers (a journalled writer's staged
-        files were consumed by roll-forward before this runs); ``.csv``
-        files no manifest entry names are stale leaves from a superseded
-        generation.  Anything else is left alone.
+        files were consumed by roll-forward before this runs); ``.run``
+        and ``.csv`` files no manifest entry names are stale leaves from
+        a superseded generation or a finished ``store migrate``.
+        Anything else is left alone.
         """
         known = {MANIFEST, JOURNAL}
         known.update(entry["file"] for entry in self._entries.values())
@@ -599,8 +584,8 @@ class CubeStore:
             path = os.path.join(self.directory, name)
             if not os.path.isfile(path):
                 continue
-            if (".tmp." in name or name.endswith(STAGED_SUFFIX)
-                    or name.endswith(".csv")):
+            if (".tmp." in name
+                    or name.endswith((STAGED_SUFFIX, LEAF_SUFFIX, ".csv"))):
                 os.unlink(path)
                 recovery["orphans_removed"].append(name)
 
@@ -659,35 +644,16 @@ class CubeStore:
             self._write_manifest()
 
     def _rebuild_leaf(self, leaf):
-        """Regenerate one leaf by re-aggregating the (intact) root leaf.
+        """Regenerate one leaf by projecting the (intact) root leaf.
 
         Leaves hold unfiltered minsup-1 cells and count/sum are
         distributive, so projecting the root leaf's cells onto the
         damaged leaf's dimensions reproduces its content exactly.
         """
-        positions = [self.dims.index(d) for d in leaf]
-        accumulated = {}
-        for cell, (count, value) in self.leaf_items(self.dims):
-            sub = tuple(cell[p] for p in positions)
-            acc = accumulated.get(sub)
-            if acc is None:
-                accumulated[sub] = [count, value]
-            else:
-                acc[0] += count
-                acc[1] += value
-        items = sorted(
-            (cell, (acc[0], acc[1])) for cell, acc in accumulated.items()
-        )
-        entry = self._entries[leaf]
-        data, index = _encode_leaf(leaf, items)
-        atomic_write(
-            os.path.join(self.directory, entry["file"]),
-            lambda handle, data=data: handle.write(data),
-            binary=True,
-        )
-        self._entries[leaf] = _leaf_entry(
-            leaf, entry["file"], data, index, len(items))
-        self._items[leaf] = items
+        run = self._base_run(self.dims).project(
+            [self.dims.index(d) for d in leaf])
+        self._entries[leaf] = write_leaf(self.directory, run)
+        self._runs[leaf] = run
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -703,7 +669,7 @@ class CubeStore:
                 and thread is not threading.current_thread()):
             thread.join()
         with self._lock:
-            self._items.clear()
+            self._runs.clear()
             self._merged.clear()
             self._closed = True
 
@@ -747,60 +713,81 @@ class CubeStore:
     def loaded_leaves(self):
         """Leaves currently resident in memory (the hot set)."""
         with self._lock:
-            return sorted(self._items)
+            return sorted(self._runs)
 
     def leaf_items(self, leaf):
-        """The leaf's cells in sorted order, loading from disk on first use.
+        """The leaf's cells as one :class:`CellRun`, loading from disk
+        on first use.
 
-        This is the *merged view*: the on-disk base run plus the
-        in-memory delta run of every not-yet-compacted append, merged
-        lazily and cached until the next append or compaction — so
-        append cost never includes a leaf rewrite.
+        This is the *merged view*: the on-disk base run plus the rows of
+        every not-yet-compacted append, projected onto the leaf's
+        dimensions and merged in on the first read after an append
+        (cached until the next one or a compaction) — so append cost
+        never includes a leaf rewrite.
         """
         self._check_open()
-        if not self._delta_items:
-            return self._base_items(leaf)
+        if not self._pending:
+            return self._base_run(leaf)
         with self._lock:
-            delta = self._delta_items.get(leaf)
-            if not delta:
-                return self._base_items(leaf)
+            if not self._pending:
+                return self._base_run(leaf)
             merged = self._merged.get(leaf)
             if merged is None:
-                merged = _merge_sorted(self._base_items(leaf), delta)
-                self._merged[leaf] = merged
+                base = self._base_run(leaf)
+                with obs.span("store.merge_delta") as span:
+                    if self._pending_columns is None:
+                        self._pending_columns = tuple(
+                            np.concatenate(column, axis=-1)
+                            for column in zip(*self._pending_rows))
+                    codes, measures = self._pending_columns
+                    positions = [self.dims.index(d) for d in leaf]
+                    merged = self._merged[leaf] = base.add_rows(
+                        codes[positions], measures)
+                    if span:
+                        span.set(leaf="/".join(leaf), base_cells=len(base),
+                                 pending_rows=len(measures))
             return merged
 
-    def _base_items(self, leaf):
-        """The leaf's compacted on-disk cells (no delta run)."""
-        items = self._items.get(leaf)
-        if items is not None:
-            return items
+    def _base_run(self, leaf):
+        """The leaf's compacted on-disk cells (no pending rows)."""
+        run = self._runs.get(leaf)
+        if run is not None:
+            return run
         with self._lock:
-            items = self._items.get(leaf)
-            if items is not None:
-                return items
+            run = self._runs.get(leaf)
+            if run is not None:
+                return run
             entry = self._entries.get(leaf)
             if entry is None:
                 raise PlanError("cuboid %r is not a stored leaf" % (leaf,))
-            path = os.path.join(self.directory, entry["file"])
-            with open(path, "rb") as handle:
-                handle.readline()  # header
-                items = _parse_rows(handle.readlines(), len(leaf))
-            if len(items) != entry["cells"]:
-                raise StoreCorruptError(
-                    leaf,
-                    "has %d cells on disk, manifest says %d"
-                    % (len(items), entry["cells"]),
-                    self.directory,
-                )
-            self._items[leaf] = items
-            return items
+            with obs.span("store.load_leaf") as span:
+                path = os.path.join(self.directory, entry["file"])
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                try:
+                    run = CellRun.decode(data)
+                except SchemaError as exc:
+                    raise StoreCorruptError(
+                        leaf, str(exc), self.directory) from None
+                if len(run) != entry["cells"] or run.dims != leaf:
+                    raise StoreCorruptError(
+                        leaf,
+                        "holds %d cells of %r on disk, manifest says %d"
+                        % (len(run), run.dims, entry["cells"]),
+                        self.directory,
+                    )
+                if span:
+                    span.set(leaf="/".join(leaf), cells=len(run),
+                             bytes=len(data))
+            self._runs[leaf] = run
+            return run
 
     def query(self, cuboid, minsup=1):
         """Answer ``GROUP BY cuboid HAVING <threshold>`` from the store.
 
-        One ordered pass over the covering leaf's presorted cells —
-        identical semantics to ``LeafMaterialization.query``.  Returns
+        One :meth:`CellRun.group_by
+        <repro.core.columnar.CellRun.group_by>` over the covering leaf —
+        the very call ``LeafMaterialization.query`` makes.  Returns
         ``{cell: (count, sum)}``.
         """
         self._check_open()
@@ -811,26 +798,8 @@ class CubeStore:
                 if threshold.qualifies(self.total_rows, self.total_measure):
                     return {(): (self.total_rows, self.total_measure)}
                 return {}
-            leaf = self.covering_leaf(cuboid)
-            items = self.leaf_items(leaf)
-            width = len(cuboid)
-            out = {}
-            current = None
-            count = 0
-            total = 0.0
-            for cell, (c, v) in items:
-                prefix = cell[:width]
-                if prefix != current:
-                    if current is not None and threshold.qualifies(count,
-                                                                   total):
-                        out[current] = (count, total)
-                    current = prefix
-                    count = 0
-                    total = 0.0
-                count += c
-                total += v
-            if current is not None and threshold.qualifies(count, total):
-                out[current] = (count, total)
+            run = self.leaf_items(self.covering_leaf(cuboid))
+            out = run.group_by(len(cuboid), threshold)
             if span:
                 span.set(cells=len(out))
             return out
@@ -862,12 +831,9 @@ class CubeStore:
                 for cuboid in self.owned_cuboids()}
 
     def point(self, cuboid, cell, minsup=1):
-        """One cell of one cuboid: ``(count, sum)`` or ``None``.
-
-        For a loaded leaf this is a binary search over the sorted items;
-        for an unloaded leaf the prefix offset index turns it into a
-        seek + one contiguous run scan, without reading the whole file.
-        """
+        """One cell of one cuboid: ``(count, sum)`` or ``None`` — a
+        ``searchsorted`` per coordinate on the covering leaf's run
+        (:meth:`CellRun.lookup <repro.core.columnar.CellRun.lookup>`)."""
         self._check_open()
         threshold = as_threshold(minsup)
         cuboid = self._lattice.canonical(cuboid)
@@ -880,49 +846,10 @@ class CubeStore:
                 "cell %r has %d coordinates, cuboid %r has %d dimensions"
                 % (cell, len(cell), cuboid, len(cuboid))
             )
-        leaf = self.covering_leaf(cuboid)
-        if self._delta_items.get(leaf):
-            # Pending delta run: answer from the merged view so un-
-            # compacted appends are visible to point lookups too.
-            items = self.leaf_items(leaf)
-            start = bisect_left(items, (cell,))
-        else:
-            items = self._items.get(leaf)
-            if items is None:
-                items = self._run_items(leaf, cell[0])
-                start = 0
-            else:
-                start = bisect_left(items, (cell,))
-        width = len(cell)
-        count = 0
-        total = 0.0
-        for leaf_cell, (c, v) in items[start:]:
-            prefix = leaf_cell[:width]
-            if prefix < cell:
-                continue
-            if prefix != cell:
-                break
-            count += c
-            total += v
-        if count and threshold.qualifies(count, total):
-            return (count, total)
+        agg = self.leaf_items(self.covering_leaf(cuboid)).lookup(cell)
+        if agg is not None and threshold.qualifies(*agg):
+            return agg
         return None
-
-    def _run_items(self, leaf, first_coord):
-        """Read only the contiguous run of ``leaf`` rows starting with
-        ``first_coord``, via the manifest's prefix offset index."""
-        entry = self._entries[leaf]
-        run = entry["index"].get(first_coord)
-        if run is None:
-            return []
-        offset, n_rows = run
-        path = os.path.join(self.directory, entry["file"])
-        with self._lock:
-            self._check_open()
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                lines = [handle.readline() for _ in range(n_rows)]
-        return _parse_rows(lines, len(leaf))
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -933,10 +860,12 @@ class CubeStore:
         Mirrors ``LeafMaterialization.insert``: the leaves hold
         unfiltered minsup-1 cells, so appending is pure accumulation and
         ``generation`` is bumped so caches invalidate.  The batch is
-        first made durable as a checksummed WAL record, then applied as
-        an in-memory delta run — O(batch x leaves), independent of the
-        store's size; leaf files are only rewritten by the (background)
-        :meth:`compact`.  ``batch_id`` makes the append idempotent: a
+        first made durable as a checksummed WAL record, then joins the
+        pending batches as columns — O(batch), independent of the
+        store's size and leaf count; leaf files are only rewritten by
+        the (background) :meth:`compact`.  A code that does not fit a
+        signed 64-bit integer is refused (:class:`SchemaError`) before
+        anything is written.  ``batch_id`` makes the append idempotent: a
         batch id the store already applied is acknowledged
         (``applied=False``) without being re-applied, so clients retry
         freely after a dropped ACK; without one an id is minted.
@@ -955,12 +884,13 @@ class CubeStore:
                 return AppendResult(self.generation, False, batch_id)
             keyed = [tuple(row[p] for p in positions)
                      for row in relation.rows]
+            codes = code_matrix(keyed, len(self.dims))
             measures = list(relation.measures)
             generation = self.generation + 1
             with obs.span("ingest.wal", rows=len(keyed)) as span:
                 nbytes = self.wal.append(generation, batch_id, self.dims,
                                          keyed, measures)
-                self._apply_delta(keyed, measures, generation, batch_id)
+                self._apply_delta(codes, measures, generation, batch_id)
                 if span:
                     span.set(generation=generation, bytes=nbytes,
                              pending=len(self._pending))
@@ -968,33 +898,19 @@ class CubeStore:
             self._maybe_compact_locked()
             return AppendResult(generation, True, batch_id)
 
-    def _apply_delta(self, keyed_rows, measures, generation, batch_id):
-        """Fold one batch (rows already in store-dims order) into the
-        per-leaf delta runs and advance the generation."""
-        for leaf in self.leaves:
-            leaf_positions = [self.dims.index(d) for d in leaf]
-            delta = {}
-            for key, measure in zip(keyed_rows, measures):
-                cell = tuple(key[p] for p in leaf_positions)
-                acc = delta.get(cell)
-                if acc is None:
-                    delta[cell] = [1, measure]
-                else:
-                    acc[0] += 1
-                    acc[1] += measure
-            delta_items = sorted(
-                (cell, (acc[0], acc[1])) for cell, acc in delta.items()
-            )
-            existing = self._delta_items.get(leaf)
-            self._delta_items[leaf] = (
-                _merge_sorted(existing, delta_items) if existing
-                else delta_items)
-            self._merged.pop(leaf, None)
+    def _apply_delta(self, codes, measures, generation, batch_id):
+        """Queue one batch (a ``(dims x rows)`` code matrix in store-dims
+        order, plus measures) behind the pending ones and advance the
+        generation; leaves merge it in when next read."""
+        self._pending_rows.append(
+            (codes, np.asarray(measures, dtype=np.float64)))
+        self._pending_columns = None
+        self._merged.clear()
         self._pending.append({"generation": generation,
                               "batch_id": batch_id,
-                              "rows": len(keyed_rows)})
+                              "rows": len(measures)})
         self._applied_batches[batch_id] = generation
-        self.total_rows += len(keyed_rows)
+        self.total_rows += len(measures)
         self.total_measure += sum(measures)
         self.generation = generation
 
@@ -1027,8 +943,9 @@ class CubeStore:
     def compact(self):
         """Fold every pending WAL batch into the leaf files (crash-safe).
 
-        The journalled two-phase rewrite: the merged view of each leaf
-        is staged, a journal naming the complete state is committed
+        The journalled two-phase rewrite: every leaf's merged run (base
+        + pending rows, :meth:`leaf_items`) is staged, a journal naming
+        the complete state is committed
         atomically, the live files are swung, and only then is the WAL
         truncated.  A crash before the journal rolls *back* (the WAL
         replays the batches on reopen); after it rolls *forward* (the
@@ -1042,28 +959,12 @@ class CubeStore:
                 return 0
             n_batches = len(self._pending)
             with obs.span("ingest.compact", batches=n_batches) as span:
-                staged = []  # (leaf, entry, data, merged)
-                for leaf in self.leaves:
-                    merged = self.leaf_items(leaf)
-                    data, index = _encode_leaf(leaf, merged)
-                    filename = self._entries[leaf]["file"]
-                    staged.append((
-                        leaf,
-                        _leaf_entry(leaf, filename, data, index, len(merged)),
-                        data,
-                        merged,
-                    ))
                 # Phase 1: stage every rewritten leaf next to the live one.
-                for _leaf, entry, data, _merged in staged:
-                    atomic_write(
-                        os.path.join(self.directory,
-                                     entry["file"] + STAGED_SUFFIX),
-                        lambda handle, data=data: handle.write(data),
-                        binary=True,
-                    )
+                merged = {leaf: self.leaf_items(leaf) for leaf in self.leaves}
+                new_entries = {
+                    leaf: write_leaf(self.directory, run, STAGED_SUFFIX)
+                    for leaf, run in merged.items()}
                 chaos_kill("compact.staged")
-                new_entries = {leaf: entry
-                               for leaf, entry, _data, _merged in staged}
                 window = dict(sorted(
                     self._applied_batches.items(), key=lambda kv: kv[1]
                 )[-APPLIED_BATCH_WINDOW:])
@@ -1087,16 +988,16 @@ class CubeStore:
                 chaos_kill("compact.journalled")
                 # Phase 2: swing the leaves, rewrite the manifest, drop
                 # the journal.  A crash in here is rolled forward on open.
-                for _leaf, entry, _data, _merged in staged:
+                for entry in new_entries.values():
                     path = os.path.join(self.directory, entry["file"])
                     os.replace(path + STAGED_SUFFIX, path)
                 _write_json(os.path.join(self.directory, MANIFEST), manifest)
                 os.unlink(os.path.join(self.directory, JOURNAL))
-                for leaf, entry, _data, merged in staged:
-                    self._entries[leaf] = entry
-                    self._items[leaf] = merged
-                self._delta_items.clear()
-                self._merged.clear()
+                self._entries = new_entries
+                self._runs = merged
+                self._merged = {}
+                self._pending_rows = []
+                self._pending_columns = None
                 self._pending = []
                 self._applied_batches = window
                 self.wal.truncate_through(self.generation)
@@ -1165,10 +1066,6 @@ class CubeStore:
                     "cells": entries[leaf]["cells"],
                     "bytes": entries[leaf]["bytes"],
                     "sha256": entries[leaf]["sha256"],
-                    "index": {
-                        str(k): list(v)
-                        for k, v in entries[leaf]["index"].items()
-                    },
                 }
                 for leaf in leaves
             ],

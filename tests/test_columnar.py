@@ -140,13 +140,20 @@ class TestColumnarFrame:
 
 
 class TestAggregateCuboid:
-    @pytest.mark.parametrize("use_numpy", [False, True] if HAS_NUMPY else [False])
-    def test_matches_naive(self, small_skewed, use_numpy):
-        frame = ColumnarFrame.from_relation(small_skewed)
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_matches_naive(self, small_skewed, packed):
+        # both sorts of leaf_run: masked packed keys, and the dimension
+        # columns themselves (no key fits, or a cuboid out of frame order)
+        frame = ColumnarFrame.from_relation(
+            small_skewed, max_bits=63 if packed else 0)
+        assert (frame.keys is not None) == packed
         expected = naive_iceberg_cube(small_skewed, minsup=1)
-        for cuboid in [("A",), ("A", "B"), ("B", "D"), ("A", "B", "C", "D")]:
-            got = aggregate_cuboid(frame, cuboid, use_numpy=use_numpy)
-            want = expected.cuboids[cuboid]
+        for cuboid in [("A",), ("A", "B"), ("B", "D"), ("D", "B"),
+                       ("A", "B", "C", "D")]:
+            got = aggregate_cuboid(frame, cuboid)
+            want = (expected.cuboids[cuboid] if cuboid in expected.cuboids
+                    else {cell[::-1]: agg for cell, agg in
+                          expected.cuboids[cuboid[::-1]].items()})
             assert set(got) == set(want)
             for cell, (count, total) in got.items():
                 assert count == want[cell][0]
@@ -165,6 +172,11 @@ class TestAggregateCuboid:
         frame = ColumnarFrame.from_relation(sales)
         with pytest.raises(PlanError):
             aggregate_cuboid(frame, ("Nope",))
+
+    def test_no_dimensions_is_the_apex(self, sales):
+        frame = ColumnarFrame.from_relation(sales)
+        assert aggregate_cuboid(frame, ()) == {
+            (): (len(sales), sum(sales.measures))}
 
 
 class TestKernelEquivalence:

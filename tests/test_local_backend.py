@@ -251,8 +251,11 @@ class TestDataPlane:
         pooled = multiprocess_leaf_cells(small_uniform, leaves, workers=2,
                                          batch_size=1)
         inline = multiprocess_leaf_cells(small_uniform, leaves, workers=1)
-        assert pooled == expected
-        assert inline == expected
+        for built in (pooled, inline):
+            assert {leaf: run.cells() for leaf, run in built.items()} \
+                == expected
+        assert all(pooled[leaf].encode() == inline[leaf].encode()
+                   for leaf in leaves)
         assert _rsm_segments() == set()
 
     def test_batched_yields_lazy_index_ranges(self):

@@ -82,14 +82,15 @@ class TestCubeStore:
             assert store.point(("A", "B"), cell) == agg
         assert store.point(("A", "B"), (999, 999)) is None
 
-    def test_point_uses_index_without_loading_leaf(self, small_skewed, tmp_path):
+    def test_cold_point_loads_only_the_covering_leaf(self, small_skewed, tmp_path):
         CubeStore.build(small_skewed, tmp_path / "s", cluster_spec=cluster1(2)).close()
         reopened = CubeStore.open(tmp_path / "s")
         expected = oracle(small_skewed, ("A", "B"), 1)
         cell = sorted(expected)[0]
         count, value = reopened.point(("A", "B"), cell)
         assert (count, pytest.approx(value)) == expected[cell]
-        assert reopened.loaded_leaves() == []  # seek + run scan, no full read
+        # searchsorted on the one run it had to read; no other leaf touched
+        assert reopened.loaded_leaves() == [("A", "B", "D")]
 
     def test_point_respects_threshold(self, small_skewed, store):
         full = store.query(("A",), minsup=1)
@@ -727,6 +728,31 @@ class TestHttpHardening:
                     endpoint, "/append", data=body)
                 assert status == 400, (label, body)
                 assert payload["kind"] == "bad_request"
+
+    def test_keep_alive_replies_do_not_stall(self, both):
+        # Header block and body in one write: sent as two, every reply
+        # on a kept-alive connection waits out Nagle + delayed ACK
+        # (~40 ms each, 1 s for these 25).
+        import http.client
+        from urllib.parse import urlsplit
+
+        for label, endpoint in both:
+            netloc = urlsplit(endpoint.url).netloc
+            connection = http.client.HTTPConnection(netloc, timeout=10)
+            try:
+                connection.request("GET", "/query?cuboid=A&minsup=1")
+                # connect, fill the caches
+                warm = json.loads(connection.getresponse().read())["cells"]
+                started = time.perf_counter()
+                for _ in range(25):
+                    connection.request("GET", "/query?cuboid=A&minsup=1")
+                    response = connection.getresponse()
+                    assert response.status == 200, label
+                    assert json.loads(response.read())["cells"] == warm
+                elapsed = time.perf_counter() - started
+            finally:
+                connection.close()
+            assert elapsed < 0.5, (label, elapsed)
 
     def test_healthz_endpoint(self, endpoint):
         endpoint, server = endpoint

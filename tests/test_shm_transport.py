@@ -252,6 +252,26 @@ class TestCrashHygiene:
         finally:
             transport.shutdown()
 
+    def test_sweep_reclaims_a_segment_killed_before_it_was_sized(self):
+        # A creator SIGKILLed/terminated between shm_open and ftruncate
+        # leaves a zero-length segment: it cannot be mapped (so not
+        # attached), but the sweep must still remove it, not raise.
+        import os
+        if not os.path.isdir(DEV_SHM):
+            pytest.skip("no %s on this platform" % DEV_SHM)
+        transport = ShmTransport.for_run("t-zero")
+        path = os.path.join(DEV_SHM, transport.prefix + "b2-1-1")
+        try:
+            open(path, "wb").close()
+            assert [name for _k, name in transport.leaked_segments()] \
+                == [os.path.basename(path)]
+            assert transport.sweep() == 1
+            assert not os.path.exists(path)
+        finally:
+            if os.path.exists(path):
+                os.unlink(path)
+            transport.shutdown()
+
     def test_sweep_ignores_other_runs(self):
         ours = ShmTransport.for_run("t-mine")
         theirs = ShmTransport.for_run("t-theirs")
