@@ -28,7 +28,7 @@ all three:
   dedup of re-sent batch ids, and sustained ingest under a concurrent
   query flood (real wall-clock);
 * :func:`~repro.bench.kernelbench.ext_kernel_throughput` — the
-  columnar/numpy compute kernels and the multiprocess backend against
+  vectorised compute kernel and the multiprocess backend against
   the seed engine and the naive rescan (real wall-clock rows/sec;
   lives in :mod:`repro.bench.kernelbench`, emits ``BENCH_kernel.json``).
 """

@@ -2,8 +2,8 @@
 
 ``ext_kernel_throughput`` measures *real wall-clock* rows/sec for every
 compute path over the same synthetic Zipf workloads — naive rescan,
-seed ``BucEngine`` (the ``python`` kernel), the stdlib columnar kernel,
-the numpy kernel, and the multiprocess backend at 1, 2 and 4 workers
+seed ``BucEngine`` (the ``python`` kernel), the vectorised ``numpy``
+kernel, and the multiprocess backend at 1, 2 and 4 workers
 (the multi-core scaling curve) — across dimensionalities d ∈ {6, 10,
 14} and a minsup sweep, checking that every implementation produces
 identical cells while it is timed.
@@ -30,13 +30,15 @@ import os
 import time
 
 from ..core.buc import buc_iceberg_cube
-from ..core.columnar import HAS_NUMPY
 from ..core.naive import naive_iceberg_cube
 from ..data.synthetic import zipf_relation
 from ..parallel.local import multiprocess_iceberg_cube
 from .harness import ExperimentResult, bench_scale, scaled
 
 BENCH_JSON_SCHEMA = "repro-kernel-bench/1"
+
+#: The kernel whose speedup over the seed python kernel is the contract.
+FAST_KERNEL = "numpy"
 
 #: Minimum single-core speedup (columnar family vs the seed python
 #: kernel) demanded at full workload scale on the 10-dim workload.
@@ -203,14 +205,12 @@ def ext_kernel_throughput(rows_by_d=None, seed=11, skew=0.8, out_path=None,
                 timings["naive"] = seconds
                 identical["naive"] = naive_result.equals(reference)
 
-            kernels = ["columnar"] + (["numpy"] if HAS_NUMPY else [])
-            for kernel in kernels:
-                result, seconds = _timed(lambda: buc_iceberg_cube(
-                    relation, relation.dims, minsup=minsup, kernel=kernel,
-                    breadth_first=True,
-                )[0], repeats)
-                timings[kernel] = seconds
-                identical[kernel] = result.equals(reference)
+            result, seconds = _timed(lambda: buc_iceberg_cube(
+                relation, relation.dims, minsup=minsup, kernel=FAST_KERNEL,
+                breadth_first=True,
+            )[0], repeats)
+            timings[FAST_KERNEL] = seconds
+            identical[FAST_KERNEL] = result.equals(reference)
 
             workers_curve = sorted({1, 2, workers_hi})
             for workers in workers_curve:
@@ -225,7 +225,7 @@ def ext_kernel_throughput(rows_by_d=None, seed=11, skew=0.8, out_path=None,
                 name: base_seconds / seconds if seconds else float("inf")
                 for name, seconds in timings.items()
             }
-            order = ["naive", "buc_python", "columnar", "numpy"] + [
+            order = ["naive", "buc_python", FAST_KERNEL] + [
                 "multiprocess_w%d" % w for w in workers_curve]
             for name in order:
                 if name not in timings:
@@ -249,13 +249,11 @@ def ext_kernel_throughput(rows_by_d=None, seed=11, skew=0.8, out_path=None,
                 "speedup_vs_python": speedups,
                 "identical": identical,
             })
-            fast = "numpy" if HAS_NUMPY else "columnar"
-            if d == ANCHOR_D and speedups.get(fast, 0.0) >= \
-                    anchor_speedups.get(fast, 0.0):
+            if d == ANCHOR_D and speedups[FAST_KERNEL] >= \
+                    anchor_speedups.get(FAST_KERNEL, 0.0):
                 anchor_speedups = speedups
 
-    fast_kernel = "numpy" if HAS_NUMPY else "columnar"
-    single_core = anchor_speedups.get(fast_kernel, 0.0)
+    single_core = anchor_speedups.get(FAST_KERNEL, 0.0)
     # The multi-core scaling curve: rows/sec at each worker count on the
     # compute-dense scaling workload — the number the paper's whole
     # premise rides on.
@@ -273,15 +271,15 @@ def ext_kernel_throughput(rows_by_d=None, seed=11, skew=0.8, out_path=None,
     obs_ratio = _obs_overhead_ratio(
         zipf_relation(obs_rows, CARDINALITIES[ANCHOR_D],
                       skew=skew, seed=seed),
-        MINSUPS[ANCHOR_D][0], fast_kernel, max(repeats, 5),
+        MINSUPS[ANCHOR_D][0], FAST_KERNEL, max(repeats, 5),
     )
 
     payload = {
         "schema": BENCH_JSON_SCHEMA,
         "bench_scale": bench_scale(),
         "cpu_count": cpu_count,
-        "numpy": HAS_NUMPY,
-        "fast_kernel": fast_kernel,
+        "numpy": True,
+        "fast_kernel": FAST_KERNEL,
         "anchor": {"d": ANCHOR_D, "rows": rows_by_d[ANCHOR_D],
                    "minsups": list(MINSUPS[ANCHOR_D])},
         "single_core_speedup": single_core,
@@ -308,8 +306,7 @@ def ext_kernel_throughput(rows_by_d=None, seed=11, skew=0.8, out_path=None,
         "EXT-KERNEL",
         "Columnar kernel throughput (real wall-clock, rows/sec)",
         columns, rows,
-        notes="machine: %d CPU(s), numpy %s; JSON written to %s"
-              % (cpu_count, "available" if HAS_NUMPY else "absent", out_path),
+        notes="machine: %d CPU(s); JSON written to %s" % (cpu_count, out_path),
     )
     result.check(
         "every implementation produces identical cells",
@@ -321,7 +318,7 @@ def ext_kernel_throughput(rows_by_d=None, seed=11, skew=0.8, out_path=None,
     )
     result.check(
         "fast kernel (%s) beats the seed engine on the 10-dim anchor"
-        % fast_kernel,
+        % FAST_KERNEL,
         single_core > 1.0,
         "%.2fx vs python kernel" % single_core,
     )
@@ -449,7 +446,7 @@ def ext_multicore_scaling(seed=11, skew=0.8, repeats=2, workers_hi=4,
             "schema": "repro-scaling-bench/1",
             "bench_scale": bench_scale(),
             "cpu_count": cpu_count,
-            "numpy": HAS_NUMPY,
+            "numpy": True,
             "workload": {"d": SCALING_D, "rows": n_rows,
                          "minsup": SCALING_MINSUP},
             "seconds": {"w%d" % w: s for w, s in timings.items()},

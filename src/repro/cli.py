@@ -6,9 +6,10 @@ Six subcommands cover the library's everyday uses:
   weather workload) with any of the five parallel algorithms, print a
   summary and optionally export the cells; ``compute`` is an alias,
   and ``--backend local`` swaps the simulated cluster for a real
-  process pool over the columnar kernel with a shared-memory data
+  process pool over the vectorised kernel with a shared-memory data
   plane (``--workers``, ``--batch-size``/``--calibrate``,
-  ``--no-shm``, ``--self-test``);
+  ``--self-test``); a flag the chosen backend does not take is an
+  error, not ignored;
 * ``query``   — answer one iceberg group-by and print its cells;
 * ``recipe``  — print the Figure 4.7 recommendation for a workload;
 * ``bench``   — run one of the paper's experiments by name (or list
@@ -53,23 +54,16 @@ registry at ``GET /metrics``::
 
 import argparse
 import sys
+import time
 
-from .backends import backend_names, resolve_backend
-from .cluster.spec import cluster1, cluster2, cluster3, paper_cluster
+from .backends import BACKENDS, CLUSTERS, backend_names, resolve_backend
 from .core.export import save_cube
 from .core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from .data.io import load_csv
 from .data.weather import baseline_dims, weather_relation
 from .errors import ReproError, SchemaError
-from .queries import iceberg_cube, iceberg_query
+from .queries import iceberg_query
 from .recipe import recommend_for
-
-CLUSTERS = {
-    "cluster1": cluster1,
-    "cluster2": cluster2,
-    "cluster3": cluster3,
-    "paper": paper_cluster,
-}
 
 
 def build_parser():
@@ -87,51 +81,16 @@ def build_parser():
     cube.add_argument("--backend", default="simulated", metavar="NAME",
                       help="compute backend: %s (default: simulated; "
                            "unknown names fail listing the choices)"
-                           % ", ".join(backend_names("cube")))
-    cube.add_argument("--algorithm", default="pt",
-                      choices=["rp", "bpp", "asl", "pt", "aht"],
-                      help="parallel algorithm (default: pt, the recipe's default)")
-    cube.add_argument("--processors", type=int, default=8)
-    cube.add_argument("--cluster", default="cluster1", choices=sorted(CLUSTERS))
-    cube.add_argument("--workers", type=int, default=None,
-                      help="local backend: worker processes "
-                           "(default: CPU count, capped at 8)")
-    cube.add_argument("--batch-size", type=int, default=None,
-                      help="local backend: fixed subtree tasks per pool "
-                           "batch (default: auto — a calibration pass "
-                           "packs cost-balanced batches)")
-    cube.add_argument("--calibrate", action="store_true",
-                      help="local backend: force auto-calibrated batching "
-                           "even when --batch-size is given")
-    cube.add_argument("--no-shm", action="store_true",
-                      help="local backend: disable the shared-memory data "
-                           "plane (frame and results ride the pool pipe "
-                           "as pickles)")
-    cube.add_argument("--kernel", default="auto",
-                      choices=["auto", "columnar", "numpy"],
-                      help="local backend: refinement kernel (default auto)")
+                           % ", ".join(backend_names()))
+    _add_backend_options(cube, (
+        "algorithm", "processors", "cluster", "workers", "batch_size",
+        "calibrate", "fault_plan", "batch_timeout", "reducers",
+        "memory_budget"))
     cube.add_argument("--self-test", action="store_true",
                       help="validate the result against the naive oracle "
                            "before printing the summary")
     cube.add_argument("--export", metavar="DIR",
                       help="write the result cells under DIR (one CSV per cuboid)")
-    cube.add_argument("--faults", metavar="SPEC",
-                      help="inject faults into the run; SPEC is "
-                           "comma-separated directives: 'crash:P@T' (processor "
-                           "P dies at T seconds), 'slow:PxF' or 'slow:PxF@T' "
-                           "(P runs F times slower from T), 'rate=R' (transient "
-                           "task-failure probability), 'retries=N', 'backoff=S', "
-                           "'seed=N'.  On --backend local the same plan drives "
-                           "REAL worker processes: crash directives SIGKILL the "
-                           "worker holding that batch, slow directives hang it "
-                           "past --batch-timeout, and the supervisor recovers. "
-                           "Example: --faults crash:0@0.05,slow:1x4,rate=0.1,seed=7")
-    cube.add_argument("--batch-timeout", type=float, default=None,
-                      metavar="SECONDS",
-                      help="local backend: declare a batch hung after this many "
-                           "seconds without any pool progress and retry it "
-                           "elsewhere (default 300)")
-    _add_mr_options(cube)
     _add_obs_options(cube)
 
     query = sub.add_parser("query", help="answer one iceberg group-by")
@@ -162,23 +121,10 @@ def build_parser():
                        help="leaf precompute backend: %s (default: local; "
                             "'mapreduce' streams splits through a "
                             "spill-to-disk shuffle for inputs larger than "
-                            "RAM)" % ", ".join(backend_names("store-build")))
-    build.add_argument("--workers", type=int, default=None,
-                       help="worker processes: mapreduce backend defaults "
-                            "to CPU count (capped at 8); the local backend "
-                            "aggregates in-process unless this (or "
-                            "--calibrate) asks for the pool")
-    build.add_argument("--calibrate", action="store_true",
-                       help="local backend: aggregate the leaves on the "
-                            "auto-tuned process pool (implies --workers = "
-                            "CPU count when --workers is not given)")
-    build.add_argument("--no-shm", action="store_true",
-                       help="local backend: keep the pool but ship the "
-                            "frame and results as pickles instead of "
-                            "shared-memory segments")
-    _add_mr_options(build)
-    build.add_argument("--processors", type=int, default=8)
-    build.add_argument("--cluster", default="cluster1", choices=sorted(CLUSTERS))
+                            "RAM)" % ", ".join(backend_names()))
+    _add_backend_options(build, (
+        "processors", "cluster", "workers", "calibrate", "reducers",
+        "memory_budget"))
     build.add_argument("--shards", type=int, default=None, metavar="N",
                        help="split the leaf cuboids across N shard stores "
                             "(written under OUT/shard-0 .. OUT/shard-N-1, "
@@ -361,16 +307,6 @@ def _add_threshold_options(parser):
                         help="HAVING SUM(measure) >= S (combines with --minsup)")
 
 
-def _add_mr_options(parser):
-    parser.add_argument("--mr-reducers", type=int, default=None, metavar="N",
-                        help="mapreduce backend: reducer partitions owning "
-                             "lattice regions (default: the worker count)")
-    parser.add_argument("--mr-memory-budget", default=None, metavar="BYTES",
-                        help="mapreduce backend: per-mapper pending-run "
-                             "budget before spilling sorted runs to disk; "
-                             "accepts k/m/g suffixes, e.g. 64m (default 64m)")
-
-
 def parse_bytes(text):
     """Parse a byte count like ``64m``, ``1g`` or ``65536``."""
     body = str(text).strip().lower()
@@ -386,10 +322,21 @@ def parse_bytes(text):
         ) from None
 
 
-def _load_relation(args):
+def _load_source(args, streaming=False):
+    """The input as ``(source, dims)``: a relation — or, for a backend
+    with the ``streaming`` capability, a stream of row splits.
+
+    Streamed weather inputs come as regenerable splits that never
+    materialize the relation; CSV inputs are loaded (they are on disk
+    already) and wrapped split by split, already projected on ``dims``.
+    """
+    from .data.stream import stream_from_relation, weather_stream
+
     if args.csv:
         relation = load_csv(args.csv)
         dims = tuple(args.dims.split(",")) if args.dims else None
+        if streaming:
+            return stream_from_relation(relation, dims=dims), None
         return relation, dims
     if args.dims and args.dims.isdigit():
         dims = baseline_dims(int(args.dims))
@@ -397,29 +344,8 @@ def _load_relation(args):
         dims = tuple(args.dims.split(","))
     else:
         dims = None
-    return weather_relation(args.weather, dims=dims), None
-
-
-def _load_stream(args):
-    """Streaming input for the mapreduce backend.
-
-    Weather and synthetic inputs come as regenerable row splits that
-    never materialize the relation; CSV inputs are loaded (they are on
-    disk already) and wrapped split by split.
-    """
-    from .data.stream import stream_from_relation, weather_stream
-
-    if args.csv:
-        relation = load_csv(args.csv)
-        dims = tuple(args.dims.split(",")) if args.dims else None
-        return stream_from_relation(relation, dims=dims)
-    if args.dims and args.dims.isdigit():
-        dims = baseline_dims(int(args.dims))
-    elif args.dims:
-        dims = tuple(args.dims.split(","))
-    else:
-        dims = None
-    return weather_stream(args.weather, dims=dims)
+    load = weather_stream if streaming else weather_relation
+    return load(args.weather, dims=dims), None
 
 
 def parse_fault_spec(spec):
@@ -460,6 +386,83 @@ def parse_fault_spec(spec):
     return FaultPlan(crashes=crashes, slowdowns=slowdowns, **options)
 
 
+#: Flags that set a backend option: option name -> (flag, argparse
+#: spec).  Which backends take an option is the registry's knowledge
+#: (``Backend.options``): it generates the "... backend:" help prefix in
+#: :func:`_add_backend_options` and decides in :func:`_backend_options`
+#: whether a given flag is honoured or refused.  Every default is
+#: ``None`` — "not given" — and the backend supplies its own.
+_BACKEND_FLAGS = {
+    "algorithm": ("--algorithm", dict(
+        choices=["rp", "bpp", "asl", "pt", "aht"],
+        help="parallel algorithm (default: pt, the recipe's default)")),
+    "processors": ("--processors", dict(
+        type=int, help="machines in the cluster (default 8)")),
+    "cluster": ("--cluster", dict(
+        choices=sorted(CLUSTERS),
+        help="machine and network preset (default cluster1)")),
+    "workers": ("--workers", dict(
+        type=int,
+        help="worker processes (default: CPU count, capped at 8; a local "
+             "'store build' aggregates in-process unless this or "
+             "--calibrate asks for the pool)")),
+    "batch_size": ("--batch-size", dict(
+        type=int,
+        help="fixed subtree tasks per pool batch (default: auto — a "
+             "calibration pass packs cost-balanced batches)")),
+    "calibrate": ("--calibrate", dict(
+        action="store_true",
+        help="force auto-calibrated batching even when --batch-size is "
+             "given; on 'store build', aggregate the leaves on the "
+             "process pool (CPU count workers when --workers is not given)")),
+    "fault_plan": ("--faults", dict(
+        type=parse_fault_spec, metavar="SPEC",
+        help="inject faults into the run; SPEC is comma-separated "
+             "directives: 'crash:P@T' (processor P dies at T seconds), "
+             "'slow:PxF' or 'slow:PxF@T' (P runs F times slower from T), "
+             "'rate=R' (transient task-failure probability), 'retries=N', "
+             "'backoff=S', 'seed=N'.  On the local and mapreduce backends "
+             "the same plan drives REAL worker processes: crash directives "
+             "SIGKILL the worker holding that batch, slow directives hang "
+             "it past --batch-timeout, and the supervisor recovers. "
+             "Example: --faults crash:0@0.05,slow:1x4,rate=0.1,seed=7")),
+    "batch_timeout": ("--batch-timeout", dict(
+        type=float, metavar="SECONDS",
+        help="declare a batch hung after this many seconds without any "
+             "pool progress and retry it elsewhere (default 300)")),
+    "reducers": ("--mr-reducers", dict(
+        type=int, metavar="N",
+        help="reducer partitions owning lattice regions (default: the "
+             "worker count)")),
+    "memory_budget": ("--mr-memory-budget", dict(
+        type=parse_bytes, metavar="BYTES",
+        help="per-mapper pending-run budget before spilling sorted runs "
+             "to disk; accepts k/m/g suffixes, e.g. 64m (default 64m)")),
+}
+
+
+def _add_backend_options(parser, names):
+    """Add the flags of the named backend options to ``parser``."""
+    for name in names:
+        flag, spec = _BACKEND_FLAGS[name]
+        takers = [backend for backend in backend_names()
+                  if name in BACKENDS[backend].options]
+        prefix = "" if len(takers) == len(BACKENDS) else "%s backend%s: " % (
+            ", ".join(takers), "s" if len(takers) > 1 else "")
+        parser.add_argument(flag, dest=name, default=None,
+                            **dict(spec, help=prefix + spec["help"]))
+
+
+def _backend_options(args, backend):
+    """The backend options given on the command line, as the keywords
+    ``backend.cube`` / ``backend.materialize`` take; a flag the chosen
+    backend does not take is refused, never silently dropped."""
+    given = {name: getattr(args, name) for name in _BACKEND_FLAGS
+             if getattr(args, name, None) is not None}
+    backend.check_options(given, spell=lambda name: _BACKEND_FLAGS[name][0])
+    return given
+
+
 def _threshold(args):
     conditions = []
     if args.minsup > 1 or args.min_sum is None:
@@ -479,146 +482,37 @@ def _decode_cell(relation, dims, cell):
 
 def cmd_cube(args, out):
     """Compute a full iceberg cube and print a summary (optionally export)."""
-    resolve_backend(args.backend, require={"cube"})
+    backend = resolve_backend(args.backend)
+    options = _backend_options(args, backend)
     threshold = _threshold(args)
+    streaming = backend.supports("streaming")
     active = _setup_obs(args)
     try:
-        if args.backend == "mapreduce":
-            return _cmd_cube_mapreduce(args, threshold, out)
-        relation, dims = _load_relation(args)
-        if args.backend == "local":
-            return _cmd_cube_local(args, relation, dims, threshold, out)
-        return _cmd_cube_simulated(args, relation, dims, threshold, out)
+        source, dims = _load_source(args, streaming)
+        started = time.perf_counter()
+        result = backend.cube(source, dims, threshold, **options)
+        elapsed = time.perf_counter() - started
+        if args.self_test:
+            _oracle_check(source.materialize() if streaming else source,
+                          dims, threshold, result, out)
+        print("backend          : %s" % backend.summary, file=out)
+        print("input            : %d tuples, dims %s"
+              % (len(source), ", ".join(result.dims)), file=out)
+        print("threshold        : HAVING %s" % threshold.describe(), file=out)
+        print("qualifying cells : %d in %d cuboids"
+              % (result.total_cells(), len(result.cuboids)), file=out)
+        print("output volume    : %.1f KB" % (result.output_bytes() / 1024),
+              file=out)
+        print("wall clock       : %.3f s" % elapsed, file=out)
+        for line in backend.cube_report(result, options):
+            print(line, file=out)
+        if args.export:
+            manifest = save_cube(result, args.export)
+            print("exported         : %d cuboid files under %s"
+                  % (len(manifest["cuboids"]), args.export), file=out)
+        return 0
     finally:
         _finish_obs(args, active, out)
-
-
-def _cmd_cube_simulated(args, relation, dims, threshold, out):
-    """The default path: the paper's simulated PC cluster."""
-    cluster = CLUSTERS[args.cluster](args.processors)
-    fault_plan = parse_fault_spec(args.faults) if args.faults else None
-    run = iceberg_cube(relation, dims=dims, minsup=threshold,
-                       algorithm=args.algorithm, cluster_spec=cluster,
-                       fault_plan=fault_plan)
-    if args.self_test:
-        _oracle_check(relation, dims, threshold, run.result, out)
-    print("algorithm        : %s" % run.algorithm, file=out)
-    print("input            : %d tuples, dims %s"
-          % (len(relation), ", ".join(run.result.dims)), file=out)
-    print("threshold        : HAVING %s" % threshold.describe(), file=out)
-    print("qualifying cells : %d in %d cuboids"
-          % (run.result.total_cells(), len(run.result.cuboids)), file=out)
-    print("output volume    : %.1f KB" % (run.result.output_bytes() / 1024), file=out)
-    print("simulated wall   : %.3f s on %d x %s (%s)"
-          % (run.makespan, len(cluster), cluster.machines[0].name,
-             cluster.network.name), file=out)
-    print("load imbalance   : %.2f" % run.simulation.load_imbalance(), file=out)
-    if fault_plan is not None:
-        sim = run.simulation
-        print("recovery         : %d retries, %d reassignments, %.3f s work lost"
-              % (sim.retries, sim.reassignments, sim.lost_work_seconds), file=out)
-        failed = sim.failed_processors
-        print("failed nodes     : %s (survivors finished at %.3f s)"
-              % (list(failed) if failed else "none", sim.degraded_makespan),
-              file=out)
-    if args.export:
-        manifest = save_cube(run.result, args.export)
-        print("exported         : %d cuboid files under %s"
-              % (len(manifest["cuboids"]), args.export), file=out)
-    return 0
-
-
-def _cmd_cube_local(args, relation, dims, threshold, out):
-    """The ``--backend local`` path: a real process pool, real seconds."""
-    import time as _time
-
-    from .parallel.local import multiprocess_iceberg_cube
-
-    fault_plan = parse_fault_spec(args.faults) if args.faults else None
-    batch_size = None if args.calibrate else args.batch_size
-    started = _time.perf_counter()
-    result = multiprocess_iceberg_cube(
-        relation, dims=dims, minsup=threshold, workers=args.workers,
-        batch_size=batch_size, kernel=args.kernel,
-        fault_plan=fault_plan, batch_timeout=args.batch_timeout,
-        use_shm=not args.no_shm,
-    )
-    elapsed = _time.perf_counter() - started
-    if args.self_test:
-        _oracle_check(relation, dims, threshold, result, out)
-    print("backend          : local process pool (%s kernel)"
-          % args.kernel, file=out)
-    print("input            : %d tuples, dims %s"
-          % (len(relation), ", ".join(result.dims)), file=out)
-    print("threshold        : HAVING %s" % threshold.describe(), file=out)
-    print("qualifying cells : %d in %d cuboids"
-          % (result.total_cells(), len(result.cuboids)), file=out)
-    print("output volume    : %.1f KB" % (result.output_bytes() / 1024), file=out)
-    print("wall clock       : %.3f s (%s workers, batch size %s%s)"
-          % (elapsed, args.workers if args.workers else "auto",
-             batch_size if batch_size else "auto",
-             ", no shm" if args.no_shm else ""), file=out)
-    recovery = getattr(result, "recovery", None)
-    if fault_plan is not None and recovery is not None:
-        print("recovery         : %d retries, %d pool respawns, %d worker "
-              "crashes, %d stalls, %d segments swept, %.3f s backoff"
-              % (recovery.retries, recovery.respawns, recovery.worker_crashes,
-                 recovery.stalls, recovery.segments_swept,
-                 recovery.backoff_seconds), file=out)
-    if args.export:
-        manifest = save_cube(result, args.export)
-        print("exported         : %d cuboid files under %s"
-              % (len(manifest["cuboids"]), args.export), file=out)
-    return 0
-
-
-def _cmd_cube_mapreduce(args, threshold, out):
-    """The ``--backend mapreduce`` path: one shuffle round, real disk."""
-    from .mr import mapreduce_iceberg_cube
-
-    stream = _load_stream(args)
-    fault_plan = parse_fault_spec(args.faults) if args.faults else None
-    budget = (parse_bytes(args.mr_memory_budget)
-              if args.mr_memory_budget else None)
-    result = mapreduce_iceberg_cube(
-        stream, minsup=threshold, workers=args.workers,
-        reducers=args.mr_reducers, memory_budget=budget,
-        fault_plan=fault_plan, batch_timeout=args.batch_timeout,
-    )
-    if args.self_test:
-        _oracle_check(stream.materialize(), None, threshold, result, out)
-    stats = result.mr_stats
-    print("backend          : mapreduce (one round, spill-to-disk shuffle)",
-          file=out)
-    print("input            : %d tuples in %d splits, dims %s"
-          % (stream.n_rows, len(stream.splits), ", ".join(result.dims)),
-          file=out)
-    print("threshold        : HAVING %s" % threshold.describe(), file=out)
-    print("map phase        : %d tasks, %d spills, %.1f KB shuffled in %.3f s"
-          % (stats.map_tasks, stats.spills, stats.spill_bytes / 1024,
-             stats.map_seconds), file=out)
-    print("reduce phase     : %d tasks, %d runs merged in %.3f s"
-          % (stats.reduce_tasks, stats.runs_merged, stats.reduce_seconds),
-          file=out)
-    print("qualifying cells : %d in %d cuboids"
-          % (result.total_cells(), len(result.cuboids)), file=out)
-    print("output volume    : %.1f KB" % (result.output_bytes() / 1024),
-          file=out)
-    if fault_plan is not None:
-        for phase, recovery in (("map", stats.map_recovery),
-                                ("reduce", stats.reduce_recovery)):
-            print("%s recovery     %s: %d retries, %d pool respawns, %d worker "
-                  "crashes, %d stalls"
-                  % (phase, " " * (6 - len(phase)), recovery.retries,
-                     recovery.respawns, recovery.worker_crashes,
-                     recovery.stalls), file=out)
-        print("orphans swept    : %d spill files" % stats.orphan_files_swept,
-              file=out)
-    if args.export:
-        manifest = save_cube(result, args.export)
-        print("exported         : %d cuboid files under %s"
-              % (len(manifest["cuboids"]), args.export), file=out)
-    return 0
 
 
 def _oracle_check(relation, dims, threshold, result, out):
@@ -638,7 +532,7 @@ def _oracle_check(relation, dims, threshold, result, out):
 
 def cmd_query(args, out):
     """Answer one iceberg group-by and print its top cells."""
-    relation, _dims = _load_relation(args)
+    relation, _dims = _load_source(args)
     group_by = tuple(args.group_by.split(","))
     threshold = _threshold(args)
     cells = iceberg_query(relation, group_by, having=threshold,
@@ -658,7 +552,7 @@ def cmd_query(args, out):
 
 def cmd_recipe(args, out):
     """Print the Figure 4.7 recommendation for the workload."""
-    relation, dims = _load_relation(args)
+    relation, dims = _load_source(args)
     picks = recommend_for(relation, dims)
     print("workload: %d tuples, %d dims, cardinality product %.2e"
           % (len(relation), len(dims or relation.dims),
@@ -688,25 +582,8 @@ def cmd_bench(args, out):
     return 0 if result.passed else 1
 
 
-def _store_workers(args):
-    """``store build``'s local-backend worker count.
-
-    ``--workers N`` is explicit; ``--calibrate`` alone asks for the
-    auto-tuned pool at CPU count (capped like the cube backend); neither
-    keeps the in-process leaf aggregation.
-    """
-    if args.workers is not None:
-        return args.workers
-    if args.calibrate:
-        import os as _os
-        return min(8, _os.cpu_count() or 1)
-    return None
-
-
 def cmd_store(args, out):
     """Build a persistent cube store from an input relation."""
-    from .serve import CubeStore
-
     if args.store_command == "compact":
         active = _setup_obs(args)
         try:
@@ -715,27 +592,36 @@ def cmd_store(args, out):
             _finish_obs(args, active, out)
     if args.store_command == "migrate":
         return _cmd_store_migrate(args, out)
-    resolve_backend(args.backend, require={"store-build"})
+    backend = resolve_backend(args.backend)
+    options = _backend_options(args, backend)
     active = _setup_obs(args)
     try:
-        if args.backend == "mapreduce":
-            return _cmd_store_mapreduce(args, out)
-        relation, dims = _load_relation(args)
-        cluster = CLUSTERS[args.cluster](args.processors)
-        if args.shards is not None:
-            return _cmd_store_sharded(args, relation, dims, cluster, out)
-        store = CubeStore.build(relation, args.out, dims=dims,
-                                cluster_spec=cluster, backend=args.backend,
-                                workers=_store_workers(args),
-                                use_shm=not args.no_shm)
-        print("built cube store : %s (%s backend)" % (args.out, args.backend),
+        source, dims = _load_source(args, backend.supports("streaming"))
+        stores = backend.materialize(source, args.out, dims,
+                                     shards=args.shards, **options)
+        print("built cube store : %s (%s backend)" % (args.out, backend.name),
               file=out)
         print("input            : %d tuples, dims %s"
-              % (len(relation), ", ".join(store.dims)), file=out)
-        print("stored leaves    : %d (sorted columnar runs), %d cells"
-              % (len(store.leaves), store.total_cells()), file=out)
-        print("generation       : %d" % store.generation, file=out)
-        store.close()
+              % (len(source), ", ".join(stores[0].dims)), file=out)
+        for line in backend.store_report(stores, options):
+            print(line, file=out)
+        if args.shards is None:
+            print("stored leaves    : %d (sorted columnar runs), %d cells"
+                  % (len(stores[0].leaves), stores[0].total_cells()),
+                  file=out)
+            print("generation       : %d" % stores[0].generation, file=out)
+        else:
+            print("sharded build    : %d shards over %d leaf cuboids"
+                  % (args.shards, sum(len(store.leaves) for store in stores)),
+                  file=out)
+            for index, store in enumerate(stores):
+                print("  shard %d/%d      : %s — %d leaves, %d cells"
+                      % (index, args.shards, store.directory,
+                         len(store.leaves), store.total_cells()), file=out)
+            print("serve each shard : repro-cube serve --store %s/shard-I "
+                  "--shard I/%d" % (args.out, args.shards), file=out)
+        for store in stores:
+            store.close()
         return 0
     finally:
         _finish_obs(args, active, out)
@@ -794,79 +680,6 @@ def _cmd_store_migrate(args, out):
     leaves, cells = CubeStore.migrate(args.directory, _read_v2_leaf)
     print("migrated store   : %s (format 2 -> 3)" % args.directory, file=out)
     print("leaves           : %d, %d cells" % (leaves, cells), file=out)
-    return 0
-
-
-def _cmd_store_mapreduce(args, out):
-    """``store build --backend mapreduce``: one pass, streaming input.
-
-    Sharded builds (``--shards N``) still run a *single* MapReduce
-    round — reducers route each leaf file into its shard directory and
-    one manifest is assembled per shard.
-    """
-    from .mr import mapreduce_materialize
-
-    stream = _load_stream(args)
-    if args.shards is not None and args.shards < 1:
-        raise ReproError("--shards must be >= 1, got %d" % args.shards)
-    budget = (parse_bytes(args.mr_memory_budget)
-              if args.mr_memory_budget else None)
-    built = mapreduce_materialize(
-        stream, args.out, workers=args.workers, reducers=args.mr_reducers,
-        memory_budget=budget, shards=args.shards,
-    )
-    stores = built if isinstance(built, list) else [built]
-    stats = stores[0].mr_stats
-    print("built cube store : %s (mapreduce backend)" % args.out, file=out)
-    print("input            : %d tuples in %d splits, dims %s"
-          % (stream.n_rows, len(stream.splits), ", ".join(stores[0].dims)),
-          file=out)
-    print("map phase        : %d tasks, %d spills, %.1f KB shuffled in %.3f s"
-          % (stats.map_tasks, stats.spills, stats.spill_bytes / 1024,
-             stats.map_seconds), file=out)
-    print("reduce phase     : %d tasks, %d runs merged, %d cells in %.3f s"
-          % (stats.reduce_tasks, stats.runs_merged, stats.cells_written,
-             stats.reduce_seconds), file=out)
-    if args.shards is None:
-        print("stored leaves    : %d (sorted columnar runs), %d cells"
-              % (len(stores[0].leaves), stores[0].total_cells()), file=out)
-    else:
-        for index, store in enumerate(stores):
-            print("  shard %d/%d      : %s — %d leaves, %d cells"
-                  % (index, args.shards,
-                     "%s/shard-%d" % (args.out, index),
-                     len(store.leaves), store.total_cells()), file=out)
-        print("serve each shard : repro-cube serve --store %s/shard-I "
-              "--shard I/%d" % (args.out, args.shards), file=out)
-    for store in stores:
-        store.close()
-    return 0
-
-
-def _cmd_store_sharded(args, relation, dims, cluster, out):
-    """Build one shard store per shard under ``OUT/shard-<i>``."""
-    import os
-
-    from .serve import CubeStore, ShardMap
-
-    if args.shards < 1:
-        raise ReproError("--shards must be >= 1, got %d" % args.shards)
-    shard_map = ShardMap(dims or relation.dims, args.shards)
-    print("sharded build    : %d shards over %d leaf cuboids (%s backend)"
-          % (args.shards, len(shard_map.leaves), args.backend), file=out)
-    for index in range(args.shards):
-        directory = os.path.join(args.out, "shard-%d" % index)
-        store = CubeStore.build(relation, directory, dims=dims,
-                                cluster_spec=cluster, backend=args.backend,
-                                shard=(index, args.shards),
-                                workers=_store_workers(args),
-                                use_shm=not args.no_shm)
-        print("  shard %d/%d      : %s — %d leaves, %d cells"
-              % (index, args.shards, directory, len(store.leaves),
-                 store.total_cells()), file=out)
-        store.close()
-    print("serve each shard : repro-cube serve --store %s/shard-I --shard I/%d"
-          % (args.out, args.shards), file=out)
     return 0
 
 
@@ -1089,8 +902,6 @@ def _router_self_test(n_queries, endpoint, router, out):
 def main(argv=None, out=None):
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "cube": cmd_cube,
         "compute": cmd_cube,
@@ -1102,6 +913,9 @@ def main(argv=None, out=None):
         "router": cmd_router,
     }
     try:
+        # Parsing is inside the guard: --faults and --mr-memory-budget
+        # are parsed by argparse ``type=`` callables that raise ReproError.
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args, out)
     except ReproError as exc:
         print("error: %s" % exc, file=out)

@@ -13,15 +13,12 @@ from .apriori_cube import apriori_iceberg_cube
 from .arraycube import array_iceberg_cube
 from .buc import BucEngine, PrefixCache, buc_iceberg_cube
 from .columnar import (
-    HAS_NUMPY,
     KERNELS,
     ColumnarFrame,
-    ColumnarKernel,
     KeyPacking,
     NumpyKernel,
     PythonKernel,
     aggregate_cuboid,
-    best_kernel_name,
     resolve_kernel,
 )
 from .naive import naive_cuboid, naive_iceberg_cube
@@ -66,14 +63,11 @@ __all__ = [
     "PrefixCache",
     "buc_iceberg_cube",
     "ColumnarFrame",
-    "ColumnarKernel",
     "NumpyKernel",
     "PythonKernel",
     "KeyPacking",
     "KERNELS",
-    "HAS_NUMPY",
     "aggregate_cuboid",
-    "best_kernel_name",
     "resolve_kernel",
     "pipesort_iceberg_cube",
     "plan_pipesort",

@@ -23,10 +23,10 @@ The *refinement* machinery — how a row-index range is partitioned by
 one dimension — is a swappable strategy (``kernel=``): the default
 :class:`~repro.core.columnar.PythonKernel` reproduces the seed
 behaviour bit-for-bit (cells *and* OpStats pricing, so every simulated
-figure is unchanged), while ``"columnar"``/``"numpy"``/``"auto"``
-select the fast kernels from :mod:`repro.core.columnar` for real
-wall-clock work.  All kernels refine in ascending code order with
-stable within-group row order, so the produced cells are identical.
+figure is unchanged), while ``"numpy"`` (or ``"auto"``) selects the
+vectorised kernel from :mod:`repro.core.columnar` for real wall-clock
+work.  Both kernels refine in ascending code order with stable
+within-group row order, so the produced cells are identical.
 """
 
 from .. import obs
@@ -81,8 +81,8 @@ class BucEngine:
         measures the difference.
 
         ``kernel`` selects the refinement machinery: ``"python"`` (the
-        default, seed-identical), ``"columnar"``, ``"numpy"`` or
-        ``"auto"`` (see :mod:`repro.core.columnar`), or a prebuilt
+        default, seed-identical), ``"numpy"`` or ``"auto"`` (the
+        vectorised kernel, see :mod:`repro.core.columnar`), or a prebuilt
         kernel instance — in which case ``relation`` may be ``None``
         (worker processes build kernels from shared column buffers)."""
         self.dims = tuple(dims)
@@ -234,8 +234,8 @@ def buc_iceberg_cube(relation, dims=None, minsup=1, breadth_first=False, writer=
     inspect both the cells and the I/O pattern.  ``counting_sort``
     enables the BUC paper's linear bucketing for low-cardinality
     dimensions; ``kernel`` swaps the refinement machinery (``"python"``
-    keeps the seed pricing, ``"columnar"``/``"numpy"``/``"auto"`` run
-    the fast columnar kernels).
+    keeps the seed pricing, ``"numpy"``/``"auto"`` run the vectorised
+    kernel).
     """
     if dims is None:
         dims = relation.dims

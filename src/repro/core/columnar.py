@@ -17,15 +17,14 @@ module supplies the machinery for real speed:
   buffer, and (cardinalities permitting) the packed key of every row.
   Buffers are cheap to pickle and are shared copy-on-write by forked
   worker processes.
-* Swappable refinement kernels for :class:`~repro.core.buc.BucEngine`:
+* Two refinement kernels for :class:`~repro.core.buc.BucEngine`:
   :class:`PythonKernel` (the seed behaviour, bit-for-bit, including its
-  OpStats pricing), :class:`ColumnarKernel` (stdlib counting/radix
-  passes over the column buffers — BUC's recursion is an MSD radix sort
-  over the packed key fields, and each level's refinement becomes one
-  counting pass), and :class:`NumpyKernel` (vectorised
-  ``argsort``/``bincount``/``reduceat`` for large ranges, falling back
-  to the stdlib path for the small ranges deep in the recursion where
-  vectorisation overhead dominates).
+  OpStats pricing — the oracle the simulated figures and the op-count
+  stats need) and :class:`NumpyKernel` (vectorised
+  ``argsort``/``bincount``/``reduceat`` for large ranges, a stdlib loop
+  for the small ranges deep in the recursion where vectorisation
+  overhead dominates — BUC's recursion is an MSD radix sort over the
+  packed key fields, and each level's refinement is one pass).
 * :func:`aggregate_cuboid` — one-pass group-by over the packed keys,
   for anywhere a single cuboid is needed as a ``{cell: (count, sum)}``
   dict without the full BUC recursion.
@@ -42,7 +41,7 @@ and every consumer falls back to tuple keys (the
 ``test_columnar`` suite covers the fallback path).
 
 ``numpy`` is a declared dependency and imported unconditionally;
-``kernel="auto"`` picks the fastest implementation.
+``kernel="auto"`` is the vectorised kernel.
 """
 
 import io
@@ -55,15 +54,11 @@ import numpy as _np
 from ..errors import PlanError, SchemaError
 from .thresholds import AndThreshold, CountThreshold, SumThreshold
 
-#: numpy is a declared dependency, imported unconditionally; the flag is
-#: kept for the benches and tests that still read it.
-HAS_NUMPY = True
-
 #: Packed keys must fit a signed 64-bit machine word (``array('q')``).
 MAX_KEY_BITS = 63
 
-#: Ranges shorter than this are refined with the stdlib path even by the
-#: numpy kernel: per-call vectorisation overhead beats the loop there.
+#: Ranges shorter than this are refined with a stdlib loop by the numpy
+#: kernel: per-call vectorisation overhead beats the loop there.
 SMALL_RANGE = 32
 
 log = logging.getLogger(__name__)
@@ -736,6 +731,17 @@ def _level_from_groups(groups):
     )
 
 
+def _refine_segments_loop(kernel, segments, position, stats, threshold):
+    """Reference ``refine_segments``: loop ``refine`` over every range."""
+    out = [kernel.refine(s, e, position, stats) for s, e in segments]
+    if threshold is None:
+        return out
+    qualifies = threshold.qualifies
+    return [
+        [g for g in groups if qualifies(g[3], g[4])] for groups in out
+    ]
+
+
 def _refine_level_loop(kernel, cells, starts, counts, position, stats,
                        threshold):
     """Reference ``refine_level``: loop ``refine`` over every group."""
@@ -799,13 +805,8 @@ class PythonKernel:
         call count then scales with processing-tree *edges*, not
         qualifying *cells*.
         """
-        out = [self.refine(s, e, position, stats) for s, e in segments]
-        if threshold is None:
-            return out
-        qualifies = threshold.qualifies
-        return [
-            [g for g in groups if qualifies(g[3], g[4])] for groups in out
-        ]
+        return _refine_segments_loop(self, segments, position, stats,
+                                     threshold)
 
     def level_from_groups(self, groups):
         """Pack root groups into this kernel's level-state representation."""
@@ -889,134 +890,8 @@ class PythonKernel:
         return groups
 
 
-class ColumnarKernel:
-    """Stdlib columnar refinement over ``array('q')`` buffers.
-
-    Low-cardinality levels (``card <= 4 * range``) are refined with a
-    dense counting pass — two linear sweeps, no comparator calls — which
-    is exactly one digit of an MSD radix sort over the packed key
-    layout; high-cardinality levels fall back to timsort on the column
-    codes.  Group order (ascending code, stable within a code) and
-    float accumulation order match :class:`PythonKernel` exactly, so
-    cells are bit-identical.
-    """
-
-    name = "columnar"
-
-    def __init__(self, frame):
-        self.frame = frame
-        # Hot loops run over plain lists: CPython list indexing returns
-        # cached small ints / existing objects, while array('q') boxes a
-        # fresh int per access.  The frame keeps the compact buffers for
-        # pickling / copy-on-write sharing; the kernel trades memory for
-        # per-access speed once at construction.
-        self.columns = [column.tolist() for column in frame.columns]
-        self.cardinalities = frame.cardinalities
-        self.measures = frame.measures.tolist()
-        self.idx = list(range(frame.n_rows))
-
-    @classmethod
-    def from_relation(cls, relation, dims, counting_sort=False):
-        """Build the kernel (and its frame) straight from a relation."""
-        return cls(ColumnarFrame.from_relation(relation, dims))
-
-    def __len__(self):
-        return len(self.idx)
-
-    def all_aggregate(self):
-        return len(self.measures), sum(self.measures)
-
-    def refine_segments(self, segments, position, stats, threshold=None):
-        """Refine several disjoint ascending ranges by one dimension."""
-        out = [self.refine(s, e, position, stats) for s, e in segments]
-        if threshold is None:
-            return out
-        qualifies = threshold.qualifies
-        return [
-            [g for g in groups if qualifies(g[3], g[4])] for groups in out
-        ]
-
-    def level_from_groups(self, groups):
-        return _level_from_groups(groups)
-
-    def refine_level(self, level, position, stats, threshold=None,
-                     need_rows=True):
-        cells, starts, counts, _sums = level
-        return _refine_level_loop(self, cells, starts, counts, position,
-                                  stats, threshold)
-
-    def refine(self, start, end, position, stats):
-        n = end - start
-        card = self.cardinalities[position]
-        # Counting pays off once the range amortises the O(card) bucket
-        # bookkeeping; tiny ranges are cheaper under timsort.
-        if n >= SMALL_RANGE and 0 < card <= 4 * n:
-            return self._refine_counting(start, end, position, stats)
-        return self._refine_sorted(start, end, position, stats)
-
-    def _refine_sorted(self, start, end, position, stats):
-        idx = self.idx
-        col = self.columns[position]
-        block = sorted(idx[start:end], key=col.__getitem__)
-        idx[start:end] = block
-        stats.add_sort(end - start)
-        measures = self.measures
-        groups = []
-        s = start
-        while s < end:
-            value = col[idx[s]]
-            total = measures[idx[s]]
-            e = s + 1
-            while e < end and col[idx[e]] == value:
-                total += measures[idx[e]]
-                e += 1
-            groups.append((value, s, e, e - s, total))
-            s = e
-        stats.add_scan(end - start)
-        stats.add_groups(len(groups))
-        return groups
-
-    def _refine_counting(self, start, end, position, stats):
-        """One radix digit: count codes, place rows, sum measures."""
-        idx = self.idx
-        col = self.columns[position]
-        card = self.cardinalities[position]
-        n = end - start
-        seg = idx[start:end]
-        counts = [0] * card
-        for i in seg:
-            counts[col[i]] += 1
-        starts = [0] * card
-        cursor = [0] * card
-        position_acc = start
-        for value in range(card):
-            count = counts[value]
-            if count:
-                starts[value] = position_acc
-                cursor[value] = position_acc
-                position_acc += count
-        sums = [0.0] * card
-        measures = self.measures
-        for i in seg:
-            value = col[i]
-            idx[cursor[value]] = i
-            cursor[value] += 1
-            sums[value] += measures[i]
-        groups = []
-        for value in range(card):
-            count = counts[value]
-            if count:
-                s = starts[value]
-                groups.append((value, s, s + count, count, sums[value]))
-        stats.partition_moves += 2 * n
-        stats.add_sort(len(groups))
-        stats.add_scan(n)
-        stats.add_groups(len(groups))
-        return groups
-
-
-class NumpyKernel(ColumnarKernel):
-    """Columnar refinement with a vectorised fast path.
+class NumpyKernel:
+    """Columnar refinement over a :class:`ColumnarFrame`, vectorised.
 
     Single large ranges are refined with a stable ``argsort`` (numpy
     selects radix sort for integer dtypes), boundary detection by
@@ -1025,15 +900,25 @@ class NumpyKernel(ColumnarKernel):
     *every* sibling group of a cuboid by the same dimension, so all
     segments are partitioned in one pass over the composite key
     ``segment_id * cardinality + code`` — one vectorised call per
-    processing-tree edge instead of one per qualifying cell.  Tiny
-    workloads fall back to the stdlib path, whose per-call constant is
-    smaller than numpy's.
+    processing-tree edge instead of one per qualifying cell.  Ranges
+    shorter than :data:`SMALL_RANGE` take a stdlib loop, whose per-call
+    constant is smaller than numpy's.  Group order (ascending code,
+    stable within a code) and float accumulation order on the small
+    paths match :class:`PythonKernel` exactly.
     """
 
     name = "numpy"
 
     def __init__(self, frame):
-        super().__init__(frame)
+        self.frame = frame
+        # The small-range loops run over plain lists: CPython list
+        # indexing returns cached small ints / existing objects, while
+        # array('q') boxes a fresh int per access.  The frame keeps the
+        # compact buffers for shipping; the kernel trades memory for
+        # per-access speed once at construction.
+        self.columns = [column.tolist() for column in frame.columns]
+        self.cardinalities = frame.cardinalities
+        self.measures = frame.measures.tolist()
         self._np_columns = [
             _np.frombuffer(column, dtype=_np.int64) if len(column) else
             _np.empty(0, dtype=_np.int64)
@@ -1049,6 +934,17 @@ class NumpyKernel(ColumnarKernel):
         self._np_idx = _np.arange(frame.n_rows, dtype=_np.int64)
         self.idx = self._np_idx  # shared view for introspection/tests
 
+    @classmethod
+    def from_relation(cls, relation, dims, counting_sort=False):
+        """Build the kernel (and its frame) straight from a relation."""
+        return cls(ColumnarFrame.from_relation(relation, dims))
+
+    def __len__(self):
+        return len(self.idx)
+
+    def all_aggregate(self):
+        return len(self.measures), sum(self.measures)
+
     def refine_segments(self, segments, position, stats, threshold=None):
         total = 0
         for s, e in segments:
@@ -1056,8 +952,8 @@ class NumpyKernel(ColumnarKernel):
         card = self.cardinalities[position]
         if (total < SMALL_RANGE or card <= 0
                 or len(segments) * card >= (1 << 62)):
-            return super().refine_segments(segments, position, stats,
-                                           threshold)
+            return _refine_segments_loop(self, segments, position, stats,
+                                         threshold)
         n_segs = len(segments)
         starts = _np.fromiter((s for s, _e in segments), dtype=_np.int64,
                               count=n_segs)
@@ -1296,51 +1192,21 @@ class NumpyKernel(ColumnarKernel):
         return groups
 
 
-#: Kernel names accepted by ``BucEngine(kernel=...)`` and the CLI.
-KERNELS = ("python", "columnar", "numpy", "auto")
-
-
-def best_kernel_name():
-    """The fastest kernel."""
-    return "numpy"
+#: Kernel names accepted by ``BucEngine(kernel=...)``.
+KERNELS = ("python", "numpy", "auto")
 
 
 def resolve_kernel(kernel):
     """Normalise a kernel name to a ``(relation, dims, counting_sort)``
-    factory.  ``"auto"`` resolves to the fastest available
-    implementation; an object exposing ``refine`` passes through as a
-    prebuilt instance factory."""
+    factory.  ``"auto"`` is the vectorised kernel; an object exposing
+    ``refine`` passes through as a prebuilt instance factory."""
     if hasattr(kernel, "refine"):
         return lambda relation, dims, counting_sort=False: kernel
     name = str(kernel).lower()
-    if name == "auto":
-        name = best_kernel_name()
     if name == "python":
         return PythonKernel
-    if name == "columnar":
-        return ColumnarKernel.from_relation
-    if name == "numpy":
+    if name in ("numpy", "auto"):
         return NumpyKernel.from_relation
     raise PlanError(
         "unknown kernel %r (have %s)" % (kernel, ", ".join(KERNELS))
-    )
-
-
-def kernel_from_frame(kernel, frame):
-    """Instantiate a columnar-family kernel over a prebuilt frame.
-
-    This is the worker-process entry point: the frame's buffers are
-    shared copy-on-write after ``fork``, so no per-worker re-extraction
-    happens.  ``"python"`` is rejected — it has no frame form.
-    """
-    name = str(kernel).lower()
-    if name == "auto":
-        name = best_kernel_name()
-    if name == "columnar":
-        return ColumnarKernel(frame)
-    if name == "numpy":
-        return NumpyKernel(frame)
-    raise PlanError(
-        "kernel %r cannot run over a shared frame (use 'columnar', "
-        "'numpy' or 'auto')" % (kernel,)
     )

@@ -16,20 +16,11 @@ then answered threshold changes instantly.  The
 ordering.
 """
 
-import time
-
-from ..core.columnar import CellRun, ColumnarFrame, code_matrix, leaf_run
+from ..backends import resolve_backend
+from ..core.columnar import code_matrix
 from ..core.thresholds import as_threshold
 from ..errors import PlanError
 from ..lattice.lattice import CubeLattice
-from ..parallel.asl import ASL
-
-#: Precompute backends: ``"simulated"`` runs the leaves through the
-#: simulated ASL cluster (``precompute_seconds`` is the modelled
-#: makespan, as in the Section 5.1 comparison); ``"local"`` aggregates
-#: each leaf over a columnar frame at real machine speed
-#: (``precompute_seconds`` is the measured wall clock).
-BACKENDS = ("simulated", "local")
 
 
 def leaf_cuboids(dims):
@@ -52,16 +43,21 @@ class LeafMaterialization:
     :class:`~repro.serve.store.CubeStore` shares."""
 
     def __init__(self, relation, dims=None, cluster_spec=None, cost_model=None,
-                 backend="simulated", leaves=None, workers=None, use_shm=True):
-        """``leaves`` restricts the precompute to a subset of the
-        processing tree's leaf cuboids (one shard's worth, for the
-        sharded serving tier); the default materializes them all.
+                 backend="simulated", leaves=None, workers=None):
+        """``backend`` names the :mod:`repro.backends` entry whose
+        ``leaf_runs`` precomputes the leaves: ``"simulated"`` runs them
+        through the simulated ASL cluster (``precompute_seconds`` is the
+        modelled makespan, as in the Section 5.1 comparison; takes
+        ``cluster_spec`` / ``cost_model``), ``"local"`` aggregates each
+        leaf over a columnar frame at real machine speed
+        (``precompute_seconds`` is the measured wall clock; ``workers``
+        > 1 spreads the leaves over the supervised process pool,
+        ``None`` or ``1`` stays in-process).  An option the backend does
+        not take is refused, not ignored.
 
-        ``workers`` (local backend only) aggregates the leaves on the
-        supervised process pool with shared-memory transport
-        (:func:`~repro.parallel.local.multiprocess_leaf_cells`);
-        ``None`` or ``1`` keeps the in-process path.  ``use_shm=False``
-        falls back to pickled results on the pool."""
+        ``leaves`` restricts the precompute to a subset of the
+        processing tree's leaf cuboids (one shard's worth, for the
+        sharded serving tier); the default materializes them all."""
         if dims is None:
             dims = relation.dims
         self.dims = tuple(dims)
@@ -77,37 +73,17 @@ class LeafMaterialization:
                 raise PlanError(
                     "not leaf cuboids of dims %r: %r" % (self.dims, rogue))
         self._leaf_set = frozenset(self.leaves)
-        if backend not in BACKENDS:
+        entry = resolve_backend(backend)
+        if entry.leaf_runs is None:
             raise PlanError(
-                "unknown materialization backend %r (have %s)"
-                % (backend, ", ".join(BACKENDS))
-            )
+                "the %s backend writes stores (CubeStore.build), not "
+                "in-memory materializations" % (backend,))
+        options = entry.given_options(
+            cluster_spec=cluster_spec, cost_model=cost_model, workers=workers)
         #: leaf cuboid -> CellRun of its unfiltered (minsup-1) cells;
         #: runs are immutable, an insert replaces them
-        if backend == "local":
-            started = time.perf_counter()
-            if workers is not None and workers != 1:
-                from ..parallel.local import multiprocess_leaf_cells
-                self._runs = multiprocess_leaf_cells(
-                    relation, self.leaves, dims=self.dims, workers=workers,
-                    use_shm=use_shm)
-            else:
-                frame = ColumnarFrame.from_relation(relation, self.dims)
-                self._runs = {leaf: leaf_run(frame, leaf)
-                              for leaf in self.leaves}
-            precompute_seconds = time.perf_counter() - started
-        else:
-            algo = ASL(cuboids=self.leaves)
-            run = algo.run(
-                relation, self.dims, minsup=1, cluster_spec=cluster_spec,
-                cost_model=cost_model,
-            )
-            self._runs = {
-                leaf: CellRun.from_cells(leaf, run.result.cuboids.get(leaf, {}))
-                for leaf in self.leaves
-            }
-            precompute_seconds = run.makespan
-        self.precompute_seconds = precompute_seconds
+        self._runs, self.precompute_seconds = entry.leaf_runs(
+            relation, self.dims, self.leaves, **options)
         self.total_rows = len(relation)
         self.total_measure = sum(relation.measures)
         #: bumped by every insert so serving caches can invalidate

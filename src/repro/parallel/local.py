@@ -11,7 +11,11 @@ root-prefix sorts between consecutive tasks (PT's affinity idea, here
 as a cache because the pool, not us, picks who runs what).
 
 **Data plane.**  Both directions of worker traffic run over shared
-memory (:mod:`repro.parallel.shm`), not pickled Python objects:
+memory (:mod:`repro.parallel.shm`), not pickled Python objects — the one
+transport; a segment the operating system refuses (an ``OSError`` at
+creation, which is also what a platform without
+``multiprocessing.shared_memory`` reads as) sends that one payload over
+the pool pipe instead, as the inline single-worker path always does:
 
 * *Input*: the :class:`~repro.core.columnar.ColumnarFrame` is written
   once into a run-scoped segment; workers map it read-only and build
@@ -75,7 +79,7 @@ from multiprocessing import get_context
 
 from .. import obs
 from ..core.buc import BucEngine, PrefixCache
-from ..core.columnar import CellRun, ColumnarFrame, kernel_from_frame, leaf_run
+from ..core.columnar import CellRun, ColumnarFrame, NumpyKernel, leaf_run
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold, validate_measures
 from ..core.writer import ResultWriter
@@ -134,8 +138,8 @@ _STATE = None
 class _WorkerState:
     """Per-process state, reused for every batch this worker runs."""
 
-    def __init__(self, frame_ship, threshold, kernel, fault_plan=None,
-                 tasks=(), transport=None, mode="cube"):
+    def __init__(self, frame_ship, threshold, fault_plan=None, tasks=(),
+                 transport=None, mode="cube"):
         self.frame_segment = None
         if frame_ship[0] == "segment":
             _tag, meta, descriptor = frame_ship
@@ -154,16 +158,16 @@ class _WorkerState:
         if mode == "cube":
             self.engine = BucEngine(
                 None, frame.dims, threshold, writer=ResultWriter(frame.dims),
-                kernel=kernel_from_frame(kernel, frame),
+                kernel=NumpyKernel(frame),
             )
             self.cache = PrefixCache()
 
 
-def _init_worker(frame_ship, threshold, kernel, fault_plan=None, tasks=(),
+def _init_worker(frame_ship, threshold, fault_plan=None, tasks=(),
                  transport=None, mode="cube"):
     global _STATE
-    _STATE = _WorkerState(frame_ship, threshold, kernel, fault_plan,
-                          tasks, transport, mode)
+    _STATE = _WorkerState(frame_ship, threshold, fault_plan, tasks,
+                          transport, mode)
 
 
 def _inject_fault(state, batch_id, attempt):
@@ -184,15 +188,18 @@ def _ship_result(state, batch_id, attempt, items, encode, n_cells):
 
     With a transport, ``encode(items)`` (bytes) is written into a fresh
     shared-memory segment and only ``("seg", descriptor, n_cells)``
-    crosses the pipe; without one (``use_shm=False``, or the inline
-    path) the items ride the pipe as ``("items", items)`` exactly as the
-    old pickled protocol did.  ``items`` is a list of ``(cuboid, cells)``
-    pairs (cube batches) or of :class:`CellRun` (leaf batches).
+    crosses the pipe; without one (the inline path), or when the segment
+    cannot be created, the items ride the pipe as ``("items", items)``.
+    ``items`` is a list of ``(cuboid, cells)`` pairs (cube batches) or
+    of :class:`CellRun` (leaf batches).
     """
     if state.transport is None:
         return ("items", items)
     payload = encode(items)
-    segment = state.transport.create(len(payload), tag="b%d" % batch_id)
+    try:
+        segment = state.transport.create(len(payload), tag="b%d" % batch_id)
+    except OSError:
+        return ("items", items)
     if attempt == 0 and os.environ.get(CHAOS_KILL_ENV) == str(batch_id):
         # Chaos hook: die halfway through the segment write, leaving a
         # half-written leak for the supervisor's sweep to reclaim.
@@ -580,9 +587,9 @@ def _plan_batches(tree, tasks, workers, rate):
 # entry points
 # ----------------------------------------------------------------------
 def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
-                              batch_size=None, kernel="auto", fault_plan=None,
+                              batch_size=None, fault_plan=None,
                               batch_timeout=None, max_retries=None,
-                              backoff_s=0.05, use_shm=True):
+                              backoff_s=0.05):
     """Compute the iceberg cube with a supervised local process pool.
 
     ``workers`` defaults to the machine's CPU count (capped at 8).  The
@@ -591,13 +598,8 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
     demand-driven queue.  ``batch_size=None`` (the default) runs the
     calibration pass: the smallest tasks are timed in-process and
     batches are packed to ~:data:`TARGET_BATCH_SECONDS` of estimated
-    work each; an integer keeps fixed-size batches.  ``kernel`` picks
-    the refinement implementation (``"auto"``, ``"columnar"`` or
-    ``"numpy"``).
-
-    ``use_shm=False`` (CLI ``--no-shm``) disables the shared-memory
-    data plane: the frame ships by fork/pickle and results return as
-    pickled cells — slower, but free of any platform shm quirks.
+    work each; an integer keeps fixed-size batches.  Workers refine
+    with :class:`~repro.core.columnar.NumpyKernel`.
 
     Robustness knobs: a worker death or a stall longer than
     ``batch_timeout`` seconds (default :data:`DEFAULT_BATCH_TIMEOUT`)
@@ -640,8 +642,7 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
     with obs.span("local.cube") as span:
         if span:
             span.set(rows=len(relation), dims=len(dims), workers=workers,
-                     batch_size=batch_size or 0, kernel=str(kernel),
-                     shm=bool(use_shm))
+                     batch_size=batch_size or 0)
         frame = ColumnarFrame.from_relation(relation, dims)
         tree = ProcessingTree(dims)
         result = CubeResult(dims)
@@ -653,7 +654,7 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
         if workers == 1 and fault_plan is None:
             # Inline: sequential BUC over the columnar kernel, no pool,
             # no transport.
-            _init_worker(("direct", frame), threshold, kernel,
+            _init_worker(("direct", frame), threshold,
                          tasks=binary_divide(tree, 1))
             _, shipped = _run_batch((0, 0, (0, 1), obs.inject()))
             merge(shipped[1])
@@ -665,9 +666,9 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
             tasks = binary_divide(tree, workers * TASKS_PER_WORKER)
             log = SupervisorLog()
             result.recovery = log
-            _pooled_cube(frame, tree, tasks, threshold, kernel, workers,
-                         batch_size, fault_plan, batch_timeout, max_retries,
-                         backoff_s, use_shm, log, merge, span)
+            _pooled_cube(frame, tree, tasks, threshold, workers, batch_size,
+                         fault_plan, batch_timeout, max_retries, backoff_s,
+                         log, merge)
             if span:
                 span.set(retries=log.retries, respawns=log.respawns,
                          crashes=log.worker_crashes, stalls=log.stalls,
@@ -682,17 +683,17 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
         return result
 
 
-def _pooled_cube(frame, tree, tasks, threshold, kernel, workers, batch_size,
-                 fault_plan, batch_timeout, max_retries, backoff_s, use_shm,
-                 log, merge, span):
+def _pooled_cube(frame, tree, tasks, threshold, workers, batch_size,
+                 fault_plan, batch_timeout, max_retries, backoff_s, log,
+                 merge):
     """The pool side of :func:`multiprocess_iceberg_cube`: calibrate,
     ship the frame, dispatch, decode-and-merge, clean up."""
-    transport, frame_ship, frame_segment = _open_transport(frame, use_shm)
+    transport, frame_ship, frame_segment = _open_transport(frame)
     try:
         if batch_size is None:
             engine = BucEngine(
                 None, frame.dims, threshold, writer=ResultWriter(frame.dims),
-                kernel=kernel_from_frame(kernel, frame),
+                kernel=NumpyKernel(frame),
             )
             with obs.span("local.calibrate") as cal_span:
                 rate, n_probed = _calibrate(tree, tasks, engine,
@@ -713,8 +714,8 @@ def _pooled_cube(frame, tree, tasks, threshold, kernel, workers, batch_size,
         on_result = _make_decoder(
             transport, merge,
             lambda buf: decode_result(buf, frame.dims, frame.packing))
-        initargs = (frame_ship, threshold, kernel, fault_plan, tasks,
-                    transport, "cube")
+        initargs = (frame_ship, threshold, fault_plan, tasks, transport,
+                    "cube")
         supervised_map(
             jobs, workers, _run_batch, _init_worker, initargs,
             fault_plan=fault_plan, batch_timeout=batch_timeout,
@@ -726,25 +727,27 @@ def _pooled_cube(frame, tree, tasks, threshold, kernel, workers, batch_size,
         _close_transport(transport, frame_segment, log)
 
 
-def _open_transport(frame, use_shm):
+def _open_transport(frame):
     """Set up the run's data plane.
 
-    Returns ``(transport, frame_ship, frame_segment)``; all ``None`` /
-    ``("direct", frame)`` when shared memory is disabled or the frame is
-    empty (nothing worth a segment).
+    Returns ``(transport, frame_ship, frame_segment)``.  The frame ships
+    as ``("direct", frame)`` over the pool's own fork/pickle, with no
+    segment, when it is empty (nothing worth a segment) or its segment
+    cannot be created.
     """
-    if not use_shm:
-        return None, ("direct", frame), None
-    run_id = uuid.uuid4().hex[:12]
-    transport = ShmTransport.for_run(run_id)
+    transport = ShmTransport(uuid.uuid4().hex[:12])
     frame_segment = None
     frame_ship = ("direct", frame)
     nbytes = frame.buffer_nbytes()
     if nbytes:
-        frame_segment = transport.create(nbytes, tag="frame")
-        frame.write_buffers(frame_segment.buf)
-        frame_ship = ("segment", frame.buffer_meta(),
-                      frame_segment.descriptor)
+        try:
+            frame_segment = transport.create(nbytes, tag="frame")
+        except OSError:
+            nbytes = 0  # nothing went through a segment
+        else:
+            frame.write_buffers(frame_segment.buf)
+            frame_ship = ("segment", frame.buffer_meta(),
+                          frame_segment.descriptor)
     active = obs.current()
     if active is not None:
         active.registry.counter(
@@ -787,8 +790,6 @@ def _make_decoder(transport, merge, decode):
 
 
 def _make_sweeper(transport, frame_segment, log):
-    if transport is None:
-        return None
     keep = (frame_segment.name,) if frame_segment is not None else ()
 
     def on_respawn():
@@ -807,13 +808,9 @@ def _make_sweeper(transport, frame_segment, log):
 
 
 def _close_transport(transport, frame_segment, log):
-    if transport is None:
-        return
     if frame_segment is not None:
         frame_segment.unlink()
-    leftover = transport.shutdown()
-    if leftover:
-        log.segments_swept += leftover
+    log.segments_swept += transport.sweep()
 
 
 def _merge_items(result, items):
@@ -838,9 +835,9 @@ def _merge_items(result, items):
 
 
 def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
-                            kernel="auto", batch_size=None, fault_plan=None,
+                            batch_size=None, fault_plan=None,
                             batch_timeout=None, max_retries=None,
-                            backoff_s=0.05, use_shm=True):
+                            backoff_s=0.05):
     """Aggregate ``leaves`` (minsup-1, all cells kept) on the pool.
 
     The store-build analogue of :func:`multiprocess_iceberg_cube`: each
@@ -878,10 +875,10 @@ def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
                              max(1, workers * BATCHES_PER_WORKER))
         jobs = list(_batched(len(leaves), batch_size))
         log = SupervisorLog()
-        transport, frame_ship, frame_segment = _open_transport(frame, use_shm)
+        transport, frame_ship, frame_segment = _open_transport(frame)
         try:
-            initargs = (frame_ship, as_threshold(1), kernel, fault_plan,
-                        leaves, transport, "leaves")
+            initargs = (frame_ship, as_threshold(1), fault_plan, leaves,
+                        transport, "leaves")
             supervised_map(
                 jobs, workers, _run_leaf_batch, _init_worker, initargs,
                 fault_plan=fault_plan, batch_timeout=batch_timeout,

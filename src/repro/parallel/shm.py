@@ -15,11 +15,14 @@ that with segments of bit-packed arrays:
   column can hold).  Counts travel as ``int64`` and measure sums as
   ``float64``, so the round-trip is bit-exact in both directions.
 * :class:`ShmTransport` — run-scoped segment management.  Workers
-  create segments named ``rsm-<run_id>-...`` (POSIX shared memory via
-  :mod:`multiprocessing.shared_memory`, or mmap'd files under a
-  run-scoped temp directory when shared memory is unavailable or
-  disabled) and return only a tiny ``(kind, name, nbytes)`` descriptor
-  over the pipe; the parent attaches, decodes with numpy and unlinks.
+  create POSIX shared-memory segments named ``rsm-<run_id>-...``
+  (:mod:`multiprocessing.shared_memory`) and return only a tiny
+  ``(kind, name, nbytes)`` descriptor over the pipe; the parent
+  attaches, decodes with numpy and unlinks.  A segment that cannot be
+  created (no ``multiprocessing.shared_memory`` on the platform, or the
+  operating system refuses it) is an :class:`OSError` from
+  :meth:`ShmTransport.create`; the caller then sends that one payload
+  over the pool pipe, the way the inline single-worker path always does.
 * :meth:`ShmTransport.sweep` — crash hygiene.  A worker SIGKILLed
   mid-write leaks its half-written segment (the parent never sees the
   descriptor), so the supervisor sweeps every run-prefixed segment it
@@ -28,14 +31,12 @@ that with segments of bit-packed arrays:
   outside this run's prefix is ever touched.
 
 The codec is transport-independent: ``encode_result`` returns plain
-``bytes``, so the pickle fallback path (``use_shm=False``) and the unit
-tests exercise exactly the bytes the segments carry.
+``bytes``, so the unit tests exercise exactly the bytes the segments
+carry.
 """
 
-import mmap
 import os
 import struct
-import tempfile
 from array import array
 
 import numpy as _np
@@ -218,16 +219,14 @@ def _untrack(shm):
 class Segment:
     """One attached or created segment: a writable buffer + descriptor."""
 
-    __slots__ = ("kind", "name", "nbytes", "buf", "_shm", "_mmap", "_file")
+    __slots__ = ("kind", "name", "nbytes", "buf", "_shm")
 
-    def __init__(self, kind, name, nbytes, buf, shm=None, mm=None, file=None):
+    def __init__(self, kind, name, nbytes, buf, shm=None):
         self.kind = kind
         self.name = name
         self.nbytes = nbytes
         self.buf = buf
         self._shm = shm
-        self._mmap = mm
-        self._file = file
 
     @property
     def descriptor(self):
@@ -245,49 +244,38 @@ class Segment:
                 # whim); the mapping dies with the process either way.
                 pass
             self._shm = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
     def unlink(self):
         """Remove the backing object (close first if still attached)."""
-        kind, name = self.kind, self.name
+        name = self.name
         self.close()
-        _unlink_raw(kind, name)
+        if self.kind == "shm":
+            _unlink_raw(name)
 
 
-def _unlink_raw(kind, name):
-    if kind == "shm":
-        if _shared_memory is None:  # pragma: no cover - guarded by create
-            return
+def _unlink_raw(name):
+    if _shared_memory is None:  # pragma: no cover - guarded by create
+        return
+    try:
+        seg = _shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError):
+        # ValueError: a zero-length segment — its creator was killed
+        # between shm_open and ftruncate — cannot be mapped, so it
+        # cannot be attached; its name can still be removed.
         try:
-            seg = _shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return
-        except (OSError, ValueError):
-            # ValueError: a zero-length segment — its creator was killed
-            # between shm_open and ftruncate — cannot be mapped, so it
-            # cannot be attached; its name can still be removed.
-            try:
-                os.unlink(os.path.join(DEV_SHM, name))
-            except OSError:
-                pass
-            return
-        # No _untrack here: on 3.11 this attach registered with the
-        # tracker and unlink() below unregisters — they balance.
-        try:
-            seg.close()
-            seg.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - racing
-            pass
-    elif kind == "file":
-        try:
-            os.unlink(name)
+            os.unlink(os.path.join(DEV_SHM, name))
         except OSError:
             pass
+        return
+    # No _untrack here: on 3.11 this attach registered with the
+    # tracker and unlink() below unregisters — they balance.
+    try:
+        seg.close()
+        seg.unlink()
+    except (FileNotFoundError, OSError):  # pragma: no cover - racing
+        pass
 
 
 class ShmTransport:
@@ -295,46 +283,19 @@ class ShmTransport:
 
     Picklable (it rides in the pool initargs); each process creates and
     attaches segments independently — only names cross the pipe.
-
-    ``mode`` is ``"shm"`` (POSIX shared memory) or ``"file"`` (mmap'd
-    files under ``directory``, the fallback for platforms without
-    ``multiprocessing.shared_memory`` and for ``--no-shm`` runs that
-    still want spill-free transport).  Creation failures in shm mode
-    (e.g. a full ``/dev/shm``) fall back to file mode per segment when a
-    directory is available.
     """
 
-    __slots__ = ("run_id", "mode", "directory", "_seq")
+    __slots__ = ("run_id", "_seq")
 
-    def __init__(self, run_id, mode="shm", directory=None):
-        if mode not in ("shm", "file"):
-            raise ValueError("unknown transport mode %r" % (mode,))
-        if mode == "shm" and _shared_memory is None:
-            mode = "file"
-        if mode == "file" and directory is None:
-            raise ValueError("file transport needs a directory")
+    def __init__(self, run_id):
         self.run_id = run_id
-        self.mode = mode
-        self.directory = directory
         self._seq = 0
 
-    @classmethod
-    def for_run(cls, run_id, prefer_shm=True):
-        """Build the transport for one run, picking the best mode.
-
-        File mode always gets a run-scoped temp directory (even as a
-        standby for shm-mode creation failures); the parent removes it
-        in :meth:`shutdown`.
-        """
-        directory = tempfile.mkdtemp(prefix="rsm-%s-" % run_id)
-        mode = "shm" if (prefer_shm and _shared_memory is not None) else "file"
-        return cls(run_id, mode, directory)
-
     def __getstate__(self):
-        return (self.run_id, self.mode, self.directory)
+        return self.run_id
 
     def __setstate__(self, state):
-        self.run_id, self.mode, self.directory = state
+        self.run_id = state
         self._seq = 0
 
     def _next_name(self, tag):
@@ -346,52 +307,34 @@ class ShmTransport:
         return "rsm-%s-" % self.run_id
 
     def create(self, nbytes, tag="seg"):
-        """Create a writable segment of ``nbytes`` (run-prefixed name)."""
+        """Create a writable segment of ``nbytes`` (run-prefixed name).
+
+        Raises :class:`OSError` when the segment cannot be had — the
+        platform has no ``multiprocessing.shared_memory``, or the
+        operating system refuses this one; the caller ships the payload
+        over the pipe instead.
+        """
         if nbytes <= 0:
             return Segment("empty", "", 0, memoryview(b""))
-        name = self._next_name(tag)
-        if self.mode == "shm":
-            try:
-                shm = _shared_memory.SharedMemory(
-                    name=name, create=True, size=nbytes)
-            except OSError:
-                if self.directory is None:
-                    raise
-            else:
-                _untrack(shm)
-                return Segment("shm", shm.name, nbytes,
-                               memoryview(shm.buf)[:nbytes], shm=shm)
-        path = os.path.join(self.directory, name)
-        handle = open(path, "w+b")
-        try:
-            handle.truncate(nbytes)
-            mm = mmap.mmap(handle.fileno(), nbytes)
-        except BaseException:
-            handle.close()
-            raise
-        return Segment("file", path, nbytes, memoryview(mm), mm=mm,
-                       file=handle)
+        if _shared_memory is None:
+            raise OSError("multiprocessing.shared_memory is not available")
+        shm = _shared_memory.SharedMemory(
+            name=self._next_name(tag), create=True, size=nbytes)
+        _untrack(shm)
+        return Segment("shm", shm.name, nbytes,
+                       memoryview(shm.buf)[:nbytes], shm=shm)
 
     def attach(self, descriptor):
         """Attach a segment created in another process (read/write)."""
         kind, name, nbytes = descriptor
         if kind == "empty" or nbytes == 0:
             return Segment("empty", "", 0, memoryview(b""))
-        if kind == "shm":
-            shm = _shared_memory.SharedMemory(name=name)
-            _untrack(shm)
-            return Segment("shm", name, nbytes,
-                           memoryview(shm.buf)[:nbytes], shm=shm)
-        if kind == "file":
-            handle = open(name, "r+b")
-            try:
-                mm = mmap.mmap(handle.fileno(), nbytes)
-            except BaseException:
-                handle.close()
-                raise
-            return Segment("file", name, nbytes, memoryview(mm), mm=mm,
-                           file=handle)
-        raise ValueError("unknown segment kind %r" % (kind,))
+        if kind != "shm":
+            raise ValueError("unknown segment kind %r" % (kind,))
+        shm = _shared_memory.SharedMemory(name=name)
+        _untrack(shm)
+        return Segment("shm", name, nbytes,
+                       memoryview(shm.buf)[:nbytes], shm=shm)
 
     # ------------------------------------------------------------------
     # crash hygiene
@@ -399,20 +342,13 @@ class ShmTransport:
     def leaked_segments(self, exclude=()):
         """Names of run-prefixed segments currently on the system.
 
-        ``exclude`` lists descriptor names still legitimately alive
-        (e.g. the input frame segment).
+        ``exclude`` lists segment names still legitimately alive (e.g.
+        the input frame segment).
         """
-        skip = {os.path.basename(name) for name in exclude}
-        found = []
-        if _shared_memory is not None and os.path.isdir(DEV_SHM):
-            for entry in os.listdir(DEV_SHM):
-                if entry.startswith(self.prefix) and entry not in skip:
-                    found.append(("shm", entry))
-        if self.directory and os.path.isdir(self.directory):
-            for entry in os.listdir(self.directory):
-                if entry.startswith(self.prefix) and entry not in skip:
-                    found.append(("file", os.path.join(self.directory, entry)))
-        return found
+        if _shared_memory is None or not os.path.isdir(DEV_SHM):
+            return []
+        return [entry for entry in os.listdir(DEV_SHM)
+                if entry.startswith(self.prefix) and entry not in exclude]
 
     def sweep(self, exclude=()):
         """Unlink every leaked run-prefixed segment; returns the count.
@@ -423,16 +359,6 @@ class ShmTransport:
         reclaimed instead of leaking in ``/dev/shm``.
         """
         leaked = self.leaked_segments(exclude=exclude)
-        for kind, name in leaked:
-            _unlink_raw(kind, name)
+        for name in leaked:
+            _unlink_raw(name)
         return len(leaked)
-
-    def shutdown(self, exclude=()):
-        """Final sweep plus removal of the run's temp directory."""
-        count = self.sweep(exclude=exclude)
-        if self.directory and os.path.isdir(self.directory):
-            try:
-                os.rmdir(self.directory)
-            except OSError:  # pragma: no cover - stray files remain
-                pass
-        return count

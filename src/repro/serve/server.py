@@ -9,9 +9,9 @@ The cache is the LRU :class:`~repro.serve.cache.QueryCache`; the store
 is a :class:`~repro.serve.store.CubeStore` (or any object with the same
 ``query``/``canonical`` surface, e.g. a ``LeafMaterialization``); the
 compute fallback — for cuboids the store does not cover, such as
-dimensions left out of the materialization — runs the real local
-multiprocess backend from :mod:`repro.parallel.local` over the raw
-relation.  Every answer is recorded in
+dimensions left out of the materialization — is one
+:func:`~repro.core.columnar.aggregate_cuboid` over the raw relation.
+Every answer is recorded in
 :class:`~repro.serve.telemetry.ServerTelemetry`.
 
 **Degradation ladder** (:mod:`repro.serve.resilience`): admission is
@@ -73,6 +73,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from time import perf_counter
 
 from .. import obs
+from ..core.columnar import ColumnarFrame, aggregate_cuboid
 from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
@@ -122,8 +123,8 @@ class CubeServer:
     """Thread-pooled query serving over a persistent cube store."""
 
     def __init__(self, store, relation=None, cache_size=256, max_workers=8,
-                 fallback_workers=1, max_pending=None, default_deadline_s=None,
-                 breaker=None, registry=None, fallback_backend="local"):
+                 max_pending=None, default_deadline_s=None, breaker=None,
+                 registry=None):
         """``relation`` enables the compute fallback (and ``append``
         equivalence checks); without it, uncovered cuboids raise.
 
@@ -136,20 +137,12 @@ class CubeServer:
         consecutive failures, 5 s cool-down).  ``registry`` is the
         metrics registry behind ``GET /metrics`` (default: the installed
         :mod:`repro.obs` registry, else a private one).
-        ``fallback_backend`` names the compute backend behind uncovered
-        cuboids; it is validated against the backend registry's
-        ``serve-fallback`` capability at construction, not first use.
         """
-        from ..backends import resolve_backend
-
         self.store = store
         self.relation = relation
         self.cache = QueryCache(cache_size)
         self.telemetry = ServerTelemetry(registry=registry)
         self.registry = self.telemetry.registry
-        self.fallback_workers = fallback_workers
-        self.fallback_backend = resolve_backend(
-            fallback_backend, require={"serve-fallback"}).name
         self.default_deadline_s = default_deadline_s
         if max_pending is None:
             max_pending = max(64, 16 * max_workers)
@@ -431,29 +424,15 @@ class CubeServer:
             return self._compute_pool
 
     def _compute(self, cuboid, threshold):
-        """Fresh compute with the configured fallback backend."""
+        """Fresh compute: one group-by over the server's relation."""
         if not cuboid:
             count = len(self.relation)
             total = sum(self.relation.measures)
             if threshold.qualifies(count, total):
                 return {(): (count, total)}
             return {}
-        projected = self.relation.project(cuboid)
-        if self.fallback_backend == "mapreduce":
-            from ..mr import mapreduce_iceberg_cube
-
-            result = mapreduce_iceberg_cube(
-                projected, dims=cuboid, minsup=threshold,
-                workers=self.fallback_workers,
-            )
-        else:
-            from ..parallel.local import multiprocess_iceberg_cube
-
-            result = multiprocess_iceberg_cube(
-                projected, dims=cuboid, minsup=threshold,
-                workers=self.fallback_workers,
-            )
-        return dict(result.cuboid(cuboid))
+        frame = ColumnarFrame.from_relation(self.relation, cuboid)
+        return aggregate_cuboid(frame, cuboid, threshold)
 
     # ------------------------------------------------------------------
     # maintenance and stats

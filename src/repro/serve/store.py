@@ -296,48 +296,67 @@ class CubeStore:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, relation, directory, dims=None, cluster_spec=None, cost_model=None,
-              backend="simulated", shard=None, workers=None, use_shm=True):
+              backend="simulated", shard=None, workers=None):
         """Precompute the leaf cuboids of ``relation`` and persist them.
 
-        Runs the same minsup-1 leaf precompute as
-        :class:`~repro.online.materialize.LeafMaterialization`, then
-        writes the store and returns it open.  ``backend="local"``
-        aggregates the leaves over a columnar frame at machine speed
-        instead of through the simulated cluster — same cells, much
-        faster ingest (the CLI's default).  ``workers`` > 1 spreads the
-        local-backend leaf aggregation over the supervised process pool
-        with shared-memory transport (``use_shm=False`` keeps the pool
-        but ships pickles).
+        ``backend`` names the :mod:`repro.backends` entry whose
+        ``materialize`` runs the minsup-1 leaf precompute and writes the
+        store, returned open.  ``"local"`` aggregates the leaves over a
+        columnar frame at machine speed instead of through the simulated
+        cluster — same cells, much faster ingest (the CLI's default);
+        ``workers`` > 1 spreads that over the supervised process pool.
+        ``"mapreduce"`` streams the rows through a spill-to-disk shuffle
+        (``workers`` sizes its pool).  ``cluster_spec`` / ``cost_model``
+        belong to ``"simulated"``; an option the backend does not take
+        is refused.  The stores are byte-identical whichever backend
+        built them.
 
-        ``shard=(i, n)`` builds one shard of a sharded serving tier:
-        only the leaves :class:`~repro.serve.cluster.ShardMap` assigns
-        to shard ``i`` of ``n`` are computed and written, and the
-        placement is recorded in the manifest.
+        ``shard=(i, n)`` builds one shard of a sharded serving tier on
+        its own: only the leaves :class:`~repro.serve.cluster.ShardMap`
+        assigns to shard ``i`` of ``n`` are computed (in memory, so not
+        by ``"mapreduce"`` — its ``materialize(shards=n)`` writes all n
+        in one round) and written, and the placement is recorded in the
+        manifest.
         """
+        from ..backends import resolve_backend
+
+        entry = resolve_backend(backend)
+        options = entry.given_options(
+            cluster_spec=cluster_spec, cost_model=cost_model, workers=workers)
+        if shard is None:
+            return entry.materialize(relation, directory, dims, **options)[0]
         from ..online.materialize import LeafMaterialization
+        from .cluster import ShardMap
 
-        leaves = None
-        if shard is not None:
-            from .cluster import ShardMap
-
-            index, of = int(shard[0]), int(shard[1])
-            shard_map = ShardMap(tuple(dims) if dims else relation.dims, of)
-            leaves = shard_map.leaves_for(index)
-            shard = (index, of)
+        index, of = int(shard[0]), int(shard[1])
+        shard_map = ShardMap(tuple(dims) if dims else relation.dims, of)
         materialization = LeafMaterialization(
-            relation, dims=dims, cluster_spec=cluster_spec, cost_model=cost_model,
-            backend=backend, leaves=leaves, workers=workers, use_shm=use_shm,
-        )
-        return cls.from_materialization(materialization, directory, shard=shard)
+            relation, dims=dims, backend=backend,
+            leaves=shard_map.leaves_for(index), **options)
+        return cls.from_materialization(materialization, directory,
+                                        shard=(index, of))
 
     @classmethod
     def from_materialization(cls, materialization, directory, shard=None):
-        """Persist an in-memory :class:`LeafMaterialization` as a store."""
+        """Persist an in-memory :class:`LeafMaterialization` as a store.
+
+        ``shard=(i, n)`` writes the leaves
+        :class:`~repro.serve.cluster.ShardMap` places on shard ``i`` of
+        ``n`` — all the materialization holds when it was built for that
+        shard, its share of a whole one (how one precompute becomes n
+        shard stores).
+        """
         directory = str(directory)
         os.makedirs(directory, exist_ok=True)
+        leaves = materialization.leaves
+        if shard is not None:
+            from .cluster import ShardMap
+
+            leaves = ShardMap(materialization.dims, shard[1]).leaves_for(
+                shard[0])
         entries = {}
         loaded = {}
-        for leaf in materialization.leaves:
+        for leaf in leaves:
             with obs.span("store.write_leaf") as span:
                 run = loaded[leaf] = materialization.leaf_items(leaf)
                 entry = entries[leaf] = write_leaf(directory, run)
@@ -345,7 +364,7 @@ class CubeStore:
                     span.set(leaf="/".join(leaf), cells=len(run),
                              bytes=entry["bytes"])
         store = cls._publish(directory, cls._manifest_dict(
-            materialization.dims, materialization.leaves, entries,
+            materialization.dims, leaves, entries,
             generation=1,
             total_rows=materialization.total_rows,
             total_measure=materialization.total_measure,

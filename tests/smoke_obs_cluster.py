@@ -40,7 +40,7 @@ from urllib.request import urlopen
 import repro.obs as obs
 from repro.bench.kernelbench import (
     CARDINALITIES,
-    HAS_NUMPY,
+    FAST_KERNEL,
     OBS_OVERHEAD_TARGET,
     _obs_overhead_ratio,
 )
@@ -228,14 +228,13 @@ def main():
     shutil.rmtree(root, ignore_errors=True)
 
     # -- 6. obs overhead gate (reduced workload) ------------------------
-    kernel = "numpy" if HAS_NUMPY else "columnar"
     ratio = _obs_overhead_ratio(
         zipf_relation(4000, CARDINALITIES[6], skew=1.0, seed=29),
-        minsup=2, kernel=kernel, repeats=3)
+        minsup=2, kernel=FAST_KERNEL, repeats=3)
     assert ratio <= OBS_OVERHEAD_TARGET, \
         "obs overhead ratio %.3f exceeds %.2f" % (ratio, OBS_OVERHEAD_TARGET)
     print("overhead: instrumented/plain ratio %.3f <= %.2f (%s kernel)"
-          % (ratio, OBS_OVERHEAD_TARGET, kernel))
+          % (ratio, OBS_OVERHEAD_TARGET, FAST_KERNEL))
 
     print("OBS CLUSTER SMOKE PASSED")
     return 0

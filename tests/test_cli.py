@@ -159,14 +159,15 @@ class TestLocalBackend:
         assert "wall clock" in output
         assert "2 workers, batch size 2" in output
 
-    @pytest.mark.parametrize("kernel", ["auto", "columnar"])
-    def test_local_backend_self_test(self, sales_csv, kernel):
+    @pytest.mark.parametrize("batching", ["auto", "3"])
+    def test_local_backend_self_test(self, sales_csv, batching):
+        fixed = [] if batching == "auto" else ["--batch-size", batching]
         code, output = run_cli(["cube", "--csv", sales_csv, "--minsup", "2",
-                                "--backend", "local", "--workers", "1",
-                                "--kernel", kernel, "--self-test"])
+                                "--backend", "local", "--workers", "2",
+                                "--self-test"] + fixed)
         assert code == 0
         assert "self-test        : PASSED" in output
-        assert "(%s kernel)" % kernel in output
+        assert "2 workers, batch size %s" % batching in output
 
     def test_simulated_self_test(self, sales_csv):
         code, output = run_cli(["cube", "--csv", sales_csv, "--minsup", "2",
@@ -199,7 +200,7 @@ class TestStoreAndServe:
     def test_store_build(self, sales_csv, tmp_path):
         target = tmp_path / "store"
         code, output = run_cli(["store", "build", "--csv", sales_csv,
-                                "--out", str(target), "--processors", "2"])
+                                "--out", str(target)])
         assert code == 0
         assert "built cube store" in output
         assert "stored leaves" in output
@@ -210,18 +211,30 @@ class TestStoreAndServe:
         assert store.query(("brand",), minsup=1)
         store.close()
 
-    @pytest.mark.parametrize("backend", ["local", "simulated"])
+    @pytest.mark.parametrize("backend", ["local", "simulated", "mapreduce"])
     def test_store_build_backends(self, sales_csv, tmp_path, backend):
         target = tmp_path / ("store_" + backend)
         code, output = run_cli(["store", "build", "--csv", sales_csv,
                                 "--out", str(target), "--backend", backend])
         assert code == 0
         assert "(%s backend)" % backend in output
+        from test_cellrun import store_fingerprint
+
+        from repro.data.io import load_csv
         from repro.serve import CubeStore
 
         store = CubeStore.open(target)
         assert store.query(("brand",), minsup=1)
         store.close()
+        # The same name works from Python, and whichever backend built
+        # it the store is the pool-built one, byte for byte.
+        relation = load_csv(sales_csv)
+        CubeStore.build(relation, tmp_path / "python", backend=backend).close()
+        CubeStore.build(relation, tmp_path / "pool", backend="local",
+                        workers=2).close()
+        assert (store_fingerprint(tmp_path / "python")
+                == store_fingerprint(tmp_path / "pool")
+                == store_fingerprint(target))
 
     def test_store_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -230,7 +243,7 @@ class TestStoreAndServe:
     def test_serve_self_test_over_http(self, sales_csv, tmp_path):
         target = tmp_path / "store"
         code, _ = run_cli(["store", "build", "--csv", sales_csv,
-                           "--out", str(target), "--processors", "2"])
+                           "--out", str(target)])
         assert code == 0
         code, output = run_cli(["serve", "--store", str(target), "--port", "0",
                                 "--self-test", "12"])

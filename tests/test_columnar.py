@@ -1,7 +1,7 @@
 """Columnar kernel: key packing, refinement equivalence, fallbacks.
 
-The contract under test: every kernel (``python``, ``columnar``,
-``numpy``) produces the *same cells* as the seed engine and the naive
+The contract under test: both kernels (``python``, ``numpy``) produce
+the *same cells* as the seed engine and the naive
 oracle, for any relation, threshold, dimension order and traversal —
 and the packed-key machinery degrades to tuple keys (with a logged
 warning) when the cardinalities overflow the 63-bit budget.
@@ -17,16 +17,14 @@ from hypothesis import strategies as st
 from repro.core import OpStats, SumThreshold
 from repro.core.buc import buc_iceberg_cube
 from repro.core.columnar import (
-    HAS_NUMPY,
     MAX_KEY_BITS,
+    SMALL_RANGE,
     ColumnarFrame,
-    ColumnarKernel,
     KeyPacking,
+    NumpyKernel,
     PythonKernel,
     aggregate_cuboid,
-    best_kernel_name,
     bits_for,
-    kernel_from_frame,
     resolve_kernel,
 )
 from repro.core.naive import naive_iceberg_cube
@@ -37,7 +35,7 @@ from repro.data import Relation, zipf_relation
 from repro.errors import PlanError, SchemaError
 from repro.parallel.local import multiprocess_iceberg_cube
 
-KERNEL_NAMES = ["columnar"] + (["numpy"] if HAS_NUMPY else [])
+KERNEL_NAMES = ["numpy"]
 
 
 def big_cardinality_relation():
@@ -221,6 +219,28 @@ class TestKernelEquivalence:
                                      breadth_first=True)
         assert got.equals(expected), got.diff(expected)
 
+    @pytest.mark.parametrize("breadth_first", [False, True])
+    @pytest.mark.parametrize(
+        "n_rows", [SMALL_RANGE - 1, SMALL_RANGE, SMALL_RANGE + 1,
+                   3 * SMALL_RANGE + 5])
+    def test_small_range_paths_match_python_kernel(self, n_rows,
+                                                   breadth_first):
+        """Inputs whose ranges straddle ``SMALL_RANGE`` mix the numpy
+        kernel's stdlib loops with its vectorised passes on the way
+        down: same cells, and the same group and scan counts (sort units
+        differ by design — one composite sort per level)."""
+        rel = zipf_relation(n_rows, [3, 4, 2, 5], skew=0.7, seed=n_rows)
+        for minsup in (1, 2, 3):
+            want, want_stats, _ = buc_iceberg_cube(
+                rel, minsup=minsup, kernel="python",
+                breadth_first=breadth_first)
+            got, got_stats, _ = buc_iceberg_cube(
+                rel, minsup=minsup, kernel="numpy",
+                breadth_first=breadth_first)
+            assert got.cuboids == want.cuboids
+            assert got_stats.groups == want_stats.groups
+            assert got_stats.scan_tuples == want_stats.scan_tuples
+
 
 @st.composite
 def relations(draw):
@@ -331,26 +351,27 @@ class TestCountingSortStats:
 
 
 class TestKernelResolution:
-    def test_auto_picks_fastest(self):
-        assert best_kernel_name() == ("numpy" if HAS_NUMPY else "columnar")
+    def test_auto_picks_fastest(self, sales):
+        assert resolve_kernel("auto")(sales, sales.dims).name == "numpy"
 
     def test_unknown_kernel(self, sales):
         with pytest.raises(PlanError):
             resolve_kernel("bogus")
+        with pytest.raises(PlanError):
+            resolve_kernel("columnar")  # the stdlib twin is gone
 
     def test_prebuilt_instance_passes_through(self, sales):
         frame = ColumnarFrame.from_relation(sales)
-        kernel = ColumnarKernel(frame)
+        kernel = NumpyKernel(frame)
         factory = resolve_kernel(kernel)
         assert factory(sales, sales.dims) is kernel
 
     def test_frame_kernels(self, sales):
+        """What a pool worker does: the kernel straight over a frame."""
         frame = ColumnarFrame.from_relation(sales)
-        assert kernel_from_frame("columnar", frame).name == "columnar"
-        if HAS_NUMPY:
-            assert kernel_from_frame("auto", frame).name == "numpy"
-        with pytest.raises(PlanError):
-            kernel_from_frame("python", frame)
+        kernel = NumpyKernel(frame)
+        assert kernel.name == "numpy"
+        assert kernel.all_aggregate() == (len(sales), sum(sales.measures))
 
 
 class TestColumnWriting:

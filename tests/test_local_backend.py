@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.cluster.faults import FaultPlan, Slowdown, TaskFailure
 from repro.core import SumThreshold
 from repro.core.buc import buc_iceberg_cube
-from repro.core.columnar import HAS_NUMPY, ColumnarFrame, aggregate_cuboid
+from repro.core.columnar import ColumnarFrame, aggregate_cuboid
 from repro.core.naive import naive_iceberg_cube
 from repro.data import Relation
 from repro.errors import PlanError, WorkerCrashError
@@ -19,9 +19,11 @@ from repro.parallel.local import (
     multiprocess_iceberg_cube,
     multiprocess_leaf_cells,
 )
+from repro.parallel import shm
 from repro.parallel.shm import DEV_SHM
 
-KERNEL_NAMES = ["auto", "columnar"] + (["numpy"] if HAS_NUMPY else [])
+#: The names the pool's one kernel answers to in ``buc_iceberg_cube``.
+KERNEL_NAMES = ["auto", "numpy"]
 
 
 class TestMultiprocessCube:
@@ -70,18 +72,23 @@ class TestMultiprocessCube:
 
 
 class TestKernelAndBatching:
-    """Forced kernels and scheduling knobs all reach the same cells."""
+    """The pool's kernel and the scheduling knobs all reach the same
+    cells."""
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_forced_kernel_matches_naive(self, small_skewed, kernel):
+        # The pool has one kernel; sequential BUC forced onto it by
+        # either of its names agrees with the pool and with naive.
         expected = naive_iceberg_cube(small_skewed, minsup=2)
-        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        kernel=kernel)
+        sequential, _, _ = buc_iceberg_cube(small_skewed, minsup=2,
+                                            kernel=kernel, breadth_first=True)
+        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2)
         assert got.equals(expected), got.diff(expected)
+        assert sequential.equals(expected), sequential.diff(expected)
 
     def test_unknown_kernel_is_a_plan_error(self, small_skewed):
         with pytest.raises(PlanError):
-            multiprocess_iceberg_cube(small_skewed, kernel="fortran")
+            buc_iceberg_cube(small_skewed, kernel="fortran")
 
     @pytest.mark.parametrize("batch_size", [1, 2, 7])
     def test_batch_size_does_not_change_cells(self, small_skewed, batch_size):
@@ -179,6 +186,22 @@ class TestSupervisedChaos:
         assert faulted.equals(clean), faulted.diff(clean)
 
 
+class _RefuseSecondCreate:
+    """``multiprocessing.shared_memory`` with a full ``/dev/shm`` on
+    the second segment a process creates."""
+
+    def __init__(self, real):
+        self.real = real
+        self.creates = 0
+
+    def SharedMemory(self, name=None, create=False, size=0):
+        if create:
+            self.creates += 1
+            if self.creates == 2:
+                raise OSError(28, "No space left on device")
+        return self.real.SharedMemory(name=name, create=create, size=size)
+
+
 def _rsm_segments():
     """Names of repro shared-memory segments currently in /dev/shm."""
     if not os.path.isdir(DEV_SHM):
@@ -189,8 +212,8 @@ def _rsm_segments():
 
 class TestDataPlane:
     """The shared-memory transport, auto-calibrated batching and the
-    pickle fallback all produce exactly the oracle's cells — and leak
-    no segments, even when a writer is SIGKILLed mid-write."""
+    observed pipe fallback all produce exactly the oracle's cells — and
+    leak no segments, even when a writer is SIGKILLed mid-write."""
 
     def test_auto_calibrated_batching_matches_naive(self, small_skewed):
         # batch_size=None (the default): a calibration pass times the
@@ -200,13 +223,32 @@ class TestDataPlane:
                                         batch_size=None)
         assert got.equals(expected), got.diff(expected)
 
-    def test_no_shm_fallback_matches_naive(self, small_skewed):
-        # use_shm=False (CLI --no-shm): frame by fork, results pickled.
+    @pytest.mark.parametrize("trouble", ["missing", "refused"])
+    def test_observed_fallback_matches_naive(self, small_skewed, trouble,
+                                             monkeypatch):
+        # No flag selects the pipe: it is what a payload rides when its
+        # segment cannot be had.  "missing": the platform has no
+        # multiprocessing.shared_memory.  "refused": the second create
+        # of every process fails with ENOSPC — the frame still ships by
+        # segment, each forked worker's first result (its own second
+        # create: the count is inherited) falls back, later ones do not.
+        if trouble == "missing":
+            monkeypatch.setattr(shm, "_shared_memory", None)
+        else:
+            monkeypatch.setattr(shm, "_shared_memory",
+                                _RefuseSecondCreate(shm._shared_memory))
+        before = _rsm_segments()
         expected = naive_iceberg_cube(small_skewed, minsup=2)
         got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        use_shm=False)
+                                        batch_size=1)
         assert got.equals(expected), got.diff(expected)
-        assert _rsm_segments() == set()
+        leaves = [("A", "B"), ("B", "C"), ("C", "D"), ("A",)]
+        inline = multiprocess_leaf_cells(small_skewed, leaves, workers=1)
+        pooled = multiprocess_leaf_cells(small_skewed, leaves, workers=2,
+                                         batch_size=1)
+        assert all(pooled[leaf].encode() == inline[leaf].encode()
+                   for leaf in leaves)
+        assert _rsm_segments() == before
 
     def test_tuple_key_overflow_relation_matches_naive(self):
         # Cardinalities past the 63-bit packed-key budget: the frame
@@ -287,6 +329,8 @@ class TestPropertyIdentity:
     @given(relation=tiny_relations(), minsup=st.integers(1, 3))
     def test_pool_matches_buc_python(self, kernel, relation, minsup):
         expected, _stats, _writer = buc_iceberg_cube(relation, minsup=minsup)
-        got = multiprocess_iceberg_cube(relation, minsup=minsup, workers=2,
-                                        kernel=kernel)
+        sequential, _stats, _writer = buc_iceberg_cube(
+            relation, minsup=minsup, kernel=kernel, breadth_first=True)
+        got = multiprocess_iceberg_cube(relation, minsup=minsup, workers=2)
         assert got.equals(expected), got.diff(expected)
+        assert sequential.equals(expected), sequential.diff(expected)

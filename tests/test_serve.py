@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import cluster1
 from repro.core.naive import naive_cuboid
-from repro.core.thresholds import CountThreshold, SumThreshold
+from repro.core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from repro.errors import (
     DeadlineExceededError,
     PlanError,
@@ -280,6 +280,40 @@ class TestCubeServer:
             # the computed answer is cached like any other
             assert server.query(("A", "D"), minsup=2).source == "cache"
         partial.close()
+
+    @pytest.mark.parametrize("threshold", [
+        CountThreshold(2), SumThreshold(20.0),
+        AndThreshold(CountThreshold(2), SumThreshold(20.0)),
+    ], ids=["count", "sum", "and"])
+    def test_compute_fallback_on_a_shard_store_matches_naive(
+            self, small_skewed, tmp_path, threshold):
+        # A shard store covers only its share of the lattice; a cuboid
+        # of a sibling shard falls back to one group-by over the
+        # server's relation — any threshold, with or without a deadline
+        # (the deadline path computes on the side thread), and behind
+        # the breaker.
+        shard = CubeStore.build(small_skewed, tmp_path / "shard",
+                                backend="local", shard=(0, 2))
+        owned = set(shard.owned_cuboids())
+        uncovered = next(c for c in [("A",), ("B",), ("A", "B"), ("B", "C")]
+                         if c not in owned)
+        expected = {
+            cell: agg
+            for cell, agg in naive_cuboid(small_skewed, uncovered).items()
+            if threshold.qualifies(*agg)}
+        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=60.0)
+        with CubeServer(shard, relation=small_skewed, cache_size=0,
+                        breaker=breaker) as server:
+            for deadline_s in (None, 30.0):
+                answer = server.query(uncovered, threshold,
+                                      deadline_s=deadline_s)
+                assert answer.source == "compute"
+                assert answer.cells == expected
+            breaker.record_failure()
+            with pytest.raises(ServerOverloadedError):
+                server.query(uncovered, threshold)
+            breaker.record_success()  # reset for teardown
+        shard.close()
 
     def test_uncovered_without_relation_raises(self, small_skewed, tmp_path):
         partial = CubeStore.build(small_skewed, tmp_path / "partial",

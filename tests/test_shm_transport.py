@@ -147,9 +147,8 @@ class TestCodecRoundTrip:
 
 
 class TestSegments:
-    @pytest.mark.parametrize("prefer_shm", [True, False])
-    def test_create_attach_round_trip(self, prefer_shm):
-        transport = ShmTransport.for_run("t-rt", prefer_shm=prefer_shm)
+    def test_create_attach_round_trip(self):
+        transport = ShmTransport("t-rt")
         try:
             payload = bytes(range(256)) * 4
             segment = transport.create(len(payload), tag="x")
@@ -162,62 +161,60 @@ class TestSegments:
             other.unlink()
             assert transport.leaked_segments() == []
         finally:
-            transport.shutdown()
+            transport.sweep()
 
     def test_empty_segment_is_inline(self):
-        transport = ShmTransport.for_run("t-empty")
+        transport = ShmTransport("t-empty")
         try:
             segment = transport.create(0)
             assert segment.descriptor == ("empty", "", 0)
             attached = transport.attach(segment.descriptor)
             assert bytes(attached.buf) == b""
         finally:
-            transport.shutdown()
+            transport.sweep()
 
-    def test_file_mode_requires_directory(self):
-        with pytest.raises(ValueError):
-            ShmTransport("t-nodir", mode="file", directory=None)
-        with pytest.raises(ValueError):
-            ShmTransport("t-bad", mode="carrier-pigeon")
+    def test_create_without_shared_memory_is_an_oserror(self, monkeypatch):
+        # The one signal callers fall back to the pipe on, whether the
+        # platform lacks the module or the OS refuses the segment.
+        from repro.parallel import shm
 
-    def test_file_mode_segments_live_under_the_run_directory(self, tmp_path):
-        transport = ShmTransport("t-file", mode="file",
-                                 directory=str(tmp_path))
-        segment = transport.create(64, tag="seg")
-        assert segment.kind == "file"
-        assert segment.name.startswith(str(tmp_path))
-        segment.buf[:8] = b"12345678"
-        attached = transport.attach(segment.descriptor)
-        assert bytes(attached.buf[:8]) == b"12345678"
-        attached.close()
-        segment.unlink()
+        monkeypatch.setattr(shm, "_shared_memory", None)
+        transport = ShmTransport("t-none")
+        with pytest.raises(OSError):
+            transport.create(64)
+        assert transport.create(0).descriptor == ("empty", "", 0)
         assert transport.leaked_segments() == []
+        assert transport.sweep() == 0
 
-    def test_transport_pickles_for_initargs(self, tmp_path):
-        transport = ShmTransport("t-pkl", mode="file",
-                                 directory=str(tmp_path))
+    def test_transport_pickles_for_initargs(self):
+        transport = ShmTransport("t-pkl")
         clone = pickle.loads(pickle.dumps(transport))
-        assert (clone.run_id, clone.mode, clone.directory) == \
-            ("t-pkl", "file", str(tmp_path))
+        assert (clone.run_id, clone.prefix) == ("t-pkl", transport.prefix)
         # Names stay unique across processes: the pid is baked into
         # every segment name (clones are unpickled in other processes).
         import os
         segment = clone.create(8, tag="a")
-        assert "-%d-" % os.getpid() in os.path.basename(segment.name)
+        assert segment.kind == "shm"
+        assert "-%d-" % os.getpid() in segment.name
+        # A clone attaches what the original created, and the other way
+        # round: only names cross the pipe.
+        attached = transport.attach(segment.descriptor)
+        assert attached.nbytes == 8
+        attached.close()
         segment.unlink()
-        transport.shutdown()
+        assert transport.sweep() == 0
 
     def test_unknown_descriptor_kind_rejected(self):
-        transport = ShmTransport.for_run("t-kind")
+        transport = ShmTransport("t-kind")
         try:
             with pytest.raises(ValueError):
                 transport.attach(("smoke-signal", "x", 8))
         finally:
-            transport.shutdown()
+            transport.sweep()
 
     def test_unlink_tolerates_already_gone(self):
         # Sweeps race the parent's own unlink; second removal is a no-op.
-        transport = ShmTransport.for_run("t-gone")
+        transport = ShmTransport("t-gone")
         try:
             segment = transport.create(16)
             descriptor = segment.descriptor
@@ -226,7 +223,7 @@ class TestSegments:
             again.unlink()  # already gone: must not raise
             assert transport.sweep() == 0
         finally:
-            transport.shutdown()
+            transport.sweep()
 
 
 class TestCrashHygiene:
@@ -234,15 +231,15 @@ class TestCrashHygiene:
     supervisor's sweep must find and reclaim exactly it."""
 
     def test_leak_detect_and_sweep(self):
-        transport = ShmTransport.for_run("t-leak")
+        transport = ShmTransport("t-leak")
         try:
             orphan = transport.create(128, tag="orphan")
             orphan.buf[:4] = b"dead"  # half-written, descriptor lost
             orphan.close()
             keep = transport.create(128, tag="frame")
             leaked = transport.leaked_segments(exclude=(keep.name,))
-            assert [name for _kind, name in leaked] != []
-            assert all(keep.name not in name for _kind, name in leaked)
+            assert leaked != []
+            assert keep.name not in leaked
             assert transport.sweep(exclude=(keep.name,)) == len(leaked)
             # The excluded (live) segment survived the sweep.
             survivor = transport.attach(keep.descriptor)
@@ -250,7 +247,7 @@ class TestCrashHygiene:
             survivor.close()
             keep.unlink()
         finally:
-            transport.shutdown()
+            transport.sweep()
 
     def test_sweep_reclaims_a_segment_killed_before_it_was_sized(self):
         # A creator SIGKILLed/terminated between shm_open and ftruncate
@@ -259,37 +256,26 @@ class TestCrashHygiene:
         import os
         if not os.path.isdir(DEV_SHM):
             pytest.skip("no %s on this platform" % DEV_SHM)
-        transport = ShmTransport.for_run("t-zero")
+        transport = ShmTransport("t-zero")
         path = os.path.join(DEV_SHM, transport.prefix + "b2-1-1")
         try:
             open(path, "wb").close()
-            assert [name for _k, name in transport.leaked_segments()] \
-                == [os.path.basename(path)]
+            assert transport.leaked_segments() == [os.path.basename(path)]
             assert transport.sweep() == 1
             assert not os.path.exists(path)
         finally:
             if os.path.exists(path):
                 os.unlink(path)
-            transport.shutdown()
+            transport.sweep()
 
     def test_sweep_ignores_other_runs(self):
-        ours = ShmTransport.for_run("t-mine")
-        theirs = ShmTransport.for_run("t-theirs")
+        ours = ShmTransport("t-mine")
+        theirs = ShmTransport("t-theirs")
         try:
             foreign = theirs.create(64)
             assert ours.sweep() == 0
             assert bytes(foreign.buf) == b"\x00" * 64
             foreign.unlink()
         finally:
-            ours.shutdown()
-            theirs.shutdown()
-
-    def test_shutdown_removes_the_run_directory(self):
-        import os
-        transport = ShmTransport.for_run("t-down", prefer_shm=False)
-        directory = transport.directory
-        transport.create(32)
-        assert os.path.isdir(directory)
-        assert transport.shutdown() == 1
-        assert not os.path.isdir(directory)
-        assert DEV_SHM  # referenced so the constant stays exported
+            ours.sweep()
+            theirs.sweep()
