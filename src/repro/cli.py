@@ -712,11 +712,9 @@ def _cmd_serve(args, out):
         print("shard            : %d/%d (placement validated)" % (index, of),
               file=out)
     recovery = store.recovery
-    if (recovery["rolled_forward"] or recovery["orphans_removed"]
-            or recovery["salvaged"]):
-        print("store recovery   : rolled_forward=%s, %d orphans removed, "
-              "%d leaves salvaged"
-              % (recovery["rolled_forward"], len(recovery["orphans_removed"]),
+    if recovery["orphans_removed"] or recovery["salvaged"]:
+        print("store recovery   : %d orphans removed, %d leaves salvaged"
+              % (len(recovery["orphans_removed"]),
                  len(recovery["salvaged"])), file=out)
     print("wal              : %d batch(es) replayed on open, compaction "
           "after %d" % (recovery["wal_replayed"], store.compact_after),

@@ -4,9 +4,11 @@ Section 5.1's observation — precomputed BUC-tree leaves answer any
 iceberg query almost immediately — made into a serving subsystem:
 
 * :class:`CubeStore` persists the leaves (sorted columnar runs,
-  checksummed) so a restart never repeats the precompute, and recovers
-  from crashes mid-compaction (journal roll-forward) and damaged leaf
-  files (salvage from the covering root leaf);
+  checksummed) so a restart never repeats the precompute, publishes
+  every state as an immutable snapshot (readers never wait for
+  ``append`` or ``compact``), and recovers from crashes mid-compaction
+  (one manifest replace is the commit) and damaged leaf files (salvage
+  from the covering root leaf);
 * :class:`QueryCache` keeps hot answers with LRU eviction and
   insert-generation invalidation;
 * :class:`CubeServer` admits concurrent queries (thread pool + optional

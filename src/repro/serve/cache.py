@@ -5,20 +5,14 @@ schema order and the threshold by its HAVING-clause text, so
 ``CountThreshold(2)`` built twice (or reached via the ``minsup=2``
 shorthand) hits the same entry.
 
-Entries carry the *generation* of the store they were computed from.
-``CubeStore.append`` bumps its generation, so after an incremental
-insert every cached answer is stale; a stale entry is dropped on access
-(and counted) instead of being served.
-
-The cache additionally keeps a monotonic *generation watermark*
-(:meth:`QueryCache.advance`, bumped by the server on every append).
-:meth:`QueryCache.put` refuses entries computed below the watermark —
-closing the check-then-act race where a thread reads the store's
-generation, computes an answer, and only then inserts it: if an append
-lands in between, the stale insert would otherwise resurrect dead data
-(and, had the generation been re-read late, could even file stale cells
-under the *new* generation key).  Rejections are counted as
-``stale_rejections``.
+Entries carry the *generation* of the snapshot they were computed from
+— the server reads cells and generation from one immutable
+``store.snapshot()``, so the label is always the cells' own.
+``CubeStore.append`` publishes the next generation, so after an
+incremental insert every cached answer is stale; a stale entry is
+dropped on access (and counted) instead of being served, and
+:meth:`QueryCache.put` never lets a late writer's older answer replace
+a fresher one (counted as ``stale_rejections``).
 
 Counters (hits / misses / evictions / invalidations) feed the server's
 stats endpoint; the acceptance workloads assert on the hit rate.
@@ -58,36 +52,27 @@ class QueryCache:
         self.evictions = 0
         self.invalidations = 0
         self.stale_rejections = 0
-        #: newest generation the cache has been told about; inserts
-        #: below it are refused (see :meth:`advance`)
-        self.watermark = 0
 
     def __len__(self):
         with self._lock:
             return len(self._entries)
 
     def get(self, cuboid, threshold, generation):
-        """The cached answer, or ``None`` on a miss or stale entry.
-
-        A lookup is also an observation: seeing generation ``g`` raises
-        the watermark to ``g``, so even when appends bypass the server's
-        explicit :meth:`advance` call (e.g. WAL delta-runs applied
-        replica-side by anti-entropy repair), an in-flight insert
-        computed before ``g`` can no longer resurrect dead data.
-        """
+        """The cached answer, or ``None`` on a miss or stale entry."""
         key = cache_key(cuboid, threshold)
         with self._lock:
-            if generation > self.watermark:
-                self.watermark = generation
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
             entry_generation, value = entry
             if entry_generation != generation:
-                # Written before the last insert: invalid, drop it.
-                del self._entries[key]
-                self.invalidations += 1
+                if entry_generation < generation:
+                    # Written before the last insert: invalid, drop it.
+                    # (A fresher one stays for the readers it is for;
+                    # this reader pinned an older snapshot.)
+                    del self._entries[key]
+                    self.invalidations += 1
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
@@ -97,18 +82,14 @@ class QueryCache:
     def put(self, cuboid, threshold, generation, value):
         """Cache an answer computed at ``generation``; evicts LRU-first.
 
-        An insert below the generation watermark (an append committed
-        while this answer was being computed) is refused and counted —
-        never stored, so a pinned-generation reader can trust that a hit
-        at generation ``g`` really was computed at ``g``.
+        Never overwrites a fresher entry: a reader that pinned an older
+        snapshot and finishes late keeps its answer to itself (counted
+        as a stale rejection).
         """
         if self.capacity == 0:
             return
         key = cache_key(cuboid, threshold)
         with self._lock:
-            if generation < self.watermark:
-                self.stale_rejections += 1
-                return
             entry = self._entries.get(key)
             if entry is not None and entry[0] > generation:
                 # A fresher answer is already cached; keep it.
@@ -119,17 +100,6 @@ class QueryCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def advance(self, generation):
-        """Raise the generation watermark (monotonic; never lowers it).
-
-        Called under the same ordering as the store's generation bump:
-        once ``advance(g)`` returns, no answer computed before ``g`` can
-        enter the cache, whatever generation its writer believed in.
-        """
-        with self._lock:
-            if generation > self.watermark:
-                self.watermark = generation
 
     def clear(self):
         """Drop every entry (counts them as invalidations)."""
@@ -149,6 +119,5 @@ class QueryCache:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "stale_rejections": self.stale_rejections,
-                "watermark": self.watermark,
                 "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             }

@@ -1190,6 +1190,9 @@ class _RouterRequestHandler(JsonRequestHandler):
     error_kinds = (
         # The honest partial outage: name the shard, never guess.
         (ShardUnavailableError, 503, "shard_unavailable", "shard"),
+        # Honest retry signal: the shards' generations kept swinging
+        # under the fan-out; never a mislabeled or mixed answer.
+        (GenerationSkewError, 503, "generation_skew", "generations"),
     )
     get_routes = {
         "/query": "_get_query", "/point": "_get_point", "/cube": "_get_cube",

@@ -8,7 +8,7 @@ caller's distributed trace, bounds the request *before any work*
 (path length, ``Content-Length``), dispatches through the subclass's
 route table, and maps every error to structured JSON — ``400`` for
 malformed requests, ``404`` for unknown paths, ``413`` for oversized
-ones, ``503`` for generation skew, the subclass's own kinds
+ones, the subclass's own kinds
 (:attr:`JsonRequestHandler.error_kinds`) in between — never an HTML
 traceback.  The query-string parsers, the cells/cube payload encoders
 and the ``POST /append`` body decoder live here too, once.
@@ -22,7 +22,7 @@ from urllib.parse import parse_qs, urlsplit
 from .. import obs
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from ..data.relation import Relation
-from ..errors import GenerationSkewError, ReproError
+from ..errors import ReproError
 
 #: Largest request body an endpoint will accept (query GETs and bounded
 #: ``POST /append`` deltas; anything bigger is abuse).
@@ -134,9 +134,6 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     #: what both endpoints answer the same way, after the subclass's own
     _shared_error_kinds = (
-        # Honest retry signal: generations kept swinging under the
-        # read; never a mislabeled or mixed answer.
-        (GenerationSkewError, 503, "generation_skew", "generations"),
         ((ReproError, ValueError), 400, "bad_request", None),
     )
 

@@ -6,8 +6,8 @@ having applied it.  This module supplies the durability half of the
 answer — a per-store **write-ahead log** of checksummed,
 batch-id-stamped delta records — while
 :class:`~repro.serve.store.CubeStore` supplies the visibility half
-(in-memory delta runs under the generation protocol) and the journalled
-two-phase leaf rewrite that compacts them.
+(the pending batches of an immutable snapshot) and the compaction that
+folds them into new leaf files behind one manifest replace.
 
 On-disk layout (a subdirectory of the store)::
 
@@ -42,7 +42,7 @@ magic or structure does not verify raises
 ``batch_id``; the store remembers applied ids (WAL records plus a
 bounded window in the manifest) and acknowledges a replayed id without
 re-applying it.  **Truncation** happens at compaction: once a batch's
-delta is folded into the leaf files (journalled, crash-safe), its
+delta is folded into leaf files the manifest names, its
 record is obsolete and :meth:`WriteAheadLog.truncate_through` removes
 it.  Recovery is therefore a replay: records at or below the manifest
 generation are pruned (a compaction whose truncation didn't finish),
@@ -73,8 +73,9 @@ __all__ = [
 
 #: Environment hook for crash testing: when set to one of the named
 #: kill points (``wal.pre_publish``, ``wal.post_publish``,
-#: ``compact.staged``, ``compact.journalled``), the process SIGKILLs
-#: itself at that instant.
+#: ``compact.written`` — new leaf files on disk, manifest not yet
+#: replaced — and ``compact.published`` — manifest replaced, WAL not yet
+#: truncated), the process SIGKILLs itself at that instant.
 CHAOS_KILL_ENV = "REPRO_INGEST_CHAOS_KILL"
 
 WAL_MAGIC = b"RWAL"
@@ -242,7 +243,8 @@ class WriteAheadLog:
     """The per-store WAL: one durable record file per appended batch.
 
     Not itself thread-safe — the owning :class:`CubeStore` serializes
-    access under its store lock.  The directory is created by the first
+    access under its write lock (:meth:`nbytes` alone is read beside a
+    writer: a record that vanishes mid-count is skipped).  The directory is created by the first
     :meth:`append`; until then a missing directory is an empty log, so
     a store that never ingests (or sits on read-only media) is opened
     without writing anything.

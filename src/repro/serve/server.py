@@ -7,7 +7,7 @@ each from the cheapest source available::
 
 The cache is the LRU :class:`~repro.serve.cache.QueryCache`; the store
 is a :class:`~repro.serve.store.CubeStore` (or any object with the same
-``query``/``canonical`` surface, e.g. a ``LeafMaterialization``); the
+``snapshot()``/``append`` surface, e.g. a ``LeafMaterialization``); the
 compute fallback — for cuboids the store does not cover, such as
 dimensions left out of the materialization — is one
 :func:`~repro.core.columnar.aggregate_cuboid` over the raw relation.
@@ -47,10 +47,10 @@ stdlib ``http.server``) for point, roll-up and drill-down queries::
     GET /healthz                          # liveness + generation + shard
                                           #   + degradation state
 
-Every data answer carries the store ``generation`` it was *verified*
-against: the generation is read before and after the cells, and a
-mismatch (an ``append`` swung mid-read) retries the read instead of
-mislabeling it — the contract the sharded router
+Every data answer is read from one pinned ``store.snapshot()`` and
+carries that snapshot's ``generation`` — cells and label come from the
+same immutable object, so an ``append`` landing mid-read can neither
+mislabel an answer nor make it wait — the contract the sharded router
 (:mod:`repro.serve.cluster`) builds generation-pinned fan-outs on.
 
 ``/metrics`` serves the server's :class:`~repro.obs.metrics
@@ -77,7 +77,6 @@ from ..core.columnar import ColumnarFrame, aggregate_cuboid
 from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
-    GenerationSkewError,
     PlanError,
     SchemaError,
     ServerOverloadedError,
@@ -101,22 +100,17 @@ from .telemetry import ServerTelemetry
 
 #: One served answer: the canonical cuboid, the threshold text, the
 #: ``{cell: (count, sum)}`` dict, where it came from, how long it took,
-#: and the store generation the cells were verified against.
+#: and the generation of the snapshot (or rows) the cells were read from.
 QueryAnswer = namedtuple(
     "QueryAnswer",
     ("cuboid", "threshold", "cells", "source", "latency_s", "generation"),
 )
 
 #: One store-shard's share of the full iceberg cube, computed at a
-#: single verified generation (the ``/cube`` fan-out unit).
+#: single generation (the ``/cube`` fan-out unit).
 CubeAnswer = namedtuple(
     "CubeAnswer", ("cuboids", "threshold", "generation", "latency_s")
 )
-
-#: How many times a read retries when an ``append`` swings the store
-#: generation mid-read before giving up with a 503.  Appends are rare
-#: and bounded, so more than a couple of laps means something is wrong.
-GENERATION_RETRY_LIMIT = 8
 
 
 class CubeServer:
@@ -139,7 +133,12 @@ class CubeServer:
         :mod:`repro.obs` registry, else a private one).
         """
         self.store = store
-        self.relation = relation
+        #: ``(generation, relation)`` — the rows behind the compute
+        #: fallback and the store generation they amount to, replaced
+        #: as one pair so a fallback answer is labelled with the rows
+        #: it read (``None`` without a relation)
+        self._rows = (None if relation is None
+                      else (store.generation, relation))
         self.cache = QueryCache(cache_size)
         self.telemetry = ServerTelemetry(registry=registry)
         self.registry = self.telemetry.registry
@@ -189,92 +188,73 @@ class CubeServer:
         threshold = as_threshold(minsup)
         if deadline is not None:
             deadline.check("admission queue")
+        snap = self.store.snapshot()
         try:
-            canonical = self.store.canonical(cuboid)
+            canonical = snap.canonical(cuboid)
         except SchemaError:
-            if self.relation is None:
+            if self._rows is None:
                 raise
             canonical = self._relation_canonical(cuboid)
-        cells, source, generation = self._answer_verified(
-            canonical, threshold, deadline)
+        cells, source, generation = self._answer(
+            snap, canonical, threshold, deadline)
         latency = perf_counter() - start
         self.telemetry.record(canonical, threshold.describe(), source, latency)
         return QueryAnswer(canonical, threshold.describe(), cells, source,
                            latency, generation)
 
-    def _answer_verified(self, canonical, threshold, deadline):
-        """cache -> store -> compute, at one *verified* store generation.
+    def _answer(self, snap, canonical, threshold, deadline):
+        """cache -> store -> compute, from one pinned state.
 
-        The generation is read before and re-read after computing the
-        cells: a mismatch means an :meth:`append` swung the store
-        mid-read, so the cells could belong to either side — instead of
-        mislabeling (and possibly poisoning the cache or a
-        generation-pinned router read), the lookup is retried at the new
-        generation.  Appends are rare; the retry budget is
-        :data:`GENERATION_RETRY_LIMIT`.
+        Cells and generation both come from ``snap`` (or, on the compute
+        fallback, from the one ``(generation, relation)`` pair read), so
+        whatever :meth:`append` publishes meanwhile, the answer is one
+        generation's and is cached under that generation.
         """
-        seen = set()
-        for _attempt in range(GENERATION_RETRY_LIMIT):
-            generation = self.store.generation
-            seen.add(generation)
-            cells = self.cache.get(canonical, threshold, generation)
-            if cells is not None:
-                return cells, "cache", generation
-            if deadline is not None:
-                deadline.check("store scan")
-            obs.event("serve.cache_miss")
-            try:
-                cells = self.store.query(canonical, minsup=threshold)
-                source = "store"
-            except (PlanError, SchemaError):
-                if self.relation is None:
-                    raise
-                obs.event("serve.compute_fallback")
-                cells = self._compute_guarded(canonical, threshold, deadline)
-                source = "compute"
-            if self.store.generation == generation:
-                # Verified: nothing swung while we read, so the cells
-                # really are generation ``generation``'s.
-                self.cache.put(canonical, threshold, generation, cells)
-                if deadline is not None:
-                    # The answer is cached for the next caller either
-                    # way, but a reply past its budget is honestly late.
-                    deadline.check("reply")
-                return cells, source, generation
-            self.telemetry.bump("generation_retry")
-            obs.event("serve.generation_retry")
-            if deadline is not None:
-                deadline.check("generation retry")
-        raise GenerationSkewError(seen, GENERATION_RETRY_LIMIT)
+        generation = snap.generation
+        cells = self.cache.get(canonical, threshold, generation)
+        if cells is not None:
+            return cells, "cache", generation
+        if deadline is not None:
+            deadline.check("store scan")
+        obs.event("serve.cache_miss")
+        try:
+            cells = snap.query(canonical, minsup=threshold)
+            source = "store"
+        except (PlanError, SchemaError):
+            if self._rows is None:
+                raise
+            obs.event("serve.compute_fallback")
+            generation, relation = self._rows
+            cells = self._compute_guarded(relation, canonical, threshold,
+                                          deadline)
+            source = "compute"
+        self.cache.put(canonical, threshold, generation, cells)
+        if deadline is not None:
+            # The answer is cached for the next caller either way, but a
+            # reply past its budget is honestly late.
+            deadline.check("reply")
+        return cells, source, generation
 
     def point(self, cuboid, cell, minsup=1):
         """One cell of one cuboid (a ``searchsorted`` on the covering
         leaf's run)."""
         start = perf_counter()
         threshold = as_threshold(minsup)
-        canonical = self.store.canonical(cuboid)
-        seen = set()
-        for _attempt in range(GENERATION_RETRY_LIMIT):
-            generation = self.store.generation
-            seen.add(generation)
-            agg = self.store.point(canonical, cell, minsup=threshold)
-            if self.store.generation == generation:
-                break
-            self.telemetry.bump("generation_retry")
-        else:
-            raise GenerationSkewError(seen, GENERATION_RETRY_LIMIT)
+        snap = self.store.snapshot()
+        canonical = snap.canonical(cuboid)
+        agg = snap.point(canonical, cell, minsup=threshold)
         cells = {tuple(cell): agg} if agg is not None else {}
         latency = perf_counter() - start
         self.telemetry.record(canonical, threshold.describe(), "store", latency)
         return QueryAnswer(canonical, threshold.describe(), cells, "store",
-                           latency, generation)
+                           latency, snap.generation)
 
     def iceberg(self, minsup=1, deadline_s=None):
         """This store's whole share of the iceberg cube, one generation.
 
-        Answers every cuboid in ``store.owned_cuboids()`` (the full
-        lattice for an unsharded store, this shard's partition
-        otherwise) under a single verified generation — the unit a
+        Answers every cuboid in ``owned_cuboids()`` (the full lattice
+        for an unsharded store, this shard's partition otherwise) from
+        a single snapshot — the unit a
         :class:`~repro.serve.cluster.CubeRouter` fans out and merges.
         Returns a :class:`CubeAnswer`.
         """
@@ -282,28 +262,17 @@ class CubeServer:
         threshold = as_threshold(minsup)
         deadline = self._deadline(deadline_s)
         with obs.span("serve.cube") as span:
-            seen = set()
-            for _attempt in range(GENERATION_RETRY_LIMIT):
-                generation = self.store.generation
-                seen.add(generation)
-                cuboids = {
-                    cuboid: self.store.query(cuboid, minsup=threshold)
-                    for cuboid in self.store.owned_cuboids()
-                }
-                if self.store.generation == generation:
-                    break
-                self.telemetry.bump("generation_retry")
-                obs.event("serve.generation_retry")
-                if deadline is not None:
-                    deadline.check("generation retry")
-            else:
-                raise GenerationSkewError(seen, GENERATION_RETRY_LIMIT)
+            snap = self.store.snapshot()
+            cuboids = snap.iceberg(minsup=threshold)
+            if deadline is not None:
+                deadline.check("reply")
             latency = perf_counter() - start
-            self.telemetry.record(self.store.dims, threshold.describe(),
+            self.telemetry.record(snap.dims, threshold.describe(),
                                   "store", latency)
             if span:
-                span.set(cuboids=len(cuboids), generation=generation)
-        return CubeAnswer(cuboids, threshold.describe(), generation, latency)
+                span.set(cuboids=len(cuboids), generation=snap.generation)
+        return CubeAnswer(cuboids, threshold.describe(), snap.generation,
+                          latency)
 
     def submit(self, cuboid, minsup=1, deadline_s=None):
         """Admit a query to the thread pool; returns a Future.
@@ -369,7 +338,7 @@ class CubeServer:
         return Deadline(deadline_s)
 
     def _relation_canonical(self, cuboid):
-        order = {name: i for i, name in enumerate(self.relation.dims)}
+        order = {name: i for i, name in enumerate(self._rows[1].dims)}
         try:
             return tuple(sorted(cuboid, key=order.__getitem__))
         except KeyError as exc:
@@ -377,7 +346,7 @@ class CubeServer:
                 "unknown dimension %s in cuboid %r" % (exc, cuboid)
             ) from None
 
-    def _compute_guarded(self, cuboid, threshold, deadline=None):
+    def _compute_guarded(self, relation, cuboid, threshold, deadline=None):
         """The recompute fallback behind the circuit breaker.
 
         Breaker open: fail fast with
@@ -395,11 +364,11 @@ class CubeServer:
             )
         try:
             if deadline is None:
-                cells = self._compute(cuboid, threshold)
+                cells = self._compute(relation, cuboid, threshold)
             else:
                 deadline.check("compute fallback")
                 future = self._compute_executor().submit(
-                    self._compute, cuboid, threshold)
+                    self._compute, relation, cuboid, threshold)
                 try:
                     cells = future.result(timeout=max(0.0, deadline.remaining()))
                 except FutureTimeoutError:
@@ -423,15 +392,16 @@ class CubeServer:
                 )
             return self._compute_pool
 
-    def _compute(self, cuboid, threshold):
-        """Fresh compute: one group-by over the server's relation."""
+    @staticmethod
+    def _compute(relation, cuboid, threshold):
+        """Fresh compute: one group-by over ``relation``."""
         if not cuboid:
-            count = len(self.relation)
-            total = sum(self.relation.measures)
+            count = len(relation)
+            total = sum(relation.measures)
             if threshold.qualifies(count, total):
                 return {(): (count, total)}
             return {}
-        frame = ColumnarFrame.from_relation(self.relation, cuboid)
+        frame = ColumnarFrame.from_relation(relation, cuboid)
         return aggregate_cuboid(frame, cuboid, threshold)
 
     # ------------------------------------------------------------------
@@ -440,9 +410,9 @@ class CubeServer:
     def append(self, relation, batch_id=None):
         """Fold new rows into the store; cached answers go stale.
 
-        Serialized against other appends; in-flight readers see either
-        the old or the new leaf lists (both internally consistent), and
-        the generation bump keeps the cache from mixing the two.
+        Serialized against other appends; an in-flight reader keeps the
+        snapshot it pinned, and the generation bump keeps the cache from
+        mixing the two.
 
         ``batch_id`` makes the append idempotent: a batch the store
         already applied is acknowledged with ``applied=False`` instead
@@ -454,13 +424,13 @@ class CubeServer:
             result = self.store.append(relation, batch_id=batch_id)
             # an in-memory LeafMaterialization returns nothing
             applied = getattr(result, "applied", True)
-            # Raise the cache watermark *after* the store swung: from
-            # here on, any insert computed before the append is refused
-            # (closing the read-compute-insert race).
-            self.cache.advance(self.store.generation)
-            if applied and self.relation is not None:
-                self.relation = self.relation.concat(relation)
-        return AppendResult(self.store.generation, applied,
+            generation = self.store.generation
+            if applied and self._rows is not None:
+                # After the store's append, and as one pair: until this
+                # lands the fallback answers the old rows as the old
+                # generation, never the old rows as the new one.
+                self._rows = (generation, self._rows[1].concat(relation))
+        return AppendResult(generation, applied,
                             getattr(result, "batch_id", batch_id))
 
     def wal_batches(self, since):
@@ -502,11 +472,12 @@ class CubeServer:
 
     def stats(self):
         """Server-wide counters: store shape, cache, latency, resilience."""
+        snap = self.store.snapshot()
         return {
-            "dims": list(self.store.dims),
-            "leaves": len(self.store.leaves),
-            "generation": self.store.generation,
-            "total_rows": self.store.total_rows,
+            "dims": list(snap.dims),
+            "leaves": len(snap.leaves),
+            "generation": snap.generation,
+            "total_rows": snap.total_rows,
             "cache": self.cache.stats(),
             "telemetry": self.telemetry.summary(),
             "resilience": {
@@ -528,9 +499,13 @@ class CubeServer:
         gate = self.gate.stats()
         shard = getattr(self.store, "shard", None)
         wal_stats = getattr(self.store, "wal_stats", None)
+        wal = wal_stats() if wal_stats is not None else None
         return {
             "status": "closed" if self._closed else "ok",
-            "generation": self.store.generation,
+            # the WAL's own view when there is one, so the reply is one
+            # state's: dims, shard and leaves never change
+            "generation": (wal["generation"] if wal is not None
+                           else self.store.generation),
             "verify": getattr(self.store, "verify_mode", "off"),
             "dims": list(self.store.dims),
             "shard": ({"index": shard[0], "of": shard[1]}
@@ -540,7 +515,7 @@ class CubeServer:
             "max_pending": gate["limit"],
             "shed": gate["shed"],
             "breaker": self.breaker.state,
-            "wal": wal_stats() if wal_stats is not None else None,
+            "wal": wal,
         }
 
     # ------------------------------------------------------------------
@@ -638,11 +613,11 @@ class _CubeRequestHandler(JsonRequestHandler):
         self._reply_text(200, self.app.registry.to_prometheus())
 
     def _get_cuboids(self, params):
-        store = self.app.store
+        snap = self.app.store.snapshot()
         self._reply(200, {
-            "dims": list(store.dims),
-            "leaves": [list(leaf) for leaf in store.leaves],
-            "generation": store.generation,
+            "dims": list(snap.dims),
+            "leaves": [list(leaf) for leaf in snap.leaves],
+            "generation": snap.generation,
         })
 
     def _get_wal(self, params):

@@ -13,9 +13,9 @@ restart pays a file read instead of the full precompute.
 On-disk layout (format version 3)::
 
     <directory>/
-      manifest.json        # dims, generation, per-leaf size + checksum
-      journal.json         # only mid-compaction: the pending manifest
-      A_D.run, B_D.run ... # one encoded CellRun per leaf
+      manifest.json        # dims, generation, per-leaf file + checksum
+      A_D.run, B_D.run ... # one encoded CellRun per leaf, as built
+      A_D.g7.run ...       # the same leaf as compacted at generation 7
       wal/                 # appended batches not yet compacted
 
 A ``.run`` file is :meth:`CellRun.encode
@@ -34,30 +34,35 @@ checks sizes, ``"full"`` re-hashes the content).  A truncated, corrupted
 or missing leaf is *salvaged* — rebuilt by projecting the root leaf,
 which covers every other leaf at minsup 1 — or, when the root leaf
 itself is damaged, :class:`~repro.errors.StoreCorruptError` names the
-offending leaf.  Debris from interrupted writes (``*.tmp.*``,
-``*.staged``, leaf files no manifest references) is swept on open.
+offending leaf.  Debris from interrupted writes (``*.tmp.*``, leaf
+files the manifest does not name) is swept on open.
+
+**Immutable snapshots.**  What a store holds at one instant is a
+:class:`~repro.online.materialize.LeafSnapshot` — the leaf files one
+manifest names plus the batches appended since — that ``append`` and
+``compact`` replace under the write lock and nobody edits, so a read
+takes no lock either of them holds and answers one generation.
 
 **One append path.**  ``append`` never touches a leaf file: the batch is
 made durable as one checksummed write-ahead-log record
 (:mod:`repro.serve.ingest`) and kept, as columns, in the list of
-*pending batches* — O(batch), whatever the store's size or leaf count.
-The first read of a leaf after an append projects the pending rows onto
-the leaf's dimensions and merges them into its base run (cached until
-the next append).  A ``batch_id`` the store already applied is
-acknowledged, never re-applied.  Every store appends this way, whether
-it came from ``open``, ``build``, ``from_materialization`` or
-``assemble``; ``wal/`` appears on the first append.
+*pending batches* of the next snapshot — O(batch), whatever the store's
+size or leaf count.  The first read of a leaf through a snapshot
+projects its pending rows onto the leaf's dimensions and merges them
+into the base run (cached on that snapshot).  A ``batch_id`` the store
+already applied is acknowledged, never re-applied.  Every store appends
+this way, whether it came from ``open``, ``build``,
+``from_materialization`` or ``assemble``; ``wal/`` appears on the first
+append.
 
 **One leaf writer.**  Every leaf file is streamed by :class:`LeafWriter`.
-After the build, :meth:`CubeStore.compact` is the only code that
-rewrites leaf files, and it is *journalled two-phase*: every merged
-leaf is staged next to the live one, a journal naming the complete next
-state is written atomically (the commit point), and only then are the
-live files swung and the WAL truncated.  A crash before the journal
-rolls back (staged files are swept, the WAL replays the batches on
-reopen); a crash after it rolls forward (the swing is completed and the
-now-stale WAL records are pruned) — never a mix, nothing lost, nothing
-counted twice.  Rewrite-per-append, where wanted, is
+A leaf file is never overwritten: after the build,
+:meth:`CubeStore.compact` writes every merged leaf under a name no
+earlier generation used, and *one* atomic replace of ``manifest.json``
+is the commit.  A crash before it leaves orphan files and a WAL that
+replays on reopen; a crash after it leaves the superseded files and
+now-stale WAL records, both swept on reopen — never a mix, nothing
+lost, nothing counted twice.  Rewrite-per-append, where wanted, is
 ``append(); compact()``.
 """
 
@@ -72,9 +77,8 @@ import numpy as np
 from .. import obs
 from ..core.columnar import CellRun, RunWriter, code_matrix
 from ..core.export import MANIFEST, atomic_write
-from ..core.thresholds import as_threshold
 from ..errors import PlanError, SchemaError, StoreCorruptError, WalCorruptError
-from ..lattice.lattice import CubeLattice
+from ..online.materialize import LeafHolder, LeafSnapshot
 from .ingest import WriteAheadLog, chaos_kill, stamped_batch_id
 
 STORE_FORMAT = "repro-cube-store/1"
@@ -83,13 +87,9 @@ STORE_FORMAT_VERSION = 3
 #: Extension of a leaf file (an encoded :class:`CellRun`).
 LEAF_SUFFIX = ".run"
 
-#: The compaction journal: present only between a compaction's commit
-#: point and its completed leaf swing; holds the complete next manifest.
+#: The two-phase compaction journal of earlier releases.  Nothing
+#: writes one any more; a directory still holding one is refused.
 JOURNAL = "journal.json"
-JOURNAL_FORMAT = "repro-cube-store-journal/1"
-
-#: Suffix of a staged (phase-1) leaf rewrite awaiting the journal commit.
-STAGED_SUFFIX = ".staged"
 
 #: Verification levels accepted by :meth:`CubeStore.open`.
 VERIFY_LEVELS = ("off", "quick", "full")
@@ -113,8 +113,11 @@ APPLIED_BATCH_WINDOW = 1024
 AppendResult = namedtuple("AppendResult", ("generation", "applied", "batch_id"))
 
 
-def _leaf_filename(cuboid):
-    return "_".join(cuboid) + LEAF_SUFFIX
+def _leaf_filename(cuboid, generation=1):
+    """``A_D.run`` as built; ``A_D.g7.run`` as compacted at generation 7
+    — a name no other generation uses, so no leaf file is overwritten."""
+    stamp = ".g%d" % generation if generation > 1 else ""
+    return "_".join(cuboid) + stamp + LEAF_SUFFIX
 
 
 def _sha256_file(path):
@@ -135,8 +138,19 @@ def _read_manifest(directory):
             "no cube-store manifest at %r" % (manifest_path,)) from None
 
 
+def _refuse_journal(directory):
+    """Refuse what ``open`` and ``migrate`` cannot take over.  Ignoring
+    it could mix generations: the leaves the journal names may be half
+    swung under the names the old manifest still uses."""
+    if os.path.exists(os.path.join(directory, JOURNAL)):
+        raise SchemaError(
+            "%s holds the journal of a compaction interrupted under an "
+            "earlier release; open it once with that release, which "
+            "completes it" % directory)
+
+
 def _write_json(path, payload):
-    """Atomically publish a manifest or journal."""
+    """Atomically publish a manifest."""
     atomic_write(
         path,
         lambda handle: json.dump(payload, handle, indent=2, sort_keys=True),
@@ -151,14 +165,14 @@ class LeafWriter:
     into blocks while the SHA-256 and byte count are kept alongside.
     The file is written under an ``atomic_write``-style temp name;
     nothing is visible at the real path until :meth:`commit`, so a
-    killed writer never leaves a partial leaf in the store.  ``suffix``
-    stages the file beside the live one (compaction's phase 1).
+    killed writer never leaves a partial leaf in the store.
+    ``generation`` names the file (:func:`_leaf_filename`).
     """
 
-    def __init__(self, directory, cuboid, suffix=""):
+    def __init__(self, directory, cuboid, generation=1):
         self.cuboid = tuple(cuboid)
-        self.filename = _leaf_filename(self.cuboid)
-        self.path = os.path.join(str(directory), self.filename + suffix)
+        self.filename = _leaf_filename(self.cuboid, generation)
+        self.path = os.path.join(str(directory), self.filename)
         self._tmp = "%s.tmp.%d" % (self.path, os.getpid())
         self._handle = open(self._tmp, "wb")
         self._digest = hashlib.sha256()
@@ -197,9 +211,9 @@ class LeafWriter:
                 pass
 
 
-def write_leaf(directory, run, suffix=""):
+def write_leaf(directory, run, generation=1):
     """Write ``run`` as its leaf's file; returns the manifest entry."""
-    writer = LeafWriter(directory, run.dims, suffix)
+    writer = LeafWriter(directory, run.dims, generation)
     try:
         writer.add(run.codes, run.counts, run.sums)
         return writer.commit()
@@ -208,7 +222,102 @@ def write_leaf(directory, run, suffix=""):
         raise
 
 
-class CubeStore:
+class _StoreSnapshot(LeafSnapshot):
+    """One :class:`CubeStore` state: the leaf files one manifest names
+    (``entries``; ``runs`` is what has been loaded from them so far)
+    plus the batches appended since, merged in as leaves are read.
+
+    :meth:`replace` copies by reference, so the snapshots an append
+    publishes share ``entries`` and ``runs`` — a leaf is read from disk
+    once, and a run stays reachable from the snapshots that may still
+    want it after a compaction unlinked its file; only a compaction
+    (or salvage, or ``close``) replaces the two, together.  ``lock``,
+    shared by all, serialises cold loads and delta merges; ``append``
+    and ``compact`` never hold it while they publish.
+    """
+
+    def __init__(self, dims, leaves, shard, directory, entries, runs,
+                 generation, total_rows, total_measure):
+        super().__init__(dims, leaves, dict(runs), generation, total_rows,
+                         total_measure, shard)
+        self.directory = directory
+        #: leaf cuboid -> manifest entry (file, cells, bytes, sha256)
+        self.entries = entries
+        self.lock = threading.Lock()
+        #: every WAL'd batch not yet compacted, as columns, in generation
+        #: order: (((dims x rows) code matrix, measures), ...)
+        self.batches = ()
+        self._columns = None  # the batches concatenated, lazy
+        self._merged = {}  # leaf -> base run (+) pending rows, lazy
+
+    def replace(self, **state):
+        return super().replace(_columns=None, _merged={}, **state)
+
+    def base_run(self, leaf):
+        """The leaf's on-disk cells (no pending rows), loaded on first
+        use."""
+        run = self.runs.get(leaf)
+        if run is not None:
+            return run
+        with self.lock:
+            run = self.runs.get(leaf)
+            if run is not None:
+                return run
+            entry = self.entries.get(leaf)
+            if entry is None:
+                raise PlanError("cuboid %r is not a stored leaf" % (leaf,))
+            with obs.span("store.load_leaf") as span:
+                path = os.path.join(self.directory, entry["file"])
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                try:
+                    run = CellRun.decode(data)
+                except SchemaError as exc:
+                    raise StoreCorruptError(
+                        leaf, str(exc), self.directory) from None
+                if len(run) != entry["cells"] or run.dims != leaf:
+                    raise StoreCorruptError(
+                        leaf,
+                        "holds %d cells of %r on disk, manifest says %d"
+                        % (len(run), run.dims, entry["cells"]),
+                        self.directory,
+                    )
+                if span:
+                    span.set(leaf="/".join(leaf), cells=len(run),
+                             bytes=len(data))
+            self.runs[leaf] = run
+            return run
+
+    def leaf_items(self, leaf):
+        """The *merged view*: the on-disk base run plus the rows of
+        every batch the snapshot was published with, projected onto the
+        leaf's dimensions and merged in on the first read — so append
+        cost never includes a leaf rewrite."""
+        base = self.base_run(leaf)
+        if not self.batches:
+            return base
+        merged = self._merged.get(leaf)
+        if merged is not None:
+            return merged
+        with self.lock:
+            merged = self._merged.get(leaf)
+            if merged is None:
+                with obs.span("store.merge_delta") as span:
+                    if self._columns is None:
+                        self._columns = tuple(
+                            np.concatenate(column, axis=-1)
+                            for column in zip(*self.batches))
+                    codes, measures = self._columns
+                    positions = [self.dims.index(d) for d in leaf]
+                    merged = self._merged[leaf] = base.add_rows(
+                        codes[positions], measures)
+                    if span:
+                        span.set(leaf="/".join(leaf), base_cells=len(base),
+                                 pending_rows=len(measures))
+            return merged
+
+
+class CubeStore(LeafHolder):
     """Persistent, incrementally maintainable leaf-cuboid store.
 
     A store may hold *all* leaves of its dimension set or just one
@@ -220,46 +329,41 @@ class CubeStore:
     for an unsharded store.
     """
 
-    def __init__(self, directory, manifest):
+    def __init__(self, directory, manifest, runs=()):
         self.directory = str(directory)
         self._check_manifest(manifest)
         self.dims = tuple(manifest["dims"])
-        self._lattice = CubeLattice(self.dims)
         shard = manifest.get("shard")
         self.shard = ((int(shard["index"]), int(shard["of"]))
                       if shard else None)
         #: integrity level this store was opened at ("off" for a fresh
         #: build); surfaced on the server's /healthz
         self.verify_mode = "off"
-        self.generation = int(manifest["generation"])
-        self.total_rows = int(manifest["total_rows"])
-        self.total_measure = float(manifest["total_measure"])
-        #: leaf cuboid -> manifest entry (file, cells, bytes, sha256)
-        self._entries = {}
+        entries = {}
         self.leaves = []
         for entry in manifest["leaves"]:
             cuboid = tuple(entry["cuboid"])
             self.leaves.append(cuboid)
-            self._entries[cuboid] = {
+            entries[cuboid] = {
                 "file": entry["file"],
                 "cells": int(entry["cells"]),
                 "bytes": int(entry["bytes"]),
                 "sha256": entry["sha256"],
             }
-        self._leaf_set = frozenset(self.leaves)
-        self._runs = {}  # leaf -> base CellRun (what the file holds), lazy
-        self._lock = threading.RLock()
+        #: the current state; replaced, never edited, under ``_lock``
+        self._snapshot = _StoreSnapshot(
+            self.dims, self.leaves, self.shard, self.directory, entries,
+            runs, int(manifest["generation"]), int(manifest["total_rows"]),
+            float(manifest["total_measure"]))
+        #: the write lock: held to publish a snapshot (``append``, the
+        #: commit of ``compact``), never by a read
+        self._lock = threading.Lock()
+        #: one compaction at a time, background or explicit
+        self._compact_lock = threading.Lock()
         self._closed = False
         #: the write-ahead log every append goes through
         self.wal = WriteAheadLog(os.path.join(self.directory, WAL_DIR))
         self.compact_after = DEFAULT_COMPACT_AFTER
-        #: every WAL'd batch not yet compacted, as columns, in generation
-        #: order: [((dims x rows) code matrix, measures)]
-        self._pending_rows = []
-        self._pending_columns = None  # the batches concatenated, lazy
-        self._merged = {}  # leaf -> base run (+) pending rows, lazy
-        #: WAL'd batches awaiting compaction: [{generation, batch_id, rows}]
-        self._pending = []
         #: batch_id -> generation for every applied batch still in the
         #: idempotence window (manifest window + pending WAL records)
         self._applied_batches = {
@@ -268,12 +372,10 @@ class CubeStore:
         }
         self._compacting = False
         self._compact_thread = None
-        #: what `open` had to repair: rolled_forward / orphans_removed /
-        #: salvaged, plus wal_replayed / wal_pruned counts (a fresh
-        #: build repaired nothing)
-        self.recovery = {
-            "rolled_forward": False, "orphans_removed": [], "salvaged": [],
-        }
+        #: what `open` had to repair: orphans_removed / salvaged, plus
+        #: wal_replayed / wal_pruned counts (a fresh build repaired
+        #: nothing)
+        self.recovery = {"orphans_removed": [], "salvaged": []}
 
     @staticmethod
     def _check_manifest(manifest):
@@ -354,6 +456,7 @@ class CubeStore:
 
             leaves = ShardMap(materialization.dims, shard[1]).leaves_for(
                 shard[0])
+        materialization = materialization.snapshot()
         entries = {}
         loaded = {}
         for leaf in leaves:
@@ -363,15 +466,13 @@ class CubeStore:
                 if span:
                     span.set(leaf="/".join(leaf), cells=len(run),
                              bytes=entry["bytes"])
-        store = cls._publish(directory, cls._manifest_dict(
+        return cls._publish(directory, cls._manifest_dict(
             materialization.dims, leaves, entries,
             generation=1,
             total_rows=materialization.total_rows,
             total_measure=materialization.total_measure,
             shard=shard,
-        ))
-        store._runs.update(loaded)
-        return store
+        ), loaded)
 
     @classmethod
     def assemble(cls, directory, dims, entries, total_rows, total_measure,
@@ -395,14 +496,15 @@ class CubeStore:
         ))
 
     @classmethod
-    def _publish(cls, directory, manifest):
-        """Publish a fresh build's manifest; returns the store open.
+    def _publish(cls, directory, manifest, runs=()):
+        """Publish a fresh build's manifest; returns the store open
+        (``runs``: the leaves already in memory).
 
         The build supersedes whatever the directory held, so the WAL
         records of a store it replaces are dropped first — they must
         not replay onto cells that never saw their base.
         """
-        store = cls(directory, manifest)
+        store = cls(directory, manifest, runs)
         store.wal.truncate_through(max(store.wal.generations(), default=0))
         _write_json(os.path.join(directory, MANIFEST), manifest)
         return store
@@ -415,8 +517,7 @@ class CubeStore:
         ``verify`` controls the integrity pass: ``"quick"`` (default)
         checks every leaf file's existence and byte size against the
         manifest, ``"full"`` re-hashes the content, ``"off"`` skips the
-        pass (an interrupted compaction is still rolled forward or back —
-        generation mixing is never allowed).  Damaged leaves are rebuilt
+        pass (and with it the orphan sweep).  Damaged leaves are rebuilt
         from the root leaf when ``salvage`` is true; otherwise — or when
         the root leaf itself is damaged —
         :class:`~repro.errors.StoreCorruptError` names the leaf.  What
@@ -434,14 +535,9 @@ class CubeStore:
                 "verify must be one of %s, got %r" % (", ".join(VERIFY_LEVELS), verify)
             )
         directory = str(directory)
-        recovery = {
-            "rolled_forward": False, "orphans_removed": [], "salvaged": [],
-        }
-        manifest = cls._recover_journal(directory, recovery)
-        if manifest is None:
-            manifest = _read_manifest(directory)
-        store = cls(directory, manifest)
-        store.recovery = recovery
+        store = cls(directory, _read_manifest(directory))
+        _refuse_journal(directory)
+        recovery = store.recovery
         store.verify_mode = verify
         if verify != "off":
             store._sweep_orphans(recovery)
@@ -449,10 +545,8 @@ class CubeStore:
         store.compact_after = (None if compact_after is None
                                else max(1, int(compact_after)))
         store._replay_wal(recovery)
-        if (recovery["rolled_forward"] or recovery["orphans_removed"]
-                or recovery["salvaged"]):
+        if recovery["orphans_removed"] or recovery["salvaged"]:
             obs.event("store.recovered",
-                      rolled_forward=recovery["rolled_forward"],
                       orphans_removed=len(recovery["orphans_removed"]),
                       salvaged=len(recovery["salvaged"]))
         return store
@@ -480,11 +574,7 @@ class CubeStore:
                 "%s is not a format-2 cube store (format %r, version %r): "
                 "nothing to migrate" % (directory, manifest.get("format"),
                                         manifest.get("format_version")))
-        if os.path.exists(os.path.join(directory, JOURNAL)):
-            raise SchemaError(
-                "%s holds the journal of an interrupted compaction; open "
-                "it once with the release that wrote it, then migrate"
-                % directory)
+        _refuse_journal(directory)
         entries = {}
         for old in manifest["leaves"]:
             leaf = tuple(old["cuboid"])
@@ -511,7 +601,7 @@ class CubeStore:
         """Re-apply the WAL records newer than the manifest."""
         self.wal.sweep()
         # Records at or below the manifest generation were compacted in
-        # (a crash between the manifest swing and WAL truncation).
+        # (a crash between the manifest replace and WAL truncation).
         pruned = self.wal.truncate_through(self.generation)
         replayed = 0
         for record in self.wal.replay():
@@ -538,65 +628,19 @@ class CubeStore:
     # ------------------------------------------------------------------
     # crash recovery
     # ------------------------------------------------------------------
-    @classmethod
-    def _recover_journal(cls, directory, recovery):
-        """Complete (or discard) an append interrupted mid-commit.
-
-        Returns the rolled-forward manifest, or ``None`` when there is
-        no journal (the common case).  The journal is only ever written
-        *after* every staged leaf file landed, so roll-forward can
-        always finish the swing: each leaf either still has its staged
-        file (swing it now) or was already swung (its content matches
-        the journalled checksum).
-        """
-        journal_path = os.path.join(directory, JOURNAL)
-        try:
-            with open(journal_path) as handle:
-                journal = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError):
-            # The journal is written atomically, so a malformed one is
-            # foreign debris; without a valid commit record, roll back.
-            os.unlink(journal_path)
-            return None
-        if journal.get("format") != JOURNAL_FORMAT:
-            raise SchemaError(
-                "unknown cube-store journal format %r" % (journal.get("format"),)
-            )
-        manifest = journal["manifest"]
-        cls._check_manifest(manifest)
-        for entry in manifest["leaves"]:
-            path = os.path.join(directory, entry["file"])
-            staged = path + STAGED_SUFFIX
-            if os.path.exists(staged):
-                os.replace(staged, path)
-            elif not (os.path.exists(path)
-                      and os.path.getsize(path) == int(entry["bytes"])
-                      and _sha256_file(path) == entry["sha256"]):
-                raise StoreCorruptError(
-                    tuple(entry["cuboid"]),
-                    "journal roll-forward found neither the staged file "
-                    "nor the committed content",
-                    directory,
-                )
-        _write_json(os.path.join(directory, MANIFEST), manifest)
-        os.unlink(journal_path)
-        recovery["rolled_forward"] = True
-        return manifest
-
     def _sweep_orphans(self, recovery):
         """Remove write debris the manifest does not reference.
 
-        Staged files and ``atomic_write`` temps are always an
-        interrupted writer's leftovers (a journalled writer's staged
-        files were consumed by roll-forward before this runs); ``.run``
-        and ``.csv`` files no manifest entry names are stale leaves from
-        a superseded generation or a finished ``store migrate``.
-        Anything else is left alone.
+        ``atomic_write`` temps are an interrupted writer's leftovers;
+        ``.run`` files no manifest entry names are a compaction's — the
+        new files of one cut before its commit, or the superseded files
+        of one cut after it; ``.csv`` files are a finished ``store
+        migrate``'s and ``.staged`` files an earlier release's
+        interrupted rewrite.  Anything else is left alone.
         """
-        known = {MANIFEST, JOURNAL}
-        known.update(entry["file"] for entry in self._entries.values())
+        known = {MANIFEST}
+        known.update(entry["file"]
+                     for entry in self._snapshot.entries.values())
         for name in sorted(os.listdir(self.directory)):
             if name in known:
                 continue
@@ -604,13 +648,12 @@ class CubeStore:
             if not os.path.isfile(path):
                 continue
             if (".tmp." in name
-                    or name.endswith((STAGED_SUFFIX, LEAF_SUFFIX, ".csv"))):
+                    or name.endswith((LEAF_SUFFIX, ".csv", ".staged"))):
                 os.unlink(path)
                 recovery["orphans_removed"].append(name)
 
-    def _leaf_damage(self, leaf, level):
+    def _leaf_damage(self, entry, level):
         """Why the leaf's file fails verification, or ``None`` if intact."""
-        entry = self._entries[leaf]
         path = os.path.join(self.directory, entry["file"])
         try:
             size = os.path.getsize(path)
@@ -626,15 +669,16 @@ class CubeStore:
         return None
 
     def _verify_leaves(self, level, salvage, recovery):
+        snap = self._snapshot
         damaged = []
         for leaf in self.leaves:
-            reason = self._leaf_damage(leaf, level)
+            reason = self._leaf_damage(snap.entries[leaf], level)
             if reason is not None:
                 damaged.append((leaf, reason))
         if not damaged:
             return
         root = self.dims
-        if root not in self._leaf_set:
+        if root not in snap.entries:
             # A shard store without the root leaf has nothing local to
             # salvage from; its replicas are the redundancy instead.
             leaf, reason = damaged[0]
@@ -655,24 +699,22 @@ class CubeStore:
         if not salvage:
             leaf, reason = damaged[0]
             raise StoreCorruptError(leaf, reason, self.directory)
-        with self._lock:
-            for leaf, _reason in damaged:
-                with obs.span("store.salvage", leaf=list(leaf)):
-                    self._rebuild_leaf(leaf)
-                recovery["salvaged"].append(leaf)
-            self._write_manifest()
-
-    def _rebuild_leaf(self, leaf):
-        """Regenerate one leaf by projecting the (intact) root leaf.
-
-        Leaves hold unfiltered minsup-1 cells and count/sum are
-        distributive, so projecting the root leaf's cells onto the
-        damaged leaf's dimensions reproduces its content exactly.
-        """
-        run = self._base_run(self.dims).project(
-            [self.dims.index(d) for d in leaf])
-        self._entries[leaf] = write_leaf(self.directory, run)
-        self._runs[leaf] = run
+        # Leaves hold unfiltered minsup-1 cells and count/sum are
+        # distributive, so projecting the (intact) root leaf's cells
+        # onto a damaged leaf's dimensions reproduces its content
+        # exactly.  Nobody has been handed a snapshot yet; the repaired
+        # files are still published as a new one.
+        runs = {root: snap.base_run(root)}
+        entries = dict(snap.entries)
+        for leaf, _reason in damaged:
+            with obs.span("store.salvage", leaf=list(leaf)):
+                runs[leaf] = runs[root].project(
+                    [self.dims.index(d) for d in leaf])
+                entries[leaf] = write_leaf(self.directory, runs[leaf],
+                                           snap.generation)
+            recovery["salvaged"].append(leaf)
+        self._write_manifest(snap, entries, self._applied_batches)
+        self._snapshot = snap.replace(entries=entries, runs=runs)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -681,15 +723,16 @@ class CubeStore:
         """Release in-memory leaf data; further queries raise.
 
         Pending WAL batches are *not* compacted — they are already
-        durable and will replay on the next open.
+        durable and will replay on the next open.  A snapshot a reader
+        still holds keeps answering; the store just stops referencing
+        its loaded runs.
         """
         thread = self._compact_thread
         if (thread is not None and thread.is_alive()
                 and thread is not threading.current_thread()):
             thread.join()
         with self._lock:
-            self._runs.clear()
-            self._merged.clear()
+            self._snapshot = self._snapshot.replace(runs={})
             self._closed = True
 
     def __enter__(self):
@@ -699,176 +742,26 @@ class CubeStore:
         self.close()
         return False
 
-    def _check_open(self):
+    # ------------------------------------------------------------------
+    # reading: LeafHolder's delegations to the current snapshot
+    # ------------------------------------------------------------------
+    def snapshot(self):
+        """The current :class:`~repro.online.materialize.LeafSnapshot`
+        (:meth:`LeafHolder.snapshot`); a closed store has none."""
         if self._closed:
             raise PlanError("cube store %r is closed" % (self.directory,))
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def canonical(self, cuboid):
-        """Normalize a cuboid to the store's schema order."""
-        return self._lattice.canonical(cuboid)
-
-    def covering_leaf(self, cuboid):
-        """The stored leaf that has (canonical) ``cuboid`` as a prefix."""
-        cuboid = self._lattice.canonical(cuboid)
-        if cuboid and cuboid[-1] == self.dims[-1]:
-            return cuboid
-        candidate = cuboid + (self.dims[-1],)
-        if candidate in self._leaf_set:
-            return candidate
-        if self.shard is not None:
-            raise PlanError(
-                "no stored leaf covers cuboid %r on shard %d/%d (placement "
-                "assigns its covering leaf to another shard)"
-                % (cuboid, self.shard[0], self.shard[1]))
-        raise PlanError("no stored leaf covers cuboid %r" % (cuboid,))
+        return self._snapshot
 
     def total_cells(self):
         """Stored cells across all leaves (from the manifest, no I/O)."""
-        return sum(entry["cells"] for entry in self._entries.values())
+        return sum(entry["cells"]
+                   for entry in self._snapshot.entries.values())
 
     def loaded_leaves(self):
         """Leaves currently resident in memory (the hot set)."""
-        with self._lock:
-            return sorted(self._runs)
-
-    def leaf_items(self, leaf):
-        """The leaf's cells as one :class:`CellRun`, loading from disk
-        on first use.
-
-        This is the *merged view*: the on-disk base run plus the rows of
-        every not-yet-compacted append, projected onto the leaf's
-        dimensions and merged in on the first read after an append
-        (cached until the next one or a compaction) — so append cost
-        never includes a leaf rewrite.
-        """
-        self._check_open()
-        if not self._pending:
-            return self._base_run(leaf)
-        with self._lock:
-            if not self._pending:
-                return self._base_run(leaf)
-            merged = self._merged.get(leaf)
-            if merged is None:
-                base = self._base_run(leaf)
-                with obs.span("store.merge_delta") as span:
-                    if self._pending_columns is None:
-                        self._pending_columns = tuple(
-                            np.concatenate(column, axis=-1)
-                            for column in zip(*self._pending_rows))
-                    codes, measures = self._pending_columns
-                    positions = [self.dims.index(d) for d in leaf]
-                    merged = self._merged[leaf] = base.add_rows(
-                        codes[positions], measures)
-                    if span:
-                        span.set(leaf="/".join(leaf), base_cells=len(base),
-                                 pending_rows=len(measures))
-            return merged
-
-    def _base_run(self, leaf):
-        """The leaf's compacted on-disk cells (no pending rows)."""
-        run = self._runs.get(leaf)
-        if run is not None:
-            return run
-        with self._lock:
-            run = self._runs.get(leaf)
-            if run is not None:
-                return run
-            entry = self._entries.get(leaf)
-            if entry is None:
-                raise PlanError("cuboid %r is not a stored leaf" % (leaf,))
-            with obs.span("store.load_leaf") as span:
-                path = os.path.join(self.directory, entry["file"])
-                with open(path, "rb") as handle:
-                    data = handle.read()
-                try:
-                    run = CellRun.decode(data)
-                except SchemaError as exc:
-                    raise StoreCorruptError(
-                        leaf, str(exc), self.directory) from None
-                if len(run) != entry["cells"] or run.dims != leaf:
-                    raise StoreCorruptError(
-                        leaf,
-                        "holds %d cells of %r on disk, manifest says %d"
-                        % (len(run), run.dims, entry["cells"]),
-                        self.directory,
-                    )
-                if span:
-                    span.set(leaf="/".join(leaf), cells=len(run),
-                             bytes=len(data))
-            self._runs[leaf] = run
-            return run
-
-    def query(self, cuboid, minsup=1):
-        """Answer ``GROUP BY cuboid HAVING <threshold>`` from the store.
-
-        One :meth:`CellRun.group_by
-        <repro.core.columnar.CellRun.group_by>` over the covering leaf —
-        the very call ``LeafMaterialization.query`` makes.  Returns
-        ``{cell: (count, sum)}``.
-        """
-        self._check_open()
-        threshold = as_threshold(minsup)
-        cuboid = self._lattice.canonical(cuboid)
-        with obs.span("store.query", cuboid="/".join(cuboid)) as span:
-            if not cuboid:
-                if threshold.qualifies(self.total_rows, self.total_measure):
-                    return {(): (self.total_rows, self.total_measure)}
-                return {}
-            run = self.leaf_items(self.covering_leaf(cuboid))
-            out = run.group_by(len(cuboid), threshold)
-            if span:
-                span.set(cells=len(out))
-            return out
-
-    def owned_cuboids(self):
-        """Every cuboid whose *covering leaf* this store holds.
-
-        Each stored leaf ``L`` covers exactly two cuboids whose
-        ``covering_leaf`` is ``L`` itself: ``L`` and ``L[:-1]`` (for the
-        last-dimension-only leaf that second cuboid is ``()``).  Across
-        the shards of a :class:`~repro.serve.cluster.ShardMap` these
-        sets partition the whole lattice, so a fan-out to all shards
-        covers every cuboid exactly once.
-        """
-        owned = []
-        for leaf in self.leaves:
-            owned.append(leaf)
-            owned.append(leaf[:-1])
-        return owned
-
-    def iceberg(self, minsup=1):
-        """The iceberg cube over every cuboid this store covers.
-
-        Returns ``{cuboid: {cell: (count, sum)}}`` restricted to the
-        cuboids in :meth:`owned_cuboids` — the store's share of the full
-        cube.  An unsharded store answers the entire lattice.
-        """
-        return {cuboid: self.query(cuboid, minsup=minsup)
-                for cuboid in self.owned_cuboids()}
-
-    def point(self, cuboid, cell, minsup=1):
-        """One cell of one cuboid: ``(count, sum)`` or ``None`` — a
-        ``searchsorted`` per coordinate on the covering leaf's run
-        (:meth:`CellRun.lookup <repro.core.columnar.CellRun.lookup>`)."""
-        self._check_open()
-        threshold = as_threshold(minsup)
-        cuboid = self._lattice.canonical(cuboid)
-        if not cuboid:
-            agg = (self.total_rows, self.total_measure)
-            return agg if threshold.qualifies(*agg) else None
-        cell = tuple(cell)
-        if len(cell) != len(cuboid):
-            raise SchemaError(
-                "cell %r has %d coordinates, cuboid %r has %d dimensions"
-                % (cell, len(cell), cuboid, len(cuboid))
-            )
-        agg = self.leaf_items(self.covering_leaf(cuboid)).lookup(cell)
-        if agg is not None and threshold.qualifies(*agg):
-            return agg
-        return None
+        snap = self._snapshot
+        with snap.lock:
+            return sorted(snap.runs)
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -879,18 +772,18 @@ class CubeStore:
         Mirrors ``LeafMaterialization.insert``: the leaves hold
         unfiltered minsup-1 cells, so appending is pure accumulation and
         ``generation`` is bumped so caches invalidate.  The batch is
-        first made durable as a checksummed WAL record, then joins the
-        pending batches as columns — O(batch), independent of the
-        store's size and leaf count; leaf files are only rewritten by
-        the (background) :meth:`compact`.  A code that does not fit a
-        signed 64-bit integer is refused (:class:`SchemaError`) before
-        anything is written.  ``batch_id`` makes the append idempotent: a
-        batch id the store already applied is acknowledged
-        (``applied=False``) without being re-applied, so clients retry
-        freely after a dropped ACK; without one an id is minted.
-        Returns an :class:`AppendResult`.
+        first made durable as a checksummed WAL record, then published
+        as the last pending batch of the next snapshot — O(batch),
+        independent of the store's size and leaf count; leaf files are
+        only written by the (background) :meth:`compact`.  A code that
+        does not fit a signed 64-bit integer is refused
+        (:class:`SchemaError`) before anything is written.  ``batch_id``
+        makes the append idempotent: a batch id the store already
+        applied is acknowledged (``applied=False``) without being
+        re-applied, so clients retry freely after a dropped ACK; without
+        one an id is minted.  Returns an :class:`AppendResult`.
         """
-        self._check_open()
+        self.snapshot()  # refuses a closed store
         positions = relation.dim_indices(self.dims)
         with self._lock:
             if batch_id is None:
@@ -912,26 +805,22 @@ class CubeStore:
                 self._apply_delta(codes, measures, generation, batch_id)
                 if span:
                     span.set(generation=generation, bytes=nbytes,
-                             pending=len(self._pending))
+                             pending=len(self._snapshot.batches))
             self._ingest_counter("repro_ingest_appends_total")
             self._maybe_compact_locked()
             return AppendResult(generation, True, batch_id)
 
     def _apply_delta(self, codes, measures, generation, batch_id):
-        """Queue one batch (a ``(dims x rows)`` code matrix in store-dims
-        order, plus measures) behind the pending ones and advance the
-        generation; leaves merge it in when next read."""
-        self._pending_rows.append(
-            (codes, np.asarray(measures, dtype=np.float64)))
-        self._pending_columns = None
-        self._merged.clear()
-        self._pending.append({"generation": generation,
-                              "batch_id": batch_id,
-                              "rows": len(measures)})
+        """Publish the snapshot one batch on (a ``(dims x rows)`` code
+        matrix in store-dims order, plus measures): the batch queues
+        behind the pending ones and leaves merge it in when next read."""
+        snap = self._snapshot
+        batch = (codes, np.asarray(measures, dtype=np.float64))
         self._applied_batches[batch_id] = generation
-        self.total_rows += len(measures)
-        self.total_measure += sum(measures)
-        self.generation = generation
+        self._snapshot = snap.replace(
+            batches=snap.batches + (batch,), generation=generation,
+            total_rows=snap.total_rows + len(measures),
+            total_measure=snap.total_measure + sum(measures))
 
     @staticmethod
     def _ingest_counter(name, amount=1, **labels):
@@ -940,10 +829,13 @@ class CubeStore:
             active.registry.counter(
                 name, labelnames=tuple(sorted(labels))).inc(amount, **labels)
 
+    def _compaction_due(self):
+        return (self.compact_after is not None
+                and len(self._snapshot.batches) >= self.compact_after)
+
     def _maybe_compact_locked(self):
         """Kick a background compaction once enough batches are pending."""
-        if (self.compact_after is None or self._compacting
-                or len(self._pending) < self.compact_after):
+        if self._compacting or not self._compaction_due():
             return
         self._compacting = True
         thread = threading.Thread(target=self._compact_background,
@@ -953,91 +845,81 @@ class CubeStore:
 
     def _compact_background(self):
         try:
-            self.compact()
+            # Appends carry on while a compaction runs: fold what they
+            # left behind too, or a burst would sit in the WAL until
+            # the next append came along.
+            while self.compact() and self._compaction_due():
+                pass
         except Exception as exc:  # the WAL keeps every batch durable
             obs.event("ingest.compact_failed", error=str(exc))
         finally:
             self._compacting = False
 
     def compact(self):
-        """Fold every pending WAL batch into the leaf files (crash-safe).
+        """Fold the pending WAL batches into new leaf files (crash-safe).
 
-        The journalled two-phase rewrite: every leaf's merged run (base
-        + pending rows, :meth:`leaf_items`) is staged, a journal naming
-        the complete state is committed
-        atomically, the live files are swung, and only then is the WAL
-        truncated.  A crash before the journal rolls *back* (the WAL
-        replays the batches on reopen); after it rolls *forward* (the
-        replayed-in manifest generation makes the WAL records stale and
-        they are pruned).  Either way nothing is lost or double-counted.
-        Returns the number of batches compacted.
+        Pins the current snapshot and writes every leaf's merged run
+        (base + the snapshot's batches) under that generation's names —
+        off the write lock, so appends and reads carry on.  Then, under
+        the lock, one atomic replace of the manifest commits (module
+        docstring: what a crash on either side leaves); the snapshot
+        over the new files, plus whatever was appended since the pin,
+        is swapped in and the WAL truncated through the pinned
+        generation.  The superseded files are unlinked last: every run
+        they held was loaded to be merged, so a snapshot still pinned on
+        them never needs the files.  Returns the number of batches
+        compacted.
         """
-        self._check_open()
-        with self._lock:
-            if not self._pending:
+        with self._compact_lock:
+            snap = self.snapshot()
+            n_batches = len(snap.batches)
+            if not n_batches:
                 return 0
-            n_batches = len(self._pending)
             with obs.span("ingest.compact", batches=n_batches) as span:
-                # Phase 1: stage every rewritten leaf next to the live one.
-                merged = {leaf: self.leaf_items(leaf) for leaf in self.leaves}
-                new_entries = {
-                    leaf: write_leaf(self.directory, run, STAGED_SUFFIX)
+                merged = {leaf: snap.leaf_items(leaf) for leaf in self.leaves}
+                entries = {
+                    leaf: write_leaf(self.directory, run, snap.generation)
                     for leaf, run in merged.items()}
-                chaos_kill("compact.staged")
-                window = dict(sorted(
-                    self._applied_batches.items(), key=lambda kv: kv[1]
-                )[-APPLIED_BATCH_WINDOW:])
-                manifest = self._manifest_dict(
-                    self.dims, self.leaves, new_entries,
-                    generation=self.generation,
-                    total_rows=self.total_rows,
-                    total_measure=self.total_measure,
-                    shard=self.shard,
-                    applied_batches=window,
-                )
-                # Commit point: once this journal lands the compacted
-                # state is durable; before it, the staged files are mere
-                # debris and the WAL still holds every batch.
-                journal = {"format": JOURNAL_FORMAT,
-                           "generation": manifest["generation"],
-                           "manifest": manifest}
-                _write_json(os.path.join(self.directory, JOURNAL), journal)
-                obs.event("store.journal_commit",
-                          generation=manifest["generation"])
-                chaos_kill("compact.journalled")
-                # Phase 2: swing the leaves, rewrite the manifest, drop
-                # the journal.  A crash in here is rolled forward on open.
-                for entry in new_entries.values():
-                    path = os.path.join(self.directory, entry["file"])
-                    os.replace(path + STAGED_SUFFIX, path)
-                _write_json(os.path.join(self.directory, MANIFEST), manifest)
-                os.unlink(os.path.join(self.directory, JOURNAL))
-                self._entries = new_entries
-                self._runs = merged
-                self._merged = {}
-                self._pending_rows = []
-                self._pending_columns = None
-                self._pending = []
-                self._applied_batches = window
-                self.wal.truncate_through(self.generation)
+                chaos_kill("compact.written")
+                with self._lock:
+                    window = dict(sorted(
+                        self._applied_batches.items(), key=lambda kv: kv[1]
+                    )[-APPLIED_BATCH_WINDOW:])
+                    # The commit point: before this replace the new files
+                    # are mere debris and the WAL still holds every
+                    # batch; after it they are the store.  Batches newer
+                    # than the pin stay in the WAL, not in the manifest.
+                    self._write_manifest(snap, entries, {
+                        batch: generation
+                        for batch, generation in window.items()
+                        if generation <= snap.generation})
+                    obs.event("store.published", generation=snap.generation)
+                    chaos_kill("compact.published")
+                    self._snapshot = self._snapshot.replace(
+                        entries=entries, runs=merged,
+                        batches=self._snapshot.batches[n_batches:])
+                    self._applied_batches = window
+                    self.wal.truncate_through(snap.generation)
+                for entry in snap.entries.values():
+                    os.unlink(os.path.join(self.directory, entry["file"]))
                 if span:
-                    span.set(generation=self.generation)
+                    span.set(generation=snap.generation)
             self._ingest_counter("repro_ingest_compactions_total")
             obs.event("ingest.compacted", batches=n_batches,
-                      generation=self.generation)
+                      generation=snap.generation)
             return n_batches
 
     def wal_stats(self):
-        """Ingestion state for health/stats endpoints."""
-        with self._lock:
-            return {
-                "pending_batches": len(self._pending),
-                "base_generation": self.generation - len(self._pending),
-                "generation": self.generation,
-                "wal_bytes": self.wal.nbytes(),
-                "compact_after": self.compact_after,
-                "applied_window": len(self._applied_batches),
-            }
+        """Ingestion state for health/stats endpoints (one snapshot's)."""
+        snap = self._snapshot
+        return {
+            "pending_batches": len(snap.batches),
+            "base_generation": snap.generation - len(snap.batches),
+            "generation": snap.generation,
+            "wal_bytes": self.wal.nbytes(),
+            "compact_after": self.compact_after,
+            "applied_window": len(self._applied_batches),
+        }
 
     def wal_batches_since(self, since):
         """Pending batches newer than generation ``since``, for replica
@@ -1047,16 +929,15 @@ class CubeStore:
         ``truncated`` is True when ``since`` predates the oldest WAL
         record (the gap was compacted away and cannot be re-delivered).
         """
-        self._check_open()
-        with self._lock:
-            base = self.generation - len(self._pending)
-            batches = [record for record in self.wal.replay()
-                       if record.generation > since]
+        with self._lock:  # the WAL's files move only under it
+            snap = self.snapshot()
+            base = snap.generation - len(snap.batches)
             return {
-                "generation": self.generation,
+                "generation": snap.generation,
                 "base_generation": base,
                 "truncated": since < base,
-                "batches": batches,
+                "batches": [record for record in self.wal.replay()
+                            if record.generation > since],
             }
 
     @staticmethod
@@ -1090,14 +971,16 @@ class CubeStore:
             ],
         }
 
-    def _write_manifest(self):
+    def _write_manifest(self, snap, entries, applied_batches):
+        """Replace the manifest: ``snap``'s generation and totals over
+        the leaf files ``entries`` names."""
         _write_json(os.path.join(self.directory, MANIFEST), self._manifest_dict(
-            self.dims, self.leaves, self._entries,
-            generation=self.generation,
-            total_rows=self.total_rows,
-            total_measure=self.total_measure,
+            self.dims, self.leaves, entries,
+            generation=snap.generation,
+            total_rows=snap.total_rows,
+            total_measure=snap.total_measure,
             shard=self.shard,
-            applied_batches=self._applied_batches,
+            applied_batches=applied_batches,
         ))
 
     def __repr__(self):

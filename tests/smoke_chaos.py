@@ -10,8 +10,9 @@ work end-to-end rather than via unit seams:
    a ``compact()`` interrupted at *every* file operation (atomic_write /
    os.replace / os.unlink) in turn; each reopen must land on the new
    generation with the acknowledged rows — by WAL replay when the crash
-   came before the journal, by roll-forward after it — with queries
-   matching the full-store oracle at ``verify="full"``.
+   came before the manifest replace (the commit), from the published
+   leaf files after it — with queries matching the full-store oracle at
+   ``verify="full"``.
 3. **Overload flood** — hundreds of concurrent queries hit a small
    server whose recompute fallback always fails: the admission gate
    must shed the excess, the circuit breaker must trip (and say so in
@@ -21,6 +22,8 @@ work end-to-end rather than via unit seams:
 Run:  PYTHONPATH=src python tests/smoke_chaos.py
 """
 
+import json
+import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -96,8 +99,11 @@ def act_two_append_crash_sweep():
                            for leaf in leaves}
 
         crash_point = 0
-        # how each reopen got the acknowledged batch back
-        outcomes = {"replayed": 0, "rolled_forward": 0, "compacted": 0}
+        # how each reopen got the acknowledged batch back: replayed
+        # from the WAL (cut before the commit), or from the published
+        # files — with the stale WAL record still to prune, or already
+        # truncated and only superseded files (if anything) left over
+        outcomes = {"replayed": 0, "pruned": 0, "published": 0}
         while True:
             ops = CrashingOps(crash_point)
 
@@ -139,26 +145,32 @@ def act_two_append_crash_sweep():
                     got = reopened.query(leaf, minsup=2)
                     assert got == new_answers[leaf], (crash_point, leaf)
                 recovery = reopened.recovery
-                if recovery["rolled_forward"]:
-                    assert recovery["wal_replayed"] == 0, crash_point
-                    outcomes["rolled_forward"] += 1
-                elif recovery["wal_replayed"]:
+                if recovery["wal_replayed"]:
                     assert recovery["wal_replayed"] == 1, crash_point
+                    assert recovery["wal_pruned"] == 0, crash_point
                     outcomes["replayed"] += 1
-                else:  # the swing finished; at most the WAL prune was left
-                    outcomes["compacted"] += 1
+                elif recovery["wal_pruned"]:
+                    assert recovery["wal_pruned"] == 1, crash_point
+                    outcomes["pruned"] += 1
+                else:
+                    outcomes["published"] += 1
+                with open(victim_dir + "/manifest.json") as handle:
+                    named = {entry["file"] for entry
+                             in json.load(handle)["leaves"]}
+                assert {name for name in os.listdir(victim_dir)
+                        if name.endswith(".run")} == named, crash_point
             if completed:
                 break
             crash_point += 1
 
-    assert outcomes["replayed"] > 0 and outcomes["rolled_forward"] > 0, \
-        outcomes
+    # both sides of the commit (the manifest replace) were hit
+    assert all(outcomes.values()), outcomes
     print("act 2: append(); compact() interrupted at %d distinct crash "
-          "points -- %d recovered by WAL replay, %d by journal "
-          "roll-forward, %d already compacted; always generation 2, all "
-          "oracle-exact at verify=full"
+          "points -- %d recovered by WAL replay, %d published with the "
+          "stale WAL record pruned, %d published and truncated; always "
+          "generation 2, no orphan left, all oracle-exact at verify=full"
           % (crash_point + 1, outcomes["replayed"],
-             outcomes["rolled_forward"], outcomes["compacted"]))
+             outcomes["pruned"], outcomes["published"]))
     return outcomes
 
 
@@ -175,8 +187,8 @@ def act_three_overload_flood():
                             max_pending=16,
                             breaker=CircuitBreaker(failure_threshold=3,
                                                    reset_after_s=60.0))
-        server._compute = lambda cuboid, threshold: (_ for _ in ()).throw(
-            RuntimeError("recompute backend is down"))
+        server._compute = lambda relation, cuboid, threshold: (
+            _ for _ in ()).throw(RuntimeError("recompute backend is down"))
 
         served = {("A",): dict(naive_cuboid(relation, ("A",))),
                   ("A", "B"): dict(naive_cuboid(relation, ("A", "B"))),

@@ -5,7 +5,7 @@ processes and real SIGKILLs:
 
 1. **Store crash matrix** — a writer process is SIGKILLed at every
    chaos point (mid-WAL-write before and after publish, mid-compaction
-   before and after the journal commit); after each crash the store
+   before and after the manifest replace); after each crash the store
    must recover to an oracle-exact state and client retries of the
    interrupted batch must be deduplicated, never double-counted.
 2. **Flood** — 500 Zipf-weighted iceberg queries stream through a
@@ -22,6 +22,9 @@ processes and real SIGKILLs:
 5. **Anti-entropy repair** — the killed replica restarts stale; one
    health sweep must re-deliver its missed WAL batches from the
    survivor and converge both replicas to cell-exact equality.
+6. **Unpaced ingest** — 60 back-to-back appends into a 512-leaf store
+   (background compaction every 8) beside one reader: no read fails,
+   and none waits as long as one compaction takes.
 
 Gate: zero lost rows, zero double-counted rows, zero wrong answers.
 
@@ -40,9 +43,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
+from repro import obs
 from repro.core.naive import naive_cuboid
 from repro.data import Relation, zipf_relation
-from repro.serve import CubeRouter, CubeStore, RetryPolicy
+from repro.serve import CubeRouter, CubeServer, CubeStore, RetryPolicy
 
 DIMS = ("A", "B", "C", "D")
 N_QUERIES = 500
@@ -92,7 +96,7 @@ def crash_matrix(root, base):
     """SIGKILL a writer at every chaos point; recovery must be exact."""
     everything = merged(base, [delta_batch(1), delta_batch(2)])
     for point in ("wal.pre_publish", "wal.post_publish",
-                  "compact.staged", "compact.journalled"):
+                  "compact.written", "compact.published"):
         directory = os.path.join(root, "crash-%s" % point.replace(".", "-"))
         CubeStore.build(base, directory, backend="local").close()
         env = dict(os.environ, PYTHONPATH=SRC,
@@ -115,6 +119,73 @@ def crash_matrix(root, base):
         store.close()
         print("crash matrix: %-18s recovered exact (retry applied=%s,%s)"
               % (point, first.applied, second.applied))
+
+
+def unpaced_ingest(root):
+    """Appends with no think time beside a reader (in process).
+
+    Compaction runs off the append and read paths, so neither side may
+    ever wait one out: every read is answered, from the generation it
+    pinned, in less time than a single compaction takes.
+    """
+    dims = tuple("ABCDEFGHIJ")
+    n_appends, batch_rows = 60, 64
+    relation = zipf_relation(250 + n_appends * batch_rows, dims=dims,
+                             cardinalities=(6,) * len(dims), skew=1.0, seed=5)
+    directory = os.path.join(root, "unpaced")
+    CubeStore.build(relation.slice(0, 250), directory,
+                    backend="local").close()
+    cuboids = list(combinations(dims, 2))
+    done = threading.Event()
+    latencies, errors = [], []
+
+    def reader():
+        i = 0
+        while not done.is_set():
+            started = time.perf_counter()
+            try:
+                answer = server.query(cuboids[i % len(cuboids)], 1)
+                rows = 250 + batch_rows * (answer.generation - 1)
+                if sum(c for c, _s in answer.cells.values()) != rows:
+                    errors.append("generation %d answered with another's "
+                                  "cells" % answer.generation)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(repr(exc))
+            latencies.append(time.perf_counter() - started)
+            i += 1
+            time.sleep(0.001)
+
+    with obs.installed() as active:
+        store = CubeStore.open(directory, compact_after=8)
+        server = CubeServer(store)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        append_s = []
+        started = time.perf_counter()
+        for i in range(n_appends):
+            at = 250 + i * batch_rows
+            tick = time.perf_counter()
+            server.append(relation.slice(at, at + batch_rows),
+                          batch_id="unpaced-%d" % i)
+            append_s.append(time.perf_counter() - tick)
+        wall = time.perf_counter() - started
+        done.set()
+        thread.join()
+        server.close()
+        store.close()  # waits out a background compaction still running
+        compaction = min(span.duration for span
+                         in active.tracer.spans("ingest.compact"))
+    latencies.sort()
+    assert not errors, errors[:3]
+    assert latencies[-1] < compaction, (
+        "a read waited %.3f s; one compaction is %.3f s"
+        % (latencies[-1], compaction))
+    print("unpaced ingest: %d appends in %.2f s beside a reader -- %d reads "
+          "answered, read p99 %.1f ms (max %.1f), slowest append %.1f ms; "
+          "the quickest compaction took %.2f s and nobody waited for it"
+          % (n_appends, wall, len(latencies),
+             1e3 * latencies[int(0.99 * (len(latencies) - 1))],
+             1e3 * latencies[-1], 1e3 * max(append_s), compaction))
 
 
 def spawn_replica(directory, port=0):
@@ -286,6 +357,7 @@ def main():
         if proc.poll() is None:
             proc.terminate()
             proc.wait()
+    unpaced_ingest(root)
     shutil.rmtree(root, ignore_errors=True)
     print("INGEST CHAOS SMOKE PASSED")
     return 0

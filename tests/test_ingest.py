@@ -5,7 +5,11 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from unittest import mock
 from urllib.request import Request, urlopen
 
 import pytest
@@ -21,6 +25,7 @@ from repro.errors import (
     WalCorruptError,
 )
 from repro.serve import CubeRouter, CubeServer, CubeStore, RetryPolicy
+from repro.serve import store as store_module
 from repro.serve.ingest import (
     MAX_COORD,
     MODE_COLUMNS,
@@ -321,6 +326,202 @@ class TestWalStore:
 
 
 # ---------------------------------------------------------------------------
+# Compaction is off the append and read paths
+# ---------------------------------------------------------------------------
+def run_files(directory):
+    return {name for name in os.listdir(directory) if name.endswith(".run")}
+
+
+def manifest_files(directory):
+    with open(os.path.join(directory, "manifest.json")) as handle:
+        return {entry["file"] for entry in json.load(handle)["leaves"]}
+
+
+@contextmanager
+def held_compaction():
+    """Hold every ``write_leaf`` (a compaction's, off the write lock)
+    open until released; yields ``(entered, release)``."""
+    entered, release = threading.Event(), threading.Event()
+    real_write_leaf = store_module.write_leaf
+
+    def held_write_leaf(*args):
+        entered.set()
+        release.wait(30.0)
+        return real_write_leaf(*args)
+
+    with mock.patch.object(store_module, "write_leaf", held_write_leaf):
+        try:
+            yield entered, release
+        finally:
+            release.set()
+
+
+class TestNobodyWaitsForCompaction:
+    def test_reads_and_appends_pass_a_held_compaction(self, tmp_path):
+        CubeStore.build(base_relation(), tmp_path / "s",
+                        backend="local").close()
+        store = CubeStore.open(tmp_path / "s", compact_after=2)
+        server = CubeServer(store)
+        deltas = [delta_relation(seed) for seed in (1, 2, 3)]
+        pending = combined(base_relation(), *deltas[:2])
+        pool = ThreadPoolExecutor(max_workers=1)
+
+        def returns(fn, *args):  # a guard against deadlock, not a timing
+            return pool.submit(fn, *args).result(timeout=5.0)
+
+        try:
+            with held_compaction() as (entered, release):
+                store.append(deltas[0], batch_id="a")
+                store.append(deltas[1], batch_id="b")  # kicks compaction
+                assert entered.wait(10.0)
+                assert returns(store.query, ("A",), 1) \
+                    == oracle(pending, ("A",), 1)
+                answer = returns(server.query, ("A", "B"), 1)
+                assert (answer.generation, answer.cells) \
+                    == (3, oracle(pending, ("A", "B"), 1))
+                assert returns(server.iceberg, 1).generation == 3
+                assert returns(store.append, deltas[2], "c").applied
+                assert returns(server.query, ("A",), 1).generation == 4
+                assert store.wal_stats()["pending_batches"] == 3
+                release.set()
+                deadline = time.monotonic() + 10.0
+                while (store.wal_stats()["base_generation"] != 3
+                       and time.monotonic() < deadline):
+                    time.sleep(0.02)
+            # published at the generation it pinned; the batch appended
+            # meanwhile is still pending, and still in the WAL
+            assert store.wal_stats()["base_generation"] == 3
+            assert store.wal_stats()["pending_batches"] == 1
+            assert store.wal.generations() == [4]
+            assert store.generation == 4
+            assert_store_matches(store, combined(pending, deltas[2]))
+        finally:
+            pool.shutdown(wait=True)
+            server.close()
+            store.close()
+        with CubeStore.open(tmp_path / "s", verify="full") as reopened:
+            assert reopened.recovery["wal_replayed"] == 1
+            assert reopened.recovery["orphans_removed"] == []
+            assert_store_matches(reopened, combined(pending, deltas[2]))
+
+    def test_background_compaction_catches_up_with_a_burst(self, tmp_path):
+        # What is appended while a compaction runs is folded by the same
+        # background thread, not left in the WAL until the next append.
+        CubeStore.build(base_relation(), tmp_path / "s",
+                        backend="local").close()
+        store = CubeStore.open(tmp_path / "s", compact_after=2)
+        deltas = [delta_relation(seed) for seed in range(1, 6)]
+        try:
+            with held_compaction() as (entered, release):
+                for i, delta in enumerate(deltas):
+                    store.append(delta, batch_id="burst-%d" % i)
+                    if i == 1:  # the second append kicked a compaction
+                        assert entered.wait(10.0)
+                assert store.wal_stats()["pending_batches"] == 5
+                release.set()
+                deadline = time.monotonic() + 10.0
+                while (store.wal_stats()["pending_batches"]
+                       and time.monotonic() < deadline):
+                    time.sleep(0.02)
+            assert store.wal_stats() == dict(
+                store.wal_stats(), pending_batches=0, base_generation=6,
+                wal_bytes=0)
+            assert_store_matches(store, combined(base_relation(), *deltas))
+        finally:
+            store.close()
+
+    def test_unpaced_writer_beside_a_reader(self, tmp_path):
+        CubeStore.build(base_relation(), tmp_path / "s",
+                        backend="local").close()
+        store = CubeStore.open(tmp_path / "s", compact_after=4)
+        server = CubeServer(store)
+        delta, n_appends = delta_relation(1), 200
+
+        def rows_at(generation):
+            return len(base_relation()) + len(delta) * (generation - 1)
+
+        def a_zero_at(generation):
+            return sum(row[0] == 0 for row in base_relation().rows) + (
+                generation - 1) * sum(row[0] == 0 for row in delta.rows)
+
+        done = threading.Event()
+        answered, problems = [0], []
+
+        def reader():
+            while not done.is_set() or answered[0] < 30:
+                try:
+                    kind = answered[0] % 3
+                    if kind == 0:
+                        got = server.query(("A", "B"), 1)
+                        shares = [got.cells]
+                    elif kind == 1:
+                        got = server.point(("A",), (0,), 1)
+                        assert got.cells[(0,)][0] \
+                            == a_zero_at(got.generation), got
+                        shares = []
+                    else:
+                        got = server.iceberg(1)
+                        shares = got.cuboids.values()
+                    for cells in shares:
+                        assert sum(c for c, _sum in cells.values()) \
+                            == rows_at(got.generation), got.generation
+                    answered[0] += 1
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    problems.append(repr(exc))
+                    return
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for i in range(n_appends):
+                assert server.append(delta, batch_id="u%d" % i).applied
+        finally:
+            done.set()
+            thread.join(60.0)
+            server.close()
+            store.close()
+        assert not problems, problems
+        assert answered[0] >= 30
+        with CubeStore.open(tmp_path / "s", verify="full") as reopened:
+            assert reopened.generation == n_appends + 1
+            assert reopened.total_rows == rows_at(n_appends + 1)
+            assert run_files(tmp_path / "s") == manifest_files(tmp_path / "s")
+
+    def test_no_leaf_file_is_ever_overwritten(self, tmp_path, wal_store):
+        directory = tmp_path / "s"
+        built = run_files(directory)
+        wal_store.append(delta_relation(1), batch_id="f1")
+        assert wal_store.compact() == 1
+        first = run_files(directory)
+        # the manifest names no file that existed before the compaction,
+        # and the files it superseded are gone
+        assert first == manifest_files(directory) and not first & built
+        wal_store.append(delta_relation(2), batch_id="f2")
+        assert wal_store.compact() == 1
+        second = run_files(directory)
+        assert second == manifest_files(directory)
+        assert not second & (first | built)  # nor do two ever share a name
+        # The sweep takes a cut compaction's new files ...
+        wal_store.append(delta_relation(3), batch_id="f3")
+        with mock.patch.object(store_module, "_write_json",
+                               side_effect=OSError("killed")):
+            with pytest.raises(OSError):
+                wal_store.compact()
+        cut = run_files(directory) - second
+        assert len(cut) == len(second) and all(".g4." in name for name in cut)
+        wal_store.close()
+        # ... and a published one's leftovers.
+        for name in built:
+            with open(directory / name, "wb") as handle:
+                handle.write(b"superseded")
+        with CubeStore.open(directory, verify="quick") as reopened:
+            assert set(reopened.recovery["orphans_removed"]) == cut | built
+            assert run_files(directory) == manifest_files(directory) == second
+            assert_store_matches(reopened, combined(
+                base_relation(), *(delta_relation(s) for s in (1, 2, 3))))
+
+
+# ---------------------------------------------------------------------------
 # Crash windows: SIGKILL at every chaos point, then recover
 # ---------------------------------------------------------------------------
 CRASH_CHILD = r"""
@@ -345,7 +546,7 @@ os._exit(3)  # only reached if the chaos point never fired
 class TestCrashWindows:
     @pytest.mark.parametrize("point", [
         "wal.pre_publish", "wal.post_publish",
-        "compact.staged", "compact.journalled",
+        "compact.written", "compact.published",
     ])
     def test_sigkill_then_recover(self, tmp_path, point):
         directory = str(tmp_path / "crash")
@@ -373,17 +574,20 @@ class TestCrashWindows:
                 assert store.recovery["wal_replayed"] == 1
                 assert not store.append(d1, batch_id="k1").applied
                 assert_store_matches(store, combined(base_relation(), d1))
-            elif point == "compact.staged":
-                # killed before the compaction journal committed: rollback,
-                # both batches replay from the WAL, compaction re-runs
-                assert not store.recovery["rolled_forward"]
+            elif point == "compact.written":
+                # killed with the new leaf files written but the manifest
+                # not yet replaced: they are orphans, both batches replay
+                # from the WAL, compaction re-runs
+                assert len(store.recovery["orphans_removed"]) \
+                    == len(store.leaves)
                 assert store.recovery["wal_replayed"] == 2
                 assert store.compact() == 2
                 assert_store_matches(store, combined(base_relation(), d1, d2))
-            else:  # compact.journalled
-                # killed after the journal committed: roll-forward finishes
-                # the compaction, stale WAL records are pruned
-                assert store.recovery["rolled_forward"]
+            else:  # compact.published
+                # killed after the manifest replace committed: the store
+                # is the compacted one, stale WAL records are pruned
+                assert len(store.recovery["orphans_removed"]) \
+                    == len(store.leaves)
                 assert store.recovery["wal_pruned"] == 2
                 assert store.wal_stats()["pending_batches"] == 0
                 assert not store.append(d1, batch_id="k1").applied

@@ -39,6 +39,25 @@ def oracle(relation, cuboid, minsup):
     }
 
 
+class HeldStore:
+    """A store (and the snapshots it hands out) that runs ``hold()``
+    before answering ``query`` — the server reads through
+    ``snapshot()``, so that is the seam a slowed-down store wraps."""
+
+    def __init__(self, inner, hold):
+        self._inner, self._hold = inner, hold
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def snapshot(self):
+        return HeldStore(self._inner.snapshot(), self._hold)
+
+    def query(self, cuboid, minsup=1):
+        self._hold()
+        return self._inner.query(cuboid, minsup=minsup)
+
+
 @pytest.fixture
 def store(small_skewed, tmp_path):
     built = CubeStore.build(small_skewed, tmp_path / "store",
@@ -376,9 +395,13 @@ class TestHttpEndpoint:
         endpoint, _server = endpoint
         expected = oracle(small_skewed, ("A", "B"), 1)
         cell = sorted(expected)[0]
-        _status, payload = self._get(
-            endpoint, "/point?cuboid=A,B&cell=%d,%d" % cell)
-        assert payload["cells"][0]["count"] == expected[cell][0]
+        # the store, then an in-memory materialization: one read path
+        with CubeServer(LeafMaterialization(
+                small_skewed, backend="local")) as in_memory:
+            for served in (endpoint, in_memory.serve_http(port=0)):
+                _status, payload = self._get(
+                    served, "/point?cuboid=A,B&cell=%d,%d" % cell)
+                assert payload["cells"][0]["count"] == expected[cell][0]
 
     def test_min_sum_threshold(self, small_skewed, endpoint):
         endpoint, _server = endpoint
@@ -439,20 +462,7 @@ class TestGracefulDegradation:
     def test_admission_gate_sheds_past_max_pending(self, store, small_skewed):
         release = threading.Event()
 
-        class SlowStore:
-            """Wrap the store so queries block until released."""
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def query(self, cuboid, minsup=1):
-                release.wait(10.0)
-                return self._inner.query(cuboid, minsup=minsup)
-
-        server = CubeServer(SlowStore(store), max_workers=2, max_pending=64,
+        server = CubeServer(HeldStore(store, lambda: release.wait(10.0)), max_workers=2, max_pending=64,
                             cache_size=0)
         server.gate = AdmissionGate(3)
         try:
@@ -510,8 +520,8 @@ class TestGracefulDegradation:
         server = CubeServer(partial, relation=small_skewed,
                             breaker=CircuitBreaker(failure_threshold=2,
                                                    reset_after_s=60.0))
-        server._compute = lambda cuboid, threshold: (_ for _ in ()).throw(
-            RuntimeError("compute backend down"))
+        server._compute = lambda relation, cuboid, threshold: (
+            _ for _ in ()).throw(RuntimeError("compute backend down"))
         try:
             uncovered = ("A", "D")  # D is not in the materialized dims
             for _ in range(2):
@@ -543,8 +553,8 @@ class TestGracefulDegradation:
                                                    reset_after_s=5.0,
                                                    clock=lambda: clock[0]))
         real_compute = server._compute
-        server._compute = lambda cuboid, threshold: (_ for _ in ()).throw(
-            RuntimeError("transient outage"))
+        server._compute = lambda relation, cuboid, threshold: (
+            _ for _ in ()).throw(RuntimeError("transient outage"))
         try:
             with pytest.raises(RuntimeError):
                 server.query(("A", "D"), 1)
@@ -564,7 +574,7 @@ class TestGracefulDegradation:
                                   cluster_spec=cluster1(2))
         server = CubeServer(partial, relation=small_skewed)
 
-        def glacial(cuboid, threshold):
+        def glacial(relation, cuboid, threshold):
             time.sleep(5.0)
             return {}
 
@@ -624,18 +634,7 @@ class TestServerClose:
 
         release = threading.Event()
 
-        class BlockingStore:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def query(self, cuboid, minsup=1):
-                release.wait(10.0)
-                return self._inner.query(cuboid, minsup=minsup)
-
-        server = CubeServer(BlockingStore(store), max_workers=1, cache_size=0)
+        server = CubeServer(HeldStore(store, lambda: release.wait(10.0)), max_workers=1, cache_size=0)
         running = server.submit(("A",), 1)
         queued = [server.submit(("A",), 1) for _ in range(4)]
 
@@ -656,18 +655,7 @@ class TestServerClose:
     def test_gate_slots_released_on_cancellation(self, store):
         release = threading.Event()
 
-        class BlockingStore:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def query(self, cuboid, minsup=1):
-                release.wait(10.0)
-                return self._inner.query(cuboid, minsup=minsup)
-
-        server = CubeServer(BlockingStore(store), max_workers=1, cache_size=0)
+        server = CubeServer(HeldStore(store, lambda: release.wait(10.0)), max_workers=1, cache_size=0)
         for _ in range(5):
             server.submit(("A",), 1)
         release.set()
@@ -798,38 +786,17 @@ class TestHttpHardening:
 
     def test_deadline_ms_param_maps_to_504(self, endpoint):
         endpoint, server = endpoint
-
-        real_query = server.store.query
-
-        def slow_query(cuboid, minsup=1):
-            time.sleep(1.0)
-            return real_query(cuboid, minsup=minsup)
-
-        server.store.query = slow_query
+        server.store = HeldStore(server.store, lambda: time.sleep(1.0))
         server.cache = QueryCache(0)
-        try:
-            status, payload = self._get_error(
-                endpoint, "/query?cuboid=A&deadline_ms=50")
-            assert status == 504
-            assert payload["kind"] == "deadline"
-        finally:
-            server.store.query = real_query
+        status, payload = self._get_error(
+            endpoint, "/query?cuboid=A&deadline_ms=50")
+        assert status == 504
+        assert payload["kind"] == "deadline"
 
     def test_overload_maps_to_429(self, store):
         release = threading.Event()
 
-        class BlockingStore:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def query(self, cuboid, minsup=1):
-                release.wait(10.0)
-                return self._inner.query(cuboid, minsup=minsup)
-
-        server = CubeServer(BlockingStore(store), max_workers=1,
+        server = CubeServer(HeldStore(store, lambda: release.wait(10.0)), max_workers=1,
                             max_pending=64, cache_size=0)
         server.gate = AdmissionGate(2)
         endpoint = server.serve_http(port=0)
@@ -858,62 +825,23 @@ class TestHttpHardening:
 
 
 class TestQueryCacheWatermark:
-    """The check-then-act race: an insert computed before an append must
-    never land in the cache after it."""
-
-    def test_put_below_watermark_is_refused(self):
-        cache = QueryCache(capacity=4)
-        cache.advance(3)
-        cache.put(("A",), 1, 2, "stale")
-        assert len(cache) == 0
-        assert cache.stats()["stale_rejections"] == 1
-        cache.put(("A",), 1, 3, "fresh")
-        assert cache.get(("A",), 1, 3) == "fresh"
-
-    def test_advance_is_monotonic(self):
-        cache = QueryCache(capacity=4)
-        cache.advance(5)
-        cache.advance(2)  # never lowers
-        assert cache.stats()["watermark"] == 5
+    """A late writer's older answer must never replace a fresher one
+    (what is left of the cache's side of the append race: the server
+    reads cells and label from one snapshot, so nothing else can)."""
 
     def test_never_overwrites_a_fresher_entry(self):
         cache = QueryCache(capacity=4)
         cache.put(("A",), 1, 4, "new")
         cache.put(("A",), 1, 3, "old")  # late writer with an older answer
+        assert cache.get(("A",), 1, 3) is None  # ... nor drops it on a miss
         assert cache.get(("A",), 1, 4) == "new"
-        assert cache.stats()["stale_rejections"] == 1
-
-    def test_barrier_forced_interleaving(self):
-        # Deterministically force the race: a reader captures generation
-        # 1, an append advances the watermark to 2 *while the reader's
-        # answer is still in flight*, then the reader inserts.  The
-        # stale insert must vanish, under both the old and the new key.
-        cache = QueryCache(capacity=8)
-        cache.advance(1)
-        barrier = threading.Barrier(2)
-
-        def late_writer():
-            generation = 1  # read before the append committed
-            barrier.wait()  # ... append happens here ...
-            barrier.wait()
-            cache.put(("A", "B"), 2, generation, {"cell": "stale"})
-
-        thread = threading.Thread(target=late_writer)
-        thread.start()
-        barrier.wait()
-        cache.advance(2)  # the append commits and bumps the watermark
-        barrier.wait()
-        thread.join(timeout=5.0)
-        assert cache.get(("A", "B"), 2, 1) is None
-        assert cache.get(("A", "B"), 2, 2) is None
-        assert len(cache) == 0
         assert cache.stats()["stale_rejections"] == 1
 
 
 class TestGenerationVerifiedReads:
-    """The server's double-read protocol: answers carry the generation
-    they were verified against, and an append mid-query forces a retry
-    rather than a mislabeled or cache-poisoning answer."""
+    """Answers are read from one pinned snapshot: they carry its
+    generation, and an append mid-query can neither mislabel an answer
+    nor poison the cache."""
 
     def test_answers_carry_generation(self, store):
         server = CubeServer(store)
@@ -923,29 +851,22 @@ class TestGenerationVerifiedReads:
             server.append(Relation(store.dims, [(0, 0, 0, 0)], [1.0]))
             answer = server.query(("A",), minsup=2)
             assert answer.generation == 2
-            assert server.cache.stats()["watermark"] == 2
         finally:
             server.close()
 
-    def test_append_during_query_retries_to_new_generation(
+    def test_append_during_query_answers_the_generation_it_pinned(
             self, small_skewed, store):
         from repro.data import Relation
 
-        server = CubeServer(store, cache_size=8)
         entered = threading.Event()
         release = threading.Event()
-        original = store.query
-        first = []
 
-        def slow_query(cuboid, minsup=1):
-            result = original(cuboid, minsup=minsup)
-            if not first:  # only the first call blocks
-                first.append(1)
+        def hold():  # only the first query blocks, on its snapshot
+            if not entered.is_set():
                 entered.set()
                 release.wait(10.0)
-            return result
 
-        store.query = slow_query
+        server = CubeServer(HeldStore(store, hold), cache_size=8)
         delta = Relation(store.dims, [(0, 0, 0, 0), (1, 1, 1, 1)],
                          [5.0, 7.0])
         merged_rows = list(small_skewed.rows) + list(delta.rows)
@@ -958,17 +879,76 @@ class TestGenerationVerifiedReads:
                 server.append(delta)  # lands while the query is in flight
                 release.set()
                 answer = future.result(timeout=10.0)
-            # The in-flight query was re-verified: it answers the *new*
-            # generation with the *new* data, not a stale hybrid.
-            assert answer.generation == 2
-            assert answer.cells == oracle(merged, ("A", "B"), 2)
-            # ... and the cache holds nothing stale.
-            hit = server.cache.get(server.store.canonical(("A", "B")),
-                                   2, 2)
-            assert hit is None or hit == answer.cells
+            # The in-flight query answers the generation it pinned with
+            # that generation's cells, not a stale hybrid ...
+            assert answer.generation == 1
+            assert answer.cells == oracle(small_skewed, ("A", "B"), 2)
+            # ... the next one the new generation with the merged cells,
+            after = server.query(("A", "B"), 2)
+            assert after.generation == 2 and after.source == "store"
+            assert after.cells == oracle(merged, ("A", "B"), 2)
+            # and each is cached under its own generation only.
+            canonical = server.store.canonical(("A", "B"))
+            assert server.cache.get(canonical, 2, 2) == after.cells
+            assert server.query(("A", "B"), 2).source == "cache"
         finally:
-            store.query = original
+            release.set()
             server.close()
+
+    def test_fallback_answer_carries_the_generation_of_its_rows(
+            self, small_skewed, tmp_path):
+        # The compute fallback reads the server's rows, not the store:
+        # between the store's append and the rows catching up, it must
+        # answer the old rows as the *old* generation.
+        from unittest import mock
+
+        from repro.data import Relation
+
+        base = small_skewed.slice(0, 200)
+        delta = small_skewed.slice(200, 205)
+        partial = CubeStore.build(base, tmp_path / "partial",
+                                  dims=("A", "B", "C"), backend="local")
+        server = CubeServer(partial, relation=base)
+        uncovered = ("A", "D")  # D is not in the materialized dims
+        entered, release = threading.Event(), threading.Event()
+        real_concat = Relation.concat
+
+        def held_concat(self, other):
+            entered.set()
+            release.wait(10.0)
+            return real_concat(self, other)
+
+        def rows(answer):
+            return sum(count for count, _sum in answer.cells.values())
+
+        try:
+            with mock.patch.object(Relation, "concat", held_concat), \
+                    ThreadPoolExecutor(max_workers=1) as pool:
+                appending = pool.submit(server.append, delta)
+                assert entered.wait(10.0)
+                assert partial.generation == 2  # the store has swung
+                during = server.query(uncovered, 1)
+                assert (during.generation, rows(during)) == (1, 200)
+                assert during.source == "compute"
+                release.set()
+                appending.result(timeout=10.0)
+            after = server.query(uncovered, 1)
+            assert (after.generation, rows(after)) == (2, 205)
+            assert after.source == "compute"  # never 200 rows at 2, cached
+            assert after.cells == oracle(small_skewed.slice(0, 205),
+                                         uncovered, 1)
+            assert server.query(uncovered, 1).source == "cache"
+            # the breaker and the deadline still guard the path
+            server.cache = QueryCache(0)
+            server._compute = lambda *_: time.sleep(5.0)
+            with pytest.raises(DeadlineExceededError):
+                server.query(uncovered, 1, deadline_s=0.1)
+            assert server.breaker.stats()["consecutive_failures"] == 1
+        finally:
+            release.set()
+            server.breaker.record_success()
+            server.close()
+            partial.close()
 
     def test_iceberg_share_is_one_generation(self, store, small_skewed):
         server = CubeServer(store)

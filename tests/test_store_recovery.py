@@ -1,10 +1,11 @@
 """Crash-safety and corruption-recovery tests for the CubeStore.
 
-Covers the manifest-v2 integrity surface: per-leaf checksums, the
-journalled two-phase ``append(); compact()`` (roll-forward / roll-back
-on reopen), orphan sweeping, and salvage of damaged leaves from the
-covering root leaf.  The every-crash-point sweep is the one
-tests/smoke_chaos.py runs as act 2.
+Covers the manifest integrity surface: per-leaf checksums, the
+``append(); compact()`` whose one manifest replace is the commit (WAL
+replay before it, stale-record pruning after it, on reopen), orphan
+sweeping, and salvage of damaged leaves from the covering root leaf.
+The every-crash-point sweep is the one tests/smoke_chaos.py runs as
+act 2.
 """
 
 import json
@@ -12,10 +13,11 @@ import os
 
 import pytest
 
+from repro.core.naive import naive_cuboid
 from repro.data import zipf_relation
-from repro.errors import PlanError, StoreCorruptError
+from repro.errors import PlanError, SchemaError, StoreCorruptError
 from repro.serve import CubeStore
-from repro.serve.store import JOURNAL, JOURNAL_FORMAT, MANIFEST, STAGED_SUFFIX
+from repro.serve.store import JOURNAL, MANIFEST
 
 
 @pytest.fixture
@@ -32,7 +34,8 @@ def _oracle(directory, cuboid, minsup=1):
 
 
 def _leaf_path(directory, store, leaf):
-    return os.path.join(directory, store._entries[leaf]["file"])
+    return os.path.join(directory,
+                        store.snapshot().entries[leaf]["file"])
 
 
 class TestVerifyLevels:
@@ -44,7 +47,6 @@ class TestVerifyLevels:
         for level in ("off", "quick", "full"):
             with CubeStore.open(store_dir, verify=level) as store:
                 assert store.recovery["salvaged"] == []
-                assert not store.recovery["rolled_forward"]
 
     def test_manifest_carries_checksums(self, store_dir):
         with open(os.path.join(store_dir, MANIFEST)) as fh:
@@ -155,99 +157,102 @@ class TestJournalledAppend:
         CubeStore.build(small_skewed, oracle_dir).close()
         with CubeStore.open(directory, verify="full") as got, \
                 CubeStore.open(oracle_dir, verify="full") as want:
-            assert not got.recovery["rolled_forward"]
             assert got.recovery["wal_replayed"] == 0  # folded, not replayed
             for leaf in want.leaves:
                 assert got.query(leaf, minsup=2) == want.query(leaf, minsup=2)
 
-    def test_crash_before_journal_rolls_back(self, small_skewed, store_dir):
-        # Simulate a crash mid-stage: staged files exist, no journal yet.
-        with CubeStore.open(store_dir, verify="off") as store:
-            old_generation = store.generation
-            leaf = store.leaves[0]
-            expected = store.query(leaf, minsup=2)
-            path = _leaf_path(store_dir, store, leaf)
-        with open(path + STAGED_SUFFIX, "w") as fh:
-            fh.write("half-written next generation")
+    def _cut_compaction(self, small_skewed, directory, cut):
+        """``append(); compact()`` killed at the file op ``cut`` names;
+        returns (leaf files as built, the acknowledged WAL record)."""
+        from unittest import mock
 
-        with CubeStore.open(store_dir, verify="quick") as store:
-            assert store.generation == old_generation
-            assert not store.recovery["rolled_forward"]
-            assert path.rsplit(os.sep, 1)[-1] + STAGED_SUFFIX \
-                in store.recovery["orphans_removed"]
-            assert store.query(leaf, minsup=2) == expected
-        assert not os.path.exists(path + STAGED_SUFFIX)
-
-    def test_crash_after_journal_rolls_forward(self, small_skewed, tmp_path):
-        # Run a real append(); compact(), then reconstruct the moment just
-        # after the journal hit disk: staged files present, old manifest,
-        # journal, and the WAL record not yet pruned.
-        directory = str(tmp_path / "store")
         first = small_skewed.slice(0, 300)
         delta = small_skewed.slice(300, len(small_skewed))
         CubeStore.build(first, directory).close()
+        built = {name for name in os.listdir(directory)
+                 if name.endswith(".run")}
+        store = CubeStore.open(directory, verify="off")
+        store.append(delta)
+        wal_path = store.wal.path_for(store.generation)
+        with mock.patch.object(*cut, side_effect=OSError("killed")):
+            with pytest.raises(OSError):
+                store.compact()
+        store.close()
+        return built, wal_path
 
-        with open(os.path.join(directory, MANIFEST)) as fh:
-            old_manifest_text = fh.read()
-        snapshot = {}
-        with CubeStore.open(directory, verify="off") as store:
-            for leaf in store.leaves:
-                path = _leaf_path(directory, store, leaf)
-                with open(path, "rb") as fh:
-                    snapshot[path] = fh.read()
-            store.append(delta)
-            wal_path = store.wal.path_for(store.generation)
-            with open(wal_path, "rb") as fh:
-                wal_record = fh.read()
-            store.compact()
-            new_answers = {leaf: store.query(leaf, minsup=2)
-                           for leaf in store.leaves}
-        with open(os.path.join(directory, MANIFEST)) as fh:
-            new_manifest = json.load(fh)
-        with open(wal_path, "wb") as fh:
-            fh.write(wal_record)
+    def test_crash_before_the_replace_replays_the_wal(
+            self, small_skewed, tmp_path):
+        # Every new file is on disk, the manifest still names the old
+        # ones: the new files are orphans and the WAL holds the batch.
+        from repro.serve import store as store_module
 
-        # Rewind: new leaf bytes back to .staged, old bytes + manifest
-        # restored, journal in place — exactly the post-commit crash.
-        for path, old_bytes in snapshot.items():
-            with open(path, "rb") as fh:
-                new_bytes = fh.read()
-            with open(path + STAGED_SUFFIX, "wb") as fh:
-                fh.write(new_bytes)
-            with open(path, "wb") as fh:
-                fh.write(old_bytes)
-        with open(os.path.join(directory, MANIFEST), "w") as fh:
-            fh.write(old_manifest_text)
-        with open(os.path.join(directory, JOURNAL), "w") as fh:
-            json.dump({"format": JOURNAL_FORMAT,
-                       "generation": new_manifest["generation"],
-                       "manifest": new_manifest}, fh)
+        directory = str(tmp_path / "store")
+        built, wal_path = self._cut_compaction(
+            small_skewed, directory, (store_module, "_write_json"))
+        new_files = {name for name in os.listdir(directory)
+                     if name.endswith(".g2.run")}
+        assert len(new_files) == len(built) and os.path.exists(wal_path)
 
         with CubeStore.open(directory, verify="full") as store:
-            assert store.recovery["rolled_forward"]
-            # the journalled manifest already holds the batch: its WAL
-            # record is stale and pruned, never applied a second time
+            assert store.recovery["wal_replayed"] == 1
+            assert store.recovery["wal_pruned"] == 0
+            assert set(store.recovery["orphans_removed"]) == new_files
+            assert store.generation == 2
+            assert store.total_rows == len(small_skewed)
+            for leaf in store.leaves:
+                assert store.query(leaf, minsup=2) == {
+                    cell: agg for cell, agg
+                    in naive_cuboid(small_skewed, leaf).items()
+                    if agg[0] >= 2}
+        assert not new_files & set(os.listdir(directory))
+
+    def test_crash_after_the_replace_prunes_the_stale_wal(
+            self, small_skewed, tmp_path):
+        # The manifest names the new files; the WAL record it made
+        # stale and the files it superseded are still there.
+        from repro.serve import ingest
+
+        directory = str(tmp_path / "store")
+        built, wal_path = self._cut_compaction(
+            small_skewed, directory,
+            (ingest.WriteAheadLog, "truncate_through"))
+        assert built <= set(os.listdir(directory))
+        assert os.path.exists(wal_path)
+
+        with CubeStore.open(directory, verify="full") as store:
+            # the published manifest already holds the batch: its WAL
+            # record is pruned, never applied a second time
             assert store.recovery["wal_pruned"] == 1
             assert store.recovery["wal_replayed"] == 0
-            assert store.generation == new_manifest["generation"] == 2
+            assert set(store.recovery["orphans_removed"]) == built
+            assert store.generation == 2
             assert store.total_rows == len(small_skewed)
-            for leaf, answer in new_answers.items():
-                assert store.query(leaf, minsup=2) == answer
-        assert not os.path.exists(os.path.join(directory, JOURNAL))
+            for leaf in store.leaves:
+                assert store.query(leaf, minsup=1) \
+                    == naive_cuboid(small_skewed, leaf)
+        assert not built & set(os.listdir(directory))
         assert not os.path.exists(wal_path)
 
     def test_crash_sweep_always_recovers_the_acked_batch(self):
         # An acknowledged append survives a compact() cut at every file
         # operation: generation 2 each time, by WAL replay before the
-        # journal and roll-forward after it (asserted inside the sweep).
+        # manifest replace and by pruning the stale record after it
+        # (asserted inside the sweep, both sides of the commit hit).
         from smoke_chaos import act_two_append_crash_sweep
 
         outcomes = act_two_append_crash_sweep()
-        assert outcomes["replayed"] and outcomes["rolled_forward"]
+        assert outcomes["replayed"] and outcomes["pruned"] \
+            and outcomes["published"]
 
-    def test_garbage_journal_ignored(self, store_dir):
+    def test_leftover_journal_is_refused(self, store_dir):
+        # An earlier release's interrupted compaction: refused, and left
+        # in place for that release to complete — ignoring it could mix
+        # generations.
         with open(os.path.join(store_dir, JOURNAL), "w") as fh:
             fh.write("{not json")
-        with CubeStore.open(store_dir, verify="quick") as store:
-            assert not store.recovery["rolled_forward"]
-        assert not os.path.exists(os.path.join(store_dir, JOURNAL))
+        for level in ("off", "quick", "full"):
+            with pytest.raises(SchemaError, match="earlier release"):
+                CubeStore.open(store_dir, verify=level)
+        assert os.path.exists(os.path.join(store_dir, JOURNAL))
+        os.unlink(os.path.join(store_dir, JOURNAL))
+        CubeStore.open(store_dir, verify="full").close()
