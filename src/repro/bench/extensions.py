@@ -440,23 +440,20 @@ def ext_serving(n_tuples=None, n_dims=6, n_queries=200, skew=1.2, seed=2001):
         for cuboid, minsup in distinct:  # warm the leaf files once
             answer = scan_server.query(cuboid, minsup)
             exact = exact and answer.cells == oracle_answers[(cuboid, minsup)]
-        for cuboid, minsup in workload:
-            scan_server.query(cuboid, minsup)
-        # records() preserves arrival order: drop the warm-up pass, keep
-        # the workload's in-memory scans.
+        # past the warm-up pass, every answer is an in-memory scan
         store_ms = [
-            1000.0 * record.latency_s
-            for record in scan_server.telemetry.records("store")[len(distinct):]
+            1000.0 * scan_server.query(cuboid, minsup).latency_s
+            for cuboid, minsup in workload
         ]
         scan_server.close()
 
         # Cached path: the same workload through the LRU cache.
         hot_server = CubeServer(store, cache_size=len(population))
-        for cuboid, minsup in workload:
-            hot_server.query(cuboid, minsup)
+        hot_answers = [hot_server.query(cuboid, minsup)
+                       for cuboid, minsup in workload]
         cache_ms = [
-            1000.0 * latency
-            for latency in hot_server.telemetry.latencies("cache")
+            1000.0 * answer.latency_s
+            for answer in hot_answers if answer.source == "cache"
         ]
         cache_stats = hot_server.cache.stats()
         hot_server.close()
@@ -605,6 +602,7 @@ def ext_ingest(n_tuples=None, n_dims=5, n_batches=24, batch_rows=64,
         server = CubeServer(store, default_deadline_s=5.0)
         flood_batches = [make_batch(n_batches + i) for i in range(n_batches)]
         deadline_errors = 0
+        latencies = []
 
         def flood():
             nonlocal deadline_errors
@@ -612,7 +610,7 @@ def ext_ingest(n_tuples=None, n_dims=5, n_batches=24, batch_rows=64,
 
             for cuboid, minsup in workload:
                 try:
-                    server.query(cuboid, minsup)
+                    latencies.append(server.query(cuboid, minsup).latency_s)
                 except DeadlineExceededError:
                     deadline_errors += 1
 
@@ -626,7 +624,7 @@ def ext_ingest(n_tuples=None, n_dims=5, n_batches=24, batch_rows=64,
         sustained_s = perf_counter() - t0
         flooder.join()
         appends_per_s = len(flood_batches) / sustained_s
-        latencies = sorted(server.telemetry.latencies())
+        latencies.sort()
         p95_ms = 1000.0 * latencies[int(0.95 * (len(latencies) - 1))] \
             if latencies else 0.0
         flood_rows = store.total_rows

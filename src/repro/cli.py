@@ -164,13 +164,6 @@ def build_parser():
     serve.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
                        help="default per-query deadline in milliseconds; past "
                             "it the query fails with HTTP 504 (default: none)")
-    serve.add_argument("--breaker-failures", type=int, default=5, metavar="N",
-                       help="consecutive recompute failures that trip the "
-                            "fallback circuit breaker open (default 5)")
-    serve.add_argument("--breaker-reset", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="breaker cool-down before half-open probes "
-                            "(default 5)")
     serve.add_argument("--verify", default="quick",
                        choices=["off", "quick", "full"],
                        help="store integrity check on open: 'quick' compares "
@@ -693,7 +686,7 @@ def cmd_serve(args, out):
 
 
 def _cmd_serve(args, out):
-    from .serve import CircuitBreaker, CubeServer, CubeStore
+    from .serve import CubeServer, CubeStore
 
     kwargs = {}
     if args.compact_after is not None:
@@ -723,10 +716,7 @@ def _cmd_serve(args, out):
     server = CubeServer(store, cache_size=args.cache_size,
                         max_workers=args.threads,
                         max_pending=args.max_pending,
-                        default_deadline_s=deadline_s,
-                        breaker=CircuitBreaker(
-                            failure_threshold=args.breaker_failures,
-                            reset_after_s=args.breaker_reset))
+                        default_deadline_s=deadline_s)
     endpoint = server.serve_http(host=args.host, port=args.port)
     print("serving cube store %s" % args.store, file=out)
     print("dims   : %s" % ", ".join(store.dims), file=out)

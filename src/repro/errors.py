@@ -116,8 +116,8 @@ class WalCorruptError(ReproError):
 class ServerOverloadedError(ReproError):
     """The server shed this query instead of queueing it unboundedly.
 
-    Raised on admission when the pending-query queue is full, or when
-    the recompute circuit breaker is open.  Maps to HTTP 429.
+    Raised on admission when the pending-query queue is full.  Maps to
+    HTTP 429.
     """
 
     def __init__(self, reason="admission queue full", pending=None, limit=None):

@@ -24,6 +24,7 @@ while an exporter renders is safe.
 
 import re
 import threading
+from bisect import bisect_left
 
 from .stats import percentile
 
@@ -240,12 +241,18 @@ class Histogram(_Family):
             series = self._child(self._key(labels))
             series.count += 1
             series.sum += value
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.bucket_counts[i] += 1
-                    break
+            # first bound >= value; past the last one only count/sum move
+            i = bisect_left(self.buckets, value)
+            if i < len(series.bucket_counts):
+                series.bucket_counts[i] += 1
             if len(series.samples) < HISTOGRAM_SAMPLE_WINDOW:
                 series.samples.append(value)
+
+    def samples(self):
+        """The retained raw observations of every series, unordered."""
+        with self._lock:
+            return [value for series in self._children.values()
+                    for value in series.samples]
 
     def summary(self, **labels):
         """count / sum / mean / p50 / p95 / p99 over the sample window."""

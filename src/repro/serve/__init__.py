@@ -12,15 +12,14 @@ iceberg query almost immediately — made into a serving subsystem:
 * :class:`QueryCache` keeps hot answers with LRU eviction and
   insert-generation invalidation;
 * :class:`CubeServer` admits concurrent queries (thread pool + optional
-  stdlib-HTTP JSON endpoint, ``repro.serve.http``) and answers cache -> store -> compute,
+  stdlib-HTTP JSON endpoint, ``repro.serve.http``) and answers cache -> store,
   degrading gracefully under load: bounded admission
-  (:class:`AdmissionGate`), per-query :class:`Deadline` budgets, and a
-  :class:`CircuitBreaker` around the recompute fallback;
+  (:class:`AdmissionGate`) and per-query :class:`Deadline` budgets;
 * :class:`ServerTelemetry` records per-query latency, source and
-  degradation events;
+  degradation events on the metrics registry;
 * :class:`CubeRouter` (``repro.serve.cluster``) fronts N store shards
   x R replicas as one logical cube: stable covering-leaf placement
-  (:class:`ShardMap`), per-replica circuit breakers with failover,
+  (:class:`ShardMap`), per-replica :class:`CircuitBreaker` failover,
   generation-pinned fan-out, and honest 503s when a whole shard is
   down;
 * :class:`WriteAheadLog` (``repro.serve.ingest``) makes appends durable
@@ -38,7 +37,7 @@ from .ingest import WalRecord, WriteAheadLog
 from .resilience import AdmissionGate, CircuitBreaker, Deadline, RetryPolicy
 from .server import CubeAnswer, CubeServer, QueryAnswer
 from .store import AppendResult, CubeStore
-from .telemetry import QueryRecord, ServerTelemetry
+from .telemetry import ServerTelemetry
 
 __all__ = [
     "CubeStore",
@@ -56,7 +55,6 @@ __all__ = [
     "ShardMap",
     "ReplicaClient",
     "stable_shard_hash",
-    "QueryRecord",
     "ServerTelemetry",
     "AdmissionGate",
     "CircuitBreaker",

@@ -862,7 +862,6 @@ class CubeRouter:
                     "url": client.url, "status": health.get("status", "ok"),
                     "generation": health.get("generation"),
                     "verify": health.get("verify"),
-                    "breaker": health.get("breaker"),
                     "wal": health.get("wal"),
                 }
         with self._lock:
@@ -1103,9 +1102,9 @@ class CubeRouter:
         """Rate/Errors/Duration per shard, from replica ``/metrics``.
 
         Requests and errors are sums over the shard's replicas (errors =
-        sheds + deadline overruns + breaker rejections); latency
-        quantiles come from the replicas' *merged* histogram buckets —
-        a true shard-level distribution, not an average of averages.
+        sheds + deadline overruns); latency quantiles come from the
+        replicas' *merged* histogram buckets — a true shard-level
+        distribution, not an average of averages.
         """
         if scrapes is None:
             scrapes = self._scrape_replicas("/metrics", "red")
@@ -1127,8 +1126,7 @@ class CubeRouter:
                     requests += value
                 for _name, labels, value in families.get(
                         "repro_server_events_total", {}).get("samples", ()):
-                    if labels.get("event") in ("shed", "deadline_exceeded",
-                                               "breaker_rejected"):
+                    if labels.get("event") in ("shed", "deadline_exceeded"):
                         errors += value
                 series = [
                     (labels["le"], value)

@@ -2,18 +2,19 @@
 
 Serving-grade OLAP needs explicit admission and latency control — a
 query front-end that queues unboundedly turns one slow dependency into
-a site-wide stall.  Three small, thread-safe primitives give
-:class:`~repro.serve.server.CubeServer` its degradation ladder:
+a site-wide stall.  Two small, thread-safe primitives give
+:class:`~repro.serve.server.CubeServer` its degradation ladder, a third
+guards each replica behind :class:`~repro.serve.cluster.CubeRouter`:
 
 * :class:`Deadline` — one query's wall-clock budget, created at
   *admission* (queue time counts) and checked at every stage boundary;
 * :class:`AdmissionGate` — a bounded in-flight counter that sheds the
   excess with a fast :class:`~repro.errors.ServerOverloadedError`
   instead of queueing it;
-* :class:`CircuitBreaker` — wraps the expensive recompute fallback:
-  repeated failures trip it open (fail fast, keep serving cache/store
-  hits), a cool-down admits half-open probes, and a probe's success
-  closes it again.
+* :class:`CircuitBreaker` — the router's per-replica guard: repeated
+  failures trip it open (the replica leaves rotation, its siblings keep
+  answering), a cool-down admits half-open probes, and a probe's
+  success closes it again.
 
 Every class takes an injectable monotonic ``clock`` so tests can drive
 state transitions without sleeping.
@@ -95,8 +96,10 @@ class Deadline:
 
     def __init__(self, seconds, clock=time.monotonic):
         seconds = float(seconds)
-        if seconds <= 0:
-            raise PlanError("deadline must be > 0 seconds, got %r" % (seconds,))
+        # not ``seconds <= 0``: NaN passes that and then never expires
+        if not 0 < seconds < float("inf"):
+            raise PlanError("deadline must be a finite number of seconds "
+                            "> 0, got %r" % (seconds,))
         self.seconds = seconds
         self._clock = clock
         self._start = clock()

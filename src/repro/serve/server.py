@@ -3,15 +3,16 @@
 :class:`CubeServer` admits queries through a thread pool and answers
 each from the cheapest source available::
 
-    cache hit  ->  stored leaf scan  ->  (optional) fresh compute
+    cache hit  ->  stored leaf scan
 
 The cache is the LRU :class:`~repro.serve.cache.QueryCache`; the store
 is a :class:`~repro.serve.store.CubeStore` (or any object with the same
-``snapshot()``/``append`` surface, e.g. a ``LeafMaterialization``); the
-compute fallback — for cuboids the store does not cover, such as
-dimensions left out of the materialization — is one
-:func:`~repro.core.columnar.aggregate_cuboid` over the raw relation.
-Every answer is recorded in
+``snapshot()``/``append`` surface, e.g. a ``LeafMaterialization``).  A
+cuboid the store does not cover — a dimension left out of the
+materialization, a sibling shard's cuboid — is refused with the
+snapshot's own :class:`~repro.errors.SchemaError` /
+:class:`~repro.errors.PlanError` (HTTP 400): the server never goes back
+to raw rows.  Every answer is recorded in
 :class:`~repro.serve.telemetry.ServerTelemetry`.
 
 **Degradation ladder** (:mod:`repro.serve.resilience`): admission is
@@ -19,12 +20,8 @@ bounded — past ``max_pending`` in-flight queries, :meth:`submit` sheds
 with a fast :class:`~repro.errors.ServerOverloadedError` (HTTP 429)
 instead of queueing unboundedly.  Each query can carry a wall-clock
 deadline (created at admission, so queue time counts) that turns into
-:class:`~repro.errors.DeadlineExceededError` (HTTP 504).  The recompute
-fallback sits behind a :class:`~repro.serve.resilience.CircuitBreaker`:
-repeated failures trip it open so the server keeps answering cache and
-store hits fast while the expensive path cools down, then half-open
-probes restore it.  All of it is visible in :meth:`stats` and the
-``/healthz`` endpoint.
+:class:`~repro.errors.DeadlineExceededError` (HTTP 504).  Both are
+visible in :meth:`stats` and the ``/healthz`` endpoint.
 
 ``serve_http`` exposes the same surface as a JSON HTTP endpoint (pure
 stdlib ``http.server``) for point, roll-up and drill-down queries::
@@ -58,7 +55,7 @@ mislabel an answer nor make it wait — the contract the sharded router
 events) in text exposition format; the counters are incremented by the
 same telemetry calls that feed ``/stats``, so the two endpoints always
 agree.  With :func:`repro.obs.install` active, each query additionally
-records a ``serve.query`` span (cache→store→compute stages as events).
+records a ``serve.query`` span (a cache miss is an event on it).
 
 Errors are always structured JSON — ``400`` for malformed queries,
 ``404`` for unknown paths, ``413`` for oversized requests, ``429`` when
@@ -69,16 +66,13 @@ handler stack is :mod:`repro.serve.http`, shared with the router).
 import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from time import perf_counter
 
 from .. import obs
-from ..core.columnar import ColumnarFrame, aggregate_cuboid
 from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
     PlanError,
-    SchemaError,
     ServerOverloadedError,
     StoreCorruptError,
 )
@@ -94,13 +88,13 @@ from .http import (
     parse_threshold,
 )
 from .ingest import trace_id_of
-from .resilience import AdmissionGate, CircuitBreaker, Deadline
+from .resilience import AdmissionGate, Deadline
 from .store import AppendResult
 from .telemetry import ServerTelemetry
 
 #: One served answer: the canonical cuboid, the threshold text, the
 #: ``{cell: (count, sum)}`` dict, where it came from, how long it took,
-#: and the generation of the snapshot (or rows) the cells were read from.
+#: and the generation of the snapshot the cells were read from.
 QueryAnswer = namedtuple(
     "QueryAnswer",
     ("cuboid", "threshold", "cells", "source", "latency_s", "generation"),
@@ -116,29 +110,16 @@ CubeAnswer = namedtuple(
 class CubeServer:
     """Thread-pooled query serving over a persistent cube store."""
 
-    def __init__(self, store, relation=None, cache_size=256, max_workers=8,
-                 max_pending=None, default_deadline_s=None, breaker=None,
-                 registry=None):
-        """``relation`` enables the compute fallback (and ``append``
-        equivalence checks); without it, uncovered cuboids raise.
-
-        ``max_pending`` bounds admitted-but-unfinished queries (default
+    def __init__(self, store, cache_size=256, max_workers=8,
+                 max_pending=None, default_deadline_s=None, registry=None):
+        """``max_pending`` bounds admitted-but-unfinished queries (default
         ``16 * max_workers``, minimum 64) — the excess is shed.
         ``default_deadline_s`` applies to queries that don't carry their
-        own deadline (``None``: no deadline).  ``breaker`` guards the
-        recompute fallback (default: a
-        :class:`~repro.serve.resilience.CircuitBreaker` tripping after 5
-        consecutive failures, 5 s cool-down).  ``registry`` is the
+        own deadline (``None``: no deadline).  ``registry`` is the
         metrics registry behind ``GET /metrics`` (default: the installed
         :mod:`repro.obs` registry, else a private one).
         """
         self.store = store
-        #: ``(generation, relation)`` — the rows behind the compute
-        #: fallback and the store generation they amount to, replaced
-        #: as one pair so a fallback answer is labelled with the rows
-        #: it read (``None`` without a relation)
-        self._rows = (None if relation is None
-                      else (store.generation, relation))
         self.cache = QueryCache(cache_size)
         self.telemetry = ServerTelemetry(registry=registry)
         self.registry = self.telemetry.registry
@@ -146,11 +127,9 @@ class CubeServer:
         if max_pending is None:
             max_pending = max(64, 16 * max_workers)
         self.gate = AdmissionGate(max_pending)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="cube-query"
         )
-        self._compute_pool = None  # lazy: only deadline-bounded computes
         self._write_lock = threading.Lock()
         self._close_lock = threading.Lock()
         self._endpoints = []
@@ -160,7 +139,7 @@ class CubeServer:
     # query paths
     # ------------------------------------------------------------------
     def query(self, cuboid, minsup=1, deadline_s=None):
-        """Answer one group-by, cache -> store -> compute.
+        """Answer one group-by, cache -> store.
 
         ``deadline_s`` (seconds, or a prebuilt
         :class:`~repro.serve.resilience.Deadline`) bounds the query's
@@ -189,51 +168,33 @@ class CubeServer:
         if deadline is not None:
             deadline.check("admission queue")
         snap = self.store.snapshot()
-        try:
-            canonical = snap.canonical(cuboid)
-        except SchemaError:
-            if self._rows is None:
-                raise
-            canonical = self._relation_canonical(cuboid)
-        cells, source, generation = self._answer(
-            snap, canonical, threshold, deadline)
+        canonical = snap.canonical(cuboid)
+        cells, source = self._answer(snap, canonical, threshold, deadline)
         latency = perf_counter() - start
-        self.telemetry.record(canonical, threshold.describe(), source, latency)
+        self.telemetry.record(source, latency)
         return QueryAnswer(canonical, threshold.describe(), cells, source,
-                           latency, generation)
+                           latency, snap.generation)
 
     def _answer(self, snap, canonical, threshold, deadline):
-        """cache -> store -> compute, from one pinned state.
+        """cache -> store, from one pinned state.
 
-        Cells and generation both come from ``snap`` (or, on the compute
-        fallback, from the one ``(generation, relation)`` pair read), so
-        whatever :meth:`append` publishes meanwhile, the answer is one
+        Cells and generation both come from ``snap``, so whatever
+        :meth:`append` publishes meanwhile, the answer is one
         generation's and is cached under that generation.
         """
-        generation = snap.generation
-        cells = self.cache.get(canonical, threshold, generation)
+        cells = self.cache.get(canonical, threshold, snap.generation)
         if cells is not None:
-            return cells, "cache", generation
+            return cells, "cache"
         if deadline is not None:
             deadline.check("store scan")
         obs.event("serve.cache_miss")
-        try:
-            cells = snap.query(canonical, minsup=threshold)
-            source = "store"
-        except (PlanError, SchemaError):
-            if self._rows is None:
-                raise
-            obs.event("serve.compute_fallback")
-            generation, relation = self._rows
-            cells = self._compute_guarded(relation, canonical, threshold,
-                                          deadline)
-            source = "compute"
-        self.cache.put(canonical, threshold, generation, cells)
+        cells = snap.query(canonical, minsup=threshold)
+        self.cache.put(canonical, threshold, snap.generation, cells)
         if deadline is not None:
             # The answer is cached for the next caller either way, but a
             # reply past its budget is honestly late.
             deadline.check("reply")
-        return cells, source, generation
+        return cells, "store"
 
     def point(self, cuboid, cell, minsup=1):
         """One cell of one cuboid (a ``searchsorted`` on the covering
@@ -245,7 +206,7 @@ class CubeServer:
         agg = snap.point(canonical, cell, minsup=threshold)
         cells = {tuple(cell): agg} if agg is not None else {}
         latency = perf_counter() - start
-        self.telemetry.record(canonical, threshold.describe(), "store", latency)
+        self.telemetry.record("store", latency)
         return QueryAnswer(canonical, threshold.describe(), cells, "store",
                            latency, snap.generation)
 
@@ -267,8 +228,7 @@ class CubeServer:
             if deadline is not None:
                 deadline.check("reply")
             latency = perf_counter() - start
-            self.telemetry.record(snap.dims, threshold.describe(),
-                                  "store", latency)
+            self.telemetry.record("store", latency)
             if span:
                 span.set(cuboids=len(cuboids), generation=snap.generation)
         return CubeAnswer(cuboids, threshold.describe(), snap.generation,
@@ -337,73 +297,6 @@ class CubeServer:
             return deadline_s
         return Deadline(deadline_s)
 
-    def _relation_canonical(self, cuboid):
-        order = {name: i for i, name in enumerate(self._rows[1].dims)}
-        try:
-            return tuple(sorted(cuboid, key=order.__getitem__))
-        except KeyError as exc:
-            raise SchemaError(
-                "unknown dimension %s in cuboid %r" % (exc, cuboid)
-            ) from None
-
-    def _compute_guarded(self, relation, cuboid, threshold, deadline=None):
-        """The recompute fallback behind the circuit breaker.
-
-        Breaker open: fail fast with
-        :class:`~repro.errors.ServerOverloadedError` — cache and store
-        hits keep flowing while the expensive path cools down.  With a
-        deadline, the compute runs on a side thread so the caller can
-        give up on time (the stray compute finishes in the background;
-        the breaker keeps a pile-up from forming).
-        """
-        if not self.breaker.allow():
-            self.telemetry.bump("breaker_rejected")
-            raise ServerOverloadedError(
-                "recompute circuit breaker is open (%d consecutive failures "
-                "tripped it)" % (self.breaker.failure_threshold,)
-            )
-        try:
-            if deadline is None:
-                cells = self._compute(relation, cuboid, threshold)
-            else:
-                deadline.check("compute fallback")
-                future = self._compute_executor().submit(
-                    self._compute, relation, cuboid, threshold)
-                try:
-                    cells = future.result(timeout=max(0.0, deadline.remaining()))
-                except FutureTimeoutError:
-                    raise DeadlineExceededError(
-                        deadline.seconds, elapsed_s=deadline.elapsed(),
-                        stage="compute fallback",
-                    ) from None
-        except Exception:
-            self.breaker.record_failure()
-            if self.breaker.state == "open":
-                self.telemetry.bump("breaker_tripped")
-            raise
-        self.breaker.record_success()
-        return cells
-
-    def _compute_executor(self):
-        with self._close_lock:
-            if self._compute_pool is None:
-                self._compute_pool = ThreadPoolExecutor(
-                    max_workers=2, thread_name_prefix="cube-compute"
-                )
-            return self._compute_pool
-
-    @staticmethod
-    def _compute(relation, cuboid, threshold):
-        """Fresh compute: one group-by over ``relation``."""
-        if not cuboid:
-            count = len(relation)
-            total = sum(relation.measures)
-            if threshold.qualifies(count, total):
-                return {(): (count, total)}
-            return {}
-        frame = ColumnarFrame.from_relation(relation, cuboid)
-        return aggregate_cuboid(frame, cuboid, threshold)
-
     # ------------------------------------------------------------------
     # maintenance and stats
     # ------------------------------------------------------------------
@@ -425,11 +318,6 @@ class CubeServer:
             # an in-memory LeafMaterialization returns nothing
             applied = getattr(result, "applied", True)
             generation = self.store.generation
-            if applied and self._rows is not None:
-                # After the store's append, and as one pair: until this
-                # lands the fallback answers the old rows as the old
-                # generation, never the old rows as the new one.
-                self._rows = (generation, self._rows[1].concat(relation))
         return AppendResult(generation, applied,
                             getattr(result, "batch_id", batch_id))
 
@@ -482,7 +370,6 @@ class CubeServer:
             "telemetry": self.telemetry.summary(),
             "resilience": {
                 "admission": self.gate.stats(),
-                "breaker": self.breaker.stats(),
                 "default_deadline_s": self.default_deadline_s,
             },
         }
@@ -493,8 +380,8 @@ class CubeServer:
         Beyond a bare liveness probe: the store generation (so a router
         can tell "alive" from "serving a stale generation"), the
         integrity level the store was opened at, shard placement, dims,
-        and the degradation state (admission + breaker) — everything a
-        health-checking router needs to route, pin and fail over.
+        and the admission state — everything a health-checking router
+        needs to route, pin and fail over.
         """
         gate = self.gate.stats()
         shard = getattr(self.store, "shard", None)
@@ -514,7 +401,6 @@ class CubeServer:
             "pending": gate["pending"],
             "max_pending": gate["limit"],
             "shed": gate["shed"],
-            "breaker": self.breaker.state,
             "wal": wal,
         }
 
@@ -549,12 +435,9 @@ class CubeServer:
                 return
             self._closed = True
             endpoints, self._endpoints = self._endpoints, []
-            compute_pool, self._compute_pool = self._compute_pool, None
         for endpoint in endpoints:
             endpoint.close()
         self._pool.shutdown(wait=True, cancel_futures=cancel_pending)
-        if compute_pool is not None:
-            compute_pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self):
         return self

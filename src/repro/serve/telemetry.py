@@ -1,69 +1,57 @@
-"""Per-query serving telemetry: latency and answer-source records.
+"""Per-query serving telemetry: latency and answer-source counts.
 
 Every query a :class:`~repro.serve.server.CubeServer` answers is
-recorded as a :class:`QueryRecord` — which cuboid, which threshold,
-where the answer came from (``cache``, ``store`` or ``compute``) and
-how long it took.  :class:`ServerTelemetry` aggregates the records into
-the numbers an operator actually watches: per-source counts, mean and
+recorded once — where the answer came from (``cache`` or ``store``) and
+how long it took.  :class:`ServerTelemetry` reads the numbers an
+operator actually watches back out: per-source counts, mean and
 percentile latencies.
 
-The counters live on a :class:`~repro.obs.metrics.MetricsRegistry` —
-``repro_server_requests_total{source=...}`` and
-``repro_server_events_total{event=...}`` are incremented by the same
-calls that feed :meth:`summary`, so the JSON ``/stats`` endpoint and
-the Prometheus ``/metrics`` exposition can never disagree.  Latencies
-additionally feed ``repro_server_latency_seconds{source=...}``
-histograms.
+It keeps no ledger of its own.  The three families it registers on a
+:class:`~repro.obs.metrics.MetricsRegistry` —
+``repro_server_requests_total{source=...}``,
+``repro_server_events_total{event=...}`` and the
+``repro_server_latency_seconds{source=...}`` histograms — are the only
+record, so the JSON ``/stats`` endpoint (:meth:`summary`) and the
+Prometheus ``/metrics`` exposition are two renderings of the same
+series and can never disagree.
 
-Everything here is thread-safe: the server's worker threads record
-concurrently while a stats endpoint reads.
+Thread safety is the registry's: each family takes its own lock, so the
+server's worker threads record concurrently while a stats endpoint
+reads.
 """
-
-import threading
-from collections import namedtuple
 
 from .. import obs
 from ..obs.metrics import MetricsRegistry
 from ..obs.stats import percentile
 
-__all__ = ["QueryRecord", "ServerTelemetry", "SOURCES", "percentile"]
+__all__ = ["ServerTelemetry", "SOURCES", "percentile"]
 
-#: One answered query.  ``latency_s`` is real wall-clock seconds;
-#: ``source`` is "cache", "store" or "compute".
-QueryRecord = namedtuple(
-    "QueryRecord", ("cuboid", "threshold", "source", "latency_s")
-)
-
-SOURCES = ("cache", "store", "compute")
+SOURCES = ("cache", "store")
 
 
 class ServerTelemetry:
-    """Thread-safe accumulator of :class:`QueryRecord` entries.
+    """The serving view of the ``repro_server_*`` metric families.
 
-    ``registry`` is the metrics registry the counters live on; the
+    ``registry`` is the metrics registry the series live on; the
     default is the installed :mod:`repro.obs` registry when
     observability is on, else a private one (so ``/metrics`` always has
-    something to serve).
+    something to serve).  Telemetries that share a registry share its
+    series: their summaries are the registry's, not each server's.
     """
 
-    def __init__(self, keep_records=10_000, registry=None):
+    def __init__(self, registry=None):
         if registry is None:
             active = obs.current()
             registry = active.registry if active is not None \
                 else MetricsRegistry()
         self.registry = registry
-        self._lock = threading.Lock()
-        self._records = []
-        self._keep = int(keep_records)
-        self._counts = {source: 0 for source in SOURCES}
-        self._latency_totals = {source: 0.0 for source in SOURCES}
         self._requests = registry.counter(
             "repro_server_requests_total",
-            "Queries answered, by source (cache/store/compute).",
+            "Queries answered, by source (cache/store).",
             ("source",))
         self._events = registry.counter(
             "repro_server_events_total",
-            "Degradation events (shed, deadline_exceeded, breaker_* ...).",
+            "Degradation events (shed, deadline_exceeded ...).",
             ("event",))
         self._latency = registry.histogram(
             "repro_server_latency_seconds",
@@ -71,9 +59,9 @@ class ServerTelemetry:
             ("source",))
 
     def bump(self, event, n=1):
-        """Count one degradation event (``shed``, ``deadline_exceeded``,
-        ``breaker_open`` ...) — free-form names, surfaced in
-        :meth:`summary` under ``events`` and on the registry as
+        """Count one degradation event (``shed``, ``deadline_exceeded``
+        ...) — free-form names, surfaced in :meth:`summary` under
+        ``events`` and on the registry as
         ``repro_server_events_total{event=...}``."""
         self._events.inc(n, event=event)
 
@@ -86,57 +74,37 @@ class ServerTelemetry:
         return {key[0]: int(value)
                 for key, value in self._events.series().items()}
 
-    def record(self, cuboid, threshold, source, latency_s):
-        """Record one answered query."""
-        if source not in self._counts:
+    def record(self, source, latency_s):
+        """Record one answered query (``latency_s`` in wall-clock
+        seconds)."""
+        if source not in SOURCES:
             raise ValueError("unknown answer source %r" % (source,))
-        entry = QueryRecord(tuple(cuboid), threshold, source, float(latency_s))
-        with self._lock:
-            self._counts[source] += 1
-            self._latency_totals[source] += entry.latency_s
-            if len(self._records) < self._keep:
-                self._records.append(entry)
         self._requests.inc(source=source)
-        self._latency.observe(entry.latency_s, source=source)
+        self._latency.observe(latency_s, source=source)
 
     def __len__(self):
-        with self._lock:
-            return sum(self._counts.values())
-
-    def records(self, source=None):
-        """A snapshot of the retained records (optionally one source)."""
-        with self._lock:
-            records = list(self._records)
-        if source is not None:
-            records = [r for r in records if r.source == source]
-        return records
-
-    def latencies(self, source=None):
-        """Retained latencies in ascending order (seconds)."""
-        return sorted(r.latency_s for r in self.records(source))
+        return int(sum(self._requests.series().values()))
 
     def summary(self):
         """Aggregate stats: counts per source, mean and p50/p95/p99.
 
         Latency figures are in milliseconds, rounded for display; counts
-        cover every query ever recorded (percentiles cover the retained
-        window).
+        and means cover every query ever recorded, percentiles the
+        histogram's retained window (the first
+        :data:`~repro.obs.metrics.HISTOGRAM_SAMPLE_WINDOW` answers per
+        source).
         """
-        with self._lock:
-            counts = dict(self._counts)
-            totals = dict(self._latency_totals)
-        out = {"queries": sum(counts.values()), "by_source": {}}
+        out = {"queries": len(self), "by_source": {}}
         for source in SOURCES:
-            ordered = self.latencies(source)
-            count = counts[source]
+            stats = self._latency.summary(source=source)
             out["by_source"][source] = {
-                "count": count,
-                "mean_ms": round(1000.0 * totals[source] / count, 3) if count else 0.0,
-                "p50_ms": round(1000.0 * percentile(ordered, 50), 3),
-                "p95_ms": round(1000.0 * percentile(ordered, 95), 3),
-                "p99_ms": round(1000.0 * percentile(ordered, 99), 3),
+                "count": stats["count"],
+                "mean_ms": round(1000.0 * stats["mean"], 3),
+                "p50_ms": round(1000.0 * stats["p50"], 3),
+                "p95_ms": round(1000.0 * stats["p95"], 3),
+                "p99_ms": round(1000.0 * stats["p99"], 3),
             }
-        overall = self.latencies()
+        overall = sorted(self._latency.samples())
         out["p50_ms"] = round(1000.0 * percentile(overall, 50), 3)
         out["p95_ms"] = round(1000.0 * percentile(overall, 95), 3)
         out["p99_ms"] = round(1000.0 * percentile(overall, 99), 3)

@@ -16,7 +16,8 @@ of the sharded serving tier, asserted end-to-end:
    A response mixing the two generations has no matching oracle and
    fails the run.
 4. **Failover is observable** — the router's metrics must show
-   failovers > 0 and every query answered despite the kill.
+   failovers > 0, its stats the dead replica's circuit breaker tripped,
+   and every query answered despite the kill.
 5. **Honest partial degradation** — after the dead replica's sibling is
    also killed, queries owned by that shard must raise a structured
    :class:`ShardUnavailableError` naming it (HTTP 503 through the
@@ -180,10 +181,16 @@ def main():
         for line in metrics.splitlines()
         if line.startswith("repro_router_failovers_total{"))
     assert failovers > 0, "kill never exercised failover:\n%s" % metrics
+    # the breaker drill: the dead replica's breaker tripped it out of
+    # rotation (its sibling's never did)
+    breakers = router.stats()["breakers"]
+    assert breakers["%d/0" % victim_shard]["trips"] >= 1, breakers
+    assert breakers["%d/1" % victim_shard]["trips"] == 0, breakers
     print("flood: %d queries all oracle-exact across generations %s "
-          "(%d failovers, %d cube skew retries)"
+          "(%d failovers, %d breaker trip(s) on the dead replica, %d cube "
+          "skew retries)"
           % (N_QUERIES, sorted(generations_seen), int(failovers),
-             skew_retries[0]))
+             breakers["%d/0" % victim_shard]["trips"], skew_retries[0]))
 
     # -- whole-shard loss: honest, structured, partial -------------------
     survivor = processes[(victim_shard, 1)]
@@ -208,6 +215,7 @@ def main():
         detail = json.loads(error.read())
         assert detail["kind"] == "shard_unavailable", detail
         assert detail["shard"] == victim_shard, detail
+    router.check_health()  # the sweep a health interval would run
     health = router.health()
     assert health["status"] == "degraded"
     assert health["degraded_shards"] == [victim_shard]

@@ -124,7 +124,8 @@ class TestHistogram:
     def test_render_cumulative_with_inf(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("d_seconds", buckets=(1.0, 10.0))
-        for value in (0.5, 0.6, 5.0, 50.0):
+        # 1.0 == a bound: ``le`` is inclusive, it lands in that bucket
+        for value in (0.5, 1.0, 5.0, 50.0):
             histogram.observe(value)
         text = registry.to_prometheus()
         assert 'd_seconds_bucket{le="1.0"} 2' in text
@@ -472,8 +473,8 @@ class TestServeMetricsAgreement:
         from repro.serve.telemetry import ServerTelemetry
 
         telemetry = ServerTelemetry()
-        telemetry.record(("a",), 1, "cache", 0.002)
-        telemetry.record(("a",), 1, "store", 0.004)
+        telemetry.record("cache", 0.002)
+        telemetry.record("store", 0.004)
         summary = telemetry.summary()
         assert summary["queries"] == 2
         requests = telemetry.registry.get("repro_server_requests_total")

@@ -51,10 +51,10 @@ class TestDeadline:
         assert exc_info.value.deadline_s == pytest.approx(0.5)
 
     def test_nonpositive_budget_rejected(self):
-        with pytest.raises(PlanError):
-            Deadline(0.0)
-        with pytest.raises(PlanError):
-            Deadline(-1.0)
+        # nan passes a bare ``<= 0`` guard and then never expires
+        for seconds in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(PlanError):
+                Deadline(seconds)
 
 
 class TestAdmissionGate:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import cluster1
 from repro.core.naive import naive_cuboid
-from repro.core.thresholds import AndThreshold, CountThreshold, SumThreshold
+from repro.core.thresholds import CountThreshold, SumThreshold
 from repro.errors import (
     DeadlineExceededError,
     PlanError,
@@ -20,7 +20,6 @@ from repro.errors import (
 from repro.online import LeafMaterialization
 from repro.serve import (
     AdmissionGate,
-    CircuitBreaker,
     CubeRouter,
     CubeServer,
     CubeStore,
@@ -230,29 +229,38 @@ class TestTelemetry:
     def test_summary_by_source(self):
         telemetry = ServerTelemetry()
         for latency in (0.001, 0.002, 0.003):
-            telemetry.record(("A",), "COUNT(*) >= 1", "store", latency)
-        telemetry.record(("A",), "COUNT(*) >= 1", "cache", 0.0001)
+            telemetry.record("store", latency)
+        telemetry.record("cache", 0.0001)
         summary = telemetry.summary()
         assert summary["queries"] == 4
         assert summary["by_source"]["store"]["count"] == 3
         assert summary["by_source"]["cache"]["count"] == 1
         assert summary["by_source"]["store"]["p50_ms"] == pytest.approx(2.0)
-        assert summary["by_source"]["compute"]["count"] == 0
+        assert set(summary["by_source"]) == {"cache", "store"}
 
     def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            ServerTelemetry().record(("A",), "t", "disk", 0.1)
+        for source in ("disk", "compute"):
+            with pytest.raises(ValueError):
+                ServerTelemetry().record(source, 0.1)
 
     def test_concurrent_recording(self):
         telemetry = ServerTelemetry()
 
         def worker(_):
             for _i in range(100):
-                telemetry.record(("A",), "t", "store", 0.001)
+                telemetry.record("store", 0.001)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(worker, range(8)))
         assert len(telemetry) == 800
+        # one ledger: /stats' count, the request counter and the
+        # histogram's _count are the same registry series
+        registry = telemetry.registry
+        assert (telemetry.summary()["by_source"]["store"]["count"]
+                == registry.get("repro_server_requests_total")
+                .value(source="store")
+                == registry.get("repro_server_latency_seconds")
+                .summary(source="store")["count"] == 800)
 
 
 class TestCubeServer:
@@ -287,60 +295,46 @@ class TestCubeServer:
         assert stats["cache"]["hit_rate"] > 0
         assert stats["telemetry"]["queries"] == len(workload)
 
-    def test_compute_fallback_for_uncovered_dims(self, small_skewed, tmp_path):
-        partial = CubeStore.build(small_skewed, tmp_path / "partial",
-                                  dims=("A", "B", "C"), cluster_spec=cluster1(2))
-        with CubeServer(partial, relation=small_skewed) as server:
-            answer = server.query(("A", "D"), minsup=2)
-            assert answer.source == "compute"
-            expected = oracle(small_skewed, ("A", "D"), 2)
-            got = {k: (c, pytest.approx(v)) for k, (c, v) in answer.cells.items()}
-            assert got == expected
-            # the computed answer is cached like any other
-            assert server.query(("A", "D"), minsup=2).source == "cache"
-        partial.close()
+    @pytest.mark.parametrize("via", ["direct", "http"])
+    @pytest.mark.parametrize("build, error", [
+        ({"dims": ("A", "B", "C"), "cluster_spec": cluster1(2)}, SchemaError),
+        ({"backend": "local", "shard": (0, 2)}, PlanError),
+    ], ids=["partial", "sibling_shard"])
+    def test_uncovered_cuboid_is_refused(self, small_skewed, tmp_path,
+                                         build, error, via):
+        """A dimension outside a partial store, or a sibling shard's
+        cuboid: refused (HTTP 400), never computed, never cached."""
+        import urllib.error
 
-    @pytest.mark.parametrize("threshold", [
-        CountThreshold(2), SumThreshold(20.0),
-        AndThreshold(CountThreshold(2), SumThreshold(20.0)),
-    ], ids=["count", "sum", "and"])
-    def test_compute_fallback_on_a_shard_store_matches_naive(
-            self, small_skewed, tmp_path, threshold):
-        # A shard store covers only its share of the lattice; a cuboid
-        # of a sibling shard falls back to one group-by over the
-        # server's relation — any threshold, with or without a deadline
-        # (the deadline path computes on the side thread), and behind
-        # the breaker.
-        shard = CubeStore.build(small_skewed, tmp_path / "shard",
-                                backend="local", shard=(0, 2))
-        owned = set(shard.owned_cuboids())
-        uncovered = next(c for c in [("A",), ("B",), ("A", "B"), ("B", "C")]
-                         if c not in owned)
-        expected = {
-            cell: agg
-            for cell, agg in naive_cuboid(small_skewed, uncovered).items()
-            if threshold.qualifies(*agg)}
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=60.0)
-        with CubeServer(shard, relation=small_skewed, cache_size=0,
-                        breaker=breaker) as server:
-            for deadline_s in (None, 30.0):
-                answer = server.query(uncovered, threshold,
-                                      deadline_s=deadline_s)
-                assert answer.source == "compute"
-                assert answer.cells == expected
-            breaker.record_failure()
-            with pytest.raises(ServerOverloadedError):
-                server.query(uncovered, threshold)
-            breaker.record_success()  # reset for teardown
-        shard.close()
-
-    def test_uncovered_without_relation_raises(self, small_skewed, tmp_path):
-        partial = CubeStore.build(small_skewed, tmp_path / "partial",
-                                  dims=("A", "B"), cluster_spec=cluster1(2))
-        with CubeServer(partial) as server:
-            with pytest.raises(SchemaError):
-                server.query(("A", "D"), minsup=1)
-        partial.close()
+        held = CubeStore.build(small_skewed, tmp_path / "held", **build)
+        if "shard" in build:
+            owned = set(held.owned_cuboids())
+            uncovered = next(c for c in [("A",), ("B",), ("A", "B"),
+                                         ("B", "C")] if c not in owned)
+        else:
+            uncovered = ("A", "D")  # D is not in the materialized dims
+        with CubeServer(held) as server:
+            endpoint = server.serve_http(port=0)
+            for _ in range(2):  # the second try finds nothing cached
+                if via == "direct":
+                    with pytest.raises(error):
+                        server.query(uncovered, minsup=1)
+                else:
+                    with pytest.raises(urllib.error.HTTPError) as info:
+                        urlopen("%s/query?cuboid=%s"
+                                % (endpoint.url, ",".join(uncovered)))
+                    assert info.value.code == 400
+                    assert json.loads(info.value.read())["kind"] == \
+                        "bad_request"
+            assert len(server.cache) == 0
+            assert len(server.telemetry) == 0
+            with urlopen(endpoint.url + "/healthz") as response:
+                assert json.loads(response.read())["status"] == "ok"
+            # what the store does cover keeps answering
+            covered = next(iter(held.owned_cuboids()))
+            assert server.query(covered, minsup=2).cells == oracle(
+                small_skewed, covered, 2)
+        held.close()
 
     def test_append_invalidates_cached_answers(self, small_skewed, tmp_path):
         half = len(small_skewed) // 2
@@ -457,7 +451,7 @@ class TestHttpEndpoint:
 
 
 class TestGracefulDegradation:
-    """Bounded admission, deadlines and the recompute circuit breaker."""
+    """Bounded admission and deadlines."""
 
     def test_admission_gate_sheds_past_max_pending(self, store, small_skewed):
         release = threading.Event()
@@ -509,93 +503,12 @@ class TestGracefulDegradation:
         finally:
             server.close()
 
-    def test_breaker_trips_on_failing_recompute_and_store_hits_survive(
-            self, small_skewed, tmp_path):
-        # A relation is present so uncovered cuboids go to compute, but
-        # the compute path is broken: the breaker must trip and cache /
-        # store answers must keep flowing.
-        partial = CubeStore.build(small_skewed, tmp_path / "partial",
-                                  dims=("A", "B", "C"),
-                                  cluster_spec=cluster1(2))
-        server = CubeServer(partial, relation=small_skewed,
-                            breaker=CircuitBreaker(failure_threshold=2,
-                                                   reset_after_s=60.0))
-        server._compute = lambda relation, cuboid, threshold: (
-            _ for _ in ()).throw(RuntimeError("compute backend down"))
-        try:
-            uncovered = ("A", "D")  # D is not in the materialized dims
-            for _ in range(2):
-                with pytest.raises(RuntimeError):
-                    server.query(uncovered, 1)
-            assert server.breaker.state == "open"
-            # Third call fails fast with overload, not the RuntimeError.
-            with pytest.raises(ServerOverloadedError) as exc_info:
-                server.query(uncovered, 1)
-            assert "circuit breaker is open" in str(exc_info.value)
-            # Store-served queries are unaffected while the breaker is open.
-            answer = server.query(("A",), 2)
-            assert answer.source == "store"
-            assert answer.cells == oracle(small_skewed, ("A",), 2)
-            stats = server.stats()["resilience"]
-            assert stats["breaker"]["state"] == "open"
-            assert stats["breaker"]["trips"] == 1
-        finally:
-            server.close()
-            partial.close()
-
-    def test_breaker_recovers_after_cooldown(self, small_skewed, tmp_path):
-        partial = CubeStore.build(small_skewed, tmp_path / "partial",
-                                  dims=("A", "B", "C"),
-                                  cluster_spec=cluster1(2))
-        clock = [100.0]
-        server = CubeServer(partial, relation=small_skewed, cache_size=0,
-                            breaker=CircuitBreaker(failure_threshold=1,
-                                                   reset_after_s=5.0,
-                                                   clock=lambda: clock[0]))
-        real_compute = server._compute
-        server._compute = lambda relation, cuboid, threshold: (
-            _ for _ in ()).throw(RuntimeError("transient outage"))
-        try:
-            with pytest.raises(RuntimeError):
-                server.query(("A", "D"), 1)
-            assert server.breaker.state == "open"
-            server._compute = real_compute  # the dependency heals
-            clock[0] += 5.0                 # cool-down elapses
-            answer = server.query(("A", "D"), 1)  # half-open probe succeeds
-            assert answer.source == "compute"
-            assert server.breaker.state == "closed"
-        finally:
-            server.close()
-            partial.close()
-
-    def test_deadline_bounds_slow_compute(self, small_skewed, tmp_path):
-        partial = CubeStore.build(small_skewed, tmp_path / "partial",
-                                  dims=("A", "B", "C"),
-                                  cluster_spec=cluster1(2))
-        server = CubeServer(partial, relation=small_skewed)
-
-        def glacial(relation, cuboid, threshold):
-            time.sleep(5.0)
-            return {}
-
-        server._compute = glacial
-        try:
-            started = time.perf_counter()
-            with pytest.raises(DeadlineExceededError):
-                server.query(("A", "D"), 1, deadline_s=0.2)
-            assert time.perf_counter() - started < 2.0
-            server.breaker.record_success()  # reset for teardown
-        finally:
-            server.close()
-            partial.close()
-
     def test_health_endpoint_surface(self, store):
         server = CubeServer(store, max_pending=77)
         try:
             health = server.health()
             assert health["status"] == "ok"
             assert health["max_pending"] == 77
-            assert health["breaker"] == "closed"
         finally:
             server.close()
         assert server.health()["status"] == "closed"
@@ -711,7 +624,8 @@ class TestHttpHardening:
                      "/query?cuboid=A,nope",
                      "/point?cuboid=A&cell=x"]
             if label == "server":  # the router takes no per-query deadline
-                paths.append("/query?cuboid=A&deadline_ms=-5")
+                paths += ["/query?cuboid=A&deadline_ms=-5",
+                          "/query?cuboid=A&deadline_ms=nan"]
             for path in paths:
                 status, payload = self._get_error(endpoint, path)
                 assert status == 400, (label, path)
@@ -781,7 +695,6 @@ class TestHttpHardening:
         status, payload = self._get_error(endpoint, "/healthz")
         assert status == 200
         assert payload["status"] == "ok"
-        assert payload["breaker"] == "closed"
         assert payload["max_pending"] == server.gate.limit
 
     def test_deadline_ms_param_maps_to_504(self, endpoint):
@@ -895,61 +808,6 @@ class TestGenerationVerifiedReads:
             release.set()
             server.close()
 
-    def test_fallback_answer_carries_the_generation_of_its_rows(
-            self, small_skewed, tmp_path):
-        # The compute fallback reads the server's rows, not the store:
-        # between the store's append and the rows catching up, it must
-        # answer the old rows as the *old* generation.
-        from unittest import mock
-
-        from repro.data import Relation
-
-        base = small_skewed.slice(0, 200)
-        delta = small_skewed.slice(200, 205)
-        partial = CubeStore.build(base, tmp_path / "partial",
-                                  dims=("A", "B", "C"), backend="local")
-        server = CubeServer(partial, relation=base)
-        uncovered = ("A", "D")  # D is not in the materialized dims
-        entered, release = threading.Event(), threading.Event()
-        real_concat = Relation.concat
-
-        def held_concat(self, other):
-            entered.set()
-            release.wait(10.0)
-            return real_concat(self, other)
-
-        def rows(answer):
-            return sum(count for count, _sum in answer.cells.values())
-
-        try:
-            with mock.patch.object(Relation, "concat", held_concat), \
-                    ThreadPoolExecutor(max_workers=1) as pool:
-                appending = pool.submit(server.append, delta)
-                assert entered.wait(10.0)
-                assert partial.generation == 2  # the store has swung
-                during = server.query(uncovered, 1)
-                assert (during.generation, rows(during)) == (1, 200)
-                assert during.source == "compute"
-                release.set()
-                appending.result(timeout=10.0)
-            after = server.query(uncovered, 1)
-            assert (after.generation, rows(after)) == (2, 205)
-            assert after.source == "compute"  # never 200 rows at 2, cached
-            assert after.cells == oracle(small_skewed.slice(0, 205),
-                                         uncovered, 1)
-            assert server.query(uncovered, 1).source == "cache"
-            # the breaker and the deadline still guard the path
-            server.cache = QueryCache(0)
-            server._compute = lambda *_: time.sleep(5.0)
-            with pytest.raises(DeadlineExceededError):
-                server.query(uncovered, 1, deadline_s=0.1)
-            assert server.breaker.stats()["consecutive_failures"] == 1
-        finally:
-            release.set()
-            server.breaker.record_success()
-            server.close()
-            partial.close()
-
     def test_iceberg_share_is_one_generation(self, store, small_skewed):
         server = CubeServer(store)
         try:
@@ -985,7 +843,6 @@ class TestClusterHttpSurface:
         assert payload["shard"] is None  # monolithic store
         assert tuple(payload["dims"]) == server.store.dims
         assert payload["leaves"] == len(server.store.leaves)
-        assert payload["breaker"] == "closed"
 
     def test_healthz_reports_open_verify_mode(self, store, tmp_path):
         reopened = CubeStore.open(store.directory, verify="full")
