@@ -210,30 +210,22 @@ def build_parser():
                         metavar="SECONDS",
                         help="replica breaker cool-down before half-open "
                              "probes (default 2)")
-    router.add_argument("--generation-attempts", type=int, default=4,
-                        metavar="N",
-                        help="fan-out rounds allowed to pin one store "
-                             "generation before answering 503 (default 4)")
     router.add_argument("--append-retries", type=int, default=3, metavar="N",
                         help="delivery attempts per replica per append "
                              "(idempotence keys make the retries safe; "
                              "default 3)")
     router.add_argument("--append-backoff", type=float, default=0.05,
-                        metavar="SECONDS",
+                        metavar="SECONDS", dest="retry_base_s",
                         help="base of the capped full-jitter backoff "
                              "between append retries (default 0.05)")
     router.add_argument("--append-backoff-cap", type=float, default=1.0,
-                        metavar="SECONDS",
+                        metavar="SECONDS", dest="retry_cap_s",
                         help="backoff ceiling between append retries "
                              "(default 1)")
     router.add_argument("--append-deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for one append fan-out, "
                              "retries included (default: none)")
-    router.add_argument("--no-anti-entropy", action="store_true",
-                        help="disable the health sweep's anti-entropy "
-                             "repair (re-delivering missing WAL batches "
-                             "to generation-lagging replicas)")
     router.add_argument("--self-test", type=int, metavar="N", default=None,
                         help="fire N queries through the router, print its "
                              "health and stats, and exit (smoke mode)")
@@ -784,7 +776,7 @@ def cmd_router(args, out):
 
 
 def _cmd_router(args, out):
-    from .serve import CircuitBreaker, CubeRouter
+    from .serve import CircuitBreaker, CubeRouter, RetryPolicy
 
     shard_replicas = []
     for spec in args.shards:
@@ -796,12 +788,10 @@ def _cmd_router(args, out):
     router = CubeRouter(
         shard_replicas, timeout_s=args.timeout,
         health_interval_s=args.health_interval,
-        generation_attempts=args.generation_attempts,
-        append_retries=args.append_retries,
-        append_backoff_s=args.append_backoff,
-        append_backoff_cap_s=args.append_backoff_cap,
         append_deadline_s=args.append_deadline,
-        anti_entropy=not args.no_anti_entropy,
+        retry_policy=RetryPolicy(
+            attempts=args.append_retries, base_s=args.retry_base_s,
+            cap_s=args.retry_cap_s),
         slow_query_s=(args.slow_query_ms / 1000.0
                       if args.slow_query_ms is not None else None),
         breaker_factory=lambda: CircuitBreaker(

@@ -15,6 +15,8 @@ Every cube algorithm in the library accepts either an integer minimum
 support (shorthand for :class:`CountThreshold`) or one of these objects.
 """
 
+import math
+
 from ..errors import PlanError
 
 
@@ -67,12 +69,19 @@ class SumThreshold(Threshold):
 
     def __init__(self, min_sum):
         self.min_sum = float(min_sum)
+        if math.isnan(self.min_sum):
+            # NaN qualifies no cell: a query asking for it is malformed
+            raise PlanError("min_sum must be a number, got %r" % (min_sum,))
 
     def qualifies(self, count, total):
         return total >= self.min_sum
 
     def describe(self):
-        return "SUM(measure) >= %g" % self.min_sum
+        # exact, as it is the cache key: %g keeps six significant digits
+        text = "%g" % self.min_sum
+        if float(text) != self.min_sum:
+            text = repr(self.min_sum)
+        return "SUM(measure) >= " + text
 
 
 class AndThreshold(Threshold):

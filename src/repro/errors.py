@@ -169,21 +169,11 @@ class ShardUnavailableError(ReproError):
 
 
 class GenerationSkewError(ReproError):
-    """A fan-out query could not pin one store generation.
+    """A replica does not hold the store generation a read pinned.
 
-    Raised when shards keep answering from different generations for
-    longer than the router's retry budget (appends landing faster than
-    reads can converge).  Maps to HTTP 503: the client should retry —
-    the router never merges two generations into one answer.
+    HTTP 409 from a server (``/cube?at=G`` outside its retained
+    snapshots), 503 from a router: retry — it never mixes generations.
     """
-
-    def __init__(self, generations, attempts):
-        super().__init__(
-            "generation skew across shards persisted for %d attempt(s): "
-            "saw generations %s" % (attempts, sorted(generations))
-        )
-        self.generations = tuple(sorted(generations))
-        self.attempts = attempts
 
 
 class DeadlineExceededError(ReproError):

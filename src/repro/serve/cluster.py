@@ -43,13 +43,13 @@ lags its shard's freshest sibling gets the missing WAL batches fetched
 from that sibling (``GET /wal``) and re-delivered with their original
 batch ids, converging the shard without operator action.
 
-**Generation consistency.**  Replicas label every answer with the store
-generation it was *verified* against (see ``CubeServer``'s double-read
-protocol).  Single-shard answers are therefore internally consistent by
-construction; cross-shard fan-outs (:meth:`CubeRouter.cube`) pin one
-generation — responses are only merged when every shard answered from
-the same generation, stale shards are re-queried, and if an append
-storm keeps the shards skewed past the retry budget the router raises
+**Generation consistency.**  Replicas answer from one immutable store
+snapshot and label the answer with its generation, so a single-shard
+answer is one generation's by construction.  A cross-shard fan-out
+(:meth:`CubeRouter.cube`) pins the lowest generation round one
+returned and asks only the shards that were ahead for their share *at*
+it — each replica retains its latest snapshots — so two rounds at most.
+A replica that does not hold the pin answers 409: the router raises
 :class:`~repro.errors.GenerationSkewError` (HTTP 503: retry) instead of
 mixing generations.
 
@@ -271,9 +271,10 @@ class ReplicaClient:
 
     Failures that justify failover — connection errors, timeouts, 5xx,
     429 (overloaded) and 504 (deadline) — raise
-    :class:`~repro.errors.ReplicaError`; other 4xx replies mean the
-    *query* is bad and raise :class:`~repro.errors.PlanError` without
-    burning a failover (a bad query is bad on every replica).
+    :class:`~repro.errors.ReplicaError`; a 409 (a lagging replica, not a
+    dead one) raises :class:`~repro.errors.GenerationSkewError` and
+    other 4xx replies — a bad query is bad on every replica — raise
+    :class:`~repro.errors.PlanError`, neither burning a failover.
     """
 
     #: statuses worth retrying on a sibling replica
@@ -319,6 +320,9 @@ class ReplicaClient:
             detail = self._error_detail(exc)
             if exc.code in self.FAILOVER_STATUSES:
                 raise ReplicaError(self.url, detail, status=exc.code) from None
+            if exc.code == 409:
+                raise GenerationSkewError(
+                    "replica %s: %s" % (self.url, detail)) from None
             raise PlanError(
                 "replica %s rejected the request (HTTP %d): %s"
                 % (self.url, exc.code, detail)) from None
@@ -357,11 +361,9 @@ class CubeRouter:
     """
 
     def __init__(self, shard_replicas, dims=None, timeout_s=10.0,
-                 breaker_factory=None, health_interval_s=0.0,
-                 generation_attempts=4, registry=None,
-                 append_retries=3, append_backoff_s=0.05,
-                 append_backoff_cap_s=1.0, append_deadline_s=None,
-                 anti_entropy=True, retry_policy=None, slow_query_s=None):
+                 breaker_factory=None, health_interval_s=0.0, registry=None,
+                 append_deadline_s=None, retry_policy=None,
+                 slow_query_s=None):
         if not shard_replicas:
             raise PlanError("need at least one shard")
         self.shards = []
@@ -379,10 +381,6 @@ class CubeRouter:
             for s, replicas in enumerate(self.shards)
             for r in range(len(replicas))
         }
-        if generation_attempts < 1:
-            raise PlanError("generation_attempts must be >= 1, got %r"
-                            % (generation_attempts,))
-        self.generation_attempts = int(generation_attempts)
         self._shard_map = ShardMap(dims, self.n_shards) if dims else None
         self._lock = threading.Lock()
         self._rr = [0] * self.n_shards
@@ -394,15 +392,12 @@ class CubeRouter:
                             sum(len(r) for r in self.shards)),
             thread_name_prefix="cube-router")
         if retry_policy is None:
-            retry_policy = RetryPolicy(
-                attempts=append_retries, base_s=append_backoff_s,
-                cap_s=append_backoff_cap_s)
+            retry_policy = RetryPolicy()
         self.append_policy = retry_policy
         if append_deadline_s is not None and float(append_deadline_s) <= 0:
             raise PlanError("append_deadline_s must be > 0, got %r"
                             % (append_deadline_s,))
         self.append_deadline_s = append_deadline_s
-        self.anti_entropy = bool(anti_entropy)
         if registry is None:
             active = obs.current()
             registry = active.registry if active is not None \
@@ -419,9 +414,6 @@ class CubeRouter:
             "repro_router_shard_unavailable_total",
             "Requests answered 503 because a whole shard was down.",
             ("shard",))
-        self._generation_retries = registry.counter(
-            "repro_router_generation_retries_total",
-            "Cross-shard fan-out rounds repeated to pin one generation.")
         self._health_checks = registry.counter(
             "repro_router_health_checks_total",
             "Background /healthz probes by result.", ("status",))
@@ -630,64 +622,58 @@ class CubeRouter:
     def cube(self, minsup=1):
         """The full iceberg cube, fanned out and pinned to one generation.
 
-        Every shard contributes the cuboids it owns; responses are only
-        merged when *all* shards answered from the same store
-        generation.  A stale shard (an ``append`` landed between
-        responses) is re-queried, pinning the newest generation seen;
-        after ``generation_attempts`` rounds without convergence the
-        router raises :class:`~repro.errors.GenerationSkewError` rather
-        than mixing generations.
+        Every shard contributes the cuboids it owns.  Round one asks
+        each shard for its current share; the lowest generation returned
+        is the pin, and round two asks only the shards that were ahead
+        for their share at the pin (``/cube?at=G``) — two rounds at
+        most, whatever the append rate.  A replica that does not hold
+        the pin raises :class:`~repro.errors.GenerationSkewError` rather
+        than the router mixing generations.
         """
         start = perf_counter()
         threshold = as_threshold(minsup)
         self._ensure_map()
         path = "/cube?" + _threshold_query(threshold)
-        responses = {}
-        generations = set()
         with obs.span("router.cube") as span:
             # Fan-out threads have no span stack of their own; hand them
             # this thread's context so the traceparent each ReplicaClient
             # injects names the router.cube span as parent.
             ctx = obs.context()
-            for attempt in range(1, self.generation_attempts + 1):
-                pinned = max((p["generation"] for p in responses.values()),
-                             default=None)
-                needed = [s for s in range(self.n_shards)
-                          if responses.get(s) is None
-                          or responses[s]["generation"] != pinned]
-                futures = {
-                    s: self._pool.submit(self._traced, ctx,
-                                         self._call_shard, s, path)
-                    for s in needed
-                }
-                try:
-                    for s, future in futures.items():
-                        responses[s] = future.result()[0]
-                except ReproError:
-                    self._requests.inc(kind="cube", outcome="error")
-                    raise
-                generations = {p["generation"] for p in responses.values()}
-                if len(generations) == 1:
-                    merged = {}
-                    for payload in responses.values():
-                        for entry in payload["cuboids"]:
-                            merged[tuple(entry["cuboid"])] = \
-                                _decode_cells(entry["cells"])
-                    self._requests.inc(kind="cube", outcome="ok")
-                    generation = generations.pop()
-                    if span:
-                        span.set(cuboids=len(merged), generation=generation,
-                                 attempts=attempt)
-                    latency = perf_counter() - start
-                    self._observe_slow("cube", ("*",), latency, None)
-                    return RouterCubeAnswer(
-                        merged, threshold.describe(), generation, attempt,
-                        latency)
-                self._generation_retries.inc()
-                obs.event("router.generation_retry",
-                          generations=sorted(generations))
-        self._requests.inc(kind="cube", outcome="generation_skew")
-        raise GenerationSkewError(generations, self.generation_attempts)
+            try:
+                responses = self._fan_out(ctx, range(self.n_shards), path)
+                pinned = min(p["generation"] for p in responses.values())
+                ahead = [s for s, p in responses.items()
+                         if p["generation"] != pinned]
+                responses.update(self._fan_out(
+                    ctx, ahead, "%s&at=%d" % (path, pinned)))
+            except GenerationSkewError:
+                self._requests.inc(kind="cube", outcome="generation_skew")
+                raise
+            except ReproError:
+                self._requests.inc(kind="cube", outcome="error")
+                raise
+            merged = {}
+            for payload in responses.values():
+                for entry in payload["cuboids"]:
+                    merged[tuple(entry["cuboid"])] = \
+                        _decode_cells(entry["cells"])
+            self._requests.inc(kind="cube", outcome="ok")
+            rounds = 2 if ahead else 1
+            if span:
+                span.set(cuboids=len(merged), generation=pinned,
+                         attempts=rounds)
+            latency = perf_counter() - start
+            self._observe_slow("cube", ("*",), latency, None)
+        return RouterCubeAnswer(
+            merged, threshold.describe(), pinned, rounds, latency)
+
+    def _fan_out(self, ctx, shards, path):
+        """``{shard: payload}`` of ``path``, asked of ``shards`` at once."""
+        futures = {
+            s: self._pool.submit(self._traced, ctx, self._call_shard, s, path)
+            for s in shards
+        }
+        return {s: future.result()[0] for s, future in futures.items()}
 
     def _append_replica(self, shard, replica, payload, deadline):
         """Deliver one append to one replica, retrying with backoff.
@@ -881,7 +867,7 @@ class CubeRouter:
             for replica, generation in generations.items():
                 self._replica_lag.set(target - generation,
                                       shard=str(shard), replica=str(replica))
-            if self.anti_entropy and min(generations.values()) < target:
+            if min(generations.values()) < target:
                 self._repair_shard(shard, generations, snapshot)
         return snapshot
 
@@ -1013,7 +999,6 @@ class CubeRouter:
         return {
             "n_shards": self.n_shards,
             "replicas": [len(r) for r in self.shards],
-            "generation_attempts": self.generation_attempts,
             "slow_query_threshold_s": self.slow_query_s,
             "slow_queries": self.slow_queries(),
             "breakers": {
@@ -1188,9 +1173,9 @@ class _RouterRequestHandler(JsonRequestHandler):
     error_kinds = (
         # The honest partial outage: name the shard, never guess.
         (ShardUnavailableError, 503, "shard_unavailable", "shard"),
-        # Honest retry signal: the shards' generations kept swinging
-        # under the fan-out; never a mislabeled or mixed answer.
-        (GenerationSkewError, 503, "generation_skew", "generations"),
+        # Honest retry signal: a replica could not answer at the pinned
+        # generation; never a mislabeled or mixed answer.
+        (GenerationSkewError, 503, "generation_skew", None),
     )
     get_routes = {
         "/query": "_get_query", "/point": "_get_point", "/cube": "_get_cube",

@@ -170,9 +170,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 if isinstance(exc, kind_type):
                     payload = {"error": str(exc), "kind": kind}
                     if attribute is not None:
-                        value = getattr(exc, attribute)
-                        payload[attribute] = (
-                            list(value) if isinstance(value, tuple) else value)
+                        payload[attribute] = getattr(exc, attribute)
                     break
             else:  # pragma: no cover - last-ditch guard
                 # Never a traceback on the wire: a structured 500 instead.

@@ -47,8 +47,9 @@ stdlib ``http.server``) for point, roll-up and drill-down queries::
 Every data answer is read from one pinned ``store.snapshot()`` and
 carries that snapshot's ``generation`` — cells and label come from the
 same immutable object, so an ``append`` landing mid-read can neither
-mislabel an answer nor make it wait — the contract the sharded router
-(:mod:`repro.serve.cluster`) builds generation-pinned fan-outs on.
+mislabel an answer nor make it wait.  ``/cube?at=G`` reads generation
+``G`` from the last :data:`RETAINED_SNAPSHOTS` snapshots (HTTP 409 if
+not held): the sharded router (:mod:`repro.serve.cluster`) pins on it.
 
 ``/metrics`` serves the server's :class:`~repro.obs.metrics
 .MetricsRegistry` (request counters, latency histograms, degradation
@@ -72,6 +73,7 @@ from .. import obs
 from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
+    GenerationSkewError,
     PlanError,
     ServerOverloadedError,
     StoreCorruptError,
@@ -106,6 +108,12 @@ CubeAnswer = namedtuple(
     "CubeAnswer", ("cuboids", "threshold", "generation", "latency_s")
 )
 
+#: Latest snapshots a server keeps answerable by generation
+#: (``/cube?at=G``).  They share runs by reference — across a compaction,
+#: the superseded ones too.  With 8, a shard under an unpaced writer had
+#: moved up to 12 generations past a router's pin by its second round.
+RETAINED_SNAPSHOTS = 32
+
 
 class CubeServer:
     """Thread-pooled query serving over a persistent cube store."""
@@ -131,6 +139,9 @@ class CubeServer:
             max_workers=max_workers, thread_name_prefix="cube-query"
         )
         self._write_lock = threading.Lock()
+        #: the latest snapshots published, oldest first: a tuple replaced
+        #: under ``_write_lock``, so readers scan it without a lock
+        self._retained = (store.snapshot(),)
         self._close_lock = threading.Lock()
         self._endpoints = []
         self._closed = False
@@ -210,20 +221,21 @@ class CubeServer:
         return QueryAnswer(canonical, threshold.describe(), cells, "store",
                            latency, snap.generation)
 
-    def iceberg(self, minsup=1, deadline_s=None):
+    def iceberg(self, minsup=1, deadline_s=None, at=None):
         """This store's whole share of the iceberg cube, one generation.
 
         Answers every cuboid in ``owned_cuboids()`` (the full lattice
         for an unsharded store, this shard's partition otherwise) from
         a single snapshot — the unit a
         :class:`~repro.serve.cluster.CubeRouter` fans out and merges.
+        ``at`` picks a retained generation instead of the current one.
         Returns a :class:`CubeAnswer`.
         """
         start = perf_counter()
         threshold = as_threshold(minsup)
         deadline = self._deadline(deadline_s)
         with obs.span("serve.cube") as span:
-            snap = self.store.snapshot()
+            snap = self._snapshot_at(at)
             cuboids = snap.iceberg(minsup=threshold)
             if deadline is not None:
                 deadline.check("reply")
@@ -233,6 +245,16 @@ class CubeServer:
                 span.set(cuboids=len(cuboids), generation=snap.generation)
         return CubeAnswer(cuboids, threshold.describe(), snap.generation,
                           latency)
+
+    def _snapshot_at(self, at):
+        """The current snapshot, or the retained one of generation ``at``."""
+        current = self.store.snapshot()
+        for snap in (current, *self._retained):
+            if at is None or snap.generation == at:
+                return snap
+        raise GenerationSkewError(
+            "generation %d is not retained here (holds %d..%d)"
+            % (at, self._retained[0].generation, current.generation))
 
     def submit(self, cuboid, minsup=1, deadline_s=None):
         """Admit a query to the thread pool; returns a Future.
@@ -253,9 +275,9 @@ class CubeServer:
         """Admit a point lookup to the thread pool; returns a Future."""
         return self._admit(self.point, cuboid, cell, minsup)
 
-    def submit_cube(self, minsup=1, deadline_s=None):
+    def submit_cube(self, minsup=1, deadline_s=None, at=None):
         """Admit a whole-share iceberg read (:meth:`iceberg`) to the pool."""
-        return self._admit(self.iceberg, minsup, deadline_s=deadline_s)
+        return self._admit(self.iceberg, minsup, deadline_s, at)
 
     def query_many(self, queries):
         """Answer ``(cuboid, minsup)`` pairs concurrently, in order."""
@@ -305,7 +327,7 @@ class CubeServer:
 
         Serialized against other appends; an in-flight reader keeps the
         snapshot it pinned, and the generation bump keeps the cache from
-        mixing the two.
+        mixing the two.  The new snapshot joins the retained window.
 
         ``batch_id`` makes the append idempotent: a batch the store
         already applied is acknowledged with ``applied=False`` instead
@@ -317,8 +339,10 @@ class CubeServer:
             result = self.store.append(relation, batch_id=batch_id)
             # an in-memory LeafMaterialization returns nothing
             applied = getattr(result, "applied", True)
-            generation = self.store.generation
-        return AppendResult(generation, applied,
+            snap = self.store.snapshot()
+            if applied:
+                self._retained = (*self._retained, snap)[-RETAINED_SNAPSHOTS:]
+        return AppendResult(snap.generation, applied,
                             getattr(result, "batch_id", batch_id))
 
     def wal_batches(self, since):
@@ -461,6 +485,8 @@ class _CubeRequestHandler(JsonRequestHandler):
     server_version = "repro-serve/1.0"
     error_kinds = (
         (ServerOverloadedError, 429, "overloaded", None),
+        # a router's pin this replica lags or no longer holds: not broken
+        (GenerationSkewError, 409, "generation_skew", None),
         (DeadlineExceededError, 504, "deadline", None),
         (StoreCorruptError, 500, "corrupt", None),
     )
@@ -488,8 +514,10 @@ class _CubeRequestHandler(JsonRequestHandler):
         self._reply(200, answer_payload(answer, source=answer.source))
 
     def _get_cube(self, params):
+        at = params.get("at")
         future = self.app.submit_cube(
-            parse_threshold(params), deadline_s=_parse_deadline(params))
+            parse_threshold(params), deadline_s=_parse_deadline(params),
+            at=None if at is None else int(at[0]))
         self._reply(200, cube_payload(future.result()))
 
     def _get_metrics(self, params):

@@ -41,7 +41,7 @@ from urllib.request import urlopen
 
 from repro.core.naive import naive_cuboid
 from repro.data import Relation, zipf_relation
-from repro.errors import GenerationSkewError, ShardUnavailableError
+from repro.errors import ShardUnavailableError
 from repro.lattice.lattice import CubeLattice
 from repro.serve import CubeRouter, CubeStore
 
@@ -126,19 +126,17 @@ def main():
     kill_at, append_at = N_QUERIES // 4, N_QUERIES // 2
     issued = threading.Semaphore(0)
     wrong = []
-    skew_retries = [0]
+    rounds = []
     generations_seen = set()
 
     def one_query(i):
         cuboid = rng.choices(cuboids, weights)[0]
         minsup = rng.randint(1, 4)
         if i % 61 == 0:
-            # Periodic whole-cube fan-out: the generation-pinning path.
-            try:
-                answer = router.cube(minsup=minsup)
-            except GenerationSkewError:
-                skew_retries[0] += 1
-                answer = router.cube(minsup=minsup)  # converges post-append
+            # Periodic whole-cube fan-out: the generation-pinning path,
+            # which must answer on its first call, append or not.
+            answer = router.cube(minsup=minsup)
+            rounds.append(answer.attempts)
             generations_seen.add(answer.generation)
             table = oracles[answer.generation]
             for sub, cells in answer.cuboids.items():
@@ -186,11 +184,13 @@ def main():
     breakers = router.stats()["breakers"]
     assert breakers["%d/0" % victim_shard]["trips"] >= 1, breakers
     assert breakers["%d/1" % victim_shard]["trips"] == 0, breakers
+    assert rounds and max(rounds) <= 2, rounds
     print("flood: %d queries all oracle-exact across generations %s "
           "(%d failovers, %d breaker trip(s) on the dead replica, %d cube "
-          "skew retries)"
+          "fan-outs in at most %d round(s))"
           % (N_QUERIES, sorted(generations_seen), int(failovers),
-             breakers["%d/0" % victim_shard]["trips"], skew_retries[0]))
+             breakers["%d/0" % victim_shard]["trips"], len(rounds),
+             max(rounds)))
 
     # -- whole-shard loss: honest, structured, partial -------------------
     survivor = processes[(victim_shard, 1)]

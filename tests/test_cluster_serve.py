@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 import pytest
@@ -31,6 +32,7 @@ from repro.serve import (
     ShardMap,
     stable_shard_hash,
 )
+from repro.serve import server as server_module
 
 DIMS = ("A", "B", "C", "D")
 
@@ -412,29 +414,145 @@ class TestRouterFailover:
             assert info.value.shard == 0
 
 
+def with_deltas(relation, deltas):
+    """``relation`` followed by the rows of every delta, in order."""
+    rows, measures = list(relation.rows), list(relation.measures)
+    for delta in deltas:
+        rows += delta.rows
+        measures += delta.measures
+    return Relation(DIMS, rows, measures)
+
+
+def get_status(url):
+    """``(status, payload)`` of one GET, error replies included."""
+    try:
+        with urlopen(url) as response:
+            return response.status, json.loads(response.read())
+    except HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
 class TestGenerationPinning:
-    def test_skewed_shard_is_requeried_until_pinned(self, cluster, relation):
+    def test_skewed_cluster_answers_at_the_lowest_generation(self, cluster,
+                                                             relation):
         delta = Relation(DIMS, [(2, 2, 2, 2)], [3.0])
-        merged = Relation(DIMS, list(relation.rows) + list(delta.rows),
-                          list(relation.measures) + [3.0])
+        merged = with_deltas(relation, [delta])
         with make_router(cluster) as router:
             router._ensure_map()
             # Sneak an append onto shard 0's replicas behind the
             # router's back: the cluster is now generation-skewed.
             for replica in range(N_REPLICAS):
                 cluster.servers[(0, replica)].append(delta)
-            # The fan-out sees {2, 1, 1}; it must refuse to merge.
-            with pytest.raises(GenerationSkewError) as info:
-                router.cube(minsup=3)
-            assert set(info.value.generations) == {1, 2}
-            # Once the other shards catch up the same fan-out converges.
+            # Round one sees {2, 1, 1}; round two reads shard 0 at 1.
+            answer = router.cube(minsup=3)
+            assert (answer.generation, answer.attempts) == (1, 2)
+            assert len(answer.cuboids) == 16
+            for cuboid, cells in answer.cuboids.items():
+                assert cells == oracle(relation, cuboid, 3), cuboid
+            # Once the other shards catch up, one round answers.
             for shard in (1, 2):
                 for replica in range(N_REPLICAS):
                     cluster.servers[(shard, replica)].append(delta)
             answer = router.cube(minsup=3)
-            assert answer.generation == 2
+            assert (answer.generation, answer.attempts) == (2, 1)
             for cuboid, cells in answer.cuboids.items():
                 assert cells == oracle(merged, cuboid, 3), cuboid
+
+    def test_retained_window_edge(self, relation, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "RETAINED_SNAPSHOTS", 4)
+        cluster = Cluster(relation, str(tmp_path))
+        try:
+            deltas = [Relation(DIMS, [(1, 2, 3, k)], [2.0]) for k in range(5)]
+            for delta in deltas:
+                for replica in range(N_REPLICAS):
+                    cluster.servers[(0, replica)].append(delta)
+            server = cluster.servers[(0, 0)]
+            current = 1 + len(deltas)
+            answer = server.iceberg(2, at=current - 3)
+            assert answer.generation == current - 3
+            rows = with_deltas(relation, deltas[:current - 4])
+            for cuboid, cells in answer.cuboids.items():
+                assert cells == oracle(rows, cuboid, 2), cuboid
+            for at in (current - 4, current + 1):
+                with pytest.raises(GenerationSkewError, match="not retained"):
+                    server.iceberg(2, at=at)
+            status, payload = get_status(
+                "%s/cube?at=%d" % (cluster.endpoints[(0, 0)].url, current - 4))
+            assert (status, payload["kind"]) == (409, "generation_skew")
+            # Through a router: round one pins the other shards'
+            # generation 1, which shard 0 no longer holds — a 503, and
+            # a lagging replica is no failure for its breaker.
+            with make_router(cluster) as router:
+                status, payload = get_status(
+                    router.serve_http().url + "/cube?minsup=2")
+                assert (status, payload["kind"]) == (503, "generation_skew")
+                assert "not retained" in payload["error"]
+                for replica in range(N_REPLICAS):
+                    breaker = router.breakers[(0, replica)].stats()
+                    assert breaker["consecutive_failures"] == 0
+        finally:
+            cluster.close()
+
+    def test_retained_snapshot_outlives_the_files_compaction_unlinked(
+            self, relation, tmp_path):
+        directory = tmp_path / "store"
+        CubeStore.build(relation, directory, backend="local").close()
+        built = [name for name in os.listdir(directory)
+                 if name.endswith(".run")]
+        store = CubeStore.open(directory, compact_after=None)
+        server = CubeServer(store)
+        try:
+            server.append(Relation(DIMS, [(0, 1, 2, 3)], [4.0]))
+            assert store.compact() == 1
+            assert not any(os.path.exists(directory / name) for name in built)
+            answer = server.iceberg(2, at=1)
+            assert answer.generation == 1
+            assert len(answer.cuboids) == 16
+            for cuboid, cells in answer.cuboids.items():
+                assert cells == oracle(relation, cuboid, 2), cuboid
+        finally:
+            server.close()
+            store.close()
+
+    def test_unpaced_writer_never_skews_a_fan_out(self, cluster, relation):
+        # Back-to-back appends through the router beside cube() reads:
+        # every fan-out answers, in at most two rounds, exactly the rows
+        # of the generation it names.
+        deltas = [Relation(DIMS, [(k % 3, k % 4, k % 5, k % 6),
+                                  ((k + 1) % 3, 0, 2 * k % 5, 1)],
+                           [1.0, 2.0]) for k in range(300)]
+        stop = threading.Event()
+        failures = []
+        with make_router(cluster) as router:
+            router._ensure_map()
+
+            def writer():
+                try:
+                    for delta in deltas:
+                        if stop.is_set():
+                            return
+                        router.append(delta)
+                except Exception as exc:  # surfaced below
+                    failures.append(exc)
+
+            thread = threading.Thread(target=writer)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            thread.start()
+            try:
+                answers = [router.cube(minsup=2) for _ in range(20)]
+            finally:
+                stop.set()
+                thread.join(timeout=60)
+                sys.setswitchinterval(interval)
+        assert not thread.is_alive() and not failures, failures
+        assert max(answer.attempts for answer in answers) <= 2
+        for answer in answers:
+            rows = with_deltas(relation, deltas[:answer.generation - 1])
+            assert len(answer.cuboids) == 16
+            for cuboid, cells in answer.cuboids.items():
+                assert cells == oracle(rows, cuboid, 2), \
+                    (answer.generation, cuboid)
 
     def test_single_shard_answers_are_single_generation(self, cluster):
         # A point/query answer carries exactly one generation by

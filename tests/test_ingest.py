@@ -724,7 +724,6 @@ class _StubClient:
 def make_stub_router(scripts, **kwargs):
     kwargs.setdefault("retry_policy", RetryPolicy(
         attempts=3, base_s=0.0, cap_s=0.0, sleep=lambda s: None))
-    kwargs.setdefault("anti_entropy", False)
     router = CubeRouter([["http://stub-%d" % i] for i in range(len(scripts))],
                         dims=DIMS, **kwargs)
     for shard, script in enumerate(scripts):

@@ -175,6 +175,9 @@ class TestQueryCache:
         # the int shorthand and the explicit threshold share an entry
         assert cache.get(("A",), CountThreshold(2), 1) == "answer"
         assert cache.get(("A",), SumThreshold(2), 1) is None
+        # two bounds that agree to six significant digits are two keys
+        cache.put(("A",), SumThreshold(1234568.0), 1, "higher bound")
+        assert cache.get(("A",), SumThreshold(1234567.5), 1) is None
 
     def test_generation_invalidation(self):
         cache = QueryCache(capacity=4)
@@ -622,6 +625,7 @@ class TestHttpHardening:
         for label, endpoint in both:
             paths = ["/query?cuboid=A&minsup=zero",
                      "/query?cuboid=A,nope",
+                     "/query?cuboid=A&min_sum=nan",
                      "/point?cuboid=A&cell=x"]
             if label == "server":  # the router takes no per-query deadline
                 paths += ["/query?cuboid=A&deadline_ms=-5",
