@@ -229,10 +229,6 @@ def build_parser():
     router.add_argument("--self-test", type=int, metavar="N", default=None,
                         help="fire N queries through the router, print its "
                              "health and stats, and exit (smoke mode)")
-    router.add_argument("--slow-query-ms", type=float, default=None,
-                        metavar="MS",
-                        help="log routed requests slower than MS with an "
-                             "exemplar trace id (GET /stats, slow_queries)")
     _add_obs_options(router)
     return parser
 
@@ -792,8 +788,6 @@ def _cmd_router(args, out):
         retry_policy=RetryPolicy(
             attempts=args.append_retries, base_s=args.retry_base_s,
             cap_s=args.retry_cap_s),
-        slow_query_s=(args.slow_query_ms / 1000.0
-                      if args.slow_query_ms is not None else None),
         breaker_factory=lambda: CircuitBreaker(
             failure_threshold=args.breaker_failures,
             reset_after_s=args.breaker_reset))

@@ -10,7 +10,6 @@ from .aggregates import (
     get_aggregate,
 )
 from .apriori_cube import apriori_iceberg_cube
-from .arraycube import array_iceberg_cube
 from .buc import BucEngine, PrefixCache, buc_iceberg_cube
 from .columnar import (
     KERNELS,
@@ -80,5 +79,4 @@ __all__ = [
     "minimal_paths",
     "symmetric_chain_decomposition",
     "apriori_iceberg_cube",
-    "array_iceberg_cube",
 ]

@@ -69,8 +69,7 @@ The CLI front-ends this as ``repro-cube store build --shards N``,
 
 import json
 import threading
-import time
-from collections import deque, namedtuple
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
 from http.client import HTTPException
@@ -94,7 +93,6 @@ from ..obs.metrics import (
     MetricsRegistry,
     federate_prometheus,
     merge_histogram_buckets,
-    parse_prometheus,
     quantile_from_buckets,
 )
 from ..obs.trace import merge_chrome_traces
@@ -266,6 +264,26 @@ def _decode_cells(cells):
             for entry in cells}
 
 
+def _merge_red(entries):
+    """One shard's rate/errors/duration from its replicas' sweep entries.
+
+    Requests and errors are sums over the replicas (errors = sheds +
+    deadline overruns); latency quantiles come from the replicas'
+    *merged* histogram buckets — a true shard-level distribution, not an
+    average of averages.  An entry without a ``red`` block (a replica
+    that was down) contributes nothing.
+    """
+    reds = [entry["red"] for entry in entries if entry.get("red")]
+    merged = merge_histogram_buckets([red["buckets"] for red in reds])
+    return {
+        "requests": sum(red["requests"] for red in reds),
+        "errors": sum(red["errors"] for red in reds),
+        "p50_s": quantile_from_buckets(merged, 0.50),
+        "p95_s": quantile_from_buckets(merged, 0.95),
+        "p99_s": quantile_from_buckets(merged, 0.99),
+    }
+
+
 class ReplicaClient:
     """A thin JSON/HTTP client for one replica of one shard.
 
@@ -356,14 +374,13 @@ class CubeRouter:
     configured position — a misplaced or re-sharded replica is refused).
 
     Thread-safe; queries may be issued concurrently.  The router keeps
-    no cube state — only breakers, health snapshots and counters — so
+    no cube state — only breakers, health snapshots and metrics — so
     any number of routers can front the same cluster.
     """
 
     def __init__(self, shard_replicas, dims=None, timeout_s=10.0,
                  breaker_factory=None, health_interval_s=0.0, registry=None,
-                 append_deadline_s=None, retry_policy=None,
-                 slow_query_s=None):
+                 append_deadline_s=None, retry_policy=None):
         if not shard_replicas:
             raise PlanError("need at least one shard")
         self.shards = []
@@ -406,6 +423,10 @@ class CubeRouter:
         self._requests = registry.counter(
             "repro_router_requests_total",
             "Routed requests by kind and outcome.", ("kind", "outcome"))
+        self._latency = registry.histogram(
+            "repro_router_latency_seconds",
+            "Latency of answered routed requests, by kind "
+            "(query/point/cube/append).", ("kind",))
         self._failovers = registry.counter(
             "repro_router_failovers_total",
             "Replica failures that caused a failover attempt, per shard.",
@@ -436,18 +457,6 @@ class CubeRouter:
             "repro_router_scrape_failures_total",
             "Replica scrapes (federation/trace collection) that failed.",
             ("kind",))
-        self._slow_queries = registry.counter(
-            "repro_router_slow_queries_total",
-            "Routed requests slower than the slow-query threshold.",
-            ("kind",))
-        if slow_query_s is not None and float(slow_query_s) <= 0:
-            raise PlanError("slow_query_s must be > 0, got %r"
-                            % (slow_query_s,))
-        self.slow_query_s = float(slow_query_s) \
-            if slow_query_s is not None else None
-        #: most recent slow queries, each with an exemplar trace id —
-        #: the jump-off point from a p99 outlier to its full trace
-        self._slow_log = deque(maxlen=64)
         self._health_thread = None
         self.health_interval_s = float(health_interval_s)
         if self.health_interval_s > 0:
@@ -551,35 +560,6 @@ class CubeRouter:
         with obs.activate(ctx):
             return fn(*args)
 
-    def _observe_slow(self, kind, cuboid, latency_s, shard):
-        """Log a request that blew the slow-query threshold.
-
-        The log entry carries the live trace id as an exemplar, so an
-        operator can jump from the ``/stats`` outlier straight to the
-        request's full cross-process trace in the merged export.
-        """
-        if self.slow_query_s is None or latency_s < self.slow_query_s:
-            return
-        self._slow_queries.inc(kind=kind)
-        entry = {
-            "kind": kind,
-            "cuboid": list(cuboid),
-            "shard": shard,
-            "latency_ms": round(latency_s * 1000.0, 3),
-            "threshold_ms": round(self.slow_query_s * 1000.0, 3),
-            "trace_id": obs.trace_id(),
-            "at": time.time(),
-        }
-        with self._lock:
-            self._slow_log.append(entry)
-        obs.event("router.slow_query", kind=kind,
-                  latency_ms=entry["latency_ms"])
-
-    def slow_queries(self):
-        """The slow-query log, oldest first (empty when no threshold)."""
-        with self._lock:
-            return list(self._slow_log)
-
     # ------------------------------------------------------------------
     # query surface
     # ------------------------------------------------------------------
@@ -613,7 +593,7 @@ class CubeRouter:
                 span.set(cuboid=list(canonical), shard=shard,
                          replica=replica, failovers=failovers)
             latency = perf_counter() - start
-            self._observe_slow(kind, canonical, latency, shard)
+            self._latency.observe(latency, kind=kind)
         return RouterAnswer(
             tuple(payload["cuboid"]), payload["threshold"],
             _decode_cells(payload["cells"]), payload["generation"],
@@ -663,7 +643,7 @@ class CubeRouter:
                 span.set(cuboids=len(merged), generation=pinned,
                          attempts=rounds)
             latency = perf_counter() - start
-            self._observe_slow("cube", ("*",), latency, None)
+            self._latency.observe(latency, kind="cube")
         return RouterCubeAnswer(
             merged, threshold.describe(), pinned, rounds, latency)
 
@@ -756,6 +736,7 @@ class CubeRouter:
         otherwise be permanently stale; re-calling with the same
         ``batch_id`` is the safe recovery.
         """
+        start = perf_counter()
         with obs.span("router.append", rows=len(relation)) as span:
             if batch_id is None:
                 # Stamp the batch with the live trace id: every later
@@ -804,6 +785,7 @@ class CubeRouter:
             self._requests.inc(kind="append",
                                outcome="ok" if applied == len(outcomes)
                                else "partial")
+            self._latency.observe(perf_counter() - start, kind="append")
             if span:
                 span.set(applied=applied, duplicates=duplicates)
         return {"rows": len(relation), "replicas": len(outcomes),
@@ -821,7 +803,9 @@ class CubeRouter:
         out).  A replica reporting the wrong shard placement is marked
         ``misplaced`` and counted as a failure — better to lose a
         replica than to serve another shard's cuboids.  The snapshot is
-        remembered for :meth:`health` and drives the anti-entropy sweep.
+        remembered for :meth:`health` (each healthy entry keeps the
+        replica's ``red`` block, which :meth:`health` merges per shard)
+        and drives the anti-entropy sweep.
         """
         snapshot = {}
         for shard, replicas in enumerate(self.shards):
@@ -849,6 +833,7 @@ class CubeRouter:
                     "generation": health.get("generation"),
                     "verify": health.get("verify"),
                     "wal": health.get("wal"),
+                    "red": health.get("red"),
                 }
         with self._lock:
             self._health = snapshot
@@ -964,7 +949,12 @@ class CubeRouter:
                 return
 
     def health(self):
-        """The router's own ``/healthz`` body: per-shard replica states."""
+        """The router's own ``/healthz`` body: per-shard replica states.
+
+        Read off the last :meth:`check_health` sweep, RED numbers
+        included, so it asks no replica anything — the numbers are as
+        fresh as ``health_interval_s``.
+        """
         with self._lock:
             snapshot = dict(self._health)
         if not snapshot:
@@ -973,7 +963,6 @@ class CubeRouter:
             snapshot = self.check_health()
         shards = []
         degraded = []
-        red = self.red_summary()
         for shard, replicas in enumerate(self.shards):
             entries = []
             up = 0
@@ -989,18 +978,30 @@ class CubeRouter:
             if up == 0:
                 degraded.append(shard)
             shards.append({"shard": shard, "replicas": entries, "up": up,
-                           "red": red.get(str(shard))})
+                           "red": _merge_red(entries)})
         status = "ok" if not degraded else "degraded"
         return {"status": status, "n_shards": self.n_shards,
                 "degraded_shards": degraded, "shards": shards}
 
     def stats(self):
-        """Router-wide counters and per-replica breaker states."""
+        """Router-wide latency, per-replica breaker states and health.
+
+        ``latency`` is read off ``repro_router_latency_seconds``, one
+        entry per kind in the shape of a server's ``by_source``.
+        """
+        latency = {}
+        for kind in ("query", "point", "cube", "append"):
+            summary = self._latency.summary(kind=kind)
+            latency[kind] = {
+                "count": summary["count"],
+                "p50_ms": round(1000.0 * summary["p50"], 3),
+                "p95_ms": round(1000.0 * summary["p95"], 3),
+                "p99_ms": round(1000.0 * summary["p99"], 3),
+            }
         return {
             "n_shards": self.n_shards,
             "replicas": [len(r) for r in self.shards],
-            "slow_query_threshold_s": self.slow_query_s,
-            "slow_queries": self.slow_queries(),
+            "latency": latency,
             "breakers": {
                 "%d/%d" % key: breaker.stats()
                 for key, breaker in sorted(self.breakers.items())
@@ -1082,54 +1083,6 @@ class CubeRouter:
                 json.dump(merged, handle, indent=1)
                 handle.write("\n")
         return merged
-
-    def red_summary(self, scrapes=None):
-        """Rate/Errors/Duration per shard, from replica ``/metrics``.
-
-        Requests and errors are sums over the shard's replicas (errors =
-        sheds + deadline overruns); latency quantiles come from the
-        replicas' *merged* histogram buckets — a true shard-level
-        distribution, not an average of averages.
-        """
-        if scrapes is None:
-            scrapes = self._scrape_replicas("/metrics", "red")
-        parsed = {}
-        for key, text in scrapes.items():
-            try:
-                parsed[key] = parse_prometheus(text)
-            except ValueError:
-                self._scrape_failures.inc(kind="red")
-        out = {}
-        for shard in range(self.n_shards):
-            requests = errors = 0.0
-            bucket_series = []
-            for (s, _replica), families in parsed.items():
-                if s != shard:
-                    continue
-                for _name, _labels, value in families.get(
-                        "repro_server_requests_total", {}).get("samples", ()):
-                    requests += value
-                for _name, labels, value in families.get(
-                        "repro_server_events_total", {}).get("samples", ()):
-                    if labels.get("event") in ("shed", "deadline_exceeded"):
-                        errors += value
-                series = [
-                    (labels["le"], value)
-                    for name, labels, value in families.get(
-                        "repro_server_latency_seconds", {}).get("samples", ())
-                    if name.endswith("_bucket") and "le" in labels
-                ]
-                if series:
-                    bucket_series.append(series)
-            merged = merge_histogram_buckets(bucket_series)
-            out[str(shard)] = {
-                "requests": requests,
-                "errors": errors,
-                "p50_s": quantile_from_buckets(merged, 0.50),
-                "p95_s": quantile_from_buckets(merged, 0.95),
-                "p99_s": quantile_from_buckets(merged, 0.99),
-            }
-        return out
 
     # ------------------------------------------------------------------
     # HTTP endpoint + lifecycle

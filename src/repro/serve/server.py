@@ -238,7 +238,11 @@ class CubeServer:
             snap = self._snapshot_at(at)
             cuboids = snap.iceberg(minsup=threshold)
             if deadline is not None:
-                deadline.check("reply")
+                try:
+                    deadline.check("reply")
+                except DeadlineExceededError:
+                    self.telemetry.bump("deadline_exceeded")
+                    raise
             latency = perf_counter() - start
             self.telemetry.record("store", latency)
             if span:
@@ -404,8 +408,10 @@ class CubeServer:
         Beyond a bare liveness probe: the store generation (so a router
         can tell "alive" from "serving a stale generation"), the
         integrity level the store was opened at, shard placement, dims,
-        and the admission state — everything a health-checking router
-        needs to route, pin and fail over.
+        the admission state and the RED numbers
+        (:meth:`~repro.serve.telemetry.ServerTelemetry.red`) —
+        everything a health-checking router needs to route, pin, fail
+        over and report per shard without a second request.
         """
         gate = self.gate.stats()
         shard = getattr(self.store, "shard", None)
@@ -426,6 +432,7 @@ class CubeServer:
             "max_pending": gate["limit"],
             "shed": gate["shed"],
             "wal": wal,
+            "red": self.telemetry.red(),
         }
 
     # ------------------------------------------------------------------

@@ -11,14 +11,17 @@ It keeps no ledger of its own.  The three families it registers on a
 ``repro_server_requests_total{source=...}``,
 ``repro_server_events_total{event=...}`` and the
 ``repro_server_latency_seconds{source=...}`` histograms — are the only
-record, so the JSON ``/stats`` endpoint (:meth:`summary`) and the
-Prometheus ``/metrics`` exposition are two renderings of the same
-series and can never disagree.
+record, so the JSON ``/stats`` endpoint (:meth:`summary`), the
+``/healthz`` ``red`` block (:meth:`red`) and the Prometheus
+``/metrics`` exposition are renderings of the same series and can
+never disagree.
 
 Thread safety is the registry's: each family takes its own lock, so the
 server's worker threads record concurrently while a stats endpoint
 reads.
 """
+
+from itertools import accumulate
 
 from .. import obs
 from ..obs.metrics import MetricsRegistry
@@ -84,6 +87,29 @@ class ServerTelemetry:
 
     def __len__(self):
         return int(sum(self._requests.series().values()))
+
+    def red(self):
+        """Rate, errors and duration: the ``red`` block of ``/healthz``.
+
+        ``requests`` is every answered query, ``errors`` the ``shed`` and
+        ``deadline_exceeded`` events, and ``buckets`` the latency
+        histogram summed over sources, cumulative, as
+        ``[[le, count], ..., ["+Inf", count]]`` — the shape
+        :func:`~repro.obs.metrics.merge_histogram_buckets` takes, so a
+        router's health sweep merges its replicas into one shard-level
+        distribution.
+        """
+        events = self.event_counts()
+        errors = events.get("shed", 0) + events.get("deadline_exceeded", 0)
+        per_bound = [0] * len(self._latency.buckets)
+        total = 0
+        for series in self._latency.series().values():
+            per_bound = [a + b for a, b in zip(per_bound, series["buckets"])]
+            total += series["count"]
+        buckets = [[bound, cumulative] for bound, cumulative
+                   in zip(self._latency.buckets, accumulate(per_bound))]
+        return {"requests": len(self), "errors": errors,
+                "buckets": buckets + [["+Inf", total]]}
 
     def summary(self):
         """Aggregate stats: counts per source, mean and p50/p95/p99.

@@ -19,8 +19,10 @@ distributed-tracing and federation tier, asserted end-to-end:
    for ``repro_server_requests_total`` equal the sum of the per-replica
    scrapes, every sample labelled with its shard/replica.
 5. **RED + lag visible** — ``/healthz`` carries per-shard
-   rate/errors/duration summaries and the per-replica generation-lag
-   gauge reads zero on a healthy cluster.
+   rate/errors/duration summaries (from the replicas' health replies),
+   the router's own latency histogram counted every flood query, and
+   the per-replica generation-lag gauge reads zero on a healthy
+   cluster.
 6. **Tracing stays near-free** — the kernelbench obs-overhead gate
    (instrumented/plain wall-time ratio) holds under its 5% target on a
    reduced workload.
@@ -105,7 +107,7 @@ def main():
              sorted(p.pid for p in processes.values())))
 
     with obs.installed() as active:
-        router = CubeRouter(urls, timeout_s=10.0, slow_query_s=30.0)
+        router = CubeRouter(urls, timeout_s=10.0)
         lattice = CubeLattice(DIMS)
         cuboids = list(lattice.cuboids(include_all=False)) + [()]
         weights = [1.0 / (rank + 1) for rank in range(len(cuboids))]
@@ -207,6 +209,8 @@ def main():
             red = health["shards"][shard]["red"]
             assert red["requests"] > 0, red
             assert red["p95_s"] >= 0.0, red
+        latency = router.stats()["latency"]
+        assert latency["query"]["count"] == N_QUERIES, latency
         # check_health (inside health()) refreshed the lag gauges, so
         # read them off a scrape taken *after* it.
         after_health = parse_prometheus(router.registry.to_prometheus())
@@ -216,8 +220,9 @@ def main():
         assert len(lag_samples) == N_SHARDS * N_REPLICAS, lag_samples
         assert all(value == 0.0 for _labels, value in lag_samples), \
             "healthy cluster reported generation lag: %s" % lag_samples
-        print("health: RED summaries on every shard, replica lag 0 "
-              "across %d replicas" % len(lag_samples))
+        print("health: RED summaries on every shard, %d queries in the "
+              "router histogram, replica lag 0 across %d replicas"
+              % (latency["query"]["count"], len(lag_samples)))
 
         router.close()
 

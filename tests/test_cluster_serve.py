@@ -22,6 +22,11 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.lattice.lattice import CubeLattice
+from repro.obs.metrics import (
+    merge_histogram_buckets,
+    parse_prometheus,
+    quantile_from_buckets,
+)
 from repro.online.materialize import leaf_cuboids
 from repro.serve import (
     CircuitBreaker,
@@ -394,15 +399,33 @@ class TestRouterFailover:
             assert answer.failovers == 0
             assert answer.cells == oracle(relation, ("A",), 2)
 
-    def test_health_sweep_reports_down_replica(self, cluster):
+    def test_health_sweep_reports_down_replica(self, cluster, monkeypatch):
         with make_router(cluster) as router:
+            endpoint = router.serve_http()
             cluster.kill(1, 0)
             snapshot = router.check_health()
             assert snapshot[(1, 0)]["status"] == "down"
             assert snapshot[(1, 1)]["status"] == "ok"
+            # After the sweep, health and stats are read off it: no
+            # replica is asked anything.
+            requests = []
+            original = ReplicaClient._request
+
+            def counting(self, *args, **kwargs):
+                requests.append(self.url)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ReplicaClient, "_request", counting)
             health = router.health()
+            assert router.stats()["health"]["shards"][1]["up"] == 1
+            with urlopen(endpoint.url + "/healthz") as response:
+                assert json.loads(response.read())["status"] == "ok"
+            assert requests == []
             assert health["status"] == "ok"  # a sibling still serves shard 1
             assert health["shards"][1]["up"] == 1
+            assert set(health["shards"][1]["red"]) == {
+                "requests", "errors", "p50_s", "p95_s", "p99_s"}
+            assert snapshot[(1, 1)]["red"]["buckets"][-1][0] == "+Inf"
 
     def test_append_fails_when_whole_shard_down(self, cluster):
         with make_router(cluster) as router:
@@ -412,6 +435,57 @@ class TestRouterFailover:
             with pytest.raises(ShardUnavailableError) as info:
                 router.append(Relation(DIMS, [(0, 0, 0, 0)], [1.0]))
             assert info.value.shard == 0
+
+
+class TestRouterTelemetry:
+    """The router's own histogram and the RED numbers its sweep carries."""
+
+    def test_shard_red_equals_the_replicas_own_ledgers(self, cluster):
+        with make_router(cluster) as router:
+            for cuboid in [("A",), ("B", "D"), ("C",), ("A", "B", "C")] * 5:
+                router.query(cuboid, minsup=2)
+            router.cube(minsup=3)  # every shard answers at least once
+            router.check_health()
+            health = router.health()
+        for shard in range(N_SHARDS):
+            servers = [cluster.servers[(shard, replica)]
+                       for replica in range(N_REPLICAS)]
+            red = health["shards"][shard]["red"]
+            assert red["requests"] == sum(len(s.telemetry) for s in servers)
+            assert red["requests"] > 0
+            assert red["errors"] == 0
+            # the quantiles are those of the replicas' own /metrics pages
+            series = []
+            for server in servers:
+                families = parse_prometheus(server.registry.to_prometheus())
+                series.append([
+                    (labels["le"], value) for name, labels, value
+                    in families["repro_server_latency_seconds"]["samples"]
+                    if name.endswith("_bucket")])
+            merged = merge_histogram_buckets(series)
+            for key, q in (("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99)):
+                assert red[key] == quantile_from_buckets(merged, q)
+
+    def test_latency_histogram_counts_each_answered_request(self, cluster):
+        k = 3
+        with make_router(cluster) as router:
+            for _ in range(k):
+                router.query(("A",), minsup=2)
+            router.point(("A", "B"), (0, 0))
+            router.cube(minsup=3)
+            router.append(Relation(DIMS, [(0, 0, 0, 0)], [1.0]))
+            families = parse_prometheus(router.registry.to_prometheus())
+            counts = {
+                labels["kind"]: value for name, labels, value
+                in families["repro_router_latency_seconds"]["samples"]
+                if name.endswith("_count")}
+            assert counts == {"query": k, "point": 1, "cube": 1, "append": 1}
+            latency = router.stats()["latency"]
+            assert {kind: entry["count"]
+                    for kind, entry in latency.items()} == counts
+            assert set(latency["cube"]) == {"count", "p50_ms", "p95_ms",
+                                            "p99_ms"}
+            assert latency["cube"]["p50_ms"] > 0
 
 
 def with_deltas(relation, deltas):

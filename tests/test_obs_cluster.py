@@ -463,22 +463,6 @@ class TestRouterObservability(unittest.TestCase):
             finally:
                 router.close()
 
-    def test_slow_query_log_records_exemplar_trace_ids(self):
-        with obs.installed():
-            # Threshold 0.000001ms: everything is a slow query.
-            router = CubeRouter([[self.url]], timeout_s=10.0,
-                                slow_query_s=1e-9)
-            try:
-                router.query(("A", "B"), minsup=1)
-                entries = router.slow_queries()
-                assert entries
-                assert entries[-1]["kind"] == "query"
-                assert len(entries[-1]["trace_id"]) == 32
-                stats = router.stats()
-                assert stats["slow_queries"] == entries
-            finally:
-                router.close()
-
     def test_append_stamps_batch_ids_with_the_trace(self):
         # An unkeyed router append mints its idempotence key from the
         # live trace; the replica's WAL feed hands the trace id back, and

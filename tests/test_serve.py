@@ -495,6 +495,11 @@ class TestGracefulDegradation:
                 server.query(("A",), 1, deadline_s=deadline)
             assert "admission queue" in str(exc_info.value)
             assert server.telemetry.event_counts()["deadline_exceeded"] == 1
+            # a whole-share read past its budget is counted the same way
+            with pytest.raises(DeadlineExceededError):
+                server.iceberg(1, deadline_s=deadline)
+            assert server.telemetry.event_counts()["deadline_exceeded"] == 2
+            assert server.health()["red"]["errors"] == 2
         finally:
             server.close()
 
