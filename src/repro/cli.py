@@ -731,8 +731,7 @@ def _cmd_serve(args, out):
 
 def _serve_self_test(n_queries, endpoint, store, out):
     """Fire queries at the live endpoint and print the resulting stats."""
-    import json
-    from urllib.request import urlopen
+    from .serve import ReplicaClient
 
     if getattr(store, "shard", None) is not None:
         # A shard store answers only the cuboids whose covering leaf it
@@ -740,19 +739,15 @@ def _serve_self_test(n_queries, endpoint, store, out):
         cuboids = [c for c in store.owned_cuboids() if c]
     else:
         cuboids = [(dim,) for dim in store.dims] + [store.leaves[0]]
+    client = ReplicaClient(endpoint.url)
     answered = 0
     for i in range(max(1, n_queries)):
         cuboid = cuboids[i % len(cuboids)]
-        url = "%s/query?cuboid=%s&minsup=%d" % (
-            endpoint.url, ",".join(cuboid), 1 + (i % 2))
-        with urlopen(url) as response:
-            payload = json.loads(response.read())
+        client.get_json("/query?cuboid=%s&minsup=%d"
+                        % (",".join(cuboid), 1 + (i % 2)))
         answered += 1
-        if "error" in payload:
-            print("self-test error: %s" % payload["error"], file=out)
-            return
-    with urlopen(endpoint.url + "/stats") as response:
-        stats = json.loads(response.read())
+    stats = client.get_json("/stats")
+    client.close()
     print("self-test        : %d HTTP queries answered" % answered, file=out)
     print("cache hit rate   : %.2f (%d hits, %d misses)"
           % (stats["cache"]["hit_rate"], stats["cache"]["hits"],
@@ -849,20 +844,19 @@ def _export_router_obs(args, router, out):
 
 def _router_self_test(n_queries, endpoint, router, out):
     """Fire queries through the live router endpoint, print health/stats."""
-    import json
-    from urllib.request import urlopen
+    from .serve import ReplicaClient
 
     dims = router._ensure_map().dims
     cuboids = [(dim,) for dim in dims] + [tuple(dims[-2:])]
+    client = ReplicaClient(endpoint.url)
     answered = failovers = 0
     for i in range(max(1, n_queries)):
         cuboid = cuboids[i % len(cuboids)]
-        url = "%s/query?cuboid=%s&minsup=%d" % (
-            endpoint.url, ",".join(cuboid), 1 + (i % 2))
-        with urlopen(url) as response:
-            payload = json.loads(response.read())
+        payload = client.get_json("/query?cuboid=%s&minsup=%d"
+                                  % (",".join(cuboid), 1 + (i % 2)))
         answered += 1
         failovers += payload.get("failovers", 0)
+    client.close()
     health = router.health()
     print("self-test        : %d routed queries answered (%d failovers)"
           % (answered, failovers), file=out)

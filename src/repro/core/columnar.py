@@ -440,8 +440,9 @@ class CellRun:
     @classmethod
     def _fold(cls, dims, codes, counts, sums):
         """Sort unsorted columns by cell and fold equal cells.  The
-        sort is stable, so equal cells add up in input order."""
-        order = _np.lexsort(codes[::-1])
+        sort is stable, so equal cells add up in input order.  With no
+        dimensions every cell is ``()``: nothing to sort by."""
+        order = _np.lexsort(codes[::-1]) if len(codes) else slice(None)
         _leaves, codes, counts, sums = fold_sorted(
             None, codes[:, order],
             None if counts is None else counts[order], sums[order])

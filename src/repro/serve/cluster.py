@@ -72,11 +72,9 @@ import threading
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException
 from time import perf_counter
-from urllib.error import HTTPError, URLError
-from urllib.parse import quote
-from urllib.request import Request, urlopen
+from urllib.parse import quote, urlsplit
 
 from .. import obs
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold, as_threshold
@@ -98,6 +96,7 @@ from ..obs.metrics import (
 from ..obs.trace import merge_chrome_traces
 from ..online.materialize import leaf_cuboids
 from .http import (
+    CELLRUN_TYPE,
     MAX_REQUEST_BYTES,
     HttpEndpoint,
     JsonRequestHandler,
@@ -106,6 +105,7 @@ from .http import (
     parse_cell,
     parse_cuboid,
     parse_threshold,
+    read_runs,
 )
 from .ingest import stamped_batch_id
 from .resilience import CircuitBreaker, Deadline, RetryPolicy
@@ -133,6 +133,9 @@ RouterCubeAnswer = namedtuple(
     "RouterCubeAnswer",
     ("cuboids", "threshold", "generation", "attempts", "latency_s"),
 )
+
+#: One replica answer as :meth:`ReplicaClient.get_runs` reads it.
+RunsAnswer = namedtuple("RunsAnswer", ("cuboids", "generation", "threshold"))
 
 
 def stable_shard_hash(leaf):
@@ -259,11 +262,6 @@ def _threshold_query(threshold):
     return "&".join(parts)
 
 
-def _decode_cells(cells):
-    return {tuple(entry["cell"]): (entry["count"], entry["sum"])
-            for entry in cells}
-
-
 def _merge_red(entries):
     """One shard's rate/errors/duration from its replicas' sweep entries.
 
@@ -285,7 +283,14 @@ def _merge_red(entries):
 
 
 class ReplicaClient:
-    """A thin JSON/HTTP client for one replica of one shard.
+    """A thin HTTP client for one replica of one shard.
+
+    Connections are kept alive: idle ones wait in a LIFO, and one goes
+    back only after a complete reply the replica did not mark
+    ``Connection: close``.  A request is re-sent once, on a fresh
+    connection, only when a *reused* connection failed before any status
+    line arrived — the replica closed it while it sat idle, so nothing
+    was answered.  A timeout or a reply cut short is never re-sent.
 
     Failures that justify failover — connection errors, timeouts, 5xx,
     429 (overloaded) and 504 (deadline) — raise
@@ -301,16 +306,35 @@ class ReplicaClient:
     def __init__(self, url, timeout_s=10.0):
         self.url = url.rstrip("/")
         self.timeout_s = float(timeout_s)
+        self._netloc = urlsplit(self.url).netloc
+        self._idle = []  # list.append / list.pop are atomic: no lock
 
     def get_json(self, path):
-        return self._request(Request(self.url + path))
+        return self._json(self._request("GET", path)[1])
 
     def get_text(self, path):
         """Fetch a raw text body (the replica's ``/metrics`` page).
 
         Same failure mapping as the JSON calls, minus the decode step.
         """
-        return self._request(Request(self.url + path), decode_json=False)
+        return self._request("GET", path)[1].decode("utf-8")
+
+    def get_runs(self, path):
+        """A ``/query``, ``/point`` or ``/cube`` answer read as cell runs
+        (``Accept:`` :data:`~repro.serve.http.CELLRUN_TYPE`): a
+        :data:`RunsAnswer`.  A 200 in any other content type, or one
+        that does not parse, is a :class:`~repro.errors.ReplicaError`."""
+        response, body = self._request("GET", path, {"Accept": CELLRUN_TYPE})
+        try:
+            if response.getheader("Content-Type") != CELLRUN_TYPE:
+                raise ValueError("reply is %s, not %s" % (
+                    response.getheader("Content-Type"), CELLRUN_TYPE))
+            return RunsAnswer(
+                read_runs(body), int(response.getheader("X-Repro-Generation")),
+                response.getheader("X-Repro-Threshold"))
+        except (SchemaError, TypeError, ValueError) as exc:
+            raise ReplicaError(self.url, "malformed cell-run reply (%s)"
+                               % exc) from None
 
     def post_json(self, path, payload):
         body = json.dumps(payload).encode()
@@ -318,47 +342,74 @@ class ReplicaClient:
             raise PlanError(
                 "append delta of %d bytes exceeds the %d byte request limit; "
                 "split it into smaller batches" % (len(body), MAX_REQUEST_BYTES))
-        request = Request(self.url + path, data=body,
-                          headers={"Content-Type": "application/json"})
-        return self._request(request)
+        return self._json(self._request(
+            "POST", path, {"Content-Type": "application/json"}, body)[1])
 
-    def _request(self, request, decode_json=True):
+    def _json(self, body):
+        try:
+            return json.loads(body)
+        except json.JSONDecodeError as exc:
+            raise ReplicaError(self.url, "malformed JSON reply (%s)" % exc) \
+                from None
+
+    def _request(self, method, path, headers=None, body=None):
+        """``(response, body bytes)`` of one 2xx reply; every other
+        outcome raises as the class docstring says."""
+        headers = dict(headers or {})
         # Every outbound call carries the caller's trace position, so
         # replica-side spans parent under the router span that caused
         # them.  No context, no header — the replica starts fresh.
         traceparent = obs.inject()
         if traceparent is not None:
-            request.add_header("traceparent", traceparent)
+            headers["traceparent"] = traceparent
         try:
-            with urlopen(request, timeout=self.timeout_s) as response:
-                body = response.read()
-                return json.loads(body) if decode_json \
-                    else body.decode("utf-8")
-        except HTTPError as exc:
-            detail = self._error_detail(exc)
-            if exc.code in self.FAILOVER_STATUSES:
-                raise ReplicaError(self.url, detail, status=exc.code) from None
-            if exc.code == 409:
-                raise GenerationSkewError(
-                    "replica %s: %s" % (self.url, detail)) from None
-            raise PlanError(
-                "replica %s rejected the request (HTTP %d): %s"
-                % (self.url, exc.code, detail)) from None
-        except URLError as exc:
-            raise ReplicaError(self.url, str(exc.reason)) from None
-        except (TimeoutError, ConnectionError, OSError, HTTPException) as exc:
+            connection, reused = self._idle.pop(), True
+        except IndexError:
+            connection, reused = self._connect(), False
+        try:
+            try:
+                connection.request(method, path, body, headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # (RemoteDisconnected is a ConnectionResetError: the
+                # replica hung up before a status line.)
+                if not reused:
+                    raise
+                connection.close()
+                connection = self._connect()
+                connection.request(method, path, body, headers)
+                response = connection.getresponse()
+            data = response.read()
+        except (OSError, HTTPException) as exc:
             # HTTPException: the replica died mid-reply (IncompleteRead)
+            connection.close()
             raise ReplicaError(self.url, str(exc) or repr(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise ReplicaError(self.url, "malformed JSON reply (%s)" % exc) \
-                from None
-
-    @staticmethod
-    def _error_detail(exc):
+        if response.will_close:
+            connection.close()
+        else:
+            self._idle.append(connection)
+        status = response.status
+        if 200 <= status < 300:
+            return response, data
         try:
-            return json.loads(exc.read()).get("error", "no detail")
+            detail = json.loads(data).get("error", "no detail")
         except Exception:
-            return "no detail"
+            detail = "no detail"
+        if status in self.FAILOVER_STATUSES:
+            raise ReplicaError(self.url, detail, status=status)
+        if status == 409:
+            raise GenerationSkewError("replica %s: %s" % (self.url, detail))
+        raise PlanError("replica %s rejected the request (HTTP %d): %s"
+                        % (self.url, status, detail))
+
+    def _connect(self):
+        return HTTPConnection(self._netloc, timeout=self.timeout_s)
+
+    def close(self):
+        """Close the idle connections (a request in flight keeps its own)."""
+        idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
     def __repr__(self):
         return "ReplicaClient(%s)" % self.url
@@ -520,7 +571,7 @@ class CubeRouter:
         Replicas are tried in round-robin rotation, skipping those whose
         breaker is open; a :class:`~repro.errors.ReplicaError` records a
         breaker failure and moves on to the next sibling.  Returns
-        ``(payload, replica_index, failovers)``; raises
+        ``(RunsAnswer, replica_index, failovers)``; raises
         :class:`~repro.errors.ShardUnavailableError` when no replica
         could answer.
         """
@@ -538,7 +589,7 @@ class CubeRouter:
                 failures.append("%s: circuit breaker open" % client.url)
                 continue
             try:
-                payload = client.get_json(path)
+                runs = client.get_runs(path)
             except ReplicaError as exc:
                 breaker.record_failure()
                 failures.append(str(exc))
@@ -547,7 +598,7 @@ class CubeRouter:
                 obs.event("router.failover", shard=shard, replica=index)
                 continue
             breaker.record_success()
-            return payload, index, failovers
+            return runs, index, failovers
         self._unavailable.inc(shard=str(shard))
         obs.event("router.shard_unavailable", shard=shard)
         raise ShardUnavailableError(shard, len(replicas),
@@ -584,7 +635,7 @@ class CubeRouter:
             _threshold_query(threshold))
         with obs.span("router." + kind) as span:
             try:
-                payload, replica, failovers = self._call_shard(shard, path)
+                runs, replica, failovers = self._call_shard(shard, path)
             except ReproError:
                 self._requests.inc(kind=kind, outcome="error")
                 raise
@@ -594,10 +645,9 @@ class CubeRouter:
                          replica=replica, failovers=failovers)
             latency = perf_counter() - start
             self._latency.observe(latency, kind=kind)
-        return RouterAnswer(
-            tuple(payload["cuboid"]), payload["threshold"],
-            _decode_cells(payload["cells"]), payload["generation"],
-            shard, replica, failovers, latency)
+        [(cuboid, cells)] = runs.cuboids.items()
+        return RouterAnswer(cuboid, runs.threshold, cells, runs.generation,
+                            shard, replica, failovers, latency)
 
     def cube(self, minsup=1):
         """The full iceberg cube, fanned out and pinned to one generation.
@@ -621,9 +671,9 @@ class CubeRouter:
             ctx = obs.context()
             try:
                 responses = self._fan_out(ctx, range(self.n_shards), path)
-                pinned = min(p["generation"] for p in responses.values())
-                ahead = [s for s, p in responses.items()
-                         if p["generation"] != pinned]
+                pinned = min(r.generation for r in responses.values())
+                ahead = [s for s, r in responses.items()
+                         if r.generation != pinned]
                 responses.update(self._fan_out(
                     ctx, ahead, "%s&at=%d" % (path, pinned)))
             except GenerationSkewError:
@@ -632,11 +682,10 @@ class CubeRouter:
             except ReproError:
                 self._requests.inc(kind="cube", outcome="error")
                 raise
+            # Shards own disjoint cuboids: their answers concatenate.
             merged = {}
-            for payload in responses.values():
-                for entry in payload["cuboids"]:
-                    merged[tuple(entry["cuboid"])] = \
-                        _decode_cells(entry["cells"])
+            for runs in responses.values():
+                merged.update(runs.cuboids)
             self._requests.inc(kind="cube", outcome="ok")
             rounds = 2 if ahead else 1
             if span:
@@ -648,7 +697,7 @@ class CubeRouter:
             merged, threshold.describe(), pinned, rounds, latency)
 
     def _fan_out(self, ctx, shards, path):
-        """``{shard: payload}`` of ``path``, asked of ``shards`` at once."""
+        """``{shard: RunsAnswer}`` of ``path``, asked of ``shards`` at once."""
         futures = {
             s: self._pool.submit(self._traced, ctx, self._call_shard, s, path)
             for s in shards
@@ -1098,7 +1147,8 @@ class CubeRouter:
         return endpoint
 
     def close(self):
-        """Stop the health checker, endpoints and fan-out pool."""
+        """Stop the health checker, endpoints and fan-out pool, and close
+        the connections kept alive to the replicas."""
         if self._closed.is_set():
             return
         self._closed.set()
@@ -1108,6 +1158,9 @@ class CubeRouter:
         for endpoint in endpoints:
             endpoint.close()
         self._pool.shutdown(wait=True)
+        for replicas in self.shards:
+            for client in replicas:
+                client.close()
 
     def __enter__(self):
         return self

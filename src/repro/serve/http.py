@@ -11,18 +11,22 @@ malformed requests, ``404`` for unknown paths, ``413`` for oversized
 ones, the subclass's own kinds
 (:attr:`JsonRequestHandler.error_kinds`) in between — never an HTML
 traceback.  The query-string parsers, the cells/cube payload encoders
+(JSON, and the :data:`CELLRUN_TYPE` body a router asks replicas for)
 and the ``POST /append`` body decoder live here too, once.
 """
 
 import json
+import socket
 import threading
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
+from ..core.columnar import CellRun
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from ..data.relation import Relation
-from ..errors import ReproError
+from ..errors import ReproError, SchemaError
 
 #: Largest request body an endpoint will accept (query GETs and bounded
 #: ``POST /append`` deltas; anything bigger is abuse).
@@ -31,11 +35,37 @@ MAX_REQUEST_BYTES = 1 << 20
 #: Longest request path (with query string) an endpoint will parse.
 MAX_PATH_BYTES = 8192
 
+#: Content type of an answer as cell runs: per cuboid, a little-endian
+#: u64 byte length and one :meth:`~repro.core.columnar.CellRun.encode`,
+#: whose header names the cuboid.
+CELLRUN_TYPE = "application/x-cellrun"
+
 
 class _JsonHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
     app = None  # the CubeServer / CubeRouter the handlers answer from
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.connections = set()  # accepted, not yet shut down
+
+    def process_request(self, request, client_address):
+        self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        # Kept-alive connections end with the endpoint, as with its
+        # process: a reply in flight still leaves, then the handler
+        # reads EOF and hangs up.
+        for request in list(self.connections):
+            with suppress(OSError):
+                request.shutdown(socket.SHUT_RD)
 
 
 class HttpEndpoint:
@@ -117,6 +147,32 @@ def cube_payload(answer, **extra):
                          for cuboid, cells in sorted(answer.cuboids.items())])
 
 
+def runs_body(cuboids):
+    """``{cuboid: {cell: (count, sum)}}`` as a :data:`CELLRUN_TYPE` body."""
+    parts = []
+    for cuboid, cells in cuboids.items():
+        run = CellRun.from_cells(cuboid, cells).encode()
+        parts += [len(run).to_bytes(8, "little"), run]
+    return b"".join(parts)
+
+
+def read_runs(body):
+    """The ``{cuboid: {cell: (count, sum)}}`` of a :func:`runs_body`; a
+    body that does not parse raises :class:`~repro.errors.SchemaError`."""
+    view = memoryview(body)
+    cuboids = {}
+    offset = 0
+    while offset < len(view):
+        length = int.from_bytes(view[offset:offset + 8], "little")
+        offset += 8
+        if offset + length > len(view):
+            raise SchemaError("cell-run frame cut short")
+        run = CellRun.decode(view[offset:offset + length])
+        offset += length
+        cuboids[run.dims] = run.cells()
+    return cuboids
+
+
 class JsonRequestHandler(BaseHTTPRequestHandler):
     """Shared request handling; subclasses supply routes and error kinds.
 
@@ -148,6 +204,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self._guarded(self.post_routes)
 
     def _guarded(self, routes):
+        # A reply sent before the body is read closes the connection
+        # (:meth:`_send`): kept open, the body's bytes would be parsed
+        # as the next request.
+        self._body_unread = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers)
         try:
             # Join the caller's distributed trace for the whole request:
             # any span opened while routing (serve.query, router.append,
@@ -211,7 +273,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             raise ValueError("POST /append needs a JSON body")
         try:
-            payload = json.loads(self.rfile.read(length))
+            body = self.rfile.read(length)
+            self._body_unread = False
+            payload = json.loads(body)
             measures = payload.get("measures")
             relation = Relation(
                 tuple(payload.get("dims") or default_dims),
@@ -241,10 +305,14 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self._send(status, text.encode(),
                    "text/plain; version=0.0.4; charset=utf-8")
 
-    def _send(self, status, body, content_type):
+    def _send(self, status, body, content_type, headers=()):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
+        if self._body_unread:
+            self.send_header("Connection", "close")
         # Header block and body leave in ONE write.  ``end_headers()``
         # would send the headers on their own, and a second small send
         # on the unbuffered socket then waits out Nagle + the client's

@@ -80,6 +80,7 @@ from ..errors import (
 )
 from .cache import QueryCache
 from .http import (
+    CELLRUN_TYPE,
     HttpEndpoint,
     JsonRequestHandler,
     answer_payload,
@@ -88,6 +89,7 @@ from .http import (
     parse_cuboid,
     parse_since,
     parse_threshold,
+    runs_body,
 )
 from .ingest import trace_id_of
 from .resilience import AdmissionGate, Deadline
@@ -518,14 +520,26 @@ class _CubeRequestHandler(JsonRequestHandler):
 
     def _answer(self, future):
         answer = future.result()
-        self._reply(200, answer_payload(answer, source=answer.source))
+        if not self._reply_runs(answer, {answer.cuboid: answer.cells}):
+            self._reply(200, answer_payload(answer, source=answer.source))
 
     def _get_cube(self, params):
         at = params.get("at")
-        future = self.app.submit_cube(
+        answer = self.app.submit_cube(
             parse_threshold(params), deadline_s=_parse_deadline(params),
-            at=None if at is None else int(at[0]))
-        self._reply(200, cube_payload(future.result()))
+            at=None if at is None else int(at[0])).result()
+        if not self._reply_runs(answer, answer.cuboids):
+            self._reply(200, cube_payload(answer))
+
+    def _reply_runs(self, answer, cuboids):
+        """Answer in cell runs if the client asked for them (a router
+        does); ``False`` leaves the reply to the JSON path."""
+        if CELLRUN_TYPE not in self.headers.get("Accept", ""):
+            return False
+        self._send(200, runs_body(cuboids), CELLRUN_TYPE, (
+            ("X-Repro-Generation", str(answer.generation)),
+            ("X-Repro-Threshold", answer.threshold)))
+        return True
 
     def _get_metrics(self, params):
         self._reply_text(200, self.app.registry.to_prometheus())

@@ -212,6 +212,16 @@ class TestMergeAndGroupBy:
         assert empty.add_rows(code_matrix([(1, 2)], 2), [4.0]).cells() \
             == {(1, 2): (1, 4.0)}
 
+    def test_the_apex_cuboid_round_trips(self):
+        # No dimensions: the one cell ``()``, which every unsharded /cube
+        # answer holds.
+        run = CellRun.from_cells((), {(): (5, 2.0)})
+        back = CellRun.decode(run.encode())
+        assert back.dims == ()
+        assert back.cells() == {(): (5, 2.0)}
+        assert CellRun.decode(CellRun.from_cells((), {}).encode()).cells() \
+            == {}
+
     def test_one_cell(self):
         run = run_of({(5, -7): (2, 1.5)})
         assert run.group_by(1) == {(5,): (2, 1.5)}

@@ -6,11 +6,14 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.naive import naive_cuboid
 from repro.data import Relation, zipf_relation
@@ -37,7 +40,10 @@ from repro.serve import (
     ShardMap,
     stable_shard_hash,
 )
+from repro.serve import http as http_module
 from repro.serve import server as server_module
+from repro.serve.http import cube_payload, read_runs, runs_body
+from repro.serve.server import CubeAnswer
 
 DIMS = ("A", "B", "C", "D")
 
@@ -250,6 +256,210 @@ class TestReplicaClient:
         client = ReplicaClient("http://127.0.0.1:1", timeout_s=0.5)
         with pytest.raises(ReplicaError):
             client.get_json("/healthz")
+
+    def test_hung_replica_is_one_replica_error_sent_once(self):
+        # The hang comes on a kept-alive connection: a timeout is never
+        # re-sent, reused connection or not.
+        release = threading.Event()
+        sent = []
+
+        class Hangs(_CannedHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self):  # noqa: N802 - http.server naming
+                sent.append(self.path)
+                if len(sent) == 1:
+                    return super().do_GET()
+                release.wait(10.0)
+                self.close_connection = True
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Hangs)
+        httpd.canned = (200, {"status": "ok"})
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        timeout_s = 0.5
+        client = ReplicaClient("http://127.0.0.1:%d" % httpd.server_port,
+                               timeout_s=timeout_s)
+        try:
+            assert client.get_json("/healthz") == {"status": "ok"}
+            started = time.perf_counter()
+            with pytest.raises(ReplicaError):
+                client.get_json("/query")
+            assert time.perf_counter() - started < 1.5 * timeout_s
+            assert sent == ["/healthz", "/query"]
+        finally:
+            release.set()
+            client.close()
+            httpd.shutdown()
+            httpd.server_close()
+
+
+# ----------------------------------------------------------------------
+# the wire: cell runs on kept-alive connections
+# ----------------------------------------------------------------------
+#: Codes on both sides of every boundary of the run block dtypes
+#: (u8/i8/u16/i16/u32/i32/i64), int64's extremes included.
+EDGE_CODES = (-2 ** 63, -2 ** 31 - 1, -2 ** 31, -32769, -32768, -129, -128,
+              -1, 0, 1, 127, 128, 255, 256, 32767, 32768, 65535, 65536,
+              2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1)
+CODES = st.sampled_from(EDGE_CODES) | st.integers(-2 ** 63, 2 ** 63 - 1)
+COUNTS = st.sampled_from((1, 255, 256, 65536, 2 ** 32, 2 ** 63 - 1)) \
+    | st.integers(1, 10 ** 6)
+SUMS = st.sampled_from((-0.0, 0.0, 0.1, -2.5, 1e300, 5e-324)) \
+    | st.floats(allow_nan=False, allow_infinity=False)
+ALL_CUBOIDS = sorted(CubeLattice(DIMS).cuboids(include_all=True))
+
+
+def cells_of(width):
+    return st.dictionaries(st.tuples(*[CODES] * width),
+                           st.tuples(COUNTS, SUMS), max_size=6)
+
+
+ANSWERS = st.lists(st.sampled_from(ALL_CUBOIDS), unique=True, max_size=5) \
+    .flatmap(lambda cuboids: st.fixed_dictionaries(
+        {cuboid: cells_of(len(cuboid)) for cuboid in cuboids}))
+
+
+def exact(cuboids):
+    """Sums as ``float.hex``: equal means bit-equal, ``-0.0`` included."""
+    return {cuboid: {cell: (count, float(value).hex())
+                     for cell, (count, value) in cells.items()}
+            for cuboid, cells in cuboids.items()}
+
+
+class _CountingServer(http_module._JsonHTTPServer):
+    """A replica endpoint that keeps each handler thread it starts: one
+    per accepted connection."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.handlers = []
+
+    def process_request_thread(self, request, client_address):
+        self.handlers.append(threading.current_thread())
+        super().process_request_thread(request, client_address)
+
+
+@pytest.fixture
+def one_replica(relation, tmp_path):
+    """A 1x1 cluster: ``(server, counting httpd, url)``."""
+    store = CubeStore.build(relation, tmp_path / "store", backend="local")
+    server = CubeServer(store)
+    httpd = _CountingServer(("127.0.0.1", 0),
+                            server_module._CubeRequestHandler)
+    httpd.app = server
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    yield server, httpd, "http://127.0.0.1:%d" % httpd.server_port
+    httpd.shutdown()
+    httpd.server_close()
+    server.close()
+    store.close()
+
+
+class TestWire:
+    @given(ANSWERS)
+    @settings(max_examples=60, deadline=None)
+    @example({(): {(): (5, -0.0)}, ("A",): {}})
+    def test_cell_runs_decode_as_sent_and_as_json_does(self, cuboids):
+        wire = read_runs(runs_body(cuboids))
+        assert exact(wire) == exact(cuboids)
+        payload = json.loads(json.dumps(cube_payload(
+            CubeAnswer(cuboids, "COUNT(*) >= 1", 1, 0.0))))
+        from_json = {
+            tuple(entry["cuboid"]): {tuple(cell["cell"]):
+                                     (cell["count"], cell["sum"])
+                                     for cell in entry["cells"]}
+            for entry in payload["cuboids"]}
+        assert exact(wire) == exact(from_json)
+
+    def test_router_keeps_one_connection_alive(self, one_replica,
+                                               relation):
+        _server, httpd, url = one_replica
+        with CubeRouter([[url]], timeout_s=5.0) as router:
+            for _ in range(50):
+                answer = router.query(("A", "B"), minsup=2)
+                assert answer.cells == oracle(relation, ("A", "B"), 2)
+            assert len(httpd.handlers) == 1
+            cube = router.cube(minsup=2)  # the apex cuboid is on the wire
+            assert cube.cuboids[()] == oracle(relation, (), 2)
+            assert len(httpd.handlers) == 1
+
+    def test_threads_never_share_a_connection(self, one_replica, relation):
+        # Two threads popping one idle connection would interleave their
+        # requests on it: wrong or failed answers, a connection twice in
+        # the LIFO.
+        _server, httpd, url = one_replica
+        expected = {cuboid: oracle(relation, cuboid, 1)
+                    for cuboid in [("A",), ("B", "C"), ("A", "B", "D")]}
+        failures = []
+        with CubeRouter([[url]], timeout_s=10.0) as router:
+            router._ensure_map()
+
+            def reader(offset):
+                try:
+                    for k in range(25):
+                        cuboid = list(expected)[(offset + k) % len(expected)]
+                        if router.query(cuboid).cells != expected[cuboid]:
+                            failures.append(cuboid)
+                except Exception as exc:  # surfaced below
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(k,))
+                       for k in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures
+            idle = router.shards[0][0]._idle
+            assert len(set(map(id, idle))) == len(idle) \
+                == len(httpd.handlers) <= 9  # 8 readers + the bootstrap
+
+    def test_router_close_ends_the_replica_handlers(self, one_replica):
+        _server, httpd, url = one_replica
+        router = CubeRouter([[url]], timeout_s=5.0)
+        router.query(("A",))
+        router.cube()
+        assert any(thread.is_alive() for thread in httpd.handlers)
+        router.close()
+        deadline = time.perf_counter() + 1.0
+        while any(thread.is_alive() for thread in httpd.handlers):
+            assert time.perf_counter() < deadline, "handlers still running"
+            time.sleep(0.01)
+
+    def test_connection_the_replica_closed_is_re_dialled(self, relation,
+                                                        tmp_path):
+        store = CubeStore.build(relation, tmp_path / "store", backend="local")
+        server = CubeServer(store)
+        endpoint = server.serve_http()
+        try:
+            with CubeRouter([[endpoint.url]], timeout_s=5.0) as router:
+                router.query(("A",), minsup=2)
+                # The replica restarts on the same port; closing its
+                # endpoint hung up the router's kept-alive connection.
+                endpoint.close()
+                deadline = time.perf_counter() + 5.0
+                while endpoint._httpd.connections:
+                    assert time.perf_counter() < deadline
+                    time.sleep(0.01)
+                server.serve_http(port=endpoint.port)
+                answer = router.query(("A",), minsup=2)
+                assert answer.failovers == 0
+                assert answer.cells == oracle(relation, ("A",), 2)
+                breaker = router.breakers[(0, 0)].stats()
+                assert (breaker["consecutive_failures"], breaker["trips"]) \
+                    == (0, 0)
+                failovers = parse_prometheus(router.registry.to_prometheus())
+                assert not failovers.get(
+                    "repro_router_failovers_total", {}).get("samples")
+        finally:
+            server.close()
+            store.close()
 
 
 # ----------------------------------------------------------------------
@@ -564,6 +774,19 @@ class TestGenerationPinning:
                 for replica in range(N_REPLICAS):
                     breaker = router.breakers[(0, replica)].stats()
                     assert breaker["consecutive_failures"] == 0
+                # The 409 came back on a kept-alive connection: it stays
+                # a GenerationSkewError, and the connection stays in use.
+                for replica in range(N_REPLICAS):
+                    client = router.shards[0][replica]
+                    with pytest.raises(GenerationSkewError):
+                        client.get_runs("/cube?minsup=2&at=%d" % (current - 4))
+                    pooled = list(client._idle)
+                    assert len(pooled) == 1
+                    assert client.get_runs("/cube?minsup=2").generation \
+                        == current
+                    assert client._idle == pooled
+                    assert router.breakers[(0, replica)].stats() \
+                        ["consecutive_failures"] == 0
         finally:
             cluster.close()
 

@@ -720,6 +720,9 @@ class _StubClient:
         self.gets.append(path)
         raise ReplicaError(self.url, "stub has no GET surface")
 
+    def close(self):
+        pass  # no connections to close
+
 
 def make_stub_router(scripts, **kwargs):
     kwargs.setdefault("retry_policy", RetryPolicy(

@@ -699,6 +699,35 @@ class TestHttpHardening:
                 connection.close()
             assert elapsed < 0.5, (label, elapsed)
 
+    def test_a_body_left_unread_ends_the_connection(self, both):
+        # Kept open, the unread body would be parsed as the next request:
+        # a refused request's body run, and replies out of step with
+        # requests on a pooled connection.
+        import socket
+
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        for label, endpoint in both:
+            for path, length, status in (
+                    ("/nope", len(smuggled), b"404"),
+                    ("/append", 10 * 1024 * 1024, b"413")):
+                with socket.create_connection(
+                        (endpoint.host, endpoint.port), timeout=3) as sock:
+                    sock.sendall(b"POST %s HTTP/1.1\r\nHost: x\r\n"
+                                 b"Content-Length: %d\r\n\r\n"
+                                 % (path.encode(), length) + smuggled)
+                    received = b""
+                    while True:  # until EOF; a socket left open times out
+                        try:
+                            chunk = sock.recv(65536)
+                        except ConnectionResetError:
+                            break
+                        if not chunk:
+                            break
+                        received += chunk
+                assert received.startswith(b"HTTP/1.1 " + status), \
+                    (label, received)
+                assert received.count(b"HTTP/1.1 ") == 1, (label, received)
+
     def test_healthz_endpoint(self, endpoint):
         endpoint, server = endpoint
         status, payload = self._get_error(endpoint, "/healthz")
