@@ -608,6 +608,34 @@ class CellRun:
         return cls(dims, codes, counts, sums)
 
 
+def encode_runs(runs):
+    """Runs back to back, each :meth:`CellRun.encode` behind its byte
+    length (little-endian u64): how a leaf batch crosses shared memory
+    and an answer crosses the HTTP wire."""
+    parts = []
+    for run in runs:
+        data = run.encode()
+        parts += (len(data).to_bytes(8, "little"), data)
+    return b"".join(parts)
+
+
+def decode_runs(data):
+    """The runs of :func:`encode_runs` bytes, in order.  A frame cut
+    short, or a run that does not parse, raises
+    :class:`~repro.errors.SchemaError`."""
+    view = memoryview(data)
+    runs = []
+    offset = 0
+    while offset < len(view):
+        start = offset + 8
+        end = start + int.from_bytes(view[offset:start], "little")
+        if end > len(view):
+            raise SchemaError("cell-run frame cut short")
+        runs.append(CellRun.decode(view[start:end]))
+        offset = end
+    return runs
+
+
 class RunWriter:
     """Stream a run's encoding, block by block, in bounded memory.
 

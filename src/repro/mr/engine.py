@@ -46,7 +46,7 @@ from ..data.stream import RelationStream, stream_from_relation
 from ..errors import PlanError
 from ..parallel.local import _HANG_SECONDS, SupervisorLog, supervised_map
 from ..serve.cluster import stable_shard_hash
-from ..serve.store import CubeStore, LeafWriter
+from ..serve.store import CubeStore, LeafWriter, build_generations
 from .planner import plan_mapreduce
 from .shuffle import (
     ENTRY_BYTES,
@@ -301,6 +301,7 @@ def _reduce_task_impl(reduce_id, attempt, payload):
 
     if mode == "store":
         entries = {}
+        generations = {}  # leaf directory -> its build_generations
         writer = None
         current_leaf_id = None
         committed = 0
@@ -329,7 +330,10 @@ def _reduce_task_impl(reduce_id, attempt, payload):
                     leaf = plan.leaves[leaf_id]
                     directory, _shard = _leaf_directory(out_dir, shards, leaf)
                     os.makedirs(directory, exist_ok=True)
-                    writer = LeafWriter(directory, leaf)
+                    if directory not in generations:
+                        generations[directory] = build_generations(directory)
+                    writer = LeafWriter(directory, leaf,
+                                        generations[directory].get(leaf, 1))
                 writer.add(
                     unpack_codes(packing, keys[lo:hi],
                                  plan.leaf_positions[leaf_id]),
@@ -606,7 +610,9 @@ def mapreduce_materialize(source, directory, dims=None, workers=None,
         if leaf not in entries:
             leaf_dir, shard_index = _leaf_directory(directory, shards, leaf)
             os.makedirs(leaf_dir, exist_ok=True)
-            entries[leaf] = (shard_index, LeafWriter(leaf_dir, leaf).commit())
+            writer = LeafWriter(leaf_dir, leaf,
+                                build_generations(leaf_dir).get(leaf, 1))
+            entries[leaf] = (shard_index, writer.commit())
 
     total_rows, total_measure = totals
     if shards is None:

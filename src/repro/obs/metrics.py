@@ -25,6 +25,7 @@ while an exporter renders is safe.
 import re
 import threading
 from bisect import bisect_left
+from collections import deque
 
 from .stats import percentile
 
@@ -43,7 +44,7 @@ __all__ = [
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Samples retained per histogram series for percentile summaries.
+#: Latest samples retained per histogram series for percentile summaries.
 HISTOGRAM_SAMPLE_WINDOW = 1024
 
 
@@ -205,16 +206,16 @@ class _HistogramSeries:
         self.bucket_counts = [0] * n_buckets
         self.count = 0
         self.sum = 0.0
-        self.samples = []
+        self.samples = deque(maxlen=HISTOGRAM_SAMPLE_WINDOW)
 
 
 class Histogram(_Family):
     """A distribution over fixed log-scale buckets.
 
     Buckets are cumulative in the exposition (Prometheus ``le``
-    semantics).  The first :data:`HISTOGRAM_SAMPLE_WINDOW` observations
+    semantics).  The latest :data:`HISTOGRAM_SAMPLE_WINDOW` observations
     per series are retained raw so :meth:`summary` can quote true
-    nearest-rank percentiles instead of bucket-boundary estimates.
+    nearest-rank percentiles of recent traffic, not bucket estimates.
     """
 
     kind = "histogram"
@@ -245,8 +246,7 @@ class Histogram(_Family):
             i = bisect_left(self.buckets, value)
             if i < len(series.bucket_counts):
                 series.bucket_counts[i] += 1
-            if len(series.samples) < HISTOGRAM_SAMPLE_WINDOW:
-                series.samples.append(value)
+            series.samples.append(value)
 
     def samples(self):
         """The retained raw observations of every series, unordered."""

@@ -56,11 +56,12 @@ retry budget whose exhaustion raises
 :class:`~repro.errors.WorkerCrashError`.  Each respawn also sweeps the
 run's shared-memory prefix: a worker SIGKILLed mid-write leaks its
 half-written segment (its descriptor died with it), and the sweep
-reclaims it before the batch re-executes.  Recovery is testable: a
-seedable :class:`~repro.cluster.faults.FaultPlan` passed as
+reclaims it before the batch re-executes.  Faults come from outside:
+a seedable :class:`~repro.cluster.faults.FaultPlan` passed as
 ``fault_plan`` SIGKILLs and hangs *real* worker processes
-(:meth:`~repro.cluster.faults.FaultPlan.local_fault`), and the fault-free
-path produces exactly the cells it always did.
+(:meth:`~repro.cluster.faults.FaultPlan.local_fault`), the tests patch
+the transport to kill one that has just created a segment, and the
+fault-free path produces exactly the cells it always did.
 
 Results are exactly the library's usual cells and are validated against
 the naive oracle in the test suite.  This backend intentionally has no
@@ -70,7 +71,6 @@ timing model: wall-clock here is your machine's, not the thesis'.
 import os
 import random
 import signal
-import struct
 import time
 import uuid
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -79,7 +79,8 @@ from multiprocessing import get_context
 
 from .. import obs
 from ..core.buc import BucEngine, PrefixCache
-from ..core.columnar import CellRun, ColumnarFrame, NumpyKernel, leaf_run
+from ..core.columnar import (
+    ColumnarFrame, NumpyKernel, decode_runs, encode_runs, leaf_run)
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold, validate_measures
 from ..core.writer import ResultWriter
@@ -125,11 +126,6 @@ BATCHES_PER_WORKER = 4
 #: At most this many of the smallest tasks are timed in-process by the
 #: calibration pass (their results are kept, not thrown away).
 PROBE_TASKS_MAX = 4
-
-#: Chaos hook (tests only): SIGKILL the worker midway through writing
-#: this batch id's result segment, attempt 0 — the exact half-written
-#: leak the respawn sweep exists for.
-CHAOS_KILL_ENV = "REPRO_SHM_CHAOS_KILL"
 
 # Worker-process state, set once by the pool initializer.
 _STATE = None
@@ -183,7 +179,7 @@ def _inject_fault(state, batch_id, attempt):
         time.sleep(_HANG_SECONDS)
 
 
-def _ship_result(state, batch_id, attempt, items, encode, n_cells):
+def _ship_result(state, batch_id, items, encode, n_cells):
     """Send one batch's results back: segment descriptor or inline.
 
     With a transport, ``encode(items)`` (bytes) is written into a fresh
@@ -200,42 +196,11 @@ def _ship_result(state, batch_id, attempt, items, encode, n_cells):
         segment = state.transport.create(len(payload), tag="b%d" % batch_id)
     except OSError:
         return ("items", items)
-    if attempt == 0 and os.environ.get(CHAOS_KILL_ENV) == str(batch_id):
-        # Chaos hook: die halfway through the segment write, leaving a
-        # half-written leak for the supervisor's sweep to reclaim.
-        half = len(payload) // 2
-        segment.buf[:half] = payload[:half]
-        os.kill(os.getpid(), signal.SIGKILL)
     if payload:
         segment.buf[:len(payload)] = payload
     descriptor = segment.descriptor
     segment.close()
     return ("seg", descriptor, n_cells)
-
-
-_RUN_LENGTH = struct.Struct("<Q")  # bytes of the encoded run that follows
-
-
-def _encode_runs(runs):
-    """A leaf batch's segment payload: each run's encoding behind its
-    byte length."""
-    parts = []
-    for run in runs:
-        data = run.encode()
-        parts += (_RUN_LENGTH.pack(len(data)), data)
-    return b"".join(parts)
-
-
-def _decode_runs(buf):
-    view = memoryview(buf)
-    runs = []
-    offset = 0
-    while offset < len(view):
-        (nbytes,) = _RUN_LENGTH.unpack_from(view, offset)
-        offset += _RUN_LENGTH.size
-        runs.append(CellRun.decode(view[offset:offset + nbytes]))
-        offset += nbytes
-    return runs
 
 
 def _run_batch(job):
@@ -258,7 +223,7 @@ def _run_batch(job):
         items = list(writer.result.cuboids.items())
         frame = state.frame
         return batch_id, _ship_result(
-            state, batch_id, attempt, items,
+            state, batch_id, items,
             lambda items: encode_result(items, frame.dims, frame.packing),
             sum(len(cells) for _cuboid, cells in items))
 
@@ -270,8 +235,8 @@ def _run_leaf_batch(job):
     _inject_fault(state, batch_id, attempt)
     with obs.activate(traceparent):
         runs = [leaf_run(state.frame, leaf) for leaf in state.tasks[lo:hi]]
-        return batch_id, _ship_result(state, batch_id, attempt, runs,
-                                      _encode_runs, sum(map(len, runs)))
+        return batch_id, _ship_result(state, batch_id, runs, encode_runs,
+                                      sum(map(len, runs)))
 
 
 def _batched(n_tasks, batch_size):
@@ -884,7 +849,7 @@ def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
                 fault_plan=fault_plan, batch_timeout=batch_timeout,
                 max_retries=max_retries, backoff_s=backoff_s, log=log,
                 name="local_leaves",
-                on_result=_make_decoder(transport, merge, _decode_runs),
+                on_result=_make_decoder(transport, merge, decode_runs),
                 on_respawn=_make_sweeper(transport, frame_segment, log),
             )
         finally:

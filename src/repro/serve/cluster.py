@@ -77,6 +77,7 @@ from time import perf_counter
 from urllib.parse import quote, urlsplit
 
 from .. import obs
+from ..core.columnar import decode_runs
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold, as_threshold
 from ..errors import (
     GenerationSkewError,
@@ -105,7 +106,6 @@ from .http import (
     parse_cell,
     parse_cuboid,
     parse_threshold,
-    read_runs,
 )
 from .ingest import stamped_batch_id
 from .resilience import CircuitBreaker, Deadline, RetryPolicy
@@ -330,7 +330,8 @@ class ReplicaClient:
                 raise ValueError("reply is %s, not %s" % (
                     response.getheader("Content-Type"), CELLRUN_TYPE))
             return RunsAnswer(
-                read_runs(body), int(response.getheader("X-Repro-Generation")),
+                {run.dims: run.cells() for run in decode_runs(body)},
+                int(response.getheader("X-Repro-Generation")),
                 response.getheader("X-Repro-Threshold"))
         except (SchemaError, TypeError, ValueError) as exc:
             raise ReplicaError(self.url, "malformed cell-run reply (%s)"

@@ -23,10 +23,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
-from ..core.columnar import CellRun
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from ..data.relation import Relation
-from ..errors import ReproError, SchemaError
+from ..errors import ReproError
 
 #: Largest request body an endpoint will accept (query GETs and bounded
 #: ``POST /append`` deltas; anything bigger is abuse).
@@ -35,9 +34,9 @@ MAX_REQUEST_BYTES = 1 << 20
 #: Longest request path (with query string) an endpoint will parse.
 MAX_PATH_BYTES = 8192
 
-#: Content type of an answer as cell runs: per cuboid, a little-endian
-#: u64 byte length and one :meth:`~repro.core.columnar.CellRun.encode`,
-#: whose header names the cuboid.
+#: Content type of an answer as cell runs: one run per cuboid, framed by
+#: :func:`~repro.core.columnar.encode_runs` (each run's header names its
+#: cuboid).
 CELLRUN_TYPE = "application/x-cellrun"
 
 
@@ -145,32 +144,6 @@ def cube_payload(answer, **extra):
                 latency_ms=round(answer.latency_s * 1000.0, 3),
                 cuboids=[{"cuboid": list(cuboid), "cells": _cells(cells)}
                          for cuboid, cells in sorted(answer.cuboids.items())])
-
-
-def runs_body(cuboids):
-    """``{cuboid: {cell: (count, sum)}}`` as a :data:`CELLRUN_TYPE` body."""
-    parts = []
-    for cuboid, cells in cuboids.items():
-        run = CellRun.from_cells(cuboid, cells).encode()
-        parts += [len(run).to_bytes(8, "little"), run]
-    return b"".join(parts)
-
-
-def read_runs(body):
-    """The ``{cuboid: {cell: (count, sum)}}`` of a :func:`runs_body`; a
-    body that does not parse raises :class:`~repro.errors.SchemaError`."""
-    view = memoryview(body)
-    cuboids = {}
-    offset = 0
-    while offset < len(view):
-        length = int.from_bytes(view[offset:offset + 8], "little")
-        offset += 8
-        if offset + length > len(view):
-            raise SchemaError("cell-run frame cut short")
-        run = CellRun.decode(view[offset:offset + length])
-        offset += length
-        cuboids[run.dims] = run.cells()
-    return cuboids
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):

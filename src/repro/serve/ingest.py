@@ -48,17 +48,15 @@ it.  Recovery is therefore a replay: records at or below the manifest
 generation are pruned (a compaction whose truncation didn't finish),
 records above it are re-applied in generation order.
 
-The chaos hook mirrors ``repro.parallel.local``: setting
-:data:`CHAOS_KILL_ENV` to a named kill point SIGKILLs the process at
-exactly that instant, so the smoke harness can prove every crash
-window recovers.
+Nothing here knows it is crash-tested: the tests stop the process
+from outside, at any call of the file operations a record is published
+and truncated through (``tests/crashes.py``).
 """
 
 import hashlib
 import json
 import os
 import re
-import signal
 import struct
 import uuid
 
@@ -68,15 +66,8 @@ from ..errors import PlanError, WalCorruptError
 
 __all__ = [
     "WriteAheadLog", "WalRecord", "encode_record", "decode_record",
-    "CHAOS_KILL_ENV", "stamped_batch_id", "trace_id_of",
+    "stamped_batch_id", "trace_id_of",
 ]
-
-#: Environment hook for crash testing: when set to one of the named
-#: kill points (``wal.pre_publish``, ``wal.post_publish``,
-#: ``compact.written`` — new leaf files on disk, manifest not yet
-#: replaced — and ``compact.published`` — manifest replaced, WAL not yet
-#: truncated), the process SIGKILLs itself at that instant.
-CHAOS_KILL_ENV = "REPRO_INGEST_CHAOS_KILL"
 
 WAL_MAGIC = b"RWAL"
 WAL_VERSION = 1
@@ -91,12 +82,6 @@ _DIGEST_BYTES = 32
 
 #: Largest coordinate a mode-1 column can hold (signed 64-bit).
 MAX_COORD = (1 << 63) - 1
-
-
-def chaos_kill(point):
-    """SIGKILL the process if the chaos env names this kill point."""
-    if os.environ.get(CHAOS_KILL_ENV) == point:
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 _STAMPED_RE = re.compile(r"^([0-9a-f]{32})-[0-9a-f]+$")
@@ -323,10 +308,8 @@ class WriteAheadLog:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
-        chaos_kill("wal.pre_publish")
         os.replace(tmp, path)
         self._fsync_dir()
-        chaos_kill("wal.post_publish")
         return len(data)
 
     def read(self, generation):

@@ -70,6 +70,7 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 from .. import obs
+from ..core.columnar import CellRun, encode_runs
 from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
@@ -89,7 +90,6 @@ from .http import (
     parse_cuboid,
     parse_since,
     parse_threshold,
-    runs_body,
 )
 from .ingest import trace_id_of
 from .resilience import AdmissionGate, Deadline
@@ -536,7 +536,9 @@ class _CubeRequestHandler(JsonRequestHandler):
         does); ``False`` leaves the reply to the JSON path."""
         if CELLRUN_TYPE not in self.headers.get("Accept", ""):
             return False
-        self._send(200, runs_body(cuboids), CELLRUN_TYPE, (
+        body = encode_runs(CellRun.from_cells(cuboid, cells)
+                           for cuboid, cells in cuboids.items())
+        self._send(200, body, CELLRUN_TYPE, (
             ("X-Repro-Generation", str(answer.generation)),
             ("X-Repro-Threshold", answer.threshold)))
         return True

@@ -56,7 +56,8 @@ this way, whether it came from ``open``, ``build``,
 append.
 
 **One leaf writer.**  Every leaf file is streamed by :class:`LeafWriter`.
-A leaf file is never overwritten: after the build,
+A leaf file is never overwritten: a build over a live store writes
+around its files (:func:`build_generations`); after the build,
 :meth:`CubeStore.compact` writes every merged leaf under a name no
 earlier generation used, and *one* atomic replace of ``manifest.json``
 is the commit.  A crash before it leaves orphan files and a WAL that
@@ -79,7 +80,7 @@ from ..core.columnar import CellRun, RunWriter, code_matrix
 from ..core.export import MANIFEST, atomic_write
 from ..errors import PlanError, SchemaError, StoreCorruptError, WalCorruptError
 from ..online.materialize import LeafHolder, LeafSnapshot
-from .ingest import WriteAheadLog, chaos_kill, stamped_batch_id
+from .ingest import WriteAheadLog, stamped_batch_id
 
 STORE_FORMAT = "repro-cube-store/1"
 STORE_FORMAT_VERSION = 3
@@ -115,9 +116,31 @@ AppendResult = namedtuple("AppendResult", ("generation", "applied", "batch_id"))
 
 def _leaf_filename(cuboid, generation=1):
     """``A_D.run`` as built; ``A_D.g7.run`` as compacted at generation 7
-    — a name no other generation uses, so no leaf file is overwritten."""
-    stamp = ".g%d" % generation if generation > 1 else ""
+    — a name no other generation uses, so no leaf file is overwritten
+    (``A_D.g0.run``: built over a store that names ``A_D.run``)."""
+    stamp = "" if generation == 1 else ".g%d" % generation
     return "_".join(cuboid) + stamp + LEAF_SUFFIX
+
+
+def _live_files(directory):
+    """``{leaf: file}`` of the store ``directory`` holds, or ``{}``
+    (no manifest, or one nothing can open)."""
+    try:
+        manifest = _read_manifest(directory)
+    except (SchemaError, ValueError):
+        return {}
+    return {tuple(entry["cuboid"]): entry["file"]
+            for entry in manifest.get("leaves", ())}
+
+
+def build_generations(directory):
+    """``{leaf: 0}`` for each leaf the store in ``directory`` keeps
+    under its build name.  A build writes those leaves as
+    ``A_D.g0.run`` and the rest as ``A_D.run`` (generation 1): never
+    over a file of the store it replaces, and never under a name a
+    compaction writes (``.g<N>``, N >= 2)."""
+    return {leaf: 0 for leaf, name in _live_files(directory).items()
+            if name == _leaf_filename(leaf)}
 
 
 def _sha256_file(path):
@@ -457,12 +480,14 @@ class CubeStore(LeafHolder):
             leaves = ShardMap(materialization.dims, shard[1]).leaves_for(
                 shard[0])
         materialization = materialization.snapshot()
+        generations = build_generations(directory)
         entries = {}
         loaded = {}
         for leaf in leaves:
             with obs.span("store.write_leaf") as span:
                 run = loaded[leaf] = materialization.leaf_items(leaf)
-                entry = entries[leaf] = write_leaf(directory, run)
+                entry = entries[leaf] = write_leaf(
+                    directory, run, generations.get(leaf, 1))
                 if span:
                     span.set(leaf="/".join(leaf), cells=len(run),
                              bytes=entry["bytes"])
@@ -502,11 +527,17 @@ class CubeStore(LeafHolder):
 
         The build supersedes whatever the directory held, so the WAL
         records of a store it replaces are dropped first — they must
-        not replay onto cells that never saw their base.
+        not replay onto cells that never saw their base — and the leaf
+        files that store named, which the build wrote around
+        (:func:`build_generations`), are unlinked after the replace.
         """
+        replaced = set(_live_files(directory).values()).intersection(
+            os.listdir(directory))
         store = cls(directory, manifest, runs)
         store.wal.truncate_through(max(store.wal.generations(), default=0))
         _write_json(os.path.join(directory, MANIFEST), manifest)
+        for name in replaced - {entry["file"] for entry in manifest["leaves"]}:
+            os.unlink(os.path.join(directory, name))
         return store
 
     @classmethod
@@ -880,7 +911,6 @@ class CubeStore(LeafHolder):
                 entries = {
                     leaf: write_leaf(self.directory, run, snap.generation)
                     for leaf, run in merged.items()}
-                chaos_kill("compact.written")
                 with self._lock:
                     window = dict(sorted(
                         self._applied_batches.items(), key=lambda kv: kv[1]
@@ -894,7 +924,6 @@ class CubeStore(LeafHolder):
                         for batch, generation in window.items()
                         if generation <= snap.generation})
                     obs.event("store.published", generation=snap.generation)
-                    chaos_kill("compact.published")
                     self._snapshot = self._snapshot.replace(
                         entries=entries, runs=merged,
                         batches=self._snapshot.batches[n_batches:])

@@ -116,7 +116,7 @@ class ServerTelemetry:
 
         Latency figures are in milliseconds, rounded for display; counts
         and means cover every query ever recorded, percentiles the
-        histogram's retained window (the first
+        histogram's retained window (the latest
         :data:`~repro.obs.metrics.HISTOGRAM_SAMPLE_WINDOW` answers per
         source).
         """

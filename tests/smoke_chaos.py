@@ -6,13 +6,16 @@ work end-to-end rather than via unit seams:
 1. **Worker chaos** — a fault plan SIGKILLs real pool workers and hangs
    a batch past the supervisor's timeout; the cube must still match the
    single-process oracle cell-for-cell.
-2. **Append crash sweep** — an acknowledged ``append()`` is followed by
-   a ``compact()`` interrupted at *every* file operation (atomic_write /
-   os.replace / os.unlink) in turn; each reopen must land on the new
-   generation with the acknowledged rows — by WAL replay when the crash
-   came before the manifest replace (the commit), from the published
-   leaf files after it — with queries matching the full-store oracle at
-   ``verify="full"``.
+2. **Store crash sweep** — a writer process is SIGKILLed at *every*
+   write boundary (``atomic_write`` / ``os.replace`` / ``os.unlink``,
+   one child each, ``tests/crashes.py``) of a fresh build, a rebuild
+   over a live store, an acknowledged ``append()`` and the
+   ``compact()`` that folds it; each reopen at ``verify="full"`` must
+   show one side of that step's commit — the acknowledged rows by WAL
+   replay before the manifest replace, from the published leaf files
+   after it; the old or the new store across a rebuild — oracle-exact,
+   with the ``.tmp.<pid>`` debris of the real deaths swept and no
+   ``.run`` file the manifest does not name.
 3. **Overload flood** — hundreds of concurrent queries hit a small
    server over a store that left one dimension out: the admission gate
    must shed the excess, the poison traffic on the missing dimension
@@ -23,18 +26,17 @@ work end-to-end rather than via unit seams:
 Run:  PYTHONPATH=src python tests/smoke_chaos.py
 """
 
-import json
-import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+
+from crashes import sweep
 
 from repro import CubeServer, CubeStore, cluster1, zipf_relation
 from repro.cluster.faults import FaultPlan, Slowdown, TaskFailure
 from repro.core.naive import naive_cuboid, naive_iceberg_cube
 from repro.errors import SchemaError, ServerOverloadedError
 from repro.parallel.local import multiprocess_iceberg_cube
-from repro.serve import store as store_module
 
 
 def act_one_worker_chaos():
@@ -64,114 +66,15 @@ def act_one_worker_chaos():
              recovery.retries + got.recovery.retries))
 
 
-class Boom(RuntimeError):
-    pass
-
-
-class CrashingOps:
-    """Wrap the store module's file ops to die after ``n`` calls."""
-
-    def __init__(self, fail_after):
-        self.fail_after = fail_after
-        self.calls = 0
-
-    def _tick(self):
-        self.calls += 1
-        if self.calls > self.fail_after:
-            raise Boom("simulated crash at file op %d" % self.calls)
-
-
-def act_two_append_crash_sweep():
-    relation = zipf_relation(400, [8, 5, 6, 3], skew=1.0, seed=7)
-    base = relation.slice(0, 300)
-    delta = relation.slice(300, len(relation))
-
-    real_atomic_write = store_module.atomic_write
-    real_replace = store_module.os.replace
-    real_unlink = store_module.os.unlink
-
-    with tempfile.TemporaryDirectory() as tmp:
-        new_dir = tmp + "/new-oracle"
-        CubeStore.build(relation, new_dir).close()
-        with CubeStore.open(new_dir, verify="off") as new_store:
-            leaves = list(new_store.leaves)
-            new_answers = {leaf: new_store.query(leaf, minsup=2)
-                           for leaf in leaves}
-
-        crash_point = 0
-        # how each reopen got the acknowledged batch back: replayed
-        # from the WAL (cut before the commit), or from the published
-        # files — with the stale WAL record still to prune, or already
-        # truncated and only superseded files (if anything) left over
-        outcomes = {"replayed": 0, "pruned": 0, "published": 0}
-        while True:
-            ops = CrashingOps(crash_point)
-
-            def crashing_write(path, writer, _ops=ops, **kwargs):
-                _ops._tick()
-                return real_atomic_write(path, writer, **kwargs)
-
-            def crashing_replace(src, dst, _ops=ops):
-                _ops._tick()
-                return real_replace(src, dst)
-
-            def crashing_unlink(path, _ops=ops):
-                _ops._tick()
-                return real_unlink(path)
-
-            victim_dir = "%s/victim-%d" % (tmp, crash_point)
-            CubeStore.build(base, victim_dir).close()
-            store = CubeStore.open(victim_dir, verify="off")
-            assert store.append(delta).applied  # acknowledged: durable
-            store_module.atomic_write = crashing_write
-            store_module.os.replace = crashing_replace
-            store_module.os.unlink = crashing_unlink
-            try:
-                store.compact()
-                completed = True
-            except Boom:
-                completed = False
-            finally:
-                store_module.atomic_write = real_atomic_write
-                store_module.os.replace = real_replace
-                store_module.os.unlink = real_unlink
-                store.close()
-
-            with CubeStore.open(victim_dir, verify="full") as reopened:
-                assert reopened.generation == 2, (crash_point,
-                                                  reopened.generation)
-                assert reopened.total_rows == len(relation), crash_point
-                for leaf in leaves:
-                    got = reopened.query(leaf, minsup=2)
-                    assert got == new_answers[leaf], (crash_point, leaf)
-                recovery = reopened.recovery
-                if recovery["wal_replayed"]:
-                    assert recovery["wal_replayed"] == 1, crash_point
-                    assert recovery["wal_pruned"] == 0, crash_point
-                    outcomes["replayed"] += 1
-                elif recovery["wal_pruned"]:
-                    assert recovery["wal_pruned"] == 1, crash_point
-                    outcomes["pruned"] += 1
-                else:
-                    outcomes["published"] += 1
-                with open(victim_dir + "/manifest.json") as handle:
-                    named = {entry["file"] for entry
-                             in json.load(handle)["leaves"]}
-                assert {name for name in os.listdir(victim_dir)
-                        if name.endswith(".run")} == named, crash_point
-            if completed:
-                break
-            crash_point += 1
-
-    # both sides of the commit (the manifest replace) were hit
-    assert all(outcomes.values()), outcomes
-    print("act 2: append(); compact() interrupted at %d distinct crash "
-          "points -- %d recovered by WAL replay, %d published with the "
-          "stale WAL record pruned, %d published and truncated; always "
-          "generation 2, no orphan left, all oracle-exact at verify=full"
-          % (crash_point + 1, outcomes["replayed"],
-             outcomes["pruned"], outcomes["published"]))
-    return outcomes
+def act_two_store_crash_sweep():
+    report = sweep(("build", "rebuild", "append", "compact"), kill=True)
+    assert sum(tally["debris"] for tally in report.values()), report
+    for phase, tally in report.items():
+        print("act 2: %-7s SIGKILLed at %2d boundaries + after the last -- "
+              "%2d reopened before its commit, %2d after, %2d .tmp files "
+              "swept; oracle-exact at verify=full"
+              % (phase, tally["boundaries"], tally["before"], tally["after"],
+                 tally["debris"]))
 
 
 def act_three_overload_flood():
@@ -242,7 +145,7 @@ def act_three_overload_flood():
 
 def main():
     act_one_worker_chaos()
-    act_two_append_crash_sweep()
+    act_two_store_crash_sweep()
     act_three_overload_flood()
     print("PASS: chaos smoke survived worker kills, torn appends and "
           "overload")

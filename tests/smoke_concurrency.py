@@ -3,7 +3,8 @@
 Starts a :class:`CubeServer` over a freshly built store, fires 100
 queries concurrently from a 16-thread pool (a Zipf-flavoured repeated
 workload, so the cache gets real traffic), and asserts every response
-matches the naive single-threaded oracle.  This guards against data
+matches the naive single-threaded oracle, with cache hits and a stale
+entry invalidated after an append.  This guards against data
 races — torn leaf lists, cache entries crossing generations, telemetry
 corruption — that deterministic unit tests won't reliably catch.
 

@@ -18,6 +18,7 @@ import tempfile
 from unittest import mock
 
 import pytest
+from crashes import Cut
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,8 @@ from repro.core.columnar import (
     ColumnarFrame,
     RunWriter,
     code_matrix,
+    decode_runs,
+    encode_runs,
     leaf_run,
 )
 from repro.core.naive import naive_cuboid
@@ -44,7 +47,6 @@ from repro.lattice.lattice import CubeLattice
 from repro.mr import mapreduce_materialize
 from repro.online import LeafMaterialization, leaf_cuboids
 from repro.serve import CubeStore
-from repro.serve import store as store_module
 from repro.serve.store import MANIFEST
 
 DIMS = ("A", "B", "C")
@@ -331,6 +333,15 @@ class TestEncoding:
             with pytest.raises(SchemaError):
                 CellRun.decode(bad)
 
+    def test_a_frame_cut_short_is_refused(self):
+        _relation, run = sample_run()
+        data = encode_runs([run, run])
+        assert [back.encode() for back in decode_runs(data)] \
+            == [run.encode()] * 2
+        for end in (3, 8, len(data) // 2 + 4, len(data) - 1):
+            with pytest.raises(SchemaError, match="cut short"):
+                decode_runs(data[:end])
+
 
 class TestInt64Limit:
     def test_int64_extremes_are_storable(self, tmp_path):
@@ -481,10 +492,9 @@ class TestStoreMigrate:
         old = str(tmp_path / "old")
         write_v2_store(old, small_skewed)
         before = store_fingerprint(old)
-        with mock.patch.object(store_module, "_write_json",
-                               side_effect=OSError("disk full")):
-            with pytest.raises(OSError):
-                main(["store", "migrate", old])
+        with Cut(1, op="atomic_write") as cut:
+            main(["store", "migrate", old])
+        assert cut.fired
         after = store_fingerprint(old)
         assert {n: h for n, h in after.items() if not n.endswith(".run")} \
             == before
@@ -495,10 +505,9 @@ class TestStoreMigrate:
             self, tmp_path, small_skewed, built):
         old = str(tmp_path / "old")
         write_v2_store(old, small_skewed)
-        with mock.patch.object(store_module.os, "unlink",
-                               side_effect=OSError("killed")):
-            with pytest.raises(OSError):
-                main(["store", "migrate", old])
+        with Cut(1, op="unlink") as cut:
+            main(["store", "migrate", old])
+        assert cut.fired
         assert any(name.endswith(".csv") for name in os.listdir(old))
         with CubeStore.open(old, verify="quick") as store:
             assert all(name.endswith(".csv")

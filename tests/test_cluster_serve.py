@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import CellRun, decode_runs, encode_runs
 from repro.core.naive import naive_cuboid
 from repro.data import Relation, zipf_relation
 from repro.errors import (
@@ -42,7 +43,7 @@ from repro.serve import (
 )
 from repro.serve import http as http_module
 from repro.serve import server as server_module
-from repro.serve.http import cube_payload, read_runs, runs_body
+from repro.serve.http import cube_payload
 from repro.serve.server import CubeAnswer
 
 DIMS = ("A", "B", "C", "D")
@@ -360,7 +361,9 @@ class TestWire:
     @settings(max_examples=60, deadline=None)
     @example({(): {(): (5, -0.0)}, ("A",): {}})
     def test_cell_runs_decode_as_sent_and_as_json_does(self, cuboids):
-        wire = read_runs(runs_body(cuboids))
+        wire = {run.dims: run.cells() for run in decode_runs(encode_runs(
+            CellRun.from_cells(cuboid, cells)
+            for cuboid, cells in cuboids.items()))}
         assert exact(wire) == exact(cuboids)
         payload = json.loads(json.dumps(cube_payload(
             CubeAnswer(cuboids, "COUNT(*) >= 1", 1, 0.0))))

@@ -1,10 +1,11 @@
 """Durable exactly-once ingestion: WAL codec, store deltas, router repair."""
 
+import itertools
 import json
 import os
+import shutil
 import struct
-import subprocess
-import sys
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -13,8 +14,15 @@ from unittest import mock
 from urllib.request import Request, urlopen
 
 import pytest
+from crashes import Cut, run_child
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.core.naive import naive_cuboid
 from repro.data import Relation
@@ -209,6 +217,20 @@ class TestWalStore:
         assert again.generation == first.generation
         assert wal_store.total_rows == rows_after
         assert_store_matches(wal_store, combined(base_relation(), delta))
+
+    def test_applied_batch_window_edge(self, tmp_path, wal_store,
+                                       monkeypatch):
+        # The documented limit: a compaction keeps the newest
+        # APPLIED_BATCH_WINDOW ids, so an older duplicate applies again.
+        monkeypatch.setattr(store_module, "APPLIED_BATCH_WINDOW", 4)
+        for i in range(5):
+            wal_store.append(delta_relation(i), batch_id="w%d" % i)
+        wal_store.compact()
+        wal_store.close()
+        with CubeStore.open(tmp_path / "s") as store:
+            assert not store.append(delta_relation(1), batch_id="w1").applied
+            assert store.append(delta_relation(0), batch_id="w0").applied
+            assert store.generation == 7
 
     def test_replay_after_reopen(self, tmp_path, wal_store):
         d1, d2 = delta_relation(3), delta_relation(4)
@@ -503,10 +525,8 @@ class TestNobodyWaitsForCompaction:
         assert not second & (first | built)  # nor do two ever share a name
         # The sweep takes a cut compaction's new files ...
         wal_store.append(delta_relation(3), batch_id="f3")
-        with mock.patch.object(store_module, "_write_json",
-                               side_effect=OSError("killed")):
-            with pytest.raises(OSError):
-                wal_store.compact()
+        with Cut(1, op="atomic_write"):
+            wal_store.compact()
         cut = run_files(directory) - second
         assert len(cut) == len(second) and all(".g4." in name for name in cut)
         wal_store.close()
@@ -522,42 +542,122 @@ class TestNobodyWaitsForCompaction:
 
 
 # ---------------------------------------------------------------------------
-# Crash windows: SIGKILL at every chaos point, then recover
+# The store machine: exactly-once under crashes nobody enumerated
 # ---------------------------------------------------------------------------
-CRASH_CHILD = r"""
-import os, sys
-sys.path.insert(0, %(src)r)
-from repro.data import Relation
-from repro.serve import CubeStore
+#: A batch: 1-5 rows, integral measures (so every sum order is exact).
+BATCHES = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4),
+                             st.integers(0, 1), st.integers(0, 9)),
+                   min_size=1, max_size=5).map(lambda rows: Relation(
+                       DIMS, [row[:3] for row in rows],
+                       [float(row[3]) for row in rows]))
 
-def delta_relation(seed, n=8):
-    rows = [((seed + i) %% 3, (seed * 3 + i) %% 5, (seed + i) %% 2)
-            for i in range(n)]
-    return Relation(("A", "B", "C"), rows, [float(seed + i) for i in range(n)])
 
-store = CubeStore.open(%(store)r, compact_after=10_000)
-store.append(delta_relation(1), batch_id="k1")
-store.append(delta_relation(2), batch_id="k2")
-store.compact()
-os._exit(3)  # only reached if the chaos point never fired
-"""
+class StoreMachine(RuleBasedStateMachine):
+    """A store against a model: the base rows plus every acknowledged
+    batch.  A crash cuts an append or a compaction at a drawn write
+    boundary, abandons the store object, reopens the directory and
+    re-sends the batch in flight under its own id."""
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp()
+        CubeStore.build(base_relation(), self.root, backend="local").close()
+        self.acked, self.ids = {}, map("b{}".format, itertools.count())
+        self._reopen()
+
+    def _reopen(self):
+        self.store = CubeStore.open(self.root, verify="full",
+                                    compact_after=None)
+        self.pins = []  # a reopen stands for a restart: no pin survives it
+
+    @staticmethod
+    def _check(snapshot, acked):
+        relation = combined(base_relation(), *acked)
+        assert snapshot.total_rows == len(relation)
+        assert_store_matches(snapshot, relation)
+
+    @rule(batch=BATCHES)
+    def append(self, batch):
+        batch_id = next(self.ids)
+        assert self.store.append(batch, batch_id=batch_id).applied
+        self.acked[batch_id] = batch
+
+    @precondition(lambda self: self.acked)
+    @rule(data=st.data())
+    def duplicate_append(self, data):
+        batch_id = data.draw(st.sampled_from(sorted(self.acked)))
+        assert not self.store.append(self.acked[batch_id],
+                                     batch_id=batch_id).applied
+
+    @rule()
+    def compact(self):
+        self.store.compact()
+
+    @rule(batch=st.none() | BATCHES, k=st.integers(1, 12),
+          side=st.sampled_from(("before", "after")))
+    def crash_then_reopen(self, batch, k, side):
+        batch_id = next(self.ids)
+        with Cut(k, side) as cut:
+            if batch is None:
+                self.store.compact()
+            else:
+                self.store.append(batch, batch_id=batch_id)
+        self._reopen()
+        if batch is not None:
+            retry = self.store.append(batch, batch_id=batch_id)
+            assert retry.applied == (cut.fired and side == "before")
+            self.acked[batch_id] = batch
+
+    @rule()
+    def clean_reopen(self):
+        self.store.close()
+        self._reopen()
+
+    @rule()
+    def pin(self):
+        self.pins.append((self.store.snapshot(), tuple(self.acked.values())))
+
+    @precondition(lambda self: self.pins)
+    @rule(data=st.data())
+    def read_pinned(self, data):
+        self._check(*data.draw(st.sampled_from(self.pins)))
+
+    @invariant()
+    def matches_the_model(self):
+        assert self.store.generation == 1 + len(self.acked)
+        self._check(self.store.snapshot(), self.acked.values())
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.root)
+
+
+StoreMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=15, deadline=None)
+TestStoreMachine = StoreMachine.TestCase
+
+
+# ---------------------------------------------------------------------------
+# Crash windows: SIGKILL a writer at each side of its two commits, recover
+# ---------------------------------------------------------------------------
+#: The four windows, as cuts: before / after the first WAL record's
+#: os.replace, before / after the compaction's manifest replace.
+CRASH_WINDOWS = {
+    "wal.pre_publish": Cut(1, "before", op="replace"),
+    "wal.post_publish": Cut(1, "after", op="replace"),
+    "compact.written": Cut(1, "before", op="atomic_write"),
+    "compact.published": Cut(1, "after", op="atomic_write"),
+}
 
 
 class TestCrashWindows:
-    @pytest.mark.parametrize("point", [
-        "wal.pre_publish", "wal.post_publish",
-        "compact.written", "compact.published",
-    ])
+    @pytest.mark.parametrize("point", list(CRASH_WINDOWS))
     def test_sigkill_then_recover(self, tmp_path, point):
         directory = str(tmp_path / "crash")
         CubeStore.build(base_relation(), directory, backend="local").close()
-        env = dict(os.environ)
-        env["REPRO_INGEST_CHAOS_KILL"] = point
-        child = subprocess.run(
-            [sys.executable, "-c",
-             CRASH_CHILD % {"src": _SRC, "store": directory}],
-            env=env, capture_output=True, timeout=120)
-        assert child.returncode == -9, child.stderr.decode()
+        steps = [("append", delta_relation(1), "k1"),
+                 ("append", delta_relation(2), "k2"), ("compact",)]
+        assert run_child(directory, steps, CRASH_WINDOWS[point]) == -9
 
         store = CubeStore.open(directory, compact_after=10_000)
         try:
@@ -594,10 +694,6 @@ class TestCrashWindows:
                 assert_store_matches(store, combined(base_relation(), d1, d2))
         finally:
             store.close()
-
-
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "src")
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +911,31 @@ class TestRouterAppend:
 
 
 class TestAntiEntropy:
+    def test_replica_below_the_source_wal_base_is_unrepairable(self):
+        # What replica 1 missed was compacted away on replica 0: counted
+        # once, and nothing is re-delivered to it.
+        class Replica(_StubClient):
+            """Healthy at ``generation``, every batch of it compacted."""
+
+            def __init__(self, url, generation):
+                super().__init__(url, [])
+                self.generation = generation
+
+            def get_json(self, path):
+                return {"status": "ok", "generation": self.generation,
+                        "wal": {"base_generation": self.generation}}
+
+        router = CubeRouter([["http://a", "http://b"]], dims=DIMS)
+        router.shards[0] = [Replica("http://a", 5), Replica("http://b", 2)]
+        try:
+            router.check_health()
+            assert router.registry.get("repro_router_anti_entropy_total") \
+                .value(outcome="unrepairable") == 1
+            assert [replica.payloads for replica in router.shards[0]] \
+                == [[], []]
+        finally:
+            router.close()
+
     def test_lagging_replica_is_repaired_from_sibling_wal(self, tmp_path):
         """Kill a replica, append through the router, restart the replica:
         the health sweep re-delivers the missed WAL batches and the two

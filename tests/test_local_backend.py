@@ -1,6 +1,7 @@
 """The real multiprocess backend agrees with the oracle."""
 
 import os
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from repro.core.naive import naive_iceberg_cube
 from repro.data import Relation
 from repro.errors import PlanError, WorkerCrashError
 from repro.parallel.local import (
-    CHAOS_KILL_ENV,
     _batched,
     multiprocess_iceberg_cube,
     multiprocess_leaf_cells,
@@ -269,13 +269,23 @@ class TestDataPlane:
         assert _rsm_segments() == before
 
     def test_chaos_sigkill_mid_segment_write_sweeps_the_leak(
-            self, small_skewed, monkeypatch):
-        # The worker writing batch 0's result segment dies halfway
-        # through the write (a real SIGKILL, attempt 0 only).  The
-        # supervisor must respawn, sweep the orphaned segment, re-run
-        # the batch, and still hand back the oracle's cells.
+            self, small_skewed, monkeypatch, tmp_path):
+        # The worker that creates batch 0's result segment SIGKILLs
+        # itself right after, once (the flag file outlives it; forked
+        # workers inherit the patch).  The supervisor must respawn,
+        # sweep the orphaned segment, re-run the batch, and still hand
+        # back the oracle's cells.
+        create, flag = shm.ShmTransport.create, tmp_path / "killed"
+
+        def create_then_die(transport, nbytes, tag="seg"):
+            segment = create(transport, nbytes, tag)
+            if tag == "b0" and not flag.exists():
+                flag.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return segment
+
+        monkeypatch.setattr(shm.ShmTransport, "create", create_then_die)
         before = _rsm_segments()
-        monkeypatch.setenv(CHAOS_KILL_ENV, "0")
         expected = naive_iceberg_cube(small_skewed, minsup=2)
         got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
                                         batch_size=3, backoff_s=0.01)

@@ -241,6 +241,15 @@ class TestTelemetry:
         assert summary["by_source"]["store"]["p50_ms"] == pytest.approx(2.0)
         assert set(summary["by_source"]) == {"cache", "store"}
 
+    def test_percentiles_follow_the_latest_answers(self):
+        telemetry = ServerTelemetry()
+        for latency in [0.001] * 1024 + [1.0] * 4096:
+            telemetry.record("store", latency)
+        store = telemetry.summary()["by_source"]["store"]
+        assert store["count"] == 5120
+        assert store["mean_ms"] == pytest.approx(800.2)
+        assert store["p50_ms"] == store["p99_ms"] == 1000.0
+
     def test_unknown_source_rejected(self):
         for source in ("disk", "compute"):
             with pytest.raises(ValueError):

@@ -4,14 +4,16 @@ Covers the manifest integrity surface: per-leaf checksums, the
 ``append(); compact()`` whose one manifest replace is the commit (WAL
 replay before it, stale-record pruning after it, on reopen), orphan
 sweeping, and salvage of damaged leaves from the covering root leaf.
-The every-crash-point sweep is the one tests/smoke_chaos.py runs as
-act 2.
+Every crash is a cut from tests/crashes.py, among them the sweep over
+every write boundary (tests/smoke_chaos.py act 2 runs it with real
+SIGKILLs).
 """
 
 import json
 import os
 
 import pytest
+from crashes import Cut, sweep
 
 from repro.core.naive import naive_cuboid
 from repro.data import zipf_relation
@@ -161,11 +163,9 @@ class TestJournalledAppend:
             for leaf in want.leaves:
                 assert got.query(leaf, minsup=2) == want.query(leaf, minsup=2)
 
-    def _cut_compaction(self, small_skewed, directory, cut):
-        """``append(); compact()`` killed at the file op ``cut`` names;
+    def _cut_compaction(self, small_skewed, directory, side):
+        """``append(); compact()`` cut ``side`` the manifest's replace;
         returns (leaf files as built, the acknowledged WAL record)."""
-        from unittest import mock
-
         first = small_skewed.slice(0, 300)
         delta = small_skewed.slice(300, len(small_skewed))
         CubeStore.build(first, directory).close()
@@ -174,21 +174,18 @@ class TestJournalledAppend:
         store = CubeStore.open(directory, verify="off")
         store.append(delta)
         wal_path = store.wal.path_for(store.generation)
-        with mock.patch.object(*cut, side_effect=OSError("killed")):
-            with pytest.raises(OSError):
-                store.compact()
-        store.close()
+        with Cut(1, side, op="atomic_write") as cut:
+            store.compact()
+        assert cut.fired
         return built, wal_path
 
     def test_crash_before_the_replace_replays_the_wal(
             self, small_skewed, tmp_path):
         # Every new file is on disk, the manifest still names the old
         # ones: the new files are orphans and the WAL holds the batch.
-        from repro.serve import store as store_module
-
         directory = str(tmp_path / "store")
         built, wal_path = self._cut_compaction(
-            small_skewed, directory, (store_module, "_write_json"))
+            small_skewed, directory, "before")
         new_files = {name for name in os.listdir(directory)
                      if name.endswith(".g2.run")}
         assert len(new_files) == len(built) and os.path.exists(wal_path)
@@ -210,12 +207,9 @@ class TestJournalledAppend:
             self, small_skewed, tmp_path):
         # The manifest names the new files; the WAL record it made
         # stale and the files it superseded are still there.
-        from repro.serve import ingest
-
         directory = str(tmp_path / "store")
         built, wal_path = self._cut_compaction(
-            small_skewed, directory,
-            (ingest.WriteAheadLog, "truncate_through"))
+            small_skewed, directory, "after")
         assert built <= set(os.listdir(directory))
         assert os.path.exists(wal_path)
 
@@ -234,15 +228,19 @@ class TestJournalledAppend:
         assert not os.path.exists(wal_path)
 
     def test_crash_sweep_always_recovers_the_acked_batch(self):
-        # An acknowledged append survives a compact() cut at every file
-        # operation: generation 2 each time, by WAL replay before the
-        # manifest replace and by pruning the stale record after it
-        # (asserted inside the sweep, both sides of the commit hit).
-        from smoke_chaos import act_two_append_crash_sweep
+        # A fresh build, an acknowledged append and the compaction that
+        # folds it, each cut at every file operation: every reopen holds
+        # exactly the acknowledged rows, on both sides of each commit
+        # (asserted inside the sweep).
+        report = sweep()
+        assert [report[p]["boundaries"] for p in ("build", "append",
+                                                  "compact")] == [10, 1, 19]
 
-        outcomes = act_two_append_crash_sweep()
-        assert outcomes["replayed"] and outcomes["pruned"] \
-            and outcomes["published"]
+    def test_crash_during_a_rebuild_leaves_the_old_or_the_new_store(self):
+        # A build over a live store writes around its files: every cut
+        # reopens as the old store (before the manifest replace) or the
+        # new one, never as a mix that fails verification.
+        assert sweep(("rebuild",))["rebuild"]["boundaries"] == 18
 
     def test_leftover_journal_is_refused(self, store_dir):
         # An earlier release's interrupted compaction: refused, and left
@@ -256,3 +254,4 @@ class TestJournalledAppend:
         assert os.path.exists(os.path.join(store_dir, JOURNAL))
         os.unlink(os.path.join(store_dir, JOURNAL))
         CubeStore.open(store_dir, verify="full").close()
+
