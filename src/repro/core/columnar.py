@@ -32,7 +32,10 @@ module supplies the machinery for real speed:
   *the* representation of a materialized leaf from the pool worker
   (:func:`leaf_run`) through shared memory, the in-memory and on-disk
   stores and the MapReduce store reducer, down to the ``.run`` leaf
-  file (:class:`RunWriter` / :meth:`CellRun.decode`).
+  file (:class:`RunWriter` / :meth:`CellRun.decode`) — and of an
+  answer: :meth:`CellRun.group_by` rolls a leaf up into the answer's
+  run, which a :class:`RunCells` view holds until someone reads it as a
+  dict.
 
 If the per-dimension cardinalities need more than
 :data:`MAX_KEY_BITS` bits in total, packing is impossible in a machine
@@ -48,6 +51,7 @@ import io
 import logging
 import struct
 from array import array
+from collections.abc import Mapping
 
 import numpy as _np
 
@@ -283,7 +287,7 @@ def aggregate_cuboid(frame, cuboid, threshold=None):
     dims, any order): :func:`leaf_run` and one
     :meth:`CellRun.group_by`.  ``threshold=None`` keeps every cell.
     """
-    return leaf_run(frame, cuboid).group_by(len(cuboid), threshold)
+    return leaf_run(frame, cuboid).group_by(len(cuboid), threshold).cells()
 
 
 def fold_sorted(leaves, keys, counts, sums):
@@ -460,6 +464,16 @@ class CellRun:
                          dtype=_np.float64, count=n))
 
     @classmethod
+    def from_cell(cls, dims, cell, agg):
+        """The run of one cell and its ``(count, sum)`` — none when
+        ``agg`` is ``None``: nothing to sort or fold."""
+        cells = [] if agg is None else [cell]
+        aggs = [] if agg is None else [agg]
+        return cls(dims, code_matrix(cells, len(dims)),
+                   _np.array([a[0] for a in aggs], dtype=_np.int64),
+                   _np.array([a[1] for a in aggs], dtype=_np.float64))
+
+    @classmethod
     def from_rows(cls, dims, codes, measures):
         """The run of raw rows (a count of one each): ``codes`` is their
         ``(len(dims) x rows)`` matrix."""
@@ -511,28 +525,28 @@ class CellRun:
 
     def group_by(self, width, threshold=None):
         """``GROUP BY`` the first ``width`` dimensions ``HAVING
-        threshold``: ``{cell: (count, sum)}``.  Cells sharing a prefix
-        are adjacent, so this is boundaries + ``np.add.reduceat``;
+        threshold``: the rolled-up run.  Cells sharing a prefix are
+        adjacent, so this is boundaries + ``np.add.reduceat``;
         ``threshold=None`` keeps every group."""
-        if not len(self):
-            return {}
-        codes, counts, sums = self.codes, self.counts, self.sums
-        if width < len(self.dims):
+        codes, counts, sums = self.codes[:width], self.counts, self.sums
+        if len(self) and width < len(self.dims):
             bounds = _np.flatnonzero(self._group_depth() < width)
-            codes = codes[:width, bounds]
+            codes = codes[:, bounds]
             counts = _np.add.reduceat(counts, bounds)
             sums = _np.add.reduceat(sums, bounds)
         if threshold is not None:
             keep = qualifying_mask(threshold, counts, sums)
             if not keep.all():
                 codes, counts, sums = codes[:, keep], counts[keep], sums[keep]
-        # (a run over no dimensions holds the one cell ``()``)
-        cells = zip(*codes.tolist()) if len(codes) else [()] * len(counts)
-        return dict(zip(cells, zip(counts.tolist(), sums.tolist())))
+        return CellRun(self.dims[:width], codes, counts, sums)
 
     def cells(self):
-        """Every cell: ``{cell: (count, sum)}``."""
-        return self.group_by(len(self.dims))
+        """Every cell: ``{cell: (count, sum)}`` — the one place a run's
+        cells become tuples."""
+        # (a run over no dimensions holds the one cell ``()``)
+        codes = self.codes
+        cells = zip(*codes.tolist()) if len(codes) else [()] * len(self)
+        return dict(zip(cells, zip(self.counts.tolist(), self.sums.tolist())))
 
     def lookup(self, cell):
         """``(count, sum)`` of one cell of the cuboid over the first
@@ -606,6 +620,64 @@ class CellRun:
             sums[at:end] = block[width + 1]
             at = end
         return cls(dims, codes, counts, sums)
+
+
+class RunCells(Mapping):
+    """A read-only ``{cell: (count, sum)}`` view of one :class:`CellRun`
+    — how an answer is held until someone reads it as a dict.
+
+    ``run`` stays the answer; the dict is built once, on first read,
+    with :meth:`CellRun.cells` (two threads building it at once both
+    build the same dict).  ``len`` is the run's.  It equals any mapping
+    with the same cells but is not a ``dict``: ``dict(view)`` copies.
+    """
+
+    __slots__ = ("run", "_dict")
+
+    def __init__(self, run):
+        self.run = run
+        self._dict = None
+
+    def _cells(self):
+        cells = self._dict
+        if cells is None:
+            cells = self._dict = self.run.cells()
+        return cells
+
+    def __len__(self):
+        return len(self.run.counts)
+
+    def __getitem__(self, cell):
+        return self._cells()[cell]
+
+    def __iter__(self):
+        return iter(self._cells())
+
+    # The Mapping defaults would call __getitem__ once per cell.
+    def __contains__(self, cell):
+        return cell in self._cells()
+
+    def keys(self):
+        return self._cells().keys()
+
+    def values(self):
+        return self._cells().values()
+
+    def items(self):
+        return self._cells().items()
+
+    def get(self, cell, default=None):
+        return self._cells().get(cell, default)
+
+    def __eq__(self, other):
+        if isinstance(other, RunCells):
+            other = other._cells()
+        return self._cells() == other
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "RunCells(%r)" % (self._cells(),)
 
 
 def encode_runs(runs):

@@ -33,6 +33,17 @@ class CubeLattice:
         except KeyError as exc:
             raise SchemaError("unknown dimension %s in cuboid %r" % (exc, cuboid)) from None
 
+    def canonical_cell(self, cuboid, cell):
+        """``(cuboid, cell)`` with both in schema order: a cell's
+        coordinates move with its cuboid's dimensions."""
+        cuboid, cell = tuple(cuboid), tuple(cell)
+        if len(cell) != len(cuboid):
+            raise SchemaError(
+                "cell %r has %d coordinates, cuboid %r has %d dimensions"
+                % (cell, len(cell), cuboid, len(cuboid)))
+        canonical = self.canonical(cuboid)
+        return canonical, tuple(cell[cuboid.index(d)] for d in canonical)
+
     def cuboids(self, include_all=True):
         """All cuboids, from most dimensions to fewest (top-down order)."""
         out = []

@@ -20,9 +20,9 @@ import copy
 
 from .. import obs
 from ..backends import resolve_backend
-from ..core.columnar import code_matrix
+from ..core.columnar import CellRun, RunCells, code_matrix
 from ..core.thresholds import as_threshold
-from ..errors import PlanError, SchemaError
+from ..errors import PlanError
 from ..lattice.lattice import CubeLattice
 
 
@@ -128,47 +128,51 @@ class LeafSnapshot:
         :class:`~repro.core.thresholds.Threshold`.  Cells sharing the
         query's prefix are adjacent in the covering leaf's run, so this
         is one :meth:`CellRun.group_by
-        <repro.core.columnar.CellRun.group_by>`.
-        Returns ``{cell: (count, sum)}``.
+        <repro.core.columnar.CellRun.group_by>`.  Returns the rolled-up
+        run as a read-only ``{cell: (count, sum)}`` mapping
+        (:class:`~repro.core.columnar.RunCells`); the apex answer is a
+        run over no dimensions.
         """
         threshold = as_threshold(minsup)
         cuboid = self._lattice.canonical(cuboid)
         with obs.span("store.query", cuboid="/".join(cuboid)) as span:
             if not cuboid:
-                if threshold.qualifies(self.total_rows, self.total_measure):
-                    return {(): (self.total_rows, self.total_measure)}
-                return {}
+                agg = (self.total_rows, self.total_measure)
+                return RunCells(CellRun.from_cell(
+                    (), (), agg if threshold.qualifies(*agg) else None))
             run = self.leaf_items(self.covering_leaf(cuboid))
             out = run.group_by(len(cuboid), threshold)
             if span:
                 span.set(cells=len(out))
-            return out
+            return RunCells(out)
 
     def iceberg(self, minsup=1):
         """The iceberg cube over every cuboid this snapshot covers.
 
-        Returns ``{cuboid: {cell: (count, sum)}}`` restricted to the
-        cuboids in :meth:`owned_cuboids` — a shard's share of the full
-        cube; an unsharded holder answers the entire lattice.
+        Returns ``{cuboid: {cell: (count, sum)}}`` (each answer a
+        :meth:`query` mapping) restricted to the cuboids in
+        :meth:`owned_cuboids` — a shard's share of the full cube; an
+        unsharded holder answers the entire lattice.
         """
         return {cuboid: self.query(cuboid, minsup=minsup)
                 for cuboid in self.owned_cuboids()}
 
+    def canonical_cell(self, cuboid, cell):
+        """``(cuboid, cell)`` in schema order: the coordinates move with
+        the dimensions."""
+        return self._lattice.canonical_cell(cuboid, cell)
+
     def point(self, cuboid, cell, minsup=1):
         """One cell of one cuboid: ``(count, sum)`` or ``None`` — a
         ``searchsorted`` per coordinate on the covering leaf's run
-        (:meth:`CellRun.lookup <repro.core.columnar.CellRun.lookup>`)."""
+        (:meth:`CellRun.lookup <repro.core.columnar.CellRun.lookup>`).
+        ``cell`` lists its coordinates in ``cuboid``'s order, whatever
+        that is."""
         threshold = as_threshold(minsup)
-        cuboid = self._lattice.canonical(cuboid)
+        cuboid, cell = self._lattice.canonical_cell(cuboid, cell)
         if not cuboid:
             agg = (self.total_rows, self.total_measure)
             return agg if threshold.qualifies(*agg) else None
-        cell = tuple(cell)
-        if len(cell) != len(cuboid):
-            raise SchemaError(
-                "cell %r has %d coordinates, cuboid %r has %d dimensions"
-                % (cell, len(cell), cuboid, len(cuboid))
-            )
         agg = self.leaf_items(self.covering_leaf(cuboid)).lookup(cell)
         if agg is not None and threshold.qualifies(*agg):
             return agg
@@ -207,8 +211,8 @@ class LeafHolder:
         return self._snapshot.owned_cuboids()
 
     def query(self, cuboid, minsup=1):
-        """Answer ``GROUP BY cuboid HAVING <threshold>`` as
-        ``{cell: (count, sum)}`` (:meth:`LeafSnapshot.query`)."""
+        """Answer ``GROUP BY cuboid HAVING <threshold>`` as a read-only
+        ``{cell: (count, sum)}`` mapping (:meth:`LeafSnapshot.query`)."""
         return self.snapshot().query(cuboid, minsup)
 
     def point(self, cuboid, cell, minsup=1):

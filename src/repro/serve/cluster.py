@@ -77,7 +77,7 @@ from time import perf_counter
 from urllib.parse import quote, urlsplit
 
 from .. import obs
-from ..core.columnar import decode_runs
+from ..core.columnar import RunCells, decode_runs
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold, as_threshold
 from ..errors import (
     GenerationSkewError,
@@ -101,8 +101,6 @@ from .http import (
     MAX_REQUEST_BYTES,
     HttpEndpoint,
     JsonRequestHandler,
-    answer_payload,
-    cube_payload,
     parse_cell,
     parse_cuboid,
     parse_threshold,
@@ -121,6 +119,8 @@ __all__ = [
 
 #: One routed answer: where it came from (shard / replica index), how
 #: many failovers it took, and the single store generation it carries.
+#: ``cells`` is a read-only mapping over the run the replica sent
+#: (:class:`~repro.core.columnar.RunCells`).
 RouterAnswer = namedtuple(
     "RouterAnswer",
     ("cuboid", "threshold", "cells", "generation", "shard", "replica",
@@ -128,7 +128,8 @@ RouterAnswer = namedtuple(
 )
 
 #: One merged cross-shard cube: every cuboid in the lattice, all read at
-#: the same pinned ``generation`` (``attempts`` counts fan-out rounds).
+#: the same pinned ``generation`` (``attempts`` counts fan-out rounds);
+#: ``cuboids`` maps each cuboid to its cells as in :data:`RouterAnswer`.
 RouterCubeAnswer = namedtuple(
     "RouterCubeAnswer",
     ("cuboids", "threshold", "generation", "attempts", "latency_s"),
@@ -177,6 +178,11 @@ class ShardMap:
     def canonical(self, cuboid):
         """Normalize a cuboid to schema order."""
         return self._lattice.canonical(cuboid)
+
+    def canonical_cell(self, cuboid, cell):
+        """``(cuboid, cell)`` in schema order: the coordinates move with
+        the dimensions."""
+        return self._lattice.canonical_cell(cuboid, cell)
 
     def covering_leaf(self, cuboid):
         """The leaf whose shard answers ``cuboid`` (same rule as the
@@ -322,15 +328,17 @@ class ReplicaClient:
     def get_runs(self, path):
         """A ``/query``, ``/point`` or ``/cube`` answer read as cell runs
         (``Accept:`` :data:`~repro.serve.http.CELLRUN_TYPE`): a
-        :data:`RunsAnswer`.  A 200 in any other content type, or one
-        that does not parse, is a :class:`~repro.errors.ReplicaError`."""
+        :data:`RunsAnswer`, each run held as a
+        :class:`~repro.core.columnar.RunCells` mapping.  A 200 in any
+        other content type, or one that does not parse, is a
+        :class:`~repro.errors.ReplicaError`."""
         response, body = self._request("GET", path, {"Accept": CELLRUN_TYPE})
         try:
             if response.getheader("Content-Type") != CELLRUN_TYPE:
                 raise ValueError("reply is %s, not %s" % (
                     response.getheader("Content-Type"), CELLRUN_TYPE))
             return RunsAnswer(
-                {run.dims: run.cells() for run in decode_runs(body)},
+                {run.dims: RunCells(run) for run in decode_runs(body)},
                 int(response.getheader("X-Repro-Generation")),
                 response.getheader("X-Repro-Threshold"))
         except (SchemaError, TypeError, ValueError) as exc:
@@ -620,7 +628,10 @@ class CubeRouter:
         return self._routed("query", cuboid, minsup, "")
 
     def point(self, cuboid, cell, minsup=1):
-        """One cell lookup, routed to the owning shard with failover."""
+        """One cell lookup, routed to the owning shard with failover;
+        the cell travels (and is answered) in the canonical cuboid's
+        order."""
+        cuboid, cell = self._ensure_map().canonical_cell(cuboid, cell)
         return self._routed(
             "point", cuboid, minsup,
             "&cell=" + ",".join(str(int(v)) for v in cell))
@@ -1201,13 +1212,13 @@ class _RouterRequestHandler(JsonRequestHandler):
             parse_cuboid(params), parse_cell(params), parse_threshold(params)))
 
     def _answer(self, answer):
-        self._reply(200, answer_payload(
-            answer, shard=answer.shard, replica=answer.replica,
-            failovers=answer.failovers))
+        self._reply_answer(answer, shard=answer.shard,
+                           replica=answer.replica,
+                           failovers=answer.failovers)
 
     def _get_cube(self, params):
         answer = self.app.cube(parse_threshold(params))
-        self._reply(200, cube_payload(answer, attempts=answer.attempts))
+        self._reply_answer(answer, attempts=answer.attempts)
 
     def _get_metrics(self, params):
         # The federated page: this router's registry plus every

@@ -10,9 +10,10 @@ route table, and maps every error to structured JSON — ``400`` for
 malformed requests, ``404`` for unknown paths, ``413`` for oversized
 ones, the subclass's own kinds
 (:attr:`JsonRequestHandler.error_kinds`) in between — never an HTML
-traceback.  The query-string parsers, the cells/cube payload encoders
-(JSON, and the :data:`CELLRUN_TYPE` body a router asks replicas for)
-and the ``POST /append`` body decoder live here too, once.
+traceback.  The query-string parsers, the one JSON answer writer
+(:func:`json_body`, straight from the answer's cell runs; a router asks
+replicas for the runs themselves, :data:`CELLRUN_TYPE`) and the
+``POST /append`` body decoder live here too, once.
 """
 
 import json
@@ -21,6 +22,8 @@ import threading
 from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
+
+import numpy as _np
 
 from .. import obs
 from ..core.thresholds import AndThreshold, CountThreshold, SumThreshold
@@ -33,6 +36,10 @@ MAX_REQUEST_BYTES = 1 << 20
 
 #: Longest request path (with query string) an endpoint will parse.
 MAX_PATH_BYTES = 8192
+
+#: Longest an endpoint's accept loop waits before it sees a shutdown:
+#: what closing one costs (``serve_forever``'s default is 0.5 s).
+SHUTDOWN_POLL_S = 0.05
 
 #: Content type of an answer as cell runs: one run per cuboid, framed by
 #: :func:`~repro.core.columnar.encode_runs` (each run's header names its
@@ -77,9 +84,7 @@ class HttpEndpoint:
     def __init__(self, app, handler, host, port, thread_name):
         self._httpd = _JsonHTTPServer((host, port), handler)
         self._httpd.app = app
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name=thread_name, daemon=True)
-        self._thread.start()
+        self._thread = serve_in_background(self._httpd, thread_name)
         self.host, self.port = self._httpd.server_address[:2]
 
     @property
@@ -96,6 +101,15 @@ class HttpEndpoint:
 
     def __repr__(self):
         return "HttpEndpoint(%s)" % self.url
+
+
+def serve_in_background(httpd, name=None):
+    """Run ``httpd.serve_forever`` on a daemon thread, polling for a
+    shutdown every :data:`SHUTDOWN_POLL_S`; returns the thread."""
+    thread = threading.Thread(target=httpd.serve_forever,
+                              args=(SHUTDOWN_POLL_S,), name=name, daemon=True)
+    thread.start()
+    return thread
 
 
 def parse_threshold(params):
@@ -123,27 +137,41 @@ def parse_since(params):
     return int(params.get("since", ["0"])[0])
 
 
-def _cells(cells):
-    return [{"cell": list(cell), "count": count, "sum": value}
-            for cell, (count, value) in sorted(cells.items())]
+def _json_items(run):
+    """The run's cells as the items of a JSON array, in cell order — the
+    run's own — byte for byte what ``json.dumps`` writes for their
+    ``{"cell", "count", "sum"}`` objects: one ``%`` template per cell
+    (``%s`` of an int and ``%r`` of a float are json's own text)."""
+    sums = run.sums.tolist()
+    sum_format = "%r"
+    if not _np.isfinite(run.sums).all():
+        # json writes nan and ±inf as NaN and ±Infinity
+        sums, sum_format = [json.dumps(s) for s in sums], "%s"
+    template = ('{"cell": [' + ", ".join(["%s"] * len(run.dims))
+                + '], "count": %s, "sum": ' + sum_format + "}")
+    rows = zip(*run.codes.tolist(), run.counts.tolist(), sums)
+    return ", ".join([template % row for row in rows])
 
 
-def answer_payload(answer, **extra):
-    """One group-by / point answer (``QueryAnswer`` or ``RouterAnswer``)
-    as JSON; ``extra`` carries the endpoint's own fields."""
-    return dict(extra, cuboid=list(answer.cuboid),
-                threshold=answer.threshold, generation=answer.generation,
-                latency_ms=round(answer.latency_s * 1000.0, 3),
-                cells=_cells(answer.cells))
-
-
-def cube_payload(answer, **extra):
-    """One whole-cube answer (``CubeAnswer`` or ``RouterCubeAnswer``)."""
-    return dict(extra, threshold=answer.threshold,
-                generation=answer.generation,
-                latency_ms=round(answer.latency_s * 1000.0, 3),
-                cuboids=[{"cuboid": list(cuboid), "cells": _cells(cells)}
-                         for cuboid, cells in sorted(answer.cuboids.items())])
+def json_body(answer, **extra):
+    """An answer's JSON reply body: a group-by / point answer
+    (``QueryAnswer`` or ``RouterAnswer``) or a whole-cube one
+    (``CubeAnswer`` or ``RouterCubeAnswer``), ``extra`` carrying the
+    endpoint's own fields.  The head is ``json.dumps``; the cells, last,
+    are written straight from each answer's run."""
+    head = dict(extra)
+    cuboids = getattr(answer, "cuboids", None)
+    if cuboids is None:
+        head["cuboid"] = list(answer.cuboid)
+        key, items = "cells", _json_items(answer.cells.run)
+    else:
+        key, items = "cuboids", ", ".join([
+            '{"cuboid": %s, "cells": [%s]}'
+            % (json.dumps(list(cuboid)), _json_items(cells.run))
+            for cuboid, cells in sorted(cuboids.items())])
+    head.update(threshold=answer.threshold, generation=answer.generation,
+                latency_ms=round(answer.latency_s * 1000.0, 3))
+    return ('%s, "%s": [%s]}' % (json.dumps(head)[:-1], key, items)).encode()
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
@@ -273,6 +301,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     def _reply(self, status, payload):
         self._send(status, json.dumps(payload).encode(), "application/json")
+
+    def _reply_answer(self, answer, **extra):
+        self._send(200, json_body(answer, **extra), "application/json")
 
     def _reply_text(self, status, text):
         self._send(status, text.encode(),

@@ -70,7 +70,7 @@ from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 from .. import obs
-from ..core.columnar import CellRun, encode_runs
+from ..core.columnar import CellRun, RunCells, encode_runs
 from ..core.thresholds import as_threshold
 from ..errors import (
     DeadlineExceededError,
@@ -84,8 +84,6 @@ from .http import (
     CELLRUN_TYPE,
     HttpEndpoint,
     JsonRequestHandler,
-    answer_payload,
-    cube_payload,
     parse_cell,
     parse_cuboid,
     parse_since,
@@ -97,15 +95,18 @@ from .store import AppendResult
 from .telemetry import ServerTelemetry
 
 #: One served answer: the canonical cuboid, the threshold text, the
-#: ``{cell: (count, sum)}`` dict, where it came from, how long it took,
-#: and the generation of the snapshot the cells were read from.
+#: cells (a read-only ``{cell: (count, sum)}`` mapping over the answer's
+#: run, :class:`~repro.core.columnar.RunCells`), where it came from, how
+#: long it took, and the generation of the snapshot the cells were read
+#: from.
 QueryAnswer = namedtuple(
     "QueryAnswer",
     ("cuboid", "threshold", "cells", "source", "latency_s", "generation"),
 )
 
 #: One store-shard's share of the full iceberg cube, computed at a
-#: single generation (the ``/cube`` fan-out unit).
+#: single generation (the ``/cube`` fan-out unit): ``cuboids`` maps each
+#: cuboid to its cells as in :data:`QueryAnswer`.
 CubeAnswer = namedtuple(
     "CubeAnswer", ("cuboids", "threshold", "generation", "latency_s")
 )
@@ -211,13 +212,14 @@ class CubeServer:
 
     def point(self, cuboid, cell, minsup=1):
         """One cell of one cuboid (a ``searchsorted`` on the covering
-        leaf's run)."""
+        leaf's run), answered over the canonical cuboid: the cell's
+        coordinates move with its dimensions."""
         start = perf_counter()
         threshold = as_threshold(minsup)
         snap = self.store.snapshot()
-        canonical = snap.canonical(cuboid)
+        canonical, cell = snap.canonical_cell(cuboid, cell)
         agg = snap.point(canonical, cell, minsup=threshold)
-        cells = {tuple(cell): agg} if agg is not None else {}
+        cells = RunCells(CellRun.from_cell(canonical, cell, agg))
         latency = perf_counter() - start
         self.telemetry.record("store", latency)
         return QueryAnswer(canonical, threshold.describe(), cells, "store",
@@ -520,24 +522,24 @@ class _CubeRequestHandler(JsonRequestHandler):
 
     def _answer(self, future):
         answer = future.result()
-        if not self._reply_runs(answer, {answer.cuboid: answer.cells}):
-            self._reply(200, answer_payload(answer, source=answer.source))
+        if not self._reply_runs(answer, [answer.cells]):
+            self._reply_answer(answer, source=answer.source)
 
     def _get_cube(self, params):
         at = params.get("at")
         answer = self.app.submit_cube(
             parse_threshold(params), deadline_s=_parse_deadline(params),
             at=None if at is None else int(at[0])).result()
-        if not self._reply_runs(answer, answer.cuboids):
-            self._reply(200, cube_payload(answer))
+        if not self._reply_runs(answer, answer.cuboids.values()):
+            self._reply_answer(answer)
 
-    def _reply_runs(self, answer, cuboids):
+    def _reply_runs(self, answer, views):
         """Answer in cell runs if the client asked for them (a router
-        does); ``False`` leaves the reply to the JSON path."""
+        does): the runs the ``views`` hold, as they are; ``False``
+        leaves the reply to the JSON path."""
         if CELLRUN_TYPE not in self.headers.get("Accept", ""):
             return False
-        body = encode_runs(CellRun.from_cells(cuboid, cells)
-                           for cuboid, cells in cuboids.items())
+        body = encode_runs(view.run for view in views)
         self._send(200, body, CELLRUN_TYPE, (
             ("X-Repro-Generation", str(answer.generation)),
             ("X-Repro-Threshold", answer.threshold)))

@@ -206,7 +206,8 @@ class TestMergeAndGroupBy:
     def test_empty_run(self):
         empty = run_of({})
         assert len(empty) == 0
-        assert empty.group_by(1, as_threshold(1)) == {} == empty.cells()
+        assert empty.group_by(1, as_threshold(1)).cells() == {} \
+            == empty.cells()
         assert empty.lookup((1,)) is None
         assert CellRun.decode(empty.encode()).dims == ("A", "B")
         other = run_of({(1, 2): (3, 4.0)})
@@ -226,17 +227,19 @@ class TestMergeAndGroupBy:
 
     def test_one_cell(self):
         run = run_of({(5, -7): (2, 1.5)})
-        assert run.group_by(1) == {(5,): (2, 1.5)}
-        assert run.group_by(2, as_threshold(2)) == {(5, -7): (2, 1.5)}
-        assert run.group_by(2, as_threshold(3)) == {}
+        assert run.group_by(1).dims == ("A",)
+        assert run.group_by(1).cells() == {(5,): (2, 1.5)}
+        assert run.group_by(2, as_threshold(2)).cells() \
+            == {(5, -7): (2, 1.5)}
+        assert run.group_by(2, as_threshold(3)).cells() == {}
         assert run.lookup((5,)) == (2, 1.5) == run.lookup((5, -7))
         assert run.lookup((5, 0)) is None
 
     def test_width_equal_to_leaf_width_is_the_cells_themselves(self):
         cells = {(a, b): (a + 1, float(b)) for a in range(4) for b in range(3)}
         run = run_of(cells)
-        assert run.group_by(2) == cells
-        assert run.group_by(1) == {
+        assert run.group_by(2).cells() == cells
+        assert run.group_by(1).cells() == {
             (a,): (3 * (a + 1), 3.0) for a in range(4)}
 
     def test_merge_folds_equal_cells_in_run_order(self):
@@ -294,8 +297,8 @@ class TestEncoding:
             assert out.getvalue() == data
         for width in (1, 2, 3):
             for minsup in (1, 3):
-                assert back.group_by(width, as_threshold(minsup)) == oracle(
-                    relation, DIMS[:width], minsup)
+                assert back.group_by(width, as_threshold(minsup)).cells() \
+                    == oracle(relation, DIMS[:width], minsup)
 
     def test_encode_decode_encode_is_byte_stable(self):
         _relation, run = sample_run(5000)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import CellRun, decode_runs, encode_runs
+from repro.core.columnar import CellRun, RunCells, decode_runs, encode_runs
 from repro.core.naive import naive_cuboid
 from repro.data import Relation, zipf_relation
 from repro.errors import (
@@ -43,7 +43,7 @@ from repro.serve import (
 )
 from repro.serve import http as http_module
 from repro.serve import server as server_module
-from repro.serve.http import cube_payload
+from repro.serve.http import json_body
 from repro.serve.server import CubeAnswer
 
 DIMS = ("A", "B", "C", "D")
@@ -207,8 +207,7 @@ class _CannedHandler(BaseHTTPRequestHandler):
 def _canned_server(status, payload):
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _CannedHandler)
     httpd.canned = (status, payload)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
+    http_module.serve_in_background(httpd)
     return httpd
 
 
@@ -244,7 +243,7 @@ class TestReplicaClient:
                 self.close_connection = True
 
         httpd = ThreadingHTTPServer(("127.0.0.1", 0), CutShort)
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        http_module.serve_in_background(httpd)
         try:
             client = ReplicaClient("http://127.0.0.1:%d" % httpd.server_port)
             with pytest.raises(ReplicaError):
@@ -276,7 +275,7 @@ class TestReplicaClient:
 
         httpd = ThreadingHTTPServer(("127.0.0.1", 0), Hangs)
         httpd.canned = (200, {"status": "ok"})
-        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        http_module.serve_in_background(httpd)
         timeout_s = 0.5
         client = ReplicaClient("http://127.0.0.1:%d" % httpd.server_port,
                                timeout_s=timeout_s)
@@ -348,7 +347,7 @@ def one_replica(relation, tmp_path):
     httpd = _CountingServer(("127.0.0.1", 0),
                             server_module._CubeRequestHandler)
     httpd.app = server
-    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    http_module.serve_in_background(httpd)
     yield server, httpd, "http://127.0.0.1:%d" % httpd.server_port
     httpd.shutdown()
     httpd.server_close()
@@ -365,8 +364,10 @@ class TestWire:
             CellRun.from_cells(cuboid, cells)
             for cuboid, cells in cuboids.items()))}
         assert exact(wire) == exact(cuboids)
-        payload = json.loads(json.dumps(cube_payload(
-            CubeAnswer(cuboids, "COUNT(*) >= 1", 1, 0.0))))
+        payload = json.loads(json_body(CubeAnswer(
+            {cuboid: RunCells(CellRun.from_cells(cuboid, cells))
+             for cuboid, cells in cuboids.items()},
+            "COUNT(*) >= 1", 1, 0.0)))
         from_json = {
             tuple(entry["cuboid"]): {tuple(cell["cell"]):
                                      (cell["count"], cell["sum"])
