@@ -203,13 +203,6 @@ def build_parser():
                         metavar="SECONDS",
                         help="background /healthz sweep period; 0 disables "
                              "(default 2)")
-    router.add_argument("--breaker-failures", type=int, default=3, metavar="N",
-                        help="consecutive replica failures that trip its "
-                             "breaker open (default 3)")
-    router.add_argument("--breaker-reset", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="replica breaker cool-down before half-open "
-                             "probes (default 2)")
     router.add_argument("--append-retries", type=int, default=3, metavar="N",
                         help="delivery attempts per replica per append "
                              "(idempotence keys make the retries safe; "
@@ -767,7 +760,7 @@ def cmd_router(args, out):
 
 
 def _cmd_router(args, out):
-    from .serve import CircuitBreaker, CubeRouter, RetryPolicy
+    from .serve import CubeRouter, RetryPolicy
 
     shard_replicas = []
     for spec in args.shards:
@@ -782,10 +775,7 @@ def _cmd_router(args, out):
         append_deadline_s=args.append_deadline,
         retry_policy=RetryPolicy(
             attempts=args.append_retries, base_s=args.retry_base_s,
-            cap_s=args.retry_cap_s),
-        breaker_factory=lambda: CircuitBreaker(
-            failure_threshold=args.breaker_failures,
-            reset_after_s=args.breaker_reset))
+            cap_s=args.retry_cap_s))
     endpoint = router.serve_http(host=args.host, port=args.port)
     print("routing %d shard(s), replicas per shard: %s"
           % (router.n_shards, [len(r) for r in router.shards]), file=out)
@@ -805,41 +795,32 @@ def _cmd_router(args, out):
 
 
 def _export_router_obs(args, router, out):
-    """Cluster-level exports for the router's ``--trace-out``/``--metrics``.
+    """The router's ``--trace-out`` covers the *cluster*: the merged
+    multi-node Chrome trace (one process track per replica).
 
-    The router's exports cover the *cluster*, not just its own process:
-    the trace file is the merged multi-node Chrome trace (one process
-    track per replica) and the metrics page is the federated scrape.
-    Successful exports null out the args so the generic
-    :func:`_finish_obs` does not overwrite them with the local-only
-    view; a failed scrape falls back to it instead of losing the run.
+    A successful export nulls out the arg so the generic
+    :func:`_finish_obs` does not overwrite it with the router-local
+    trace; a failed scrape falls back to that instead of losing the
+    run.  ``--metrics`` is the router's own registry, printed by
+    :func:`_finish_obs` like every other command's.
     """
     from . import obs
 
-    if obs.current() is None:
+    if obs.current() is None or not args.trace_out:
         return
-    if args.trace_out:
-        try:
-            merged = router.collect_trace(path=args.trace_out)
-        except Exception as exc:
-            print("cluster trace collection failed (%s); writing the "
-                  "router-local trace instead" % exc, file=out)
-        else:
-            n_spans = sum(1 for event in merged["traceEvents"]
-                          if event.get("ph") in ("X", "i"))
-            dropped = merged["otherData"]["dropped_spans"]
-            print("cluster trace    : %s (%d events%s)"
-                  % (args.trace_out, n_spans,
-                     ", %d dropped" % dropped if dropped else ""), file=out)
-            args.trace_out = None
-    if args.metrics:
-        try:
-            out.write(router.federated_metrics())
-        except Exception as exc:
-            print("metrics federation failed (%s); printing router-local "
-                  "metrics instead" % exc, file=out)
-        else:
-            args.metrics = False
+    try:
+        merged = router.collect_trace(path=args.trace_out)
+    except Exception as exc:
+        print("cluster trace collection failed (%s); writing the "
+              "router-local trace instead" % exc, file=out)
+    else:
+        n_spans = sum(1 for event in merged["traceEvents"]
+                      if event.get("ph") in ("X", "i"))
+        dropped = merged["otherData"]["dropped_spans"]
+        print("cluster trace    : %s (%d events%s)"
+              % (args.trace_out, n_spans,
+                 ", %d dropped" % dropped if dropped else ""), file=out)
+        args.trace_out = None
 
 
 def _router_self_test(n_queries, endpoint, router, out):

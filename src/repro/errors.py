@@ -152,8 +152,8 @@ class ReplicaError(ReproError):
 class ShardUnavailableError(ReproError):
     """Every replica of one shard is down: a partial, honest outage.
 
-    The router raises this instead of inventing an answer when a whole
-    shard (all its replicas) fails or is breaker-open.  Maps to a
+    The router raises this instead of inventing an answer when every
+    replica of a shard failed the call, down ones included.  Maps to a
     structured HTTP 503 naming the missing shard — never a wrong or
     silently truncated result.
     """

@@ -16,7 +16,7 @@ reports through:
   ``OpStats`` attributes), the real local backend (per-batch spans,
   supervisor respawn/retry events), ``BucEngine`` (per-cuboid spans),
   and the serve stack (request spans, store append/salvage spans,
-  admission/breaker transitions).
+  admission sheds, router failovers).
 
 **Off by default, near-zero overhead.**  Nothing records until
 :func:`install` is called; uninstrumented hot paths pay one module
@@ -37,8 +37,7 @@ on ``cube``, ``store build`` and ``serve``.
 from contextlib import contextmanager, nullcontext
 
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      federate_prometheus, merge_histogram_buckets,
-                      parse_prometheus, quantile_from_buckets)
+                      merge_histogram_buckets, quantile_from_buckets)
 from .stats import percentile
 from .trace import (Span, SpanContext, Tracer, format_traceparent,
                     merge_chrome_traces, parse_traceparent)
@@ -67,8 +66,6 @@ __all__ = [
     "format_traceparent",
     "parse_traceparent",
     "merge_chrome_traces",
-    "parse_prometheus",
-    "federate_prometheus",
     "merge_histogram_buckets",
     "quantile_from_buckets",
 ]

@@ -35,8 +35,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "default_buckets",
-    "parse_prometheus",
-    "federate_prometheus",
     "merge_histogram_buckets",
     "quantile_from_buckets",
 ]
@@ -371,189 +369,6 @@ class MetricsRegistry:
             lines.append("# TYPE %s %s" % (family.name, family.kind))
             family._render(lines)
         return "\n".join(lines) + "\n"
-
-
-# ----------------------------------------------------------------------
-# Federation: parse + merge text exposition from many processes.
-#
-# The router scrapes every replica's /metrics and re-exposes one
-# cluster-wide page.  Everything below works on the *text* format so
-# federation needs no shared registry objects — the same path would
-# scrape a non-Python exporter.
-# ----------------------------------------------------------------------
-
-def _unescape_label_value(value):
-    out, i = [], 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt in ("\\", '"'):
-                out.append(nxt)
-            else:  # unknown escape: keep verbatim
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _parse_labels(text):
-    """Parse the inside of a ``{...}`` label block into a dict.
-
-    A character scanner, not a regex split: ``,`` and ``}`` may appear
-    inside quoted values, and values use ``\\``/``\\"``/``\\n`` escapes.
-    """
-    labels = {}
-    i, n = 0, len(text)
-    while i < n:
-        while i < n and text[i] in ", \t":
-            i += 1
-        if i >= n:
-            break
-        eq = text.index("=", i)
-        name = text[i:eq].strip()
-        i = eq + 1
-        if i >= n or text[i] != '"':
-            raise ValueError("unquoted label value in %r" % (text,))
-        i += 1
-        start = i
-        raw = []
-        while i < n:
-            ch = text[i]
-            if ch == "\\":
-                raw.append(text[start:i])
-                raw.append(text[i:i + 2])
-                i += 2
-                start = i
-                continue
-            if ch == '"':
-                break
-            i += 1
-        if i >= n:
-            raise ValueError("unterminated label value in %r" % (text,))
-        raw.append(text[start:i])
-        labels[name] = _unescape_label_value("".join(raw))
-        i += 1  # closing quote
-    return labels
-
-
-def parse_prometheus(text):
-    """Parse text exposition 0.0.4 into families.
-
-    Returns ``{family_name: {"kind", "help", "samples"}}`` where each
-    sample is ``(sample_name, labels_dict, value)``.  Histogram
-    ``_bucket``/``_sum``/``_count`` samples are grouped under their
-    family name (the one the ``# TYPE`` line declared).  Unknown or
-    type-less samples get an ``untyped`` family of their own name.
-    Malformed lines raise — a scrape that half-parses would federate
-    wrong totals silently.
-    """
-    families = {}
-    suffix_of = {}  # sample_name -> family_name for histogram suffixes
-
-    def family(name, kind="untyped", help_text=""):
-        entry = families.get(name)
-        if entry is None:
-            entry = families[name] = {"kind": kind, "help": help_text,
-                                      "samples": []}
-        return entry
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 3 and parts[1] == "TYPE":
-                name, kind = parts[2], parts[3] if len(parts) > 3 else "untyped"
-                entry = family(name)
-                entry["kind"] = kind
-                if kind == "histogram":
-                    for suffix in ("_bucket", "_sum", "_count"):
-                        suffix_of[name + suffix] = name
-            elif len(parts) >= 3 and parts[1] == "HELP":
-                family(parts[2])["help"] = parts[3] if len(parts) > 3 else ""
-            continue
-        if "{" in line:
-            brace = line.index("{")
-            sample_name = line[:brace]
-            close = line.rindex("}")
-            labels = _parse_labels(line[brace + 1:close])
-            value_text = line[close + 1:].strip()
-        else:
-            sample_name, _, value_text = line.partition(" ")
-            labels = {}
-            value_text = value_text.strip()
-        value = float(value_text)
-        fam_name = suffix_of.get(sample_name, sample_name)
-        family(fam_name)["samples"].append((sample_name, labels, value))
-    return families
-
-
-def federate_prometheus(sources):
-    """Merge scraped exposition pages into one, relabelled per source.
-
-    ``sources`` is ``[(extra_labels_dict, text), ...]``.  Each source's
-    samples get its extra labels appended (the router uses
-    ``shard``/``replica``); samples that then still collide on
-    ``(name, labels)`` are **summed** — correct for counters and
-    histogram buckets, and unreachable for gauges as long as the extra
-    labels make sources distinct.  Families keep their declared kind
-    and the first non-empty help; output is sorted by family name so
-    the page is diffable.
-    """
-    merged = {}   # family -> {"kind", "help", "values": {(sample, lkey): v}}
-    label_sets = {}  # (sample, lkey) -> labels dict (for re-rendering)
-
-    for extra, text in sources:
-        for fam_name, fam in parse_prometheus(text).items():
-            entry = merged.get(fam_name)
-            if entry is None:
-                entry = merged[fam_name] = {
-                    "kind": fam["kind"], "help": fam["help"], "values": {}}
-            else:
-                if entry["kind"] == "untyped" and fam["kind"] != "untyped":
-                    entry["kind"] = fam["kind"]
-                if not entry["help"]:
-                    entry["help"] = fam["help"]
-            for sample_name, labels, value in fam["samples"]:
-                labels = dict(labels)
-                labels.update({str(k): str(v) for k, v in extra.items()})
-                lkey = tuple(sorted(labels.items()))
-                skey = (sample_name, lkey)
-                entry["values"][skey] = entry["values"].get(skey, 0.0) + value
-                label_sets[skey] = labels
-
-    lines = []
-    for fam_name in sorted(merged):
-        entry = merged[fam_name]
-        if entry["help"]:
-            lines.append("# HELP %s %s"
-                         % (fam_name, _escape_help(entry["help"])))
-        lines.append("# TYPE %s %s" % (fam_name, entry["kind"]))
-        for skey in sorted(entry["values"],
-                           key=lambda k: (k[0], _le_order(k[1]), k[1])):
-            sample_name, lkey = skey
-            labels = label_sets[skey]
-            pairs = ",".join('%s="%s"' % (name, escape_label_value(value))
-                             for name, value in sorted(labels.items()))
-            lines.append("%s%s %s" % (
-                sample_name, "{%s}" % pairs if pairs else "",
-                format_value(entry["values"][skey])))
-    return "\n".join(lines) + "\n"
-
-
-def _le_order(lkey):
-    """Sort key placing histogram buckets in ascending ``le`` order."""
-    for name, value in lkey:
-        if name == "le":
-            return float("inf") if value == "+Inf" else float(value)
-    return -1.0
 
 
 def merge_histogram_buckets(series_list):

@@ -19,7 +19,7 @@ iceberg query almost immediately — made into a serving subsystem:
   degradation events on the metrics registry;
 * :class:`CubeRouter` (``repro.serve.cluster``) fronts N store shards
   x R replicas as one logical cube: stable covering-leaf placement
-  (:class:`ShardMap`), per-replica :class:`CircuitBreaker` failover,
+  (:class:`ShardMap`), failover past the replicas it last saw fail,
   generation-pinned fan-out, and honest 503s when a whole shard is
   down;
 * :class:`WriteAheadLog` (``repro.serve.ingest``) makes appends durable
@@ -34,7 +34,7 @@ from .cache import QueryCache, cache_key
 from .cluster import CubeRouter, ReplicaClient, ShardMap, stable_shard_hash
 from .http import HttpEndpoint
 from .ingest import WalRecord, WriteAheadLog
-from .resilience import AdmissionGate, CircuitBreaker, Deadline, RetryPolicy
+from .resilience import AdmissionGate, Deadline, RetryPolicy
 from .server import CubeAnswer, CubeServer, QueryAnswer
 from .store import AppendResult, CubeStore
 from .telemetry import ServerTelemetry
@@ -57,6 +57,5 @@ __all__ = [
     "stable_shard_hash",
     "ServerTelemetry",
     "AdmissionGate",
-    "CircuitBreaker",
     "Deadline",
 ]

@@ -20,21 +20,23 @@ shard's ``(index, of)`` is recorded in the store manifest and any
 mismatch (a re-shard without a rebuild) is refused, never silently
 misrouted.
 
-**Failover.**  Each replica sits behind its own
-:class:`~repro.serve.resilience.CircuitBreaker`: a timeout, connection
-error or 5xx records a failure and the query retries on a sibling
-replica immediately; a tripped breaker takes the dead replica out of
-rotation so it stops eating latency budget, and half-open probes (plus
-the optional background health checker polling ``/healthz``) bring it
-back when it recovers.  When *every* replica of a shard is down the
-router answers a structured :class:`~repro.errors.ShardUnavailableError`
+**Failover.**  The router keeps one up/down state per replica, and the
+router's last word from a replica sets it: a timeout, connection error
+or 5xx on any call (query, point, cube fan-out, append delivery or
+health probe) marks it down, a 2xx reply marks it up, and a 409 or
+other 4xx (the replica is alive, the request was wrong) marks nothing.
+A query tries its shard's up replicas in round-robin order, then the
+down ones as a last resort, so a dead replica stops eating latency
+budget and the health sweep — there is no other probe — brings it back
+when it recovers.  When *every* replica of a shard failed the call the router
+answers a structured :class:`~repro.errors.ShardUnavailableError`
 (HTTP 503 naming the shard) — an honest partial outage, never a wrong
 or silently truncated answer.
 
 **Durable fan-out** (:meth:`CubeRouter.append`).  Row deltas are
-delivered to every replica in parallel, each delivery retried under a
-capped full-jitter :class:`~repro.serve.resilience.RetryPolicy` and
-gated on the replica's circuit breaker, and the whole batch travels
+delivered to every replica not marked down in parallel, each delivery
+retried under a capped full-jitter
+:class:`~repro.serve.resilience.RetryPolicy`, and the whole batch travels
 under one idempotence key — replicas acknowledge a replayed batch
 instead of re-applying it, so the router (or a client whose
 router died mid-call) can always retry safely.  The background health
@@ -90,7 +92,6 @@ from ..errors import (
 from ..lattice.lattice import CubeLattice
 from ..obs.metrics import (
     MetricsRegistry,
-    federate_prometheus,
     merge_histogram_buckets,
     quantile_from_buckets,
 )
@@ -106,7 +107,7 @@ from .http import (
     parse_threshold,
 )
 from .ingest import stamped_batch_id
-from .resilience import CircuitBreaker, Deadline, RetryPolicy
+from .resilience import Deadline, RetryPolicy
 
 __all__ = [
     "ShardMap",
@@ -318,13 +319,6 @@ class ReplicaClient:
     def get_json(self, path):
         return self._json(self._request("GET", path)[1])
 
-    def get_text(self, path):
-        """Fetch a raw text body (the replica's ``/metrics`` page).
-
-        Same failure mapping as the JSON calls, minus the decode step.
-        """
-        return self._request("GET", path)[1].decode("utf-8")
-
     def get_runs(self, path):
         """A ``/query``, ``/point`` or ``/cube`` answer read as cell runs
         (``Accept:`` :data:`~repro.serve.http.CELLRUN_TYPE`): a
@@ -434,12 +428,12 @@ class CubeRouter:
     configured position — a misplaced or re-sharded replica is refused).
 
     Thread-safe; queries may be issued concurrently.  The router keeps
-    no cube state — only breakers, health snapshots and metrics — so
-    any number of routers can front the same cluster.
+    no cube state — only which replicas are down, health snapshots and
+    metrics — so any number of routers can front the same cluster.
     """
 
     def __init__(self, shard_replicas, dims=None, timeout_s=10.0,
-                 breaker_factory=None, health_interval_s=0.0, registry=None,
+                 health_interval_s=0.0, registry=None,
                  append_deadline_s=None, retry_policy=None):
         if not shard_replicas:
             raise PlanError("need at least one shard")
@@ -450,14 +444,10 @@ class CubeRouter:
                 raise PlanError("every shard needs at least one replica URL")
             self.shards.append([ReplicaClient(u, timeout_s) for u in urls])
         self.n_shards = len(self.shards)
-        if breaker_factory is None:
-            breaker_factory = lambda: CircuitBreaker(  # noqa: E731
-                failure_threshold=3, reset_after_s=2.0)
-        self.breakers = {
-            (s, r): breaker_factory()
-            for s, replicas in enumerate(self.shards)
-            for r in range(len(replicas))
-        }
+        #: (shard, replica) of every replica whose last word was a
+        #: failure — written under ``_lock`` with the up gauge, read
+        #: without it
+        self._down = set()
         self._shard_map = ShardMap(dims, self.n_shards) if dims else None
         self._lock = threading.Lock()
         self._rr = [0] * self.n_shards
@@ -507,15 +497,19 @@ class CubeRouter:
             "Anti-entropy repair actions by outcome.", ("outcome",))
         self._replica_up = registry.gauge(
             "repro_router_replica_up",
-            "1 if the replica's last health probe succeeded, else 0.",
-            ("shard", "replica"))
+            "0 if the router's last call to the replica or probe of it "
+            "failed, else 1.", ("shard", "replica"))
+        for shard, replicas in enumerate(self.shards):
+            for replica in range(len(replicas)):
+                self._replica_up.set(1, shard=str(shard),
+                                     replica=str(replica))
         self._replica_lag = registry.gauge(
             "repro_router_replica_lag",
             "Generations the replica lags its shard's freshest sibling "
             "(anti-entropy's repair signal).", ("shard", "replica"))
         self._scrape_failures = registry.counter(
             "repro_router_scrape_failures_total",
-            "Replica scrapes (federation/trace collection) that failed.",
+            "Replica trace scrapes that failed.",
             ("kind",))
         self._health_thread = None
         self.health_interval_s = float(health_interval_s)
@@ -572,41 +566,59 @@ class CubeRouter:
         return self._ensure_map().shard_of(cuboid)
 
     # ------------------------------------------------------------------
+    # liveness: the router's last word from each replica
+    # ------------------------------------------------------------------
+    def _mark(self, shard, replica, up):
+        """Record that replica ``(shard, replica)`` answered (``up``) or
+        failed; the up gauge always agrees with :attr:`_down`."""
+        with self._lock:
+            if up:
+                self._down.discard((shard, replica))
+            else:
+                self._down.add((shard, replica))
+            self._replica_up.set(int(up), shard=str(shard),
+                                 replica=str(replica))
+
+    def _answered(self, shard, replica):
+        """A 2xx from the replica: up again if it was down (the common
+        case, already up, takes no lock)."""
+        if (shard, replica) in self._down:
+            self._mark(shard, replica, True)
+
+    # ------------------------------------------------------------------
     # one-shard calls with failover
     # ------------------------------------------------------------------
     def _call_shard(self, shard, path):
         """Call one shard, failing over across its replicas.
 
-        Replicas are tried in round-robin rotation, skipping those whose
-        breaker is open; a :class:`~repro.errors.ReplicaError` records a
-        breaker failure and moves on to the next sibling.  Returns
+        The up replicas are tried in round-robin rotation, then the down
+        ones as a last resort; a :class:`~repro.errors.ReplicaError`
+        marks the replica down and moves on to the next.  Returns
         ``(RunsAnswer, replica_index, failovers)``; raises
-        :class:`~repro.errors.ShardUnavailableError` when no replica
-        could answer.
+        :class:`~repro.errors.ShardUnavailableError` when every replica
+        failed this call.
         """
         replicas = self.shards[shard]
         with self._lock:
             start = self._rr[shard]
             self._rr[shard] += 1
+        order = [(start + k) % len(replicas) for k in range(len(replicas))]
+        down = self._down
+        if down:
+            order.sort(key=lambda index: (shard, index) in down)
         failures = []
         failovers = 0
-        for k in range(len(replicas)):
-            index = (start + k) % len(replicas)
-            client = replicas[index]
-            breaker = self.breakers[(shard, index)]
-            if not breaker.allow():
-                failures.append("%s: circuit breaker open" % client.url)
-                continue
+        for index in order:
             try:
-                runs = client.get_runs(path)
+                runs = replicas[index].get_runs(path)
             except ReplicaError as exc:
-                breaker.record_failure()
+                self._mark(shard, index, False)
                 failures.append(str(exc))
                 failovers += 1
                 self._failovers.inc(shard=str(shard))
                 obs.event("router.failover", shard=shard, replica=index)
                 continue
-            breaker.record_success()
+            self._answered(shard, index)
             return runs, index, failovers
         self._unavailable.inc(shard=str(shard))
         obs.event("router.shard_unavailable", shard=shard)
@@ -719,11 +731,10 @@ class CubeRouter:
     def _append_replica(self, shard, replica, payload, deadline):
         """Deliver one append to one replica, retrying with backoff.
 
-        Consults the replica's circuit breaker before every try (a
-        tripped replica is skipped and left to anti-entropy repair, the
-        same way the query path skips it) and records every outcome on
-        it.  Transient :class:`~repro.errors.ReplicaError` failures are
-        retried under the router's :class:`RetryPolicy`; a
+        A :class:`~repro.errors.ReplicaError` marks the replica down and
+        an acknowledgement marks it up.  Transient
+        :class:`~repro.errors.ReplicaError` failures are retried under
+        the router's :class:`RetryPolicy`; a
         :class:`~repro.errors.PlanError` (the replica answered, and said
         no) is permanent.  Retrying is safe because every delivery
         carries the batch's idempotence key: a replica that applied the
@@ -731,16 +742,9 @@ class CubeRouter:
         """
         attempts = self.append_policy.attempts
         client = self.shards[shard][replica]
-        breaker = self.breakers[(shard, replica)]
         outcome = {"shard": shard, "replica": replica, "ok": False}
         last_error = "no attempt made"
         for attempt in range(attempts):
-            if not breaker.allow():
-                outcome["error"] = "circuit breaker open"
-                outcome["skipped"] = True
-                obs.event("router.append_breaker_skip",
-                          shard=shard, replica=replica)
-                return outcome
             if deadline is not None and deadline.expired():
                 outcome["error"] = ("append deadline exceeded after %d "
                                     "attempts (%s)" % (attempt, last_error))
@@ -748,7 +752,7 @@ class CubeRouter:
             try:
                 reply = client.post_json("/append", payload)
             except ReplicaError as exc:
-                breaker.record_failure()
+                self._mark(shard, replica, False)
                 last_error = str(exc)
                 self._failovers.inc(shard=str(shard))
                 if attempt + 1 < attempts:
@@ -768,7 +772,7 @@ class CubeRouter:
                 outcome["permanent"] = True
                 outcome["attempts"] = attempt + 1
                 return outcome
-            breaker.record_success()
+            self._answered(shard, replica)
             outcome.update(
                 ok=True, generation=reply.get("generation"),
                 applied=reply.get("applied", True),
@@ -782,10 +786,12 @@ class CubeRouter:
         Each replica applies the delta to its own store (replicas do not
         share disks), so the cluster's generations converge as the posts
         land; reads stay consistent throughout via the generation
-        protocol.  Deliveries run in parallel; the whole batch travels
-        under one idempotence key (the caller's ``batch_id``, else one
-        minted here) and each replica gets the full retry budget (capped
-        full-jitter backoff, breaker-aware — see
+        protocol.  Deliveries run in parallel to every replica not
+        marked down — to all of a shard's replicas if every one is down
+        — and a skipped replica is left to anti-entropy repair.  The
+        whole batch travels under one idempotence key (the caller's
+        ``batch_id``, else one minted here) and each delivery gets the
+        full retry budget (capped full-jitter backoff — see
         :meth:`_append_replica`), so retries — including a *client*
         retrying this very call after a crash — can never double-count
         rows.
@@ -817,14 +823,22 @@ class CubeRouter:
                 deadline_s = self.append_deadline_s
             deadline = Deadline(deadline_s) if deadline_s is not None else None
             ctx = obs.context()
-            futures = {
-                (shard, replica): self._pool.submit(
-                    self._traced, ctx, self._append_replica, shard, replica,
-                    payload, deadline)
+            down = frozenset(self._down)
+            futures = {}
+            for shard, replicas in enumerate(self.shards):
+                keys = [(shard, replica) for replica in range(len(replicas))]
+                for key in [k for k in keys if k not in down] or keys:
+                    futures[key] = self._pool.submit(
+                        self._traced, ctx, self._append_replica, *key,
+                        payload, deadline)
+            outcomes = [
+                futures[(shard, replica)].result()
+                if (shard, replica) in futures else
+                {"shard": shard, "replica": replica, "ok": False,
+                 "skipped": True, "error": "marked down; left to "
+                                           "anti-entropy repair"}
                 for shard, replicas in enumerate(self.shards)
-                for replica in range(len(replicas))
-            }
-            outcomes = [futures[key].result() for key in sorted(futures)]
+                for replica in range(len(replicas))]
             for shard, replicas in enumerate(self.shards):
                 ok = sum(1 for o in outcomes
                          if o["shard"] == shard and o["ok"])
@@ -859,11 +873,11 @@ class CubeRouter:
     def check_health(self):
         """One synchronous sweep of every replica's ``/healthz``.
 
-        Success closes the replica's breaker (recovered replicas rejoin
-        rotation); failure records a breaker failure (dead replicas trip
-        out).  A replica reporting the wrong shard placement is marked
-        ``misplaced`` and counted as a failure — better to lose a
-        replica than to serve another shard's cuboids.  The snapshot is
+        Success marks the replica up (a recovered replica rejoins
+        rotation: the sweep is the only probe); failure marks it down.
+        A replica reporting the wrong shard placement is marked
+        ``misplaced`` and down — better to lose a replica than to serve
+        another shard's cuboids.  The snapshot is
         remembered for :meth:`health` (each healthy entry keeps the
         replica's ``red`` block, which :meth:`health` merges per shard)
         and drives the anti-entropy sweep.
@@ -872,23 +886,19 @@ class CubeRouter:
         for shard, replicas in enumerate(self.shards):
             for replica, client in enumerate(replicas):
                 key = (shard, replica)
-                breaker = self.breakers[key]
                 try:
                     health = client.get_json("/healthz")
                     self._validate_placement(shard, health)
                 except (ReplicaError, PlanError, SchemaError, KeyError) as exc:
                     status = "misplaced" if isinstance(exc, PlanError) \
                         else "down"
-                    breaker.record_failure()
+                    self._mark(shard, replica, False)
                     self._health_checks.inc(status=status)
-                    self._replica_up.set(
-                        0, shard=str(shard), replica=str(replica))
                     snapshot[key] = {"url": client.url, "status": status,
                                      "error": str(exc)}
                     continue
-                breaker.record_success()
+                self._mark(shard, replica, True)
                 self._health_checks.inc(status="ok")
-                self._replica_up.set(1, shard=str(shard), replica=str(replica))
                 snapshot[key] = {
                     "url": client.url, "status": health.get("status", "ok"),
                     "generation": health.get("generation"),
@@ -1014,7 +1024,9 @@ class CubeRouter:
 
         Read off the last :meth:`check_health` sweep, RED numbers
         included, so it asks no replica anything — the numbers are as
-        fresh as ``health_interval_s``.
+        fresh as ``health_interval_s``.  A shard's ``up`` counts its
+        replicas not marked down, which later calls may have changed
+        since the sweep.
         """
         with self._lock:
             snapshot = dict(self._health)
@@ -1025,17 +1037,11 @@ class CubeRouter:
         shards = []
         degraded = []
         for shard, replicas in enumerate(self.shards):
-            entries = []
-            up = 0
-            for replica, client in enumerate(replicas):
-                state = snapshot.get((shard, replica), {"url": client.url,
-                                                        "status": "unknown"})
-                state = dict(state)
-                state["breaker_local"] = self.breakers[(shard, replica)].state
-                entries.append(state)
-                if state["status"] == "ok" \
-                        and state["breaker_local"] != "open":
-                    up += 1
+            entries = [snapshot.get((shard, replica), {"url": client.url,
+                                                       "status": "unknown"})
+                       for replica, client in enumerate(replicas)]
+            up = sum((shard, replica) not in self._down
+                     for replica in range(len(replicas)))
             if up == 0:
                 degraded.append(shard)
             shards.append({"shard": shard, "replicas": entries, "up": up,
@@ -1045,7 +1051,7 @@ class CubeRouter:
                 "degraded_shards": degraded, "shards": shards}
 
     def stats(self):
-        """Router-wide latency, per-replica breaker states and health.
+        """Router-wide latency and health.
 
         ``latency`` is read off ``repro_router_latency_seconds``, one
         entry per kind in the shape of a server's ``by_source``.
@@ -1063,30 +1069,21 @@ class CubeRouter:
             "n_shards": self.n_shards,
             "replicas": [len(r) for r in self.shards],
             "latency": latency,
-            "breakers": {
-                "%d/%d" % key: breaker.stats()
-                for key, breaker in sorted(self.breakers.items())
-            },
             "health": self.health(),
         }
 
     # ------------------------------------------------------------------
-    # observability: trace collection + metrics federation
+    # observability: cluster trace collection
     # ------------------------------------------------------------------
-    def _scrape_replicas(self, path, kind, json_body=False):
-        """Fetch ``path`` from every replica in parallel.
+    def _scrape_replicas(self, path, kind):
+        """GET the JSON at ``path`` from every replica in parallel.
 
         Returns ``{(shard, replica): body}`` for the replicas that
-        answered.  A failed scrape is counted and skipped — federation
-        degrades to the reachable subset instead of failing the page
-        (the ``shard``/``replica`` labels make the gap visible).
+        answered.  A failed scrape is counted and skipped — collection
+        degrades to the reachable subset instead of failing.
         """
-        def fetch(client):
-            return client.get_json(path) if json_body \
-                else client.get_text(path)
-
         futures = {
-            (shard, replica): self._pool.submit(fetch, client)
+            (shard, replica): self._pool.submit(client.get_json, path)
             for shard, replicas in enumerate(self.shards)
             for replica, client in enumerate(replicas)
         }
@@ -1097,23 +1094,6 @@ class CubeRouter:
             except (ReplicaError, PlanError):
                 self._scrape_failures.inc(kind=kind)
         return out
-
-    def federated_metrics(self):
-        """One Prometheus page for the whole cluster.
-
-        The router's own registry passes through unlabelled; every
-        replica's scrape is relabelled with ``shard``/``replica`` before
-        merging, so per-replica series stay distinguishable and summing
-        them back (``sum by (shard)``, or plain ``sum``) reproduces each
-        replica's own totals exactly.
-        """
-        sources = [({}, self.registry.to_prometheus())]
-        scrapes = self._scrape_replicas("/metrics", "metrics")
-        for (shard, replica) in sorted(scrapes):
-            sources.append((
-                {"shard": str(shard), "replica": str(replica)},
-                scrapes[(shard, replica)]))
-        return federate_prometheus(sources)
 
     def trace_payload(self, since=0):
         """The router's own span export (``GET /trace?since=`` body)."""
@@ -1132,8 +1112,7 @@ class CubeRouter:
         --trace-out`` artifact).
         """
         processes = [("router", self.trace_payload())]
-        scrapes = self._scrape_replicas("/trace?since=0", "trace",
-                                        json_body=True)
+        scrapes = self._scrape_replicas("/trace?since=0", "trace")
         for (shard, replica) in sorted(scrapes):
             processes.append((
                 "shard%d/replica%d" % (shard, replica),
@@ -1219,11 +1198,6 @@ class _RouterRequestHandler(JsonRequestHandler):
     def _get_cube(self, params):
         answer = self.app.cube(parse_threshold(params))
         self._reply_answer(answer, attempts=answer.attempts)
-
-    def _get_metrics(self, params):
-        # The federated page: this router's registry plus every
-        # replica's scrape, relabelled shard/replica and merged.
-        self._reply_text(200, self.app.federated_metrics())
 
     def _get_cluster_trace(self, params):
         self._reply(200, self.app.collect_trace())

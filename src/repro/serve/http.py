@@ -295,6 +295,11 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     def _get_trace(self, params):
         self._reply(200, self.app.trace_payload(parse_since(params)))
 
+    def _get_metrics(self, params):
+        # The app's own registry: a router's page is not a federation
+        # of its replicas' (Prometheus scrapes each replica itself).
+        self._reply_text(200, self.app.registry.to_prometheus())
+
     def _get_healthz(self, params):
         health = self.app.health()
         self._reply(200 if health["status"] == "ok" else 503, health)

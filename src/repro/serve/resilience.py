@@ -3,25 +3,23 @@
 Serving-grade OLAP needs explicit admission and latency control — a
 query front-end that queues unboundedly turns one slow dependency into
 a site-wide stall.  Two small, thread-safe primitives give
-:class:`~repro.serve.server.CubeServer` its degradation ladder, a third
-guards each replica behind :class:`~repro.serve.cluster.CubeRouter`:
+:class:`~repro.serve.server.CubeServer` its degradation ladder, and a
+third paces the retries of :class:`~repro.serve.cluster.CubeRouter`'s
+append deliveries:
 
 * :class:`Deadline` — one query's wall-clock budget, created at
   *admission* (queue time counts) and checked at every stage boundary;
 * :class:`AdmissionGate` — a bounded in-flight counter that sheds the
   excess with a fast :class:`~repro.errors.ServerOverloadedError`
   instead of queueing it;
-* :class:`CircuitBreaker` — the router's per-replica guard: repeated
-  failures trip it open (the replica leaves rotation, its siblings keep
-  answering), a cool-down admits half-open probes, and a probe's
-  success closes it again.
+* :class:`RetryPolicy` — capped full-jitter backoff between retries.
 
-Every class takes an injectable monotonic ``clock`` so tests can drive
-state transitions without sleeping.
+:class:`Deadline` takes an injectable monotonic ``clock`` and
+:class:`RetryPolicy` an injectable ``rng`` and ``sleep``, so tests can
+drive them without sleeping.
 
 With :func:`repro.obs.install` active, degradation turns visible on the
-trace timeline: every shed admission and every circuit-breaker state
-transition is recorded as an instant event.
+trace timeline: every shed admission is recorded as an instant event.
 """
 
 import random
@@ -31,7 +29,7 @@ import time
 from .. import obs
 from ..errors import DeadlineExceededError, PlanError, ServerOverloadedError
 
-__all__ = ["Deadline", "AdmissionGate", "CircuitBreaker", "RetryPolicy"]
+__all__ = ["Deadline", "AdmissionGate", "RetryPolicy"]
 
 
 class RetryPolicy:
@@ -45,9 +43,10 @@ class RetryPolicy:
     wall-clock time.
 
     The policy itself is stateless and thread-safe; it only computes
-    delays and sleeps.  Callers that need per-attempt bookkeeping (e.g.
-    the router's circuit breakers) loop over ``range(attempts)`` and
-    call :meth:`backoff_s` / :meth:`pause` themselves.
+    delays and sleeps.  Callers that need per-attempt bookkeeping (the
+    router marks a replica down on each failed try) loop over
+    ``range(attempts)`` and call :meth:`backoff_s` / :meth:`pause`
+    themselves.
     """
 
     def __init__(self, attempts=3, base_s=0.05, cap_s=1.0,
@@ -175,116 +174,3 @@ class AdmissionGate:
     def __repr__(self):
         return "AdmissionGate(%d/%d pending, %d shed)" % (
             self.pending, self.limit, self.shed)
-
-
-class CircuitBreaker:
-    """A three-state circuit breaker around an unreliable dependency.
-
-    ``closed`` (normal): calls flow; ``failure_threshold`` *consecutive*
-    failures trip it ``open``.  ``open``: :meth:`allow` answers False
-    instantly for ``reset_after_s`` seconds.  Then ``half_open``: up to
-    ``half_open_probes`` concurrent trial calls are admitted — a
-    success closes the breaker, a failure re-opens it for another
-    cool-down.
-
-    Thread-safe; callers pair every allowed call with exactly one
-    :meth:`record_success` or :meth:`record_failure`.
-    """
-
-    STATES = ("closed", "open", "half_open")
-
-    def __init__(self, failure_threshold=5, reset_after_s=5.0,
-                 half_open_probes=1, clock=time.monotonic):
-        if failure_threshold < 1:
-            raise PlanError(
-                "failure_threshold must be >= 1, got %r" % (failure_threshold,))
-        if reset_after_s <= 0:
-            raise PlanError(
-                "reset_after_s must be > 0, got %r" % (reset_after_s,))
-        if half_open_probes < 1:
-            raise PlanError(
-                "half_open_probes must be >= 1, got %r" % (half_open_probes,))
-        self.failure_threshold = int(failure_threshold)
-        self.reset_after_s = float(reset_after_s)
-        self.half_open_probes = int(half_open_probes)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "closed"
-        self._consecutive_failures = 0
-        self._opened_at = None
-        self._probes_in_flight = 0
-        #: times the breaker transitioned closed/half_open -> open
-        self.trips = 0
-        #: calls fast-failed while open (or out of probe slots)
-        self.rejections = 0
-
-    # -- internal ------------------------------------------------------
-    def _tick_locked(self):
-        """open -> half_open once the cool-down has elapsed."""
-        if (self._state == "open"
-                and self._clock() - self._opened_at >= self.reset_after_s):
-            self._state = "half_open"
-            self._probes_in_flight = 0
-            obs.event("breaker.half_open")
-
-    def _trip_locked(self):
-        self._state = "open"
-        self._opened_at = self._clock()
-        self._consecutive_failures = 0
-        self._probes_in_flight = 0
-        self.trips += 1
-        obs.event("breaker.open", trips=self.trips)
-
-    # -- public --------------------------------------------------------
-    @property
-    def state(self):
-        with self._lock:
-            self._tick_locked()
-            return self._state
-
-    def allow(self):
-        """Whether a call may proceed right now (counts probe slots)."""
-        with self._lock:
-            self._tick_locked()
-            if self._state == "closed":
-                return True
-            if (self._state == "half_open"
-                    and self._probes_in_flight < self.half_open_probes):
-                self._probes_in_flight += 1
-                return True
-            self.rejections += 1
-            return False
-
-    def record_success(self):
-        with self._lock:
-            self._tick_locked()
-            if self._state != "closed":
-                obs.event("breaker.closed")
-            self._state = "closed"
-            self._consecutive_failures = 0
-            self._probes_in_flight = 0
-
-    def record_failure(self):
-        with self._lock:
-            self._tick_locked()
-            if self._state == "half_open":
-                self._trip_locked()
-                return
-            self._consecutive_failures += 1
-            if (self._state == "closed"
-                    and self._consecutive_failures >= self.failure_threshold):
-                self._trip_locked()
-
-    def stats(self):
-        with self._lock:
-            self._tick_locked()
-            return {
-                "state": self._state,
-                "failure_threshold": self.failure_threshold,
-                "consecutive_failures": self._consecutive_failures,
-                "trips": self.trips,
-                "rejections": self.rejections,
-            }
-
-    def __repr__(self):
-        return "CircuitBreaker(%s, trips=%d)" % (self.state, self.trips)

@@ -545,9 +545,6 @@ class _CubeRequestHandler(JsonRequestHandler):
             ("X-Repro-Threshold", answer.threshold)))
         return True
 
-    def _get_metrics(self, params):
-        self._reply_text(200, self.app.registry.to_prometheus())
-
     def _get_cuboids(self, params):
         snap = self.app.store.snapshot()
         self._reply(200, {

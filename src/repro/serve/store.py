@@ -379,7 +379,7 @@ class CubeStore(LeafHolder):
             runs, int(manifest["generation"]), int(manifest["total_rows"]),
             float(manifest["total_measure"]))
         #: the write lock: held to publish a snapshot (``append``, the
-        #: commit of ``compact``), never by a read
+        #: commit of ``compact``), never by a query
         self._lock = threading.Lock()
         #: one compaction at a time, background or explicit
         self._compact_lock = threading.Lock()
@@ -939,15 +939,22 @@ class CubeStore(LeafHolder):
             return n_batches
 
     def wal_stats(self):
-        """Ingestion state for health/stats endpoints (one snapshot's)."""
-        snap = self._snapshot
+        """Ingestion state for health/stats endpoints (one state's).
+
+        Read under the write lock: ``compact`` swaps its snapshot in and
+        trims the WAL under it, so the pair is never half-updated.
+        """
+        with self._lock:
+            snap = self._snapshot
+            wal_bytes = self.wal.nbytes()
+            applied_window = len(self._applied_batches)
         return {
             "pending_batches": len(snap.batches),
             "base_generation": snap.generation - len(snap.batches),
             "generation": snap.generation,
-            "wal_bytes": self.wal.nbytes(),
+            "wal_bytes": wal_bytes,
             "compact_after": self.compact_after,
-            "applied_window": len(self._applied_batches),
+            "applied_window": applied_window,
         }
 
     def wal_batches_since(self, since):

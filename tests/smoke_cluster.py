@@ -16,10 +16,13 @@ of the sharded serving tier, asserted end-to-end:
    A response mixing the two generations has no matching oracle and
    fails the run.
 4. **Failover is observable** — the router's metrics must show
-   failovers > 0, its stats the dead replica's circuit breaker tripped,
-   and every query answered despite the kill.
-5. **Honest partial degradation** — after the dead replica's sibling is
-   also killed, queries owned by that shard must raise a structured
+   failovers > 0 and the dead replica's ``repro_router_replica_up`` at
+   0, and every query answered despite the kill.  Later queries on its
+   shard take no failover (the dead replica is out of rotation); after
+   a restart on its old port, one health sweep brings it back (gauge
+   1) and repairs the append it missed.
+5. **Honest partial degradation** — after both replicas of that shard
+   are killed, queries owned by that shard must raise a structured
    :class:`ShardUnavailableError` naming it (HTTP 503 through the
    router's endpoint), while the surviving shards keep answering.
 
@@ -69,12 +72,12 @@ def build_oracles(relations):
     return oracles
 
 
-def spawn_replica(directory, shard):
+def spawn_replica(directory, shard, port=0):
     """Start one real ``repro-cube serve`` process; returns (proc, url)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--store", directory,
-         "--shard", "%d/%d" % (shard, N_SHARDS), "--port", "0"],
+         "--shard", "%d/%d" % (shard, N_SHARDS), "--port", str(port)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
     for _ in range(40):
         line = proc.stdout.readline()
@@ -85,6 +88,12 @@ def spawn_replica(directory, shard):
             url = line.split()[2]
             return proc, url
     raise AssertionError("replica never reported its URL")
+
+
+def replica_up(router, shard, replica):
+    """The router's ``repro_router_replica_up`` for one replica."""
+    series = router.registry.to_json()["repro_router_replica_up"]["series"]
+    return series["shard=%d,replica=%d" % (shard, replica)]
 
 
 def main():
@@ -179,23 +188,38 @@ def main():
         for line in metrics.splitlines()
         if line.startswith("repro_router_failovers_total{"))
     assert failovers > 0, "kill never exercised failover:\n%s" % metrics
-    # the breaker drill: the dead replica's breaker tripped it out of
-    # rotation (its sibling's never did)
-    breakers = router.stats()["breakers"]
-    assert breakers["%d/0" % victim_shard]["trips"] >= 1, breakers
-    assert breakers["%d/1" % victim_shard]["trips"] == 0, breakers
     assert rounds and max(rounds) <= 2, rounds
     print("flood: %d queries all oracle-exact across generations %s "
-          "(%d failovers, %d breaker trip(s) on the dead replica, %d cube "
-          "fan-outs in at most %d round(s))"
+          "(%d failovers, %d cube fan-outs in at most %d round(s))"
           % (N_QUERIES, sorted(generations_seen), int(failovers),
-             breakers["%d/0" % victim_shard]["trips"], len(rounds),
-             max(rounds)))
+             len(rounds), max(rounds)))
+
+    # -- the down-marking drill: out of rotation, back after one sweep ---
+    assert replica_up(router, victim_shard, 0) == 0
+    assert replica_up(router, victim_shard, 1) == 1
+    for _ in range(4):
+        answer = router.query(("A",), minsup=2)
+        assert (answer.failovers, answer.replica) == (0, 1), answer
+    victim_port = int(urls[victim_shard][0].rsplit(":", 1)[1])
+    processes[(victim_shard, 0)], _url = spawn_replica(
+        os.path.join(root, "shard-%d-r0" % victim_shard), victim_shard,
+        victim_port)
+    router.check_health()  # the sweep a health interval would run
+    assert replica_up(router, victim_shard, 0) == 1
+    answers = [router.query(("A",), minsup=2) for _ in range(2)]
+    assert {answer.replica for answer in answers} == {0, 1}, answers
+    for answer in answers:
+        assert (answer.failovers, answer.generation) == (0, 2), answer
+        assert answer.cells == oracles[2][(("A",), 2)]
+    print("down-marking: the dead replica read up=0 and was skipped; "
+          "restarted on port %d, one sweep read it up=1 and repaired it"
+          % victim_port)
 
     # -- whole-shard loss: honest, structured, partial -------------------
-    survivor = processes[(victim_shard, 1)]
-    os.kill(survivor.pid, signal.SIGKILL)
-    survivor.wait()
+    for replica in range(N_REPLICAS):
+        proc = processes[(victim_shard, replica)]
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
     try:
         router.query(("A",), minsup=2)
         raise AssertionError("whole shard down but the query was answered")

@@ -8,9 +8,9 @@ processes and real SIGKILLs:
    appended; every answer is validated against the oracle for the
    generation it reports.
 2. **Chaos** — mid-flood one replica is SIGKILLed; appends keep landing
-   on the survivor (retried, breaker-aware), and every batch is
-   **deliberately re-sent twice** with its original batch id — the
-   duplicated retries a crashing client would produce.
+   on the survivor (the dead replica is marked down and skipped), and
+   every batch is **deliberately re-sent twice** with its original batch
+   id — the duplicated retries a crashing client would produce.
 3. **Router restart** — the router is torn down mid-stream and a fresh
    one (no memory of what was delivered) re-sends every batch id; the
    replicas must acknowledge without re-applying.

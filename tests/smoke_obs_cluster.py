@@ -4,7 +4,7 @@ A 2-shard x 2-replica cluster — each replica a REAL ``repro-cube
 serve`` subprocess started with ``--trace-out`` so observability is
 installed in-process — fronted by an in-process :class:`CubeRouter`
 under :func:`repro.obs.installed`.  The acceptance criteria of the
-distributed-tracing and federation tier, asserted end-to-end:
+distributed-tracing tier, asserted end-to-end:
 
 1. **Flood** — 200 Zipf-weighted iceberg queries stream through the
    router, all oracle-exact.
@@ -15,9 +15,9 @@ distributed-tracing and federation tier, asserted end-to-end:
 3. **One merged trace file** — ``collect_trace`` writes a single
    Chrome/Perfetto JSON with one process track per node (router plus
    every replica), loadable and self-describing.
-4. **Federation adds up** — the router's federated ``/metrics`` totals
-   for ``repro_server_requests_total`` equal the sum of the per-replica
-   scrapes, every sample labelled with its shard/replica.
+4. **The router's page is its own** — the router's ``/metrics`` carries
+   its ``repro_router_*`` series and no replica series: each replica's
+   ``/metrics`` is scraped where a Prometheus server scrapes it.
 5. **RED + lag visible** — ``/healthz`` carries per-shard
    rate/errors/duration summaries (from the replicas' health replies),
    the router's own latency histogram counted every flood query, and
@@ -49,7 +49,6 @@ from repro.bench.kernelbench import (
 from repro.core.naive import naive_cuboid
 from repro.data import zipf_relation
 from repro.lattice.lattice import CubeLattice
-from repro.obs.metrics import parse_prometheus
 from repro.serve import CubeRouter, CubeStore
 
 DIMS = ("A", "B", "C", "D")
@@ -75,13 +74,6 @@ def spawn_replica(root, directory, shard, replica):
         if line.startswith("listening on "):
             return proc, line.split()[2]
     raise AssertionError("replica never reported its URL")
-
-
-def sum_requests(families):
-    """Total of every ``repro_server_requests_total`` sample."""
-    samples = families.get("repro_server_requests_total",
-                           {}).get("samples", ())
-    return sum(value for _name, _labels, value in samples)
 
 
 def main():
@@ -183,24 +175,19 @@ def main():
         print("trace: merged file has %d process tracks, %d events (%s)"
               % (len(tracks), len(merged["traceEvents"]), trace_path))
 
-        # -- 4. federated /metrics totals == sum of replica scrapes -----
-        direct_total = 0.0
-        for shard in range(N_SHARDS):
-            for replica in range(N_REPLICAS):
-                with urlopen(urls[shard][replica] + "/metrics") as resp:
-                    direct_total += sum_requests(
-                        parse_prometheus(resp.read().decode()))
-        federated = parse_prometheus(router.federated_metrics())
-        federated_total = sum_requests(federated)
-        assert federated_total == direct_total, \
-            "federated %s != direct %s" % (federated_total, direct_total)
-        for _name, labels, _value in federated[
-                "repro_server_requests_total"]["samples"]:
-            assert labels["shard"] in {"0", "1"}, labels
-            assert labels["replica"] in {"0", "1"}, labels
-        print("federation: repro_server_requests_total %d == sum of %d "
-              "per-replica scrapes" % (federated_total,
-                                       N_SHARDS * N_REPLICAS))
+        # -- 4. the router's /metrics is its own registry ---------------
+        endpoint = router.serve_http()
+        with urlopen(endpoint.url + "/metrics") as resp:
+            page = resp.read().decode()
+        series = [line for line in page.splitlines()
+                  if line and not line.startswith("#")]
+        assert 'repro_router_requests_total{kind="query",outcome="ok"} ' \
+            "%d" % N_QUERIES in series, page
+        replica_series = [line for line in series
+                          if line.startswith("repro_server_")]
+        assert not replica_series, replica_series[:3]
+        print("metrics: router /metrics has %d series of its own and no "
+              "replica series" % len(series))
 
         # -- 5. RED summaries and replica lag -----------------------------
         health = router.health()
@@ -212,11 +199,9 @@ def main():
         latency = router.stats()["latency"]
         assert latency["query"]["count"] == N_QUERIES, latency
         # check_health (inside health()) refreshed the lag gauges, so
-        # read them off a scrape taken *after* it.
-        after_health = parse_prometheus(router.registry.to_prometheus())
-        lag_samples = [
-            (labels, value) for _name, labels, value in after_health.get(
-                "repro_router_replica_lag", {}).get("samples", ())]
+        # read them *after* it.
+        lag_samples = sorted(router.registry.to_json().get(
+            "repro_router_replica_lag", {}).get("series", {}).items())
         assert len(lag_samples) == N_SHARDS * N_REPLICAS, lag_samples
         assert all(value == 0.0 for _labels, value in lag_samples), \
             "healthy cluster reported generation lag: %s" % lag_samples

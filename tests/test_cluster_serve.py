@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import accumulate
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -26,14 +27,9 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.lattice.lattice import CubeLattice
-from repro.obs.metrics import (
-    merge_histogram_buckets,
-    parse_prometheus,
-    quantile_from_buckets,
-)
+from repro.obs.metrics import merge_histogram_buckets, quantile_from_buckets
 from repro.online.materialize import leaf_cuboids
 from repro.serve import (
-    CircuitBreaker,
     CubeRouter,
     CubeServer,
     CubeStore,
@@ -455,12 +451,9 @@ class TestWire:
                 answer = router.query(("A",), minsup=2)
                 assert answer.failovers == 0
                 assert answer.cells == oracle(relation, ("A",), 2)
-                breaker = router.breakers[(0, 0)].stats()
-                assert (breaker["consecutive_failures"], breaker["trips"]) \
-                    == (0, 0)
-                failovers = parse_prometheus(router.registry.to_prometheus())
-                assert not failovers.get(
-                    "repro_router_failovers_total", {}).get("samples")
+                assert up_gauge(router) == {(0, 0): 1}
+                assert not router.registry.to_json()[
+                    "repro_router_failovers_total"]["series"]
         finally:
             server.close()
             store.close()
@@ -499,7 +492,15 @@ class Cluster:
         self.urls = urls
 
     def kill(self, shard, replica):
-        self.endpoints.pop((shard, replica)).close()
+        """Close one replica's endpoint; returns its port."""
+        endpoint = self.endpoints.pop((shard, replica))
+        endpoint.close()
+        return endpoint.port
+
+    def restart(self, shard, replica, port):
+        """Serve the killed replica again, at its old URL."""
+        self.endpoints[(shard, replica)] = \
+            self.servers[(shard, replica)].serve_http(port=port)
 
     def close(self):
         for endpoint in self.endpoints.values():
@@ -519,6 +520,29 @@ def cluster(relation, tmp_path):
 def make_router(cluster, **kwargs):
     kwargs.setdefault("timeout_s", 5.0)
     return CubeRouter(cluster.urls, **kwargs)
+
+
+def up_gauge(router):
+    """``{(shard, replica): value}`` of ``repro_router_replica_up``."""
+    series = router.registry.to_json()["repro_router_replica_up"]["series"]
+    out = {}
+    for labels, value in series.items():
+        pairs = dict(pair.split("=") for pair in labels.split(","))
+        out[(int(pairs["shard"]), int(pairs["replica"]))] = value
+    return out
+
+
+def count_requests(monkeypatch):
+    """The URL of every request a ReplicaClient sends from now on."""
+    requests = []
+    original = ReplicaClient._request
+
+    def counting(self, *args, **kwargs):
+        requests.append(self.url)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReplicaClient, "_request", counting)
+    return requests
 
 
 class TestRouterQueries:
@@ -596,22 +620,67 @@ class TestRouterFailover:
                          if router.shard_for(c) != shard)
             assert router.query(other).cells
 
-    def test_open_breaker_takes_replica_out_of_rotation(self, cluster,
-                                                        relation):
-        with make_router(
-                cluster,
-                breaker_factory=lambda: CircuitBreaker(
-                    failure_threshold=1, reset_after_s=60.0)) as router:
+    def test_one_failure_takes_replica_out_of_rotation(self, cluster,
+                                                       relation, monkeypatch):
+        with make_router(cluster) as router:
             shard = router.shard_for(("A",))
             cluster.kill(shard, 0)
+            # round-robin reaches the dead replica within two calls
+            assert sum(router.query(("A",), minsup=2).failovers
+                       for _ in range(2)) == 1
+            assert up_gauge(router)[(shard, 0)] == 0
+            dialled = count_requests(monkeypatch)
             for _ in range(4):
-                router.query(("A",), minsup=2)
-            # One failure tripped the breaker; later calls skip the dead
-            # replica without re-dialling it.
-            assert router.breakers[(shard, 0)].state == "open"
-            answer = router.query(("A",), minsup=2)
-            assert answer.failovers == 0
-            assert answer.cells == oracle(relation, ("A",), 2)
+                answer = router.query(("A",), minsup=2)
+                assert answer.failovers == 0
+                assert answer.cells == oracle(relation, ("A",), 2)
+            assert dialled == [cluster.urls[shard][1]] * 4
+
+    def test_one_sweep_brings_a_restarted_replica_back(self, cluster,
+                                                       monkeypatch):
+        with make_router(cluster) as router:
+            shard = router.shard_for(("A",))
+            port = cluster.kill(shard, 0)
+            router.check_health()
+            assert up_gauge(router)[(shard, 0)] == 0
+            assert router.health()["shards"][shard]["up"] == 1
+            cluster.restart(shard, 0, port)
+            router.check_health()
+            assert up_gauge(router)[(shard, 0)] == 1
+            assert router.health()["shards"][shard]["up"] == 2
+            dialled = count_requests(monkeypatch)
+            for _ in range(2):
+                assert router.query(("A",), minsup=2).failovers == 0
+            assert sorted(dialled) == sorted(cluster.urls[shard])
+
+    @pytest.mark.parametrize("kind", ["query", "append"])
+    def test_only_replica_marked_down_still_answers(self, relation, tmp_path,
+                                                    kind):
+        # An R = 1 shard has no sibling to fail over to: its one replica,
+        # down or not, is tried on every call.
+        store = CubeStore.build(relation, tmp_path / "store", backend="local")
+        server = CubeServer(store)
+        endpoint = server.serve_http()
+        try:
+            with CubeRouter([[endpoint.url]], dims=DIMS,
+                            timeout_s=5.0) as router:
+                endpoint.close()
+                for _ in range(3):  # down, and down again
+                    with pytest.raises(ShardUnavailableError):
+                        router.query(("A",), minsup=2)
+                endpoint = server.serve_http(port=endpoint.port)
+                if kind == "query":
+                    assert router.query(("A",), minsup=2).cells \
+                        == oracle(relation, ("A",), 2)
+                else:
+                    summary = router.append(
+                        Relation(DIMS, [(0, 0, 0, 0)], [1.0]))
+                    assert summary["applied"] == 1
+                assert up_gauge(router) == {(0, 0): 1}
+        finally:
+            endpoint.close()
+            server.close()
+            store.close()
 
     def test_health_sweep_reports_down_replica(self, cluster, monkeypatch):
         with make_router(cluster) as router:
@@ -620,20 +689,16 @@ class TestRouterFailover:
             snapshot = router.check_health()
             assert snapshot[(1, 0)]["status"] == "down"
             assert snapshot[(1, 1)]["status"] == "ok"
-            # After the sweep, health and stats are read off it: no
-            # replica is asked anything.
-            requests = []
-            original = ReplicaClient._request
-
-            def counting(self, *args, **kwargs):
-                requests.append(self.url)
-                return original(self, *args, **kwargs)
-
-            monkeypatch.setattr(ReplicaClient, "_request", counting)
+            # After the sweep, health, stats and metrics are the
+            # router's own: no replica is asked anything.
+            requests = count_requests(monkeypatch)
             health = router.health()
             assert router.stats()["health"]["shards"][1]["up"] == 1
             with urlopen(endpoint.url + "/healthz") as response:
                 assert json.loads(response.read())["status"] == "ok"
+            with urlopen(endpoint.url + "/metrics") as response:
+                assert 'repro_router_replica_up{shard="1",replica="0"} 0' \
+                    in response.read().decode()
             assert requests == []
             assert health["status"] == "ok"  # a sibling still serves shard 1
             assert health["shards"][1]["up"] == 1
@@ -668,14 +733,16 @@ class TestRouterTelemetry:
             assert red["requests"] == sum(len(s.telemetry) for s in servers)
             assert red["requests"] > 0
             assert red["errors"] == 0
-            # the quantiles are those of the replicas' own /metrics pages
+            # the quantiles are those of the replicas' own registries
             series = []
             for server in servers:
-                families = parse_prometheus(server.registry.to_prometheus())
-                series.append([
-                    (labels["le"], value) for name, labels, value
-                    in families["repro_server_latency_seconds"]["samples"]
-                    if name.endswith("_bucket")])
+                name = "repro_server_latency_seconds"
+                bounds = server.registry.get(name).buckets
+                for entry in server.registry.to_json()[name]["series"] \
+                        .values():
+                    series.append(
+                        list(zip(bounds, accumulate(entry["buckets"])))
+                        + [("+Inf", entry["count"])])
             merged = merge_histogram_buckets(series)
             for key, q in (("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99)):
                 assert red[key] == quantile_from_buckets(merged, q)
@@ -688,11 +755,10 @@ class TestRouterTelemetry:
             router.point(("A", "B"), (0, 0))
             router.cube(minsup=3)
             router.append(Relation(DIMS, [(0, 0, 0, 0)], [1.0]))
-            families = parse_prometheus(router.registry.to_prometheus())
-            counts = {
-                labels["kind"]: value for name, labels, value
-                in families["repro_router_latency_seconds"]["samples"]
-                if name.endswith("_count")}
+            series = router.registry.to_json()[
+                "repro_router_latency_seconds"]["series"]
+            counts = {labels.split("=")[1]: entry["count"]
+                      for labels, entry in series.items()}
             assert counts == {"query": k, "point": 1, "cube": 1, "append": 1}
             latency = router.stats()["latency"]
             assert {kind: entry["count"]
@@ -769,15 +835,13 @@ class TestGenerationPinning:
             assert (status, payload["kind"]) == (409, "generation_skew")
             # Through a router: round one pins the other shards'
             # generation 1, which shard 0 no longer holds — a 503, and
-            # a lagging replica is no failure for its breaker.
+            # a lagging replica is not marked down.
             with make_router(cluster) as router:
                 status, payload = get_status(
                     router.serve_http().url + "/cube?minsup=2")
                 assert (status, payload["kind"]) == (503, "generation_skew")
                 assert "not retained" in payload["error"]
-                for replica in range(N_REPLICAS):
-                    breaker = router.breakers[(0, replica)].stats()
-                    assert breaker["consecutive_failures"] == 0
+                assert set(up_gauge(router).values()) == {1}
                 # The 409 came back on a kept-alive connection: it stays
                 # a GenerationSkewError, and the connection stays in use.
                 for replica in range(N_REPLICAS):
@@ -789,8 +853,6 @@ class TestGenerationPinning:
                     assert client.get_runs("/cube?minsup=2").generation \
                         == current
                     assert client._idle == pooled
-                    assert router.breakers[(0, replica)].stats() \
-                        ["consecutive_failures"] == 0
         finally:
             cluster.close()
 

@@ -273,6 +273,35 @@ class TestWalStore:
             rebuilt.close()
             reopened.close()
 
+    def test_wal_stats_reads_one_state(self, wal_store):
+        # compact() swaps its snapshot in and then trims the WAL; a
+        # reader in between must not pair the new snapshot with the old
+        # WAL size (anti-entropy takes its base from this block).
+        wal_store.append(delta_relation(1), batch_id="w")
+        entered, release = threading.Event(), threading.Event()
+        truncate = wal_store.wal.truncate_through
+
+        def held_truncate(generation):
+            entered.set()
+            release.wait(30.0)
+            return truncate(generation)
+
+        seen = []
+        with mock.patch.object(wal_store.wal, "truncate_through",
+                               held_truncate):
+            compactor = threading.Thread(target=wal_store.compact)
+            compactor.start()
+            assert entered.wait(10.0)
+            reader = threading.Thread(
+                target=lambda: seen.append(wal_store.wal_stats()))
+            reader.start()
+            reader.join(0.5)  # an unlocked read is back by now
+            release.set()
+            compactor.join(10.0)
+            reader.join(10.0)
+        assert seen == [wal_store.wal_stats()]
+        assert seen[0]["wal_bytes"] == seen[0]["pending_batches"] == 0
+
     def test_background_compaction_triggers(self, tmp_path):
         CubeStore.build(base_relation(), tmp_path / "bg",
                         backend="local").close()
@@ -797,7 +826,7 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Router fan-out: retries, breaker consultation, anti-entropy repair
+# Router fan-out: retries, down replicas, anti-entropy repair
 # ---------------------------------------------------------------------------
 class _StubClient:
     """A scripted replica: each element of ``script`` answers one call."""
@@ -884,34 +913,31 @@ class TestRouterAppend:
         finally:
             router.close()
 
-    def test_append_consults_the_circuit_breaker(self):
-        """Satellite: the append path skips tripped replicas like the
-        query path does, instead of hammering a dead box."""
-        router = make_stub_router([["ok"]])
+    def test_only_replica_marked_down_still_takes_an_append(self):
+        """A shard whose every replica is down gets the delivery anyway:
+        the last resort, not a skip."""
+        router = make_stub_router([["fail", "fail", "fail", "ok"]])
         try:
-            breaker = router.breakers[(0, 0)]
-            for _ in range(breaker.failure_threshold):
-                breaker.record_failure()
-            assert breaker.state == "open"
-            with pytest.raises(ShardUnavailableError,
-                               match="circuit breaker open"):
-                router.append(delta_relation(1), batch_id="skipped")
-            assert router.shards[0][0].calls == 0
+            with pytest.raises(ShardUnavailableError):
+                router.append(delta_relation(1), batch_id="lost")
+            summary = router.append(delta_relation(1), batch_id="lost")
+            assert summary["applied"] == 1
+            assert router.shards[0][0].calls == 4
+            up = router.registry.get("repro_router_replica_up")
+            assert up.value(shard="0", replica="0") == 1
         finally:
             router.close()
 
-    def test_breaker_skip_leaves_healthy_sibling_serving(self):
+    def test_down_replica_is_skipped_while_a_sibling_serves(self):
         router = make_stub_router([["ok"]])
         try:
-            stub = _StubClient("http://stub-0b", ["ok"])
+            stub = _StubClient("http://stub-0b", ["fail", "fail", "fail"])
             router.shards[0].append(stub)
-            from repro.serve import CircuitBreaker
-
-            router.breakers[(0, 1)] = CircuitBreaker(
-                failure_threshold=1, reset_after_s=60.0)
-            router.breakers[(0, 1)].record_failure()
-            summary = router.append(delta_relation(1), batch_id="partial")
+            first = router.append(delta_relation(1), batch_id="one")
+            assert first["applied"] == 1 and stub.calls == 3
+            summary = router.append(delta_relation(2), batch_id="two")
             assert summary["applied"] == 1
+            assert stub.calls == 3  # left to anti-entropy, not dialled
             skipped = [o for o in summary["outcomes"] if o.get("skipped")]
             assert len(skipped) == 1 and skipped[0]["replica"] == 1
         finally:

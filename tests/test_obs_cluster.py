@@ -1,11 +1,11 @@
-"""Cluster-wide tracing and metrics federation.
+"""Cluster-wide tracing and the router's metrics.
 
 Unit coverage for the distributed-trace context (128-bit trace ids,
-``traceparent`` inject/extract/activate), the Prometheus text parser and
-federation merge, histogram bucket merging, trace-stamped batch ids and
-the worker-pool context pipe — plus a subprocess end-to-end test
-asserting that one router query produces spans with one shared trace id
-in both the router's and the replica's ``GET /trace`` output.
+``traceparent`` inject/extract/activate), histogram bucket merging,
+trace-stamped batch ids and the worker-pool context pipe — plus a
+subprocess end-to-end test asserting that one router query produces
+spans with one shared trace id in both the router's and the replica's
+``GET /trace`` output, and that the router's ``/metrics`` is its own.
 """
 
 import json
@@ -22,13 +22,7 @@ import pytest
 
 import repro.obs as obs
 from repro.data import Relation, zipf_relation
-from repro.obs.metrics import (
-    MetricsRegistry,
-    federate_prometheus,
-    merge_histogram_buckets,
-    parse_prometheus,
-    quantile_from_buckets,
-)
+from repro.obs.metrics import merge_histogram_buckets, quantile_from_buckets
 from repro.obs.trace import (
     Tracer,
     format_traceparent,
@@ -231,64 +225,8 @@ class TestMergeChromeTraces:
         assert ts["b"] - ts["a"] == pytest.approx(2.0 * 1e6)
 
 
-class TestPrometheusParser:
-    def test_roundtrip_own_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total", "Help text.", ("kind",)).inc(3, kind="a")
-        registry.gauge("g", "A gauge.").set(2.5)
-        registry.histogram("h_seconds", "Latency.").observe(0.002)
-        families = parse_prometheus(registry.to_prometheus())
-        assert families["x_total"]["kind"] == "counter"
-        assert families["x_total"]["samples"] == [("x_total", {"kind": "a"},
-                                                   3.0)]
-        assert families["g"]["samples"][0][2] == 2.5
-        # histogram suffixes grouped under the family
-        names = {s[0] for s in families["h_seconds"]["samples"]}
-        assert "h_seconds_sum" in names and "h_seconds_count" in names
-        assert any(n.endswith("_bucket") for n in names)
-
-    def test_escaped_label_values(self):
-        tricky = '# TYPE t counter\nt{m="a\\"b,c\\\\d\\ne"} 1\n'
-        ((_, labels, value),) = parse_prometheus(tricky)["t"]["samples"]
-        assert labels["m"] == 'a"b,c\\d\ne'
-        assert value == 1.0
-
-    def test_malformed_line_raises(self):
-        with pytest.raises(ValueError):
-            parse_prometheus("x_total{oops} 1\n")
-        with pytest.raises(ValueError):
-            parse_prometheus("x_total not-a-number\n")
-
-
 class TestFederation:
-    R1 = ('# TYPE req_total counter\nreq_total{source="cache"} 3\n'
-          '# TYPE lat histogram\nlat_bucket{le="0.1"} 1\n'
-          'lat_bucket{le="+Inf"} 2\nlat_sum 0.5\nlat_count 2\n')
-    R2 = ('# TYPE req_total counter\nreq_total{source="cache"} 4\n'
-          '# TYPE lat histogram\nlat_bucket{le="0.1"} 3\n'
-          'lat_bucket{le="+Inf"} 3\nlat_sum 0.2\nlat_count 3\n')
-
-    def test_relabel_keeps_sources_distinct(self):
-        page = federate_prometheus([
-            ({"shard": "0", "replica": "0"}, self.R1),
-            ({"shard": "0", "replica": "1"}, self.R2),
-        ])
-        assert 'req_total{replica="0",shard="0",source="cache"} 3' in page
-        assert 'req_total{replica="1",shard="0",source="cache"} 4' in page
-
-    def test_federated_totals_equal_sum_of_scrapes(self):
-        # Identical labels (no relabelling) sum — counters and buckets.
-        families = parse_prometheus(
-            federate_prometheus([({}, self.R1), ({}, self.R2)]))
-        assert families["req_total"]["samples"][0][2] == 7.0
-        buckets = {s[1]["le"]: s[2]
-                   for s in families["lat"]["samples"]
-                   if s[0] == "lat_bucket"}
-        assert buckets == {"0.1": 4.0, "+Inf": 5.0}
-
-    def test_type_and_help_emitted_once(self):
-        page = federate_prometheus([({}, self.R1), ({}, self.R2)])
-        assert page.count("# TYPE req_total counter") == 1
+    """Merging replicas' latency buckets: the shard RED of the sweep."""
 
     def test_merge_histogram_buckets(self):
         merged = merge_histogram_buckets([
@@ -424,29 +362,21 @@ class TestRouterObservability(unittest.TestCase):
             finally:
                 router.close()
 
-    def test_federated_metrics_equal_sum_of_scrapes(self):
-        with obs.installed():
+    def test_router_metrics_page_is_its_own_registry(self):
+        # Prometheus scrapes each replica's /metrics itself; the
+        # router's page carries the router's series and nothing else.
+        with obs.installed() as active:
             router = CubeRouter([[self.url]], timeout_s=10.0)
             try:
                 for _ in range(3):
                     router.query(("B",), minsup=1)
-                with urlopen(self.url + "/metrics") as response:
-                    replica_page = response.read().decode()
-                federated = parse_prometheus(router.federated_metrics())
-                replica = parse_prometheus(replica_page)
-                # Every replica counter reappears federated with
-                # shard/replica labels and an unchanged total.
-                samples = {
-                    (name, labels.get("source")): value
-                    for name, labels, value in federated[
-                        "repro_server_requests_total"]["samples"]
-                    if labels.get("shard") == "0"
-                    and labels.get("replica") == "0"
-                }
-                for name, labels, value in replica[
-                        "repro_server_requests_total"]["samples"]:
-                    key = (name, labels.get("source"))
-                    assert samples[key] >= value  # scrape raced later incs
+                endpoint = router.serve_http()
+                with urlopen(endpoint.url + "/metrics") as response:
+                    page = response.read().decode()
+                assert page == active.registry.to_prometheus()
+                assert 'repro_router_requests_total{kind="query",' \
+                       'outcome="ok"} 3' in page
+                assert "repro_server_" not in page
             finally:
                 router.close()
 

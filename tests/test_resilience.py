@@ -1,8 +1,7 @@
 """Unit tests for the degradation primitives in repro.serve.resilience.
 
-Every class takes an injectable monotonic clock, so these tests drive
-open/half-open/closed transitions and deadline expiry deterministically,
-without sleeping.
+Deadline takes an injectable monotonic clock, so these tests drive its
+expiry deterministically, without sleeping.
 """
 
 import threading
@@ -10,7 +9,7 @@ import threading
 import pytest
 
 from repro.errors import DeadlineExceededError, PlanError, ServerOverloadedError
-from repro.serve.resilience import AdmissionGate, CircuitBreaker, Deadline
+from repro.serve.resilience import AdmissionGate, Deadline
 
 
 class FakeClock:
@@ -108,83 +107,3 @@ class TestAdmissionGate:
         stats = gate.stats()
         assert stats["pending"] == 0
         assert stats["admitted"] + stats["shed"] == 8 * 200
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_after_s=5.0,
-                                 clock=clock)
-        assert breaker.state == "closed"
-        for _ in range(2):
-            assert breaker.allow()
-            breaker.record_failure()
-        assert breaker.state == "closed"  # not yet
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-        assert not breaker.allow()
-        assert breaker.rejections == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(5.0)
-        assert breaker.state == "half_open"
-        assert breaker.allow()       # the single probe slot
-        assert not breaker.allow()   # no second concurrent probe
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
-        assert not breaker.allow()
-
-    def test_stays_open_during_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=10.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(9.9)
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock.advance(0.2)
-        assert breaker.state == "half_open"
-
-    def test_parameters_validated(self):
-        with pytest.raises(PlanError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(PlanError):
-            CircuitBreaker(reset_after_s=0)
-        with pytest.raises(PlanError):
-            CircuitBreaker(half_open_probes=0)
-
-    def test_stats_snapshot(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, reset_after_s=1.0,
-                                 clock=clock)
-        breaker.record_failure()
-        stats = breaker.stats()
-        assert stats["state"] == "closed"
-        assert stats["consecutive_failures"] == 1
-        assert stats["trips"] == 0
