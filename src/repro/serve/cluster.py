@@ -40,10 +40,11 @@ retried under a capped full-jitter
 under one idempotence key — replicas acknowledge a replayed batch
 instead of re-applying it, so the router (or a client whose
 router died mid-call) can always retry safely.  The background health
-sweep doubles as **anti-entropy repair**: a replica whose generation
-lags its shard's freshest sibling gets the missing WAL batches fetched
-from that sibling (``GET /wal``) and re-delivered with their original
-batch ids, converging the shard without operator action.
+sweep doubles as **anti-entropy repair**: replicas of one shard that
+differ in generation or in batch digest (which names the set of batch
+ids a store applied) are sent each other's pending WAL batches
+(``GET /wal``) under their original batch ids, converging the shard
+without operator action.
 
 **Generation consistency.**  Replicas answer from one immutable store
 snapshot and label the answer with its generation, so a single-shard
@@ -452,6 +453,9 @@ class CubeRouter:
         self._lock = threading.Lock()
         self._rr = [0] * self.n_shards
         self._health = {}  # (shard, replica) -> last /healthz snapshot
+        #: shard -> (replica -> generation its last repair left it at,
+        #: whether that verdict was ``unrepairable``)
+        self._repairs = {}
         self._endpoints = []
         self._closed = threading.Event()
         self._pool = ThreadPoolExecutor(
@@ -909,106 +913,134 @@ class CubeRouter:
         with self._lock:
             self._health = snapshot
         # Per-replica generation lag against the shard's freshest healthy
-        # sibling: exported as a gauge, and what anti-entropy repairs by.
+        # sibling, exported as a gauge; anti-entropy repairs a shard whose
+        # healthy replicas differ in generation or in batch digest.
         for shard in range(self.n_shards):
-            generations = {
-                replica: int(state["generation"])
+            healthy = {
+                replica: state
                 for (s, replica), state in sorted(snapshot.items())
                 if s == shard and state.get("status") == "ok"
                 and state.get("generation") is not None
             }
-            if not generations:
+            if not healthy:
                 continue
-            target = max(generations.values())
-            for replica, generation in generations.items():
-                self._replica_lag.set(target - generation,
+            target = max(int(state["generation"])
+                         for state in healthy.values())
+            for replica, state in healthy.items():
+                self._replica_lag.set(target - int(state["generation"]),
                                       shard=str(shard), replica=str(replica))
-            if min(generations.values()) < target:
-                self._repair_shard(shard, generations, snapshot)
+            self._anti_entropy_sweep(shard, {
+                replica: state["wal"] for replica, state in healthy.items()
+                if state.get("wal")})
         return snapshot
 
     # ------------------------------------------------------------------
     # anti-entropy repair
     # ------------------------------------------------------------------
-    def _repair_shard(self, shard, generations, snapshot):
-        """Re-deliver missing WAL batches to generation-lagging replicas.
+    def _anti_entropy_sweep(self, shard, wals):
+        """Converge a shard whose healthy replicas hold different batch
+        sets, and judge the previous sweep's repair of it.
 
-        ``generations`` maps the shard's healthy replicas to their
-        generation.  The freshest replica is the repair *source*: its
-        pending (un-compacted) WAL batches are fetched over ``GET /wal``
-        and re-POSTed — original batch ids and all — to every healthy
-        sibling whose generation lags.
-        Replays land in WAL order and duplicates are acknowledged
-        idempotently, so repair converges the replicas to cell-exact
-        equality without any coordination beyond the health sweep that
-        is already running.  A replica that lags below the source's WAL
-        *base* (those batches were compacted away) is counted
-        ``unrepairable`` — it needs a store resync, which repair will
-        not guess at.
+        ``wals`` maps each healthy replica to the ``wal`` block of its
+        probe.  A generation counts batches but does not name them; the
+        ``digest`` (XOR of a 64-bit hash per applied batch id) does, so
+        replicas differ when their generations or digests do (by
+        generation alone while any digest is unknown: a store compacted
+        before digests existed reports ``None``).
+
+        The verdict waits for a sweep with nothing else moving: a shard
+        the last sweep repaired is ``repaired`` once its replicas agree,
+        and ``unrepairable`` (counted once, with an event naming its
+        replicas) when they still differ at exactly the generations the
+        repair left them — it offered every pending batch both ways and
+        nothing else was applied since, so what one replica lacks was
+        folded into a sibling's leaf files, past any WAL, and needs a
+        store resync.  An append landing during or after a repair moves
+        a generation, so it earns another repair, never the verdict.
         """
-        target = max(generations.values())
-        source = min(r for r, g in generations.items() if g == target)
-        source_base = int((snapshot[(shard, source)].get("wal") or {})
-                          .get("base_generation", target))
-        for replica, generation in generations.items():
-            if generation >= target:
-                continue
-            if generation < source_base:
-                # The batches it missed predate the source's last
-                # compaction — the WAL can no longer replay them.
+        generations = {replica: int(wal["generation"])
+                       for replica, wal in wals.items()}
+        known = None not in {wal.get("digest") for wal in wals.values()}
+
+        def mark(wal):
+            return (wal["generation"], wal.get("digest") if known else None)
+
+        last, judged = self._repairs.pop(shard, (None, False))
+        if last is not None and set(last) != set(generations):
+            last = None  # judged over the replicas it repaired, or not
+        if len({mark(wal) for wal in wals.values()}) < 2:
+            if last is not None and not judged:
+                self._anti_entropy.inc(outcome="repaired")
+            return
+        if last == generations:
+            if not judged:
                 self._anti_entropy.inc(outcome="unrepairable")
-                obs.event("router.anti_entropy_unrepairable",
-                          shard=shard, replica=replica,
-                          reason="lags below the source WAL base "
-                                 "(%d < %d): store resync required"
-                                 % (generation, source_base))
-                continue
-            self._repair_replica(shard, replica, source, source_base)
+                obs.event("router.anti_entropy_unrepairable", shard=shard,
+                          replicas=sorted(wals),
+                          reason="replicas hold different batch sets that "
+                                 "their WALs cannot converge: store resync "
+                                 "required")
+            self._repairs[shard] = (generations, True)
+            return
+        applied = dict.fromkeys(wals, 0)
+        for source, wal in wals.items():
+            siblings = [replica for replica, other in wals.items()
+                        if mark(other) != mark(wal)]
+            batches = self._fetch_wal(shard, source, wal["base_generation"])
+            if batches is None:
+                return  # the source is down: the next sweep retries
+            for replica in siblings if batches else ():
+                count = self._redeliver(shard, replica, source, batches)
+                if count is None:
+                    return  # so is this one
+                applied[replica] += count
+        self._repairs[shard] = ({replica: generation + applied[replica]
+                                 for replica, generation
+                                 in generations.items()}, False)
 
-    def _repair_replica(self, shard, replica, source, source_base):
-        """Fetch the source's pending WAL batches and re-POST them all.
-
-        Every pending batch is re-delivered (the lagging replica's own
-        generation cannot name *which* batches it missed when failures
-        interleaved), relying on idempotence keys to turn the already-
-        applied ones into cheap duplicate acks and the missing ones into
-        real appends — after which both replicas have applied the same
-        batch set and their generations agree.
-        """
-        source_client = self.shards[shard][source]
-        client = self.shards[shard][replica]
+    def _fetch_wal(self, shard, source, base):
+        """The source replica's pending WAL batches, or ``None`` if it
+        could not say (a :class:`~repro.errors.ReplicaError` marks it
+        down)."""
+        client = self.shards[shard][source]
         try:
-            reply = source_client.get_json("/wal?since=%d" % source_base)
+            reply = client.get_json("/wal?since=%d" % base)
         except (ReplicaError, PlanError) as exc:
+            if isinstance(exc, ReplicaError):
+                self._mark(shard, source, False)
             self._anti_entropy.inc(outcome="fetch_failed")
             obs.event("router.anti_entropy_fetch_failed", shard=shard,
                       source=source, error=str(exc))
-            return
-        if reply.get("truncated"):
-            self._anti_entropy.inc(outcome="unrepairable")
-            obs.event("router.anti_entropy_unrepairable", shard=shard,
-                      replica=replica,
-                      reason="source WAL truncated during repair")
-            return
-        delivered = applied = 0
-        for batch in reply.get("batches", []):
+            return None
+        self._answered(shard, source)
+        return reply.get("batches", [])
+
+    def _redeliver(self, shard, replica, source, batches):
+        """Re-POST ``batches`` to one replica, in order, under their
+        original ids; returns how many it applied (the rest were
+        duplicates), or ``None`` at the first failure (a
+        :class:`~repro.errors.ReplicaError` marks the replica down)."""
+        client = self.shards[shard][replica]
+        applied = 0
+        for batch in batches:
             payload = {"dims": batch["dims"], "rows": batch["rows"],
                        "measures": batch["measures"],
                        "batch_id": batch["batch_id"]}
             try:
                 ack = client.post_json("/append", payload)
             except (ReplicaError, PlanError) as exc:
+                if isinstance(exc, ReplicaError):
+                    self._mark(shard, replica, False)
                 self._anti_entropy.inc(outcome="redeliver_failed")
                 obs.event("router.anti_entropy_redeliver_failed",
                           shard=shard, replica=replica, error=str(exc))
-                return
-            delivered += 1
-            if ack.get("applied", True):
-                applied += 1
-        self._anti_entropy.inc(outcome="repaired")
+                return None
+            self._answered(shard, replica)
+            applied += bool(ack.get("applied", True))
         obs.event("router.anti_entropy_repaired", shard=shard,
-                  replica=replica, source=source, delivered=delivered,
+                  replica=replica, source=source, delivered=len(batches),
                   applied=applied)
+        return applied
 
     def _health_loop(self):
         while True:

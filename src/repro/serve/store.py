@@ -113,6 +113,20 @@ APPLIED_BATCH_WINDOW = 1024
 #: current generation, not re-applied).
 AppendResult = namedtuple("AppendResult", ("generation", "applied", "batch_id"))
 
+#: Manifest key of the digest of every batch id the store has applied.
+#: A fresh build writes none (its set is empty), so its bytes are as
+#: they were; a compacted manifest without it predates the key, and
+#: its store's digest is unknown (``None``) until a rebuild.
+DIGEST_KEY = "batch_digest"
+
+
+def batch_hash(batch_id):
+    """A batch id's 64-bit hash.  A store's digest XORs them over the
+    ids it applied: two stores hold one batch set exactly when their
+    digests agree, whatever order the batches came in."""
+    digest = hashlib.blake2b(batch_id.encode("utf-8"), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
+
 
 def _leaf_filename(cuboid, generation=1):
     """``A_D.run`` as built; ``A_D.g7.run`` as compacted at generation 7
@@ -260,10 +274,13 @@ class _StoreSnapshot(LeafSnapshot):
     """
 
     def __init__(self, dims, leaves, shard, directory, entries, runs,
-                 generation, total_rows, total_measure):
+                 generation, total_rows, total_measure, digest):
         super().__init__(dims, leaves, dict(runs), generation, total_rows,
                          total_measure, shard)
         self.directory = directory
+        #: XOR of :func:`batch_hash` over every batch applied, folded or
+        #: pending; ``None`` when unknown (:data:`DIGEST_KEY`)
+        self.digest = digest
         #: leaf cuboid -> manifest entry (file, cells, bytes, sha256)
         self.entries = entries
         self.lock = threading.Lock()
@@ -373,11 +390,16 @@ class CubeStore(LeafHolder):
                 "bytes": int(entry["bytes"]),
                 "sha256": entry["sha256"],
             }
+        generation = int(manifest["generation"])
+        digest = manifest.get(DIGEST_KEY)
+        if digest is None and generation == 1:
+            digest = 0
         #: the current state; replaced, never edited, under ``_lock``
         self._snapshot = _StoreSnapshot(
             self.dims, self.leaves, self.shard, self.directory, entries,
-            runs, int(manifest["generation"]), int(manifest["total_rows"]),
-            float(manifest["total_measure"]))
+            runs, generation, int(manifest["total_rows"]),
+            float(manifest["total_measure"]),
+            None if digest is None else int(digest))
         #: the write lock: held to publish a snapshot (``append``, the
         #: commit of ``compact``), never by a query
         self._lock = threading.Lock()
@@ -623,6 +645,7 @@ class CubeStore(LeafHolder):
             total_measure=manifest["total_measure"],
             shard=(shard["index"], shard["of"]) if shard else None,
             applied_batches=manifest.get("applied_batches"),
+            digest=manifest.get(DIGEST_KEY),
         ))
         for old in manifest["leaves"]:
             os.unlink(os.path.join(directory, old["file"]))
@@ -850,6 +873,8 @@ class CubeStore(LeafHolder):
         self._applied_batches[batch_id] = generation
         self._snapshot = snap.replace(
             batches=snap.batches + (batch,), generation=generation,
+            digest=(None if snap.digest is None
+                    else snap.digest ^ batch_hash(batch_id)),
             total_rows=snap.total_rows + len(measures),
             total_measure=snap.total_measure + sum(measures))
 
@@ -955,6 +980,7 @@ class CubeStore(LeafHolder):
             "wal_bytes": wal_bytes,
             "compact_after": self.compact_after,
             "applied_window": applied_window,
+            "digest": snap.digest,
         }
 
     def wal_batches_since(self, since):
@@ -978,14 +1004,15 @@ class CubeStore(LeafHolder):
 
     @staticmethod
     def _manifest_dict(dims, leaves, entries, generation, total_rows,
-                       total_measure, shard=None, applied_batches=None):
+                       total_measure, shard=None, applied_batches=None,
+                       digest=None):
         # One leaf order for every build path (lattice order: most
         # dimensions first, then schema order), so the same relation
         # gives the same manifest bytes whichever backend wrote it.
         position = {name: i for i, name in enumerate(dims)}
         leaves = sorted(leaves, key=lambda leaf: (
             -len(leaf), [position[name] for name in leaf]))
-        return {
+        manifest = {
             "format": STORE_FORMAT,
             "format_version": STORE_FORMAT_VERSION,
             "dims": list(dims),
@@ -1006,6 +1033,9 @@ class CubeStore(LeafHolder):
                 for leaf in leaves
             ],
         }
+        if digest is not None:
+            manifest[DIGEST_KEY] = digest
+        return manifest
 
     def _write_manifest(self, snap, entries, applied_batches):
         """Replace the manifest: ``snap``'s generation and totals over
@@ -1017,6 +1047,7 @@ class CubeStore(LeafHolder):
             total_measure=snap.total_measure,
             shard=self.shard,
             applied_batches=applied_batches,
+            digest=snap.digest,
         ))
 
     def __repr__(self):

@@ -34,7 +34,6 @@ import json
 import os
 import random
 import shutil
-import subprocess
 import sys
 import tempfile
 from urllib.request import urlopen
@@ -50,32 +49,11 @@ from repro.core.naive import naive_cuboid
 from repro.data import zipf_relation
 from repro.lattice.lattice import CubeLattice
 from repro.serve import CubeRouter, CubeStore
+from smoke_cluster import spawn_replica
 
 DIMS = ("A", "B", "C", "D")
 N_SHARDS, N_REPLICAS = 2, 2
 N_QUERIES = 200
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
-
-
-def spawn_replica(root, directory, shard, replica):
-    """One real serve subprocess with observability installed."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    trace_out = os.path.join(root, "replica-%d-%d.json" % (shard, replica))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--store", directory,
-         "--shard", "%d/%d" % (shard, N_SHARDS), "--port", "0",
-         "--trace-out", trace_out],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
-    for _ in range(40):
-        line = proc.stdout.readline()
-        if not line:
-            raise AssertionError(
-                "replica died during startup (shard %d)" % shard)
-        if line.startswith("listening on "):
-            return proc, line.split()[2]
-    raise AssertionError("replica never reported its URL")
-
-
 def main():
     root = tempfile.mkdtemp(prefix="obs-cluster-smoke-")
     base = zipf_relation(500, dims=DIMS, cardinalities=(4, 5, 6, 7),
@@ -90,7 +68,10 @@ def main():
         for replica in range(N_REPLICAS):
             directory = os.path.join(root, "shard-%d-r%d" % (shard, replica))
             shutil.copytree(built, directory)
-            proc, url = spawn_replica(root, directory, shard, replica)
+            proc, url = spawn_replica(
+                directory, "--shard", "%d/%d" % (shard, N_SHARDS),
+                "--trace-out", os.path.join(
+                    root, "replica-%d-%d.json" % (shard, replica)))
             processes[(shard, replica)] = proc
             replica_urls.append(url)
         urls.append(replica_urls)

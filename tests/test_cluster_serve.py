@@ -2,7 +2,7 @@
 
 import json
 import os
-import shutil
+import random
 import subprocess
 import sys
 import threading
@@ -15,6 +15,7 @@ from urllib.request import Request, urlopen
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from wire import Wire, build_shards
 
 from repro.core.columnar import CellRun, RunCells, decode_runs, encode_runs
 from repro.core.naive import naive_cuboid
@@ -41,6 +42,7 @@ from repro.serve import http as http_module
 from repro.serve import server as server_module
 from repro.serve.http import json_body
 from repro.serve.server import CubeAnswer
+from repro.serve.store import DEFAULT_COMPACT_AFTER
 
 DIMS = ("A", "B", "C", "D")
 
@@ -322,6 +324,53 @@ def exact(cuboids):
             for cuboid, cells in cuboids.items()}
 
 
+@pytest.mark.parametrize("integer", [False, True])
+def test_float_sums_at_the_boundary(tmp_path, integer):
+    """Sums fold base first, then batches in generation order (DESIGN
+    §6.6): pending, compacted and reopened answers are bit-equal, and an
+    MR-built store's equal a pool-built one's.  A store compacted after
+    every batch agrees with one that folded them together only where
+    partial sums are exact: ``np.add.reduceat`` is not a left fold."""
+    rng = random.Random(5)
+    dims = DIMS[:3]
+
+    def rows(n):
+        return Relation(dims, [tuple(rng.randrange(3) for _ in dims)
+                               for _ in range(n)],
+                        [float(rng.randrange(100)) if integer
+                         else rng.uniform(0, 100) for _ in range(n)])
+
+    base, batches = rows(200), [rows(40) for _ in range(4)]
+
+    def read(store):
+        return exact({cuboid: store.query(cuboid) for cuboid
+                      in CubeLattice(dims).cuboids(include_all=True)})
+
+    folded, stepped, built_mr = (
+        CubeStore.build(base, tmp_path / name, backend=backend)
+        for name, backend in (("folded", "local"), ("stepped", "local"),
+                              ("mr", "mapreduce")))
+    # The apex is the manifest's total_measure, which each backend sums
+    # in its own order: with fractional measures it differs in the last
+    # bit (ROADMAP item 4), so only the stored cells are compared here.
+    assert {c: v for c, v in read(built_mr).items() if c} \
+        == {c: v for c, v in read(folded).items() if c}
+    for k, batch in enumerate(batches):
+        folded.append(batch, batch_id=str(k))
+        stepped.append(batch, batch_id=str(k))
+        stepped.compact()
+    pending = read(folded)
+    folded.compact()
+    assert read(folded) == pending
+    for store in (folded, stepped, built_mr):
+        store.close()
+    with CubeStore.open(tmp_path / "folded") as reopened:
+        assert read(reopened) == pending
+    with CubeStore.open(tmp_path / "stepped") as stepped:
+        if integer:  # per-batch and batched folds agree exactly
+            assert read(stepped) == pending
+
+
 class _CountingServer(http_module._JsonHTTPServer):
     """A replica endpoint that keeps each handler thread it starts: one
     per accepted connection."""
@@ -465,49 +514,14 @@ class TestWire:
 N_SHARDS, N_REPLICAS = 3, 2
 
 
-class Cluster:
-    """3 shards x 2 replicas of real CubeServers over HTTP, each replica
-    on its own copy of the shard store (replicas do not share disks)."""
+class Cluster(Wire):
+    """3 shards x 2 replicas of real CubeServers in this process
+    (``tests/wire.py``), each replica on its own copy of the shard store
+    (replicas do not share disks)."""
 
     def __init__(self, relation, root):
-        self.relation = relation
-        self.endpoints = {}  # (shard, replica) -> HttpEndpoint
-        self.servers = {}
-        urls = []
-        for shard in range(N_SHARDS):
-            built = os.path.join(root, "build-%d" % shard)
-            CubeStore.build(relation, built, backend="local",
-                            shard=(shard, N_SHARDS)).close()
-            replica_urls = []
-            for replica in range(N_REPLICAS):
-                directory = os.path.join(root, "shard-%d-r%d"
-                                         % (shard, replica))
-                shutil.copytree(built, directory)
-                server = CubeServer(CubeStore.open(directory))
-                endpoint = server.serve_http()
-                self.servers[(shard, replica)] = server
-                self.endpoints[(shard, replica)] = endpoint
-                replica_urls.append(endpoint.url)
-            urls.append(replica_urls)
-        self.urls = urls
-
-    def kill(self, shard, replica):
-        """Close one replica's endpoint; returns its port."""
-        endpoint = self.endpoints.pop((shard, replica))
-        endpoint.close()
-        return endpoint.port
-
-    def restart(self, shard, replica, port):
-        """Serve the killed replica again, at its old URL."""
-        self.endpoints[(shard, replica)] = \
-            self.servers[(shard, replica)].serve_http(port=port)
-
-    def close(self):
-        for endpoint in self.endpoints.values():
-            endpoint.close()
-        for server in self.servers.values():
-            server.close()
-            server.store.close()
+        super().__init__(build_shards(relation, root, N_SHARDS), root,
+                         N_REPLICAS, compact_after=DEFAULT_COMPACT_AFTER)
 
 
 @pytest.fixture
@@ -519,7 +533,7 @@ def cluster(relation, tmp_path):
 
 def make_router(cluster, **kwargs):
     kwargs.setdefault("timeout_s", 5.0)
-    return CubeRouter(cluster.urls, **kwargs)
+    return cluster.router(**kwargs)
 
 
 def up_gauge(router):
@@ -532,17 +546,11 @@ def up_gauge(router):
     return out
 
 
-def count_requests(monkeypatch):
-    """The URL of every request a ReplicaClient sends from now on."""
-    requests = []
-    original = ReplicaClient._request
-
-    def counting(self, *args, **kwargs):
-        requests.append(self.url)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(ReplicaClient, "_request", counting)
-    return requests
+def dialled(cluster, before):
+    """``{replica: requests}`` the replicas took since ``before`` (a copy
+    of ``cluster.ordinals``)."""
+    return {key: n - before[key] for key, n in cluster.ordinals.items()
+            if n != before[key]}
 
 
 class TestRouterQueries:
@@ -583,8 +591,10 @@ class TestRouterQueries:
             summary = router.append(delta)
             assert summary["applied"] == N_SHARDS * N_REPLICAS
             assert summary["duplicates"] == 0
-            # the minted key makes a blind re-send safe on every replica
-            again = router.append(delta, batch_id=summary["batch_id"])
+            # the minted key makes a blind re-send safe on every replica,
+            # even from a fresh router that knows nothing of the first
+            with make_router(cluster) as fresh:
+                again = fresh.append(delta, batch_id=summary["batch_id"])
             assert again["duplicates"] == N_SHARDS * N_REPLICAS
             answer = router.cube(minsup=3)
             assert answer.generation == 2
@@ -596,7 +606,7 @@ class TestRouterFailover:
     def test_replica_death_fails_over_to_sibling(self, cluster, relation):
         with make_router(cluster) as router:
             shard = router.shard_for(("A",))
-            cluster.kill(shard, 0)
+            cluster.isolate((shard, 0))
             # Every query must still be answered correctly; round-robin
             # guarantees the dead replica is attempted within two calls.
             failovers = 0
@@ -611,7 +621,7 @@ class TestRouterFailover:
             shard = router.shard_for(("A",))
             router._ensure_map()
             for replica in range(N_REPLICAS):
-                cluster.kill(shard, replica)
+                cluster.isolate((shard, replica))
             with pytest.raises(ShardUnavailableError) as info:
                 router.query(("A",), minsup=2)
             assert info.value.shard == shard
@@ -621,54 +631,50 @@ class TestRouterFailover:
             assert router.query(other).cells
 
     def test_one_failure_takes_replica_out_of_rotation(self, cluster,
-                                                       relation, monkeypatch):
+                                                       relation):
         with make_router(cluster) as router:
             shard = router.shard_for(("A",))
-            cluster.kill(shard, 0)
+            cluster.isolate((shard, 0))
             # round-robin reaches the dead replica within two calls
             assert sum(router.query(("A",), minsup=2).failovers
                        for _ in range(2)) == 1
             assert up_gauge(router)[(shard, 0)] == 0
-            dialled = count_requests(monkeypatch)
+            before = dict(cluster.ordinals)
             for _ in range(4):
                 answer = router.query(("A",), minsup=2)
                 assert answer.failovers == 0
                 assert answer.cells == oracle(relation, ("A",), 2)
-            assert dialled == [cluster.urls[shard][1]] * 4
+            assert dialled(cluster, before) == {(shard, 1): 4}
 
-    def test_one_sweep_brings_a_restarted_replica_back(self, cluster,
-                                                       monkeypatch):
+    def test_one_sweep_brings_a_restarted_replica_back(self, cluster):
         with make_router(cluster) as router:
             shard = router.shard_for(("A",))
-            port = cluster.kill(shard, 0)
+            cluster.isolate((shard, 0))
             router.check_health()
             assert up_gauge(router)[(shard, 0)] == 0
             assert router.health()["shards"][shard]["up"] == 1
-            cluster.restart(shard, 0, port)
+            cluster.heal((shard, 0))
             router.check_health()
             assert up_gauge(router)[(shard, 0)] == 1
             assert router.health()["shards"][shard]["up"] == 2
-            dialled = count_requests(monkeypatch)
+            before = dict(cluster.ordinals)
             for _ in range(2):
                 assert router.query(("A",), minsup=2).failovers == 0
-            assert sorted(dialled) == sorted(cluster.urls[shard])
+            assert dialled(cluster, before) == {(shard, 0): 1, (shard, 1): 1}
 
     @pytest.mark.parametrize("kind", ["query", "append"])
     def test_only_replica_marked_down_still_answers(self, relation, tmp_path,
                                                     kind):
         # An R = 1 shard has no sibling to fail over to: its one replica,
         # down or not, is tried on every call.
-        store = CubeStore.build(relation, tmp_path / "store", backend="local")
-        server = CubeServer(store)
-        endpoint = server.serve_http()
+        wire = Wire(build_shards(relation, tmp_path, 1), tmp_path, 1)
         try:
-            with CubeRouter([[endpoint.url]], dims=DIMS,
-                            timeout_s=5.0) as router:
-                endpoint.close()
+            with wire.router(dims=DIMS) as router:
+                wire.isolate((0, 0))
                 for _ in range(3):  # down, and down again
                     with pytest.raises(ShardUnavailableError):
                         router.query(("A",), minsup=2)
-                endpoint = server.serve_http(port=endpoint.port)
+                wire.heal((0, 0))
                 if kind == "query":
                     assert router.query(("A",), minsup=2).cells \
                         == oracle(relation, ("A",), 2)
@@ -678,20 +684,18 @@ class TestRouterFailover:
                     assert summary["applied"] == 1
                 assert up_gauge(router) == {(0, 0): 1}
         finally:
-            endpoint.close()
-            server.close()
-            store.close()
+            wire.close()
 
-    def test_health_sweep_reports_down_replica(self, cluster, monkeypatch):
+    def test_health_sweep_reports_down_replica(self, cluster):
         with make_router(cluster) as router:
             endpoint = router.serve_http()
-            cluster.kill(1, 0)
+            cluster.isolate((1, 0))
             snapshot = router.check_health()
             assert snapshot[(1, 0)]["status"] == "down"
             assert snapshot[(1, 1)]["status"] == "ok"
             # After the sweep, health, stats and metrics are the
             # router's own: no replica is asked anything.
-            requests = count_requests(monkeypatch)
+            before = dict(cluster.ordinals)
             health = router.health()
             assert router.stats()["health"]["shards"][1]["up"] == 1
             with urlopen(endpoint.url + "/healthz") as response:
@@ -699,7 +703,7 @@ class TestRouterFailover:
             with urlopen(endpoint.url + "/metrics") as response:
                 assert 'repro_router_replica_up{shard="1",replica="0"} 0' \
                     in response.read().decode()
-            assert requests == []
+            assert dialled(cluster, before) == {}
             assert health["status"] == "ok"  # a sibling still serves shard 1
             assert health["shards"][1]["up"] == 1
             assert set(health["shards"][1]["red"]) == {
@@ -710,7 +714,7 @@ class TestRouterFailover:
         with make_router(cluster) as router:
             router._ensure_map()
             for replica in range(N_REPLICAS):
-                cluster.kill(0, replica)
+                cluster.isolate((0, replica))
             with pytest.raises(ShardUnavailableError) as info:
                 router.append(Relation(DIMS, [(0, 0, 0, 0)], [1.0]))
             assert info.value.shard == 0
@@ -830,9 +834,6 @@ class TestGenerationPinning:
             for at in (current - 4, current + 1):
                 with pytest.raises(GenerationSkewError, match="not retained"):
                     server.iceberg(2, at=at)
-            status, payload = get_status(
-                "%s/cube?at=%d" % (cluster.endpoints[(0, 0)].url, current - 4))
-            assert (status, payload["kind"]) == (409, "generation_skew")
             # Through a router: round one pins the other shards'
             # generation 1, which shard 0 no longer holds — a 503, and
             # a lagging replica is not marked down.
@@ -930,7 +931,7 @@ class TestRouterValidation:
         # Swap two shards' URL lists: the bootstrap health check sees a
         # replica reporting the wrong placement and refuses to route.
         swapped = [cluster.urls[1], cluster.urls[0], cluster.urls[2]]
-        with CubeRouter(swapped, timeout_s=5.0) as router:
+        with cluster.attach(CubeRouter(swapped, timeout_s=5.0)) as router:
             with pytest.raises(PlanError, match="re-sharding|reports"):
                 router.query(("A",))
 
@@ -977,7 +978,7 @@ class TestRouterHTTP:
             assert summary["applied"] == N_SHARDS * N_REPLICAS
             shard = router.shard_for(("A",))
             for replica in range(N_REPLICAS):
-                cluster.kill(shard, replica)
+                cluster.isolate((shard, replica))
             try:
                 urlopen(endpoint.url + "/query?cuboid=A")
             except Exception as exc:

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -15,6 +16,7 @@ from urllib.request import Request, urlopen
 
 import pytest
 from crashes import Cut, run_child
+from wire import FAULTS, Wire, build_shards
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -26,13 +28,14 @@ from hypothesis.stateful import (
 
 from repro.core.naive import naive_cuboid
 from repro.data import Relation
+from repro import obs
 from repro.errors import (
+    GenerationSkewError,
     PlanError,
-    ReplicaError,
     ShardUnavailableError,
     WalCorruptError,
 )
-from repro.serve import CubeRouter, CubeServer, CubeStore, RetryPolicy
+from repro.serve import CubeServer, CubeStore, RetryPolicy
 from repro.serve import store as store_module
 from repro.serve.ingest import (
     MAX_COORD,
@@ -374,6 +377,25 @@ class TestWalStore:
         assert [b.batch_id for b in newer["batches"]] == ["w2"]
         stale = wal_store.wal_batches_since(0)
         assert stale["truncated"]
+
+    def test_digest_names_the_batch_set(self, tmp_path, wal_store):
+        # XOR of one hash per applied id, folded or pending, kept across
+        # compaction and WAL replay; a fresh build's manifest holds none.
+        manifest = tmp_path / "s" / "manifest.json"
+        assert wal_store.wal_stats()["digest"] == 0
+        assert store_module.DIGEST_KEY not in json.loads(manifest.read_text())
+        wal_store.append(delta_relation(1), batch_id="X")
+        wal_store.compact()
+        wal_store.append(delta_relation(2), batch_id="Y")
+        wal_store.append(delta_relation(1), batch_id="X")  # a duplicate
+        digest = store_module.batch_hash("X") ^ store_module.batch_hash("Y")
+        assert wal_store.wal_stats()["digest"] == digest
+        wal_store.close()
+        reopened = CubeStore.open(tmp_path / "s")
+        try:
+            assert reopened.wal_stats()["digest"] == digest
+        finally:
+            reopened.close()
 
 
 # ---------------------------------------------------------------------------
@@ -826,195 +848,397 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Router fan-out: retries, down replicas, anti-entropy repair
+# Router fan-out and anti-entropy, on the cluster in one process
 # ---------------------------------------------------------------------------
-class _StubClient:
-    """A scripted replica: each element of ``script`` answers one call."""
-
-    def __init__(self, url, script):
-        self.url = url
-        self.script = list(script)
-        self.calls = 0
-        self.payloads = []
-        self.gets = []
-
-    def post_json(self, path, payload):
-        self.calls += 1
-        self.payloads.append(payload)
-        action = self.script.pop(0) if self.script else "ok"
-        if action == "fail":
-            raise ReplicaError(self.url, "injected failure")
-        if action == "reject":
-            raise PlanError("injected rejection")
-        return {"generation": 2, "applied": True, "batch_id":
-                payload.get("batch_id"), "rows": len(payload["rows"])}
-
-    def get_json(self, path):
-        self.gets.append(path)
-        raise ReplicaError(self.url, "stub has no GET surface")
-
-    def close(self):
-        pass  # no connections to close
+NO_PAUSE = RetryPolicy(attempts=3, base_s=0.0, cap_s=0.0, sleep=lambda s: None)
 
 
-def make_stub_router(scripts, **kwargs):
-    kwargs.setdefault("retry_policy", RetryPolicy(
-        attempts=3, base_s=0.0, cap_s=0.0, sleep=lambda s: None))
-    router = CubeRouter([["http://stub-%d" % i] for i in range(len(scripts))],
-                        dims=DIMS, **kwargs)
-    for shard, script in enumerate(scripts):
-        router.shards[shard][0] = _StubClient("http://stub-%d" % shard, script)
-    return router
+@pytest.fixture
+def make_wire(tmp_path):
+    """``make(shards, replicas)``: a :class:`wire.Wire` over the base
+    relation and a router on it that does not pause between retries."""
+    wires = []
+
+    def make(shards=1, replicas=1):
+        root = str(tmp_path / str(len(wires)))
+        wires.append(Wire(build_shards(base_relation(), root, shards), root,
+                          replicas))
+        return wires[-1], wires[-1].router(dims=DIMS, retry_policy=NO_PAUSE)
+
+    yield make
+    for wire in wires:
+        wire.close()
+
+
+def outcome_count(router, outcome):
+    return router.registry.get("repro_router_anti_entropy_total") \
+        .value(outcome=outcome)
 
 
 class TestRouterAppend:
-    def test_transient_failures_are_retried_to_success(self):
-        router = make_stub_router([["fail", "fail", "ok"]])
-        try:
-            summary = router.append(delta_relation(1), batch_id="retry-me")
-            assert summary["applied"] == 1
-            assert summary["batch_id"] == "retry-me"
-            assert summary["outcomes"][0]["attempts"] == 3
-            assert router.shards[0][0].calls == 3
-        finally:
-            router.close()
+    def test_transient_failures_are_retried_to_success(self, make_wire):
+        wire, router = make_wire()
+        for ordinal in (1, 2):
+            wire.fail((0, 0), "refuse", ordinal)
+        summary = router.append(delta_relation(1), batch_id="retry-me")
+        assert summary["applied"] == 1
+        assert summary["batch_id"] == "retry-me"
+        assert summary["outcomes"][0]["attempts"] == 3
+        assert wire.ordinals[(0, 0)] == 3
+        assert wire.log[(0, 0)] == ["retry-me"]
 
-    def test_unkeyed_append_mints_a_key_and_probes_nothing(self):
+    def test_unkeyed_append_mints_a_key_and_probes_nothing(self, make_wire):
         """No ``batch_id``, no health sweep yet: the append fans out at
         once — zero ``/healthz`` probes — under a minted idempotence key
         with the full retry budget."""
-        router = make_stub_router([["fail", "fail", "ok"], ["ok"]])
-        try:
-            summary = router.append(delta_relation(1))
-            stubs = [replicas[0] for replicas in router.shards]
-            assert [stub.gets for stub in stubs] == [[], []]
-            assert summary["batch_id"]
-            assert [p["batch_id"] for stub in stubs
-                    for p in stub.payloads] == [summary["batch_id"]] * 4
-            assert summary["outcomes"][0]["attempts"] == 3
-            assert summary["applied"] == 2
-        finally:
-            router.close()
+        wire, router = make_wire(shards=2)
+        for ordinal in (1, 2):
+            wire.fail((0, 0), "drop", ordinal)
+        summary = router.append(delta_relation(1))
+        assert summary["batch_id"]
+        assert wire.ordinals == {(0, 0): 3, (1, 0): 1}
+        # the dropped replies were applied once: the retries read dups
+        assert wire.log == {key: [summary["batch_id"]] for key in wire.keys}
+        assert summary["outcomes"][0]["attempts"] == 3
+        assert summary["applied"] == 2 and summary["duplicates"] == 1
 
-    def test_retry_budget_exhausted_is_honest(self):
-        router = make_stub_router([["fail", "fail", "fail"]])
-        try:
-            with pytest.raises(ShardUnavailableError, match="safe to resubmit"):
-                router.append(delta_relation(1), batch_id="doomed")
-        finally:
-            router.close()
+    def test_retry_budget_exhausted_is_honest(self, make_wire):
+        wire, router = make_wire()
+        for ordinal in (1, 2, 3):
+            wire.fail((0, 0), "cut", ordinal)
+        with pytest.raises(ShardUnavailableError, match="safe to resubmit"):
+            router.append(delta_relation(1), batch_id="doomed")
+        assert wire.log[(0, 0)] == ["doomed"]  # applied, never acknowledged
 
-    def test_permanent_rejection_is_not_retried(self):
-        router = make_stub_router([["reject"]])
-        try:
-            with pytest.raises(ShardUnavailableError):
-                router.append(delta_relation(1), batch_id="rejected")
-            assert router.shards[0][0].calls == 1
-        finally:
-            router.close()
+    def test_permanent_rejection_is_not_retried(self, make_wire):
+        wire, router = make_wire()
+        with pytest.raises(ShardUnavailableError):
+            router.append(Relation(("A", "B", "Z"), [(0, 0, 0)], [1.0]),
+                               batch_id="rejected")
+        assert wire.ordinals[(0, 0)] == 1
 
-    def test_only_replica_marked_down_still_takes_an_append(self):
+    def test_only_replica_marked_down_still_takes_an_append(self, make_wire):
         """A shard whose every replica is down gets the delivery anyway:
         the last resort, not a skip."""
-        router = make_stub_router([["fail", "fail", "fail", "ok"]])
-        try:
-            with pytest.raises(ShardUnavailableError):
-                router.append(delta_relation(1), batch_id="lost")
-            summary = router.append(delta_relation(1), batch_id="lost")
-            assert summary["applied"] == 1
-            assert router.shards[0][0].calls == 4
-            up = router.registry.get("repro_router_replica_up")
-            assert up.value(shard="0", replica="0") == 1
-        finally:
-            router.close()
+        wire, router = make_wire()
+        wire.isolate((0, 0))
+        with pytest.raises(ShardUnavailableError):
+            router.append(delta_relation(1), batch_id="lost")
+        wire.heal((0, 0))
+        summary = router.append(delta_relation(1), batch_id="lost")
+        assert summary["applied"] == 1
+        assert wire.ordinals[(0, 0)] == 4
+        up = router.registry.get("repro_router_replica_up")
+        assert up.value(shard="0", replica="0") == 1
 
-    def test_down_replica_is_skipped_while_a_sibling_serves(self):
-        router = make_stub_router([["ok"]])
-        try:
-            stub = _StubClient("http://stub-0b", ["fail", "fail", "fail"])
-            router.shards[0].append(stub)
-            first = router.append(delta_relation(1), batch_id="one")
-            assert first["applied"] == 1 and stub.calls == 3
-            summary = router.append(delta_relation(2), batch_id="two")
-            assert summary["applied"] == 1
-            assert stub.calls == 3  # left to anti-entropy, not dialled
-            skipped = [o for o in summary["outcomes"] if o.get("skipped")]
-            assert len(skipped) == 1 and skipped[0]["replica"] == 1
-        finally:
-            router.close()
+    def test_down_replica_is_skipped_while_a_sibling_serves(self, make_wire):
+        wire, router = make_wire(replicas=2)
+        wire.isolate((0, 1))
+        first = router.append(delta_relation(1), batch_id="one")
+        assert first["applied"] == 1 and wire.ordinals[(0, 1)] == 3
+        summary = router.append(delta_relation(2), batch_id="two")
+        assert summary["applied"] == 1
+        assert wire.ordinals[(0, 1)] == 3  # left to anti-entropy, not dialled
+        skipped = [o for o in summary["outcomes"] if o.get("skipped")]
+        assert len(skipped) == 1 and skipped[0]["replica"] == 1
+
+
+def assert_replicas_match(wire, relation):
+    for server in wire.servers.values():
+        assert server.store.generation == wire.servers[(0, 0)].store.generation
+        assert_store_matches(server.store, relation)
 
 
 class TestAntiEntropy:
-    def test_replica_below_the_source_wal_base_is_unrepairable(self):
-        # What replica 1 missed was compacted away on replica 0: counted
-        # once, and nothing is re-delivered to it.
-        class Replica(_StubClient):
-            """Healthy at ``generation``, every batch of it compacted."""
-
-            def __init__(self, url, generation):
-                super().__init__(url, [])
-                self.generation = generation
-
-            def get_json(self, path):
-                return {"status": "ok", "generation": self.generation,
-                        "wal": {"base_generation": self.generation}}
-
-        router = CubeRouter([["http://a", "http://b"]], dims=DIMS)
-        router.shards[0] = [Replica("http://a", 5), Replica("http://b", 2)]
-        try:
+    def test_replica_below_the_source_wal_base_is_unrepairable(self,
+                                                               make_wire):
+        # What replica 1 missed was compacted away on replica 0: the
+        # sweep after the repair finds nothing moved and counts it, once;
+        # nothing is re-delivered to it.
+        wire, router = make_wire(replicas=2)
+        wire.isolate((0, 1))
+        for seed in (1, 2):
+            router.append(delta_relation(seed))
+        wire.servers[(0, 0)].store.compact()
+        wire.heal((0, 1))
+        router.check_health()
+        assert outcome_count(router, "unrepairable") == 0
+        for _ in range(2):
             router.check_health()
-            assert router.registry.get("repro_router_anti_entropy_total") \
-                .value(outcome="unrepairable") == 1
-            assert [replica.payloads for replica in router.shards[0]] \
-                == [[], []]
-        finally:
-            router.close()
+            assert outcome_count(router, "unrepairable") == 1
+        assert wire.log[(0, 1)] == []
 
-    def test_lagging_replica_is_repaired_from_sibling_wal(self, tmp_path):
-        """Kill a replica, append through the router, restart the replica:
-        the health sweep re-delivers the missed WAL batches and the two
+    def test_lagging_replica_is_repaired_from_sibling_wal(self, make_wire):
+        """Isolate a replica, append through the router, heal it: the
+        health sweep re-delivers the missed WAL batches and the two
         replicas converge to cell-exact equality."""
-        import shutil
+        wire, router = make_wire(replicas=2)
+        wire.isolate((0, 1))
+        d1, d2 = delta_relation(1), delta_relation(2)
+        assert router.append(d1, batch_id="ae-1")["applied"] == 1
+        assert router.append(d2, batch_id="ae-2")["applied"] == 1
+        wire.kill((0, 1))  # it restarts stale
+        wire.heal((0, 1))
+        router.check_health()  # the sweep runs anti-entropy repair
+        assert_replicas_match(wire, combined(base_relation(), d1, d2))
+        # a later append must not be confused by the repair
+        store_b = wire.servers[(0, 1)].store
+        assert not store_b.append(d1, batch_id="ae-1").applied
 
-        CubeStore.build(base_relation(), tmp_path / "a",
-                        backend="local").close()
-        shutil.copytree(tmp_path / "a", tmp_path / "b")
+    @pytest.mark.parametrize("compacted", [False, True])
+    def test_equal_generations_holding_different_batches(self, make_wire,
+                                                         compacted):
+        # X lands on A alone, then Y on B alone: both read generation 2.
+        # One sweep converges them, or -- X folded into A's leaf files,
+        # out of its WAL -- counts them unrepairable; never silent.
+        wire, router = make_wire(replicas=2)
+        x, y = delta_relation(1), delta_relation(2)
+        wire.isolate((0, 1))
+        router.append(x, batch_id="X")
+        if compacted:
+            wire.servers[(0, 0)].store.compact()
+        wire.heal((0, 1))
+        wire.isolate((0, 0))
+        router.check_health()
+        router.append(y, batch_id="Y")
+        wire.heal((0, 0))
+        with obs.installed() as active:
+            router.check_health()
+            if not compacted:  # one sweep converges them
+                assert_replicas_match(wire, combined(base_relation(), x, y))
+            router.check_health()
+        events = active.tracer.spans("router.anti_entropy_unrepairable")
+        if compacted:
+            assert outcome_count(router, "unrepairable") == 1
+            assert [e.attrs["replicas"] for e in events] == [[0, 1]]
+            assert wire.log == {(0, 0): ["X", "Y"], (0, 1): ["Y"]}
+        else:
+            assert not events
+            assert outcome_count(router, "repaired") == 1
+            for _ in range(2):  # either replica answers base + X + Y
+                assert router.query(("A",)).cells == oracle(
+                    combined(base_relation(), x, y), ("A",))
 
-        def serve(directory, port=0):
-            store = CubeStore.open(directory, compact_after=10_000)
-            server = CubeServer(store)
-            endpoint = server.serve_http(port=port)
-            return store, server, endpoint
+    def test_append_landing_mid_repair_is_repaired_not_judged(self,
+                                                              make_wire):
+        # X on A alone, Y on B alone.  While the sweep re-delivers X to
+        # B, Z lands on A after A's WAL was read: B lacks Z when the
+        # repair ends.  A's generation moved past what the repair left,
+        # so the next sweep repairs again instead of calling the shard
+        # unrepairable.
+        wire, router = make_wire(replicas=2)
+        x, y, z = (delta_relation(seed) for seed in (1, 2, 3))
+        wire.isolate((0, 1))
+        router.append(x, batch_id="X")
+        wire.heal((0, 1))
+        wire.isolate((0, 0))
+        router.check_health()
+        router.append(y, batch_id="Y")
+        wire.heal((0, 0))
+        store_a = wire.servers[(0, 0)].store
+        # B's probe, then the re-delivery of X from A's WAL
+        wire.fail((0, 1), lambda: store_a.append(z, batch_id="Z"),
+                  wire.ordinals[(0, 1)] + 2)
+        router.check_health()
+        assert store_a.generation == 4
+        assert wire.servers[(0, 1)].store.generation == 3
+        for _ in range(2):
+            router.check_health()
+        assert outcome_count(router, "unrepairable") == 0
+        assert outcome_count(router, "repaired") == 1
+        assert_replicas_match(wire, combined(base_relation(), x, y, z))
 
-        store_a, server_a, ep_a = serve(tmp_path / "a")
-        store_b, server_b, ep_b = serve(tmp_path / "b")
-        port_b = ep_b.port
-        router = CubeRouter([[ep_a.url, ep_b.url]], dims=DIMS,
-                            retry_policy=RetryPolicy(
-                                attempts=2, base_s=0.0, cap_s=0.0,
-                                sleep=lambda s: None))
+    def test_stores_compacted_before_digests_compare_by_generation(
+            self, make_wire):
+        # Both replicas applied X and Y, folded at different points, by a
+        # release whose manifests carried no digest: their digests are
+        # unknown, so they are compared by generation alone -- equal, so
+        # left be -- and one lagging by generation is still repaired.
+        wire, router = make_wire(replicas=2)
+        x, y, z = (delta_relation(seed) for seed in (1, 2, 3))
+        router.append(x, batch_id="X")
+        wire.servers[(0, 1)].store.compact()
+        router.append(y, batch_id="Y")
+        wire.servers[(0, 0)].store.compact()
+        for key in wire.keys:
+            path = os.path.join(wire.directories[key], "manifest.json")
+            with open(path) as f:
+                manifest = json.load(f)
+            del manifest[store_module.DIGEST_KEY]
+            with open(path, "w") as f:
+                json.dump(manifest, f)
+            wire.kill(key)
+        assert [wire.servers[key].store.wal_stats()["digest"]
+                for key in wire.keys] == [None, None]
+        for _ in range(2):
+            router.check_health()
+        assert outcome_count(router, "repaired") == 0
+        assert outcome_count(router, "unrepairable") == 0
+        assert wire.log == {key: ["X", "Y"] for key in wire.keys}
+        wire.isolate((0, 1))
+        router.append(z, batch_id="Z")
+        wire.heal((0, 1))
+        router.check_health()
+        assert_replicas_match(wire, combined(base_relation(), x, y, z))
+
+    def test_replica_failing_its_repair_is_marked_down(self, make_wire):
+        wire, router = make_wire(replicas=2)
+        wire.isolate((0, 1))
+        router.append(delta_relation(1), batch_id="X")
+        wire.heal((0, 1))
+        # its probe answers; the re-delivery after it is refused
+        wire.fail((0, 1), "refuse", wire.ordinals[(0, 1)] + 2)
+        router.check_health()
+        up = router.registry.get("repro_router_replica_up")
+        assert up.value(shard="0", replica="1") == 0
+        assert outcome_count(router, "redeliver_failed") == 1
+
+
+# ---------------------------------------------------------------------------
+# The cluster machine: 2 shards x 2 replicas under faults from outside
+# ---------------------------------------------------------------------------
+KEYS = st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)])
+CUBOIDS = st.sampled_from([(), ("A",), ("B",), ("A", "C"), ("B", "C"), DIMS])
+
+
+class ClusterMachine(RuleBasedStateMachine):
+    """A router over :class:`wire.Wire` against the wire's delivery log:
+    every answer is ``naive`` over the base plus the batches its replica
+    applied by the answer's generation.  Measures are integers, so
+    replicas that applied one set in different orders agree exactly
+    (DESIGN §6.6)."""
+
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp()
+        self.wire = Wire(build_shards(base_relation(), self.root, 2),
+                         self.root)
+        self.router = self.wire.router(dims=DIMS, retry_policy=NO_PAUSE)
+        self.batches, self.acked, self.named = {}, set(), set()
+        self.ids = map("c{}".format, itertools.count())
+
+    def _applied(self, key, generation, cuboid, minsup):
+        log = self.wire.log[key]
+        assert generation <= 1 + len(log)
+        return oracle(combined(base_relation(), *[
+            self.batches[b] for b in log[:generation - 1]]), cuboid, minsup)
+
+    def _send(self, batch_id, batch):
+        self.batches[batch_id] = batch
         try:
-            # replica B goes dark; two batches land on A alone
-            ep_b.close()
-            server_b.close()
-            store_b.close()
-            d1, d2 = delta_relation(1), delta_relation(2)
-            s1 = router.append(d1, batch_id="ae-1")
-            s2 = router.append(d2, batch_id="ae-2")
-            assert s1["applied"] == 1 and s2["applied"] == 1
+            self.router.append(batch, batch_id=batch_id)
+        except ShardUnavailableError:
+            return
+        self.acked.add(batch_id)
 
-            # B restarts on the same port, generations now skewed
-            store_b, server_b, ep_b = serve(tmp_path / "b", port=port_b)
-            assert store_b.generation < store_a.generation
+    @rule(batch=BATCHES)
+    def append(self, batch):
+        self._send(next(self.ids), batch)
 
-            router.check_health()  # the sweep runs anti-entropy repair
+    @precondition(lambda self: self.batches)
+    @rule(data=st.data())
+    def resend(self, data):
+        batch_id = data.draw(st.sampled_from(sorted(self.batches)))
+        self._send(batch_id, self.batches[batch_id])
 
-            everything = combined(base_relation(), d1, d2)
-            assert store_b.generation == store_a.generation
-            assert_store_matches(store_b, everything)
-            # a later append must not be confused by the repair
-            assert not store_b.append(d1, batch_id="ae-1").applied
+    @rule()
+    def fresh_router(self):
+        self.router.close()
+        self.router = self.wire.router(dims=DIMS, retry_policy=NO_PAUSE)
+
+    @rule(key=KEYS, fault=st.sampled_from(FAULTS))
+    def fault(self, key, fault):
+        self.wire.fail(key, fault)
+
+    @rule(key=KEYS)
+    def isolate(self, key):
+        """Cut one replica of a shard off from the router, and only it."""
+        self.wire.heal((key[0], 1 - key[1]))
+        self.wire.isolate(key)
+
+    @rule(key=KEYS)
+    def heal(self, key):
+        self.wire.heal(key)
+
+    @rule(key=KEYS)
+    def kill(self, key):
+        self.wire.kill(key)
+
+    @rule(key=KEYS)
+    def compact(self, key):
+        self.wire.servers[key].store.compact()
+
+    @rule()
+    def sweep(self):
+        """A health sweep; the replicas any verdict named are kept."""
+        with obs.installed() as active:
+            self.router.check_health()
+        self.named |= {
+            (event.attrs["shard"], replica) for event
+            in active.tracer.spans("router.anti_entropy_unrepairable")
+            for replica in event.attrs["replicas"]}
+
+    @rule(cuboid=CUBOIDS, minsup=st.integers(1, 3),
+          cell=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 4)))
+    def query(self, cuboid, minsup, cell):
+        """A group-by, or (``cell``) a point of ``("A", "B")``."""
+        try:
+            if cell is None:
+                answer = self.router.query(cuboid, minsup)
+            else:
+                cuboid = ("A", "B")
+                answer = self.router.point(cuboid, cell, minsup)
+        except ShardUnavailableError:
+            return
+        cells = self._applied((answer.shard, answer.replica),
+                              answer.generation, cuboid, minsup)
+        assert answer.cells == {c: agg for c, agg in cells.items()
+                                if cell in (None, c)}
+
+    @rule(minsup=st.integers(1, 3))
+    def cube(self, minsup):
+        try:
+            answer = self.router.cube(minsup)
+        except (ShardUnavailableError, GenerationSkewError):
+            return
+        assert answer.attempts <= 2
+        for cuboid, cells in answer.cuboids.items():
+            shard = self.router.shard_for(cuboid)
+            assert any(
+                len(self.wire.log[(shard, r)]) >= answer.generation - 1
+                and cells == self._applied((shard, r), answer.generation,
+                                           cuboid, minsup)
+                for r in (0, 1)), cuboid
+
+    @rule()
+    def converge(self):
+        self.wire.heal()
+        self.sweep()
+        self.sweep()
+        for shard in (0, 1):
+            held = [set(self.wire.log[(shard, r)]) for r in (0, 1)]
+            if held[0] != held[1]:
+                assert {(shard, 0), (shard, 1)} <= self.named, self.wire.log
+
+    @invariant()
+    def delivered_once(self):
+        for key, log in self.wire.log.items():
+            assert len(log) == len(set(log)), key
+            assert self.wire.servers[key].store.generation == 1 + len(log)
+        for batch_id in self.acked:
+            for shard in (0, 1):
+                assert any(batch_id in self.wire.log[(shard, r)]
+                           for r in (0, 1)), (batch_id, shard)
+
+    def teardown(self):
+        try:
+            if sys.exc_info()[0] is None:  # a run that ended cleanly
+                self.converge()
         finally:
-            router.close()
-            for closable in (server_a, store_a, server_b, store_b):
-                closable.close()
+            self.wire.close()
+            shutil.rmtree(self.root)
+
+
+ClusterMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=20, deadline=None, print_blob=True)
+TestClusterMachine = ClusterMachine.TestCase
