@@ -201,24 +201,8 @@ def build_parser():
                         help="per-replica request timeout (default 10)")
     router.add_argument("--health-interval", type=float, default=2.0,
                         metavar="SECONDS",
-                        help="background /healthz sweep period; 0 disables "
-                             "(default 2)")
-    router.add_argument("--append-retries", type=int, default=3, metavar="N",
-                        help="delivery attempts per replica per append "
-                             "(idempotence keys make the retries safe; "
-                             "default 3)")
-    router.add_argument("--append-backoff", type=float, default=0.05,
-                        metavar="SECONDS", dest="retry_base_s",
-                        help="base of the capped full-jitter backoff "
-                             "between append retries (default 0.05)")
-    router.add_argument("--append-backoff-cap", type=float, default=1.0,
-                        metavar="SECONDS", dest="retry_cap_s",
-                        help="backoff ceiling between append retries "
-                             "(default 1)")
-    router.add_argument("--append-deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock budget for one append fan-out, "
-                             "retries included (default: none)")
+                        help="background /healthz and repair sweep "
+                             "period; 0 disables (default 2)")
     router.add_argument("--self-test", type=int, metavar="N", default=None,
                         help="fire N queries through the router, print its "
                              "health and stats, and exit (smoke mode)")
@@ -760,7 +744,7 @@ def cmd_router(args, out):
 
 
 def _cmd_router(args, out):
-    from .serve import CubeRouter, RetryPolicy
+    from .serve import CubeRouter
 
     shard_replicas = []
     for spec in args.shards:
@@ -771,11 +755,7 @@ def _cmd_router(args, out):
         shard_replicas.append(urls)
     router = CubeRouter(
         shard_replicas, timeout_s=args.timeout,
-        health_interval_s=args.health_interval,
-        append_deadline_s=args.append_deadline,
-        retry_policy=RetryPolicy(
-            attempts=args.append_retries, base_s=args.retry_base_s,
-            cap_s=args.retry_cap_s))
+        health_interval_s=args.health_interval)
     endpoint = router.serve_http(host=args.host, port=args.port)
     print("routing %d shard(s), replicas per shard: %s"
           % (router.n_shards, [len(r) for r in router.shards]), file=out)

@@ -17,6 +17,8 @@ can be computed over partitioned data and merged — which is what lets
 BPP and POL work on chunks.
 """
 
+import math
+
 from ..errors import SchemaError
 
 DISTRIBUTIVE = "distributive"
@@ -204,3 +206,32 @@ def from_count_sum(name, count, total):
 
 
 DERIVABLE_FROM_COUNT_SUM = frozenset({"count", "sum", "avg"})
+
+
+def exact_sum(values):
+    """The correctly rounded total (``math.fsum``); where there is none
+    (inf - inf, or a partial sum past the float range) the float sum."""
+    values = list(values)
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
+def exact_parts(values):
+    """A few floats whose exact sum is that of ``values``, each the
+    rounded remainder of those before it: :func:`exact_sum` over the
+    parts of every piece of a split sequence is :func:`exact_sum` of the
+    whole, so a backend summing split by split (the MapReduce mappers)
+    reports the pool's total bit for bit, as no fold in order would."""
+    values = list(values)
+    parts = [exact_sum(values)]
+    try:
+        while math.isfinite(parts[-1]):
+            rest = math.fsum(values + [-part for part in parts])
+            if not rest:
+                break
+            parts.append(rest)
+    except OverflowError:  # a partial sum past the float range
+        del parts[1:]
+    return parts

@@ -29,7 +29,6 @@ and because run files are durable and attempt-scoped, a re-executed
 task reproduces its output byte-for-byte.
 """
 
-import math
 import os
 import shutil
 import signal
@@ -39,6 +38,7 @@ import time
 import numpy as np
 
 from .. import obs
+from ..core.aggregates import exact_parts, exact_sum
 from ..core.columnar import fold_sorted, qualifying_mask, unpack_codes
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold
@@ -174,7 +174,7 @@ def _map_task_impl(task_id, attempt, split):
     runs = []
     spill_no = 0
     rows_total = 0
-    measure_total = 0.0
+    measure_parts = []
 
     def flush(run):
         nonlocal spill_no
@@ -210,7 +210,7 @@ def _map_task_impl(task_id, attempt, split):
             pending.append(piece)
             entries += len(piece[1])
         rows_total += len(rows)
-        measure_total += math.fsum(measures)
+        measure_parts = exact_parts([*measure_parts, *measures])
         # Budget check at chunk boundaries, on *folded* entries: pending
         # can overshoot by at most one chunk's worth of new entries
         # (documented in DESIGN 6.11).
@@ -229,7 +229,7 @@ def _map_task_impl(task_id, attempt, split):
     return task_id, {
         "attempt": attempt,
         "rows": rows_total,
-        "measure": measure_total,
+        "measure": measure_parts,
         "spills": spill_no,
         "runs": runs,
     }
@@ -501,7 +501,8 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
                          seconds=round(stats.map_seconds, 6))
         totals = (
             sum(map_results[t]["rows"] for t in sorted(map_results)),
-            math.fsum(map_results[t]["measure"] for t in sorted(map_results)),
+            exact_sum(part for t in sorted(map_results)
+                      for part in map_results[t]["measure"]),
         )
 
         # ---- sweep orphaned attempts ----------------------------------

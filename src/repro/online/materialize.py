@@ -20,6 +20,7 @@ import copy
 
 from .. import obs
 from ..backends import resolve_backend
+from ..core.aggregates import exact_sum
 from ..core.columnar import CellRun, RunCells, code_matrix
 from ..core.thresholds import as_threshold
 from ..errors import PlanError
@@ -272,7 +273,7 @@ class LeafMaterialization(LeafHolder):
         #: :class:`repro.serve.store.CubeStore`)
         self._snapshot = LeafSnapshot(
             self.dims, self.leaves, runs, 1, len(relation),
-            sum(relation.measures))
+            exact_sum(relation.measures))
 
     def insert(self, relation):
         """Incrementally fold new rows into the materialized leaves.

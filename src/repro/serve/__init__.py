@@ -26,15 +26,16 @@ iceberg query almost immediately — made into a serving subsystem:
   and idempotent: checksummed batch-id-stamped delta records fsync'd
   before acknowledgement, replayed on restart, deduplicated on retry
   (:class:`AppendResult`), compacted in the background, and re-delivered
-  to lagging replicas by the router's anti-entropy sweep (retries paced
-  by :class:`RetryPolicy`).
+  to lagging replicas by the router's anti-entropy sweep — a router
+  append posts each batch once per replica, and the sweep (woken at
+  once by a failed delivery) repairs whatever a replica missed.
 """
 
 from .cache import QueryCache, cache_key
 from .cluster import CubeRouter, ReplicaClient, ShardMap, stable_shard_hash
 from .http import HttpEndpoint
 from .ingest import WalRecord, WriteAheadLog
-from .resilience import AdmissionGate, Deadline, RetryPolicy
+from .resilience import AdmissionGate, Deadline
 from .server import CubeAnswer, CubeServer, QueryAnswer
 from .store import AppendResult, CubeStore
 from .telemetry import ServerTelemetry
@@ -44,7 +45,6 @@ __all__ = [
     "AppendResult",
     "WriteAheadLog",
     "WalRecord",
-    "RetryPolicy",
     "QueryCache",
     "cache_key",
     "CubeServer",

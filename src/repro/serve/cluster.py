@@ -33,18 +33,20 @@ answers a structured :class:`~repro.errors.ShardUnavailableError`
 (HTTP 503 naming the shard) — an honest partial outage, never a wrong
 or silently truncated answer.
 
-**Durable fan-out** (:meth:`CubeRouter.append`).  Row deltas are
-delivered to every replica not marked down in parallel, each delivery
-retried under a capped full-jitter
-:class:`~repro.serve.resilience.RetryPolicy`, and the whole batch travels
-under one idempotence key — replicas acknowledge a replayed batch
-instead of re-applying it, so the router (or a client whose
-router died mid-call) can always retry safely.  The background health
-sweep doubles as **anti-entropy repair**: replicas of one shard that
-differ in generation or in batch digest (which names the set of batch
-ids a store applied) are sent each other's pending WAL batches
-(``GET /wal``) under their original batch ids, converging the shard
-without operator action.
+**Durable fan-out** (:meth:`CubeRouter.append`).  A row delta is
+posted once, in parallel, to every replica not marked down, and the
+whole batch travels under one idempotence key — replicas acknowledge a
+replayed batch instead of re-applying it, so a client whose call failed
+(or whose router died mid-call) can always resubmit safely.  The router
+itself never retries a delivery: the background health sweep is the one
+path that converges a replica which missed a batch, and a failed
+delivery wakes it at once, before a sibling's compaction can fold the
+batch out of its WAL.  The sweep doubles as **anti-entropy repair**:
+replicas of one shard that differ in generation or in batch digest
+(which names the set of batch ids a store applied) are sent each
+other's pending WAL batches (``GET /wal``) under their original batch
+ids, through the same single delivery an append makes, converging the
+shard without operator action.
 
 **Generation consistency.**  Replicas answer from one immutable store
 snapshot and label the answer with its generation, so a single-shard
@@ -108,7 +110,6 @@ from .http import (
     parse_threshold,
 )
 from .ingest import stamped_batch_id
-from .resilience import Deadline, RetryPolicy
 
 __all__ = [
     "ShardMap",
@@ -434,8 +435,7 @@ class CubeRouter:
     """
 
     def __init__(self, shard_replicas, dims=None, timeout_s=10.0,
-                 health_interval_s=0.0, registry=None,
-                 append_deadline_s=None, retry_policy=None):
+                 health_interval_s=0.0, registry=None):
         if not shard_replicas:
             raise PlanError("need at least one shard")
         self.shards = []
@@ -458,17 +458,12 @@ class CubeRouter:
         self._repairs = {}
         self._endpoints = []
         self._closed = threading.Event()
+        #: set to sweep at once instead of waiting out the interval
+        self._wake = threading.Event()
         self._pool = ThreadPoolExecutor(
             max_workers=max(4, 2 * self.n_shards,
                             sum(len(r) for r in self.shards)),
             thread_name_prefix="cube-router")
-        if retry_policy is None:
-            retry_policy = RetryPolicy()
-        self.append_policy = retry_policy
-        if append_deadline_s is not None and float(append_deadline_s) <= 0:
-            raise PlanError("append_deadline_s must be > 0, got %r"
-                            % (append_deadline_s,))
-        self.append_deadline_s = append_deadline_s
         if registry is None:
             active = obs.current()
             registry = active.registry if active is not None \
@@ -492,10 +487,6 @@ class CubeRouter:
         self._health_checks = registry.counter(
             "repro_router_health_checks_total",
             "Background /healthz probes by result.", ("status",))
-        self._append_retries = registry.counter(
-            "repro_router_append_retries_total",
-            "Append attempts that failed and were retried, per shard.",
-            ("shard",))
         self._anti_entropy = registry.counter(
             "repro_router_anti_entropy_total",
             "Anti-entropy repair actions by outcome.", ("outcome",))
@@ -732,87 +723,64 @@ class CubeRouter:
         }
         return {s: future.result()[0] for s, future in futures.items()}
 
-    def _append_replica(self, shard, replica, payload, deadline):
-        """Deliver one append to one replica, retrying with backoff.
+    def _deliver(self, shard, replica, payload):
+        """POST one batch to one replica, once, under its batch id: the
+        delivery an append and an anti-entropy re-delivery both make.
+        Returns the ack; a :class:`~repro.errors.ReplicaError` marks the
+        replica down and propagates, as does a 4xx
+        (:class:`~repro.errors.PlanError`), which marks nothing."""
+        try:
+            ack = self.shards[shard][replica].post_json("/append", payload)
+        except ReplicaError:
+            self._mark(shard, replica, False)
+            raise
+        self._answered(shard, replica)
+        return ack
 
-        A :class:`~repro.errors.ReplicaError` marks the replica down and
-        an acknowledgement marks it up.  Transient
-        :class:`~repro.errors.ReplicaError` failures are retried under
-        the router's :class:`RetryPolicy`; a
-        :class:`~repro.errors.PlanError` (the replica answered, and said
-        no) is permanent.  Retrying is safe because every delivery
-        carries the batch's idempotence key: a replica that applied the
-        batch but lost the reply just acknowledges the duplicate.
-        """
-        attempts = self.append_policy.attempts
-        client = self.shards[shard][replica]
+    def _append_replica(self, shard, replica, payload):
+        """One append's outcome on one replica: a single delivery."""
         outcome = {"shard": shard, "replica": replica, "ok": False}
-        last_error = "no attempt made"
-        for attempt in range(attempts):
-            if deadline is not None and deadline.expired():
-                outcome["error"] = ("append deadline exceeded after %d "
-                                    "attempts (%s)" % (attempt, last_error))
-                return outcome
-            try:
-                reply = client.post_json("/append", payload)
-            except ReplicaError as exc:
-                self._mark(shard, replica, False)
-                last_error = str(exc)
-                self._failovers.inc(shard=str(shard))
-                if attempt + 1 < attempts:
-                    self._append_retries.inc(shard=str(shard))
-                    obs.event("router.append_retry", shard=shard,
-                              replica=replica, attempt=attempt)
-                    if self.append_policy.pause(attempt, deadline):
-                        continue
-                    outcome["error"] = ("append deadline cannot absorb "
-                                        "backoff (%s)" % last_error)
-                    return outcome
-                outcome["error"] = last_error
-                outcome["attempts"] = attempt + 1
-                return outcome
-            except PlanError as exc:
-                outcome["error"] = str(exc)
-                outcome["permanent"] = True
-                outcome["attempts"] = attempt + 1
-                return outcome
-            self._answered(shard, replica)
-            outcome.update(
-                ok=True, generation=reply.get("generation"),
-                applied=reply.get("applied", True),
-                attempts=attempt + 1)
+        try:
+            ack = self._deliver(shard, replica, payload)
+        except (ReplicaError, PlanError) as exc:
+            outcome["error"] = str(exc)
             return outcome
-        return outcome  # pragma: no cover - loop always returns
+        outcome.update(ok=True, generation=ack.get("generation"),
+                       applied=ack.get("applied", True))
+        return outcome
 
-    def append(self, relation, batch_id=None, deadline_s=None):
+    def append(self, relation, batch_id=None):
         """Fold a row delta into *every* replica of every shard.
 
-        Each replica applies the delta to its own store (replicas do not
-        share disks), so the cluster's generations converge as the posts
-        land; reads stay consistent throughout via the generation
-        protocol.  Deliveries run in parallel to every replica not
-        marked down — to all of a shard's replicas if every one is down
-        — and a skipped replica is left to anti-entropy repair.  The
-        whole batch travels under one idempotence key (the caller's
-        ``batch_id``, else one minted here) and each delivery gets the
-        full retry budget (capped full-jitter backoff — see
-        :meth:`_append_replica`), so retries — including a *client*
-        retrying this very call after a crash — can never double-count
-        rows.
+        Each replica applies the delta to its own store; reads stay
+        consistent throughout via the generation protocol.  The batch is
+        posted exactly once, in parallel, to every replica not marked
+        down — to all of a shard's replicas if every one is down — under
+        one idempotence key (the caller's ``batch_id``, else one minted
+        here), so no re-delivery can double-count rows.  The router
+        never retries: a replica that was skipped or failed the batch is
+        brought level by a health sweep's anti-entropy repair, and a
+        delivery that marks a replica down wakes the health loop to
+        sweep at once (one still unreachable waits for the next sweep).
+        With ``health_interval_s=0`` (the constructor default) there is
+        no loop: nothing repairs such a replica until the caller runs
+        :meth:`check_health`.
 
+        A shard is acknowledged once one of its replicas acknowledges.
         Returns a summary with per-replica outcomes (``applied`` counts
         acknowledgements, ``duplicates`` the acks that were replays).  A
-        shard whose replicas *all* failed raises
-        :class:`~repro.errors.ShardUnavailableError` — that shard would
-        otherwise be permanently stale; re-calling with the same
+        shard whose targeted replicas *all* failed raises
+        :class:`~repro.errors.ShardUnavailableError` — no replica holds
+        the batch to repair the others from; re-calling with the same
         ``batch_id`` is the safe recovery.
         """
         start = perf_counter()
         with obs.span("router.append", rows=len(relation)) as span:
             if batch_id is None:
                 # Stamp the batch with the live trace id: every later
-                # sighting of this id — replica WAL, retry, anti-entropy
-                # re-delivery — correlates back to this append's trace.
+                # sighting of this id — replica WAL, resubmission,
+                # anti-entropy re-delivery — correlates back to this
+                # append's trace.
                 batch_id = stamped_batch_id(obs.trace_id())
             batch_id = str(batch_id)
             if span:
@@ -823,9 +791,6 @@ class CubeRouter:
                 "measures": list(relation.measures),
                 "batch_id": batch_id,
             }
-            if deadline_s is None:
-                deadline_s = self.append_deadline_s
-            deadline = Deadline(deadline_s) if deadline_s is not None else None
             ctx = obs.context()
             down = frozenset(self._down)
             futures = {}
@@ -834,7 +799,7 @@ class CubeRouter:
                 for key in [k for k in keys if k not in down] or keys:
                     futures[key] = self._pool.submit(
                         self._traced, ctx, self._append_replica, *key,
-                        payload, deadline)
+                        payload)
             outcomes = [
                 futures[(shard, replica)].result()
                 if (shard, replica) in futures else
@@ -843,6 +808,10 @@ class CubeRouter:
                                            "anti-entropy repair"}
                 for shard, replicas in enumerate(self.shards)
                 for replica in range(len(replicas))]
+            if self._down - down:
+                # A replica missed the batch: sweep now, while the batch
+                # is still in a sibling's WAL, not after it compacts.
+                self._wake.set()
             for shard, replicas in enumerate(self.shards):
                 ok = sum(1 for o in outcomes
                          if o["shard"] == shard and o["ok"])
@@ -1017,25 +986,21 @@ class CubeRouter:
 
     def _redeliver(self, shard, replica, source, batches):
         """Re-POST ``batches`` to one replica, in order, under their
-        original ids; returns how many it applied (the rest were
-        duplicates), or ``None`` at the first failure (a
-        :class:`~repro.errors.ReplicaError` marks the replica down)."""
-        client = self.shards[shard][replica]
+        original ids (one :meth:`_deliver` each); returns how many it
+        applied (the rest were duplicates), or ``None`` at the first
+        failure."""
         applied = 0
         for batch in batches:
             payload = {"dims": batch["dims"], "rows": batch["rows"],
                        "measures": batch["measures"],
                        "batch_id": batch["batch_id"]}
             try:
-                ack = client.post_json("/append", payload)
+                ack = self._deliver(shard, replica, payload)
             except (ReplicaError, PlanError) as exc:
-                if isinstance(exc, ReplicaError):
-                    self._mark(shard, replica, False)
                 self._anti_entropy.inc(outcome="redeliver_failed")
                 obs.event("router.anti_entropy_redeliver_failed",
                           shard=shard, replica=replica, error=str(exc))
                 return None
-            self._answered(shard, replica)
             applied += bool(ack.get("applied", True))
         obs.event("router.anti_entropy_repaired", shard=shard,
                   replica=replica, source=source, delivered=len(batches),
@@ -1043,13 +1008,13 @@ class CubeRouter:
         return applied
 
     def _health_loop(self):
-        while True:
+        while not self._closed.is_set():
+            self._wake.clear()
             try:
                 self.check_health()
             except Exception:  # pragma: no cover - belt and braces
                 pass  # a health sweep must never kill the router
-            if self._closed.wait(self.health_interval_s):
-                return
+            self._wake.wait(self.health_interval_s)
 
     def health(self):
         """The router's own ``/healthz`` body: per-shard replica states.
@@ -1175,6 +1140,7 @@ class CubeRouter:
         if self._closed.is_set():
             return
         self._closed.set()
+        self._wake.set()
         if self._health_thread is not None:
             self._health_thread.join(timeout=5.0)
         endpoints, self._endpoints = self._endpoints, []

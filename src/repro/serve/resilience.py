@@ -3,84 +3,28 @@
 Serving-grade OLAP needs explicit admission and latency control — a
 query front-end that queues unboundedly turns one slow dependency into
 a site-wide stall.  Two small, thread-safe primitives give
-:class:`~repro.serve.server.CubeServer` its degradation ladder, and a
-third paces the retries of :class:`~repro.serve.cluster.CubeRouter`'s
-append deliveries:
+:class:`~repro.serve.server.CubeServer` its degradation ladder:
 
 * :class:`Deadline` — one query's wall-clock budget, created at
   *admission* (queue time counts) and checked at every stage boundary;
 * :class:`AdmissionGate` — a bounded in-flight counter that sheds the
   excess with a fast :class:`~repro.errors.ServerOverloadedError`
-  instead of queueing it;
-* :class:`RetryPolicy` — capped full-jitter backoff between retries.
+  instead of queueing it.
 
-:class:`Deadline` takes an injectable monotonic ``clock`` and
-:class:`RetryPolicy` an injectable ``rng`` and ``sleep``, so tests can
-drive them without sleeping.
+:class:`Deadline` takes an injectable monotonic ``clock``, so tests can
+drive it without sleeping.
 
 With :func:`repro.obs.install` active, degradation turns visible on the
 trace timeline: every shed admission is recorded as an instant event.
 """
 
-import random
 import threading
 import time
 
 from .. import obs
 from ..errors import DeadlineExceededError, PlanError, ServerOverloadedError
 
-__all__ = ["Deadline", "AdmissionGate", "RetryPolicy"]
-
-
-class RetryPolicy:
-    """Capped full-jitter exponential backoff for idempotent retries.
-
-    ``attempts`` is the *total* number of tries.  The delay before retry
-    ``k`` (0-based) is drawn uniformly from ``[0, min(cap_s, base_s *
-    2**k)]`` — AWS-style full jitter, which decorrelates a thundering
-    herd of retriers better than truncated or equal jitter.  ``rng`` and
-    ``sleep`` are injectable so tests can drive the schedule without
-    wall-clock time.
-
-    The policy itself is stateless and thread-safe; it only computes
-    delays and sleeps.  Callers that need per-attempt bookkeeping (the
-    router marks a replica down on each failed try) loop over
-    ``range(attempts)`` and call :meth:`backoff_s` / :meth:`pause`
-    themselves.
-    """
-
-    def __init__(self, attempts=3, base_s=0.05, cap_s=1.0,
-                 rng=None, sleep=time.sleep):
-        if attempts < 1:
-            raise PlanError("retry attempts must be >= 1, got %r" % (attempts,))
-        if base_s < 0 or cap_s < 0:
-            raise PlanError(
-                "retry backoff must be >= 0 seconds, got base=%r cap=%r"
-                % (base_s, cap_s))
-        self.attempts = int(attempts)
-        self.base_s = float(base_s)
-        self.cap_s = float(cap_s)
-        self._rng = rng if rng is not None else random.Random()
-        self._sleep = sleep
-
-    def backoff_s(self, attempt):
-        """The jittered delay before retrying after try ``attempt``."""
-        ceiling = min(self.cap_s, self.base_s * (2 ** attempt))
-        return self._rng.uniform(0.0, ceiling)
-
-    def pause(self, attempt, deadline=None):
-        """Sleep the backoff for ``attempt``; False if ``deadline`` can't
-        absorb the delay (the caller should stop retrying)."""
-        delay = self.backoff_s(attempt)
-        if deadline is not None and deadline.remaining() <= delay:
-            return False
-        if delay > 0:
-            self._sleep(delay)
-        return True
-
-    def __repr__(self):
-        return "RetryPolicy(attempts=%d, base=%.3fs, cap=%.3fs)" % (
-            self.attempts, self.base_s, self.cap_s)
+__all__ = ["Deadline", "AdmissionGate"]
 
 
 class Deadline:

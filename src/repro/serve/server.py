@@ -360,7 +360,6 @@ class CubeServer:
         return {
             "generation": reply["generation"],
             "base_generation": reply["base_generation"],
-            "truncated": reply["truncated"],
             "batches": [
                 {
                     "generation": record.generation,

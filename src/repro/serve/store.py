@@ -987,17 +987,15 @@ class CubeStore(LeafHolder):
         """Pending batches newer than generation ``since``, for replica
         repair (the router's anti-entropy sweep re-delivers them).
 
-        Returns ``{generation, base_generation, truncated, batches}``;
-        ``truncated`` is True when ``since`` predates the oldest WAL
-        record (the gap was compacted away and cannot be re-delivered).
+        Returns ``{generation, base_generation, batches}``; batches at
+        or below ``base_generation`` were compacted away and cannot be
+        re-delivered.
         """
         with self._lock:  # the WAL's files move only under it
             snap = self.snapshot()
-            base = snap.generation - len(snap.batches)
             return {
                 "generation": snap.generation,
-                "base_generation": base,
-                "truncated": since < base,
+                "base_generation": snap.generation - len(snap.batches),
                 "batches": [record for record in self.wal.replay()
                             if record.generation > since],
             }

@@ -8,6 +8,8 @@ from repro.core.aggregates import (
     ALGEBRAIC,
     DISTRIBUTIVE,
     HOLISTIC,
+    exact_parts,
+    exact_sum,
     from_count_sum,
     get_aggregate,
 )
@@ -86,6 +88,30 @@ class TestMergeProperty:
             assert merged == pytest.approx(whole, rel=1e-9, abs=1e-6)
         else:
             assert merged == whole
+
+
+class TestExactSum:
+    """The total a store's apex answers: MapReduce mappers report
+    ``exact_parts`` of their splits and the pool sums the whole."""
+
+    @given(values=st.lists(st.floats(-1e300, 1e300), max_size=60),
+           cuts=st.lists(st.integers(0, 60), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_parts_of_any_split_sum_to_the_whole_bit_for_bit(self, values,
+                                                             cuts):
+        cuts = sorted(min(cut, len(values)) for cut in cuts)
+        pieces = [values[a:b]
+                  for a, b in zip([0] + cuts, cuts + [len(values)])]
+        split = exact_sum(part for piece in pieces
+                          for part in exact_parts(piece))
+        assert split == exact_sum(values)
+
+    def test_no_exact_total_falls_back_to_the_float_sum(self):
+        inf = float("inf")
+        assert exact_sum([inf, 1.0]) == inf
+        assert exact_sum([1e308, 1e308]) == inf
+        assert exact_sum([inf, -inf]) != exact_sum([inf, -inf])  # nan
+        assert exact_parts([inf, 2.0]) == [inf]
 
 
 class TestFromCountSum:

@@ -35,7 +35,7 @@ from repro.errors import (
     ShardUnavailableError,
     WalCorruptError,
 )
-from repro.serve import CubeServer, CubeStore, RetryPolicy
+from repro.serve import CubeServer, CubeStore
 from repro.serve import store as store_module
 from repro.serve.ingest import (
     MAX_COORD,
@@ -371,12 +371,15 @@ class TestWalStore:
         wal_store.append(d1, batch_id="w1")
         wal_store.append(d2, batch_id="w2")
         feed = wal_store.wal_batches_since(wal_store.generation - 2)
-        assert not feed["truncated"]
+        assert feed["base_generation"] == wal_store.generation - 2
         assert [b.batch_id for b in feed["batches"]] == ["w1", "w2"]
         newer = wal_store.wal_batches_since(wal_store.generation - 1)
         assert [b.batch_id for b in newer["batches"]] == ["w2"]
-        stale = wal_store.wal_batches_since(0)
-        assert stale["truncated"]
+        wal_store.compact()
+        folded = wal_store.wal_batches_since(0)
+        # what lies below the base was folded away: nothing to re-deliver
+        assert folded["base_generation"] == wal_store.generation
+        assert folded["batches"] == []
 
     def test_digest_names_the_batch_set(self, tmp_path, wal_store):
         # XOR of one hash per applied id, folded or pending, kept across
@@ -813,57 +816,19 @@ class TestIngestHttp:
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy
-# ---------------------------------------------------------------------------
-class _UpperBoundRng:
-    def uniform(self, low, high):
-        return high
-
-
-class TestRetryPolicy:
-    def test_backoff_doubles_then_caps(self):
-        policy = RetryPolicy(attempts=5, base_s=0.1, cap_s=0.35,
-                             rng=_UpperBoundRng(), sleep=lambda s: None)
-        assert [policy.backoff_s(k) for k in range(4)] == \
-            [0.1, 0.2, 0.35, 0.35]
-
-    def test_pause_refuses_when_deadline_cannot_absorb(self):
-        from repro.serve import Deadline
-
-        slept = []
-        policy = RetryPolicy(attempts=3, base_s=0.5, cap_s=0.5,
-                             rng=_UpperBoundRng(), sleep=slept.append)
-        clock = iter([0.0, 0.0, 0.1]).__next__
-        deadline = Deadline(0.2, clock=clock)
-        assert not policy.pause(0, deadline)
-        assert slept == []
-        assert policy.pause(0, None)
-        assert slept == [0.5]
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(PlanError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(PlanError):
-            RetryPolicy(base_s=-1)
-
-
-# ---------------------------------------------------------------------------
 # Router fan-out and anti-entropy, on the cluster in one process
 # ---------------------------------------------------------------------------
-NO_PAUSE = RetryPolicy(attempts=3, base_s=0.0, cap_s=0.0, sleep=lambda s: None)
-
-
 @pytest.fixture
 def make_wire(tmp_path):
     """``make(shards, replicas)``: a :class:`wire.Wire` over the base
-    relation and a router on it that does not pause between retries."""
+    relation and a router on it."""
     wires = []
 
-    def make(shards=1, replicas=1):
+    def make(shards=1, replicas=1, compact_after=None, **router):
         root = str(tmp_path / str(len(wires)))
         wires.append(Wire(build_shards(base_relation(), root, shards), root,
-                          replicas))
-        return wires[-1], wires[-1].router(dims=DIMS, retry_policy=NO_PAUSE)
+                          replicas, compact_after))
+        return wires[-1], wires[-1].router(dims=DIMS, **router)
 
     yield make
     for wire in wires:
@@ -875,47 +840,101 @@ def outcome_count(router, outcome):
         .value(outcome=outcome)
 
 
+def eventually(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert predicate()
+
+
 class TestRouterAppend:
-    def test_transient_failures_are_retried_to_success(self, make_wire):
-        wire, router = make_wire()
-        for ordinal in (1, 2):
-            wire.fail((0, 0), "refuse", ordinal)
-        summary = router.append(delta_relation(1), batch_id="retry-me")
+    """An append posts the batch once to each replica it targets; the
+    health sweep repairs whatever missed it."""
+
+    def test_down_replica_is_skipped_while_a_sibling_serves(self, make_wire):
+        # The refusing replica is asked once and marked down, the next
+        # append leaves it out, and one sweep brings it level.
+        wire, router = make_wire(replicas=2)
+        d1, d2 = delta_relation(1), delta_relation(2)
+        wire.fail((0, 1), "refuse")
+        assert router.append(d1, batch_id="one")["applied"] == 1
+        assert wire.ordinals == {(0, 0): 1, (0, 1): 1}
+        up = router.registry.get("repro_router_replica_up")
+        assert up.value(shard="0", replica="1") == 0
+        summary = router.append(d2, batch_id="two")
         assert summary["applied"] == 1
-        assert summary["batch_id"] == "retry-me"
-        assert summary["outcomes"][0]["attempts"] == 3
-        assert wire.ordinals[(0, 0)] == 3
-        assert wire.log[(0, 0)] == ["retry-me"]
+        assert wire.ordinals == {(0, 0): 2, (0, 1): 1}  # not dialled
+        skipped = [o for o in summary["outcomes"] if o.get("skipped")]
+        assert len(skipped) == 1 and skipped[0]["replica"] == 1
+        router.check_health()
+        assert wire.log == {key: ["one", "two"] for key in wire.keys}
+        assert_replicas_match(wire, combined(base_relation(), d1, d2))
+
+    def test_failed_delivery_wakes_the_sweep_before_a_sibling_compacts(
+            self, make_wire):
+        # One refused delivery, then more appends than the sibling's
+        # compaction threshold.  The sweep the failure woke re-delivers
+        # the batch while it is still in the sibling's WAL, an hour
+        # before the health interval would have come round.
+        wire, router = make_wire(replicas=2, compact_after=8,
+                                 health_interval_s=3600)
+        checks = router.registry.get("repro_router_health_checks_total")
+        eventually(lambda: checks.value(status="ok") == 2)  # the first sweep
+        batches = [delta_relation(seed) for seed in range(1, 11)]
+        wire.fail((0, 1), "refuse")
+        assert router.append(batches[0], batch_id="b0")["applied"] == 1
+        eventually(lambda: wire.log[(0, 1)] == ["b0"])
+        for i, batch in enumerate(batches[1:], 1):
+            assert router.append(batch, batch_id="b%d" % i)["applied"] == 2
+        source = wire.servers[(0, 0)].store
+        eventually(lambda: source.wal_stats()["base_generation"] > 1)
+        for _ in range(2):
+            router.check_health()
+        assert outcome_count(router, "unrepairable") == 0
+        assert_replicas_match(wire, combined(base_relation(), *batches))
+
+    def test_unacknowledged_batch_is_safe_to_resubmit(self, make_wire):
+        wire, router = make_wire()
+        wire.fail((0, 0), "refuse")
+        with pytest.raises(ShardUnavailableError, match="safe to resubmit"):
+            router.append(delta_relation(1), batch_id="again")
+        assert wire.ordinals[(0, 0)] == 1 and wire.log[(0, 0)] == []
+        summary = router.append(delta_relation(1), batch_id="again")
+        assert summary["applied"] == 1 and summary["duplicates"] == 0
+        assert wire.ordinals[(0, 0)] == 2 and wire.log[(0, 0)] == ["again"]
+        assert_store_matches(wire.servers[(0, 0)].store,
+                             combined(base_relation(), delta_relation(1)))
+
+    def test_dropped_ack_reads_as_a_duplicate_on_resend(self, make_wire):
+        wire, router = make_wire()
+        wire.fail((0, 0), "drop")
+        with pytest.raises(ShardUnavailableError):
+            router.append(delta_relation(1), batch_id="lost-ack")
+        assert wire.log[(0, 0)] == ["lost-ack"]  # applied, never acknowledged
+        summary = router.append(delta_relation(1), batch_id="lost-ack")
+        assert summary["applied"] == 1 and summary["duplicates"] == 1
+        assert wire.ordinals[(0, 0)] == 2 and wire.log[(0, 0)] == ["lost-ack"]
 
     def test_unkeyed_append_mints_a_key_and_probes_nothing(self, make_wire):
         """No ``batch_id``, no health sweep yet: the append fans out at
-        once — zero ``/healthz`` probes — under a minted idempotence key
-        with the full retry budget."""
+        once — zero ``/healthz`` probes, one POST per replica — under a
+        minted idempotence key."""
         wire, router = make_wire(shards=2)
-        for ordinal in (1, 2):
-            wire.fail((0, 0), "drop", ordinal)
         summary = router.append(delta_relation(1))
         assert summary["batch_id"]
-        assert wire.ordinals == {(0, 0): 3, (1, 0): 1}
-        # the dropped replies were applied once: the retries read dups
+        assert wire.ordinals == {(0, 0): 1, (1, 0): 1}
         assert wire.log == {key: [summary["batch_id"]] for key in wire.keys}
-        assert summary["outcomes"][0]["attempts"] == 3
-        assert summary["applied"] == 2 and summary["duplicates"] == 1
-
-    def test_retry_budget_exhausted_is_honest(self, make_wire):
-        wire, router = make_wire()
-        for ordinal in (1, 2, 3):
-            wire.fail((0, 0), "cut", ordinal)
-        with pytest.raises(ShardUnavailableError, match="safe to resubmit"):
-            router.append(delta_relation(1), batch_id="doomed")
-        assert wire.log[(0, 0)] == ["doomed"]  # applied, never acknowledged
+        assert summary["applied"] == 2 and summary["duplicates"] == 0
 
     def test_permanent_rejection_is_not_retried(self, make_wire):
+        # A 4xx: the replica answered, so it is asked once and stays up.
         wire, router = make_wire()
         with pytest.raises(ShardUnavailableError):
             router.append(Relation(("A", "B", "Z"), [(0, 0, 0)], [1.0]),
                                batch_id="rejected")
         assert wire.ordinals[(0, 0)] == 1
+        up = router.registry.get("repro_router_replica_up")
+        assert up.value(shard="0", replica="0") == 1
 
     def test_only_replica_marked_down_still_takes_an_append(self, make_wire):
         """A shard whose every replica is down gets the delivery anyway:
@@ -927,20 +946,9 @@ class TestRouterAppend:
         wire.heal((0, 0))
         summary = router.append(delta_relation(1), batch_id="lost")
         assert summary["applied"] == 1
-        assert wire.ordinals[(0, 0)] == 4
+        assert wire.ordinals[(0, 0)] == 2
         up = router.registry.get("repro_router_replica_up")
         assert up.value(shard="0", replica="0") == 1
-
-    def test_down_replica_is_skipped_while_a_sibling_serves(self, make_wire):
-        wire, router = make_wire(replicas=2)
-        wire.isolate((0, 1))
-        first = router.append(delta_relation(1), batch_id="one")
-        assert first["applied"] == 1 and wire.ordinals[(0, 1)] == 3
-        summary = router.append(delta_relation(2), batch_id="two")
-        assert summary["applied"] == 1
-        assert wire.ordinals[(0, 1)] == 3  # left to anti-entropy, not dialled
-        skipped = [o for o in summary["outcomes"] if o.get("skipped")]
-        assert len(skipped) == 1 and skipped[0]["replica"] == 1
 
 
 def assert_replicas_match(wire, relation):
@@ -1106,16 +1114,19 @@ class ClusterMachine(RuleBasedStateMachine):
     every answer is ``naive`` over the base plus the batches its replica
     applied by the answer's generation.  Measures are integers, so
     replicas that applied one set in different orders agree exactly
-    (DESIGN §6.6)."""
+    (DESIGN §6.6).  The machine is the router's health loop: it sweeps
+    as a rule, and at once after an append that woke the loop."""
 
     def __init__(self):
         super().__init__()
         self.root = tempfile.mkdtemp()
         self.wire = Wire(build_shards(base_relation(), self.root, 2),
                          self.root)
-        self.router = self.wire.router(dims=DIMS, retry_policy=NO_PAUSE)
+        self.router = self.wire.router(dims=DIMS)
         self.batches, self.acked, self.named = {}, set(), set()
         self.ids = map("c{}".format, itertools.count())
+        #: (targets, ordinals before, ordinals after) of the last append
+        self.sent = None
 
     def _applied(self, key, generation, cuboid, minsup):
         log = self.wire.log[key]
@@ -1125,11 +1136,25 @@ class ClusterMachine(RuleBasedStateMachine):
 
     def _send(self, batch_id, batch):
         self.batches[batch_id] = batch
+        up = self.router.registry.get("repro_router_replica_up")
+        targets = set()
+        for shard in (0, 1):
+            keys = [(shard, r) for r in (0, 1)
+                    if up.value(shard=str(shard), replica=str(r))]
+            targets.update(keys or [(shard, 0), (shard, 1)])
+        before = dict(self.wire.ordinals)
         try:
             self.router.append(batch, batch_id=batch_id)
         except ShardUnavailableError:
             return
-        self.acked.add(batch_id)
+        else:
+            self.acked.add(batch_id)
+        finally:
+            self.sent = targets, before, dict(self.wire.ordinals)
+            if self.router._wake.is_set():
+                # the sweep the router's health loop would run at once
+                self.router._wake.clear()
+                self.sweep()
 
     @rule(batch=BATCHES)
     def append(self, batch):
@@ -1144,7 +1169,7 @@ class ClusterMachine(RuleBasedStateMachine):
     @rule()
     def fresh_router(self):
         self.router.close()
-        self.router = self.wire.router(dims=DIMS, retry_policy=NO_PAUSE)
+        self.router = self.wire.router(dims=DIMS)
 
     @rule(key=KEYS, fault=st.sampled_from(FAULTS))
     def fault(self, key, fault):
@@ -1219,6 +1244,17 @@ class ClusterMachine(RuleBasedStateMachine):
             held = [set(self.wire.log[(shard, r)]) for r in (0, 1)]
             if held[0] != held[1]:
                 assert {(shard, 0), (shard, 1)} <= self.named, self.wire.log
+
+    @invariant()
+    def one_request_per_target(self):
+        """The last append asked each replica not marked down (all of a
+        shard's, if every one was) exactly once, and no other."""
+        if self.sent is None:
+            return
+        (targets, before, after), self.sent = self.sent, None
+        asked = {key: after[key] - before[key] for key in self.wire.keys}
+        assert asked == {key: int(key in targets)
+                         for key in self.wire.keys}, asked
 
     @invariant()
     def delivered_once(self):

@@ -20,8 +20,10 @@ before the handler sees the request (something landing mid-call).
 :meth:`Wire.kill` closes the store without compacting, reopens the
 directory (WAL replay) under a fresh server (no retained snapshot) and
 hangs up its kept-alive connections.
-``log`` is the delivery log: the batch ids each replica's handler
-applied, in order.
+``ordinals`` counts the requests each replica was sent (a request on a
+connection a restart hung up is not one: it never left), and ``log`` is
+the delivery log: the batch ids each replica's handler applied, in
+order.
 """
 
 import io
@@ -73,11 +75,13 @@ class _Connection:
         self.epoch = wire.epochs[key]
 
     def request(self, method, path, body=None, headers=None):
+        if self.epoch != self.wire.epochs[self.key]:
+            # The restart hung this connection up: the replica never
+            # sees the request, so it takes no ordinal.
+            raise ConnectionResetError("the replica restarted")
         fault = self.wire._next_fault(self.key)
         if callable(fault):
             fault = fault()
-        if self.epoch != self.wire.epochs[self.key]:
-            raise ConnectionResetError("the replica restarted")
         if fault == "refuse" or self.key in self.wire.isolated:
             raise ConnectionRefusedError("%r is unreachable" % (self.key,))
         head = ["%s %s HTTP/1.1" % (method, path)] + [
@@ -142,8 +146,16 @@ class Wire:
         self.routers.append(router)
         return router
 
-    def router(self, **kwargs):
-        return self.attach(CubeRouter(self.urls, **kwargs))
+    def router(self, health_interval_s=0.0, **kwargs):
+        router = self.attach(CubeRouter(self.urls, **kwargs))
+        if health_interval_s:
+            # Started only once the clients are wired: the loop's first
+            # sweep would otherwise dial the replicas' made-up hosts.
+            router.health_interval_s = float(health_interval_s)
+            router._health_thread = threading.Thread(
+                target=router._health_loop, daemon=True)
+            router._health_thread.start()
+        return router
 
     def fail(self, key, fault, ordinal=None):
         """``fault`` on the replica's ``ordinal``-th request (default:
