@@ -290,6 +290,40 @@ def aggregate_cuboid(frame, cuboid, threshold=None):
     return leaf_run(frame, cuboid).group_by(len(cuboid), threshold).cells()
 
 
+def lex_order(columns):
+    """The stable permutation that sorts records by ``columns``, the
+    first column most significant — the one lexicographic sort of the
+    package (the MapReduce shuffle's folds and every :class:`CellRun`
+    fold go through it).
+
+    Each integer column is offset by its minimum and the columns are
+    packed into one ``int64`` key by their bit widths, so one stable
+    ``argsort`` does the work of a sort pass per column.  The key
+    orders records exactly as their tuples do and the sort is stable,
+    so the permutation is numpy's per-column one, element for element;
+    numpy's stable sort is a timsort, which also merges already-sorted
+    stretches almost for free.  Columns whose widths add up to more
+    than 63 bits fall back to the per-column sort.
+    """
+    n = len(columns[0])
+    if not n:
+        return _np.arange(0)
+    key = None
+    bits = 0
+    for column in reversed(columns):  # least significant first
+        lo = int(column.min())
+        width = (int(column.max()) - lo).bit_length()
+        if bits + width > MAX_KEY_BITS:
+            return _np.lexsort(columns[::-1])
+        if width:
+            field = _np.subtract(column, lo, dtype=_np.int64)
+            key = field << bits if key is None else key | (field << bits)
+            bits += width
+    if key is None:  # every record equal
+        return _np.arange(n)
+    return _np.argsort(key, kind="stable")
+
+
 def fold_sorted(leaves, keys, counts, sums):
     """Fold ``(leaf, key, count, sum)`` columns sorted by ``(leaf, key)``.
 
@@ -446,7 +480,7 @@ class CellRun:
         """Sort unsorted columns by cell and fold equal cells.  The
         sort is stable, so equal cells add up in input order.  With no
         dimensions every cell is ``()``: nothing to sort by."""
-        order = _np.lexsort(codes[::-1]) if len(codes) else slice(None)
+        order = lex_order(codes) if len(codes) else slice(None)
         _leaves, codes, counts, sums = fold_sorted(
             None, codes[:, order],
             None if counts is None else counts[order], sums[order])

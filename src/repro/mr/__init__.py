@@ -25,9 +25,10 @@ Entry points:
   at an iceberg threshold (verification-scale; the store path is the
   one that scales).
 
-Both run on :func:`repro.parallel.local.supervised_map`, so worker
-crashes and hangs (including injected ``--faults``) are retried from
-the durable spill files rather than restarting the job.
+Both run their map and reduce phases on one
+:class:`repro.parallel.local.SupervisedPool`, so worker crashes and
+hangs (including injected ``--faults``) are retried from the published
+spill files rather than restarting the job.
 """
 
 from .engine import (

@@ -23,9 +23,11 @@ Execution shape (one shuffle round, as in Sundararajan & Yan):
    lattice (every non-leaf cuboid is some leaf minus its last
    dimension, and the apex comes from the map-phase totals).
 
-Both phases run under :func:`repro.parallel.local.supervised_map`:
-killed or hung workers (including ``--faults`` injection) are retried,
-and because run files are durable and attempt-scoped, a re-executed
+Both phases run on one :class:`repro.parallel.local.SupervisedPool`,
+forked once per job (again for the reduce phase only when it has more
+tasks than the map phase had): killed or hung workers (including
+``--faults`` injection) are retried, and because run files are
+published by rename into attempt-scoped directories, a re-executed
 task reproduces its output byte-for-byte.
 """
 
@@ -44,7 +46,7 @@ from ..core.result import CubeResult
 from ..core.thresholds import as_threshold
 from ..data.stream import RelationStream, stream_from_relation
 from ..errors import PlanError
-from ..parallel.local import _HANG_SECONDS, SupervisorLog, supervised_map
+from ..parallel.local import _HANG_SECONDS, SupervisedPool, SupervisorLog
 from ..serve.cluster import stable_shard_hash
 from ..serve.store import CubeStore, LeafWriter, build_generations
 from .planner import plan_mapreduce
@@ -113,14 +115,15 @@ class MRStats:
 # map side (runs in worker processes)
 # ----------------------------------------------------------------------
 
+# Worker-process state of both phases, set once by the pool initializer.
 _MAP_STATE = None
+_REDUCE_STATE = None
 
 
-def _init_map_worker(plan, shuffle_dir, memory_budget, row_positions,
-                     require_nonnegative, fault_plan):
-    global _MAP_STATE
-    _MAP_STATE = (plan, shuffle_dir, memory_budget, row_positions,
-                  require_nonnegative, fault_plan)
+def _init_worker(map_state, reduce_state):
+    global _MAP_STATE, _REDUCE_STATE
+    _MAP_STATE = map_state
+    _REDUCE_STATE = reduce_state
 
 
 def _combine_block(keys, measures, masks, first_leaf):
@@ -186,8 +189,8 @@ def _map_task_impl(task_id, attempt, split):
                          nbytes, records))
         if kill_pending:
             # The injected crash fires only after the spill's run files
-            # are durable — re-execution must recover from disk state a
-            # real mid-task SIGKILL would leave behind.
+            # are published — re-execution must recover from disk state
+            # a real mid-task SIGKILL would leave behind.
             os.kill(os.getpid(), signal.SIGKILL)
 
     for rows, measures in split.iter_chunks():
@@ -238,16 +241,6 @@ def _map_task_impl(task_id, attempt, split):
 # ----------------------------------------------------------------------
 # reduce side (runs in worker processes)
 # ----------------------------------------------------------------------
-
-_REDUCE_STATE = None
-
-
-def _init_reduce_worker(plan, shuffle_dir, mode, out_dir, shards, threshold,
-                        fault_plan):
-    global _REDUCE_STATE
-    _REDUCE_STATE = (plan, shuffle_dir, mode, out_dir, shards, threshold,
-                     fault_plan)
-
 
 def _leaf_directory(out_dir, shards, leaf):
     if shards is None:
@@ -474,18 +467,19 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
 
     stats = MRStats()
     active = obs.current()
+    pool = SupervisedPool(
+        workers, _init_worker,
+        ((plan, shuffle_dir, memory_budget, row_positions,
+          require_nonnegative, fault_plan),
+         (plan, shuffle_dir, mode, out_dir, shards, threshold, fault_plan)),
+        fault_plan=fault_plan, batch_timeout=batch_timeout)
     try:
         # ---- map phase -------------------------------------------------
         map_jobs = {i: split for i, split in enumerate(stream.splits)}
         started = time.perf_counter()
         with obs.span("mr.map", tasks=len(map_jobs)) as span:
-            map_results = supervised_map(
-                map_jobs, workers, _map_task, _init_map_worker,
-                (plan, shuffle_dir, memory_budget, row_positions,
-                 require_nonnegative, fault_plan),
-                fault_plan=fault_plan, batch_timeout=batch_timeout,
-                log=stats.map_recovery, name="mr_map",
-            )
+            map_results = pool.map(map_jobs, _map_task,
+                                   log=stats.map_recovery, name="mr_map")
             stats.map_seconds = time.perf_counter() - started
             stats.map_tasks = len(map_results)
             for result in map_results.values():
@@ -531,13 +525,9 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
         }
         started = time.perf_counter()
         with obs.span("mr.reduce", tasks=len(reduce_jobs)) as span:
-            reduce_results = supervised_map(
-                reduce_jobs, workers, _reduce_task, _init_reduce_worker,
-                (plan, shuffle_dir, mode, out_dir, shards, threshold,
-                 fault_plan),
-                fault_plan=fault_plan, batch_timeout=batch_timeout,
-                log=stats.reduce_recovery, name="mr_reduce",
-            ) if reduce_jobs else {}
+            reduce_results = pool.map(reduce_jobs, _reduce_task,
+                                      log=stats.reduce_recovery,
+                                      name="mr_reduce")
             stats.reduce_seconds = time.perf_counter() - started
             stats.reduce_tasks = len(reduce_results)
             for result in reduce_results.values():
@@ -572,6 +562,7 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
                 obs.event("mr.torn_leaf_sweep", files=torn)
         return plan, totals, reduce_results, stats
     finally:
+        pool.close()
         if own_shuffle and not keep_shuffle:
             shutil.rmtree(shuffle_dir, ignore_errors=True)
 

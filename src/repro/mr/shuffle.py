@@ -8,11 +8,13 @@ split by the plan's leaf-to-reducer assignment, and written as one run
 file per touched partition (:func:`spill_columns`).  Reducers later
 stream their partition's runs through :func:`merge_blocks`.
 
-Durability protocol (what makes crash recovery work):
+Publishing protocol (what makes crash recovery work):
 
-* every run is written to a ``.tmp`` name, fsynced and ``os.replace``d
-  into its final ``.run`` name — a SIGKILLed writer can leave ``.tmp``
-  debris but never a short ``.run`` file;
+* every run is written to a ``.tmp`` name and ``os.replace``d into its
+  final ``.run`` name — a SIGKILLed writer can leave ``.tmp`` debris
+  but never a short ``.run`` file (the rename is atomic, and the page
+  cache outlives the process).  Runs are scratch, so they are not
+  fsynced: a power loss kills the driver, and the job with it;
 * runs live in *attempt-scoped* directories
   (``map-<task>-a<attempt>/``), so a re-executed map task can never
   mix its output with its dead predecessor's;
@@ -41,7 +43,7 @@ import os
 
 import numpy as np
 
-from ..core.columnar import fold_sorted
+from ..core.columnar import fold_sorted, lex_order
 
 #: One shuffle record: leaf id, packed cell key, count, measure sum.
 RUN_DTYPE = np.dtype([("leaf", "<i4"), ("key", "<i8"), ("count", "<i8"),
@@ -49,12 +51,13 @@ RUN_DTYPE = np.dtype([("leaf", "<i4"), ("key", "<i8"), ("count", "<i8"),
 RECORD_SIZE = RUN_DTYPE.itemsize
 
 #: Peak resident bytes per pending mapper entry: 28 B of columns plus
-#: :func:`fold_columns`' high-water mark (the concatenated copy, the
-#: ``lexsort`` permutation, one sorted copy, the fold's outputs).
-#: ``tracemalloc`` over 10^4-10^6 entries reads 101 B when every entry
-#: is distinct (72 B at 16 duplicates per key); 110 keeps the headroom
-#: for ``lexsort``'s untraced merge scratch (4 B) and keeps spill
-#: points where they were.  The budget divides by this.
+#: :func:`fold_columns`' high-water mark (the concatenated copy, then
+#: either the fused sort key with its permutation or one sorted copy
+#: with the fold's outputs).  ``tracemalloc`` over 10^4-10^6 entries
+#: reads 28 + 73 = 101 B when every entry is distinct (28 + 52 = 80 B
+#: at 16 duplicates per key, where the key and its permutation are the
+#: peak); 110 keeps the headroom and keeps spill points where they
+#: were.  The budget divides by this.
 ENTRY_BYTES = 110
 
 #: Records buffered per run by :func:`merge_blocks`: reducer memory is
@@ -82,10 +85,11 @@ EMPTY_RUN = _columns(np.empty(0, dtype=RUN_DTYPE))
 
 
 def write_block(path, leaves, keys, counts, sums):
-    """Write one sorted run durably; returns the byte size.
+    """Write one sorted run; returns the byte size.
 
-    The ``.tmp`` + fsync + ``os.replace`` dance means a crash mid-write
-    leaves no ``.run`` file at all — readers never see a torn run.
+    The ``.tmp`` + ``os.replace`` dance means a crash mid-write leaves
+    no ``.run`` file at all — readers never see a torn run.  No fsync:
+    a run is scratch that only a live job reads (module docstring).
     """
     records = np.empty(len(keys), dtype=RUN_DTYPE)
     for name, column in zip(RUN_DTYPE.names, (leaves, keys, counts, sums)):
@@ -93,8 +97,6 @@ def write_block(path, leaves, keys, counts, sums):
     tmp = "%s.tmp.%d" % (path, os.getpid())
     with open(tmp, "wb") as handle:
         records.tofile(handle)
-        handle.flush()
-        os.fsync(handle.fileno())
     os.replace(tmp, path)
     return records.nbytes
 
@@ -107,11 +109,12 @@ def write_run(path, records):
 
 def fold_columns(pieces):
     """Concatenate column 4-tuples (in emission order) into one run:
-    stable ``lexsort`` on ``(leaf, key)``, then fold equal keys."""
+    stable sort on ``(leaf, key)`` (:func:`lex_order`), then fold equal
+    keys."""
     if not pieces:
         return EMPTY_RUN
     columns = [np.concatenate(column) for column in zip(*pieces)]
-    order = np.lexsort((columns[1], columns[0]))
+    order = lex_order(columns[:2])
     for i, column in enumerate(columns):  # one sorted copy at a time
         columns[i] = column[order]
     del order

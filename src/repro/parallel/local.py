@@ -314,165 +314,239 @@ def _abandon_pool(executor):
             process.join(timeout=5.0)
 
 
-def supervised_map(jobs, workers, task_fn, initializer, initargs,
-                   fault_plan=None, batch_timeout=None, max_retries=None,
-                   backoff_s=0.05, log=None, name="local", on_result=None,
-                   on_respawn=None):
-    """Run every job to completion on a supervised process pool.
+class SupervisedPool:
+    """A supervised process pool that serves several maps.
 
     The generic supervisor behind both the local cube backend and the
-    MapReduce engine (:mod:`repro.mr`).  ``jobs`` is a list of payloads
-    (ids are their indices) or a ``{job_id: payload}`` mapping;
-    ``task_fn`` is a module-level function invoked in the worker as
-    ``task_fn((job_id, attempt, payload, traceparent))`` and must return
-    ``(job_id, result)``; ``initializer``/``initargs`` set up per-worker
-    state once per process.  The ``traceparent`` element (a header
-    string or ``None``) carries the caller's distributed-trace context
-    across the pool pipe — task functions re-activate it so any spans
-    they record join the submitting request's trace.  Returns
-    ``{job_id: result}``.
-
-    ``on_result(job_id, raw)`` — when given — transforms each completed
-    job's return value the moment its future resolves (the stored value
-    is the callback's return).  The local backend decodes and merges
-    result segments here, overlapped with the workers' remaining
-    compute.  ``on_respawn()`` runs after every pool teardown, before
-    the retry round — the hook where the shared-memory sweep reclaims
-    segments of SIGKILLed writers.
+    MapReduce engine (:mod:`repro.mr`, whose two phases share one
+    pool).  ``initializer(*initargs)`` sets up per-worker state once per
+    process; workers are forked on the first :meth:`map`, one per job up
+    to ``workers``, and kept until :meth:`close` (or the ``with``
+    block's end), unless a crash or stall tears them down.  A later map
+    with more jobs than the live pool has workers (and fewer than
+    ``workers``) gets a wider pool in its place, so no map runs on
+    fewer processes than it would have on a pool of its own.
+    ``workers == 1`` without a fault plan runs every job inline, in
+    this process, with no supervision.
 
     A pool whose worker dies (``BrokenProcessPool``) or that completes
     nothing for ``batch_timeout`` seconds is torn down and respawned;
     the unfinished jobs are retried with full-jitter capped exponential
     backoff.  A job that fails more than ``max_retries`` times raises
-    :class:`~repro.errors.WorkerCrashError`.  ``name`` prefixes the obs
-    spans/counters (``<name>.batch``, ``repro_<name>_batches_total``,
-    ...) so each consumer's telemetry stays distinct.
+    :class:`~repro.errors.WorkerCrashError`.
     """
-    if batch_timeout is None:
-        batch_timeout = DEFAULT_BATCH_TIMEOUT
-    if max_retries is None:
-        max_retries = (fault_plan.max_retries if fault_plan is not None
-                       else DEFAULT_MAX_RETRIES)
-    if log is None:
-        log = SupervisorLog()
-    pending = dict(jobs) if isinstance(jobs, dict) else dict(enumerate(jobs))
-    # The caller's trace position, captured once: every job ships it
-    # over the pool pipe, and every <name>.batch span links to it.
-    ctx = obs.context()
-    traceparent = obs.inject()
-    if workers == 1 and fault_plan is None:
-        # Inline fast path: no fault injection means no supervision is
-        # needed, so skip the pool and run in-process.
-        initializer(*initargs)
-        out = {}
-        for bid, payload in sorted(pending.items()):
-            raw = task_fn((bid, 0, payload, traceparent))[1]
-            out[bid] = on_result(bid, raw) if on_result is not None else raw
-        return out
-    context = _pool_context()
-    attempts = dict.fromkeys(pending, 0)
-    results = {}
-    active = obs.current()
-    # Full-jitter backoff: sleeping uniform(0, capped-exponential) keeps
-    # respawning supervisors from synchronizing into retry thundering
-    # herds.  Seeded from the fault plan so injected-fault runs stay
-    # reproducible; unseeded (wall-entropy) otherwise.
-    jitter = random.Random(fault_plan.seed if fault_plan is not None else None)
-    while pending:
-        executor = ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)),
-            mp_context=context,
-            initializer=initializer,
-            initargs=initargs,
-        )
-        broken = stalled = False
-        try:
-            futures = {
-                executor.submit(
-                    task_fn, (bid, attempts[bid], payload, traceparent)): bid
-                for bid, payload in sorted(pending.items())
-            }
-            round_start = active.tracer.now() if active is not None else 0.0
-            not_done = set(futures)
-            while not_done and not broken:
-                done, not_done = wait(not_done, timeout=batch_timeout,
-                                      return_when=FIRST_COMPLETED)
-                if not done:
-                    # No batch finished inside the window: a worker is
-                    # hung.  Everything still outstanding is retried.
-                    stalled = True
-                    break
-                for future in done:
-                    bid = futures[future]
-                    try:
-                        _bid, items = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        continue
-                    if on_result is not None:
-                        items = on_result(bid, items)
-                    results[bid] = items
-                    del pending[bid]
-                    if active is not None:
-                        # Dispatch-to-completion on the supervisor's
-                        # clock (batches run concurrently in workers).
-                        active.tracer.add_span(
-                            "%s.batch" % name, round_start,
-                            active.tracer.now() - round_start, tid="pool",
-                            attrs={"batch": bid, "attempt": attempts[bid]},
-                            clock="wall",
-                            trace_id=ctx.trace_id if ctx else None,
-                            parent_id=ctx.span_id if ctx else None)
-                        active.registry.counter(
-                            "repro_%s_batches_total" % name,
-                            "Supervised pool batches completed.",
-                        ).inc()
-        finally:
-            if broken or stalled:
-                _abandon_pool(executor)
-            else:
-                executor.shutdown(wait=True)
-        if not pending:
-            break
-        # Crash or stall: charge an attempt to every unfinished batch,
-        # enforce the budget, back off, respawn and go again.
-        log.respawns += 1
-        if broken:
-            log.worker_crashes += 1
-        if stalled:
-            log.stalls += 1
-        obs.event("%s.respawn" % name, cause="crash" if broken else "stall",
-                  unfinished=len(pending))
-        if on_respawn is not None:
-            # The pool is fully torn down here — no writer is alive —
-            # so leaked segments of dead workers can be swept safely.
-            on_respawn()
-        if active is not None:
-            active.registry.counter(
-                "repro_%s_respawns_total" % name,
-                "Pool teardown + respawn cycles.", ("cause",)
-            ).inc(cause="crash" if broken else "stall")
-        worst = None
-        for bid in pending:
-            attempts[bid] += 1
-            log.retries += 1
-            if worst is None or attempts[bid] > attempts[worst]:
-                worst = bid
-        if active is not None:
-            active.registry.counter(
-                "repro_%s_retries_total" % name,
-                "Batch re-executions after a crash or stall.",
-            ).inc(len(pending))
-        if attempts[worst] > max_retries:
-            raise WorkerCrashError(
-                worst, attempts[worst],
-                "worker died or hung on every attempt")
-        ceiling = min(BACKOFF_CAP_S, backoff_s * 2.0 ** (attempts[worst] - 1))
-        pause = jitter.uniform(0.0, ceiling)
-        if pause > 0:
-            time.sleep(pause)
-            log.backoff_seconds += pause
-    return results
+
+    def __init__(self, workers, initializer, initargs, fault_plan=None,
+                 batch_timeout=None, max_retries=None, backoff_s=0.05):
+        if batch_timeout is None:
+            batch_timeout = DEFAULT_BATCH_TIMEOUT
+        if max_retries is None:
+            max_retries = (fault_plan.max_retries if fault_plan is not None
+                           else DEFAULT_MAX_RETRIES)
+        self.workers = workers
+        self.initializer = initializer
+        self.initargs = initargs
+        self.fault_plan = fault_plan
+        self.batch_timeout = batch_timeout
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
+        self.inline = workers == 1 and fault_plan is None
+        self._initialized = False
+        self._executor = None
+        self._size = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Shut the workers down (waiting for them); idempotent."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def _abandon(self):
+        _abandon_pool(self._executor)
+        self._executor = None
+
+    def map(self, jobs, task_fn, log=None, name="local", on_result=None,
+            on_respawn=None):
+        """Run every job to completion; returns ``{job_id: result}``.
+
+        ``jobs`` is a list of payloads (ids are their indices) or a
+        ``{job_id: payload}`` mapping; ``task_fn`` is a module-level
+        function invoked in the worker as ``task_fn((job_id, attempt,
+        payload, traceparent))`` and must return ``(job_id, result)``.
+        The ``traceparent`` element (a header string or ``None``)
+        carries the caller's distributed-trace context across the pool
+        pipe — task functions re-activate it so any spans they record
+        join the submitting request's trace.
+
+        ``on_result(job_id, raw)`` — when given — transforms each
+        completed job's return value the moment its future resolves
+        (the stored value is the callback's return).  The local backend
+        decodes and merges result segments here, overlapped with the
+        workers' remaining compute.  ``on_respawn()`` runs after every
+        pool teardown, before the retry round — the hook where the
+        shared-memory sweep reclaims segments of SIGKILLed writers.
+        Recovery telemetry goes to ``log`` (a :class:`SupervisorLog`);
+        ``name`` prefixes the obs spans/counters (``<name>.batch``,
+        ``repro_<name>_batches_total``, ...) so each consumer's
+        telemetry stays distinct.
+        """
+        if log is None:
+            log = SupervisorLog()
+        pending = (dict(jobs) if isinstance(jobs, dict)
+                   else dict(enumerate(jobs)))
+        # The caller's trace position, captured once: every job ships it
+        # over the pool pipe, and every <name>.batch span links to it.
+        ctx = obs.context()
+        traceparent = obs.inject()
+        if self.inline:
+            # No fault injection means no supervision is needed, so skip
+            # the pool and run in-process.
+            if not self._initialized:
+                self.initializer(*self.initargs)
+                self._initialized = True
+            out = {}
+            for bid, payload in sorted(pending.items()):
+                raw = task_fn((bid, 0, payload, traceparent))[1]
+                out[bid] = (on_result(bid, raw) if on_result is not None
+                            else raw)
+            return out
+        attempts = dict.fromkeys(pending, 0)
+        results = {}
+        active = obs.current()
+        # Full-jitter backoff: sleeping uniform(0, capped-exponential) keeps
+        # respawning supervisors from synchronizing into retry thundering
+        # herds.  Seeded from the fault plan so injected-fault runs stay
+        # reproducible; unseeded (wall-entropy) otherwise.
+        jitter = random.Random(self.fault_plan.seed
+                               if self.fault_plan is not None else None)
+        while pending:
+            size = min(self.workers, len(pending))
+            if self._executor is not None and self._size < size:
+                self.close()
+            if self._executor is None:
+                self._size = size
+                self._executor = ProcessPoolExecutor(
+                    max_workers=size,
+                    mp_context=_pool_context(),
+                    initializer=self.initializer,
+                    initargs=self.initargs,
+                )
+            executor = self._executor
+            broken = stalled = False
+            try:
+                futures = {
+                    executor.submit(task_fn, (bid, attempts[bid], payload,
+                                              traceparent)): bid
+                    for bid, payload in sorted(pending.items())
+                }
+                round_start = (active.tracer.now() if active is not None
+                               else 0.0)
+                not_done = set(futures)
+                while not_done and not broken:
+                    done, not_done = wait(not_done, timeout=self.batch_timeout,
+                                          return_when=FIRST_COMPLETED)
+                    if not done:
+                        # No batch finished inside the window: a worker is
+                        # hung.  Everything still outstanding is retried.
+                        stalled = True
+                        break
+                    for future in done:
+                        bid = futures[future]
+                        try:
+                            _bid, items = future.result()
+                        except BrokenProcessPool:
+                            broken = True
+                            continue
+                        if on_result is not None:
+                            items = on_result(bid, items)
+                        results[bid] = items
+                        del pending[bid]
+                        if active is not None:
+                            # Dispatch-to-completion on the supervisor's
+                            # clock (batches run concurrently in workers).
+                            active.tracer.add_span(
+                                "%s.batch" % name, round_start,
+                                active.tracer.now() - round_start, tid="pool",
+                                attrs={"batch": bid, "attempt": attempts[bid]},
+                                clock="wall",
+                                trace_id=ctx.trace_id if ctx else None,
+                                parent_id=ctx.span_id if ctx else None)
+                            active.registry.counter(
+                                "repro_%s_batches_total" % name,
+                                "Supervised pool batches completed.",
+                            ).inc()
+            except BaseException:
+                # A job (or on_result) raised: the queued jobs finish
+                # before the error propagates, as they always did.
+                if not (broken or stalled):
+                    self.close()
+                raise
+            finally:
+                if broken or stalled:
+                    self._abandon()
+            if not pending:
+                break
+            # Crash or stall: charge an attempt to every unfinished batch,
+            # enforce the budget, back off, respawn and go again.
+            log.respawns += 1
+            if broken:
+                log.worker_crashes += 1
+            if stalled:
+                log.stalls += 1
+            obs.event("%s.respawn" % name,
+                      cause="crash" if broken else "stall",
+                      unfinished=len(pending))
+            if on_respawn is not None:
+                # The pool is fully torn down here — no writer is alive —
+                # so leaked segments of dead workers can be swept safely.
+                on_respawn()
+            if active is not None:
+                active.registry.counter(
+                    "repro_%s_respawns_total" % name,
+                    "Pool teardown + respawn cycles.", ("cause",)
+                ).inc(cause="crash" if broken else "stall")
+            worst = None
+            for bid in pending:
+                attempts[bid] += 1
+                log.retries += 1
+                if worst is None or attempts[bid] > attempts[worst]:
+                    worst = bid
+            if active is not None:
+                active.registry.counter(
+                    "repro_%s_retries_total" % name,
+                    "Batch re-executions after a crash or stall.",
+                ).inc(len(pending))
+            if attempts[worst] > self.max_retries:
+                raise WorkerCrashError(
+                    worst, attempts[worst],
+                    "worker died or hung on every attempt")
+            ceiling = min(BACKOFF_CAP_S,
+                          self.backoff_s * 2.0 ** (attempts[worst] - 1))
+            pause = jitter.uniform(0.0, ceiling)
+            if pause > 0:
+                time.sleep(pause)
+                log.backoff_seconds += pause
+        return results
+
+
+def supervised_map(jobs, workers, task_fn, initializer, initargs,
+                   fault_plan=None, batch_timeout=None, max_retries=None,
+                   backoff_s=0.05, log=None, name="local", on_result=None,
+                   on_respawn=None):
+    """Run every job to completion on a :class:`SupervisedPool` of its
+    own (the one-shot form, see :meth:`SupervisedPool.map`)."""
+    with SupervisedPool(workers, initializer, initargs,
+                        fault_plan=fault_plan, batch_timeout=batch_timeout,
+                        max_retries=max_retries,
+                        backoff_s=backoff_s) as pool:
+        return pool.map(jobs, task_fn, log=log, name=name,
+                        on_result=on_result, on_respawn=on_respawn)
 
 
 # ----------------------------------------------------------------------

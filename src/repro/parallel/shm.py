@@ -35,6 +35,7 @@ The codec is transport-independent: ``encode_result`` returns plain
 carry.
 """
 
+import mmap
 import os
 import struct
 from array import array
@@ -42,8 +43,9 @@ from array import array
 import numpy as _np
 
 try:
+    import _posixshmem
     from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - very old / exotic platforms
+except ImportError:  # pragma: no cover - platforms without POSIX shm
     _shared_memory = None
 
 #: Codec magic ("RSM1") — first word of every encoded result payload.
@@ -200,14 +202,17 @@ def _decode_columns(view, offset, k, n):
 # segments
 # ----------------------------------------------------------------------
 def _untrack(shm):
-    """Detach a SharedMemory object from this process's resource tracker.
+    """Detach a created SharedMemory object from the resource tracker.
 
     Segment lifetime is owned by the run (creator writes, parent
-    unlinks, the supervisor sweeps leaks), so the per-process tracker
-    must not also try to unlink at interpreter exit — that produces
-    spurious "leaked shared_memory" warnings for segments the parent
-    already reclaimed.  Best-effort: the private registry moved across
-    Python versions, and 3.13+ has ``track=False`` instead.
+    unlinks, the supervisor sweeps leaks), so the tracker must not also
+    try to unlink at interpreter exit — that produces spurious "leaked
+    shared_memory" warnings for segments the parent already reclaimed.
+    Only the creator registers a name (before anyone else knows it), so
+    register and unregister pair up in one process; attaches and
+    unlinks never touch the tracker.  Best-effort: the private registry
+    moved across Python versions, and 3.13+ has ``track=False``
+    instead.
     """
     try:
         from multiprocessing import resource_tracker
@@ -254,27 +259,13 @@ class Segment:
 
 
 def _unlink_raw(name):
+    """Remove a segment's name (gone already is fine); the tracker is
+    not told — see :func:`_untrack`."""
     if _shared_memory is None:  # pragma: no cover - guarded by create
         return
     try:
-        seg = _shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    except (OSError, ValueError):
-        # ValueError: a zero-length segment — its creator was killed
-        # between shm_open and ftruncate — cannot be mapped, so it
-        # cannot be attached; its name can still be removed.
-        try:
-            os.unlink(os.path.join(DEV_SHM, name))
-        except OSError:
-            pass
-        return
-    # No _untrack here: on 3.11 this attach registered with the
-    # tracker and unlink() below unregisters — they balance.
-    try:
-        seg.close()
-        seg.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - racing
+        _posixshmem.shm_unlink("/" + name)
+    except OSError:
         pass
 
 
@@ -325,16 +316,23 @@ class ShmTransport:
                        memoryview(shm.buf)[:nbytes], shm=shm)
 
     def attach(self, descriptor):
-        """Attach a segment created in another process (read/write)."""
+        """Attach a segment created in another process (read/write).
+
+        The segment is mapped directly, not through ``SharedMemory``,
+        which on Python < 3.13 registers every attach with the resource
+        tracker that all of a run's processes share (see
+        :func:`_untrack`)."""
         kind, name, nbytes = descriptor
         if kind == "empty" or nbytes == 0:
             return Segment("empty", "", 0, memoryview(b""))
         if kind != "shm":
             raise ValueError("unknown segment kind %r" % (kind,))
-        shm = _shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        return Segment("shm", name, nbytes,
-                       memoryview(shm.buf)[:nbytes], shm=shm)
+        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+        try:
+            mapping = mmap.mmap(fd, nbytes)
+        finally:
+            os.close(fd)
+        return Segment("shm", name, nbytes, memoryview(mapping), shm=mapping)
 
     # ------------------------------------------------------------------
     # crash hygiene

@@ -101,12 +101,6 @@ class QueryCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def clear(self):
-        """Drop every entry (counts them as invalidations)."""
-        with self._lock:
-            self.invalidations += len(self._entries)
-            self._entries.clear()
-
     def stats(self):
         """Counters plus the derived hit rate."""
         with self._lock:

@@ -260,6 +260,30 @@ class TestStoreAndServe:
             assert code == 0
             assert "compaction after 3" in output
 
+    def test_store_compact_folds_pending_batches(self, sales_csv, tmp_path):
+        from repro.data.io import load_csv
+        from repro.serve import CubeStore
+
+        target = tmp_path / "store"
+        assert run_cli(["store", "build", "--csv", sales_csv,
+                        "--out", str(target)])[0] == 0
+        relation = load_csv(sales_csv)
+        store = CubeStore.open(target)
+        for batch_id in ("b1", "b2"):
+            store.append(relation, batch_id=batch_id)
+        cuboids = [(), ("brand",), ("item", "city"), relation.dims]
+        before = {c: dict(store.query(c, minsup=1)) for c in cuboids}
+        store.close()
+
+        code, output = run_cli(["store", "compact", "--store", str(target)])
+        assert code == 0
+        assert "compacted        : 2 pending batch(es)" in output
+        store = CubeStore.open(target)
+        assert store.wal_stats()["pending_batches"] == 0
+        assert store.total_rows == 3 * len(relation)
+        assert {c: dict(store.query(c, minsup=1)) for c in cuboids} == before
+        store.close()
+
     def test_serve_missing_store_is_clean_error(self, tmp_path):
         code, output = run_cli(["serve", "--store", str(tmp_path / "nope"),
                                 "--port", "0", "--self-test", "1"])

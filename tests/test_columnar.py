@@ -10,6 +10,7 @@ warning) when the cardinalities overflow the 63-bit budget.
 import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from repro.core.columnar import (
     PythonKernel,
     aggregate_cuboid,
     bits_for,
+    lex_order,
     resolve_kernel,
 )
 from repro.core.naive import naive_iceberg_cube
@@ -304,6 +306,53 @@ class TestKernelProperties:
         for cell, (count, total) in got.items():
             assert count == want[cell][0]
             assert total == pytest.approx(want[cell][1])
+
+
+#: Value ranges of one int64 column: a few bits, negatives, tens of
+#: bits, and the whole of int64 (whose span forces the ``lexsort``).
+_COLUMN_RANGES = [(0, 0), (0, 3), (-50, 50), (0, 1 << 20), (-(1 << 40), 0),
+                  (-(1 << 63), (1 << 63) - 1)]
+
+
+@st.composite
+def int64_columns(draw):
+    """A ``(columns x records)`` int64 matrix: 1-10 columns, 0-40
+    records, each column from one of :data:`_COLUMN_RANGES` and
+    sometimes sorted, so presorted stretches (a mapper's final fold)
+    are drawn too."""
+    n_columns = draw(st.integers(1, 10))
+    n_records = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(n_columns):
+        lo, hi = draw(st.sampled_from(_COLUMN_RANGES))
+        column = draw(st.lists(st.integers(lo, hi), min_size=n_records,
+                               max_size=n_records))
+        if draw(st.booleans()):
+            column.sort()
+        columns.append(column)
+    return np.array(columns, dtype=np.int64).reshape(n_columns, n_records)
+
+
+class TestLexOrder:
+    """``lex_order`` is ``np.lexsort`` with the first column most
+    significant: the identical permutation, not just an equal order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=int64_columns())
+    def test_same_permutation_as_lexsort(self, columns):
+        got = lex_order(columns)
+        want = np.lexsort(columns[::-1])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_narrow_columns_are_widened_before_packing(self):
+        # An int32 leaf column shifted past the keys' 40 bits must not
+        # wrap around in int32.
+        rng = np.random.default_rng(5)
+        leaves = rng.integers(0, 1 << 20, 500).astype(np.int32)
+        keys = rng.integers(0, 1 << 40, 500)
+        assert np.array_equal(lex_order([leaves, keys]),
+                              np.lexsort((keys, leaves)))
 
 
 class TestOverflowFallback:

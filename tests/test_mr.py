@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultPlan, NodeCrash
 from repro.online.materialize import leaf_cuboids
+from repro.parallel import local
 from repro.core.naive import naive_iceberg_cube
 from repro.core.thresholds import AndThreshold, CountThreshold, SumThreshold
 from repro.data import Relation, zipf_relation
@@ -177,6 +178,39 @@ def test_block_merge_equals_sorted_dict_fold(runs, block):
     assert seen == sorted(set(seen))
     # bounded memory: a step never takes more than a block from a run
     assert all(len(columns[0]) <= block * len(runs) for columns in blocks)
+
+
+_RECORDS = st.lists(
+    st.tuples(st.integers(0, 5),
+              st.one_of(st.integers(0, 40), st.integers(0, (1 << 63) - 1)),
+              st.integers(1, 4),
+              st.floats(-1e3, 1e3, allow_nan=False)),
+    max_size=25)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chunks=st.lists(_RECORDS, max_size=6))
+def test_fold_columns_equals_dict_fold(chunks):
+    """Pending pieces from several chunks, each in no particular order,
+    fold to the sorted dict of their records: every ``(leaf, key)``
+    once, its values added in emission order.  Full 63-bit keys next
+    to a leaf column need 64 bits, which takes the ``lexsort``."""
+    pieces = [tuple(np.array(column, dtype=dtype) for column, dtype in
+                    zip(zip(*chunk) if chunk else ((),) * 4,
+                        ("<i4", "<i8", "<i8", "<f8")))
+              for chunk in chunks]
+    reference = {}
+    for chunk in chunks:
+        for leaf, key, count, value in chunk:
+            reference.setdefault((leaf, key), []).append((count, value))
+    expected = [
+        key + (sum(count for count, _v in parts),
+               float(np.add.reduceat(
+                   np.array([value for _c, value in parts]), [0])[0]))
+        for key, parts in sorted(reference.items())
+    ]
+    folded = shuffle.fold_columns(pieces)
+    assert list(zip(*(column.tolist() for column in folded))) == expected
 
 
 # ------------------------------------------------- vectorised mapper/reducer
@@ -408,3 +442,73 @@ def test_cube_under_faults_matches_oracle():
     assert result.recovery.worker_crashes >= 1
     oracle = naive_iceberg_cube(stream.materialize(), minsup=2)
     assert_same_cube(result, oracle)
+
+
+def test_spill_counts_pinned_at_a_1_mib_budget():
+    # The benchmark's compute_mapreduce input (seed 1): 1 000 rows,
+    # d = 10, 8 splits.  A change to the sort or the writer that moves
+    # a spill point or a byte shows here first.
+    relation = zipf_relation(1_000, (16, 14, 12, 10, 8, 8, 6, 6, 4, 4),
+                             skew=1.0, seed=1)
+    stream = stream_from_relation(relation, split_rows=125)
+    stats = mapreduce_iceberg_cube(stream, minsup=20, workers=1,
+                                   memory_budget=1 << 20).mr_stats
+    assert (stats.spills, stats.spill_bytes, stats.spill_records,
+            stats.records_reduced) == (8, 13_281_044, 474_323, 409_258)
+
+
+def test_one_pool_per_job(tmp_path):
+    """Both phases of a fault-free job run on one forked pool."""
+    stream = small_stream(2_000, split_rows=500)
+    made = []
+    real = local.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        made.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    with mock.patch.object(local, "ProcessPoolExecutor", counting):
+        mapreduce_materialize(stream, str(tmp_path / "s"), workers=2,
+                              reducers=2)
+        assert made == [2]
+        mapreduce_iceberg_cube(stream, minsup=2, workers=2)
+        assert made == [2, 2]
+        mapreduce_iceberg_cube(stream, minsup=2, workers=1)
+        assert made == [2, 2]
+
+
+def test_a_wider_reduce_phase_gets_a_wider_pool(tmp_path):
+    """One split and two reducers: the map phase forks one worker, and
+    the reduce phase still runs its two tasks on two."""
+    stream = small_stream(2_000, split_rows=65_536)
+    made = []
+    real = local.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        made.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    with mock.patch.object(local, "ProcessPoolExecutor", counting):
+        result = mapreduce_materialize(stream, str(tmp_path / "s"),
+                                       workers=2, reducers=2)
+    assert (result.mr_stats.map_tasks, result.mr_stats.reduce_tasks) == (1, 2)
+    assert made == [1, 2]
+
+
+def test_crash_in_both_phases_recovers_byte_identically(tmp_path):
+    relation = zipf_relation(3_000, CARDS4, skew=1.0, seed=31, dims=DIMS4)
+    stream = stream_from_relation(relation, split_rows=750)  # 4 map tasks
+    plain = mapreduce_materialize(stream, str(tmp_path / "plain"), workers=2,
+                                  reducers=2)
+    # map task 1 and reduce task 5 (partition 1) die on their first try
+    faults = FaultPlan(crashes=[NodeCrash(1, 0.0), NodeCrash(5, 0.0)], seed=9)
+    faulty = mapreduce_materialize(stream, str(tmp_path / "faulty"), workers=2,
+                                   reducers=2, fault_plan=faults,
+                                   batch_timeout=30)
+    assert faulty.mr_stats.map_recovery.worker_crashes >= 1
+    assert faulty.mr_stats.reduce_recovery.worker_crashes >= 1
+    assert leaf_bytes(str(tmp_path / "faulty"), DIMS4) == \
+        leaf_bytes(str(tmp_path / "plain"), DIMS4)
+    assert manifest_sha256(str(tmp_path / "faulty")) == \
+        manifest_sha256(str(tmp_path / "plain"))
+    _no_tmp_droppings(str(tmp_path / "faulty"))

@@ -226,6 +226,58 @@ class TestSegments:
             transport.sweep()
 
 
+#: Two forked workers attach one segment, as every pool worker attaches
+#: the frame; a barrier inside ``_untrack`` holds each one between its
+#: attach and its untrack until both have attached — the interleaving
+#: that went wrong at random before.  The resource tracker prints any
+#: error to the stderr this script inherits.
+_ATTACH_RACE = r"""
+import multiprocessing, os, sys
+from repro.parallel import shm
+
+transport = shm.ShmTransport("t-race-%d" % os.getpid())
+segment = transport.create(64, tag="frame")
+context = multiprocessing.get_context("fork")
+barrier = context.Barrier(2, timeout=10)
+untrack = shm._untrack
+
+
+def held_untrack(handle):
+    barrier.wait()
+    untrack(handle)
+
+
+def attach():
+    shm._untrack = held_untrack
+    transport.attach(segment.descriptor).close()
+
+
+workers = [context.Process(target=attach) for _ in range(2)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join()
+segment.unlink()
+sys.exit(max(worker.exitcode for worker in workers) or transport.sweep())
+"""
+
+
+def test_concurrent_attaches_leave_the_resource_tracker_consistent():
+    # Both attaches used to register the name with the one tracker the
+    # processes share, and both untracks unregistered it: the tracker
+    # keeps a set, so the second unregister raised a KeyError in it.
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", _ATTACH_RACE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Error" not in done.stderr, done.stderr
+    assert "leaked" not in done.stderr, done.stderr
+
+
 class TestCrashHygiene:
     """A writer SIGKILLed mid-write leaks a half-written segment; the
     supervisor's sweep must find and reclaim exactly it."""
