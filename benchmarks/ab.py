@@ -5,13 +5,16 @@
 
 ``PARENT`` and ``CHANGE`` are git revisions; ``CHANGE`` defaults to the
 working tree (tracked and untracked, not ignored files).  Each side is
-materialised under one temporary directory (``git archive``, or a copy
-of the working tree), and ``benchmarks/e2e/run.py --workload W --seed S
---out FILE`` runs in each as a black box, one run at a time.  Pair
-``i`` runs both sides on seed ``--seed + i``, parent first in even
-pairs and change first in odd ones (ABBA), so a drift of the host over
-the whole comparison lands on both sides alike.  Every other setting
-(run length, scale) is the benchmark's own default in each tree.
+snapshotted once under one temporary directory (``git archive``, or a
+copy of the working tree); every pair then runs in fresh copies of both
+snapshots, made parent first in even pairs and change first in odd
+ones, and ``benchmarks/e2e/run.py --workload W --seed S --out FILE``
+runs in each as a black box, one run at a time.  Pair ``i`` runs both
+sides on seed ``--seed + i``, in an order drawn per pair from a
+``random.Random(--seed)`` coin and recorded in the JSON (``orders``),
+so neither a drift of the host nor an edge of whichever side runs or
+was copied first can line up with one side.  Every other setting (run
+length, scale) is the benchmark's own default in each tree.
 
 Every run's metrics are reported twice: *normalised* as ``run.py``
 records them (timings divided by the run's ``host_slowdown``, rates
@@ -39,6 +42,7 @@ import argparse
 import io
 import json
 import os
+import random
 import shutil
 import statistics
 import subprocess
@@ -52,6 +56,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Bootstrap resamples of the pairs per interval.
 RESAMPLES = 10_000
+
+#: The two sides of a comparison, in report order.
+SIDES = ("parent", "change")
 
 
 def git(*args, cwd=REPO):
@@ -80,6 +87,23 @@ def materialise(revision, directory):
     with tarfile.open(fileobj=io.BytesIO(git("archive", revision))) as tar:
         tar.extractall(directory, **safe)
     return git("rev-parse", "--short", revision).decode().strip()
+
+
+def side_orders(rng, pairs):
+    """Which side runs first in each of ``pairs`` pairs: one coin of
+    ``rng`` (a ``random.Random``) per pair."""
+    return [SIDES if rng.random() < 0.5 else SIDES[::-1]
+            for _ in range(pairs)]
+
+
+def fresh_trees(snapshots, directory, index):
+    """Copies of both snapshots under ``directory`` for pair ``index``,
+    the parent's made first in even pairs; returns ``{side: tree}``."""
+    trees = {}
+    for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+        trees[side] = os.path.join(directory, side)
+        shutil.copytree(snapshots[side], trees[side], symlinks=True)
+    return trees
 
 
 def run_one(tree, workload, seed, scratch):
@@ -230,8 +254,9 @@ def report(result):
     for workload, entry in result["workloads"].items():
         print("\n%s" % workload)
         for index, (parent, change) in enumerate(entry["runs"]):
-            print("  pair %2d seed %-4d %s" % (
-                index, entry["seeds"][index], "  ".join(
+            print("  pair %2d seed %-4d %-6s first  %s" % (
+                index, entry["seeds"][index], entry["orders"][index][0],
+                "  ".join(
                     "%s: slowdown %.3f cube %.3f s" % (
                         side, run["host_slowdown"],
                         run["stage_median_s"].get("cube", 0.0))
@@ -254,21 +279,23 @@ def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     scratch = tempfile.mkdtemp(prefix="repro-ab-")
     try:
-        trees = {side: os.path.join(scratch, side)
-                 for side in ("parent", "change")}
-        labels = {"parent": materialise(args.parent, trees["parent"]),
-                  "change": materialise(args.change, trees["change"])}
-        with open(os.path.join(trees["parent"], "BENCHMARK.json")) as handle:
+        snapshots = {side: os.path.join(scratch, side) for side in SIDES}
+        labels = {"parent": materialise(args.parent, snapshots["parent"]),
+                  "change": materialise(args.change, snapshots["change"])}
+        with open(os.path.join(snapshots["parent"],
+                               "BENCHMARK.json")) as handle:
             declared = json.load(handle)["end_to_end"]
         result = {"parent": labels["parent"], "change": labels["change"],
                   "pairs": args.pairs, "workloads": {}}
+        rng = random.Random(args.seed)
         failed = 0
         for workload in args.workload:
             runs, seeds = [], []
-            for index in range(args.pairs):
+            orders = side_orders(rng, args.pairs)
+            for index, order in enumerate(orders):
                 seed = args.seed + index
-                order = (("parent", "change") if index % 2 == 0
-                         else ("change", "parent"))
+                pair_dir = os.path.join(scratch, "pair")
+                trees = fresh_trees(snapshots, pair_dir, index)
                 pair = {}
                 for side in order:
                     record, code = run_one(trees[side], workload, seed, scratch)
@@ -277,11 +304,12 @@ def main(argv=None):
                     print("%s pair %d seed %d %s: exit %d" % (
                         workload, index, seed, side, code),
                         file=sys.stderr, flush=True)
+                shutil.rmtree(pair_dir)
                 runs.append((pair["parent"], pair["change"]))
                 seeds.append(seed)
             result["workloads"][workload] = {
-                "seeds": seeds, "runs": runs,
-                "metrics": summarise(runs, declared)}
+                "seeds": seeds, "orders": [list(o) for o in orders],
+                "runs": runs, "metrics": summarise(runs, declared)}
         report(result)
         if args.out:
             with open(args.out, "w") as handle:

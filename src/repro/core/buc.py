@@ -166,14 +166,12 @@ class BucEngine:
             root_cuboid = task.root
             children = task.active_children(self.tree)
             if breadth_first:
+                level = self.kernel.level_from_groups(groups)
                 if root_cuboid:
-                    self.writer.write_block(
-                        root_cuboid,
-                        [(cell, count, total)
-                         for cell, _s, _e, count, total in groups]
-                    )
-                self._breadth_first(self.kernel.level_from_groups(groups),
-                                    children)
+                    cells, _rows, counts, sums = level
+                    self.writer.write_columns(root_cuboid, cells, counts,
+                                              sums)
+                self._breadth_first(level, children)
             else:
                 if root_cuboid:
                     for cell, s, e, count, total in groups:
@@ -203,12 +201,13 @@ class BucEngine:
         """BPP-BUC recursion: finish each cuboid's block before descending.
 
         ``level`` is kernel-specific level state (parallel cells /
-        starts / counts / sums columns for one cuboid).  Every sibling
-        group of a cuboid is refined by the same dimension, so the whole
-        level goes through ``kernel.refine_level`` in one call — the
-        vectorised kernels partition an entire cuboid with a single
-        composite-key pass instead of one call per cell — and the block
-        is written column-wise in bulk.
+        starts / counts / sums columns for one cuboid; the numpy
+        kernel's cells are a code matrix).  Every sibling group of a
+        cuboid is refined by the same dimension, so the whole level goes
+        through ``kernel.refine_level`` in one call — the vectorised
+        kernels partition an entire cuboid with a single composite-key
+        pass instead of one call per cell — and the block is written
+        column-wise in bulk.
         """
         for child in children:
             position = self._dim_pos[child[-1]]
@@ -221,8 +220,8 @@ class BucEngine:
                 cells, _starts, counts, sums = refined
                 self.writer.write_columns(child, cells, counts, sums)
                 if span:
-                    span.set(cuboid="/".join(child), cells=len(cells))
-            if len(cells) and grandchildren:
+                    span.set(cuboid="/".join(child), cells=len(counts))
+            if len(counts) and grandchildren:
                 self._breadth_first(refined, grandchildren)
 
 

@@ -32,10 +32,11 @@ module supplies the machinery for real speed:
   *the* representation of a materialized leaf from the pool worker
   (:func:`leaf_run`) through shared memory, the in-memory and on-disk
   stores and the MapReduce store reducer, down to the ``.run`` leaf
-  file (:class:`RunWriter` / :meth:`CellRun.decode`) — and of an
-  answer: :meth:`CellRun.group_by` rolls a leaf up into the answer's
-  run, which a :class:`RunCells` view holds until someone reads it as a
-  dict.
+  file (:class:`RunWriter` / :meth:`CellRun.decode`); of every cuboid
+  the pool's BUC writes, from the kernel's code matrix to the caller's
+  :class:`RunCells` view; and of an answer: :meth:`CellRun.group_by`
+  rolls a leaf up into the answer's run, which a :class:`RunCells` view
+  holds until someone reads it as a dict.
 
 If the per-dimension cardinalities need more than
 :data:`MAX_KEY_BITS` bits in total, packing is impossible in a machine
@@ -1147,9 +1148,10 @@ class NumpyKernel:
         return out
 
     def level_from_groups(self, groups):
-        """Numpy level state carries the *rows themselves*: ``(cells,
-        rows, counts, sums)`` where ``rows`` concatenates every group's
-        row ids in cell order.  Each refinement then works on its own
+        """Numpy level state carries the *rows themselves*: ``(codes,
+        rows, counts, sums)`` where ``codes`` is the level's ``(width x
+        cells)`` code matrix and ``rows`` concatenates every group's row
+        ids in cell order.  Each refinement then works on its own
         compact arrays — no scatter back into the global permutation,
         no ragged position arithmetic to find the groups again, and
         pruning physically shrinks the working set for deeper levels.
@@ -1163,8 +1165,9 @@ class NumpyKernel:
             )
         else:
             rows = _np.empty(0, dtype=_np.int64)
+        width = len(groups[0][0]) if n else 0
         return (
-            [g[0] for g in groups],
+            code_matrix([g[0] for g in groups], width),
             rows,
             _np.fromiter((g[3] for g in groups), dtype=_np.int64, count=n),
             _np.fromiter((g[4] for g in groups), dtype=_np.float64, count=n),
@@ -1172,13 +1175,13 @@ class NumpyKernel:
 
     def refine_level(self, level, position, stats, threshold=None,
                      need_rows=True):
-        cells, rows, counts, _sums = level
-        n_segs = len(cells)
+        codes, rows, counts, _sums = level
+        n_segs = len(counts)
         card = self.cardinalities[position]
         total = int(rows.shape[0])
         if (total < SMALL_RANGE or card <= 0
                 or n_segs * card >= (1 << 62)):
-            return self._refine_level_small(cells, rows, counts, position,
+            return self._refine_level_small(codes, rows, counts, position,
                                             stats, threshold)
         seg_id = _np.repeat(_np.arange(n_segs, dtype=_np.int64), counts)
         composite = seg_id * card + self._np_columns[position][rows]
@@ -1194,14 +1197,14 @@ class NumpyKernel:
             sums_bins = _np.bincount(
                 composite, weights=self._np_measures[rows], minlength=bins
             )
-            codes = _np.flatnonzero(counts_bins)
-            g_counts = counts_bins[codes]
-            g_sums = sums_bins[codes]
+            keys = _np.flatnonzero(counts_bins)
+            g_counts = counts_bins[keys]
+            g_sums = sums_bins[keys]
             rows = rows[:0]
         else:
             # One composite-key pass partitions the entire cuboid level:
-            # rows, values, group boundaries and sums all stay in numpy
-            # until the surviving cells are materialised as tuples.
+            # rows, values, group boundaries, sums and the child's code
+            # matrix all stay in numpy.
             order = _np.argsort(composite, kind="stable")
             rows = rows[order]
             csort = composite[order]
@@ -1210,36 +1213,37 @@ class NumpyKernel:
             )
             g_counts = _np.diff(_np.append(bounds, total))
             g_sums = _np.add.reduceat(self._np_measures[rows], bounds)
-            codes = csort[bounds]
+            keys = csort[bounds]
         stats.add_sort(total)
         stats.add_scan(total)
-        stats.add_groups(len(codes))
+        stats.add_groups(len(keys))
         if threshold is not None:
             mask = qualifying_mask(threshold, g_counts, g_sums)
             if not mask.all():
                 if len(rows):
                     rows = rows[_np.repeat(mask, g_counts)]
-                codes = codes[mask]
+                keys = keys[mask]
                 g_counts = g_counts[mask]
                 g_sums = g_sums[mask]
-        parent = (codes // card).tolist()
-        value = (codes % card).tolist()
-        child_cells = [cells[p] + (v,) for p, v in zip(parent, value)]
-        return (child_cells, rows, g_counts, g_sums)
+        # Parents are visited in cell order and values ascend within a
+        # parent, so the child block is sorted with distinct cells too.
+        child = _np.vstack([codes[:, keys // card], keys % card])
+        return (child, rows, g_counts, g_sums)
 
-    def _refine_level_small(self, cells, rows, counts, position, stats,
+    def _refine_level_small(self, codes, rows, counts, position, stats,
                             threshold=None):
         """Stdlib refinement of a small level's rows-carried state."""
         col = self.columns[position]
         measures = self.measures
         qualifies = threshold.qualifies if threshold is not None else None
-        out_cells = []
+        out_parents = []
+        out_values = []
         out_rows = []
         out_counts = []
         out_sums = []
         rows_list = rows.tolist()
         offset = 0
-        for cell, c in zip(cells, counts.tolist()):
+        for parent, c in enumerate(counts.tolist()):
             seg = rows_list[offset:offset + c]
             offset += c
             seg.sort(key=col.__getitem__)
@@ -1256,7 +1260,8 @@ class NumpyKernel:
                     e += 1
                 n_groups += 1
                 if qualifies is None or qualifies(e - s, total):
-                    out_cells.append(cell + (value,))
+                    out_parents.append(parent)
+                    out_values.append(value)
                     out_rows.extend(seg[s:e])
                     out_counts.append(e - s)
                     out_sums.append(total)
@@ -1264,7 +1269,8 @@ class NumpyKernel:
             stats.add_scan(c)
             stats.add_groups(n_groups)
         return (
-            out_cells,
+            _np.vstack([codes[:, out_parents],
+                        _np.asarray(out_values, dtype=_np.int64)]),
             _np.asarray(out_rows, dtype=_np.int64),
             _np.asarray(out_counts, dtype=_np.int64),
             _np.asarray(out_sums, dtype=_np.float64),

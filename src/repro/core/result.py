@@ -1,16 +1,23 @@
 """Cube results: the output of every algorithm in the library.
 
 A :class:`CubeResult` maps each cuboid (tuple of dimension names in
-schema order) to its cells — a dict from coordinate tuples to
+schema order) to its cells — a mapping from coordinate tuples to
 ``(count, value)`` pairs, where ``count`` is the cell's support
 (``COUNT(*)``) and ``value`` the SUM of the measure.  Only cells meeting
-the iceberg threshold are present.
+the iceberg threshold are present.  A cuboid written as a sorted code
+matrix (the numpy kernel's blocks, the local pool's results) is held
+as a read-only :class:`~repro.core.columnar.RunCells` view whose dict is
+built on first read; the ``add_*`` and ``merge_from`` methods copy it
+to a ``dict`` before they write.
 
 Results from partitioned algorithms (BPP, POL) are produced per
 processor and combined with :meth:`CubeResult.merge_from`.
 """
 
+import numpy as _np
+
 from ..errors import SchemaError
+from .columnar import CellRun, RunCells
 
 #: Bytes charged per written cell coordinate / aggregate field by the
 #: simulated disk; (len(cuboid) + 2) fields per cell (coords, count, sum).
@@ -35,29 +42,47 @@ class CubeResult:
         coordinates aligned to it.
         """
         cells = self.cuboids.get(cuboid)
-        if cells is None:
-            cells = self.cuboids[cuboid] = {}
+        if not isinstance(cells, dict):
+            cells = self._writable(cuboid)
         existing = cells.get(cell)
         if existing is None:
             cells[cell] = (count, value)
         else:
             cells[cell] = (existing[0] + count, existing[1] + value)
 
+    def _writable(self, cuboid):
+        """The cuboid's cells as a ``dict`` this result may write (a
+        read-only view is copied first)."""
+        cells = self.cuboids.get(cuboid)
+        if not isinstance(cells, dict):
+            cells = self.cuboids[cuboid] = {} if cells is None else dict(cells)
+        return cells
+
     def add_columns(self, cuboid, cells, counts, values):
         """Record one cuboid block given as parallel columns.
 
         ``cells`` must be distinct within the call (a BUC cuboid block
         is — each cell's partition is refined exactly once); across
-        calls, cells accumulate like :meth:`add_cell`.  The common case
-        (first block for a cuboid) is a single C-speed ``dict.update``.
+        calls, cells accumulate like :meth:`add_cell`.  ``cells`` is a
+        list of cell tuples or a ``(len(cuboid) x n)`` code matrix
+        sorted by cell (a breadth-first block of the numpy kernel); a
+        matrix opening its cuboid is kept as a :class:`RunCells` view,
+        no tuple made.  Otherwise the common case (first block for a
+        cuboid) is a single C-speed ``dict.update``.
         """
+        if isinstance(cells, _np.ndarray):
+            view = RunCells(CellRun(cuboid, cells, counts, values))
+            if cuboid not in self.cuboids:
+                self.cuboids[cuboid] = view
+                return
+            for cell, (count, value) in view.items():
+                self.add_cell(cuboid, cell, count, value)
+            return
         if hasattr(counts, "tolist"):
             counts = counts.tolist()
         if hasattr(values, "tolist"):
             values = values.tolist()
-        target = self.cuboids.get(cuboid)
-        if target is None:
-            target = self.cuboids[cuboid] = {}
+        target = self._writable(cuboid)
         if not target:
             target.update(zip(cells, zip(counts, values)))
             if len(target) != len(cells):
@@ -98,7 +123,7 @@ class CubeResult:
         their counts and values.
         """
         for cuboid, cells in other.cuboids.items():
-            mine = self.cuboids.setdefault(cuboid, {})
+            mine = self._writable(cuboid)
             for cell, (count, value) in cells.items():
                 existing = mine.get(cell)
                 if existing is None:

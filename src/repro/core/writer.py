@@ -54,9 +54,10 @@ class ResultWriter:
         Semantics match :meth:`write_block` (one cuboid switch at most,
         nothing recorded for an empty block) but the cells go into the
         result in bulk — the fast kernels hand whole cuboid levels over
-        without building per-cell item tuples first.
+        without building per-cell item tuples first (``cells`` may be a
+        code matrix, see :meth:`CubeResult.add_columns`).
         """
-        n = len(cells)
+        n = len(counts)
         if not n:
             return
         if cuboid != self._last_cuboid:

@@ -22,16 +22,21 @@ the pool pipe instead, as the inline single-worker path always does:
   their kernels over zero-copy views.  Forked workers used to get this
   for free from copy-on-write, but spawn platforms re-pickled the frame
   per worker per pool respawn — now every platform ships one copy.
-* *Results*: workers encode each batch's cells as bit-packed
-  ``(packed_key, count, sum)`` arrays (the frame's 63-bit
-  :class:`~repro.core.columnar.KeyPacking`; tuple-key relations take
-  the exact one-``int64``-per-coordinate fallback) into a fresh
-  segment and return only a ``(kind, name, nbytes)`` descriptor.  The
-  parent attaches, decodes with numpy, merges, and unlinks — decoding
-  overlaps the workers' remaining compute instead of serializing after
-  it.  Leaf batches (:func:`multiprocess_leaf_cells`) ship each leaf as
-  its encoded :class:`~repro.core.columnar.CellRun` instead: columns in,
-  columns out, no cell tuple on either side of the segment.
+* *Results*: the numpy kernel hands every breadth-first cuboid block
+  over as a sorted code matrix with its counts and sums; a worker keeps
+  each as a :class:`~repro.core.columnar.CellRun`, writes a batch's
+  blocks into a fresh segment as raw columns
+  (:func:`~repro.parallel.shm.encode_result`, one mode whatever the
+  cardinalities) and returns only a ``(kind, name, nbytes)``
+  descriptor.  The parent attaches, copies the segment once, unlinks,
+  and stores each cuboid as a read-only
+  :class:`~repro.core.columnar.RunCells` view over that copy — no fold
+  (a breadth-first block is already sorted and distinct) and no cell
+  tuple until a caller reads the cuboid.  Decoding overlaps the
+  workers' remaining compute instead of serializing after it.  Leaf
+  batches (:func:`multiprocess_leaf_cells`) ship each leaf as its
+  encoded :class:`~repro.core.columnar.CellRun`: columns in, columns
+  out, no cell tuple on either side of the segment.
 
 **Scheduling.**  Tasks are sorted largest-first and dealt through the
 pool's shared call queue, which is demand-driven: an idle worker pulls
@@ -80,10 +85,10 @@ from multiprocessing import get_context
 from .. import obs
 from ..core.buc import BucEngine, PrefixCache
 from ..core.columnar import (
-    ColumnarFrame, NumpyKernel, decode_runs, encode_runs, leaf_run)
+    CellRun, ColumnarFrame, NumpyKernel, RunCells, decode_runs,
+    encode_runs, leaf_run)
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold, validate_measures
-from ..core.writer import ResultWriter
 from ..errors import PlanError, WorkerCrashError
 from ..lattice.processing_tree import ProcessingTree, binary_divide
 from .shm import ShmTransport, decode_result, encode_result
@@ -152,11 +157,20 @@ class _WorkerState:
         self.engine = None
         self.cache = None
         if mode == "cube":
-            self.engine = BucEngine(
-                None, frame.dims, threshold, writer=ResultWriter(frame.dims),
-                kernel=NumpyKernel(frame),
-            )
+            self.engine = BucEngine(None, frame.dims, threshold, writer=None,
+                                    kernel=NumpyKernel(frame))
             self.cache = PrefixCache()
+
+
+class _Blocks(list):
+    """The pool's BUC writer: every cuboid block a batch writes, as
+    ``(cuboid, RunCells)`` items over the kernel's own columns (a
+    breadth-first block is sorted and distinct, so nothing is folded)."""
+
+    def write_columns(self, cuboid, codes, counts, sums):
+        if len(counts):
+            self.append((cuboid, RunCells(CellRun(cuboid, codes, counts,
+                                                  sums))))
 
 
 def _init_worker(frame_ship, threshold, fault_plan=None, tasks=(),
@@ -186,8 +200,8 @@ def _ship_result(state, batch_id, items, encode, n_cells):
     shared-memory segment and only ``("seg", descriptor, n_cells)``
     crosses the pipe; without one (the inline path), or when the segment
     cannot be created, the items ride the pipe as ``("items", items)``.
-    ``items`` is a list of ``(cuboid, cells)`` pairs (cube batches) or
-    of :class:`CellRun` (leaf batches).
+    ``items`` is a list of ``(cuboid, RunCells)`` pairs (cube batches)
+    or of :class:`CellRun` (leaf batches).
     """
     if state.transport is None:
         return ("items", items)
@@ -216,16 +230,14 @@ def _run_batch(job):
     state = _STATE
     _inject_fault(state, batch_id, attempt)
     with obs.activate(traceparent):
-        writer = ResultWriter(state.dims)
-        state.engine.writer = writer
+        blocks = state.engine.writer = _Blocks()
         for task in state.tasks[lo:hi]:
             state.engine.run_task(task, breadth_first=True, cache=state.cache)
-        items = list(writer.result.cuboids.items())
-        frame = state.frame
+        dims = state.dims
         return batch_id, _ship_result(
-            state, batch_id, items,
-            lambda items: encode_result(items, frame.dims, frame.packing),
-            sum(len(cells) for _cuboid, cells in items))
+            state, batch_id, blocks,
+            lambda items: encode_result(items, dims),
+            sum(len(cells) for _cuboid, cells in blocks))
 
 
 def _run_leaf_batch(job):
@@ -575,13 +587,12 @@ def _calibrate(tree, tasks, engine, cache, merge):
         nodes += size
         n_probe += 1
     probed = tasks[-n_probe:]
-    writer = ResultWriter(engine.dims)
-    engine.writer = writer
+    blocks = engine.writer = _Blocks()
     started = time.perf_counter()
     for task in probed:
         engine.run_task(task, breadth_first=True, cache=cache)
     elapsed = time.perf_counter() - started
-    merge(list(writer.result.cuboids.items()))
+    merge(blocks)
     # Clock noise floor: a probe faster than the timer can resolve
     # still yields a usable (tiny) rate; zero nodes cannot happen
     # (every task has >= 1 node).
@@ -730,10 +741,8 @@ def _pooled_cube(frame, tree, tasks, threshold, workers, batch_size,
     transport, frame_ship, frame_segment = _open_transport(frame)
     try:
         if batch_size is None:
-            engine = BucEngine(
-                None, frame.dims, threshold, writer=ResultWriter(frame.dims),
-                kernel=NumpyKernel(frame),
-            )
+            engine = BucEngine(None, frame.dims, threshold, writer=None,
+                               kernel=NumpyKernel(frame))
             with obs.span("local.calibrate") as cal_span:
                 rate, n_probed = _calibrate(tree, tasks, engine,
                                             PrefixCache(), merge)
@@ -751,8 +760,7 @@ def _pooled_cube(frame, tree, tasks, threshold, workers, batch_size,
         if not jobs:
             return
         on_result = _make_decoder(
-            transport, merge,
-            lambda buf: decode_result(buf, frame.dims, frame.packing))
+            transport, merge, lambda buf: decode_result(buf, frame.dims))
         initargs = (frame_ship, threshold, fault_plan, tasks, transport,
                     "cube")
         supervised_map(
@@ -853,24 +861,16 @@ def _close_transport(transport, frame_segment, log):
 
 
 def _merge_items(result, items):
-    """Merge one batch's ``(cuboid, cells)`` items into the result.
+    """Merge one batch's ``(cuboid, RunCells)`` items into the result.
 
     Tree division partitions the cuboids across tasks, so the common
-    case is a fresh cuboid (one dict assignment, zero per-cell work);
-    the accumulate branch is defensive — correct either way.
+    case is a fresh cuboid (its view stored, zero per-cell work); the
+    accumulate branch of :meth:`CubeResult.add_columns` is defensive —
+    correct either way.
     """
     for cuboid, cells in items:
-        mine = result.cuboids.get(cuboid)
-        if mine is None:
-            result.cuboids[cuboid] = cells if isinstance(cells, dict) \
-                else dict(cells)
-        else:
-            for cell, (count, value) in cells.items():
-                existing = mine.get(cell)
-                if existing is None:
-                    mine[cell] = (count, value)
-                else:
-                    mine[cell] = (existing[0] + count, existing[1] + value)
+        run = cells.run
+        result.add_columns(cuboid, run.codes, run.counts, run.sums)
 
 
 def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,

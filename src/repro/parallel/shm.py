@@ -4,16 +4,18 @@ The old data plane returned every batch's cells as a pickled
 ``{cuboid: {cell: (count, sum)}}`` dict — megabytes of tuple soup
 squeezed through the pool's result pipe, serialized in the worker and
 deserialized in the parent, both at Python speed.  This module replaces
-that with segments of bit-packed arrays:
+that with segments of raw columns:
 
-* :func:`encode_result` / :func:`decode_result` — a compact columnar
-  codec for cube results.  Cells re-use the
-  :class:`~repro.core.columnar.KeyPacking` 63-bit layout (one ``int64``
-  per cell) when the frame has one; relations whose cardinalities
-  overflow the packed-key budget take the tuple-key fallback (one
-  ``int64`` *per coordinate*, exact for any code an ``array('q')``
-  column can hold).  Counts travel as ``int64`` and measure sums as
-  ``float64``, so the round-trip is bit-exact in both directions.
+* :func:`encode_result` / :func:`decode_result` — the columnar codec
+  for cube results.  Each cuboid travels as its
+  :class:`~repro.core.columnar.CellRun` columns, raw: the ``(dims x
+  cells)`` int64 code matrix, then ``int64`` counts and ``float64``
+  sums.  There is one mode whatever the cardinalities (a relation whose
+  codes overflow a 63-bit packed key ships like any other), the
+  round-trip is bit-exact, and decoding copies the buffer once and
+  hands back a read-only :class:`~repro.core.columnar.RunCells` view
+  per cuboid over that copy — no cell becomes a tuple until a caller
+  reads one.
 * :class:`ShmTransport` — run-scoped segment management.  Workers
   create POSIX shared-memory segments named ``rsm-<run_id>-...``
   (:mod:`multiprocessing.shared_memory`) and return only a tiny
@@ -38,9 +40,10 @@ carry.
 import mmap
 import os
 import struct
-from array import array
 
 import numpy as _np
+
+from ..core.columnar import CellRun, RunCells
 
 try:
     import _posixshmem
@@ -48,17 +51,15 @@ try:
 except ImportError:  # pragma: no cover - platforms without POSIX shm
     _shared_memory = None
 
-#: Codec magic ("RSM1") — first word of every encoded result payload.
-MAGIC = 0x52534D31
+#: Codec magic ("RSM2") — first word of every encoded result payload.
+MAGIC = 0x52534D32
 
 #: Directory POSIX shared memory appears under on Linux; scanned by the
 #: leak sweep (and by the chaos tests, from the outside).
 DEV_SHM = "/dev/shm"
 
 _HEADER = struct.Struct("<II")          # magic, n_cuboids
-_CUBOID = struct.Struct("<HBxI")        # n_dims, mode, pad, n_cells
-_MODE_PACKED = 0                        # one packed int64 key per cell
-_MODE_COLUMNS = 1                       # one int64 per cell coordinate
+_CUBOID = struct.Struct("<HxxI")        # n_dims, pad, n_cells
 
 
 def _align8(offset):
@@ -68,134 +69,69 @@ def _align8(offset):
 # ----------------------------------------------------------------------
 # result codec
 # ----------------------------------------------------------------------
-def encode_result(items, dims, packing):
-    """Encode ``[(cuboid, {cell: (count, sum)}), ...]`` to bytes.
+def encode_result(items, dims, packing=None):
+    """Encode ``[(cuboid, cells), ...]`` to bytes.
 
-    ``dims`` is the frame's dimension tuple (cuboid names are mapped to
-    positions in it); ``packing`` the frame's
-    :class:`~repro.core.columnar.KeyPacking`, or ``None`` to force the
-    tuple-key fallback encoding for every cuboid.
+    ``cells`` is a :class:`~repro.core.columnar.CellRun`, a
+    :class:`~repro.core.columnar.RunCells` view (its run ships) or any
+    ``{cell: (count, sum)}`` mapping (shipped as its run).  ``dims`` is
+    the frame's dimension tuple (cuboid names are mapped to positions in
+    it).  ``packing`` is accepted for callers of the packed-key codec
+    this one replaced, and ignored.
+
+    Layout: ``u32 magic, u32 n_cuboids``, then per cuboid ``u16 k, 2
+    pad, u32 n, k x u16 positions`` (little-endian), zero padding to 8
+    bytes, and ``k x n`` int64 codes (row ``j`` is dimension ``j``),
+    ``n`` int64 counts, ``n`` float64 sums in the host's byte order
+    (both ends of a segment run on one machine).
     """
     index = {name: i for i, name in enumerate(dims)}
     chunks = [_HEADER.pack(MAGIC, len(items))]
     size = _HEADER.size
     for cuboid, cells in items:
-        positions = [index[name] for name in cuboid]
-        k = len(positions)
-        n = len(cells)
-        mode = _MODE_PACKED if (packing is not None and k) else _MODE_COLUMNS
-        head = _CUBOID.pack(k, mode, n) + struct.pack("<%dH" % k, *positions)
-        pad = _align8(size + len(head)) - (size + len(head))
-        head += b"\x00" * pad
-        chunks.append(head)
-        size += len(head)
-        if mode == _MODE_PACKED:
-            body = _encode_packed(cells, positions, packing, n)
-        else:
-            body = _encode_columns(cells, k, n)
-        for part in body:
-            chunks.append(part)
-            size += len(part)
+        if isinstance(cells, RunCells):
+            cells = cells.run
+        run = (cells if isinstance(cells, CellRun)
+               else CellRun.from_cells(cuboid, cells))
+        k = len(cuboid)
+        head = (_CUBOID.pack(k, len(run))
+                + struct.pack("<%dH" % k, *(index[name] for name in cuboid)))
+        head += b"\x00" * (_align8(size + len(head)) - (size + len(head)))
+        chunks += (head, run.codes.astype(_np.int64, copy=False).tobytes(),
+                   run.counts.astype(_np.int64, copy=False).tobytes(),
+                   run.sums.astype(_np.float64, copy=False).tobytes())
+        size += len(head) + 8 * (k + 2) * len(run)
     return b"".join(chunks)
 
 
-def _encode_packed(cells, positions, packing, n):
-    if not n:
-        return []
-    shifts = [packing.shifts[p] for p in positions]
-    mat = _np.array(list(cells.keys()), dtype=_np.int64)
-    keys = _np.bitwise_or.reduce(
-        mat << _np.asarray(shifts, dtype=_np.int64), axis=1)
-    counts = _np.fromiter((v[0] for v in cells.values()),
-                          dtype=_np.int64, count=n)
-    sums = _np.fromiter((v[1] for v in cells.values()),
-                        dtype=_np.float64, count=n)
-    return [keys.tobytes(), counts.tobytes(), sums.tobytes()]
-
-
-def _encode_columns(cells, k, n):
-    cols = [array("q", bytes(8 * n)) for _ in range(k)]
-    counts = array("q", bytes(8 * n))
-    sums = array("d", bytes(8 * n))
-    for i, (cell, (count, total)) in enumerate(cells.items()):
-        for j in range(k):
-            cols[j][i] = cell[j]
-        counts[i] = count
-        sums[i] = total
-    return [col.tobytes() for col in cols] + [counts.tobytes(),
-                                              sums.tobytes()]
-
-
-def decode_result(buf, dims, packing):
+def decode_result(buf, dims, packing=None):
     """Decode :func:`encode_result` bytes back to cuboid/cells items.
 
-    Returns ``[(cuboid, {cell: (count, sum)}), ...]`` with Python ints
-    and floats — bit-identical to what the worker's writer held.
+    Returns ``[(cuboid, RunCells), ...]``: ``buf`` is copied once and
+    every cuboid's run holds read-only views of that copy, so the result
+    outlives the segment.  The cells read back bit-identical to what the
+    worker encoded.  ``packing`` is ignored (see :func:`encode_result`).
     """
-    view = memoryview(buf)
-    magic, n_cuboids = _HEADER.unpack_from(view, 0)
+    data = bytes(buf)
+    magic, n_cuboids = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise ValueError("bad result segment magic 0x%08x" % magic)
     offset = _HEADER.size
     out = []
     for _ in range(n_cuboids):
-        k, mode, n = _CUBOID.unpack_from(view, offset)
+        k, n = _CUBOID.unpack_from(data, offset)
         offset += _CUBOID.size
-        positions = struct.unpack_from("<%dH" % k, view, offset)
-        offset += 2 * k
-        offset = _align8(offset)
-        cuboid = tuple(dims[p] for p in positions)
-        if mode == _MODE_PACKED:
-            cells, offset = _decode_packed(view, offset, positions,
-                                           packing, n)
-        else:
-            cells, offset = _decode_columns(view, offset, k, n)
-        out.append((cuboid, cells))
+        cuboid = tuple(dims[p] for p in
+                       struct.unpack_from("<%dH" % k, data, offset))
+        offset = _align8(offset + 2 * k)
+        ints = _np.frombuffer(data, dtype=_np.int64, count=(k + 1) * n,
+                              offset=offset)
+        sums = _np.frombuffer(data, dtype=_np.float64, count=n,
+                              offset=offset + 8 * (k + 1) * n)
+        offset += 8 * (k + 2) * n
+        run = CellRun(cuboid, ints[:k * n].reshape(k, n), ints[k * n:], sums)
+        out.append((cuboid, RunCells(run)))
     return out
-
-
-def _int64_list(view, offset, n):
-    return _np.frombuffer(view, dtype=_np.int64, count=n,
-                          offset=offset).tolist()
-
-
-def _float64_list(view, offset, n):
-    return _np.frombuffer(view, dtype=_np.float64, count=n,
-                          offset=offset).tolist()
-
-
-def _decode_packed(view, offset, positions, packing, n):
-    if packing is None:
-        raise ValueError("packed-mode segment but the frame has no packing")
-    keys = _np.frombuffer(view, dtype=_np.int64, count=n, offset=offset)
-    code_cols = [
-        ((keys >> packing.shifts[p]) & packing.masks[p]).tolist()
-        for p in positions
-    ]
-    offset += 8 * n
-    counts = _int64_list(view, offset, n)
-    offset += 8 * n
-    sums = _float64_list(view, offset, n)
-    offset += 8 * n
-    cells = dict(zip(zip(*code_cols), zip(counts, sums))) if code_cols else {}
-    return cells, offset
-
-
-def _decode_columns(view, offset, k, n):
-    code_cols = []
-    for _ in range(k):
-        code_cols.append(_int64_list(view, offset, n))
-        offset += 8 * n
-    counts = _int64_list(view, offset, n)
-    offset += 8 * n
-    sums = _float64_list(view, offset, n)
-    offset += 8 * n
-    if k:
-        cells = dict(zip(zip(*code_cols), zip(counts, sums)))
-    else:
-        # Zero-dimension cuboid (defensive): n is 0 or 1 cell at ().
-        cells = {(): (counts[0], sums[0])} if n else {}
-    return cells, offset
 
 
 # ----------------------------------------------------------------------

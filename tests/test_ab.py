@@ -3,6 +3,7 @@
 
 import importlib.util
 import os
+import random
 
 import pytest
 
@@ -42,3 +43,26 @@ def test_verdict_against_the_bound(better, factor, verdict):
     won = (factor < 1) == (better == "lower")
     assert stats["wins"] == (len(parent) if won else 0)
     assert stats["gain_rule"] == (won and abs(factor - 1) > 0.2)
+
+
+def test_side_orders_are_a_seeded_coin_per_pair():
+    orders = ab.side_orders(random.Random(11), 40)
+    assert orders == ab.side_orders(random.Random(11), 40)
+    assert orders != ab.side_orders(random.Random(12), 40)
+    assert set(orders) == {("parent", "change"), ("change", "parent")}
+
+
+def test_each_pair_copies_both_trees_first_side_alternating(tmp_path):
+    snapshots = {}
+    for side in ab.SIDES:
+        snapshots[side] = tmp_path / "snap" / side
+        snapshots[side].mkdir(parents=True)
+        (snapshots[side] / "tree.txt").write_text(side)
+    made = []
+    for index in range(2):
+        trees = ab.fresh_trees(snapshots, tmp_path / ("pair%d" % index),
+                               index)
+        made.append(list(trees))
+        assert {side: open(os.path.join(tree, "tree.txt")).read()
+                for side, tree in trees.items()} == {s: s for s in ab.SIDES}
+    assert made == [["parent", "change"], ["change", "parent"]]

@@ -3,6 +3,7 @@
 import os
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,17 @@ from hypothesis import strategies as st
 from repro.cluster.faults import FaultPlan, Slowdown, TaskFailure
 from repro.core import SumThreshold
 from repro.core.buc import buc_iceberg_cube
-from repro.core.columnar import ColumnarFrame, aggregate_cuboid
+from repro.core.columnar import (
+    CellRun, ColumnarFrame, RunCells, aggregate_cuboid)
 from repro.core.naive import naive_iceberg_cube
+from repro.core.thresholds import as_threshold
 from repro.data import Relation
 from repro.errors import PlanError, WorkerCrashError
+from repro.lattice.processing_tree import ProcessingTree, binary_divide
 from repro.parallel.local import (
     _batched,
+    _init_worker,
+    _run_batch,
     multiprocess_iceberg_cube,
     multiprocess_leaf_cells,
 )
@@ -202,6 +208,12 @@ class _RefuseSecondCreate:
         return self.real.SharedMemory(name=name, create=create, size=size)
 
 
+def _overflow_relation():
+    """60 rows whose cardinalities blow the 63-bit packed-key budget."""
+    rows = [(2 ** 40 + i % 3, i % 5, 2 ** 35 * (i % 4)) for i in range(60)]
+    return Relation(("A", "B", "C"), rows, [float(i % 7) for i in range(60)])
+
+
 def _rsm_segments():
     """Names of repro shared-memory segments currently in /dev/shm."""
     if not os.path.isdir(DEV_SHM):
@@ -252,12 +264,9 @@ class TestDataPlane:
 
     def test_tuple_key_overflow_relation_matches_naive(self):
         # Cardinalities past the 63-bit packed-key budget: the frame
-        # carries packing=None and results ride the one-int64-per-
-        # coordinate fallback encoding.
-        rows = [(2 ** 40 + i % 3, i % 5, 2 ** 35 * (i % 4))
-                for i in range(60)]
-        rel = Relation(("A", "B", "C"), rows,
-                       [float(i % 7) for i in range(60)])
+        # carries packing=None, and results ride the same code-matrix
+        # segments as any other relation's.
+        rel = _overflow_relation()
         assert ColumnarFrame.from_relation(rel, rel.dims).packing is None
         expected = naive_iceberg_cube(rel, minsup=2)
         got = multiprocess_iceberg_cube(rel, minsup=2, workers=2)
@@ -316,6 +325,89 @@ class TestDataPlane:
         assert list(gen) == [(0, 3), (3, 6), (6, 7)]
         assert list(_batched(0, 4)) == []
         assert list(_batched(2, 10)) == [(0, 2)]
+
+
+@pytest.fixture
+def tuples_built(monkeypatch):
+    """Cell counts of every ``CellRun.cells`` call in this process (the
+    one place a run's cells become tuples); a call in a pool worker
+    fails its batch."""
+    calls, cells, pid = [], CellRun.cells, os.getpid()
+
+    def counting(run):
+        assert os.getpid() == pid, "a pool worker built cell tuples"
+        built = cells(run)
+        calls.append(len(built))
+        return built
+
+    monkeypatch.setattr(CellRun, "cells", counting)
+    return calls
+
+
+class TestColumnarResult:
+    """The pool's cube stays columns until a caller reads a cuboid: a
+    result holds read-only ``RunCells`` views over the shipped columns,
+    and still takes writes by copying a view first."""
+
+    @pytest.mark.parametrize("relation", ["packed", "overflow", "refused"])
+    def test_no_cell_is_a_tuple_until_its_cuboid_is_read(
+            self, small_skewed, relation, tuples_built, monkeypatch):
+        rel = _overflow_relation() if relation == "overflow" else small_skewed
+        if relation == "refused":
+            # Each worker's first result rides the pool pipe.
+            monkeypatch.setattr(shm, "_shared_memory",
+                                _RefuseSecondCreate(shm._shared_memory))
+        got = multiprocess_iceberg_cube(rel, minsup=2, workers=2,
+                                        batch_size=1)
+        expected = naive_iceberg_cube(rel, minsup=2)
+        assert got.total_cells() == expected.total_cells()
+        assert tuples_built == []
+        cuboid = max(got.cuboids, key=lambda c: len(got.cuboids[c]))
+        assert isinstance(got.cuboids[cuboid], RunCells)
+        assert dict(got.cuboids[cuboid]) == expected.cuboids[cuboid]
+        assert tuples_built == [len(expected.cuboids[cuboid])]
+        assert got.equals(expected), got.diff(expected)
+
+    def test_a_pooled_result_still_takes_writes(self, small_skewed):
+        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2)
+        other = multiprocess_iceberg_cube(small_skewed, minsup=3, workers=2)
+        want = naive_iceberg_cube(small_skewed, minsup=2)
+        want_other = naive_iceberg_cube(small_skewed, minsup=3)
+        cuboid = max(want.cuboids, key=lambda c: len(want.cuboids[c]))
+        cell = next(iter(want.cuboids[cuboid]))
+        fresh = tuple(-1 for _ in cuboid)
+        for result in (got, want):
+            result.add_cell(cuboid, cell, 1, 0.5)
+            result.add_columns(cuboid, [fresh], [2], [1.5])
+            result.add_columns(("B",), np.array([[0, 99]]), np.array([1, 1]),
+                               np.array([1.0, 1.0]))
+            result.merge_from(other if result is got else want_other)
+        assert got.equals(want), got.diff(want)
+        assert other.equals(want_other), other.diff(want_other)
+        assert isinstance(other.cuboids[cuboid], RunCells)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_dims=st.integers(1, 4), n_rows=st.integers(0, 120),
+           minsup=st.integers(1, 3), data=st.data())
+    def test_shipped_blocks_are_strictly_increasing(self, n_dims, n_rows,
+                                                    minsup, data):
+        # What lets the parent keep each block as a run without a fold;
+        # up to 120 rows take both the vector and the small-range paths.
+        dims = ("A", "B", "C", "D")[:n_dims]
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * n_dims),
+                                  min_size=n_rows, max_size=n_rows))
+        rel = Relation(dims, rows, [1.0] * len(rows))
+        frame = ColumnarFrame.from_relation(rel, dims)
+        tasks = binary_divide(ProcessingTree(dims), 4)
+        _init_worker(("direct", frame), as_threshold(minsup), tasks=tasks)
+        for i in range(len(tasks)):
+            _bid, (tag, blocks) = _run_batch((i, 0, (i, i + 1), None))
+            assert tag == "items"
+            for cuboid, view in blocks:
+                codes = view.run.codes
+                assert codes.shape == (len(cuboid), len(view))
+                cells = list(zip(*codes.tolist()))
+                assert all(a < b for a, b in zip(cells, cells[1:]))
 
 
 @st.composite

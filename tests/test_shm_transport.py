@@ -2,18 +2,20 @@
 and crash hygiene (leak detection + sweep).
 
 The codec tests are property-based: any mix of cuboids and cells —
-including the >63-bit tuple-key fallback and adversarial float measures
-— must decode to exactly the dict the worker encoded, bit for bit.
+including codes past the 63-bit packed-key budget and adversarial float
+measures — must decode to exactly the cells the worker encoded, bit for
+bit.
 """
 
 import pickle
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import KeyPacking
+from repro.core.columnar import CellRun, KeyPacking, RunCells
 from repro.parallel.shm import (
     DEV_SHM,
     MAGIC,
@@ -96,7 +98,8 @@ class TestCodecRoundTrip:
     @given(payload=overflow_payloads())
     def test_tuple_key_overflow_mode_round_trips_exactly(self, payload):
         # packing=None is what a frame whose cardinalities blow the
-        # 63-bit budget carries: every coordinate rides as its own int64.
+        # 63-bit budget carries; the code matrix needs no packing, so
+        # these cells ride the one mode like any other.
         items, dims = payload
         buf = encode_result(items, dims, packing=None)
         got = decode_result(buf, dims, packing=None)
@@ -137,13 +140,23 @@ class TestCodecRoundTrip:
         with pytest.raises(ValueError):
             decode_result(bytes(buf), ("A",), None)
 
-    def test_packed_segment_needs_packing_to_decode(self):
-        packing = KeyPacking.plan([3, 3])
-        buf = encode_result([(("A", "B"), {(1, 2): (1, 1.0)})],
-                            ("A", "B"), packing)
-        with pytest.raises(ValueError):
-            decode_result(buf, ("A", "B"), None)
+    def test_runs_ship_as_read_only_views_of_one_copy(self):
+        # A worker's blocks are runs; the parent gets RunCells views of
+        # their columns over its one copy of the segment, no tuple built.
+        run = CellRun(("A", "C"), np.array([[0, 0, 2], [1, 5, 0]]),
+                      np.array([3, 1, 2]), np.array([1.5, -0.0, 2.0]))
+        buf = bytearray(encode_result([(run.dims, run)], ("A", "B", "C")))
         assert MAGIC == struct.unpack_from("<I", buf)[0]
+        [(cuboid, view)] = decode_result(memoryview(buf), ("A", "B", "C"))
+        buf[:] = bytes(len(buf))  # the segment is gone; the views are not
+        assert cuboid == ("A", "C") and isinstance(view, RunCells)
+        assert view._dict is None
+        for got, want in zip((view.run.codes, view.run.counts,
+                              view.run.sums), (run.codes, run.counts,
+                                               run.sums)):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+        assert view == {(0, 1): (3, 1.5), (0, 5): (1, -0.0), (2, 0): (2, 2.0)}
 
 
 class TestSegments:
