@@ -14,7 +14,9 @@ Layout::
       A.csv, A_B.csv, ...    # one file per cuboid: coords, count, sum
 """
 
+import contextlib
 import csv
+import io
 import json
 import os
 
@@ -34,33 +36,76 @@ def _cuboid_filename(cuboid):
     return (("_".join(cuboid)) if cuboid else "all") + ".csv"
 
 
-def atomic_write(path, write_body, binary=False):
-    """Write ``path`` via a same-directory temp file and :func:`os.replace`.
+#: Marks a temp file :class:`Publication` writes: ``<path>.tmp.<pid>``.
+TEMP_MARK = ".tmp."
 
-    ``write_body`` receives the open handle.  A crash mid-write leaves
-    the previous file (or nothing) in place — never a truncated one.
-    """
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    mode = "wb" if binary else "w"
-    kwargs = {} if binary else {"newline": ""}
+
+def is_debris(name):
+    """Whether ``name`` is a temp file an interrupted publish left."""
+    return TEMP_MARK in name
+
+
+def fsync_dir(directory):
+    """Make the names in ``directory`` (a rename, a new entry) durable."""
+    fd = os.open(directory, os.O_RDONLY)
     try:
-        with open(tmp, mode, **kwargs) as handle:
-            write_body(handle)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class Publication:
+    """A file on its way to ``path``, written to :attr:`handle` under a
+    temp name until :meth:`commit` renames it into place: a crash leaves
+    the old file or nothing, never a torn one.  ``durable`` fsyncs the
+    file and then its directory; leaving the ``with`` block on any
+    exception (a :class:`BaseException` too) deletes the temp."""
+
+    def __init__(self, path, durable=False):
+        self.path, self.durable = path, durable
+        self._tmp = "%s%s%d" % (path, TEMP_MARK, os.getpid())
+        self.handle = open(self._tmp, "wb")
+
+    def commit(self):
+        if self.durable:
+            self.handle.flush()
+            os.fsync(self.handle.fileno())
+        self.handle.close()
+        os.replace(self._tmp, self.path)
+        if self.durable:
+            fsync_dir(os.path.dirname(self.path) or ".")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        if kind is not None:
+            try:
+                self.handle.close()
+            finally:
+                with contextlib.suppress(OSError):
+                    os.unlink(self._tmp)
+
+
+def publish(path, write_body, durable=False):
+    """Publish ``path`` whole: ``write_body`` writes the binary handle."""
+    with Publication(path, durable) as target:
+        write_body(target.handle)
+        target.commit()
+
+
+def publish_json(path, payload):
+    """Publish ``payload`` as indented, key-sorted JSON (a manifest)."""
+    publish(path, lambda handle: handle.write(
+        json.dumps(payload, indent=2, sort_keys=True).encode()))
 
 
 def save_cube(result, directory):
     """Write a :class:`CubeResult` under ``directory``.
 
-    Each file lands atomically (temp file + ``os.replace``), the manifest
-    last, so a crashed save never leaves a half-written cuboid CSV next
-    to a manifest that claims it is complete.  Returns the manifest dict
+    Each file is published whole (:func:`publish`), the manifest last,
+    so a crashed save never leaves a half-written cuboid CSV next to a
+    manifest that claims it is complete.  Returns the manifest dict
     that was written.
     """
     os.makedirs(directory, exist_ok=True)
@@ -71,13 +116,15 @@ def save_cube(result, directory):
         path = os.path.join(directory, filename)
 
         def write_body(handle, cuboid=cuboid, cells=cells):
-            writer = csv.writer(handle)
+            text = io.TextIOWrapper(handle, newline="")
+            writer = csv.writer(text)
             writer.writerow(list(cuboid) + ["count", "sum"])
             for cell in sorted(cells):
                 count, value = cells[cell]
                 writer.writerow(list(cell) + [count, repr(value)])
+            text.detach()
 
-        atomic_write(path, write_body)
+        publish(path, write_body)
         index.append({
             "cuboid": list(cuboid),
             "file": filename,
@@ -90,10 +137,7 @@ def save_cube(result, directory):
         "cuboids": index,
         "total_cells": result.total_cells(),
     }
-    atomic_write(
-        os.path.join(directory, MANIFEST),
-        lambda handle: json.dump(manifest, handle, indent=2, sort_keys=True),
-    )
+    publish_json(os.path.join(directory, MANIFEST), manifest)
     return manifest
 
 

@@ -42,6 +42,7 @@ import numpy as np
 from .. import obs
 from ..core.aggregates import exact_parts, exact_sum
 from ..core.columnar import fold_sorted, qualifying_mask, unpack_codes
+from ..core.export import is_debris
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold
 from ..data.stream import RelationStream, stream_from_relation
@@ -546,20 +547,16 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
                 "repro_mr_cells_total",
                 "Cells emitted by reducers.").inc(stats.cells_written)
 
-        # A reducer killed mid-leaf leaves its LeafWriter's ``.tmp.<pid>``
-        # file behind in the output directory; the winning attempt wrote
-        # its own temp under a different pid, so the orphan survives the
-        # commit.  Sweep them before the store is assembled.
+        # A reducer killed mid-leaf leaves its LeafWriter's temp behind
+        # (the winning attempt's has another pid): sweep before assembly.
         if out_dir is not None:
-            torn = 0
-            for dirpath, _dirnames, filenames in os.walk(out_dir):
-                for filename in filenames:
-                    if ".tmp." in filename:
-                        os.unlink(os.path.join(dirpath, filename))
-                        torn += 1
+            torn = [os.path.join(path, name) for path, _dirs, names
+                    in os.walk(out_dir) for name in names if is_debris(name)]
+            for path in torn:
+                os.unlink(path)
             if torn:
-                stats.orphan_files_swept += torn
-                obs.event("mr.torn_leaf_sweep", files=torn)
+                stats.orphan_files_swept += len(torn)
+                obs.event("mr.torn_leaf_sweep", files=len(torn))
         return plan, totals, reduce_results, stats
     finally:
         pool.close()

@@ -10,11 +10,11 @@ stream their partition's runs through :func:`merge_blocks`.
 
 Publishing protocol (what makes crash recovery work):
 
-* every run is written to a ``.tmp`` name and ``os.replace``d into its
-  final ``.run`` name — a SIGKILLed writer can leave ``.tmp`` debris
-  but never a short ``.run`` file (the rename is atomic, and the page
-  cache outlives the process).  Runs are scratch, so they are not
-  fsynced: a power loss kills the driver, and the job with it;
+* every run is :func:`~repro.core.export.publish`-ed to its ``.run``
+  name — a SIGKILLed writer can leave temp debris but never a short
+  ``.run`` file (the rename is atomic, and the page cache outlives the
+  process).  Runs are scratch, so they are not durable (no fsync): a
+  power loss kills the driver, and the job with it;
 * runs live in *attempt-scoped* directories
   (``map-<task>-a<attempt>/``), so a re-executed map task can never
   mix its output with its dead predecessor's;
@@ -44,6 +44,7 @@ import os
 import numpy as np
 
 from ..core.columnar import fold_sorted, lex_order
+from ..core.export import publish
 
 #: One shuffle record: leaf id, packed cell key, count, measure sum.
 RUN_DTYPE = np.dtype([("leaf", "<i4"), ("key", "<i8"), ("count", "<i8"),
@@ -85,19 +86,13 @@ EMPTY_RUN = _columns(np.empty(0, dtype=RUN_DTYPE))
 
 
 def write_block(path, leaves, keys, counts, sums):
-    """Write one sorted run; returns the byte size.
-
-    The ``.tmp`` + ``os.replace`` dance means a crash mid-write leaves
-    no ``.run`` file at all — readers never see a torn run.  No fsync:
-    a run is scratch that only a live job reads (module docstring).
-    """
+    """Publish one sorted run (:func:`~repro.core.export.publish`, not
+    durable: a run is scratch that only a live job reads); returns the
+    byte size."""
     records = np.empty(len(keys), dtype=RUN_DTYPE)
     for name, column in zip(RUN_DTYPE.names, (leaves, keys, counts, sums)):
         records[name] = column
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as handle:
-        records.tofile(handle)
-    os.replace(tmp, path)
+    publish(path, records.tofile)
     return records.nbytes
 
 

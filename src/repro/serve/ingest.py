@@ -16,8 +16,9 @@ On-disk layout (a subdirectory of the store)::
       0000000000000003.wal   # ... generation 3, and so on
 
 One file per appended batch, named by the generation its application
-produced, written ``.tmp`` + fsync + ``os.replace`` (+ directory fsync)
-so a record is either fully present or absent — never torn.  Record
+produced, published by :func:`~repro.core.export.publish` with
+``durable=True`` (temp file, fsync, rename, directory fsync) so a
+record is either fully present or absent — never torn.  Record
 layout (little-endian)::
 
     magic   "RWAL"                    4 bytes
@@ -62,6 +63,7 @@ import uuid
 
 from .. import obs
 from ..core.columnar import KeyPacking, bits_for
+from ..core.export import fsync_dir, is_debris, publish
 from ..errors import PlanError, WalCorruptError
 
 __all__ = [
@@ -273,43 +275,27 @@ class WriteAheadLog:
         return total
 
     def sweep(self):
-        """Remove ``.tmp`` debris from interrupted writers."""
-        removed = []
-        for name in sorted(self._names()):
-            if ".tmp." in name:
-                os.unlink(os.path.join(self.directory, name))
-                removed.append(name)
+        """Remove the temps of interrupted publishes."""
+        removed = [name for name in sorted(self._names()) if is_debris(name)]
+        for name in removed:
+            os.unlink(os.path.join(self.directory, name))
         if removed:
             obs.event("ingest.wal_swept", removed=len(removed))
         return removed
 
-    def _fsync_dir(self, directory=None):
-        fd = os.open(directory or self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
     def append(self, generation, batch_id, dims, rows, measures):
         """Durably publish one batch record; returns its byte size.
 
-        The record is fsync'd under a temp name, then atomically renamed
-        into place and the directory entry fsync'd — after ``append``
-        returns, the batch survives any crash.
+        A durable :func:`~repro.core.export.publish`: after ``append``
+        returns the batch survives any crash; a failed one leaves no temp.
         """
         data = encode_record(generation, batch_id, dims, rows, measures)
         if not os.path.isdir(self.directory):
             os.makedirs(self.directory, exist_ok=True)
             # the new directory's own entry must survive the crash too
-            self._fsync_dir(os.path.dirname(self.directory) or ".")
-        path = self.path_for(generation)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._fsync_dir()
+            fsync_dir(os.path.dirname(self.directory) or ".")
+        publish(self.path_for(generation), lambda handle: handle.write(data),
+                durable=True)
         return len(data)
 
     def read(self, generation):
@@ -335,7 +321,7 @@ class WriteAheadLog:
                 os.unlink(self.path_for(g))
                 removed += 1
         if removed:
-            self._fsync_dir()
+            fsync_dir(self.directory)
         return removed
 
     def __repr__(self):

@@ -34,7 +34,7 @@ checks sizes, ``"full"`` re-hashes the content).  A truncated, corrupted
 or missing leaf is *salvaged* — rebuilt by projecting the root leaf,
 which covers every other leaf at minsup 1 — or, when the root leaf
 itself is damaged, :class:`~repro.errors.StoreCorruptError` names the
-offending leaf.  Debris from interrupted writes (``*.tmp.*``, leaf
+offending leaf.  Debris from interrupted writes (publish temps, leaf
 files the manifest does not name) is swept on open.
 
 **Immutable snapshots.**  What a store holds at one instant is a
@@ -55,16 +55,17 @@ this way, whether it came from ``open``, ``build``,
 ``from_materialization`` or ``assemble``; ``wal/`` appears on the first
 append.
 
-**One leaf writer.**  Every leaf file is streamed by :class:`LeafWriter`.
-A leaf file is never overwritten: a build over a live store writes
-around its files (:func:`build_generations`); after the build,
-:meth:`CubeStore.compact` writes every merged leaf under a name no
-earlier generation used, and *one* atomic replace of ``manifest.json``
-is the commit.  A crash before it leaves orphan files and a WAL that
-replays on reopen; a crash after it leaves the superseded files and
-now-stale WAL records, both swept on reopen — never a mix, nothing
-lost, nothing counted twice.  Rewrite-per-append, where wanted, is
-``append(); compact()``.
+**One leaf writer.**  Every leaf file is streamed by :class:`LeafWriter`,
+a :class:`~repro.core.export.Publication` (the store's one way to put a
+file on disk).  A leaf file is never overwritten: a build over a live
+store writes around its files (:func:`build_generations`); after the
+build, :meth:`CubeStore.compact` writes every merged leaf under a name
+no earlier generation used, and *one* atomic replace of
+``manifest.json`` is the commit.  A crash before it leaves orphan files
+and a WAL that replays on reopen; a crash after it leaves the
+superseded files and now-stale WAL records, both swept on reopen —
+never a mix, nothing lost, nothing counted twice.  Rewrite-per-append,
+where wanted, is ``append(); compact()``.
 """
 
 import hashlib
@@ -77,7 +78,7 @@ import numpy as np
 
 from .. import obs
 from ..core.columnar import CellRun, RunWriter, code_matrix
-from ..core.export import MANIFEST, atomic_write
+from ..core.export import MANIFEST, Publication, is_debris, publish_json
 from ..errors import PlanError, SchemaError, StoreCorruptError, WalCorruptError
 from ..online.materialize import LeafHolder, LeafSnapshot
 from .ingest import WriteAheadLog, stamped_batch_id
@@ -186,77 +187,51 @@ def _refuse_journal(directory):
             "completes it" % directory)
 
 
-def _write_json(path, payload):
-    """Atomically publish a manifest."""
-    atomic_write(
-        path,
-        lambda handle: json.dump(payload, handle, indent=2, sort_keys=True),
-    )
-
-
-class LeafWriter:
+class LeafWriter(Publication):
     """Stream one leaf cuboid to its ``.run`` file in bounded memory.
 
     Cells arrive as columns, in sorted order, in pieces of any size
     (:meth:`add`); :class:`~repro.core.columnar.RunWriter` cuts them
-    into blocks while the SHA-256 and byte count are kept alongside.
-    The file is written under an ``atomic_write``-style temp name;
-    nothing is visible at the real path until :meth:`commit`, so a
-    killed writer never leaves a partial leaf in the store.
+    into blocks while the SHA-256 is kept alongside.
+    The file is a :class:`~repro.core.export.Publication`: nothing is
+    visible at the real path until :meth:`commit`, so a killed writer
+    never leaves a partial leaf in the store.
     ``generation`` names the file (:func:`_leaf_filename`).
     """
 
     def __init__(self, directory, cuboid, generation=1):
         self.cuboid = tuple(cuboid)
         self.filename = _leaf_filename(self.cuboid, generation)
-        self.path = os.path.join(str(directory), self.filename)
-        self._tmp = "%s.tmp.%d" % (self.path, os.getpid())
-        self._handle = open(self._tmp, "wb")
+        super().__init__(os.path.join(str(directory), self.filename))
         self._digest = hashlib.sha256()
-        self._bytes = 0
         self._run = RunWriter(self._write, self.cuboid)
 
     def _write(self, data):
-        self._handle.write(data)
+        self.handle.write(data)
         self._digest.update(data)
-        self._bytes += len(data)
 
     def add(self, codes, counts, sums):
         """Append cells: a ``(dims x cells)`` code matrix, counts, sums."""
         self._run.add(codes, counts, sums)
 
     def commit(self):
-        """Publish the leaf atomically; returns its manifest entry."""
+        """Publish the leaf; returns its manifest entry."""
         self._run.finish()
-        self._handle.close()
-        os.replace(self._tmp, self.path)
+        nbytes = self.handle.tell()
+        super().commit()
         return {
             "file": self.filename,
             "cells": self._run.cells,
-            "bytes": self._bytes,
+            "bytes": nbytes,
             "sha256": self._digest.hexdigest(),
         }
-
-    def abort(self):
-        """Discard the temp file; the store is untouched."""
-        try:
-            self._handle.close()
-        finally:
-            try:
-                os.remove(self._tmp)
-            except OSError:
-                pass
 
 
 def write_leaf(directory, run, generation=1):
     """Write ``run`` as its leaf's file; returns the manifest entry."""
-    writer = LeafWriter(directory, run.dims, generation)
-    try:
+    with LeafWriter(directory, run.dims, generation) as writer:
         writer.add(run.codes, run.counts, run.sums)
         return writer.commit()
-    except BaseException:
-        writer.abort()
-        raise
 
 
 class _StoreSnapshot(LeafSnapshot):
@@ -557,7 +532,7 @@ class CubeStore(LeafHolder):
             os.listdir(directory))
         store = cls(directory, manifest, runs)
         store.wal.truncate_through(max(store.wal.generations(), default=0))
-        _write_json(os.path.join(directory, MANIFEST), manifest)
+        publish_json(os.path.join(directory, MANIFEST), manifest)
         for name in replaced - {entry["file"] for entry in manifest["leaves"]}:
             os.unlink(os.path.join(directory, name))
         return store
@@ -638,7 +613,7 @@ class CubeStore(LeafHolder):
                     % (old["file"], len(run), old["cells"]))
             entries[leaf] = write_leaf(directory, run)
         shard = manifest.get("shard")
-        _write_json(os.path.join(directory, MANIFEST), cls._manifest_dict(
+        publish_json(os.path.join(directory, MANIFEST), cls._manifest_dict(
             manifest["dims"], entries, entries,
             generation=manifest["generation"],
             total_rows=manifest["total_rows"],
@@ -685,24 +660,21 @@ class CubeStore(LeafHolder):
     def _sweep_orphans(self, recovery):
         """Remove write debris the manifest does not reference.
 
-        ``atomic_write`` temps are an interrupted writer's leftovers;
-        ``.run`` files no manifest entry names are a compaction's — the
-        new files of one cut before its commit, or the superseded files
-        of one cut after it; ``.csv`` files are a finished ``store
-        migrate``'s and ``.staged`` files an earlier release's
-        interrupted rewrite.  Anything else is left alone.
+        Publish temps (:func:`~repro.core.export.is_debris`) are an
+        interrupted writer's leftovers; ``.run`` files no manifest entry
+        names are a compaction's — the new files of one cut before its
+        commit, or the superseded files of one cut after it; ``.csv``
+        files are a finished ``store migrate``'s and ``.staged`` files an
+        earlier release's interrupted rewrite.  Anything else is left
+        alone.
         """
         known = {MANIFEST}
         known.update(entry["file"]
                      for entry in self._snapshot.entries.values())
-        for name in sorted(os.listdir(self.directory)):
-            if name in known:
-                continue
+        for name in sorted(set(os.listdir(self.directory)) - known):
             path = os.path.join(self.directory, name)
-            if not os.path.isfile(path):
-                continue
-            if (".tmp." in name
-                    or name.endswith((LEAF_SUFFIX, ".csv", ".staged"))):
+            if os.path.isfile(path) and (is_debris(name) or name.endswith(
+                    (LEAF_SUFFIX, ".csv", ".staged"))):
                 os.unlink(path)
                 recovery["orphans_removed"].append(name)
 
@@ -1038,7 +1010,7 @@ class CubeStore(LeafHolder):
     def _write_manifest(self, snap, entries, applied_batches):
         """Replace the manifest: ``snap``'s generation and totals over
         the leaf files ``entries`` names."""
-        _write_json(os.path.join(self.directory, MANIFEST), self._manifest_dict(
+        publish_json(os.path.join(self.directory, MANIFEST), self._manifest_dict(
             self.dims, self.leaves, entries,
             generation=snap.generation,
             total_rows=snap.total_rows,

@@ -1,12 +1,15 @@
 """Store crashes, done from outside.
 
 A *cut* stops the program at the ``k``-th call of a file operation the
-store writes through — ``repro.serve.store.atomic_write``,
-``os.replace`` or ``os.unlink``; all three count unless ``op`` names
-one — just ``"before"`` that call or just ``"after"`` it returns.  In
-process it raises :class:`Crash`, and the ``except BaseException``
-cleanup of ``atomic_write`` and ``write_leaf`` still runs; in a child
-(:func:`run_child`) it is a ``SIGKILL``, after which nothing runs.
+store writes through — the rename of ``repro.core.export.publish``
+(``os.replace``, which nothing else in ``src/`` calls) or
+``os.unlink``; both count unless ``op`` names one, ``"replace"`` or
+``"unlink"``, or a file name, which counts only the rename publishing
+that file (``Cut(1, op=MANIFEST)`` is the manifest's commit) — just
+``"before"`` that call or just ``"after"`` it returns.  In process it
+raises :class:`Crash`, a ``BaseException`` on which the publish still
+deletes its temp; in a child (:func:`run_child`) it is a ``SIGKILL``,
+after which nothing runs.
 
 One child by hand:  PYTHONPATH=src python tests/crashes.py DIR STEPS K SIDE [OP]
 (``STEPS``: a pickled :func:`run_steps` list).
@@ -20,13 +23,13 @@ import subprocess
 import sys
 import tempfile
 
+from repro.core.export import is_debris
 from repro.core.naive import naive_cuboid
 from repro.data import zipf_relation
 from repro.errors import SchemaError
 from repro.serve import CubeStore
-from repro.serve import store as store_module
 
-OPS = ("atomic_write", "replace", "unlink")
+OPS = ("replace", "unlink")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -36,9 +39,10 @@ class Crash(BaseException):
 
 
 class Cut:
-    """A context manager that patches the three operations and ends
+    """A context manager that patches the two operations and ends
     quietly on a :class:`Crash`; ``k=None`` only counts them.  ``seen``
-    lists the operations counted; after the cut fires none is."""
+    lists the operations counted, as ``(op, file name)``; after the cut
+    fires none is."""
 
     def __init__(self, k=None, side="before", op=None, kill=False):
         self.k, self.side, self.op, self.kill = k, side, op, kill
@@ -52,9 +56,10 @@ class Cut:
 
     def _wrap(self, name, real):
         def call(*args, **kwargs):
-            counted = not self.fired and self.op in (None, name)
+            target = os.path.basename(args[-1])  # replace(tmp, path): path
+            counted = not self.fired and self.op in (None, name, target)
             if counted:
-                self.seen.append(name)
+                self.seen.append((name, target))
             hit = counted and len(self.seen) == self.k
             if hit and self.side == "before":
                 self._stop()
@@ -65,13 +70,13 @@ class Cut:
         return call
 
     def __enter__(self):
-        self._real = (store_module.atomic_write, os.replace, os.unlink)
-        store_module.atomic_write, os.replace, os.unlink = (
+        self._real = (os.replace, os.unlink)
+        os.replace, os.unlink = (
             self._wrap(name, real) for name, real in zip(OPS, self._real))
         return self
 
     def __exit__(self, kind, value, traceback):
-        store_module.atomic_write, os.replace, os.unlink = self._real
+        os.replace, os.unlink = self._real
         return kind is Crash
 
 
@@ -108,8 +113,8 @@ def run_child(directory, steps, cut):
 
 
 def debris(directory):
-    """``.tmp.<pid>`` files in the store and its WAL."""
-    return sum(".tmp." in name for _path, _dirs, names in os.walk(directory)
+    """Publish temps (``<file>.tmp.<pid>``) in the store and its WAL."""
+    return sum(is_debris(name) for _path, _dirs, names in os.walk(directory)
                for name in names)
 
 

@@ -7,15 +7,15 @@ work end-to-end rather than via unit seams:
    a batch past the supervisor's timeout; the cube must still match the
    single-process oracle cell-for-cell.
 2. **Store crash sweep** — a writer process is SIGKILLed at *every*
-   write boundary (``atomic_write`` / ``os.replace`` / ``os.unlink``,
-   one child each, ``tests/crashes.py``) of a fresh build, a rebuild
-   over a live store, an acknowledged ``append()`` and the
-   ``compact()`` that folds it; each reopen at ``verify="full"`` must
-   show one side of that step's commit — the acknowledged rows by WAL
-   replay before the manifest replace, from the published leaf files
+   write boundary (the rename of each ``core.export.publish`` and each
+   ``os.unlink``, one child each, ``tests/crashes.py``) of a fresh
+   build, a rebuild over a live store, an acknowledged ``append()`` and
+   the ``compact()`` that folds it; each reopen at ``verify="full"``
+   must show one side of that step's commit — the acknowledged rows by
+   WAL replay before the manifest replace, from the published leaf files
    after it; the old or the new store across a rebuild — oracle-exact,
-   with the ``.tmp.<pid>`` debris of the real deaths swept and no
-   ``.run`` file the manifest does not name.
+   with the publish temps (``<file>.tmp.<pid>``) of the real deaths
+   swept and no ``.run`` file the manifest does not name.
 3. **Overload flood** — hundreds of concurrent queries hit a small
    server over a store that left one dimension out: the admission gate
    must shed the excess, the poison traffic on the missing dimension

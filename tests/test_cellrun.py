@@ -495,7 +495,7 @@ class TestStoreMigrate:
         old = str(tmp_path / "old")
         write_v2_store(old, small_skewed)
         before = store_fingerprint(old)
-        with Cut(1, op="atomic_write") as cut:
+        with Cut(1, op=MANIFEST) as cut:
             main(["store", "migrate", old])
         assert cut.fired
         after = store_fingerprint(old)

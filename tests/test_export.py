@@ -111,7 +111,7 @@ class TestAtomicWrites:
 
     def test_overwrite_is_atomic_on_failure(self, small_uniform, tmp_path):
         """A save that dies mid-write must leave the previous cube intact
-        (temp file + os.replace, never in-place truncation)."""
+        (temp file + rename, never in-place truncation)."""
         from repro.core import export
 
         result = naive_iceberg_cube(small_uniform, minsup=2)
@@ -121,14 +121,14 @@ class TestAtomicWrites:
             pass
 
         def exploding(handle):
-            handle.write("partial garbage")
+            handle.write(b"partial garbage")
             raise Boom()
 
         path = str(tmp_path / "cube" / "A.csv")
         before = (tmp_path / "cube" / "A.csv").read_text()
         with pytest.raises(Boom):
-            export.atomic_write(path, exploding)
+            export.publish(path, exploding)
         assert (tmp_path / "cube" / "A.csv").read_text() == before
-        assert [f for f in os.listdir(tmp_path / "cube") if ".tmp" in f] == []
+        assert not any(map(export.is_debris, os.listdir(tmp_path / "cube")))
         # and the whole cube still loads
         assert load_cube(tmp_path / "cube").equals(result)

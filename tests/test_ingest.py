@@ -1,9 +1,11 @@
 """Durable exactly-once ingestion: WAL codec, store deltas, router repair."""
 
+import errno
 import itertools
 import json
 import os
 import shutil
+import stat
 import struct
 import sys
 import tempfile
@@ -26,6 +28,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.core.export import MANIFEST, is_debris
 from repro.core.naive import naive_cuboid
 from repro.data import Relation
 from repro import obs
@@ -234,6 +237,28 @@ class TestWalStore:
             assert not store.append(delta_relation(1), batch_id="w1").applied
             assert store.append(delta_relation(0), batch_id="w0").applied
             assert store.generation == 7
+
+    def test_failed_append_leaves_no_temp(self, wal_store, monkeypatch):
+        # The record's write fails (ENOSPC at its fsync): the append
+        # raises, the publish deletes its temp, and the store stays at
+        # its generation, so a retry applies the batch.
+        real = os.fsync
+
+        def disk_full(fd):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError):
+            wal_store.append(delta_relation(1), batch_id="full")
+        monkeypatch.undo()
+        assert [name for name in os.listdir(wal_store.wal.directory)
+                if ".tmp." in name] == []
+        assert wal_store.generation == 1 and len(wal_store.wal) == 0
+        assert wal_store.append(delta_relation(1), batch_id="full").applied
+        assert_store_matches(wal_store,
+                             combined(base_relation(), delta_relation(1)))
 
     def test_replay_after_reopen(self, tmp_path, wal_store):
         d1, d2 = delta_relation(3), delta_relation(4)
@@ -587,7 +612,7 @@ class TestNobodyWaitsForCompaction:
         assert not second & (first | built)  # nor do two ever share a name
         # The sweep takes a cut compaction's new files ...
         wal_store.append(delta_relation(3), batch_id="f3")
-        with Cut(1, op="atomic_write"):
+        with Cut(1, op=MANIFEST):
             wal_store.compact()
         cut = run_files(directory) - second
         assert len(cut) == len(second) and all(".g4." in name for name in cut)
@@ -703,12 +728,12 @@ TestStoreMachine = StoreMachine.TestCase
 # Crash windows: SIGKILL a writer at each side of its two commits, recover
 # ---------------------------------------------------------------------------
 #: The four windows, as cuts: before / after the first WAL record's
-#: os.replace, before / after the compaction's manifest replace.
+#: rename, before / after the rename publishing the compaction's manifest.
 CRASH_WINDOWS = {
     "wal.pre_publish": Cut(1, "before", op="replace"),
     "wal.post_publish": Cut(1, "after", op="replace"),
-    "compact.written": Cut(1, "before", op="atomic_write"),
-    "compact.published": Cut(1, "after", op="atomic_write"),
+    "compact.written": Cut(1, "before", op=MANIFEST),
+    "compact.published": Cut(1, "after", op=MANIFEST),
 }
 
 
@@ -737,11 +762,12 @@ class TestCrashWindows:
                 assert not store.append(d1, batch_id="k1").applied
                 assert_store_matches(store, combined(base_relation(), d1))
             elif point == "compact.written":
-                # killed with the new leaf files written but the manifest
-                # not yet replaced: they are orphans, both batches replay
-                # from the WAL, compaction re-runs
-                assert len(store.recovery["orphans_removed"]) \
-                    == len(store.leaves)
+                # killed with the new leaf files and the manifest's temp
+                # written but not renamed: they are orphans, both batches
+                # replay from the WAL, compaction re-runs
+                removed = store.recovery["orphans_removed"]
+                assert [is_debris(name) for name in removed].count(True) \
+                    == 1 and len(removed) == len(store.leaves) + 1
                 assert store.recovery["wal_replayed"] == 2
                 assert store.compact() == 2
                 assert_store_matches(store, combined(base_relation(), d1, d2))

@@ -15,9 +15,11 @@ import os
 import pytest
 from crashes import Cut, sweep
 
+from repro.backends import resolve_backend
 from repro.core.naive import naive_cuboid
 from repro.data import zipf_relation
 from repro.errors import PlanError, SchemaError, StoreCorruptError
+from repro.mr import MIN_MEMORY_BUDGET
 from repro.serve import CubeStore
 from repro.serve.store import JOURNAL, MANIFEST
 
@@ -174,7 +176,7 @@ class TestJournalledAppend:
         store = CubeStore.open(directory, verify="off")
         store.append(delta)
         wal_path = store.wal.path_for(store.generation)
-        with Cut(1, side, op="atomic_write") as cut:
+        with Cut(1, side, op=MANIFEST) as cut:
             store.compact()
         assert cut.fired
         return built, wal_path
@@ -231,16 +233,17 @@ class TestJournalledAppend:
         # A fresh build, an acknowledged append and the compaction that
         # folds it, each cut at every file operation: every reopen holds
         # exactly the acknowledged rows, on both sides of each commit
-        # (asserted inside the sweep).
+        # (asserted inside the sweep).  A publish is one boundary, its
+        # rename: the manifest's counts once (DESIGN §6.8).
         report = sweep()
         assert [report[p]["boundaries"] for p in ("build", "append",
-                                                  "compact")] == [10, 1, 19]
+                                                  "compact")] == [9, 1, 18]
 
     def test_crash_during_a_rebuild_leaves_the_old_or_the_new_store(self):
         # A build over a live store writes around its files: every cut
         # reopens as the old store (before the manifest replace) or the
         # new one, never as a mix that fails verification.
-        assert sweep(("rebuild",))["rebuild"]["boundaries"] == 18
+        assert sweep(("rebuild",))["rebuild"]["boundaries"] == 17
 
     def test_leftover_journal_is_refused(self, store_dir):
         # An earlier release's interrupted compaction: refused, and left
@@ -255,3 +258,76 @@ class TestJournalledAppend:
         os.unlink(os.path.join(store_dir, JOURNAL))
         CubeStore.open(store_dir, verify="full").close()
 
+
+class FileWork:
+    """Counts ``os.fsync`` and ``os.replace`` calls from outside, forked
+    pool workers' included: each call appends a byte to ``log``.
+    ``counts`` is ``(fsyncs, renames)`` once the block exits."""
+
+    OPS = {"fsync": b"f", "replace": b"r"}
+
+    def __init__(self, log):
+        self.log, self.counts = str(log), None
+
+    def __enter__(self):
+        self._fd = os.open(self.log, os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                           | os.O_APPEND)
+        self._real = {op: getattr(os, op) for op in self.OPS}
+
+        def wrap(mark, real):
+            def call(*args, **kwargs):
+                os.write(self._fd, mark)
+                return real(*args, **kwargs)
+            return call
+
+        for op, mark in self.OPS.items():
+            setattr(os, op, wrap(mark, self._real[op]))
+        return self
+
+    def __exit__(self, *exc):
+        for op, real in self._real.items():
+            setattr(os, op, real)
+        os.close(self._fd)
+        with open(self.log, "rb") as handle:
+            calls = handle.read()
+        self.counts = tuple(calls.count(mark) for mark in self.OPS.values())
+
+
+#: ``(fsyncs, renames)`` per public operation on the crash sweep's
+#: relation.  Only the WAL is durable: a record fsyncs itself and
+#: ``wal/`` (the first also ``wal/``'s parent, which gained ``wal/``),
+#: and a compaction fsyncs ``wal/`` after truncating it.  Leaves, the
+#: manifest and shuffle spills are renamed into place unsynced.
+FILE_WORK = {
+    "build": (0, 9),  # 8 leaves + the manifest
+    "first append": (3, 1),
+    "later append": (2, 1),
+    "compact": (1, 9),
+    "mapreduce build": (0, 11),  # 2 spill runs + 8 leaves + the manifest
+}
+
+
+def test_fsyncs_and_renames_per_operation(tmp_path):
+    whole = zipf_relation(400, [8, 5, 6, 3], skew=1.0, seed=7)
+    directory, work, spills = str(tmp_path / "store"), {}, []
+
+    def count(name, operation):
+        with FileWork(tmp_path / "calls") as counter:
+            operation()
+        work[name] = counter.counts
+
+    def mapreduce_build():
+        (store,) = resolve_backend("mapreduce").materialize(
+            whole, str(tmp_path / "mr"), workers=2,
+            memory_budget=MIN_MEMORY_BUDGET)
+        spills.append(store.mr_stats.spills)
+        store.close()
+
+    count("build", lambda: CubeStore.build(whole.slice(0, 300),
+                                           directory).close())
+    with CubeStore.open(directory, compact_after=None) as store:
+        count("first append", lambda: store.append(whole.slice(300, 350)))
+        count("later append", lambda: store.append(whole.slice(350, 400)))
+        count("compact", store.compact)
+    count("mapreduce build", mapreduce_build)
+    assert work == FILE_WORK and spills[0] > 0
