@@ -198,16 +198,13 @@ class _Local(Backend):
     summary = ("supervised local process pool over the vectorised kernel "
                "(real wall clock)")
     capabilities = frozenset({"workers"})
-    options = frozenset({"workers", "batch_size", "calibrate", "fault_plan",
-                         "batch_timeout"})
+    options = frozenset({"workers", "fault_plan", "batch_timeout"})
 
-    def cube(self, relation, dims, threshold, calibrate=None, batch_size=None,
-             **options):
+    def cube(self, relation, dims, threshold, **options):
         from .parallel.local import multiprocess_iceberg_cube
 
-        return multiprocess_iceberg_cube(
-            relation, dims=dims, minsup=threshold,
-            batch_size=None if calibrate else batch_size, **options)
+        return multiprocess_iceberg_cube(relation, dims=dims,
+                                         minsup=threshold, **options)
 
     def leaf_runs(self, relation, dims, leaves, workers=None):
         """``workers`` of ``None`` or 1 aggregates in-process."""
@@ -219,19 +216,9 @@ class _Local(Backend):
             workers=1 if workers is None else workers)
         return runs, time.perf_counter() - started
 
-    def materialize(self, source, directory, dims=None, shards=None,
-                    workers=None, calibrate=None):
-        if workers is None and calibrate:
-            # --calibrate alone asks for the pool at CPU count (capped
-            # like the cube path).
-            workers = min(8, os.cpu_count() or 1)
-        return super().materialize(source, directory, dims, shards,
-                                   workers=workers)
-
     def cube_report(self, result, options):
-        fixed = None if options.get("calibrate") else options.get("batch_size")
-        yield ("pool             : %s workers, batch size %s"
-               % (options.get("workers") or "auto", fixed or "auto"))
+        yield "pool             : %s workers" % (options.get("workers")
+                                                  or "auto")
         recovery = result.recovery
         if options.get("fault_plan") is not None and recovery is not None:
             yield ("recovery         : %d retries, %d pool respawns, %d "

@@ -7,9 +7,8 @@ Six subcommands cover the library's everyday uses:
   summary and optionally export the cells; ``compute`` is an alias,
   and ``--backend local`` swaps the simulated cluster for a real
   process pool over the vectorised kernel with a shared-memory data
-  plane (``--workers``, ``--batch-size``/``--calibrate``,
-  ``--self-test``); a flag the chosen backend does not take is an
-  error, not ignored;
+  plane (``--workers``, ``--self-test``); a flag the chosen backend
+  does not take is an error, not ignored;
 * ``query``   — answer one iceberg group-by and print its cells;
 * ``recipe``  — print the Figure 4.7 recommendation for a workload;
 * ``bench``   — run one of the paper's experiments by name (or list
@@ -30,7 +29,7 @@ Examples::
     repro-cube cube --csv sales.csv --minsup 5 --algorithm pt --processors 8
     repro-cube cube --weather 20000 --dims 7 --minsup 2 --export out/
     repro-cube compute --weather 50000 --dims 8 --minsup 5 --backend local \
-        --workers 4 --batch-size 4 --self-test
+        --workers 4 --self-test
     repro-cube query --csv sales.csv --group-by city,item --min-sum 1000
     repro-cube bench fig_4_2_scalability
     repro-cube store build --weather 20000 --dims 6 --out /tmp/cube-store
@@ -83,9 +82,8 @@ def build_parser():
                            "unknown names fail listing the choices)"
                            % ", ".join(backend_names()))
     _add_backend_options(cube, (
-        "algorithm", "processors", "cluster", "workers", "batch_size",
-        "calibrate", "fault_plan", "batch_timeout", "reducers",
-        "memory_budget"))
+        "algorithm", "processors", "cluster", "workers", "fault_plan",
+        "batch_timeout", "reducers", "memory_budget"))
     cube.add_argument("--self-test", action="store_true",
                       help="validate the result against the naive oracle "
                            "before printing the summary")
@@ -123,8 +121,7 @@ def build_parser():
                             "spill-to-disk shuffle for inputs larger than "
                             "RAM)" % ", ".join(backend_names()))
     _add_backend_options(build, (
-        "processors", "cluster", "workers", "calibrate", "reducers",
-        "memory_budget"))
+        "processors", "cluster", "workers", "reducers", "memory_budget"))
     build.add_argument("--shards", type=int, default=None, metavar="N",
                        help="split the leaf cuboids across N shard stores "
                             "(written under OUT/shard-0 .. OUT/shard-N-1, "
@@ -361,18 +358,10 @@ _BACKEND_FLAGS = {
         help="machine and network preset (default cluster1)")),
     "workers": ("--workers", dict(
         type=int,
-        help="worker processes (default: CPU count, capped at 8; a local "
-             "'store build' aggregates in-process unless this or "
-             "--calibrate asks for the pool)")),
-    "batch_size": ("--batch-size", dict(
-        type=int,
-        help="fixed subtree tasks per pool batch (default: auto — a "
-             "calibration pass packs cost-balanced batches)")),
-    "calibrate": ("--calibrate", dict(
-        action="store_true",
-        help="force auto-calibrated batching even when --batch-size is "
-             "given; on 'store build', aggregate the leaves on the "
-             "process pool (CPU count workers when --workers is not given)")),
+        help="worker processes (default: CPU count, capped at 8); the "
+             "local pool deals one subtree task per job, largest first. "
+             "A local 'store build' aggregates its leaves in-process "
+             "unless this asks for the pool")),
     "fault_plan": ("--faults", dict(
         type=parse_fault_spec, metavar="SPEC",
         help="inject faults into the run; SPEC is comma-separated "

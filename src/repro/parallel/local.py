@@ -4,7 +4,7 @@ The simulated cluster reproduces the *paper's* measurements; this
 module is for users who just want their cube faster on a multi-core
 machine.  It parallelizes the way PT does — the BUC processing tree is
 binary-divided into many subtree tasks (Section 3.4), dealt to a
-process pool in demand-balanced batches — and each worker runs real
+process pool one task per job, largest first — and each worker runs real
 BUC over the task's subtree: threshold pruning cuts work exactly as in
 the sequential algorithm, and a per-worker :class:`PrefixCache` shares
 root-prefix sorts between consecutive tasks (PT's affinity idea, here
@@ -24,7 +24,7 @@ the pool pipe instead, as the inline single-worker path always does:
   per worker per pool respawn — now every platform ships one copy.
 * *Results*: the numpy kernel hands every breadth-first cuboid block
   over as a sorted code matrix with its counts and sums; a worker keeps
-  each as a :class:`~repro.core.columnar.CellRun`, writes a batch's
+  each as a :class:`~repro.core.columnar.CellRun`, writes a task's
   blocks into a fresh segment as raw columns
   (:func:`~repro.parallel.shm.encode_result`, one mode whatever the
   cardinalities) and returns only a ``(kind, name, nbytes)``
@@ -38,16 +38,14 @@ the pool pipe instead, as the inline single-worker path always does:
   encoded :class:`~repro.core.columnar.CellRun`: columns in, columns
   out, no cell tuple on either side of the segment.
 
-**Scheduling.**  Tasks are sorted largest-first and dealt through the
-pool's shared call queue, which is demand-driven: an idle worker pulls
-the next batch the moment it finishes, so fast workers drain the tail
-that would otherwise wait on a straggler.  Batch granularity is
-auto-tuned (``batch_size=None``): a calibration pass times the smallest
-subtree tasks in-process to estimate per-node cost, then packs tasks
-into variable-size batches of roughly :data:`TARGET_BATCH_SECONDS`
-each — big subtrees ride alone, the long tail of tiny ones is grouped
-so per-batch dispatch overhead stays amortized.  An explicit integer
-``batch_size`` keeps the old fixed batching.
+**Scheduling.**  Every subtree task is one job, and jobs enter the
+pool's shared call queue largest first (non-increasing
+``task.size(tree)``, the task's node count; ties keep division order).
+The queue is demand-driven: an idle worker pulls the next job the
+moment it finishes, so the big subtrees start at once and the small
+ones back-fill whichever worker frees up last — longest-processing-time
+list scheduling with the node count as its only cost estimate; the
+parent computes no task (why no timing probe: DESIGN §6.12).
 
 **Supervision.**  Real workers die (OOM killer, segfaulting C
 extensions, an operator's stray ``kill -9``) and hang (NFS stalls, a
@@ -93,11 +91,12 @@ from ..errors import PlanError, WorkerCrashError
 from ..lattice.processing_tree import ProcessingTree, binary_divide
 from .shm import ShmTransport, decode_result, encode_result
 
-#: Tasks per worker requested from binary division; enough granularity
-#: for demand balancing without drowning in per-task root re-sorts
-#: (every extra task re-refines part of its root path, and every
-#: non-adjacent batch re-refines it cold — measured, halving this from
-#: 16 cut 4-worker overhead by ~25% on the scaling workload).
+#: Tasks per worker requested from binary division, each one pool job;
+#: enough granularity for demand balancing without drowning in per-task
+#: root re-sorts (every extra task re-refines part of its root path, cold
+#: when the worker's previous task shared no prefix with it — measured,
+#: halving this from 16 cut 4-worker overhead by ~25% on the scaling
+#: workload).
 TASKS_PER_WORKER = 8
 
 #: Default per-batch stall window: if no batch completes for this many
@@ -115,22 +114,10 @@ BACKOFF_CAP_S = 2.0
 #: timeout, so the stall detector (not luck) has to recover it.
 _HANG_SECONDS = 3600.0
 
-#: Calibrated batching aims for batches of roughly this much estimated
-#: work each — long enough to amortize dispatch + transport, short
-#: enough that the demand scheduler can rebalance around stragglers.
-TARGET_BATCH_SECONDS = 0.05
-
-#: Upper bound on batch size from the work-split side: however cheap
-#: tasks look, keep at least this many batches per worker so the tail
-#: cannot collapse into one straggler.  Kept low on purpose: a worker
-#: pays a cold root-path re-refinement per non-adjacent batch, so more
-#: batches buy balance at a real CPU price (LPT submission order makes
-#: a few well-sized batches balance well already).
+#: Leaf batches per worker in a store build
+#: (:func:`multiprocess_leaf_cells`): consecutive leaves are grouped so
+#: a 512-leaf build ships a few segments per worker, not one per leaf.
 BATCHES_PER_WORKER = 4
-
-#: At most this many of the smallest tasks are timed in-process by the
-#: calibration pass (their results are kept, not thrown away).
-PROBE_TASKS_MAX = 4
 
 # Worker-process state, set once by the pool initializer.
 _STATE = None
@@ -194,14 +181,14 @@ def _inject_fault(state, batch_id, attempt):
 
 
 def _ship_result(state, batch_id, items, encode, n_cells):
-    """Send one batch's results back: segment descriptor or inline.
+    """Send one job's results back: segment descriptor or inline.
 
     With a transport, ``encode(items)`` (bytes) is written into a fresh
     shared-memory segment and only ``("seg", descriptor, n_cells)``
     crosses the pipe; without one (the inline path), or when the segment
     cannot be created, the items ride the pipe as ``("items", items)``.
-    ``items`` is a list of ``(cuboid, RunCells)`` pairs (cube batches)
-    or of :class:`CellRun` (leaf batches).
+    ``items`` is a list of ``(cuboid, RunCells)`` pairs (a cube task)
+    or of :class:`CellRun` (a leaf batch).
     """
     if state.transport is None:
         return ("items", items)
@@ -217,25 +204,25 @@ def _ship_result(state, batch_id, items, encode, n_cells):
     return ("seg", descriptor, n_cells)
 
 
-def _run_batch(job):
-    """Run one batch of subtree tasks; returns ``(batch_id, shipped)``.
+def _run_task(job):
+    """Run one subtree task; returns ``(job_id, shipped)``.
 
-    ``job`` is ``(batch_id, attempt, (lo, hi), traceparent)`` where
-    ``lo:hi`` is an index range into the task list shipped once at pool
-    init; the id and attempt feed the fault injector so kills and hangs
-    are deterministic per plan, and ``traceparent`` (or ``None``)
-    carries the submitting run's trace context across the pool pipe.
+    ``job`` is ``(job_id, attempt, index, traceparent)`` where ``index``
+    picks the task out of the list shipped once at pool init; the id and
+    attempt feed the fault injector so kills and hangs are deterministic
+    per plan, and ``traceparent`` (or ``None``) carries the submitting
+    run's trace context across the pool pipe.
     """
-    batch_id, attempt, (lo, hi), traceparent = job
+    job_id, attempt, index, traceparent = job
     state = _STATE
-    _inject_fault(state, batch_id, attempt)
+    _inject_fault(state, job_id, attempt)
     with obs.activate(traceparent):
         blocks = state.engine.writer = _Blocks()
-        for task in state.tasks[lo:hi]:
-            state.engine.run_task(task, breadth_first=True, cache=state.cache)
+        state.engine.run_task(state.tasks[index], breadth_first=True,
+                              cache=state.cache)
         dims = state.dims
-        return batch_id, _ship_result(
-            state, batch_id, blocks,
+        return job_id, _ship_result(
+            state, job_id, blocks,
             lambda items: encode_result(items, dims),
             sum(len(cells) for _cuboid, cells in blocks))
 
@@ -251,15 +238,15 @@ def _run_leaf_batch(job):
                                       sum(map(len, runs)))
 
 
-def _batched(n_tasks, batch_size):
-    """Yield consecutive ``(lo, hi)`` index ranges of ``batch_size``.
+def _batched(n_tasks, size):
+    """Yield consecutive ``(lo, hi)`` index ranges of ``size`` items.
 
     Lazy on purpose: no sliced task lists are materialized up front —
     workers slice their own range out of the task list they already
     hold, and the ranges themselves are two ints each.
     """
-    for lo in range(0, n_tasks, batch_size):
-        yield (lo, min(lo + batch_size, n_tasks))
+    for lo in range(0, n_tasks, size):
+        yield (lo, min(lo + size, n_tasks))
 
 
 class SupervisorLog:
@@ -562,94 +549,18 @@ def supervised_map(jobs, workers, task_fn, initializer, initargs,
 
 
 # ----------------------------------------------------------------------
-# adaptive batching
-# ----------------------------------------------------------------------
-def _calibrate(tree, tasks, engine, cache, merge):
-    """Time a few tail tasks in-process; returns ``(rate, n_probed)``.
-
-    ``rate`` is estimated seconds per processing-tree node.  The probed
-    tasks are really computed (their cells go through ``merge`` and are
-    not dispatched again), so the probe is bounded twice: at most
-    :data:`PROBE_TASKS_MAX` tasks *and* at most ~3% of the tree's
-    nodes — calibration must stay a rounding error next to the work it
-    schedules.  Returns a rate of ``None`` when there is nothing safe
-    to probe.
-    """
-    if len(tasks) < 2:
-        return None, 0
-    budget = max(1, sum(task.size(tree) for task in tasks) // 32)
-    n_probe = 0
-    nodes = 0
-    for task in reversed(tasks[1:]):
-        size = task.size(tree)
-        if n_probe and (nodes + size > budget or n_probe >= PROBE_TASKS_MAX):
-            break
-        nodes += size
-        n_probe += 1
-    probed = tasks[-n_probe:]
-    blocks = engine.writer = _Blocks()
-    started = time.perf_counter()
-    for task in probed:
-        engine.run_task(task, breadth_first=True, cache=cache)
-    elapsed = time.perf_counter() - started
-    merge(blocks)
-    # Clock noise floor: a probe faster than the timer can resolve
-    # still yields a usable (tiny) rate; zero nodes cannot happen
-    # (every task has >= 1 node).
-    return max(elapsed, 1e-6) / nodes, n_probe
-
-
-def _plan_batches(tree, tasks, workers, rate):
-    """Pack consecutive tasks into ``(lo, hi)`` ranges of ~equal cost.
-
-    Consecutive ranges keep each batch's tasks prefix-adjacent (the
-    worker's :class:`PrefixCache` shares their root sorts); each range
-    accumulates tasks until it reaches the target cost, so one big
-    subtree rides alone while the long tail of tiny tasks is grouped —
-    the estimated-seconds analogue of PT's fixed batch counts.
-
-    The returned batches are ordered costliest-first.  The pool's call
-    queue is demand-driven (idle workers pull the next batch), so
-    costliest-first submission is longest-processing-time list
-    scheduling: big batches start immediately and the cheap tail
-    back-fills whichever worker frees up last.
-    """
-    costs = [task.size(tree) * rate for task in tasks]
-    total = sum(costs)
-    target = max(TARGET_BATCH_SECONDS,
-                 total / max(1, workers * BATCHES_PER_WORKER))
-    jobs = []
-    lo = 0
-    acc = 0.0
-    for i, cost in enumerate(costs):
-        acc += cost
-        if acc >= target:
-            jobs.append((acc, (lo, i + 1)))
-            lo = i + 1
-            acc = 0.0
-    if lo < len(tasks):
-        jobs.append((acc, (lo, len(tasks))))
-    jobs.sort(key=lambda job: job[0], reverse=True)
-    return [rng for _cost, rng in jobs]
-
-
-# ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
 def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
-                              batch_size=None, fault_plan=None,
-                              batch_timeout=None, max_retries=None,
-                              backoff_s=0.05):
+                              fault_plan=None, batch_timeout=None,
+                              max_retries=None, backoff_s=0.05):
     """Compute the iceberg cube with a supervised local process pool.
 
     ``workers`` defaults to the machine's CPU count (capped at 8).  The
     processing tree is divided into roughly ``TASKS_PER_WORKER`` subtree
-    tasks per worker, sorted largest-first and dealt through the pool's
-    demand-driven queue.  ``batch_size=None`` (the default) runs the
-    calibration pass: the smallest tasks are timed in-process and
-    batches are packed to ~:data:`TARGET_BATCH_SECONDS` of estimated
-    work each; an integer keeps fixed-size batches.  Workers refine
-    with :class:`~repro.core.columnar.NumpyKernel`.
+    tasks per worker, each one job, dealt largest first through the
+    pool's demand-driven queue.  Workers refine with
+    :class:`~repro.core.columnar.NumpyKernel`.
 
     Robustness knobs: a worker death or a stall longer than
     ``batch_timeout`` seconds (default :data:`DEFAULT_BATCH_TIMEOUT`)
@@ -677,8 +588,6 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
         workers = min(8, os.cpu_count() or 1)
     if workers < 1:
         raise PlanError("workers must be >= 1, got %r" % (workers,))
-    if batch_size is not None and batch_size < 1:
-        raise PlanError("batch_size must be >= 1, got %r" % (batch_size,))
     if batch_timeout is None:
         batch_timeout = DEFAULT_BATCH_TIMEOUT
     if batch_timeout <= 0:
@@ -691,8 +600,7 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
 
     with obs.span("local.cube") as span:
         if span:
-            span.set(rows=len(relation), dims=len(dims), workers=workers,
-                     batch_size=batch_size or 0)
+            span.set(rows=len(relation), dims=len(dims), workers=workers)
         frame = ColumnarFrame.from_relation(relation, dims)
         tree = ProcessingTree(dims)
         result = CubeResult(dims)
@@ -706,19 +614,14 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
             # no transport.
             _init_worker(("direct", frame), threshold,
                          tasks=binary_divide(tree, 1))
-            _, shipped = _run_batch((0, 0, (0, 1), obs.inject()))
+            _, shipped = _run_task((0, 0, 0, obs.inject()))
             merge(shipped[1])
         else:
-            # Tasks stay in tree (DFS) order: consecutive tasks share
-            # root prefixes, so each worker's PrefixCache keeps its
-            # sorts warm.  Balance comes from cost-aware batch packing
-            # plus demand dispatch, not from reordering.
             tasks = binary_divide(tree, workers * TASKS_PER_WORKER)
             log = SupervisorLog()
             result.recovery = log
-            _pooled_cube(frame, tree, tasks, threshold, workers, batch_size,
-                         fault_plan, batch_timeout, max_retries, backoff_s,
-                         log, merge)
+            _pooled_cube(frame, tree, tasks, threshold, workers, fault_plan,
+                         batch_timeout, max_retries, backoff_s, log, merge)
             if span:
                 span.set(retries=log.retries, respawns=log.respawns,
                          crashes=log.worker_crashes, stalls=log.stalls,
@@ -733,41 +636,23 @@ def multiprocess_iceberg_cube(relation, dims=None, minsup=1, workers=None,
         return result
 
 
-def _pooled_cube(frame, tree, tasks, threshold, workers, batch_size,
-                 fault_plan, batch_timeout, max_retries, backoff_s, log,
-                 merge):
-    """The pool side of :func:`multiprocess_iceberg_cube`: calibrate,
-    ship the frame, dispatch, decode-and-merge, clean up."""
+def _pooled_cube(frame, tree, tasks, threshold, workers, fault_plan,
+                 batch_timeout, max_retries, backoff_s, log, merge):
+    """The pool side of :func:`multiprocess_iceberg_cube`: ship the
+    frame, deal one job per task, decode-and-merge, clean up."""
+    # Job j runs task order[j], and the pool submits jobs in id order:
+    # largest subtree first, ties in division order.
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i].size(tree))
     transport, frame_ship, frame_segment = _open_transport(frame)
     try:
-        if batch_size is None:
-            engine = BucEngine(None, frame.dims, threshold, writer=None,
-                               kernel=NumpyKernel(frame))
-            with obs.span("local.calibrate") as cal_span:
-                rate, n_probed = _calibrate(tree, tasks, engine,
-                                            PrefixCache(), merge)
-                if n_probed:
-                    tasks = tasks[:-n_probed]
-                if rate is None:
-                    jobs = [(i, i + 1) for i in range(len(tasks))]
-                else:
-                    jobs = _plan_batches(tree, tasks, workers, rate)
-                if cal_span:
-                    cal_span.set(probed=n_probed, batches=len(jobs),
-                                 node_seconds=rate or 0.0)
-        else:
-            jobs = list(_batched(len(tasks), batch_size))
-        if not jobs:
-            return
-        on_result = _make_decoder(
-            transport, merge, lambda buf: decode_result(buf, frame.dims))
         initargs = (frame_ship, threshold, fault_plan, tasks, transport,
                     "cube")
         supervised_map(
-            jobs, workers, _run_batch, _init_worker, initargs,
+            order, workers, _run_task, _init_worker, initargs,
             fault_plan=fault_plan, batch_timeout=batch_timeout,
             max_retries=max_retries, backoff_s=backoff_s, log=log,
-            on_result=on_result,
+            on_result=_make_decoder(
+                transport, merge, lambda buf: decode_result(buf, frame.dims)),
             on_respawn=_make_sweeper(transport, frame_segment, log),
         )
     finally:
@@ -874,16 +759,16 @@ def _merge_items(result, items):
 
 
 def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
-                            batch_size=None, fault_plan=None,
-                            batch_timeout=None, max_retries=None,
-                            backoff_s=0.05):
+                            fault_plan=None, batch_timeout=None,
+                            max_retries=None, backoff_s=0.05):
     """Aggregate ``leaves`` (minsup-1, all cells kept) on the pool.
 
     The store-build analogue of :func:`multiprocess_iceberg_cube`: each
     worker maps the shared frame and computes whole leaf cuboids with
     :func:`~repro.core.columnar.leaf_run`; each returns as its encoded
-    :class:`~repro.core.columnar.CellRun` in a segment.  Returns
-    ``{leaf: CellRun}``.
+    :class:`~repro.core.columnar.CellRun` in a segment, consecutive
+    leaves grouped :data:`BATCHES_PER_WORKER` batches per worker.
+    Returns ``{leaf: CellRun}``.
 
     ``workers=None`` or ``1`` aggregates inline (no pool).  Faults,
     retries and the respawn sweep behave exactly as in the cube path —
@@ -909,10 +794,8 @@ def multiprocess_leaf_cells(relation, leaves, dims=None, workers=None,
             for run in runs:
                 out[run.dims] = run
 
-        if batch_size is None:
-            batch_size = max(1, len(leaves) //
-                             max(1, workers * BATCHES_PER_WORKER))
-        jobs = list(_batched(len(leaves), batch_size))
+        jobs = list(_batched(len(leaves), max(
+            1, len(leaves) // (workers * BATCHES_PER_WORKER))))
         log = SupervisorLog()
         transport, frame_ship, frame_segment = _open_transport(frame)
         try:

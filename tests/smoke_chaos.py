@@ -46,8 +46,7 @@ def act_one_worker_chaos():
     plan = FaultPlan(failures=[TaskFailure(0, 0), TaskFailure(3, 0)],
                      slowdowns=[Slowdown(1, 4.0)], backoff_s=0.01)
     got = multiprocess_iceberg_cube(relation, minsup=2, workers=3,
-                                    batch_size=2, fault_plan=plan,
-                                    batch_timeout=1.0)
+                                    fault_plan=plan, batch_timeout=1.0)
     assert got.equals(expected), got.diff(expected)
     recovery = got.recovery
     assert recovery.worker_crashes >= 1, recovery
@@ -56,8 +55,7 @@ def act_one_worker_chaos():
     # A pure hang (no crash to pre-empt it) must be diagnosed as a stall.
     plan = FaultPlan(slowdowns=[Slowdown(0, 4.0)], backoff_s=0.01)
     got = multiprocess_iceberg_cube(relation, minsup=2, workers=2,
-                                    batch_size=2, fault_plan=plan,
-                                    batch_timeout=1.0)
+                                    fault_plan=plan, batch_timeout=1.0)
     assert got.equals(expected), got.diff(expected)
     assert got.recovery.stalls >= 1, got.recovery
     print("act 1: SIGKILLed %d worker(s), survived %d stall(s), "

@@ -120,12 +120,13 @@ def test_cli_rejects_unknown_backend():
 @pytest.mark.parametrize("command, backend, flag", [
     (["cube"], "simulated", ["--workers", "4"]),
     (["cube"], "local", ["--mr-reducers", "2"]),
-    (["cube"], "mapreduce", ["--batch-size", "8"]),
-    (["store", "build", "--out", "unused"], "mapreduce", ["--calibrate"]),
+    (["cube"], "mapreduce", ["--algorithm", "pt"]),
+    (["store", "build", "--out", "unused"], "mapreduce", ["--cluster",
+                                                          "cluster2"]),
     (["store", "build", "--out", "unused"], "local",
      ["--mr-memory-budget", "1m"]),
 ], ids=["cube-simulated-workers", "cube-local-mr-reducers",
-        "cube-mapreduce-batch-size", "store-mapreduce-calibrate",
+        "cube-mapreduce-algorithm", "store-mapreduce-cluster",
         "store-local-mr-memory-budget"])
 def test_cli_refuses_flags_the_backend_cannot_honour(command, backend, flag):
     out = io.StringIO()

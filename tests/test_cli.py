@@ -152,22 +152,20 @@ class TestLocalBackend:
 
     def test_local_backend_summary(self, sales_csv):
         code, output = run_cli(["cube", "--csv", sales_csv, "--minsup", "2",
-                                "--backend", "local", "--workers", "2",
-                                "--batch-size", "2"])
+                                "--backend", "local", "--workers", "2"])
         assert code == 0
         assert "local process pool" in output
         assert "wall clock" in output
-        assert "2 workers, batch size 2" in output
+        assert "pool             : 2 workers\n" in output
 
-    @pytest.mark.parametrize("batching", ["auto", "3"])
-    def test_local_backend_self_test(self, sales_csv, batching):
-        fixed = [] if batching == "auto" else ["--batch-size", batching]
+    @pytest.mark.parametrize("workers", ["auto", "3"])
+    def test_local_backend_self_test(self, sales_csv, workers):
+        given = [] if workers == "auto" else ["--workers", workers]
         code, output = run_cli(["cube", "--csv", sales_csv, "--minsup", "2",
-                                "--backend", "local", "--workers", "2",
-                                "--self-test"] + fixed)
+                                "--backend", "local", "--self-test"] + given)
         assert code == 0
         assert "self-test        : PASSED" in output
-        assert "2 workers, batch size %s" % batching in output
+        assert "pool             : %s workers\n" % workers in output
 
     def test_simulated_self_test(self, sales_csv):
         code, output = run_cli(["cube", "--csv", sales_csv, "--minsup", "2",

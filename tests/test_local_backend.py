@@ -10,22 +10,23 @@ from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultPlan, Slowdown, TaskFailure
 from repro.core import SumThreshold
-from repro.core.buc import buc_iceberg_cube
+from repro.core.buc import BucEngine, buc_iceberg_cube
 from repro.core.columnar import (
     CellRun, ColumnarFrame, RunCells, aggregate_cuboid)
 from repro.core.naive import naive_iceberg_cube
 from repro.core.thresholds import as_threshold
-from repro.data import Relation
+from repro.data import Relation, zipf_relation
 from repro.errors import PlanError, WorkerCrashError
 from repro.lattice.processing_tree import ProcessingTree, binary_divide
+from repro.parallel import local, shm
 from repro.parallel.local import (
+    TASKS_PER_WORKER,
     _batched,
     _init_worker,
-    _run_batch,
+    _run_task,
     multiprocess_iceberg_cube,
     multiprocess_leaf_cells,
 )
-from repro.parallel import shm
 from repro.parallel.shm import DEV_SHM
 
 #: The names the pool's one kernel answers to in ``buc_iceberg_cube``.
@@ -41,8 +42,7 @@ class TestMultiprocessCube:
 
     def test_pool_matches_naive(self, small_skewed):
         expected = naive_iceberg_cube(small_skewed, minsup=2)
-        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        batch_size=3)
+        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2)
         assert got.equals(expected), got.diff(expected)
 
     def test_sum_threshold(self, small_skewed):
@@ -78,8 +78,8 @@ class TestMultiprocessCube:
 
 
 class TestKernelAndBatching:
-    """The pool's kernel and the scheduling knobs all reach the same
-    cells."""
+    """The pool's kernel and its worker count all reach the same cells,
+    and the pool deals one job per subtree task, largest first."""
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_forced_kernel_matches_naive(self, small_skewed, kernel):
@@ -96,12 +96,43 @@ class TestKernelAndBatching:
         with pytest.raises(PlanError):
             buc_iceberg_cube(small_skewed, kernel="fortran")
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 7])
-    def test_batch_size_does_not_change_cells(self, small_skewed, batch_size):
-        expected = naive_iceberg_cube(small_skewed, minsup=2)
-        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        batch_size=batch_size)
-        assert got.equals(expected), got.diff(expected)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_job_per_task_largest_first_none_in_the_parent(
+            self, monkeypatch, workers):
+        # Seen from outside: what the cube hands the supervisor, and
+        # which process runs BUC.  Every subtree task is one job, jobs
+        # go in non-increasing node count, and the parent computes no
+        # task itself.  Two workers divide the tree into 16 equal
+        # tasks; three divide it into 24 of two sizes, which dispatch
+        # reorders.
+        rel = zipf_relation(600, [6, 5, 4, 4, 3, 3], skew=1.0, seed=5)
+        dispatched, parent_tasks, pid = [], [], os.getpid()
+        real_map, real_run_task = local.supervised_map, BucEngine.run_task
+
+        def recording_map(jobs, workers, task_fn, initializer, initargs,
+                          **kwargs):
+            dispatched.append((list(jobs), initargs[3]))
+            return real_map(jobs, workers, task_fn, initializer, initargs,
+                            **kwargs)
+
+        def recording_run_task(engine, task, *args, **kwargs):
+            if os.getpid() == pid:
+                parent_tasks.append(task)
+            return real_run_task(engine, task, *args, **kwargs)
+
+        monkeypatch.setattr(local, "supervised_map", recording_map)
+        monkeypatch.setattr(BucEngine, "run_task", recording_run_task)
+        got = multiprocess_iceberg_cube(rel, minsup=2, workers=workers)
+        assert got.equals(naive_iceberg_cube(rel, minsup=2))
+        assert parent_tasks == []
+        tree = ProcessingTree(rel.dims)
+        want = binary_divide(tree, workers * TASKS_PER_WORKER)
+        [(jobs, tasks)] = dispatched
+        assert tasks == want
+        assert sorted(jobs) == list(range(len(want)))
+        sizes = [tasks[index].size(tree) for index in jobs]
+        assert sizes == sorted(sizes, reverse=True)
+        assert (jobs != sorted(jobs)) == (workers == 3)
 
     def test_worker_count_does_not_change_cells(self, small_uniform):
         baseline = multiprocess_iceberg_cube(small_uniform, minsup=2,
@@ -143,8 +174,7 @@ class TestSupervisedChaos:
         plan = FaultPlan(failures=[TaskFailure(0, 0), TaskFailure(2, 0)],
                          slowdowns=[Slowdown(1, 4.0)], backoff_s=0.01)
         got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=3,
-                                        batch_size=2, fault_plan=plan,
-                                        batch_timeout=1.0)
+                                        fault_plan=plan, batch_timeout=1.0)
         assert got.equals(expected), got.diff(expected)
         # A crash aborts the round, so the hung batch may be recovered
         # by the respawn before its stall is separately diagnosed; either
@@ -157,8 +187,7 @@ class TestSupervisedChaos:
         expected = naive_iceberg_cube(small_skewed, minsup=2)
         plan = FaultPlan(slowdowns=[Slowdown(1, 4.0)], backoff_s=0.01)
         got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        batch_size=2, fault_plan=plan,
-                                        batch_timeout=1.0)
+                                        fault_plan=plan, batch_timeout=1.0)
         assert got.equals(expected), got.diff(expected)
         assert got.recovery.stalls >= 1
         assert got.recovery.respawns >= 1
@@ -223,16 +252,15 @@ def _rsm_segments():
 
 
 class TestDataPlane:
-    """The shared-memory transport, auto-calibrated batching and the
+    """The shared-memory transport, one job per task and the
     observed pipe fallback all produce exactly the oracle's cells — and
     leak no segments, even when a writer is SIGKILLed mid-write."""
 
-    def test_auto_calibrated_batching_matches_naive(self, small_skewed):
-        # batch_size=None (the default): a calibration pass times the
-        # tail tasks in-process, then packs cost-balanced batches.
+    def test_one_task_per_job_matches_naive(self, small_skewed):
+        # Every subtree task rides its own job and ships its own result
+        # segment; the parent merges them into the oracle's cells.
         expected = naive_iceberg_cube(small_skewed, minsup=2)
-        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        batch_size=None)
+        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2)
         assert got.equals(expected), got.diff(expected)
 
     @pytest.mark.parametrize("trouble", ["missing", "refused"])
@@ -251,13 +279,11 @@ class TestDataPlane:
                                 _RefuseSecondCreate(shm._shared_memory))
         before = _rsm_segments()
         expected = naive_iceberg_cube(small_skewed, minsup=2)
-        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        batch_size=1)
+        got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2)
         assert got.equals(expected), got.diff(expected)
         leaves = [("A", "B"), ("B", "C"), ("C", "D"), ("A",)]
         inline = multiprocess_leaf_cells(small_skewed, leaves, workers=1)
-        pooled = multiprocess_leaf_cells(small_skewed, leaves, workers=2,
-                                         batch_size=1)
+        pooled = multiprocess_leaf_cells(small_skewed, leaves, workers=2)
         assert all(pooled[leaf].encode() == inline[leaf].encode()
                    for leaf in leaves)
         assert _rsm_segments() == before
@@ -279,10 +305,10 @@ class TestDataPlane:
 
     def test_chaos_sigkill_mid_segment_write_sweeps_the_leak(
             self, small_skewed, monkeypatch, tmp_path):
-        # The worker that creates batch 0's result segment SIGKILLs
+        # The worker that creates job 0's result segment SIGKILLs
         # itself right after, once (the flag file outlives it; forked
         # workers inherit the patch).  The supervisor must respawn,
-        # sweep the orphaned segment, re-run the batch, and still hand
+        # sweep the orphaned segment, re-run the job, and still hand
         # back the oracle's cells.
         create, flag = shm.ShmTransport.create, tmp_path / "killed"
 
@@ -297,7 +323,7 @@ class TestDataPlane:
         before = _rsm_segments()
         expected = naive_iceberg_cube(small_skewed, minsup=2)
         got = multiprocess_iceberg_cube(small_skewed, minsup=2, workers=2,
-                                        batch_size=3, backoff_s=0.01)
+                                        backoff_s=0.01)
         assert got.equals(expected), got.diff(expected)
         assert got.recovery.worker_crashes >= 1
         assert got.recovery.respawns >= 1
@@ -309,8 +335,7 @@ class TestDataPlane:
         frame = ColumnarFrame.from_relation(small_uniform,
                                             small_uniform.dims)
         expected = {leaf: aggregate_cuboid(frame, leaf) for leaf in leaves}
-        pooled = multiprocess_leaf_cells(small_uniform, leaves, workers=2,
-                                         batch_size=1)
+        pooled = multiprocess_leaf_cells(small_uniform, leaves, workers=2)
         inline = multiprocess_leaf_cells(small_uniform, leaves, workers=1)
         for built in (pooled, inline):
             assert {leaf: run.cells() for leaf, run in built.items()} \
@@ -357,8 +382,7 @@ class TestColumnarResult:
             # Each worker's first result rides the pool pipe.
             monkeypatch.setattr(shm, "_shared_memory",
                                 _RefuseSecondCreate(shm._shared_memory))
-        got = multiprocess_iceberg_cube(rel, minsup=2, workers=2,
-                                        batch_size=1)
+        got = multiprocess_iceberg_cube(rel, minsup=2, workers=2)
         expected = naive_iceberg_cube(rel, minsup=2)
         assert got.total_cells() == expected.total_cells()
         assert tuples_built == []
@@ -401,7 +425,7 @@ class TestColumnarResult:
         tasks = binary_divide(ProcessingTree(dims), 4)
         _init_worker(("direct", frame), as_threshold(minsup), tasks=tasks)
         for i in range(len(tasks)):
-            _bid, (tag, blocks) = _run_batch((i, 0, (i, i + 1), None))
+            _bid, (tag, blocks) = _run_task((i, 0, i, None))
             assert tag == "items"
             for cuboid, view in blocks:
                 codes = view.run.codes
