@@ -1,13 +1,13 @@
 """Extension M: the MapReduce backend vs PT-style subtree tasks.
 
-Both real backends parallelize the same iceberg cube, but they cut the
-work differently: the local backend deals BUC *subtree tasks* (the
-paper's PT shape) to a process pool with everything resident, while
-the MapReduce backend streams row splits through a fold/spill/merge
-round of columnar runs with bounded memory.  This bench runs both over one weather
-workload (real wall-clock) and answers the question the ISSUE poses:
-what does the out-of-core path cost when the input *would* have fit —
-and does a starved memory budget change the answer (it must not: the
+Both real backends parallelize the same iceberg cube over the same BUC
+*subtree tasks* (the paper's PT shape): the local backend deals them to
+a process pool with everything resident, while the MapReduce backend
+shuffles each row once per task through spilled columnar runs and runs
+the same BUC over each task's root-cell groups in its reducers.  This
+bench runs both over one weather workload (real wall-clock) and asks
+what the out-of-core path costs when the input *would* have fit — and
+whether a starved memory budget changes the answer (it must not: the
 cube is checked cell-identical across all three runs, and the starved
 run must actually spill).
 """

@@ -4,24 +4,24 @@ Execution shape (one shuffle round, as in Sundararajan & Yan):
 
 1. **Map** — every input split becomes one map task.  The mapper
    streams the split's chunks; per chunk it packs all rows into 63-bit
-   keys at once, forms the ``(leaf x row)`` grid ``keys & leaf_masks``
-   in leaf blocks sized from the memory budget, sorts each grid row
-   and folds equal cells (:func:`~repro.core.columnar.fold_sorted`)
-   into pending ``(leaf, key, count, sum)`` columns.  Crossing the
-   budget at a chunk boundary spills the folded columns as sorted,
-   partitioned run files (see :mod:`repro.mr.shuffle`).
+   keys at once.  *Store* mode forms the ``(leaf x row)`` grid ``keys
+   & leaf_masks`` in leaf blocks sized from the memory budget, sorts
+   each grid row and folds equal cells into pending ``(leaf, key,
+   count, sum)`` columns; *cube* mode emits one ``(task, root key, row
+   key, measure)`` record per row per PT subtree task.  Crossing the
+   budget at a chunk boundary spills pending as sorted, partitioned
+   run files (see :mod:`repro.mr.shuffle`).
 2. **Shuffle** — nothing moves: runs are already partitioned on the
    shared filesystem.  The driver records each task's winning attempt
    and sweeps orphaned attempt directories left by killed workers.
-3. **Reduce** — reducer ``p`` block-merges the sorted runs of
-   partition ``p`` (bounded memory, see
-   :func:`~repro.mr.shuffle.merge_blocks`).  In *store* mode each leaf
-   streams, as columns, through a :class:`~repro.serve.store.LeafWriter`
-   (atomic per-leaf commit) at minsup 1; in *cube* mode cells pass the iceberg
-   threshold and each leaf's immediate prefix cuboid is folded from
-   the same sorted blocks, so the two phases together cover the entire
-   lattice (every non-leaf cuboid is some leaf minus its last
-   dimension, and the apex comes from the map-phase totals).
+3. **Reduce** — reducer ``p`` streams the sorted runs of partition
+   ``p`` (bounded memory).  In *store* mode each leaf streams, as
+   columns, through a :class:`~repro.serve.store.LeafWriter` (atomic
+   per-leaf commit) at minsup 1; in *cube* mode the partition owns
+   whole tasks and runs the pool's pruned BUC on batches of whole
+   root-cell groups (every cuboid of a task contains its root, so the
+   groups are complete and disjoint; the apex comes from the map-phase
+   totals).
 
 Both phases run on one :class:`repro.parallel.local.SupervisedPool`,
 forked once per job (again for the reduce phase only when it has more
@@ -41,13 +41,16 @@ import numpy as np
 
 from .. import obs
 from ..core.aggregates import exact_parts, exact_sum
-from ..core.columnar import fold_sorted, qualifying_mask, unpack_codes
+from ..core.buc import BucEngine
+from ..core.columnar import (
+    CellRun, ColumnarFrame, NumpyKernel, fold_sorted, unpack_codes)
 from ..core.export import is_debris
 from ..core.result import CubeResult
 from ..core.thresholds import as_threshold
 from ..data.stream import RelationStream, stream_from_relation
 from ..errors import PlanError
-from ..parallel.local import _HANG_SECONDS, SupervisedPool, SupervisorLog
+from ..parallel.local import (
+    _HANG_SECONDS, SupervisedPool, SupervisorLog, _Blocks)
 from ..serve.cluster import stable_shard_hash
 from ..serve.store import CubeStore, LeafWriter, build_generations
 from .planner import plan_mapreduce
@@ -56,6 +59,8 @@ from .shuffle import (
     attempt_dir,
     fold_columns,
     merge_blocks,
+    merge_groups,
+    sort_columns,
     spill_columns,
 )
 
@@ -127,21 +132,26 @@ def _init_worker(map_state, reduce_state):
     _REDUCE_STATE = reduce_state
 
 
-def _combine_block(keys, measures, masks, first_leaf):
+def _combine_block(keys, measures, masks, first_leaf, cube):
     """Fold one block of the ``(leaf x row)`` grid into run columns.
 
     Row ``j`` of the grid holds every input row's key masked down to
     leaf ``first_leaf + j``; a stable sort per grid row keeps input
-    order within a cell, so sums accumulate in row order.
+    order within a cell, so sums accumulate in row order.  In cube mode
+    the masks are task roots and nothing folds: the block's records are
+    ``(task, root key, row key, measure)``.
     """
     grid = keys[None, :] & masks[:, None]
     order = np.argsort(grid, axis=1, kind="stable")
     grid = np.take_along_axis(grid, order, axis=1).ravel()
     sums = measures[order].ravel()
+    rows = keys[order].ravel() if cube else None
     del order
     leaves = np.repeat(
         np.arange(first_leaf, first_leaf + len(masks), dtype=np.int32),
         len(keys))
+    if cube:
+        return leaves, grid, rows, sums
     return fold_sorted(leaves, grid, None, sums)
 
 
@@ -158,7 +168,7 @@ def _map_task(job):
 
 
 def _map_task_impl(task_id, attempt, split):
-    (plan, shuffle_dir, memory_budget, row_positions,
+    (plan, shuffle_dir, mode, memory_budget, row_positions,
      require_nonnegative, fault_plan) = _MAP_STATE
     directive = (fault_plan.local_fault(task_id, attempt)
                  if fault_plan is not None else None)
@@ -170,8 +180,11 @@ def _map_task_impl(task_id, attempt, split):
     os.makedirs(directory, exist_ok=True)
     max_entries = max(1024, memory_budget // ENTRY_BYTES)
     shifts = np.array(plan.packing.shifts, dtype=np.int64)
-    leaf_masks = np.array(plan.leaf_masks, dtype=np.int64)
-    partition_of_leaf = np.array(plan.partition_of_leaf, dtype=np.int64)
+    cube = mode == "cube"
+    masks = np.array(plan.task_masks if cube else plan.leaf_masks, np.int64)
+    partition_of = np.array(
+        plan.partition_of_task if cube else plan.partition_of_leaf, np.int64)
+    combine = sort_columns if cube else fold_columns  # cube rows never fold
 
     pending = []  # column 4-tuples in emission order
     entries = 0
@@ -182,7 +195,7 @@ def _map_task_impl(task_id, attempt, split):
 
     def flush(run):
         nonlocal spill_no
-        written = spill_columns(run, partition_of_leaf, directory, spill_no)
+        written = spill_columns(run, partition_of, directory, spill_no)
         spill_no += 1
         for partition, path, nbytes, records in written:
             runs.append((partition,
@@ -208,9 +221,9 @@ def _map_task_impl(task_id, attempt, split):
         # hold about another quarter while they accumulate, and the
         # fold's peak (ENTRY_BYTES) only starts after the block is freed.
         block = max(1, memory_budget // 4 // (GRID_CELL_BYTES * len(keys)))
-        for first in range(0, len(leaf_masks), block):
-            piece = _combine_block(keys, values,
-                                   leaf_masks[first:first + block], first)
+        for first in range(0, len(masks), block):
+            piece = _combine_block(keys, values, masks[first:first + block],
+                                   first, cube)
             pending.append(piece)
             entries += len(piece[1])
         rows_total += len(rows)
@@ -219,14 +232,14 @@ def _map_task_impl(task_id, attempt, split):
         # can overshoot by at most one chunk's worth of new entries
         # (documented in DESIGN 6.11).
         if entries >= max_entries:
-            run = fold_columns(pending)
+            run = combine(pending)
             pending, entries = [run], len(run[1])
             if entries >= max_entries:
                 flush(run)
                 pending, entries = [], 0
 
     if pending or not runs:
-        flush(fold_columns(pending))
+        flush(combine(pending))
     elif kill_pending:
         os.kill(os.getpid(), signal.SIGKILL)
 
@@ -258,20 +271,13 @@ def _leaf_segments(leaves):
     return zip(ids.tolist(), starts.tolist(), stops.tolist())
 
 
-def _unpack_cells(packing, keys, positions):
-    """Cell tuples for a column of (masked) packed keys, field by field."""
-    return list(zip(*(
-        ((keys >> packing.shifts[p]) & packing.masks[p]).tolist()
-        for p in positions)))
-
-
 def _reduce_task(job):
-    """Merge one partition's runs and emit its leaves.
+    """Merge one partition's runs and emit its leaves or cuboids.
 
     Store mode returns ``{leaf: (shard_index, manifest_entry)}`` after
     committing each leaf file atomically; cube mode returns the
-    qualifying cells of every cuboid the partition owns (each leaf plus
-    its immediate prefix) as ``{cuboid: [cells, counts, sums]}``.
+    qualifying cells of every cuboid of the partition's tasks as
+    ``{cuboid: (code matrix, counts, sums)}``.
     """
     reduce_id, attempt, payload, traceparent = job
     with obs.activate(traceparent):
@@ -280,7 +286,7 @@ def _reduce_task(job):
 
 def _reduce_task_impl(reduce_id, attempt, payload):
     partition, run_relpaths = payload
-    (plan, shuffle_dir, mode, out_dir, shards, threshold,
+    (plan, shuffle_dir, mode, out_dir, shards, threshold, reduce_budget,
      fault_plan) = _REDUCE_STATE
     directive = (fault_plan.local_fault(reduce_id, attempt)
                  if fault_plan is not None else None)
@@ -338,52 +344,25 @@ def _reduce_task_impl(reduce_id, attempt, payload):
             os.kill(os.getpid(), signal.SIGKILL)
         return reduce_id, {"stats": stats, "entries": entries}
 
-    # cube mode: threshold the leaf cells, and fold each leaf's sorted
-    # records into its immediate prefix cuboid (the leaf minus the last
-    # dimension, whose field is the key's lowest bits).
+    # cube mode: pruned BUC over each batch; batches share no cell (each
+    # holds whole root groups), so a merge only sorts.
+    positions = range(len(plan.dims))
+    blocks = {}
+    for tasks, _roots, keys, measures in merge_groups(paths, reduce_budget):
+        stats["records"] += len(keys)
+        frame = ColumnarFrame(
+            plan.dims, list(unpack_codes(packing, keys, positions)),
+            measures, plan.cardinalities, packing, keys)
+        engine = BucEngine(None, plan.dims, threshold, writer=_Blocks(),
+                           kernel=NumpyKernel(frame))
+        engine.run_task(plan.tasks[int(tasks[0])], breadth_first=True)
+        for cuboid, cells in engine.writer:
+            blocks.setdefault(cuboid, []).append(cells.run)
     cells_out = {}
-    prefix_masks = np.array(
-        [packing.mask_for(positions[:-1])
-         for positions in plan.leaf_positions], dtype=np.int64)
-
-    def emit(run, trim):
-        """Record the qualifying cells of ``run``; ``trim`` drops each
-        leaf's last dimension (the run holds prefix-cuboid cells)."""
-        keep = qualifying_mask(threshold, run[2], run[3])
-        leaves, keys, counts, sums = (column[keep] for column in run)
-        for leaf_id, lo, hi in _leaf_segments(leaves):
-            width = len(plan.leaves[leaf_id]) - trim
-            out = cells_out.setdefault(plan.leaves[leaf_id][:width],
-                                       ([], [], []))
-            out[0].extend(_unpack_cells(
-                packing, keys[lo:hi], plan.leaf_positions[leaf_id][:width]))
-            out[1].extend(counts[lo:hi].tolist())
-            out[2].extend(sums[lo:hi].tolist())
-        return len(keys)
-
-    # The last prefix group of a block may continue in the next one: its
-    # records (at most the last dimension's cardinality) are carried
-    # over un-folded, so a group's sum never depends on the block size.
-    carry = None
-    for run in merge_blocks(paths):
-        stats["records"] += len(run[1])
-        stats["cells"] += emit(run, 0)
-        leaves, keys, counts, sums = run
-        masks = prefix_masks[leaves]
-        wanted = masks != 0  # single-dimension leaves: prefix is the apex
-        piece = (leaves[wanted], keys[wanted] & masks[wanted],
-                 counts[wanted], sums[wanted])
-        if carry is not None:
-            piece = tuple(np.concatenate(pair) for pair in zip(carry, piece))
-        if not len(piece[1]):
-            continue
-        still_open = np.count_nonzero((piece[0] == piece[0][-1])
-                                      & (piece[1] == piece[1][-1]))
-        closed = len(piece[1]) - still_open
-        emit(fold_sorted(*(column[:closed] for column in piece)), 1)
-        carry = tuple(column[closed:] for column in piece)
-    if carry is not None:
-        emit(fold_sorted(*carry), 1)
+    for cuboid, runs in blocks.items():
+        run = runs[0] if len(runs) == 1 else CellRun.merge(runs)
+        cells_out[cuboid] = (run.codes, run.counts, run.sums)
+        stats["cells"] += len(run)
     if kill_pending:
         os.kill(os.getpid(), signal.SIGKILL)
     return reduce_id, {"stats": stats, "cells": cells_out}
@@ -452,7 +431,8 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
         reducers = max(1, workers)
 
     cards = stream.cardinality_list(dims)
-    plan = plan_mapreduce(dims, cards, reducers, n_rows=stream.n_rows)
+    plan = plan_mapreduce(dims, cards, reducers, n_rows=stream.n_rows,
+                          workers=workers)
     row_positions = None
     if dims != stream.dims:
         index_of = {name: i for i, name in enumerate(stream.dims)}
@@ -460,6 +440,9 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
     require_nonnegative = (threshold is not None
                            and threshold.requires_nonnegative_measures)
 
+    # A cube reducer holds a root group whole, so it gets at least the
+    # default budget: a smaller one only sizes spills.
+    reduce_budget = max(memory_budget, DEFAULT_MEMORY_BUDGET)
     own_shuffle = shuffle_dir is None
     if own_shuffle:
         shuffle_dir = tempfile.mkdtemp(prefix="repro-mr-")
@@ -470,9 +453,10 @@ def _run_phases(stream, dims, mode, out_dir, shards, threshold, workers,
     active = obs.current()
     pool = SupervisedPool(
         workers, _init_worker,
-        ((plan, shuffle_dir, memory_budget, row_positions,
+        ((plan, shuffle_dir, mode, memory_budget, row_positions,
           require_nonnegative, fault_plan),
-         (plan, shuffle_dir, mode, out_dir, shards, threshold, fault_plan)),
+         (plan, shuffle_dir, mode, out_dir, shards, threshold,
+          reduce_budget, fault_plan)),
         fault_plan=fault_plan, batch_timeout=batch_timeout)
     try:
         # ---- map phase -------------------------------------------------

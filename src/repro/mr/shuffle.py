@@ -1,12 +1,14 @@
 """The external shuffle: sorted columnar runs on disk, block-merged.
 
 A *run* is four parallel numpy columns — ``leaf:i4, key:i8, count:i8,
-sum:f8`` — sorted by ``(leaf, key)`` with every ``(leaf, key)`` unique.
-Mappers keep their pending emissions as such columns; crossing the
-memory budget *spills* them: folded once (:func:`fold_columns`),
-split by the plan's leaf-to-reducer assignment, and written as one run
-file per touched partition (:func:`spill_columns`).  Reducers later
-stream their partition's runs through :func:`merge_blocks`.
+sum:f8`` — sorted by ``(leaf, key)``, each ``(leaf, key)`` unique (in
+cube mode the records are rows, ``(task, root key, row key, measure)``,
+and a ``(task, root key)`` group repeats).  Mappers keep their pending
+emissions as such columns; crossing the memory budget *spills* them:
+folded once (:func:`fold_columns`; cube rows are only sorted), split by
+the plan's reducer assignment, and written as one run file per touched
+partition (:func:`spill_columns`).  Reducers later stream their
+partition's runs through :func:`merge_blocks` (:func:`merge_groups`).
 
 Publishing protocol (what makes crash recovery work):
 
@@ -26,12 +28,13 @@ little-endian records (:data:`RUN_DTYPE`, the packed ``<iqqd``
 layout) — seek-free sequential reads, no parsing, byte-stable across
 re-executions.
 
-Block merge: :func:`merge_blocks` holds at most :data:`MERGE_BLOCK`
-records per run.  Each step takes from every buffer the records that
-sort ``<=`` the smallest buffer-end ``(leaf, key)``.  That cut is
-complete — a run's unread records sort strictly after its buffer's
-end (keys are unique within a run), hence after the cut — so no
-``(leaf, key)`` is ever split across two steps.  The taken slices are
+Block merge: :func:`merge_blocks` reads a window of the next
+:data:`MERGE_BLOCK` records of each run.  Each step takes from every
+window the records that sort ``<=`` the smallest window-end ``(leaf,
+key)``.  That cut is complete — a run's later records sort strictly
+after its window's end (keys are unique within a run, and a cube run's
+window ends on a whole group), hence after the cut — so no ``(leaf,
+key)`` is ever split across two steps.  The taken slices are
 concatenated in run-path order, stable-sorted and folded: equal keys
 add up in path order whatever the block size, so float sums are
 bit-identical run to run as long as callers pass sorted paths (they
@@ -45,6 +48,7 @@ import numpy as np
 
 from ..core.columnar import fold_sorted, lex_order
 from ..core.export import publish
+from ..errors import PlanError
 
 #: One shuffle record: leaf id, packed cell key, count, measure sum.
 RUN_DTYPE = np.dtype([("leaf", "<i4"), ("key", "<i8"), ("count", "<i8"),
@@ -64,6 +68,10 @@ ENTRY_BYTES = 110
 #: Records buffered per run by :func:`merge_blocks`: reducer memory is
 #: O(runs x MERGE_BLOCK x 28 B) however long the runs are.
 MERGE_BLOCK = 4_096
+
+#: Peak bytes per row of a cube reducer's batch, cells written aside
+#: (``tracemalloc``: 28 + 288-294 B at d = 10, 28 + 169-202 at d = 4).
+GROUP_ROW_BYTES = 512
 
 
 def attempt_dir(shuffle_dir, task_id, attempt):
@@ -102,18 +110,21 @@ def write_run(path, records):
         np.array(list(records), dtype=RUN_DTYPE)))
 
 
-def fold_columns(pieces):
-    """Concatenate column 4-tuples (in emission order) into one run:
-    stable sort on ``(leaf, key)`` (:func:`lex_order`), then fold equal
-    keys."""
+def sort_columns(pieces):
+    """Concatenate column 4-tuples (in emission order), stable-sorted
+    on ``(leaf, key)`` (:func:`lex_order`)."""
     if not pieces:
         return EMPTY_RUN
     columns = [np.concatenate(column) for column in zip(*pieces)]
     order = lex_order(columns[:2])
     for i, column in enumerate(columns):  # one sorted copy at a time
         columns[i] = column[order]
-    del order
-    return fold_sorted(*columns)
+    return tuple(columns)
+
+
+def fold_columns(pieces):
+    """:func:`sort_columns`, then fold equal ``(leaf, key)``."""
+    return fold_sorted(*sort_columns(pieces))
 
 
 def spill_columns(run, partition_of_leaf, directory, spill_no):
@@ -133,12 +144,43 @@ def spill_columns(run, partition_of_leaf, directory, spill_no):
     return written
 
 
-def _count_through(buffer, leaf, key):
-    """How many leading records of sorted ``buffer`` are <= (leaf, key)."""
-    leaves, keys = buffer[0], buffer[1]
+def _count_through(records, leaf, key):
+    """How many leading records of sorted ``records`` are <= (leaf, key)."""
+    leaves, keys = records["leaf"], records["key"]
     lo = np.searchsorted(leaves, leaf, side="left")
     hi = np.searchsorted(leaves, leaf, side="right")
     return int(lo + np.searchsorted(keys[lo:hi], key, side="right"))
+
+
+def _last(records):
+    return int(records["leaf"][-1]), int(records["key"][-1])
+
+
+def _merged(paths, whole_groups):
+    """The block merge's steps, unfolded; ``whole_groups`` first grows
+    each window to the end of its last ``(leaf, key)`` group."""
+    with contextlib.ExitStack() as stack:
+        runs = [stack.enter_context(open(path, "rb")) for path in paths]
+        starts = [0] * len(runs)
+        while True:
+            windows = []
+            for run, start in zip(runs, starts):
+                run.seek(start * RECORD_SIZE)  # re-read what was not taken
+                window = more = np.fromfile(run, RUN_DTYPE, MERGE_BLOCK)
+                while whole_groups and len(more) == MERGE_BLOCK:
+                    more = np.fromfile(run, RUN_DTYPE, MERGE_BLOCK)
+                    more = more[:_count_through(more, *_last(window))]
+                    window = np.concatenate([window, more])
+                windows.append(window)
+            ends = [_last(window) for window in windows if len(window)]
+            if not ends:
+                return
+            taken = []
+            for i, window in enumerate(windows):
+                n = _count_through(window, *min(ends))
+                taken.append(_columns(window[:n]))
+                starts[i] += n
+            yield sort_columns(taken)
 
 
 def merge_blocks(paths):
@@ -149,31 +191,41 @@ def merge_blocks(paths):
     sorted order for deterministic float accumulation (see module
     docstring).
     """
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "rb")) for path in paths]
-        buffers = [EMPTY_RUN] * len(paths)
-        while True:
-            for i, handle in enumerate(handles):
-                short = MERGE_BLOCK - len(buffers[i][0])
-                if handle is None or not short:
-                    continue
-                more = _columns(np.fromfile(handle, dtype=RUN_DTYPE,
-                                            count=short))
-                if len(more[0]) < short:
-                    handles[i] = None  # exhausted; ExitStack closes it
-                buffers[i] = tuple(np.concatenate(pair)
-                                   for pair in zip(buffers[i], more))
-            ends = [(int(b[0][-1]), int(b[1][-1]))
-                    for b in buffers if len(b[0])]
-            if not ends:
-                return
-            cut = min(ends)
-            taken = []
-            for i, buffer in enumerate(buffers):
-                n = _count_through(buffer, *cut)
-                taken.append(tuple(column[:n] for column in buffer))
-                buffers[i] = tuple(column[n:] for column in buffer)
-            yield fold_columns(taken)
+    for block in _merged(paths, False):
+        yield fold_sorted(*block)
+
+
+def merge_groups(paths, budget):
+    """Cube runs as batches of whole ``(task, root)`` groups of one task,
+    rows in path order, at most ``budget // GROUP_ROW_BYTES`` rows; one
+    group over that raises :class:`~repro.errors.PlanError`."""
+    limit = budget // GROUP_ROW_BYTES
+    batch, held = [], 0
+    for block in _merged(paths, True):
+        tasks, roots = block[0], block[1]
+        ends = np.append(np.flatnonzero((tasks[1:] != tasks[:-1])
+                                        | (roots[1:] != roots[:-1])) + 1,
+                         len(roots))
+        lo = 0
+        while lo < len(roots):
+            task_end = int(np.searchsorted(tasks, tasks[lo], "right"))
+            same = not batch or batch[0][0][0] == tasks[lo]
+            fits = ends[(ends > lo) & (ends <= min(lo + limit - held,
+                                                   task_end)) & same]
+            if not (len(fits) or batch):  # one group over the budget
+                size = int(ends[ends > lo][0]) - lo
+                raise PlanError(
+                    "root group %#x of cube task %d holds %d rows (%d B each)"
+                    ", over the reducer memory budget of %d bytes"
+                    % (roots[lo], tasks[lo], size, GROUP_ROW_BYTES, budget))
+            if len(fits):
+                batch.append(tuple(column[lo:fits[-1]] for column in block))
+                held, lo = held + int(fits[-1]) - lo, int(fits[-1])
+            if not len(fits) or lo < task_end:  # the batch is full
+                yield tuple(np.concatenate(column) for column in zip(*batch))
+                batch, held = [], 0
+    if batch:
+        yield tuple(np.concatenate(column) for column in zip(*batch))
 
 
 def merge_runs(paths):

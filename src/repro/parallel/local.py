@@ -91,12 +91,14 @@ from ..errors import PlanError, WorkerCrashError
 from ..lattice.processing_tree import ProcessingTree, binary_divide
 from .shm import ShmTransport, decode_result, encode_result
 
-#: Tasks per worker requested from binary division, each one pool job;
-#: enough granularity for demand balancing without drowning in per-task
-#: root re-sorts (every extra task re-refines part of its root path, cold
-#: when the worker's previous task shared no prefix with it — measured,
-#: halving this from 16 cut 4-worker overhead by ~25% on the scaling
-#: workload).
+#: Tasks per worker requested from binary division: each one pool job
+#: here, and one copy of every row in the MapReduce cube's shuffle
+#: (:func:`repro.mr.planner.cube_tasks`).  Every extra task re-refines
+#: part of its root path.  At 2 workers on 2 cores (medians of 9
+#: interleaved cubes, two sets) 8 and 16 read within noise on a 4 000-row
+#: d = 10 pool cube (0.15-0.16 s vs 0.16-0.17 s at minsup 5) and on the
+#: 1 000-row MapReduce cube (0.078-0.083 s vs 0.085-0.092 s); 4 read
+#: 0.14 s and 0.075-0.081 s.  Wider pools were not measured.
 TASKS_PER_WORKER = 8
 
 #: Default per-batch stall window: if no batch completes for this many

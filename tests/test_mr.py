@@ -26,7 +26,9 @@ from repro.data.stream import (
 )
 from repro.data.weather import _BY_NAME
 from repro.errors import PlanError
+from repro.lattice.processing_tree import ProcessingTree
 from repro.mr import (
+    DEFAULT_MEMORY_BUDGET,
     MIN_MEMORY_BUDGET,
     mapreduce_iceberg_cube,
     mapreduce_materialize,
@@ -217,11 +219,12 @@ def test_fold_columns_equals_dict_fold(chunks):
 
 
 def _all_combinations_stream():
-    """Two identical splits holding every (a, b, c) combination once:
-    leaf (a,b,c) has 16 cells in 4 prefix groups of 4, (a,c) and (b,c)
-    8 cells in 2 groups of 4, (c) 4 cells and no prefix; every run holds
-    every key, so a merge step takes ``MERGE_BLOCK`` records from each
-    run and block boundaries fall at multiples of it (36 keys in all).
+    """Two identical splits holding every (a, b, c) combination once.
+    At one worker the cube's tasks are rooted at (a, b), (b), (a) and
+    (c): 4 root groups of 8 rows, 2 of 16, 2 of 16 and 4 of 8, each
+    half in either split's run, so a merge step takes ``MERGE_BLOCK``
+    records from each run and block boundaries fall at multiples of it
+    (96 records in all).
     """
     rows = [(a, b, c) for a in range(2) for b in range(2) for c in range(4)]
     splits = [MaterializedSplit(i, rows, [measure + 0.125 * j
@@ -235,17 +238,81 @@ def _all_combinations_stream():
                          ids=["count1", "count3", "sum20"])
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 16, 4096])
 def test_prefix_groups_straddling_blocks(block, minsup):
-    """Block 3 cuts every 4-cell prefix group, puts the end of leaf
-    (a,b,c) and the start of (a,c) in one block and ends on a block of
-    leaf (c) only; 4 and 16 end blocks exactly at group and leaf
-    boundaries; 5 and 7 leave one and one record to the last block;
-    at minsup 3 leaf cells (count 2) fail while their groups pass."""
+    """Root-cell groups (the prefix every cuboid of a task shares)
+    straddling merge blocks: blocks 1-7 are smaller than a run's share
+    of most groups, so each window grows to its last group's end before
+    the cut, and 3, 5 and 7 cut tasks across steps; 16 and 4096 take
+    whole runs.  At minsup 3 leaf cells (count 2) fail while their
+    roots pass.  Sums come out bit for bit, whatever the block."""
     stream = _all_combinations_stream()
     oracle = naive_iceberg_cube(stream.materialize(), minsup=minsup)
     with mock.patch.object(shuffle, "MERGE_BLOCK", block):
         result = mapreduce_iceberg_cube(stream, minsup=minsup, workers=1,
                                         reducers=1)
     assert_same_cube(result, oracle, tolerance=0.0)
+
+
+@pytest.mark.parametrize("block", [2, 4096])
+def test_a_root_group_over_the_reducer_budget_is_refused(block):
+    """Forty equal rows make every root group 40 rows; a budget of 8
+    rows a batch refuses the first, naming its size and the budget —
+    whether the merge's windows grow over the group (block 2) or hold
+    it from the start (4096)."""
+    rows = [(1, 0, 1)] * 20
+    splits = [MaterializedSplit(i, rows, [1.0] * 20) for i in range(2)]
+    stream = RelationStream(("a", "b", "c"), splits, {"a": 2, "b": 2, "c": 4})
+    with mock.patch.object(shuffle, "MERGE_BLOCK", block), \
+            mock.patch.object(shuffle, "GROUP_ROW_BYTES",
+                              DEFAULT_MEMORY_BUDGET // 8), \
+            pytest.raises(PlanError) as err:
+        mapreduce_iceberg_cube(stream, minsup=1, workers=1)
+    message = str(err.value)
+    assert "holds 40 rows" in message
+    assert "budget of %d bytes" % DEFAULT_MEMORY_BUDGET in message
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_cube_shuffle_partitions_rows_by_task_and_root(tmp_path, d, workers):
+    """PT's partition, checked against the processing tree: the tasks
+    cover every cuboid but the apex once, and the spilled runs hold
+    every row exactly once per task, in the group of its root cell,
+    each group in one partition only."""
+    dims = tuple("d%d" % i for i in range(d))
+    cards = [3] * d
+    relation = zipf_relation(60, cards, skew=1.0, seed=d, dims=dims)
+    plan = plan_mapreduce(dims, cards, workers, workers=workers)
+    tree = ProcessingTree(dims)
+    nodes = [node for task in plan.tasks for node in task.nodes(tree)]
+    assert sorted(nodes) == sorted(tree.subtree_nodes(())[1:])
+    assert all(task.root for task in plan.tasks)
+    assert len(plan.tasks) <= 2 ** (d - 1)
+
+    result = mapreduce_iceberg_cube(
+        stream_from_relation(relation, split_rows=25), minsup=1,
+        workers=workers, shuffle_dir=str(tmp_path), keep_shuffle=True)
+    assert_same_cube(result, naive_iceberg_cube(relation, minsup=1),
+                     tolerance=0.0)
+    groups = {}  # (task, root key) -> {partition: [(row key, measure)]}
+    for path in glob.glob(str(tmp_path / "map-*" / "part-*.run")):
+        partition = int(os.path.basename(path).split("-")[1])
+        with open(path, "rb") as handle:
+            for task, root, key, measure in struct.iter_unpack(
+                    "<iqqd", handle.read()):
+                groups.setdefault((task, root), {}).setdefault(
+                    partition, []).append((key, measure))
+    assert all(len(where) == 1 for where in groups.values())
+    rows = sorted((plan.packing.pack(row), measure)
+                  for row, measure in zip(relation.rows, relation.measures))
+    for task_id, task in enumerate(plan.tasks):
+        at = [dims.index(name) for name in task.root]
+        mine = [members for (task_of, _root), where in groups.items()
+                if task_of == task_id for members in where.values()]
+        cells = [{plan.packing.unpack(key, at) for key, _m in members}
+                 for members in mine]
+        assert all(len(cell) == 1 for cell in cells)  # one root cell a group
+        assert len({cell.pop() for cell in cells}) == len(cells)
+        assert sorted(row for members in mine for row in members) == rows
 
 
 def test_empty_split_among_full_ones(tmp_path):
@@ -454,7 +521,10 @@ def test_spill_counts_pinned_at_a_1_mib_budget():
     stats = mapreduce_iceberg_cube(stream, minsup=20, workers=1,
                                    memory_budget=1 << 20).mr_stats
     assert (stats.spills, stats.spill_bytes, stats.spill_records,
-            stats.records_reduced) == (8, 13_281_044, 474_323, 409_258)
+            stats.records_reduced) == (8, 392_000, 14_000, 14_000)
+    # one record per row per subtree task, none folded on either side
+    tasks = plan_mapreduce(relation.dims, [16] * 10, 1, workers=1).tasks
+    assert stats.spill_records == stats.records_reduced == len(tasks) * 1_000
 
 
 def test_one_pool_per_job(tmp_path):
